@@ -1,8 +1,11 @@
 """Symmetric anti-norms on positive semidefinite matrices.
 
 Anti-norms are homogeneous and superadditive rather than subadditive, and
-they may vanish on nonzero operators.  All functions validate positive
-semidefiniteness and clamp round-off negatives to zero before use.
+they may vanish on nonzero operators.  Each anti-norm is a function of the
+eigenvalues alone: ``<name>_of`` takes the ascending spectrum that
+``psd_spectrum`` returns, and ``<name>`` on a matrix is that spectrum, then
+that function.  ``psd_spectrum`` validates positive semidefiniteness and
+clamps round-off negatives to zero.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .linalg import (
 )
 
 
-def _psd_spectrum(q, tol: float) -> np.ndarray:
+def psd_spectrum(q, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ascending eigenvalues of a PSD matrix, round-off negatives set to zero."""
     try:
         w = hermitian_eigenvalues(q, tol)
@@ -48,22 +51,20 @@ def _anti_power_sum(values: np.ndarray, p: float) -> float:
     return s ** (1.0 / p)
 
 
-def kyfan_antinorm(q, k: int, tol: float = DEFAULT_TOL) -> float:
-    """Sum of the k smallest eigenvalues of a PSD matrix."""
-    w = _psd_spectrum(q, tol)
+def kyfan_antinorm_of(w: np.ndarray, k: int) -> float:
+    """Sum of the k smallest entries of an ascending PSD spectrum."""
     if not 1 <= k <= w.size:
         raise RankRangeError(f"k={k} outside [1, {w.size}]")
     return float(w[:k].sum())
 
 
-def kp_antinorm(q, k: int, p: float, tol: float = DEFAULT_TOL, ambient_dim: int | None = None) -> float:
-    """(sum of p-th powers of the k smallest eigenvalues)^(1/p) for p in (0, 1].
+def kyfan_antinorm(q, k: int, tol: float = DEFAULT_TOL) -> float:
+    """Sum of the k smallest eigenvalues of a PSD matrix."""
+    return kyfan_antinorm_of(psd_spectrum(q, tol), k)
 
-    ambient_dim > m treats the matrix as embedded in a larger space, padding
-    the spectrum with zeros; the padded zeros count among the smallest
-    eigenvalues, so the result can vanish on a nonzero operator.
-    """
-    w = _psd_spectrum(q, tol)
+
+def kp_antinorm_of(w: np.ndarray, k: int, p: float, ambient_dim: int | None = None) -> float:
+    """(k, p) anti-norm of an ascending PSD spectrum; see kp_antinorm."""
     m = w.size
     amb = m if ambient_dim is None else int(ambient_dim)
     if amb < m:
@@ -77,11 +78,20 @@ def kp_antinorm(q, k: int, p: float, tol: float = DEFAULT_TOL, ambient_dim: int 
     return _anti_power_sum(w[:k], p)
 
 
-def schatten_antinorm(q, p: float, tol: float = DEFAULT_TOL) -> float:
-    """(tr Q^p)^(1/p) for p in (0, 1], extended to p < 0 on positive definite Q."""
+def kp_antinorm(q, k: int, p: float, tol: float = DEFAULT_TOL, ambient_dim: int | None = None) -> float:
+    """(sum of p-th powers of the k smallest eigenvalues)^(1/p) for p in (0, 1].
+
+    ambient_dim > m treats the matrix as embedded in a larger space, padding
+    the spectrum with zeros; the padded zeros count among the smallest
+    eigenvalues, so the result can vanish on a nonzero operator.
+    """
+    return kp_antinorm_of(psd_spectrum(q, tol), k, p, ambient_dim)
+
+
+def schatten_antinorm_of(w: np.ndarray, p: float) -> float:
+    """Schatten anti-norm of an ascending PSD spectrum; see schatten_antinorm."""
     if math.isnan(p) or math.isinf(p) or p == 0.0 or p > 1.0:
         raise ExponentRangeError(f"p={p} must lie in (0, 1] or be negative")
-    w = _psd_spectrum(q, tol)
     if p < 0:
         spec = float(w[-1])
         if float(w[0]) <= PD_FLOOR_COEFF * (1.0 + spec):
@@ -89,6 +99,11 @@ def schatten_antinorm(q, p: float, tol: float = DEFAULT_TOL) -> float:
         lo = float(w[0])
         return lo * float(np.sum((w / lo) ** p)) ** (1.0 / p)
     return _anti_power_sum(w, p)
+
+
+def schatten_antinorm(q, p: float, tol: float = DEFAULT_TOL) -> float:
+    """(tr Q^p)^(1/p) for p in (0, 1], extended to p < 0 on positive definite Q."""
+    return schatten_antinorm_of(psd_spectrum(q, tol), p)
 
 
 def partial_fidelity(rho, sigma, k: int, tol: float = DEFAULT_TOL) -> float:

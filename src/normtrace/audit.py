@@ -6,6 +6,13 @@ the relation held on that instance.  The SAT-WRQA case instead returns the
 negated equality residual of the product family c * R (x) I, so its margins
 sit at zero up to round-off.
 
+Every functional the cases compare is unitarily invariant, so an evaluator
+reads only spectra: singular values for norms, eigenvalues for anti-norms and
+entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's Choi rank.
+The runner wraps each instance in a memo of those spectra as soon as it is
+made, so each matrix is decomposed once per instance and every point of the
+parameter grid reuses the same validated arrays.
+
 Samplers draw from numpy's PCG64 generator and are bit-reproducible per
 (kind, dims, seed); the audit derives per-trial seeds by hashing
 (base_seed, case id, trial index), so reports are deterministic in the
@@ -22,13 +29,20 @@ import numpy as np
 
 from ._version import __version__
 from . import jsonio
-from .antinorms import kp_antinorm, kyfan_antinorm, schatten_antinorm
+from .antinorms import kp_antinorm_of, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
 from .bipartite import BipartiteOperator, partial_trace_b
 from .channels import StinespringChannel, choi_rank, partial_trace_channel
-from .entropy import alpha_log, max_entropy_value, renyi_entropy, tsallis_entropy, unified_entropy
+from .entropy import (
+    alpha_log,
+    density_spectrum,
+    max_entropy_value,
+    renyi_entropy_of,
+    tsallis_entropy_of,
+    unified_entropy_of,
+)
 from .errors import BadDimsError, KindMismatchError, PreconditionError
-from .linalg import kron, singular_values
-from .norms import gauge_kp, kp_norm, kyfan_norm, schatten_norm
+from .linalg import as_matrix, kron, require_square, singular_values, zero_pad
+from .norms import gauge_kp, schatten_gauge
 
 NORM_P_GRID = (1.0, 1.5, 2.0, 3.0, 10.0, math.inf)
 ANTINORM_P_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -165,169 +179,198 @@ def _dim_factor(n: int, p: float) -> float:
     return float(n) ** ((p - 1.0) / p)
 
 
-def _env_dim(ch: StinespringChannel, params) -> int:
-    mode = params.get("env_mode", "choi_rank")
-    if mode == "dim_env":
-        return ch.dim_env
-    if mode == "choi_rank":
-        return choi_rank(ch)
-    raise PreconditionError(f"unknown env_dim mode {mode!r}")
+# ---------------------------------------------------------------------------
+# per-instance spectra
+
+
+def _square_singular_values(q) -> np.ndarray:
+    q = as_matrix(q)
+    require_square(q)
+    return singular_values(q)
+
+
+class _Spectra:
+    """Lazily computed, validated spectra of one audit instance.
+
+    The matrices are W and Tr_B W of a bipartite instance, Q and Phi(Q) of a
+    (channel, Q) pair, or a plain matrix Q.  Each is decomposed at most once per
+    spectrum kind (singular values, PSD eigenvalues, density eigenvalues), with
+    the checks of the matrix-level functions, and a channel's Choi rank is
+    computed once; every grid point of the instance reads the same arrays.
+    """
+
+    def __init__(self, inst):
+        self.inst = inst
+        if isinstance(inst, BipartiteOperator):
+            self.matrices = {"w": inst.matrix, "qa": partial_trace_b(inst)}
+        elif isinstance(inst, tuple):
+            ch, q = inst
+            self.matrices = {"q": q, "out": ch.apply(q)}
+        else:
+            self.matrices = {"q": inst}
+        self._memo = {}
+
+    def _get(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def sv(self, name: str) -> np.ndarray:
+        return self._get(("sv", name), lambda: _square_singular_values(self.matrices[name]))
+
+    def psd(self, name: str) -> np.ndarray:
+        return self._get(("psd", name), lambda: psd_spectrum(self.matrices[name]))
+
+    def density(self, name: str) -> np.ndarray:
+        return self._get(("density", name), lambda: density_spectrum(self.matrices[name]))
+
+    def env_dim(self, params) -> int:
+        ch = self.inst[0]
+        mode = params.get("env_mode", "choi_rank")
+        if mode == "dim_env":
+            return ch.dim_env
+        if mode == "choi_rank":
+            return self._get("choi_rank", lambda: choi_rank(ch))
+        raise PreconditionError(f"unknown env_dim mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
-# evaluators (public operations of the other modules only)
+# evaluators: functions of the spectra of one instance
 
 
-def _eval_kpn1(w: BipartiteOperator, pr) -> float:
+def _eval_kpn1(sp: _Spectra, pr) -> float:
     k, p = pr["k"], pr["p"]
-    qa = partial_trace_b(w)
-    bound = _dim_factor(w.dim_b, p) * kp_norm(w.matrix, k * w.dim_b, p)
-    return _slack(kp_norm(qa, k, p), bound)
+    n = sp.inst.dim_b
+    bound = _dim_factor(n, p) * gauge_kp(sp.sv("w"), k * n, p)
+    return _slack(gauge_kp(sp.sv("qa"), k, p), bound)
 
 
-def _eval_spn1(w: BipartiteOperator, pr) -> float:
+def _eval_spn1(sp: _Spectra, pr) -> float:
     p = pr["p"]
-    qa = partial_trace_b(w)
-    return _slack(schatten_norm(qa, p), _dim_factor(w.dim_b, p) * schatten_norm(w.matrix, p))
+    bound = _dim_factor(sp.inst.dim_b, p) * schatten_gauge(sp.sv("w"), p)
+    return _slack(schatten_gauge(sp.sv("qa"), p), bound)
 
 
-def _eval_tfsn(w: BipartiteOperator, pr) -> float:
-    qa = partial_trace_b(w)
-    n = w.dim_b
+def _eval_tfsn(sp: _Spectra, pr) -> float:
+    n = sp.inst.dim_b
     variant = pr["variant"]
     if variant == "trace":
-        return _slack(schatten_norm(qa, 1.0), schatten_norm(w.matrix, 1.0))
+        return _slack(schatten_gauge(sp.sv("qa"), 1.0), schatten_gauge(sp.sv("w"), 1.0))
     if variant == "frobenius":
-        return _slack(schatten_norm(qa, 2.0), math.sqrt(n) * schatten_norm(w.matrix, 2.0))
+        return _slack(schatten_gauge(sp.sv("qa"), 2.0), math.sqrt(n) * schatten_gauge(sp.sv("w"), 2.0))
     if variant == "spectral":
-        return _slack(schatten_norm(qa, math.inf), n * schatten_norm(w.matrix, math.inf))
+        return _slack(schatten_gauge(sp.sv("qa"), math.inf), n * schatten_gauge(sp.sv("w"), math.inf))
     raise PreconditionError(f"unknown variant {variant!r}")
 
 
-def _eval_kpk1(w: BipartiteOperator, pr) -> float:
+def _eval_kpk1(sp: _Spectra, pr) -> float:
     k = pr["k"]
-    qa = partial_trace_b(w)
-    return _slack(kyfan_norm(qa, k), kyfan_norm(w.matrix, k * w.dim_b))
+    return _slack(gauge_kp(sp.sv("qa"), k, 1.0), gauge_kp(sp.sv("w"), k * sp.inst.dim_b, 1.0))
 
 
-def _eval_kpk2(w: BipartiteOperator, pr) -> float:
-    qa = partial_trace_b(w)
-    return _slack(schatten_norm(qa, math.inf), kyfan_norm(w.matrix, w.dim_b))
+def _eval_kpk2(sp: _Spectra, pr) -> float:
+    return _slack(schatten_gauge(sp.sv("qa"), math.inf), gauge_kp(sp.sv("w"), sp.inst.dim_b, 1.0))
 
 
-def _eval_tpn2(q: np.ndarray, pr) -> float:
+def _eval_tpn2(sp: _Spectra, pr) -> float:
     k, p, qq = pr["k"], pr["p"], pr["q"]
     factor = float(k) ** ((qq - 1.0) / (p * qq))
-    return _slack(kp_norm(q, k, p), factor * kp_norm(q, k, p * qq))
+    return _slack(gauge_kp(sp.sv("q"), k, p), factor * gauge_kp(sp.sv("q"), k, p * qq))
 
 
-def _eval_cpn1(w: BipartiteOperator, pr) -> float:
+def _eval_cpn1(sp: _Spectra, pr) -> float:
     k, p, qq = pr["k"], pr["p"], pr["q"]
-    n = w.dim_b
-    qa = partial_trace_b(w)
+    n = sp.inst.dim_b
     factor = (float(k) ** (qq - 1.0) * float(n) ** (p * qq - 1.0)) ** (1.0 / (p * qq))
-    return _slack(kp_norm(qa, k, p), factor * kp_norm(w.matrix, k * n, p * qq))
+    return _slack(gauge_kp(sp.sv("qa"), k, p), factor * gauge_kp(sp.sv("w"), k * n, p * qq))
 
 
-def _eval_kqn1(w: BipartiteOperator, pr) -> float:
+def _eval_kqn1(sp: _Spectra, pr) -> float:
     k, p = pr["k"], pr["p"]
-    qa = partial_trace_b(w)
-    bound = _dim_factor(w.dim_b, p) * kp_antinorm(w.matrix, k * w.dim_b, p)
-    return _slack(bound, kp_antinorm(qa, k, p))
+    n = sp.inst.dim_b
+    bound = _dim_factor(n, p) * kp_antinorm_of(sp.psd("w"), k * n, p)
+    return _slack(bound, kp_antinorm_of(sp.psd("qa"), k, p))
 
 
-def _eval_kqn2(w: BipartiteOperator, pr) -> float:
+def _eval_kqn2(sp: _Spectra, pr) -> float:
     p = pr["p"]
-    qa = partial_trace_b(w)
-    bound = _dim_factor(w.dim_b, p) * schatten_antinorm(w.matrix, p)
-    return _slack(bound, schatten_antinorm(qa, p))
+    bound = _dim_factor(sp.inst.dim_b, p) * schatten_antinorm_of(sp.psd("w"), p)
+    return _slack(bound, schatten_antinorm_of(sp.psd("qa"), p))
 
 
-def _eval_kqk1(w: BipartiteOperator, pr) -> float:
+def _eval_kqk1(sp: _Spectra, pr) -> float:
     k = pr["k"]
-    qa = partial_trace_b(w)
-    return _slack(kyfan_antinorm(w.matrix, k * w.dim_b), kyfan_antinorm(qa, k))
+    return _slack(kyfan_antinorm_of(sp.psd("w"), k * sp.inst.dim_b), kyfan_antinorm_of(sp.psd("qa"), k))
 
 
-def _eval_tpn62(q: np.ndarray, pr) -> float:
+def _eval_tpn62(sp: _Spectra, pr) -> float:
     k, p, qq = pr["k"], pr["p"], pr["q"]
     factor = float(k) ** ((qq - 1.0) / (p * qq))
-    return _slack(factor * kp_antinorm(q, k, p * qq), kp_antinorm(q, k, p))
+    return _slack(factor * kp_antinorm_of(sp.psd("q"), k, p * qq), kp_antinorm_of(sp.psd("q"), k, p))
 
 
-def _eval_stct1(inst, pr) -> float:
-    ch, q = inst
+def _eval_stct1(sp: _Spectra, pr) -> float:
     k, p = pr["k"], pr["p"]
-    d = _env_dim(ch, pr)
-    out = ch.apply(q)
-    sv = singular_values(q, pad_to=k * d)
-    bound = _dim_factor(d, p) * gauge_kp(sv, k * d, p)
-    return _slack(kp_norm(out, k, p), bound)
+    d = sp.env_dim(pr)
+    bound = _dim_factor(d, p) * gauge_kp(zero_pad(sp.sv("q"), k * d), k * d, p)
+    return _slack(gauge_kp(sp.sv("out"), k, p), bound)
 
 
-def _eval_stctp(inst, pr) -> float:
-    ch, q = inst
+def _eval_stctp(sp: _Spectra, pr) -> float:
     p = pr["p"]
-    d = _env_dim(ch, pr)
-    out = ch.apply(q)
-    return _slack(schatten_norm(out, p), _dim_factor(d, p) * schatten_norm(q, p))
+    d = sp.env_dim(pr)
+    return _slack(schatten_gauge(sp.sv("out"), p), _dim_factor(d, p) * schatten_gauge(sp.sv("q"), p))
 
 
-def _eval_stct2(inst, pr) -> float:
-    ch, q = inst
+def _eval_stct2(sp: _Spectra, pr) -> float:
     k, p = pr["k"], pr["p"]
-    d = _env_dim(ch, pr)
-    out = ch.apply(q)
-    bound = _dim_factor(d, p) * kp_antinorm(q, k * d, p, ambient_dim=ch.dim_out * d)
-    return _slack(bound, kp_antinorm(out, k, p))
+    d = sp.env_dim(pr)
+    ambient = sp.inst[0].dim_out * d
+    bound = _dim_factor(d, p) * kp_antinorm_of(sp.psd("q"), k * d, p, ambient_dim=ambient)
+    return _slack(bound, kp_antinorm_of(sp.psd("out"), k, p))
 
 
-def _eval_stctpp(inst, pr) -> float:
-    ch, q = inst
+def _eval_stctpp(sp: _Spectra, pr) -> float:
     p = pr["p"]
-    d = _env_dim(ch, pr)
-    out = ch.apply(q)
-    return _slack(_dim_factor(d, p) * schatten_antinorm(q, p), schatten_antinorm(out, p))
+    d = sp.env_dim(pr)
+    bound = _dim_factor(d, p) * schatten_antinorm_of(sp.psd("q"), p)
+    return _slack(bound, schatten_antinorm_of(sp.psd("out"), p))
 
 
-def _eval_et41(w: BipartiteOperator, pr) -> float:
+def _eval_et41(sp: _Spectra, pr) -> float:
     alpha, s = pr["alpha"], pr["s"]
-    n = w.dim_b
-    ra = partial_trace_b(w)
-    lhs = unified_entropy(w.matrix, alpha, s)
-    rhs = float(n) ** ((1.0 - alpha) * s) * unified_entropy(ra, alpha, s) + max_entropy_value(n, alpha, s)
+    n = sp.inst.dim_b
+    lhs = unified_entropy_of(sp.density("w"), alpha, s)
+    rhs = float(n) ** ((1.0 - alpha) * s) * unified_entropy_of(sp.density("qa"), alpha, s)
+    return _slack(lhs, rhs + max_entropy_value(n, alpha, s))
+
+
+def _eval_ett41(sp: _Spectra, pr) -> float:
+    alpha = pr["alpha"]
+    n = sp.inst.dim_b
+    lhs = tsallis_entropy_of(sp.density("w"), alpha)
+    rhs = float(n) ** (1.0 - alpha) * tsallis_entropy_of(sp.density("qa"), alpha) + alpha_log(float(n), alpha)
     return _slack(lhs, rhs)
 
 
-def _eval_ett41(w: BipartiteOperator, pr) -> float:
+def _eval_et42(sp: _Spectra, pr) -> float:
     alpha = pr["alpha"]
-    n = w.dim_b
-    ra = partial_trace_b(w)
-    lhs = tsallis_entropy(w.matrix, alpha)
-    rhs = float(n) ** (1.0 - alpha) * tsallis_entropy(ra, alpha) + alpha_log(float(n), alpha)
-    return _slack(lhs, rhs)
+    rhs = renyi_entropy_of(sp.density("qa"), alpha) + math.log(sp.inst.dim_b)
+    return _slack(renyi_entropy_of(sp.density("w"), alpha), rhs)
 
 
-def _eval_et42(w: BipartiteOperator, pr) -> float:
-    alpha = pr["alpha"]
-    ra = partial_trace_b(w)
-    return _slack(renyi_entropy(w.matrix, alpha), renyi_entropy(ra, alpha) + math.log(w.dim_b))
-
-
-def _eval_stctep(inst, pr) -> float:
-    ch, rho = inst
+def _eval_stctep(sp: _Spectra, pr) -> float:
     alpha, s = pr["alpha"], pr["s"]
-    d = _env_dim(ch, pr)
-    out = ch.apply(rho)
-    lhs = unified_entropy(rho, alpha, s)
-    rhs = float(d) ** ((1.0 - alpha) * s) * unified_entropy(out, alpha, s) + max_entropy_value(d, alpha, s)
-    return _slack(lhs, rhs)
+    d = sp.env_dim(pr)
+    lhs = unified_entropy_of(sp.density("q"), alpha, s)
+    rhs = float(d) ** ((1.0 - alpha) * s) * unified_entropy_of(sp.density("out"), alpha, s)
+    return _slack(lhs, rhs + max_entropy_value(d, alpha, s))
 
 
-def _eval_sat_wrqa(w: BipartiteOperator, pr) -> float:
+def _eval_sat_wrqa(sp: _Spectra, pr) -> float:
     if pr["family"] == "norm":
-        return -abs(_eval_kpn1(w, pr))
-    return -abs(_eval_kqn1(w, pr))
+        return -abs(_eval_kpn1(sp, pr))
+    return -abs(_eval_kqn1(sp, pr))
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +796,7 @@ def evaluate_case(case_id: str, instance, params) -> float:
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
     _check_kind(case, instance)
-    return case.evaluate(instance, dict(params))
+    return case.evaluate(_Spectra(instance), dict(params))
 
 
 # ---------------------------------------------------------------------------
@@ -851,30 +894,44 @@ def _case_extras(cid: str, trial_stats: dict):
     return None
 
 
-def _update_trial_stats(cid: str, inst, stats: dict) -> None:
+def _update_trial_stats(cid: str, sp: _Spectra, stats: dict) -> None:
     if cid == "KPK2":
-        w = inst
-        lhs = kyfan_norm(w.matrix, w.dim_b)
-        rhs = w.dim_b * schatten_norm(w.matrix, math.inf)
+        n = sp.inst.dim_b
+        lhs = gauge_kp(sp.sv("w"), n, 1.0)
+        rhs = n * schatten_gauge(sp.sv("w"), math.inf)
         if rhs - lhs > 1e-9 * max(1.0, lhs, rhs):
             stats["dominance_strict_count"] += 1
     elif cid == "KQK1":
-        w = inst
-        qa = partial_trace_b(w)
-        denom = max(1.0, abs(float(np.trace(w.matrix).real)))
+        m, n = sp.inst.dim_a, sp.inst.dim_b
+        denom = max(1.0, abs(float(np.trace(sp.inst.matrix).real)))
         dev = 0.0
-        for k in range(1, w.dim_a):
-            raw_anti = kyfan_antinorm(qa, k) - kyfan_antinorm(w.matrix, k * w.dim_b)
-            raw_norm = kyfan_norm(w.matrix, (w.dim_a - k) * w.dim_b) - kyfan_norm(qa, w.dim_a - k)
+        for k in range(1, m):
+            raw_anti = kyfan_antinorm_of(sp.psd("qa"), k) - kyfan_antinorm_of(sp.psd("w"), k * n)
+            raw_norm = gauge_kp(sp.sv("w"), (m - k) * n, 1.0) - gauge_kp(sp.sv("qa"), m - k, 1.0)
             dev = max(dev, abs(raw_anti - raw_norm) / denom)
         stats["equivalence_max_dev"] = max(stats["equivalence_max_dev"], dev)
+
+
+# domain problems of one instance; anything else is a bug and propagates
+_INSTANCE_ERRORS = (PreconditionError, np.linalg.LinAlgError)
+
+
+def _margins(case: InequalityCase, sp: _Spectra, config: AuditConfig):
+    for params in case.param_grid(sp.inst, config):
+        pr = dict(params)
+        pr["env_mode"] = config.env_dim_mode
+        yield case.evaluate(sp, pr)
 
 
 def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
     """Evaluate every selected registry case on seeded instances.
 
-    Evaluator errors never abort the run; they are counted per case and the
-    first message is kept in the record.
+    Each trial and each saturator instance is decomposed once into the
+    spectra its case reads, and the whole parameter grid is evaluated on them.
+    A PreconditionError or LinAlgError on an instance never aborts the run: it
+    counts in the case's failures and the first message is kept in the record.
+    A failed saturator instance also sets saturation_residual to None.  Any
+    other exception propagates.
     """
     ids = config.case_filter if config.case_filter is not None else REGISTRY_IDS
     records = []
@@ -891,30 +948,29 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
             dims = config.dims[trial % len(config.dims)]
             seed = _trial_seed(config.base_seed, cid, trial)
             try:
-                inst = case.make_instance(dims, seed)
-                for params in case.param_grid(inst, config):
-                    pr = dict(params)
-                    pr["env_mode"] = config.env_dim_mode
-                    margin = case.evaluate(inst, pr)
+                sp = _Spectra(case.make_instance(dims, seed))
+                for margin in _margins(case, sp, config):
                     if worst is None or margin < worst:
                         worst = margin
                     if margin < -config.tolerance:
                         violations += 1
-                _update_trial_stats(cid, inst, stats)
-            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                _update_trial_stats(cid, sp, stats)
+            except _INSTANCE_ERRORS as exc:
                 failures += 1
-                if first_failure is None:
-                    first_failure = f"{type(exc).__name__}: {exc}"
+                first_failure = first_failure or f"{type(exc).__name__}: {exc}"
         saturation = None
         if case.saturator is not None:
-            residual = 0.0
+            residual, trial_failures = 0.0, failures
             for i, dims in enumerate(config.dims):
-                inst = case.saturator(dims, _trial_seed(config.base_seed, cid + ":sat", i))
-                for params in case.param_grid(inst, config):
-                    pr = dict(params)
-                    pr["env_mode"] = config.env_dim_mode
-                    residual = max(residual, abs(case.evaluate(inst, pr)))
-            saturation = residual
+                try:
+                    sp = _Spectra(case.saturator(dims, _trial_seed(config.base_seed, cid + ":sat", i)))
+                    for margin in _margins(case, sp, config):
+                        residual = max(residual, abs(margin))
+                except _INSTANCE_ERRORS as exc:
+                    failures += 1
+                    first_failure = first_failure or f"{type(exc).__name__}: {exc}"
+            # a residual over only some saturator instances must not read as clean
+            saturation = residual if failures == trial_failures else None
         record = {
             "id": cid,
             "paper_eq": case.paper_eq,

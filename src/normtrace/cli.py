@@ -1,7 +1,8 @@
 """Command line front end: compute, ptrace, and audit subcommands.
 
 Exit codes: 0 success, 2 argument or input file problems, 3 domain
-precondition failures, 4 audit found violations.
+precondition failures, 4 audit found violations, 5 audit found no violations
+but some instances failed to evaluate.
 """
 from __future__ import annotations
 
@@ -150,7 +151,9 @@ def _run_audit(args) -> int:
         f"{len(report.cases)} cases, {total} violations, {failures} failures",
         file=sys.stderr,
     )
-    return 4 if total > 0 else 0
+    if total > 0:
+        return 4
+    return 5 if failures > 0 else 0
 
 
 def _build_parser() -> _Parser:

@@ -3,7 +3,9 @@
 unified_entropy(rho, alpha, s) = ((tr rho^alpha)^s - 1) / ((1 - alpha) s)
 with the s -> 0 limit giving Renyi, s = 1 giving Tsallis, and alpha -> 1
 giving von Neumann for every s.  Limit routing uses fixed thresholds so the
-branch taken is deterministic.
+branch taken is deterministic.  Each entropy is a function of the eigenvalues
+alone: ``<name>_of`` takes the spectrum that ``density_spectrum`` returns, and
+``<name>`` on a density matrix is that spectrum, then that function.
 """
 from __future__ import annotations
 
@@ -45,10 +47,33 @@ def _vn(w: np.ndarray) -> float:
     return float(-(w * np.log(w)).sum())
 
 
-def _renyi(w: np.ndarray, alpha: float) -> float:
+def renyi_entropy_of(w: np.ndarray, alpha: float) -> float:
+    """Renyi entropy of a density spectrum; see renyi_entropy."""
+    _check_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return _vn(w)
     return float(math.log(float(np.sum(w**alpha))) / (1.0 - alpha))
+
+
+def tsallis_entropy_of(w: np.ndarray, alpha: float) -> float:
+    """Tsallis entropy of a density spectrum; see tsallis_entropy."""
+    _check_alpha(alpha)
+    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
+        return _vn(w)
+    return float((float(np.sum(w**alpha)) - 1.0) / (1.0 - alpha))
+
+
+def unified_entropy_of(w: np.ndarray, alpha: float, s: float) -> float:
+    """Unified (alpha, s) entropy of a density spectrum; see unified_entropy."""
+    _check_alpha(alpha)
+    if math.isnan(s) or math.isinf(s):
+        raise ExponentRangeError(f"s={s} must be a finite real")
+    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
+        return _vn(w)
+    if abs(s) < S_ZERO_TOL:
+        return renyi_entropy_of(w, alpha)
+    t = float(np.sum(w**alpha))
+    return float(math.expm1(s * math.log(t)) / ((1.0 - alpha) * s))
 
 
 def von_neumann_entropy(rho, tol: float = 1e-9) -> float:
@@ -58,31 +83,17 @@ def von_neumann_entropy(rho, tol: float = 1e-9) -> float:
 
 def renyi_entropy(rho, alpha: float, tol: float = 1e-9) -> float:
     """ln(tr rho^alpha) / (1 - alpha); alpha near 1 gives von Neumann."""
-    _check_alpha(alpha)
-    return _renyi(density_spectrum(rho, tol), alpha)
+    return renyi_entropy_of(density_spectrum(rho, tol), alpha)
 
 
 def tsallis_entropy(rho, alpha: float, tol: float = 1e-9) -> float:
     """(tr rho^alpha - 1) / (1 - alpha); alpha near 1 gives von Neumann."""
-    _check_alpha(alpha)
-    w = density_spectrum(rho, tol)
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return _vn(w)
-    return float((float(np.sum(w**alpha)) - 1.0) / (1.0 - alpha))
+    return tsallis_entropy_of(density_spectrum(rho, tol), alpha)
 
 
 def unified_entropy(rho, alpha: float, s: float, tol: float = 1e-9) -> float:
     """((tr rho^alpha)^s - 1) / ((1 - alpha) s) with deterministic limit branches."""
-    _check_alpha(alpha)
-    if math.isnan(s) or math.isinf(s):
-        raise ExponentRangeError(f"s={s} must be a finite real")
-    w = density_spectrum(rho, tol)
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return _vn(w)
-    if abs(s) < S_ZERO_TOL:
-        return _renyi(w, alpha)
-    t = float(np.sum(w**alpha))
-    return float(math.expm1(s * math.log(t)) / ((1.0 - alpha) * s))
+    return unified_entropy_of(density_spectrum(rho, tol), alpha, s)
 
 
 def max_entropy_value(m: int, alpha: float, s: float) -> float:

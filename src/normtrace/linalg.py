@@ -69,8 +69,11 @@ def hermitian_eigh(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
 
 def singular_values(q, pad_to: int | None = None) -> np.ndarray:
     """Singular values in descending order, optionally zero-padded to pad_to."""
-    q = as_matrix(q)
-    s = np.linalg.svd(q, compute_uv=False)
+    return zero_pad(np.linalg.svd(as_matrix(q), compute_uv=False), pad_to)
+
+
+def zero_pad(s: np.ndarray, pad_to: int | None) -> np.ndarray:
+    """A descending spectrum followed by zeros up to length pad_to, if that is longer."""
     if pad_to is not None and pad_to > s.size:
         s = np.concatenate([s, np.zeros(pad_to - s.size)])
     return s

@@ -3,7 +3,9 @@
 The central object is the gauge (sum of the p-th powers of the k largest
 absolute entries)^(1/p).  Applied to singular values it yields a norm for
 every k in [1, m] and p >= 1; k = m gives the Schatten p-norm and p = 1 the
-Ky Fan k-norm.
+Ky Fan k-norm.  Each norm is a function of the singular values alone:
+``gauge_kp`` and ``schatten_gauge`` take them, and the matrix-level functions
+compute them, then call those.
 """
 from __future__ import annotations
 
@@ -50,10 +52,14 @@ def kp_norm(q, k: int, p: float) -> float:
     return gauge_kp(singular_values(q), k, p)
 
 
+def schatten_gauge(s: np.ndarray, p: float) -> float:
+    """Schatten p-norm of a spectrum of singular values: the gauge over all of it."""
+    return gauge_kp(s, s.size, p)
+
+
 def schatten_norm(q, p: float) -> float:
     """Schatten p-norm; p = 1 trace norm, p = 2 Frobenius, p = inf spectral."""
-    s = singular_values(as_matrix(q))
-    return gauge_kp(s, s.size, p)
+    return schatten_gauge(singular_values(as_matrix(q)), p)
 
 
 def kyfan_norm(q, k: int) -> float:

@@ -1,7 +1,10 @@
 """Registry, samplers, and the audit runner."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from normtrace import audit, channels
 from normtrace.audit import (
     DEFAULT_DIMS,
     REGISTRY,
@@ -199,3 +202,117 @@ def test_report_shape():
     text = rep.to_text()
     assert text.endswith("\n")
     assert '"id": "TFSN"' in text
+
+
+DECOMPOSITIONS = ("svd", "eigvalsh", "eigh", "qr")
+
+
+def test_run_audit_decomposes_each_instance_once(monkeypatch):
+    # one bucket per instance, opened as it is made: a trial or saturator
+    # instance of the runner, or an equality witness of evaluate_case
+    buckets = []
+    evaluations = []
+    cfg = AuditConfig(trials_per_case=8)
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            buckets[-1][key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def opening(cid, make):
+        def opened(dims, seed):
+            buckets.append({"case": cid, "witness": False, "decompositions": 0, "choi_rank": 0})
+            inst = make(dims, seed)
+            buckets[-1]["grid"] = len(REGISTRY[cid].param_grid(inst, cfg))
+            return inst
+
+        return opened
+
+    def evaluating(fn):
+        def evaluate(*args):
+            evaluations.append(1)
+            return fn(*args)
+
+        return evaluate
+
+    def witness(cid, instance, params):
+        buckets.append({"case": cid, "witness": True, "decompositions": 0, "choi_rank": 0, "grid": 1})
+        return evaluate_case(cid, instance, params)
+
+    for name in DECOMPOSITIONS:
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), "decompositions"))
+    for module in (audit, channels):
+        monkeypatch.setattr(module, "choi_rank", counting(channels.choi_rank, "choi_rank"))
+    monkeypatch.setattr(audit, "evaluate_case", witness)
+    for cid, case in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(
+            case,
+            make_instance=opening(cid, case.make_instance),
+            saturator=opening(cid, case.saturator),
+            evaluate=evaluating(case.evaluate),
+        ))
+
+    report = run_audit(cfg)
+
+    assert report.violations == 0
+    assert all(c["failures"] == 0 for c in report.cases)
+    made = [b for b in buckets if not b["witness"]]
+    # every case has a saturator, run once per dims pair
+    assert len(made) == len(REGISTRY) * (cfg.trials_per_case + len(cfg.dims))
+    channel_cases = {cid for cid, c in REGISTRY.items() if c.instance_kind == "channel_pair"}
+    for b in buckets:
+        assert b["decompositions"] <= 4, b
+        assert b["choi_rank"] == (b["case"] in channel_cases and not b["witness"]), b
+    assert len(evaluations) == sum(b["grid"] for b in buckets)
+
+
+def _replace_case(monkeypatch, cid, **fields):
+    monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(REGISTRY[cid], **fields))
+
+
+def test_run_audit_counts_failed_saturators(monkeypatch):
+    sat = REGISTRY["KPK2"].saturator
+
+    def saturator(dims, seed):
+        if dims == (3, 2):
+            raise PreconditionError("saturator disabled")
+        return sat(dims, seed)
+
+    _replace_case(monkeypatch, "KPK2", saturator=saturator)
+    (rec,) = run_audit(AuditConfig(trials_per_case=3, case_filter=("KPK2",))).cases
+    assert rec["failures"] == 1
+    assert rec["first_failure"] == "PreconditionError: saturator disabled"
+    # three of four saturator instances ran clean, which must not read as clean
+    assert rec["saturation_residual"] is None
+    assert rec["worst_margin"] is not None
+
+
+def test_run_audit_counts_domain_errors_everywhere(monkeypatch):
+    def evaluate(sp, pr):
+        raise PreconditionError("evaluator disabled")
+
+    def make_instance(dims, seed):
+        raise np.linalg.LinAlgError("no convergence")
+
+    _replace_case(monkeypatch, "KPK2", evaluate=evaluate)
+    _replace_case(monkeypatch, "KPN1", make_instance=make_instance)
+    cfg = AuditConfig(trials_per_case=3, case_filter=("KPN1", "KPK2"))
+    kpn1, kpk2 = run_audit(cfg).cases
+    assert kpk2["failures"] == 3 + len(cfg.dims)
+    assert kpk2["first_failure"] == "PreconditionError: evaluator disabled"
+    assert kpk2["worst_margin"] is None and kpk2["saturation_residual"] is None
+    assert kpn1["failures"] == 3
+    assert kpn1["first_failure"] == "LinAlgError: no convergence"
+    assert kpn1["saturation_residual"] <= 1e-10
+
+
+def test_run_audit_propagates_programming_errors(monkeypatch):
+    # raised by the trials only, so the saturator pass cannot be what lets it out
+    def make_instance(dims, seed):
+        raise TypeError("bug in an instance maker")
+
+    _replace_case(monkeypatch, "KPK2", make_instance=make_instance)
+    with pytest.raises(TypeError, match="bug in an instance maker"):
+        run_audit(AuditConfig(trials_per_case=2, case_filter=("KPK2",)))

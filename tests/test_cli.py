@@ -1,4 +1,5 @@
 """End-to-end command line checks through subprocess calls."""
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,10 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from normtrace import jsonio
+from normtrace import cli, jsonio
 from normtrace.antinorms import kp_antinorm
+from normtrace.audit import REGISTRY
 from normtrace.bipartite import BipartiteOperator, partial_trace_a, partial_trace_b
 from normtrace.entropy import unified_entropy
+from normtrace.errors import PreconditionError
 from normtrace.norms import kp_norm, schatten_norm
 
 
@@ -160,3 +163,16 @@ def test_version_flag():
     out = run_cli("--version")
     assert out.returncode == 0
     assert "normtrace" in out.stdout
+
+
+def test_audit_with_failed_trials_exits_5(monkeypatch, capsys):
+    def make_instance(dims, seed):
+        raise PreconditionError("instance maker disabled")
+
+    monkeypatch.setitem(REGISTRY, "KPK2", dataclasses.replace(REGISTRY["KPK2"], make_instance=make_instance))
+    code = cli.main(["audit", "--case", "KPK2", "--trials", "3"])
+    out, err = capsys.readouterr()
+    assert code == 5
+    (rec,) = json.loads(out)["cases"]
+    assert rec["failures"] == 3 and rec["violations"] == 0 and rec["worst_margin"] is None
+    assert "0 violations, 3 failures" in err
