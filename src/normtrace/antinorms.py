@@ -5,7 +5,11 @@ they may vanish on nonzero operators.  Each anti-norm is a function of the
 eigenvalues alone: ``<name>_of`` takes the ascending spectrum that
 ``psd_spectrum`` returns, and ``<name>`` on a matrix is that spectrum, then
 that function.  ``psd_spectrum`` validates positive semidefiniteness and
-clamps round-off negatives to zero.
+clamps round-off negatives to zero.  For a fixed p in (0, 1], one cumulative
+power sum over the ascending spectrum serves every k at once:
+``antinorm_table`` returns the (k, p) anti-norm for each k, and
+``kp_antinorm_of`` and the p > 0 branch of ``schatten_antinorm_of`` read one
+entry of it.
 """
 from __future__ import annotations
 
@@ -43,12 +47,20 @@ def psd_spectrum(q, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.where(w < 0.0, 0.0, w)
 
 
-def _anti_power_sum(values: np.ndarray, p: float) -> float:
-    # values nonnegative, p in (0, 1]
-    s = float(np.sum(values**p))
-    if s == 0.0:
-        return 0.0
-    return s ** (1.0 / p)
+def antinorm_table(w: np.ndarray, p: float, ambient_dim: int | None = None) -> np.ndarray:
+    """(k, p) anti-norms of an ascending PSD spectrum for every k = 1..ambient_dim.
+
+    ambient_dim (default len(w)) > len(w) prepends that many zero eigenvalues,
+    so the entries for k up to the padding are 0.
+    """
+    m = w.size
+    amb = m if ambient_dim is None else int(ambient_dim)
+    if amb < m:
+        raise ShapeMismatchError(f"ambient_dim={amb} smaller than matrix dimension {m}")
+    if not 0 < p <= 1:
+        raise ExponentRangeError(f"p={p} must lie in (0, 1]")
+    table = (w**p).cumsum() ** (1.0 / p)
+    return np.concatenate([np.zeros(amb - m), table]) if amb > m else table
 
 
 def kyfan_antinorm_of(w: np.ndarray, k: int) -> float:
@@ -65,17 +77,10 @@ def kyfan_antinorm(q, k: int, tol: float = DEFAULT_TOL) -> float:
 
 def kp_antinorm_of(w: np.ndarray, k: int, p: float, ambient_dim: int | None = None) -> float:
     """(k, p) anti-norm of an ascending PSD spectrum; see kp_antinorm."""
-    m = w.size
-    amb = m if ambient_dim is None else int(ambient_dim)
-    if amb < m:
-        raise ShapeMismatchError(f"ambient_dim={amb} smaller than matrix dimension {m}")
-    if amb > m:
-        w = np.concatenate([np.zeros(amb - m), w])
-    if not 1 <= k <= amb:
-        raise RankRangeError(f"k={k} outside [1, {amb}]")
-    if not 0 < p <= 1:
-        raise ExponentRangeError(f"p={p} must lie in (0, 1]")
-    return _anti_power_sum(w[:k], p)
+    table = antinorm_table(w, p, ambient_dim)
+    if not 1 <= k <= table.size:
+        raise RankRangeError(f"k={k} outside [1, {table.size}]")
+    return float(table[k - 1])
 
 
 def kp_antinorm(q, k: int, p: float, tol: float = DEFAULT_TOL, ambient_dim: int | None = None) -> float:
@@ -98,7 +103,7 @@ def schatten_antinorm_of(w: np.ndarray, p: float) -> float:
             raise SingularPowerError("negative exponent needs a safely positive definite matrix")
         lo = float(w[0])
         return lo * float(np.sum((w / lo) ** p)) ** (1.0 / p)
-    return _anti_power_sum(w, p)
+    return float(antinorm_table(w, p)[-1])
 
 
 def schatten_antinorm(q, p: float, tol: float = DEFAULT_TOL) -> float:

@@ -10,8 +10,11 @@ Every functional the cases compare is unitarily invariant, so an evaluator
 reads only spectra: singular values for norms, eigenvalues for anti-norms and
 entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's Choi rank.
 The runner wraps each instance in a memo of those spectra as soon as it is
-made, so each matrix is decomposed once per instance and every point of the
-parameter grid reuses the same validated arrays.
+made, so each matrix is decomposed once per instance.  The memo also keeps one
+table per (matrix, exponent): for norms and anti-norms one cumulative power sum
+over the sorted spectrum, which serves every k, and for entropies the power sum
+tr rho^alpha and the von Neumann value.  Every point of the parameter grid is
+then a lookup in those tables.
 
 Samplers draw from numpy's PCG64 generator and are bit-reproducible per
 (kind, dims, seed); the audit derives per-trial seeds by hashing
@@ -29,20 +32,22 @@ import numpy as np
 
 from ._version import __version__
 from . import jsonio
-from .antinorms import kp_antinorm_of, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
+from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
 from .bipartite import BipartiteOperator, partial_trace_b
 from .channels import StinespringChannel, choi_rank, partial_trace_channel
 from .entropy import (
     alpha_log,
     density_spectrum,
     max_entropy_value,
-    renyi_entropy_of,
-    tsallis_entropy_of,
-    unified_entropy_of,
+    power_sum_of,
+    renyi_entropy_from,
+    tsallis_entropy_from,
+    unified_entropy_from,
+    von_neumann_of,
 )
-from .errors import BadDimsError, KindMismatchError, PreconditionError
-from .linalg import as_matrix, kron, require_square, singular_values, zero_pad
-from .norms import gauge_kp, schatten_gauge
+from .errors import BadDimsError, KindMismatchError, PreconditionError, RankRangeError
+from .linalg import as_matrix, kron, require_square, singular_values
+from .norms import gauge_table
 
 NORM_P_GRID = (1.0, 1.5, 2.0, 3.0, 10.0, math.inf)
 ANTINORM_P_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -173,7 +178,12 @@ def _slack(small: float, large: float) -> float:
 
 
 def _dim_factor(n: int, p: float) -> float:
-    """n^((p-1)/p), continued as n at p = +inf."""
+    """n^((p-1)/p), continued as n at p = +inf.
+
+    Evaluators read their functionals before this and the other exponent
+    factors, so an exponent such as p = 0 raises the functional's
+    ExponentRangeError, which counts as a failure, before a factor divides by it.
+    """
     if math.isinf(p):
         return float(n)
     return float(n) ** ((p - 1.0) / p)
@@ -189,6 +199,15 @@ def _square_singular_values(q) -> np.ndarray:
     return singular_values(q)
 
 
+def _entry(table: np.ndarray, k: Optional[int]) -> float:
+    """Entry k of a table indexed by k = 1..len; None reads the last (the Schatten value)."""
+    if k is None:
+        k = table.size
+    if not 1 <= k <= table.size:
+        raise RankRangeError(f"k={k} outside [1, {table.size}]")
+    return float(table[k - 1])
+
+
 class _Spectra:
     """Lazily computed, validated spectra of one audit instance.
 
@@ -196,7 +215,10 @@ class _Spectra:
     (channel, Q) pair, or a plain matrix Q.  Each is decomposed at most once per
     spectrum kind (singular values, PSD eigenvalues, density eigenvalues), with
     the checks of the matrix-level functions, and a channel's Choi rank is
-    computed once; every grid point of the instance reads the same arrays.
+    computed once.  On top of the spectra it keeps one table per (matrix,
+    exponent), built the first time a grid point asks for it, so each grid
+    point of the instance is a lookup; a lookup outside a table raises the
+    RankRangeError or ExponentRangeError of the scalar function it stands for.
     """
 
     def __init__(self, inst):
@@ -211,9 +233,10 @@ class _Spectra:
         self._memo = {}
 
     def _get(self, key, make):
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = make()
+        return value
 
     def sv(self, name: str) -> np.ndarray:
         return self._get(("sv", name), lambda: _square_singular_values(self.matrices[name]))
@@ -223,6 +246,23 @@ class _Spectra:
 
     def density(self, name: str) -> np.ndarray:
         return self._get(("density", name), lambda: density_spectrum(self.matrices[name]))
+
+    def norm(self, name: str, k: Optional[int], p: float) -> float:
+        """(k, p) norm of a matrix; k None gives its Schatten p-norm."""
+        # numpy's SVD returns the singular values in descending order
+        return _entry(self._get(("norm", name, p), lambda: gauge_table(self.sv(name), p)), k)
+
+    def antinorm(self, name: str, k: int, p: float, ambient_dim: Optional[int] = None) -> float:
+        """(k, p) anti-norm of a PSD matrix, its spectrum zero-padded to ambient_dim."""
+        key = ("antinorm", name, p, ambient_dim)
+        return _entry(self._get(key, lambda: antinorm_table(self.psd(name), p, ambient_dim)), k)
+
+    def entropy_inputs(self, name: str, alpha: float):
+        """tr rho^alpha and the von Neumann value of a state, for the entropy_from functions."""
+        return (
+            lambda: self._get(("power_sum", name, alpha), lambda: power_sum_of(self.density(name), alpha)),
+            lambda: self._get(("von_neumann", name), lambda: von_neumann_of(self.density(name))),
+        )
 
     def env_dim(self, params) -> int:
         ch = self.inst[0]
@@ -241,61 +281,63 @@ class _Spectra:
 def _eval_kpn1(sp: _Spectra, pr) -> float:
     k, p = pr["k"], pr["p"]
     n = sp.inst.dim_b
-    bound = _dim_factor(n, p) * gauge_kp(sp.sv("w"), k * n, p)
-    return _slack(gauge_kp(sp.sv("qa"), k, p), bound)
+    joint = sp.norm("w", k * n, p)
+    return _slack(sp.norm("qa", k, p), _dim_factor(n, p) * joint)
 
 
 def _eval_spn1(sp: _Spectra, pr) -> float:
     p = pr["p"]
-    bound = _dim_factor(sp.inst.dim_b, p) * schatten_gauge(sp.sv("w"), p)
-    return _slack(schatten_gauge(sp.sv("qa"), p), bound)
+    joint = sp.norm("w", None, p)
+    return _slack(sp.norm("qa", None, p), _dim_factor(sp.inst.dim_b, p) * joint)
 
 
 def _eval_tfsn(sp: _Spectra, pr) -> float:
     n = sp.inst.dim_b
     variant = pr["variant"]
     if variant == "trace":
-        return _slack(schatten_gauge(sp.sv("qa"), 1.0), schatten_gauge(sp.sv("w"), 1.0))
+        return _slack(sp.norm("qa", None, 1.0), sp.norm("w", None, 1.0))
     if variant == "frobenius":
-        return _slack(schatten_gauge(sp.sv("qa"), 2.0), math.sqrt(n) * schatten_gauge(sp.sv("w"), 2.0))
+        return _slack(sp.norm("qa", None, 2.0), math.sqrt(n) * sp.norm("w", None, 2.0))
     if variant == "spectral":
-        return _slack(schatten_gauge(sp.sv("qa"), math.inf), n * schatten_gauge(sp.sv("w"), math.inf))
+        return _slack(sp.norm("qa", None, math.inf), n * sp.norm("w", None, math.inf))
     raise PreconditionError(f"unknown variant {variant!r}")
 
 
 def _eval_kpk1(sp: _Spectra, pr) -> float:
     k = pr["k"]
-    return _slack(gauge_kp(sp.sv("qa"), k, 1.0), gauge_kp(sp.sv("w"), k * sp.inst.dim_b, 1.0))
+    return _slack(sp.norm("qa", k, 1.0), sp.norm("w", k * sp.inst.dim_b, 1.0))
 
 
 def _eval_kpk2(sp: _Spectra, pr) -> float:
-    return _slack(schatten_gauge(sp.sv("qa"), math.inf), gauge_kp(sp.sv("w"), sp.inst.dim_b, 1.0))
+    return _slack(sp.norm("qa", None, math.inf), sp.norm("w", sp.inst.dim_b, 1.0))
 
 
 def _eval_tpn2(sp: _Spectra, pr) -> float:
     k, p, qq = pr["k"], pr["p"], pr["q"]
+    lhs, top = sp.norm("q", k, p), sp.norm("q", k, p * qq)
     factor = float(k) ** ((qq - 1.0) / (p * qq))
-    return _slack(gauge_kp(sp.sv("q"), k, p), factor * gauge_kp(sp.sv("q"), k, p * qq))
+    return _slack(lhs, factor * top)
 
 
 def _eval_cpn1(sp: _Spectra, pr) -> float:
     k, p, qq = pr["k"], pr["p"], pr["q"]
     n = sp.inst.dim_b
+    lhs, joint = sp.norm("qa", k, p), sp.norm("w", k * n, p * qq)
     factor = (float(k) ** (qq - 1.0) * float(n) ** (p * qq - 1.0)) ** (1.0 / (p * qq))
-    return _slack(gauge_kp(sp.sv("qa"), k, p), factor * gauge_kp(sp.sv("w"), k * n, p * qq))
+    return _slack(lhs, factor * joint)
 
 
 def _eval_kqn1(sp: _Spectra, pr) -> float:
     k, p = pr["k"], pr["p"]
     n = sp.inst.dim_b
-    bound = _dim_factor(n, p) * kp_antinorm_of(sp.psd("w"), k * n, p)
-    return _slack(bound, kp_antinorm_of(sp.psd("qa"), k, p))
+    joint = sp.antinorm("w", k * n, p)
+    return _slack(_dim_factor(n, p) * joint, sp.antinorm("qa", k, p))
 
 
 def _eval_kqn2(sp: _Spectra, pr) -> float:
     p = pr["p"]
-    bound = _dim_factor(sp.inst.dim_b, p) * schatten_antinorm_of(sp.psd("w"), p)
-    return _slack(bound, schatten_antinorm_of(sp.psd("qa"), p))
+    joint = schatten_antinorm_of(sp.psd("w"), p)
+    return _slack(_dim_factor(sp.inst.dim_b, p) * joint, schatten_antinorm_of(sp.psd("qa"), p))
 
 
 def _eval_kqk1(sp: _Spectra, pr) -> float:
@@ -305,65 +347,68 @@ def _eval_kqk1(sp: _Spectra, pr) -> float:
 
 def _eval_tpn62(sp: _Spectra, pr) -> float:
     k, p, qq = pr["k"], pr["p"], pr["q"]
+    top, rhs = sp.antinorm("q", k, p * qq), sp.antinorm("q", k, p)
     factor = float(k) ** ((qq - 1.0) / (p * qq))
-    return _slack(factor * kp_antinorm_of(sp.psd("q"), k, p * qq), kp_antinorm_of(sp.psd("q"), k, p))
+    return _slack(factor * top, rhs)
 
 
 def _eval_stct1(sp: _Spectra, pr) -> float:
     k, p = pr["k"], pr["p"]
     d = sp.env_dim(pr)
-    bound = _dim_factor(d, p) * gauge_kp(zero_pad(sp.sv("q"), k * d), k * d, p)
-    return _slack(gauge_kp(sp.sv("out"), k, p), bound)
+    # the (kd, p) norm of Q's spectrum zero-padded to length kd: the zeros add nothing
+    padded = sp.norm("q", min(k * d, sp.sv("q").size), p)
+    return _slack(sp.norm("out", k, p), _dim_factor(d, p) * padded)
 
 
 def _eval_stctp(sp: _Spectra, pr) -> float:
     p = pr["p"]
     d = sp.env_dim(pr)
-    return _slack(schatten_gauge(sp.sv("out"), p), _dim_factor(d, p) * schatten_gauge(sp.sv("q"), p))
+    return _slack(sp.norm("out", None, p), _dim_factor(d, p) * sp.norm("q", None, p))
 
 
 def _eval_stct2(sp: _Spectra, pr) -> float:
     k, p = pr["k"], pr["p"]
     d = sp.env_dim(pr)
-    ambient = sp.inst[0].dim_out * d
-    bound = _dim_factor(d, p) * kp_antinorm_of(sp.psd("q"), k * d, p, ambient_dim=ambient)
-    return _slack(bound, kp_antinorm_of(sp.psd("out"), k, p))
+    padded = sp.antinorm("q", k * d, p, ambient_dim=sp.inst[0].dim_out * d)
+    return _slack(_dim_factor(d, p) * padded, sp.antinorm("out", k, p))
 
 
 def _eval_stctpp(sp: _Spectra, pr) -> float:
     p = pr["p"]
     d = sp.env_dim(pr)
-    bound = _dim_factor(d, p) * schatten_antinorm_of(sp.psd("q"), p)
-    return _slack(bound, schatten_antinorm_of(sp.psd("out"), p))
+    joint = schatten_antinorm_of(sp.psd("q"), p)
+    return _slack(_dim_factor(d, p) * joint, schatten_antinorm_of(sp.psd("out"), p))
 
 
 def _eval_et41(sp: _Spectra, pr) -> float:
     alpha, s = pr["alpha"], pr["s"]
     n = sp.inst.dim_b
-    lhs = unified_entropy_of(sp.density("w"), alpha, s)
-    rhs = float(n) ** ((1.0 - alpha) * s) * unified_entropy_of(sp.density("qa"), alpha, s)
+    lhs = unified_entropy_from(*sp.entropy_inputs("w", alpha), alpha, s)
+    reduced = unified_entropy_from(*sp.entropy_inputs("qa", alpha), alpha, s)
+    rhs = float(n) ** ((1.0 - alpha) * s) * reduced
     return _slack(lhs, rhs + max_entropy_value(n, alpha, s))
 
 
 def _eval_ett41(sp: _Spectra, pr) -> float:
     alpha = pr["alpha"]
     n = sp.inst.dim_b
-    lhs = tsallis_entropy_of(sp.density("w"), alpha)
-    rhs = float(n) ** (1.0 - alpha) * tsallis_entropy_of(sp.density("qa"), alpha) + alpha_log(float(n), alpha)
-    return _slack(lhs, rhs)
+    lhs = tsallis_entropy_from(*sp.entropy_inputs("w", alpha), alpha)
+    reduced = tsallis_entropy_from(*sp.entropy_inputs("qa", alpha), alpha)
+    return _slack(lhs, float(n) ** (1.0 - alpha) * reduced + alpha_log(float(n), alpha))
 
 
 def _eval_et42(sp: _Spectra, pr) -> float:
     alpha = pr["alpha"]
-    rhs = renyi_entropy_of(sp.density("qa"), alpha) + math.log(sp.inst.dim_b)
-    return _slack(renyi_entropy_of(sp.density("w"), alpha), rhs)
+    rhs = renyi_entropy_from(*sp.entropy_inputs("qa", alpha), alpha) + math.log(sp.inst.dim_b)
+    return _slack(renyi_entropy_from(*sp.entropy_inputs("w", alpha), alpha), rhs)
 
 
 def _eval_stctep(sp: _Spectra, pr) -> float:
     alpha, s = pr["alpha"], pr["s"]
     d = sp.env_dim(pr)
-    lhs = unified_entropy_of(sp.density("q"), alpha, s)
-    rhs = float(d) ** ((1.0 - alpha) * s) * unified_entropy_of(sp.density("out"), alpha, s)
+    lhs = unified_entropy_from(*sp.entropy_inputs("q", alpha), alpha, s)
+    out = unified_entropy_from(*sp.entropy_inputs("out", alpha), alpha, s)
+    rhs = float(d) ** ((1.0 - alpha) * s) * out
     return _slack(lhs, rhs + max_entropy_value(d, alpha, s))
 
 
@@ -559,13 +604,9 @@ class InequalityCase:
     saturator: Optional[Callable] = None
 
 
-def _case(cid, description, paper_eq, kind, make, grid, evaluate, saturator=None):
-    return InequalityCase(cid, description, paper_eq, kind, make, grid, evaluate, saturator)
-
-
 REGISTRY: dict[str, InequalityCase] = {}
 for _c in (
-    _case(
+    InequalityCase(
         "KPN1",
         "partial trace against the (k, p) norm of the joint operator",
         "||Tr_B W||_(k)^(p) <= n^((p-1)/p) ||W||_(kn)^(p)",
@@ -575,7 +616,7 @@ for _c in (
         _eval_kpn1,
         _sat_product("psd"),
     ),
-    _case(
+    InequalityCase(
         "SPN1",
         "partial trace against the Schatten norm of the joint operator",
         "||Tr_B W||_p <= n^((p-1)/p) ||W||_p",
@@ -585,7 +626,7 @@ for _c in (
         _eval_spn1,
         _sat_product("psd"),
     ),
-    _case(
+    InequalityCase(
         "TFSN",
         "trace, Frobenius, and spectral norm forms of the partial trace bound",
         "||Tr_B W||_1 <= ||W||_1; ||Tr_B W||_2 <= sqrt(n) ||W||_2; ||Tr_B W||_inf <= n ||W||_inf",
@@ -595,7 +636,7 @@ for _c in (
         _eval_tfsn,
         _sat_product("psd"),
     ),
-    _case(
+    InequalityCase(
         "KPK1",
         "Ky Fan norm of the partial trace against the joint Ky Fan norm",
         "||Tr_B W||_(k) <= ||W||_(kn)",
@@ -605,7 +646,7 @@ for _c in (
         _eval_kpk1,
         _sat_product("psd"),
     ),
-    _case(
+    InequalityCase(
         "KPK2",
         "spectral norm of the partial trace against the Ky Fan n-norm",
         "||Tr_B W||_inf <= ||W||_(n)",
@@ -615,7 +656,7 @@ for _c in (
         _eval_kpk2,
         _sat_product("psd"),
     ),
-    _case(
+    InequalityCase(
         "TPN2",
         "(k, p) norm against the (k, pq) norm of the same operator",
         "||R||_(k)^(p) <= k^((q-1)/(pq)) ||R||_(k)^(pq)",
@@ -625,7 +666,7 @@ for _c in (
         _eval_tpn2,
         _sat_scalar,
     ),
-    _case(
+    InequalityCase(
         "CPN1",
         "chained partial trace and exponent interpolation bound",
         "||Tr_B W||_(k)^(p) <= [k^(q-1) n^(pq-1)]^(1/(pq)) ||W||_(kn)^(pq)",
@@ -635,7 +676,7 @@ for _c in (
         _eval_cpn1,
         _sat_identity_bipartite,
     ),
-    _case(
+    InequalityCase(
         "KQN1",
         "partial trace against the (k, p) anti-norm of the joint operator",
         "||Tr_B W||_{k}^(p) >= n^((p-1)/p) ||W||_{kn}^(p), 0 < p <= 1",
@@ -645,7 +686,7 @@ for _c in (
         _eval_kqn1,
         _sat_product("psd"),
     ),
-    _case(
+    InequalityCase(
         "KQN2",
         "negative exponent Schatten anti-norm bound under partial trace",
         "||Tr_B W||_p >= n^((p-1)/p) ||W||_p, p < 0, W positive definite",
@@ -655,7 +696,7 @@ for _c in (
         _eval_kqn2,
         _sat_product("pd"),
     ),
-    _case(
+    InequalityCase(
         "KQK1",
         "Ky Fan anti-norm of the partial trace against the joint anti-norm",
         "||Tr_B W||_{k} >= ||W||_{kn}",
@@ -665,7 +706,7 @@ for _c in (
         _eval_kqk1,
         _sat_product("psd"),
     ),
-    _case(
+    InequalityCase(
         "TPN62",
         "(k, p) anti-norm against the (k, pq) anti-norm of the same operator",
         "||R||_{k}^(p) >= k^((q-1)/(pq)) ||R||_{k}^(pq), p, q in (0, 1)",
@@ -675,7 +716,7 @@ for _c in (
         _eval_tpn62,
         _sat_scalar,
     ),
-    _case(
+    InequalityCase(
         "STCT1",
         "channel output (k, p) norm against the padded input norm",
         "||Phi(Q)||_(k)^(p) <= d^((p-1)/p) ||Q||_(kd)^(p)",
@@ -685,7 +726,7 @@ for _c in (
         _eval_stct1,
         _sat_ptrace_pair("psd"),
     ),
-    _case(
+    InequalityCase(
         "STCTP",
         "channel output Schatten norm against the input Schatten norm",
         "||Phi(Q)||_p <= d^((p-1)/p) ||Q||_p",
@@ -695,7 +736,7 @@ for _c in (
         _eval_stctp,
         _sat_ptrace_pair("psd"),
     ),
-    _case(
+    InequalityCase(
         "STCT2",
         "channel output (k, p) anti-norm against the padded input anti-norm",
         "||Phi(Q)||_{k}^(p) >= d^((p-1)/p) ||Q||_{kd}^(p), spectrum padded to n*d",
@@ -705,7 +746,7 @@ for _c in (
         _eval_stct2,
         _sat_ptrace_pair("psd"),
     ),
-    _case(
+    InequalityCase(
         "STCTPP",
         "channel output Schatten anti-norm against the input Schatten anti-norm",
         "||Phi(Q)||_p >= d^((p-1)/p) ||Q||_p, 0 < p <= 1",
@@ -715,7 +756,7 @@ for _c in (
         _eval_stctpp,
         _sat_ptrace_pair("psd"),
     ),
-    _case(
+    InequalityCase(
         "ET41",
         "unified entropy of the joint state against the reduced state",
         "E_as(W) <= n^((1-a)s) E_as(Tr_B W) + (1/s) ln_a(n^s)",
@@ -725,7 +766,7 @@ for _c in (
         _eval_et41,
         _sat_product_density,
     ),
-    _case(
+    InequalityCase(
         "ETT41",
         "Tsallis entropy of the joint state against the reduced state",
         "T_a(W) <= n^(1-a) T_a(Tr_B W) + ln_a(n)",
@@ -735,7 +776,7 @@ for _c in (
         _eval_ett41,
         _sat_product_density,
     ),
-    _case(
+    InequalityCase(
         "ET42",
         "Renyi entropy of the joint state against the reduced state",
         "R_a(W) <= R_a(Tr_B W) + ln(n)",
@@ -745,7 +786,7 @@ for _c in (
         _eval_et42,
         _sat_product_density,
     ),
-    _case(
+    InequalityCase(
         "STCTEP",
         "input entropy against the channel output entropy",
         "E_as(rho) <= d^((1-a)s) E_as(Phi(rho)) + (1/s) ln_a(d^s)",
@@ -755,7 +796,7 @@ for _c in (
         _eval_stctep,
         _sat_ptrace_pair("density"),
     ),
-    _case(
+    InequalityCase(
         "SAT-WRQA",
         "equality of the norm and anti-norm partial trace bounds on c * R (x) I",
         "equality in the (k, p) norm and anti-norm bounds at W = c R (x) I",
@@ -897,8 +938,8 @@ def _case_extras(cid: str, trial_stats: dict):
 def _update_trial_stats(cid: str, sp: _Spectra, stats: dict) -> None:
     if cid == "KPK2":
         n = sp.inst.dim_b
-        lhs = gauge_kp(sp.sv("w"), n, 1.0)
-        rhs = n * schatten_gauge(sp.sv("w"), math.inf)
+        lhs = sp.norm("w", n, 1.0)
+        rhs = n * sp.norm("w", None, math.inf)
         if rhs - lhs > 1e-9 * max(1.0, lhs, rhs):
             stats["dominance_strict_count"] += 1
     elif cid == "KQK1":
@@ -907,7 +948,7 @@ def _update_trial_stats(cid: str, sp: _Spectra, stats: dict) -> None:
         dev = 0.0
         for k in range(1, m):
             raw_anti = kyfan_antinorm_of(sp.psd("qa"), k) - kyfan_antinorm_of(sp.psd("w"), k * n)
-            raw_norm = gauge_kp(sp.sv("w"), (m - k) * n, 1.0) - gauge_kp(sp.sv("qa"), m - k, 1.0)
+            raw_norm = sp.norm("w", (m - k) * n, 1.0) - sp.norm("qa", m - k, 1.0)
             dev = max(dev, abs(raw_anti - raw_norm) / denom)
         stats["equivalence_max_dev"] = max(stats["equivalence_max_dev"], dev)
 

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import jsonio
 from ._version import __version__
-from .antinorms import kp_antinorm, kyfan_antinorm, partial_fidelity, schatten_antinorm
+from .antinorms import kp_antinorm, partial_fidelity, schatten_antinorm
 from .audit import DEFAULT_DIMS, REGISTRY_IDS, AuditConfig, run_audit
 from .bipartite import BipartiteOperator, partial_trace_a, partial_trace_b, twirl_oracle_b
-from .entropy import renyi_entropy, tsallis_entropy, unified_entropy, von_neumann_entropy
+from .entropy import unified_entropy
 from .errors import MatrixFileError, PreconditionError
 from .linalg import kron
 from .norms import kp_norm, kyfan_norm, schatten_norm
@@ -77,7 +77,7 @@ def _run_compute(args) -> int:
         p = _parse_p(args.p)
         if args.k is None:
             value = schatten_norm(q, p)
-        elif p == 1.0:
+        elif p == 1.0:  # kyfan_norm also takes non-square matrices, kp_norm does not
             value = kyfan_norm(q, args.k)
         else:
             value = kp_norm(q, args.k, p)
@@ -86,21 +86,11 @@ def _run_compute(args) -> int:
         p = _parse_p(args.p)
         if args.k is None:
             value = schatten_antinorm(q, p)
-        elif p == 1.0 and args.ambient_dim is None:
-            value = kyfan_antinorm(q, args.k)
         else:
             value = kp_antinorm(q, args.k, p, ambient_dim=args.ambient_dim)
     elif args.kind == "entropy":
         _require(args, ("alpha", "s"))
-        alpha, s = float(args.alpha), float(args.s)
-        if abs(alpha - 1.0) < 1e-9:
-            value = von_neumann_entropy(q)
-        elif abs(s) < 1e-12:
-            value = renyi_entropy(q, alpha)
-        elif abs(s - 1.0) < 1e-12:
-            value = tsallis_entropy(q, alpha)
-        else:
-            value = unified_entropy(q, alpha, s)
+        value = unified_entropy(q, float(args.alpha), float(args.s))
     elif args.kind == "fidelity":
         _require(args, ("sigma", "k"))
         value = partial_fidelity(q, _load(args.sigma), args.k)

@@ -4,12 +4,17 @@ unified_entropy(rho, alpha, s) = ((tr rho^alpha)^s - 1) / ((1 - alpha) s)
 with the s -> 0 limit giving Renyi, s = 1 giving Tsallis, and alpha -> 1
 giving von Neumann for every s.  Limit routing uses fixed thresholds so the
 branch taken is deterministic.  Each entropy is a function of the eigenvalues
-alone: ``<name>_of`` takes the spectrum that ``density_spectrum`` returns, and
-``<name>`` on a density matrix is that spectrum, then that function.
+alone, and of only two numbers of them: the power sum tr rho^alpha
+(``power_sum_of``) and the von Neumann value (``von_neumann_of``).
+``<name>_from`` routes between the two, given each as a function so that only
+the one its branch needs is computed and a caller may memoize both per state.
+``<name>`` on a density matrix is the spectrum that ``density_spectrum``
+returns, then ``<name>_from`` on its two numbers.
 """
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +25,8 @@ ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the von Neumann branch
 S_ZERO_TOL = 1e-12  # |s| below this routes to the Renyi branch
 EIG_DROP = 1e-14  # eigenvalues at or below this are dropped from sums
 DENSITY_EIG_FLOOR = -1e-10
+
+Lazy = Callable[[], float]  # a spectral input of an entropy, computed when called
 
 
 def _check_alpha(alpha: float) -> None:
@@ -43,57 +50,68 @@ def density_spectrum(rho, tol: float = 1e-9) -> np.ndarray:
     return w[w > EIG_DROP]
 
 
-def _vn(w: np.ndarray) -> float:
+def von_neumann_of(w: np.ndarray) -> float:
+    """-tr(rho ln rho) of a density spectrum."""
     return float(-(w * np.log(w)).sum())
 
 
-def renyi_entropy_of(w: np.ndarray, alpha: float) -> float:
-    """Renyi entropy of a density spectrum; see renyi_entropy."""
+def power_sum_of(w: np.ndarray, alpha: float) -> float:
+    """tr rho^alpha of a density spectrum."""
+    return float(np.sum(w**alpha))
+
+
+def _renyi(power_sum: Lazy, von_neumann: Lazy, alpha: float) -> float:
+    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
+        return von_neumann()
+    return float(math.log(power_sum()) / (1.0 - alpha))
+
+
+def renyi_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float) -> float:
+    """Renyi entropy from tr rho^alpha and the von Neumann value; see the module notes."""
+    _check_alpha(alpha)
+    return _renyi(power_sum, von_neumann, alpha)
+
+
+def tsallis_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float) -> float:
+    """Tsallis entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return _vn(w)
-    return float(math.log(float(np.sum(w**alpha))) / (1.0 - alpha))
+        return von_neumann()
+    return float((power_sum() - 1.0) / (1.0 - alpha))
 
 
-def tsallis_entropy_of(w: np.ndarray, alpha: float) -> float:
-    """Tsallis entropy of a density spectrum; see tsallis_entropy."""
-    _check_alpha(alpha)
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return _vn(w)
-    return float((float(np.sum(w**alpha)) - 1.0) / (1.0 - alpha))
-
-
-def unified_entropy_of(w: np.ndarray, alpha: float, s: float) -> float:
-    """Unified (alpha, s) entropy of a density spectrum; see unified_entropy."""
+def unified_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float, s: float) -> float:
+    """Unified (alpha, s) entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
     if math.isnan(s) or math.isinf(s):
         raise ExponentRangeError(f"s={s} must be a finite real")
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return _vn(w)
-    if abs(s) < S_ZERO_TOL:
-        return renyi_entropy_of(w, alpha)
-    t = float(np.sum(w**alpha))
-    return float(math.expm1(s * math.log(t)) / ((1.0 - alpha) * s))
+    if abs(alpha - 1.0) < ALPHA_ONE_TOL or abs(s) < S_ZERO_TOL:
+        return _renyi(power_sum, von_neumann, alpha)
+    return float(math.expm1(s * math.log(power_sum())) / ((1.0 - alpha) * s))
+
+
+def _inputs(w: np.ndarray, alpha: float) -> tuple[Lazy, Lazy]:
+    return (lambda: power_sum_of(w, alpha)), (lambda: von_neumann_of(w))
 
 
 def von_neumann_entropy(rho, tol: float = 1e-9) -> float:
     """-tr(rho ln rho)."""
-    return _vn(density_spectrum(rho, tol))
+    return von_neumann_of(density_spectrum(rho, tol))
 
 
 def renyi_entropy(rho, alpha: float, tol: float = 1e-9) -> float:
     """ln(tr rho^alpha) / (1 - alpha); alpha near 1 gives von Neumann."""
-    return renyi_entropy_of(density_spectrum(rho, tol), alpha)
+    return renyi_entropy_from(*_inputs(density_spectrum(rho, tol), alpha), alpha)
 
 
 def tsallis_entropy(rho, alpha: float, tol: float = 1e-9) -> float:
     """(tr rho^alpha - 1) / (1 - alpha); alpha near 1 gives von Neumann."""
-    return tsallis_entropy_of(density_spectrum(rho, tol), alpha)
+    return tsallis_entropy_from(*_inputs(density_spectrum(rho, tol), alpha), alpha)
 
 
 def unified_entropy(rho, alpha: float, s: float, tol: float = 1e-9) -> float:
     """((tr rho^alpha)^s - 1) / ((1 - alpha) s) with deterministic limit branches."""
-    return unified_entropy_of(density_spectrum(rho, tol), alpha, s)
+    return unified_entropy_from(*_inputs(density_spectrum(rho, tol), alpha), alpha, s)
 
 
 def max_entropy_value(m: int, alpha: float, s: float) -> float:

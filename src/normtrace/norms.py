@@ -3,9 +3,11 @@
 The central object is the gauge (sum of the p-th powers of the k largest
 absolute entries)^(1/p).  Applied to singular values it yields a norm for
 every k in [1, m] and p >= 1; k = m gives the Schatten p-norm and p = 1 the
-Ky Fan k-norm.  Each norm is a function of the singular values alone:
-``gauge_kp`` and ``schatten_gauge`` take them, and the matrix-level functions
-compute them, then call those.
+Ky Fan k-norm.  Each norm is a function of the singular values alone, and for
+a fixed p one cumulative power sum over the descending spectrum serves every
+k at once: ``gauge_table`` returns the gauge for each k, ``gauge_kp`` reads
+one entry of it, and the matrix-level functions compute the singular values,
+then call that.
 """
 from __future__ import annotations
 
@@ -20,14 +22,22 @@ from .linalg import as_matrix, require_square, singular_values
 LARGE_P_THRESHOLD = 50.0
 
 
-def _power_sum_root(values: np.ndarray, p: float) -> float:
-    # values nonnegative, p > 0 finite
-    top = float(values.max())
+def gauge_table(desc: np.ndarray, p: float) -> np.ndarray:
+    """Gauges of a descending nonnegative spectrum for every k = 1..len(desc).
+
+    Entry k - 1 is the l_p combination of the k largest entries; p = math.inf
+    gives the largest entry for every k.
+    """
+    if math.isinf(p) and p > 0:
+        return np.full(desc.size, float(desc[0]))
+    if not p >= 1:
+        raise ExponentRangeError(f"p={p} must be >= 1 or +inf")
+    top = float(desc[0])
     if top == 0.0:
-        return 0.0
+        return np.zeros(desc.size)
     if p > LARGE_P_THRESHOLD:
-        return top * float(np.sum((values / top) ** p)) ** (1.0 / p)
-    return float(np.sum(values**p)) ** (1.0 / p)
+        return top * ((desc / top) ** p).cumsum() ** (1.0 / p)
+    return (desc**p).cumsum() ** (1.0 / p)
 
 
 def gauge_kp(x, k: int, p: float) -> float:
@@ -37,12 +47,7 @@ def gauge_kp(x, k: int, p: float) -> float:
         raise ShapeMismatchError("x must be a nonempty 1-d real sequence")
     if not 1 <= k <= v.size:
         raise RankRangeError(f"k={k} outside [1, {v.size}]")
-    if math.isinf(p) and p > 0:
-        return float(v.max())
-    if not p >= 1:
-        raise ExponentRangeError(f"p={p} must be >= 1 or +inf")
-    top = np.sort(v)[::-1][:k]
-    return _power_sum_root(top, p)
+    return float(gauge_table(np.sort(v)[::-1][:k], p)[-1])
 
 
 def kp_norm(q, k: int, p: float) -> float:
@@ -52,14 +57,10 @@ def kp_norm(q, k: int, p: float) -> float:
     return gauge_kp(singular_values(q), k, p)
 
 
-def schatten_gauge(s: np.ndarray, p: float) -> float:
-    """Schatten p-norm of a spectrum of singular values: the gauge over all of it."""
-    return gauge_kp(s, s.size, p)
-
-
 def schatten_norm(q, p: float) -> float:
     """Schatten p-norm; p = 1 trace norm, p = 2 Frobenius, p = inf spectral."""
-    return schatten_gauge(singular_values(as_matrix(q)), p)
+    s = singular_values(as_matrix(q))
+    return gauge_kp(s, s.size, p)
 
 
 def kyfan_norm(q, k: int) -> float:

@@ -37,7 +37,7 @@ from normtrace.entropy import (
 
 # the default report, as written by run_audit(AuditConfig()).to_text()
 PINNED_REPORT = Path(__file__).parent / "data" / "default_report.json"
-PINNED_SHA256 = "a7f187906714bae3715ee1cf3d0b41824cb5af63bb7064a65ecb1a4a0943464f"
+PINNED_SHA256 = "29046bccdd488bfd6f713069fbf619ecb55e5c04e2447d37d848fccd795fdb1d"
 # every float in a case record is a margin, residual or deviation normalized by a
 # scale of at least 1, so 1e-12 absolute is 1e-12 of the scale it is measured on
 REPORT_RTOL = 1e-12

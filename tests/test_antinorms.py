@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from normtrace.antinorms import kp_antinorm, kyfan_antinorm, partial_fidelity, schatten_antinorm
+from normtrace.antinorms import (
+    antinorm_table,
+    kp_antinorm,
+    kp_antinorm_of,
+    kyfan_antinorm,
+    partial_fidelity,
+    schatten_antinorm,
+    schatten_antinorm_of,
+)
 from normtrace.errors import (
     ExponentRangeError,
     NotPsdError,
@@ -37,14 +45,20 @@ def test_complement_identity_with_kyfan_norm():
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
+@pytest.mark.parametrize("m", [4, 9])
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.0])
-def test_kp_antinorm_direct_formula(p):
-    rng = np.random.default_rng(int(100 * p))
-    a = psd(rng, 4)
+def test_kp_antinorm_direct_formula(m, p):
+    rng = np.random.default_rng(int(100 * p) + m)
+    a = psd(rng, m)
     w = np.sort(np.linalg.eigvalsh(a))
-    for k in range(1, 5):
+    table = antinorm_table(w, p)
+    assert table.shape == (m,)
+    for k in range(1, m + 1):
         ref = float(np.sum(w[:k] ** p) ** (1.0 / p))
         assert kp_antinorm(a, k, p) == pytest.approx(ref, rel=1e-11)
+        assert table[k - 1] == pytest.approx(kp_antinorm_of(w, k, p), rel=1e-13)
+        assert table[k - 1] == pytest.approx(ref, rel=1e-13)
+    assert table[-1] == pytest.approx(schatten_antinorm_of(w, p), rel=1e-13)
 
 
 def test_kp_antinorm_ambient_padding():
@@ -57,6 +71,20 @@ def test_kp_antinorm_ambient_padding():
         kp_antinorm(a, 1, 0.5, ambient_dim=1)
     with pytest.raises(RankRangeError):
         kp_antinorm(a, 5, 0.5, ambient_dim=4)
+    with pytest.raises(RankRangeError):
+        kp_antinorm(a, 0, 0.5, ambient_dim=4)
+    w = np.array([2.0, 3.0])
+    for p in (0.25, 0.5, 1.0):
+        table = antinorm_table(w, p, ambient_dim=5)
+        assert table.shape == (5,)
+        # k at or below the three padded zeros reads 0; above them, the real spectrum
+        assert table[:3].tolist() == [0.0, 0.0, 0.0]
+        for k in range(1, 6):
+            padded = np.concatenate([np.zeros(3), w])
+            assert table[k - 1] == pytest.approx(float(np.sum(padded[:k] ** p) ** (1.0 / p)), rel=1e-13)
+            assert table[k - 1] == pytest.approx(kp_antinorm_of(w, k, p, ambient_dim=5), rel=1e-13)
+    with pytest.raises(ShapeMismatchError):
+        antinorm_table(w, 0.5, ambient_dim=1)
 
 
 def test_superadditivity_sampled():
@@ -75,6 +103,8 @@ def test_kp_antinorm_rejects_bad_exponent():
     for p in (0.0, 1.5, -0.5, np.nan):
         with pytest.raises(ExponentRangeError):
             kp_antinorm(a, 2, p)
+        with pytest.raises(ExponentRangeError):
+            antinorm_table(np.ones(3), p)
 
 
 def test_schatten_antinorm_positive_branch():
@@ -124,6 +154,8 @@ def test_antinorm_can_vanish_on_nonzero_input():
     a = np.diag([0.0, 1.0, 2.0])
     assert kyfan_antinorm(a, 1) == 0.0
     assert kp_antinorm(a, 2, 0.5) > 0.0
+    for p in (0.25, 0.5, 1.0):
+        assert antinorm_table(np.zeros(3), p).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_partial_fidelity_extremes():

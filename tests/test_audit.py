@@ -16,7 +16,13 @@ from normtrace.audit import (
 )
 from normtrace.bipartite import BipartiteOperator
 from normtrace.channels import StinespringChannel
-from normtrace.errors import BadDimsError, KindMismatchError, PreconditionError
+from normtrace.errors import (
+    BadDimsError,
+    ExponentRangeError,
+    KindMismatchError,
+    PreconditionError,
+    RankRangeError,
+)
 
 EXPECTED_IDS = (
     "KPN1",
@@ -124,6 +130,61 @@ def test_evaluate_case_known_equality_points():
     tilted = np.diag([3.0, 2.0, 1.0]).astype(complex)
     assert evaluate_case("TPN2", tilted, {"k": 2, "p": 1.0, "q": 2.0}) > 1e-6
     assert evaluate_case("TPN62", tilted, {"k": 2, "p": 0.5, "q": 0.5}) > 1e-6
+
+
+@pytest.mark.parametrize("cid,params,error", [
+    ("KPN1", {"k": 0, "p": 2.0}, RankRangeError),
+    ("KPN1", {"k": 3, "p": 2.0}, RankRangeError),
+    ("KPN1", {"k": 1, "p": 0.5}, ExponentRangeError),
+    ("SPN1", {"p": 0.0}, ExponentRangeError),
+    ("KPK1", {"k": 3}, RankRangeError),
+    ("TPN2", {"k": 4, "p": 1.0, "q": 2.0}, RankRangeError),
+    ("TPN2", {"k": 1, "p": 1.0, "q": 0.5}, ExponentRangeError),
+    ("CPN1", {"k": 1, "p": 0.0, "q": 2.0}, ExponentRangeError),
+    ("KQN1", {"k": 3, "p": 0.5}, RankRangeError),
+    ("KQN1", {"k": 1, "p": 1.5}, ExponentRangeError),
+    ("KQN2", {"p": 0.0}, ExponentRangeError),
+    ("TPN62", {"k": 0, "p": 0.5, "q": 0.5}, RankRangeError),
+    ("TPN62", {"k": 1, "p": 0.5, "q": 3.0}, ExponentRangeError),
+    ("STCT1", {"k": 0, "p": 2.0}, RankRangeError),
+    ("STCT1", {"k": 1, "p": 0.0}, ExponentRangeError),
+    ("STCT2", {"k": 0, "p": 0.5}, RankRangeError),
+    ("STCT2", {"k": 1, "p": 0.0}, ExponentRangeError),
+    ("STCTPP", {"p": 0.0}, ExponentRangeError),
+    ("ET41", {"alpha": 0.0, "s": 1.0}, ExponentRangeError),
+    ("ET42", {"alpha": -1.0}, ExponentRangeError),
+])
+def test_evaluate_case_out_of_range_params_raise_typed_errors(cid, params, error):
+    case = REGISTRY[cid]
+    instance = case.make_instance((3, 2) if case.instance_kind == "channel_pair" else (2, 2), 5)
+    with pytest.raises(error):
+        evaluate_case(cid, instance, params)
+
+
+# each config grid and the cases that read it
+GRID_READERS = {
+    "norm_p_grid": ("KPN1", "SPN1", "STCT1", "STCTP", "SAT-WRQA"),
+    "antinorm_p_grid": ("KQN1", "STCT2", "STCTPP", "SAT-WRQA"),
+    "negative_p_grid": ("KQN2",),
+    "pq_grid": ("TPN2", "CPN1"),
+    "subunit_pq_grid": ("TPN62",),
+}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("norm_p_grid", (0.0,)),
+    ("antinorm_p_grid", (0.0,)),
+    ("negative_p_grid", (0.0,)),
+    ("pq_grid", ((0.0, 2.0),)),
+    ("pq_grid", ((1.0, 0.0),)),
+    ("subunit_pq_grid", ((0.0, 0.5),)),
+])
+def test_run_audit_counts_zero_exponents_as_failures(field, value):
+    cfg = AuditConfig(trials_per_case=1, case_filter=GRID_READERS[field], **{field: value})
+    report = run_audit(cfg)
+    for rec in report.cases:
+        assert rec["failures"] == cfg.trials_per_case + len(cfg.dims), rec
+        assert rec["first_failure"].startswith("ExponentRangeError"), rec
 
 
 def test_evaluate_case_rejects_wrong_instance_type():

@@ -68,6 +68,14 @@ def test_compute_antinorm_and_entropy(matrices):
     )
 
 
+@pytest.mark.parametrize("alpha,s", [(1.0, 0.5), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.5, 1.0)])
+def test_compute_entropy_limits_match_unified_entropy(matrices, capsys, alpha, s):
+    code = cli.main(["compute", "entropy", matrices["rho"], "--alpha", str(alpha), "--s", str(s)])
+    assert code == 0
+    want = unified_entropy(matrices["_arrays"]["rho"], alpha, s)
+    assert capsys.readouterr().out == format(want, ".15g") + "\n"
+
+
 def test_compute_fidelity(matrices):
     out = run_cli(
         "compute", "fidelity", matrices["rho"], "--sigma", matrices["rho"], "--k", "3"

@@ -8,10 +8,15 @@ from normtrace.entropy import (
     alpha_log,
     density_spectrum,
     max_entropy_value,
+    power_sum_of,
     renyi_entropy,
+    renyi_entropy_from,
     tsallis_entropy,
+    tsallis_entropy_from,
     unified_entropy,
+    unified_entropy_from,
     von_neumann_entropy,
+    von_neumann_of,
 )
 from normtrace.errors import DomainError, ExponentRangeError, NotDensityError
 
@@ -73,6 +78,36 @@ def test_unified_general_formula():
     t = float(np.sum(w**alpha))
     ref = (t**s - 1.0) / ((1.0 - alpha) * s)
     assert unified_entropy(rho, alpha, s) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_entropies_from_memoized_inputs(alpha, s):
+    # each entropy reads tr rho^alpha or the von Neumann value, never both, and
+    # a caller that memoizes them gets the matrix-level values
+    rng = np.random.default_rng(int(10 * alpha) + int(10 * s) + 50)
+    rho = random_density(rng, 5)
+    w = density_spectrum(rho)
+    assert power_sum_of(w, alpha) == pytest.approx(float(np.sum(np.linalg.eigvalsh(rho) ** alpha)), rel=1e-13)
+    assert von_neumann_of(w) == pytest.approx(von_neumann_entropy(rho), rel=1e-13)
+    reads = []
+
+    def power_sum():
+        reads.append("power_sum")
+        return power_sum_of(w, alpha)
+
+    def von_neumann():
+        reads.append("von_neumann")
+        return von_neumann_of(w)
+
+    pairs = [
+        (unified_entropy_from(power_sum, von_neumann, alpha, s), unified_entropy(rho, alpha, s)),
+        (renyi_entropy_from(power_sum, von_neumann, alpha), renyi_entropy(rho, alpha)),
+        (tsallis_entropy_from(power_sum, von_neumann, alpha), tsallis_entropy(rho, alpha)),
+    ]
+    for got, want in pairs:
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+    assert reads == (["von_neumann"] * 3 if alpha == 1.0 else ["power_sum"] * 3)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from normtrace.errors import ExponentRangeError, RankRangeError
-from normtrace.norms import gauge_kp, kp_norm, kyfan_norm, schatten_norm
+from normtrace.norms import LARGE_P_THRESHOLD, gauge_kp, gauge_table, kp_norm, kyfan_norm, schatten_norm
 
 
 def ginibre(rng, rows, cols):
@@ -14,22 +14,51 @@ def top_sv(q, k):
     return np.sort(np.linalg.svd(q, compute_uv=False))[::-1][:k]
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0])
+@pytest.mark.parametrize("m", [2, 3, 5, 9])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0, 60.0])
 def test_kp_norm_matches_direct_sum(m, p):
     rng = np.random.default_rng(100 * m + int(p * 10))
     q = ginibre(rng, m, m)
+    table = gauge_table(top_sv(q, m), p)
+    assert table.shape == (m,)
     for k in range(1, m + 1):
         ref = float(np.sum(top_sv(q, k) ** p) ** (1.0 / p))
         assert kp_norm(q, k, p) == pytest.approx(ref, rel=1e-12)
+        assert table[k - 1] == pytest.approx(kp_norm(q, k, p), rel=1e-13)
+        assert table[k - 1] == pytest.approx(ref, rel=1e-13)
+
+
+def test_gauge_table_scaled_branch_matches_direct_sum():
+    # values whose 60th powers overflow on the unscaled axis
+    s = np.array([1e200, 3e199, 1e199, 5.0])
+    p = 60.0
+    assert p > LARGE_P_THRESHOLD
+    table = gauge_table(s, p)
+    for k in range(1, s.size + 1):
+        ref = 1e200 * float(np.sum((s[:k] / 1e200) ** p)) ** (1.0 / p)
+        assert table[k - 1] == pytest.approx(ref, rel=1e-13)
+        assert table[k - 1] == pytest.approx(gauge_kp(s, k, p), rel=1e-13)
+
+
+def test_gauge_table_of_zero_padded_spectrum():
+    # the (kd, p) norm of a spectrum zero-padded to length kd, as the channel cases read it
+    rng = np.random.default_rng(17)
+    s = top_sv(ginibre(rng, 3, 3), 3)
+    for p in (1.0, 1.5, 10.0, 60.0, np.inf):
+        table = gauge_table(s, p)
+        for kd in range(1, 8):
+            padded = np.concatenate([s, np.zeros(max(0, kd - s.size))])
+            assert table[min(kd, s.size) - 1] == pytest.approx(gauge_kp(padded, kd, p), rel=1e-13)
 
 
 def test_kp_norm_infinite_p_is_spectral():
     rng = np.random.default_rng(3)
     q = ginibre(rng, 4, 4)
     s1 = top_sv(q, 1)[0]
+    table = gauge_table(top_sv(q, 4), np.inf)
     for k in range(1, 5):
         assert kp_norm(q, k, np.inf) == pytest.approx(s1, rel=1e-13)
+        assert table[k - 1] == s1
 
 
 def test_gauge_accepts_any_vector_order():
@@ -111,9 +140,14 @@ def test_rank_and_exponent_validation():
         kp_norm(q, 2, np.nan)
     with pytest.raises(RankRangeError):
         gauge_kp([1.0, 2.0], 3, 1.0)
+    for p in (0.0, 0.5, -np.inf, np.nan):
+        with pytest.raises(ExponentRangeError):
+            gauge_table(np.array([2.0, 1.0]), p)
 
 
 def test_zero_matrix():
     z = np.zeros((3, 3))
     assert kp_norm(z, 2, 2.0) == 0.0
     assert schatten_norm(z, np.inf) == 0.0
+    for p in (1.0, 1.5, 10.0, 60.0, np.inf):
+        assert gauge_table(np.zeros(3), p).tolist() == [0.0, 0.0, 0.0]
