@@ -45,9 +45,19 @@ def test_complement_identity_with_kyfan_norm():
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.0])
+def test_kp_antinorm_direct_formula(p):
+    rng = np.random.default_rng(int(100 * p))
+    a = psd(rng, 4)
+    w = np.sort(np.linalg.eigvalsh(a))
+    for k in range(1, 5):
+        ref = float(np.sum(w[:k] ** p) ** (1.0 / p))
+        assert kp_antinorm(a, k, p) == pytest.approx(ref, rel=1e-11)
+
+
 @pytest.mark.parametrize("m", [4, 9])
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.0])
-def test_kp_antinorm_direct_formula(m, p):
+def test_antinorm_table_direct_formula(m, p):
     rng = np.random.default_rng(int(100 * p) + m)
     a = psd(rng, m)
     w = np.sort(np.linalg.eigvalsh(a))
