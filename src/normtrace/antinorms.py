@@ -9,7 +9,8 @@ clamps round-off negatives to zero.  For a fixed p in (0, 1], one cumulative
 power sum over the ascending spectrum serves every k at once:
 ``antinorm_table`` returns the (k, p) anti-norm for each k, and
 ``kp_antinorm_of`` and the p > 0 branch of ``schatten_antinorm_of`` read one
-entry of it.
+entry of it.  ``psd_spectrum`` and the ``_of`` functions also take a stack,
+one matrix or spectrum per row, and give each row the value it gives alone.
 """
 from __future__ import annotations
 
@@ -30,44 +31,47 @@ from .linalg import (
     PD_FLOOR_COEFF,
     as_matrix,
     hermitian_eigenvalues,
+    psd_eigenvalues,
     psd_power,
     require_square,
 )
 
 
 def psd_spectrum(q, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a PSD matrix, round-off negatives set to zero."""
+    """Ascending eigenvalues of a PSD matrix, round-off negatives set to zero.
+
+    A (trials, d, d) stack gives one row per matrix, each checked alone.
+    """
     try:
         w = hermitian_eigenvalues(q, tol)
     except NotHermitianError as exc:
         raise NotPsdError("matrix is not Hermitian within tolerance") from exc
-    spec = float(np.abs(w).max())
-    if float(w.min()) < -tol * (1.0 + spec):
-        raise NotPsdError("matrix has a negative eigenvalue beyond tolerance")
-    return np.where(w < 0.0, 0.0, w)
+    return psd_eigenvalues(w, tol)
 
 
 def antinorm_table(w: np.ndarray, p: float, ambient_dim: int | None = None) -> np.ndarray:
     """(k, p) anti-norms of an ascending PSD spectrum for every k = 1..ambient_dim.
 
     ambient_dim (default len(w)) > len(w) prepends that many zero eigenvalues,
-    so the entries for k up to the padding are 0.
+    so the entries for k up to the padding are 0.  A (trials, d) stack of
+    spectra gives one table per row.
     """
-    m = w.size
+    m = w.shape[-1]
     amb = m if ambient_dim is None else int(ambient_dim)
     if amb < m:
         raise ShapeMismatchError(f"ambient_dim={amb} smaller than matrix dimension {m}")
     if not 0 < p <= 1:
         raise ExponentRangeError(f"p={p} must lie in (0, 1]")
-    table = (w**p).cumsum() ** (1.0 / p)
-    return np.concatenate([np.zeros(amb - m), table]) if amb > m else table
+    table = (w**p).cumsum(axis=-1) ** (1.0 / p)
+    return np.concatenate([np.zeros(w.shape[:-1] + (amb - m,)), table], axis=-1) if amb > m else table
 
 
-def kyfan_antinorm_of(w: np.ndarray, k: int) -> float:
-    """Sum of the k smallest entries of an ascending PSD spectrum."""
-    if not 1 <= k <= w.size:
-        raise RankRangeError(f"k={k} outside [1, {w.size}]")
-    return float(w[:k].sum())
+def kyfan_antinorm_of(w: np.ndarray, k: int):
+    """Sum of the k smallest entries of an ascending PSD spectrum; a stack gives one per row."""
+    if not 1 <= k <= w.shape[-1]:
+        raise RankRangeError(f"k={k} outside [1, {w.shape[-1]}]")
+    sums = w[..., :k].sum(axis=-1)
+    return sums if w.ndim > 1 else float(sums)
 
 
 def kyfan_antinorm(q, k: int, tol: float = DEFAULT_TOL) -> float:
@@ -93,17 +97,21 @@ def kp_antinorm(q, k: int, p: float, tol: float = DEFAULT_TOL, ambient_dim: int 
     return kp_antinorm_of(psd_spectrum(q, tol), k, p, ambient_dim)
 
 
-def schatten_antinorm_of(w: np.ndarray, p: float) -> float:
-    """Schatten anti-norm of an ascending PSD spectrum; see schatten_antinorm."""
+def schatten_antinorm_of(w: np.ndarray, p: float):
+    """Schatten anti-norm of an ascending PSD spectrum, or of each row of a stack; see schatten_antinorm."""
     if math.isnan(p) or math.isinf(p) or p == 0.0 or p > 1.0:
         raise ExponentRangeError(f"p={p} must lie in (0, 1] or be negative")
+    rows = np.atleast_2d(w)
     if p < 0:
-        spec = float(w[-1])
-        if float(w[0]) <= PD_FLOOR_COEFF * (1.0 + spec):
+        lo = rows[:, 0]
+        if (lo <= PD_FLOOR_COEFF * (1.0 + rows[:, -1])).any():
             raise SingularPowerError("negative exponent needs a safely positive definite matrix")
-        lo = float(w[0])
-        return lo * float(np.sum((w / lo) ** p)) ** (1.0 / p)
-    return float(antinorm_table(w, p)[-1])
+        sums = ((rows / lo[:, None]) ** p).sum(axis=-1)
+        # the root in Python floats, as libm pow, per row
+        values = lo * np.array([x ** (1.0 / p) for x in sums.tolist()])
+    else:
+        values = antinorm_table(rows, p)[:, -1]
+    return values if w.ndim > 1 else float(values[0])
 
 
 def schatten_antinorm(q, p: float, tol: float = DEFAULT_TOL) -> float:

@@ -9,12 +9,13 @@ sit at zero up to round-off.
 Every functional the cases compare is unitarily invariant, so an evaluator
 reads only spectra: singular values for norms, eigenvalues for anti-norms and
 entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's Choi rank.
-The runner wraps each instance in a memo of those spectra as soon as it is
-made, so each matrix is decomposed once per instance.  The memo also keeps one
-table per (matrix, exponent): for norms and anti-norms one cumulative power sum
-over the sorted spectrum, which serves every k, and for entropies the power sum
-tr rho^alpha and the von Neumann value.  Every point of the parameter grid is
-then a lookup in those tables.
+The runner makes all of a case's trial instances first and evaluates each
+same-dims group as one batch: each matrix is stacked and decomposed in one
+call, one table per (matrix, exponent) serves the stack (a cumulative power sum
+over the sorted spectra serves every k; entropies read tr rho^alpha and the von
+Neumann value), and one evaluator call returns the (trials, grid points)
+margins.  Each case declares its grid as products of named axes (see _axis).
+evaluate_case, a batch of one with a one-point grid, gives the same margins.
 
 Samplers draw from numpy's PCG64 generator and are bit-reproducible per
 (kind, dims, seed); the audit derives per-trial seeds by hashing
@@ -24,8 +25,10 @@ configuration alone.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,11 +36,12 @@ import numpy as np
 from ._version import __version__
 from . import jsonio
 from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
-from .bipartite import BipartiteOperator, partial_trace_b
+from .bipartite import BipartiteOperator, trace_out_b
 from .channels import StinespringChannel, choi_rank, partial_trace_channel
 from .entropy import (
     alpha_log,
     density_spectrum,
+    dim_weight,
     max_entropy_value,
     power_sum_of,
     renyi_entropy_from,
@@ -46,7 +50,7 @@ from .entropy import (
     von_neumann_of,
 )
 from .errors import BadDimsError, KindMismatchError, PreconditionError, RankRangeError
-from .linalg import as_matrix, kron, require_square, singular_values
+from .linalg import as_matrix, kron, require_square
 from .norms import gauge_table
 
 NORM_P_GRID = (1.0, 1.5, 2.0, 3.0, 10.0, math.inf)
@@ -96,10 +100,6 @@ def _isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
     return q * ph
-
-
-def _ginibre_square(rng: np.random.Generator, m: int) -> np.ndarray:
-    return _ginibre(rng, m, m)
 
 
 def _channel(rng: np.random.Generator, m: int, n: int, d: int) -> StinespringChannel:
@@ -172,9 +172,9 @@ def _trial_seed(base_seed: int, tag: str, index: int) -> int:
 # margin helpers
 
 
-def _slack(small: float, large: float) -> float:
-    """Normalized margin of the inequality small <= large."""
-    return float((large - small) / max(1.0, abs(small), abs(large)))
+def _slack(small, large) -> np.ndarray:
+    """Normalized margins of the inequalities small <= large, entry by entry."""
+    return (large - small) / np.maximum(np.maximum(1.0, np.abs(small)), np.abs(large))
 
 
 def _dim_factor(n: int, p: float) -> float:
@@ -189,47 +189,82 @@ def _dim_factor(n: int, p: float) -> float:
     return float(n) ** ((p - 1.0) / p)
 
 
+def _rank_factor(k: int, p: float, q: float) -> float:
+    """k^((q-1)/(pq)), the factor between the (k, p) and (k, pq) functionals of one operator."""
+    return float(k) ** ((q - 1.0) / (p * q))
+
+
+def _chain_factor(n: int, k: int, p: float, q: float) -> float:
+    """[k^(q-1) n^(pq-1)]^(1/(pq)), the factor of the chained CPN1 bound."""
+    return (float(k) ** (q - 1.0) * float(n) ** (p * q - 1.0)) ** (1.0 / (p * q))
+
+
+@lru_cache(maxsize=1024)
+def _factors(f, d, *columns) -> np.ndarray:
+    """f(d, *point) at every grid point, in Python floats; d None calls f(*point)."""
+    head = () if d is None else (d,)
+    return np.array([f(*head, *point) for point in zip(*columns)])
+
+
+def _per_trial(f, dims: list, *columns) -> np.ndarray:
+    """(trials, points) values f(d, *point), d being each trial's channel d."""
+    return np.array([_factors(f, d, *columns) for d in dims])
+
+
+def _products(p: tuple, q: tuple) -> tuple:
+    return tuple(a * b for a, b in zip(p, q))
+
+
+@lru_cache(maxsize=1024)
+def _flat_index(exps: tuple, d: int, ks) -> np.ndarray:
+    """Where entry ks[j] (1-based; None: the last) of point j's table lies when the
+    tables of the distinct exponents, each of length d, are laid end to end."""
+    distinct = list(dict.fromkeys(exps))
+    ks = ks or (d,) * len(exps)
+    bad = [k for k in ks if not 1 <= k <= d]
+    if bad:
+        raise RankRangeError(f"k={bad[0]} outside [1, {d}]")
+    return np.array([distinct.index(e) * d + k - 1 for e, k in zip(exps, ks)], dtype=int)
+
+
 # ---------------------------------------------------------------------------
-# per-instance spectra
+# stacked spectra of a batch of instances
 
 
-def _square_singular_values(q) -> np.ndarray:
-    q = as_matrix(q)
-    require_square(q)
-    return singular_values(q)
-
-
-def _entry(table: np.ndarray, k: Optional[int]) -> float:
-    """Entry k of a table indexed by k = 1..len; None reads the last (the Schatten value)."""
-    if k is None:
-        k = table.size
-    if not 1 <= k <= table.size:
-        raise RankRangeError(f"k={k} outside [1, {table.size}]")
-    return float(table[k - 1])
+def _stack(mats) -> np.ndarray:
+    stack = np.stack([as_matrix(q) for q in mats])
+    require_square(stack)
+    return stack
 
 
 class _Spectra:
-    """Lazily computed, validated spectra of one audit instance.
+    """Lazily computed, validated spectra of a batch of same-dims instances.
 
-    The matrices are W and Tr_B W of a bipartite instance, Q and Phi(Q) of a
-    (channel, Q) pair, or a plain matrix Q.  Each is decomposed at most once per
-    spectrum kind (singular values, PSD eigenvalues, density eigenvalues), with
-    the checks of the matrix-level functions, and a channel's Choi rank is
-    computed once.  On top of the spectra it keeps one table per (matrix,
-    exponent), built the first time a grid point asks for it, so each grid
-    point of the instance is a lookup; a lookup outside a table raises the
-    RankRangeError or ExponentRangeError of the scalar function it stands for.
+    Each matrix (W and Tr_B W, Q and Phi(Q), or Q) is stacked to (trials, d, d)
+    and decomposed at most once per spectrum kind, in one call, with the checks
+    of the matrix-level functions applied row by row; each channel's Choi rank
+    is computed once.  One table per (matrix, exponent) serves the stack, so a
+    functional at every grid point is a lookup giving a (trials, points) array;
+    a lookup outside a table raises the scalar function's RankRangeError or
+    ExponentRangeError.
     """
 
-    def __init__(self, inst):
-        self.inst = inst
-        if isinstance(inst, BipartiteOperator):
-            self.matrices = {"w": inst.matrix, "qa": partial_trace_b(inst)}
-        elif isinstance(inst, tuple):
-            ch, q = inst
-            self.matrices = {"q": q, "out": ch.apply(q)}
+    def __init__(self, insts: list, env_mode: str = "choi_rank"):
+        self.size, self.env_mode = len(insts), env_mode
+        first = insts[0]
+        # kmax bounds the grid's rank k: the size of Tr_B W, of Phi(Q) or of Q
+        if isinstance(first, BipartiteOperator):
+            self.dim_a, self.dim_b, self.kmax = first.dim_a, first.dim_b, first.dim_a
+            w = np.stack([x.matrix for x in insts])
+            self.matrices = {"w": w, "qa": trace_out_b(w, first.dim_a, first.dim_b)}
+        elif isinstance(first, tuple):
+            self.channels = [ch for ch, _ in insts]
+            self.kmax = first[0].dim_out
+            q = _stack(x for _, x in insts)
+            self.matrices = {"q": q, "out": np.stack([ch.apply(x) for ch, x in zip(self.channels, q)])}
         else:
-            self.matrices = {"q": inst}
+            self.matrices = {"q": _stack(insts)}
+            self.kmax = self.matrices["q"].shape[-1]
         self._memo = {}
 
     def _get(self, key, make):
@@ -239,194 +274,219 @@ class _Spectra:
         return value
 
     def sv(self, name: str) -> np.ndarray:
-        return self._get(("sv", name), lambda: _square_singular_values(self.matrices[name]))
+        # numpy's SVD returns the singular values in descending order
+        return self._get(("sv", name), lambda: np.linalg.svd(self.matrices[name], compute_uv=False))
 
     def psd(self, name: str) -> np.ndarray:
         return self._get(("psd", name), lambda: psd_spectrum(self.matrices[name]))
 
-    def density(self, name: str) -> np.ndarray:
+    def density(self, name: str) -> list:
         return self._get(("density", name), lambda: density_spectrum(self.matrices[name]))
 
-    def norm(self, name: str, k: Optional[int], p: float) -> float:
-        """(k, p) norm of a matrix; k None gives its Schatten p-norm."""
-        # numpy's SVD returns the singular values in descending order
-        return _entry(self._get(("norm", name, p), lambda: gauge_table(self.sv(name), p)), k)
+    def columns(self, f, values) -> np.ndarray:
+        """(trials, points) array whose column j is f(values[j]), a value per trial."""
+        return np.array([f(v) for v in values]).T if len(values) else np.empty((self.size, 0))
 
-    def antinorm(self, name: str, k: int, p: float, ambient_dim: Optional[int] = None) -> float:
-        """(k, p) anti-norm of a PSD matrix, its spectrum zero-padded to ambient_dim."""
-        key = ("antinorm", name, p, ambient_dim)
-        return _entry(self._get(key, lambda: antinorm_table(self.psd(name), p, ambient_dim)), k)
+    def _lookup(self, key, make, k, exps: tuple) -> np.ndarray:
+        """Entry k[j] (1-based) of the table make(exps[j]) for each point j, per trial.
 
-    def entropy_inputs(self, name: str, alpha: float):
-        """tr rho^alpha and the von Neumann value of a state, for the entropy_from functions."""
+        k holds one rank per point; None reads each table's last entry.
+        """
+        distinct = list(dict.fromkeys(exps))
+        if not distinct:
+            return np.empty((self.size, 0))
+        tables = [self._get(key + (e,), partial(make, e)) for e in distinct]
+        flat = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=-1)
+        ks = None if k is None else tuple(k.tolist())
+        return flat.take(_flat_index(exps, tables[0].shape[-1], ks), axis=1)
+
+    def norm(self, name: str, k, p: tuple) -> np.ndarray:
+        """(k, p) norms of a matrix at each point; k None gives its Schatten p-norms."""
+        return self._lookup(("norm", name), lambda e: gauge_table(self.sv(name), e), k, p)
+
+    def antinorm(self, name: str, k, p: tuple, ambient_dim=None) -> np.ndarray:
+        """(k, p) anti-norms of a PSD matrix, its spectrum zero-padded to ambient_dim."""
+        table = partial(antinorm_table, ambient_dim=ambient_dim)
+        return self._lookup(("antinorm", name, ambient_dim), lambda e: table(self.psd(name), e), k, p)
+
+    def per_d(self, f) -> np.ndarray:
+        """(trials, points) array whose row t is row t of f(d) at trial t's channel d."""
+        ds = self.env_dims()
+        rows = {d: f(d) for d in set(ds)}
+        return np.array([rows[d][t] for t, d in enumerate(ds)])
+
+    def entropy(self, name: str, formula, alpha: tuple, *rest: tuple) -> np.ndarray:
+        """A *_entropy_from formula of a state at each point's (alpha, ...)."""
+        inputs = {a: self._entropy_inputs(name, a) for a in alpha}
+        return self.columns(lambda point: formula(*inputs[point[0]], *point), list(zip(alpha, *rest)))
+
+    def _entropy_inputs(self, name: str, alpha: float):
+        """The two inputs of an entropy of a state, as lists of one per trial."""
+        density = self.density
         return (
-            lambda: self._get(("power_sum", name, alpha), lambda: power_sum_of(self.density(name), alpha)),
-            lambda: self._get(("von_neumann", name), lambda: von_neumann_of(self.density(name))),
+            lambda: self._get(("power_sum", name, alpha), lambda: power_sum_of(density(name), alpha).tolist()),
+            lambda: self._get(("von_neumann", name), lambda: von_neumann_of(density(name)).tolist()),
         )
 
-    def env_dim(self, params) -> int:
-        ch = self.inst[0]
-        mode = params.get("env_mode", "choi_rank")
-        if mode == "dim_env":
-            return ch.dim_env
-        if mode == "choi_rank":
-            return self._get("choi_rank", lambda: choi_rank(ch))
-        raise PreconditionError(f"unknown env_dim mode {mode!r}")
+    def env_dims(self) -> list:
+        """Each channel's d: its Choi rank, or its dilation's environment dimension."""
+        if self.env_mode == "dim_env":
+            return [ch.dim_env for ch in self.channels]
+        return self._get("choi_rank", lambda: [choi_rank(ch) for ch in self.channels])
 
 
 # ---------------------------------------------------------------------------
-# evaluators: functions of the spectra of one instance
+# evaluators: (trials, points) margins from the spectra of a batch
 
 
-def _eval_kpn1(sp: _Spectra, pr) -> float:
-    k, p = pr["k"], pr["p"]
-    n = sp.inst.dim_b
-    joint = sp.norm("w", k * n, p)
-    return _slack(sp.norm("qa", k, p), _dim_factor(n, p) * joint)
+def _eval_kpn1(sp: _Spectra, g) -> np.ndarray:
+    k, p = np.array(g["k"]), g["p"]
+    n = sp.dim_b
+    joint, lhs = sp.norm("w", k * n, p), sp.norm("qa", k, p)
+    return _slack(lhs, _factors(_dim_factor, n, p) * joint)
 
 
-def _eval_spn1(sp: _Spectra, pr) -> float:
-    p = pr["p"]
-    joint = sp.norm("w", None, p)
-    return _slack(sp.norm("qa", None, p), _dim_factor(sp.inst.dim_b, p) * joint)
+def _eval_spn1(sp: _Spectra, g) -> np.ndarray:
+    p = g["p"]
+    joint, lhs = sp.norm("w", None, p), sp.norm("qa", None, p)
+    return _slack(lhs, _factors(_dim_factor, sp.dim_b, p) * joint)
 
 
-def _eval_tfsn(sp: _Spectra, pr) -> float:
-    n = sp.inst.dim_b
-    variant = pr["variant"]
-    if variant == "trace":
-        return _slack(sp.norm("qa", None, 1.0), sp.norm("w", None, 1.0))
-    if variant == "frobenius":
-        return _slack(sp.norm("qa", None, 2.0), math.sqrt(n) * sp.norm("w", None, 2.0))
-    if variant == "spectral":
-        return _slack(sp.norm("qa", None, math.inf), n * sp.norm("w", None, math.inf))
-    raise PreconditionError(f"unknown variant {variant!r}")
+def _eval_tfsn(sp: _Spectra, g) -> np.ndarray:
+    n = sp.dim_b
+    forms = {"trace": (1.0, 1.0), "frobenius": (2.0, math.sqrt(n)), "spectral": (math.inf, float(n))}
+    unknown = [v for v in g["variant"] if v not in forms]
+    if unknown:
+        raise PreconditionError(f"unknown variant {unknown[0]!r}")
+    p, factor = zip(*(forms[v] for v in g["variant"]))
+    return _slack(sp.norm("qa", None, p), np.array(factor) * sp.norm("w", None, p))
 
 
-def _eval_kpk1(sp: _Spectra, pr) -> float:
-    k = pr["k"]
-    return _slack(sp.norm("qa", k, 1.0), sp.norm("w", k * sp.inst.dim_b, 1.0))
+def _eval_kpk1(sp: _Spectra, g) -> np.ndarray:
+    k, ones = np.array(g["k"]), (1.0,) * g.size
+    return _slack(sp.norm("qa", k, ones), sp.norm("w", k * sp.dim_b, ones))
 
 
-def _eval_kpk2(sp: _Spectra, pr) -> float:
-    return _slack(sp.norm("qa", None, math.inf), sp.norm("w", sp.inst.dim_b, 1.0))
+def _eval_kpk2(sp: _Spectra, g) -> np.ndarray:
+    lhs = sp.norm("qa", None, (math.inf,) * g.size)
+    return _slack(lhs, sp.norm("w", np.full(g.size, sp.dim_b), (1.0,) * g.size))
 
 
-def _eval_tpn2(sp: _Spectra, pr) -> float:
-    k, p, qq = pr["k"], pr["p"], pr["q"]
-    lhs, top = sp.norm("q", k, p), sp.norm("q", k, p * qq)
-    factor = float(k) ** ((qq - 1.0) / (p * qq))
-    return _slack(lhs, factor * top)
+def _eval_tpn2(sp: _Spectra, g) -> np.ndarray:
+    k, p, q = g["k"], g["p"], g["q"]
+    lhs, top = sp.norm("q", np.array(k), p), sp.norm("q", np.array(k), _products(p, q))
+    return _slack(lhs, _factors(_rank_factor, None, k, p, q) * top)
 
 
-def _eval_cpn1(sp: _Spectra, pr) -> float:
-    k, p, qq = pr["k"], pr["p"], pr["q"]
-    n = sp.inst.dim_b
-    lhs, joint = sp.norm("qa", k, p), sp.norm("w", k * n, p * qq)
-    factor = (float(k) ** (qq - 1.0) * float(n) ** (p * qq - 1.0)) ** (1.0 / (p * qq))
-    return _slack(lhs, factor * joint)
+def _eval_cpn1(sp: _Spectra, g) -> np.ndarray:
+    k, p, q = g["k"], g["p"], g["q"]
+    n = sp.dim_b
+    lhs, joint = sp.norm("qa", np.array(k), p), sp.norm("w", np.array(k) * n, _products(p, q))
+    return _slack(lhs, _factors(_chain_factor, n, k, p, q) * joint)
 
 
-def _eval_kqn1(sp: _Spectra, pr) -> float:
-    k, p = pr["k"], pr["p"]
-    n = sp.inst.dim_b
-    joint = sp.antinorm("w", k * n, p)
-    return _slack(_dim_factor(n, p) * joint, sp.antinorm("qa", k, p))
+def _eval_kqn1(sp: _Spectra, g) -> np.ndarray:
+    k, p = np.array(g["k"]), g["p"]
+    n = sp.dim_b
+    joint, rhs = sp.antinorm("w", k * n, p), sp.antinorm("qa", k, p)
+    return _slack(_factors(_dim_factor, n, p) * joint, rhs)
 
 
-def _eval_kqn2(sp: _Spectra, pr) -> float:
-    p = pr["p"]
-    joint = schatten_antinorm_of(sp.psd("w"), p)
-    return _slack(_dim_factor(sp.inst.dim_b, p) * joint, schatten_antinorm_of(sp.psd("qa"), p))
+def _eval_kqn2(sp: _Spectra, g) -> np.ndarray:
+    p = g["p"]
+    joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("w"), e), p)
+    rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("qa"), e), p)
+    return _slack(_factors(_dim_factor, sp.dim_b, p) * joint, rhs)
 
 
-def _eval_kqk1(sp: _Spectra, pr) -> float:
-    k = pr["k"]
-    return _slack(kyfan_antinorm_of(sp.psd("w"), k * sp.inst.dim_b), kyfan_antinorm_of(sp.psd("qa"), k))
+def _eval_kqk1(sp: _Spectra, g) -> np.ndarray:
+    k, n = g["k"], sp.dim_b
+    joint = sp.columns(lambda k: kyfan_antinorm_of(sp.psd("w"), k * n), k)
+    return _slack(joint, sp.columns(lambda k: kyfan_antinorm_of(sp.psd("qa"), k), k))
 
 
-def _eval_tpn62(sp: _Spectra, pr) -> float:
-    k, p, qq = pr["k"], pr["p"], pr["q"]
-    top, rhs = sp.antinorm("q", k, p * qq), sp.antinorm("q", k, p)
-    factor = float(k) ** ((qq - 1.0) / (p * qq))
-    return _slack(factor * top, rhs)
+def _eval_tpn62(sp: _Spectra, g) -> np.ndarray:
+    k, p, q = g["k"], g["p"], g["q"]
+    top, rhs = sp.antinorm("q", np.array(k), _products(p, q)), sp.antinorm("q", np.array(k), p)
+    return _slack(_factors(_rank_factor, None, k, p, q) * top, rhs)
 
 
-def _eval_stct1(sp: _Spectra, pr) -> float:
-    k, p = pr["k"], pr["p"]
-    d = sp.env_dim(pr)
+def _eval_stct1(sp: _Spectra, g) -> np.ndarray:
+    k, p = np.array(g["k"]), g["p"]
+    m = sp.matrices["q"].shape[-1]
     # the (kd, p) norm of Q's spectrum zero-padded to length kd: the zeros add nothing
-    padded = sp.norm("q", min(k * d, sp.sv("q").size), p)
-    return _slack(sp.norm("out", k, p), _dim_factor(d, p) * padded)
+    padded = sp.per_d(lambda d: sp.norm("q", np.minimum(k * d, m), p))
+    lhs = sp.norm("out", k, p)
+    return _slack(lhs, _per_trial(_dim_factor, sp.env_dims(), p) * padded)
 
 
-def _eval_stctp(sp: _Spectra, pr) -> float:
-    p = pr["p"]
-    d = sp.env_dim(pr)
-    return _slack(sp.norm("out", None, p), _dim_factor(d, p) * sp.norm("q", None, p))
+def _eval_stctp(sp: _Spectra, g) -> np.ndarray:
+    p = g["p"]
+    ds = sp.env_dims()
+    lhs, rhs = sp.norm("out", None, p), sp.norm("q", None, p)
+    return _slack(lhs, _per_trial(_dim_factor, ds, p) * rhs)
 
 
-def _eval_stct2(sp: _Spectra, pr) -> float:
-    k, p = pr["k"], pr["p"]
-    d = sp.env_dim(pr)
-    padded = sp.antinorm("q", k * d, p, ambient_dim=sp.inst[0].dim_out * d)
-    return _slack(_dim_factor(d, p) * padded, sp.antinorm("out", k, p))
+def _eval_stct2(sp: _Spectra, g) -> np.ndarray:
+    k, p = np.array(g["k"]), g["p"]
+    # Q's spectrum zero-padded to the output dimension, kmax, times d
+    padded = sp.per_d(lambda d: sp.antinorm("q", k * d, p, ambient_dim=sp.kmax * d))
+    rhs = sp.antinorm("out", k, p)
+    return _slack(_per_trial(_dim_factor, sp.env_dims(), p) * padded, rhs)
 
 
-def _eval_stctpp(sp: _Spectra, pr) -> float:
-    p = pr["p"]
-    d = sp.env_dim(pr)
-    joint = schatten_antinorm_of(sp.psd("q"), p)
-    return _slack(_dim_factor(d, p) * joint, schatten_antinorm_of(sp.psd("out"), p))
+def _eval_stctpp(sp: _Spectra, g) -> np.ndarray:
+    p = g["p"]
+    ds = sp.env_dims()
+    joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("q"), e), p)
+    rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("out"), e), p)
+    return _slack(_per_trial(_dim_factor, ds, p) * joint, rhs)
 
 
-def _eval_et41(sp: _Spectra, pr) -> float:
-    alpha, s = pr["alpha"], pr["s"]
-    n = sp.inst.dim_b
-    lhs = unified_entropy_from(*sp.entropy_inputs("w", alpha), alpha, s)
-    reduced = unified_entropy_from(*sp.entropy_inputs("qa", alpha), alpha, s)
-    rhs = float(n) ** ((1.0 - alpha) * s) * reduced
-    return _slack(lhs, rhs + max_entropy_value(n, alpha, s))
+def _eval_et41(sp: _Spectra, g) -> np.ndarray:
+    alpha, s = g["alpha"], g["s"]
+    n = sp.dim_b
+    lhs = sp.entropy("w", unified_entropy_from, alpha, s)
+    reduced = sp.entropy("qa", unified_entropy_from, alpha, s)
+    rhs = _factors(dim_weight, n, alpha, s) * reduced
+    return _slack(lhs, rhs + _factors(max_entropy_value, n, alpha, s))
 
 
-def _eval_ett41(sp: _Spectra, pr) -> float:
-    alpha = pr["alpha"]
-    n = sp.inst.dim_b
-    lhs = tsallis_entropy_from(*sp.entropy_inputs("w", alpha), alpha)
-    reduced = tsallis_entropy_from(*sp.entropy_inputs("qa", alpha), alpha)
-    return _slack(lhs, float(n) ** (1.0 - alpha) * reduced + alpha_log(float(n), alpha))
+def _eval_ett41(sp: _Spectra, g) -> np.ndarray:
+    alpha = g["alpha"]
+    n = sp.dim_b
+    lhs = sp.entropy("w", tsallis_entropy_from, alpha)
+    reduced = sp.entropy("qa", tsallis_entropy_from, alpha)
+    rhs = _factors(dim_weight, n, alpha) * reduced
+    return _slack(lhs, rhs + _factors(alpha_log, float(n), alpha))
 
 
-def _eval_et42(sp: _Spectra, pr) -> float:
-    alpha = pr["alpha"]
-    rhs = renyi_entropy_from(*sp.entropy_inputs("qa", alpha), alpha) + math.log(sp.inst.dim_b)
-    return _slack(renyi_entropy_from(*sp.entropy_inputs("w", alpha), alpha), rhs)
+def _eval_et42(sp: _Spectra, g) -> np.ndarray:
+    alpha = g["alpha"]
+    rhs = sp.entropy("qa", renyi_entropy_from, alpha) + math.log(sp.dim_b)
+    return _slack(sp.entropy("w", renyi_entropy_from, alpha), rhs)
 
 
-def _eval_stctep(sp: _Spectra, pr) -> float:
-    alpha, s = pr["alpha"], pr["s"]
-    d = sp.env_dim(pr)
-    lhs = unified_entropy_from(*sp.entropy_inputs("q", alpha), alpha, s)
-    out = unified_entropy_from(*sp.entropy_inputs("out", alpha), alpha, s)
-    rhs = float(d) ** ((1.0 - alpha) * s) * out
-    return _slack(lhs, rhs + max_entropy_value(d, alpha, s))
+def _eval_stctep(sp: _Spectra, g) -> np.ndarray:
+    alpha, s = g["alpha"], g["s"]
+    ds = sp.env_dims()
+    lhs = sp.entropy("q", unified_entropy_from, alpha, s)
+    out = sp.entropy("out", unified_entropy_from, alpha, s)
+    rhs = _per_trial(dim_weight, ds, alpha, s) * out
+    return _slack(lhs, rhs + _per_trial(max_entropy_value, ds, alpha, s))
 
 
-def _eval_sat_wrqa(sp: _Spectra, pr) -> float:
-    if pr["family"] == "norm":
-        return -abs(_eval_kpn1(sp, pr))
-    return -abs(_eval_kqn1(sp, pr))
+def _eval_sat_wrqa(sp: _Spectra, g) -> np.ndarray:
+    norm = [j for j, family in enumerate(g["family"]) if family == "norm"]
+    anti = [j for j, family in enumerate(g["family"]) if family != "norm"]
+    margins = np.empty((sp.size, g.size))
+    margins[:, norm] = _eval_kpn1(sp, g.take(norm))
+    margins[:, anti] = _eval_kqn1(sp, g.take(anti))
+    return -np.abs(margins)
 
 
 # ---------------------------------------------------------------------------
 # instance makers and saturators
-
-
-def _make_bipartite(kind: str):
-    def make(dims, seed):
-        return sample(kind, dims, seed)
-
-    return make
 
 
 def _make_square(builder):
@@ -503,89 +563,43 @@ def _sat_product_density(dims, seed):
 
 
 # ---------------------------------------------------------------------------
-# parameter grids
+# parameter grids: each case declares its axes, and a grid is their product
 
 
-def _ks(m: int):
-    return range(1, m + 1)
+class _Grid(dict):
+    """Parameter columns by name, each with one entry per point, in grid order."""
+
+    def __init__(self, columns: dict, size: int):
+        super().__init__(columns)
+        self.size = size
+
+    def take(self, points: list) -> "_Grid":
+        return _Grid({name: tuple(col[j] for j in points) for name, col in self.items()}, len(points))
 
 
-def _grid_kpn1(w, cfg):
-    return [{"k": k, "p": p} for k in _ks(w.dim_a) for p in cfg.norm_p_grid]
+def _axis(name: str, kmax: int, cfg) -> tuple:
+    """The columns one grid axis sets, and its values, each one entry per column."""
+    if name == "k":
+        return ("k",), [(k,) for k in range(1, kmax + 1)]
+    if name == "variant":
+        return ("variant",), [("trace",), ("frobenius",), ("spectral",)]
+    if name in ("norm", "antinorm"):  # the SAT-WRQA family, a single value
+        return ("family",), [(name,)]
+    values = getattr(cfg, name + "_grid")
+    if name.endswith("pq"):
+        return ("p", "q"), values
+    return ("p" if name.endswith("_p") else name,), [(v,) for v in values]
 
 
-def _grid_spn1(w, cfg):
-    return [{"p": p} for p in cfg.norm_p_grid]
-
-
-def _grid_tfsn(w, cfg):
-    return [{"variant": v} for v in ("trace", "frobenius", "spectral")]
-
-
-def _grid_kpk1(w, cfg):
-    return [{"k": k} for k in _ks(w.dim_a)]
-
-
-def _grid_single(w, cfg):
-    return [{}]
-
-
-def _grid_tpn2(q, cfg):
-    m = q.shape[0]
-    return [{"k": k, "p": p, "q": qq} for k in _ks(m) for (p, qq) in cfg.pq_grid]
-
-
-def _grid_cpn1(w, cfg):
-    return [{"k": k, "p": p, "q": qq} for k in _ks(w.dim_a) for (p, qq) in cfg.pq_grid]
-
-
-def _grid_kqn1(w, cfg):
-    return [{"k": k, "p": p} for k in _ks(w.dim_a) for p in cfg.antinorm_p_grid]
-
-
-def _grid_kqn2(w, cfg):
-    return [{"p": p} for p in cfg.negative_p_grid]
-
-
-def _grid_tpn62(q, cfg):
-    m = q.shape[0]
-    return [{"k": k, "p": p, "q": qq} for k in _ks(m) for (p, qq) in cfg.subunit_pq_grid]
-
-
-def _grid_stct1(inst, cfg):
-    ch, _ = inst
-    return [{"k": k, "p": p} for k in _ks(ch.dim_out) for p in cfg.norm_p_grid]
-
-
-def _grid_stctp(inst, cfg):
-    return [{"p": p} for p in cfg.norm_p_grid]
-
-
-def _grid_stct2(inst, cfg):
-    ch, _ = inst
-    return [{"k": k, "p": p} for k in _ks(ch.dim_out) for p in cfg.antinorm_p_grid]
-
-
-def _grid_stctpp(inst, cfg):
-    return [{"p": p} for p in cfg.antinorm_p_grid]
-
-
-def _grid_alpha_s(w, cfg):
-    return [{"alpha": a, "s": s} for a in cfg.alpha_grid for s in cfg.s_grid]
-
-
-def _grid_alpha(w, cfg):
-    return [{"alpha": a} for a in cfg.alpha_grid]
-
-
-def _grid_sat_wrqa(w, cfg):
-    norm_part = [
-        {"k": k, "p": p, "family": "norm"} for k in _ks(w.dim_a) for p in cfg.norm_p_grid
-    ]
-    anti_part = [
-        {"k": k, "p": p, "family": "antinorm"} for k in _ks(w.dim_a) for p in cfg.antinorm_p_grid
-    ]
-    return norm_part + anti_part
+@lru_cache(maxsize=256)
+def _grid(axes: tuple, kmax: int, cfg) -> _Grid:
+    """The points of each product of axes in turn, the last axis varying fastest."""
+    names, points = (), []
+    for product in axes:
+        parts = [_axis(name, kmax, cfg) for name in product.split()]
+        names = sum((cols for cols, _ in parts), ())
+        points += [sum(value, ()) for value in itertools.product(*(values for _, values in parts))]
+    return _Grid(dict(zip(names, zip(*points))), len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +613,7 @@ class InequalityCase:
     paper_eq: str
     instance_kind: str
     make_instance: Callable
-    param_grid: Callable
+    axes: tuple  # products of grid axes, each a string of axis names (see _axis), taken in turn
     evaluate: Callable
     saturator: Optional[Callable] = None
 
@@ -607,204 +621,124 @@ class InequalityCase:
 REGISTRY: dict[str, InequalityCase] = {}
 for _c in (
     InequalityCase(
-        "KPN1",
-        "partial trace against the (k, p) norm of the joint operator",
+        "KPN1", "partial trace against the (k, p) norm of the joint operator",
         "||Tr_B W||_(k)^(p) <= n^((p-1)/p) ||W||_(kn)^(p)",
-        "bipartite",
-        _make_bipartite("bipartite"),
-        _grid_kpn1,
-        _eval_kpn1,
-        _sat_product("psd"),
+        "bipartite", partial(sample, "bipartite"),
+        ("k norm_p",), _eval_kpn1, _sat_product("psd"),
     ),
     InequalityCase(
-        "SPN1",
-        "partial trace against the Schatten norm of the joint operator",
+        "SPN1", "partial trace against the Schatten norm of the joint operator",
         "||Tr_B W||_p <= n^((p-1)/p) ||W||_p",
-        "bipartite",
-        _make_bipartite("bipartite"),
-        _grid_spn1,
-        _eval_spn1,
-        _sat_product("psd"),
+        "bipartite", partial(sample, "bipartite"),
+        ("norm_p",), _eval_spn1, _sat_product("psd"),
     ),
     InequalityCase(
-        "TFSN",
-        "trace, Frobenius, and spectral norm forms of the partial trace bound",
+        "TFSN", "trace, Frobenius, and spectral norm forms of the partial trace bound",
         "||Tr_B W||_1 <= ||W||_1; ||Tr_B W||_2 <= sqrt(n) ||W||_2; ||Tr_B W||_inf <= n ||W||_inf",
-        "bipartite",
-        _make_bipartite("bipartite"),
-        _grid_tfsn,
-        _eval_tfsn,
-        _sat_product("psd"),
+        "bipartite", partial(sample, "bipartite"),
+        ("variant",), _eval_tfsn, _sat_product("psd"),
     ),
     InequalityCase(
-        "KPK1",
-        "Ky Fan norm of the partial trace against the joint Ky Fan norm",
+        "KPK1", "Ky Fan norm of the partial trace against the joint Ky Fan norm",
         "||Tr_B W||_(k) <= ||W||_(kn)",
-        "bipartite",
-        _make_bipartite("bipartite"),
-        _grid_kpk1,
-        _eval_kpk1,
-        _sat_product("psd"),
+        "bipartite", partial(sample, "bipartite"),
+        ("k",), _eval_kpk1, _sat_product("psd"),
     ),
     InequalityCase(
-        "KPK2",
-        "spectral norm of the partial trace against the Ky Fan n-norm",
+        "KPK2", "spectral norm of the partial trace against the Ky Fan n-norm",
         "||Tr_B W||_inf <= ||W||_(n)",
-        "bipartite",
-        _make_bipartite("bipartite"),
-        _grid_single,
-        _eval_kpk2,
-        _sat_product("psd"),
+        "bipartite", partial(sample, "bipartite"),
+        ("",), _eval_kpk2, _sat_product("psd"),
     ),
     InequalityCase(
-        "TPN2",
-        "(k, p) norm against the (k, pq) norm of the same operator",
+        "TPN2", "(k, p) norm against the (k, pq) norm of the same operator",
         "||R||_(k)^(p) <= k^((q-1)/(pq)) ||R||_(k)^(pq)",
-        "matrix",
-        _make_square(_ginibre_square),
-        _grid_tpn2,
-        _eval_tpn2,
-        _sat_scalar,
+        "matrix", _make_square(lambda rng, m: _ginibre(rng, m, m)),
+        ("k pq",), _eval_tpn2, _sat_scalar,
     ),
     InequalityCase(
-        "CPN1",
-        "chained partial trace and exponent interpolation bound",
+        "CPN1", "chained partial trace and exponent interpolation bound",
         "||Tr_B W||_(k)^(p) <= [k^(q-1) n^(pq-1)]^(1/(pq)) ||W||_(kn)^(pq)",
-        "bipartite",
-        _make_bipartite("bipartite"),
-        _grid_cpn1,
-        _eval_cpn1,
-        _sat_identity_bipartite,
+        "bipartite", partial(sample, "bipartite"),
+        ("k pq",), _eval_cpn1, _sat_identity_bipartite,
     ),
     InequalityCase(
-        "KQN1",
-        "partial trace against the (k, p) anti-norm of the joint operator",
+        "KQN1", "partial trace against the (k, p) anti-norm of the joint operator",
         "||Tr_B W||_{k}^(p) >= n^((p-1)/p) ||W||_{kn}^(p), 0 < p <= 1",
-        "bipartite_psd",
-        _make_bipartite("bipartite_psd"),
-        _grid_kqn1,
-        _eval_kqn1,
-        _sat_product("psd"),
+        "bipartite_psd", partial(sample, "bipartite_psd"),
+        ("k antinorm_p",), _eval_kqn1, _sat_product("psd"),
     ),
     InequalityCase(
-        "KQN2",
-        "negative exponent Schatten anti-norm bound under partial trace",
+        "KQN2", "negative exponent Schatten anti-norm bound under partial trace",
         "||Tr_B W||_p >= n^((p-1)/p) ||W||_p, p < 0, W positive definite",
-        "bipartite_pd",
-        _make_bipartite("bipartite_pd"),
-        _grid_kqn2,
-        _eval_kqn2,
-        _sat_product("pd"),
+        "bipartite_pd", partial(sample, "bipartite_pd"),
+        ("negative_p",), _eval_kqn2, _sat_product("pd"),
     ),
     InequalityCase(
-        "KQK1",
-        "Ky Fan anti-norm of the partial trace against the joint anti-norm",
+        "KQK1", "Ky Fan anti-norm of the partial trace against the joint anti-norm",
         "||Tr_B W||_{k} >= ||W||_{kn}",
-        "bipartite_psd",
-        _make_bipartite("bipartite_psd"),
-        _grid_kpk1,
-        _eval_kqk1,
-        _sat_product("psd"),
+        "bipartite_psd", partial(sample, "bipartite_psd"),
+        ("k",), _eval_kqk1, _sat_product("psd"),
     ),
     InequalityCase(
-        "TPN62",
-        "(k, p) anti-norm against the (k, pq) anti-norm of the same operator",
+        "TPN62", "(k, p) anti-norm against the (k, pq) anti-norm of the same operator",
         "||R||_{k}^(p) >= k^((q-1)/(pq)) ||R||_{k}^(pq), p, q in (0, 1)",
-        "psd_matrix",
-        _make_square(_psd),
-        _grid_tpn62,
-        _eval_tpn62,
-        _sat_scalar,
+        "psd_matrix", _make_square(_psd),
+        ("k subunit_pq",), _eval_tpn62, _sat_scalar,
     ),
     InequalityCase(
-        "STCT1",
-        "channel output (k, p) norm against the padded input norm",
+        "STCT1", "channel output (k, p) norm against the padded input norm",
         "||Phi(Q)||_(k)^(p) <= d^((p-1)/p) ||Q||_(kd)^(p)",
-        "channel_pair",
-        _make_channel_pair("ginibre"),
-        _grid_stct1,
-        _eval_stct1,
-        _sat_ptrace_pair("psd"),
+        "channel_pair", _make_channel_pair("ginibre"),
+        ("k norm_p",), _eval_stct1, _sat_ptrace_pair("psd"),
     ),
     InequalityCase(
-        "STCTP",
-        "channel output Schatten norm against the input Schatten norm",
+        "STCTP", "channel output Schatten norm against the input Schatten norm",
         "||Phi(Q)||_p <= d^((p-1)/p) ||Q||_p",
-        "channel_pair",
-        _make_channel_pair("ginibre"),
-        _grid_stctp,
-        _eval_stctp,
-        _sat_ptrace_pair("psd"),
+        "channel_pair", _make_channel_pair("ginibre"),
+        ("norm_p",), _eval_stctp, _sat_ptrace_pair("psd"),
     ),
     InequalityCase(
-        "STCT2",
-        "channel output (k, p) anti-norm against the padded input anti-norm",
+        "STCT2", "channel output (k, p) anti-norm against the padded input anti-norm",
         "||Phi(Q)||_{k}^(p) >= d^((p-1)/p) ||Q||_{kd}^(p), spectrum padded to n*d",
-        "channel_pair",
-        _make_channel_pair("psd"),
-        _grid_stct2,
-        _eval_stct2,
-        _sat_ptrace_pair("psd"),
+        "channel_pair", _make_channel_pair("psd"),
+        ("k antinorm_p",), _eval_stct2, _sat_ptrace_pair("psd"),
     ),
     InequalityCase(
-        "STCTPP",
-        "channel output Schatten anti-norm against the input Schatten anti-norm",
+        "STCTPP", "channel output Schatten anti-norm against the input Schatten anti-norm",
         "||Phi(Q)||_p >= d^((p-1)/p) ||Q||_p, 0 < p <= 1",
-        "channel_pair",
-        _make_channel_pair("psd"),
-        _grid_stctpp,
-        _eval_stctpp,
-        _sat_ptrace_pair("psd"),
+        "channel_pair", _make_channel_pair("psd"),
+        ("antinorm_p",), _eval_stctpp, _sat_ptrace_pair("psd"),
     ),
     InequalityCase(
-        "ET41",
-        "unified entropy of the joint state against the reduced state",
+        "ET41", "unified entropy of the joint state against the reduced state",
         "E_as(W) <= n^((1-a)s) E_as(Tr_B W) + (1/s) ln_a(n^s)",
-        "bipartite_density",
-        _make_bipartite("bipartite_density"),
-        _grid_alpha_s,
-        _eval_et41,
-        _sat_product_density,
+        "bipartite_density", partial(sample, "bipartite_density"),
+        ("alpha s",), _eval_et41, _sat_product_density,
     ),
     InequalityCase(
-        "ETT41",
-        "Tsallis entropy of the joint state against the reduced state",
+        "ETT41", "Tsallis entropy of the joint state against the reduced state",
         "T_a(W) <= n^(1-a) T_a(Tr_B W) + ln_a(n)",
-        "bipartite_density",
-        _make_bipartite("bipartite_density"),
-        _grid_alpha,
-        _eval_ett41,
-        _sat_product_density,
+        "bipartite_density", partial(sample, "bipartite_density"),
+        ("alpha",), _eval_ett41, _sat_product_density,
     ),
     InequalityCase(
-        "ET42",
-        "Renyi entropy of the joint state against the reduced state",
+        "ET42", "Renyi entropy of the joint state against the reduced state",
         "R_a(W) <= R_a(Tr_B W) + ln(n)",
-        "bipartite_density",
-        _make_bipartite("bipartite_density"),
-        _grid_alpha,
-        _eval_et42,
-        _sat_product_density,
+        "bipartite_density", partial(sample, "bipartite_density"),
+        ("alpha",), _eval_et42, _sat_product_density,
     ),
     InequalityCase(
-        "STCTEP",
-        "input entropy against the channel output entropy",
+        "STCTEP", "input entropy against the channel output entropy",
         "E_as(rho) <= d^((1-a)s) E_as(Phi(rho)) + (1/s) ln_a(d^s)",
-        "channel_pair",
-        _make_channel_pair("density"),
-        _grid_alpha_s,
-        _eval_stctep,
-        _sat_ptrace_pair("density"),
+        "channel_pair", _make_channel_pair("density"),
+        ("alpha s",), _eval_stctep, _sat_ptrace_pair("density"),
     ),
     InequalityCase(
-        "SAT-WRQA",
-        "equality of the norm and anti-norm partial trace bounds on c * R (x) I",
+        "SAT-WRQA", "equality of the norm and anti-norm partial trace bounds on c * R (x) I",
         "equality in the (k, p) norm and anti-norm bounds at W = c R (x) I",
-        "bipartite_psd",
-        _make_sat_wrqa,
-        _grid_sat_wrqa,
-        _eval_sat_wrqa,
-        _make_sat_wrqa,
+        "bipartite_psd", _make_sat_wrqa,
+        ("norm k norm_p", "antinorm k antinorm_p"), _eval_sat_wrqa, _make_sat_wrqa,
     ),
 ):
     REGISTRY[_c.id] = _c
@@ -832,12 +766,16 @@ def _check_kind(case: InequalityCase, instance) -> None:
 
 
 def evaluate_case(case_id: str, instance, params) -> float:
-    """Signed normalized margin of one registry case on one instance."""
+    """Signed normalized margin of one registry case on one instance.
+
+    This is the audit's evaluation on a batch of one with a one-point grid.
+    """
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
     _check_kind(case, instance)
-    return case.evaluate(_Spectra(instance), dict(params))
+    grid = _Grid({name: (value,) for name, value in dict(params).items()}, 1)
+    return float(case.evaluate(_Spectra([instance]), grid)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -911,11 +849,11 @@ def _config_echo(cfg: AuditConfig) -> dict:
     }
 
 
-def _case_extras(cid: str, trial_stats: dict):
+def _case_extras(cid: str, stats: list):
     if cid == "KPK2":
-        return {"dominance_strict_count": trial_stats["dominance_strict_count"]}
+        return {"dominance_strict_count": sum(stats)}
     if cid == "KQK1":
-        return {"equivalence_max_dev": trial_stats["equivalence_max_dev"]}
+        return {"equivalence_max_dev": max([0.0] + stats)}
     if cid == "TPN2":
         flat = np.diag([2.0, 2.0, 1.0]).astype(complex)
         tilted = np.diag([3.0, 2.0, 1.0]).astype(complex)
@@ -935,83 +873,109 @@ def _case_extras(cid: str, trial_stats: dict):
     return None
 
 
-def _update_trial_stats(cid: str, sp: _Spectra, stats: dict) -> None:
+def _trial_stats(cid: str, sp: _Spectra) -> list:
+    """Each trial's share of the case's extra report field, None for a case without one."""
     if cid == "KPK2":
-        n = sp.inst.dim_b
-        lhs = sp.norm("w", n, 1.0)
-        rhs = n * sp.norm("w", None, math.inf)
-        if rhs - lhs > 1e-9 * max(1.0, lhs, rhs):
-            stats["dominance_strict_count"] += 1
-    elif cid == "KQK1":
-        m, n = sp.inst.dim_a, sp.inst.dim_b
-        denom = max(1.0, abs(float(np.trace(sp.inst.matrix).real)))
-        dev = 0.0
-        for k in range(1, m):
-            raw_anti = kyfan_antinorm_of(sp.psd("qa"), k) - kyfan_antinorm_of(sp.psd("w"), k * n)
-            raw_norm = sp.norm("w", (m - k) * n, 1.0) - sp.norm("qa", m - k, 1.0)
-            dev = max(dev, abs(raw_anti - raw_norm) / denom)
-        stats["equivalence_max_dev"] = max(stats["equivalence_max_dev"], dev)
+        n = sp.dim_b
+        lhs = sp.norm("w", np.array([n]), (1.0,))[:, 0]
+        rhs = n * sp.norm("w", None, (math.inf,))[:, 0]
+        return (rhs - lhs > 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs)).tolist()
+    if cid == "KQK1":
+        m, n = sp.dim_a, sp.dim_b
+        ks, ones = np.arange(1, m), (1.0,) * (m - 1)
+        qa, w = sp.psd("qa"), sp.psd("w")
+        anti = sp.columns(lambda k: kyfan_antinorm_of(qa, k) - kyfan_antinorm_of(w, k * n), ks.tolist())
+        norm = sp.norm("w", (m - ks) * n, ones) - sp.norm("qa", m - ks, ones)
+        denom = np.maximum(1.0, np.abs(np.trace(sp.matrices["w"], axis1=-2, axis2=-1).real))
+        return np.fmax.reduce(np.abs(anti - norm) / denom[:, None], axis=-1, initial=0.0).tolist()
+    return [None] * sp.size
 
 
 # domain problems of one instance; anything else is a bug and propagates
 _INSTANCE_ERRORS = (PreconditionError, np.linalg.LinAlgError)
 
 
-def _margins(case: InequalityCase, sp: _Spectra, config: AuditConfig):
-    for params in case.param_grid(sp.inst, config):
-        pr = dict(params)
-        pr["env_mode"] = config.env_dim_mode
-        yield case.evaluate(sp, pr)
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _instances(make, specs, failed: dict) -> list:
+    """(index, dims, instance) for each (index, dims, seed); a maker's domain error goes to failed."""
+    made = []
+    for index, dims, seed in specs:
+        try:
+            made.append((index, dims, make(dims, seed)))
+        except _INSTANCE_ERRORS as exc:
+            failed[index] = _describe(exc)
+    return made
+
+
+def _evaluate(case: InequalityCase, members: list, config: AuditConfig, failed: dict, trials=True) -> dict:
+    """index -> (margins, trial statistic) of (index, instance) members, evaluated as one batch.
+
+    On a domain error each member is evaluated again alone, so only the ones
+    that raise go to failed, and those contribute no margin.  Saturator
+    instances (trials False) skip the statistic.
+    """
+    try:
+        sp = _Spectra([inst for _, inst in members], config.env_dim_mode)
+        margins = case.evaluate(sp, _grid(case.axes, sp.kmax, config))
+        stats = _trial_stats(case.id, sp) if trials else [None] * sp.size
+    except _INSTANCE_ERRORS as exc:
+        if len(members) == 1:
+            failed[members[0][0]] = _describe(exc)
+            return {}
+        results = {}
+        for member in members:
+            results.update(_evaluate(case, [member], config, failed, trials))
+        return results
+    return {index: (row, stat) for (index, _), row, stat in zip(members, margins, stats)}
 
 
 def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
     """Evaluate every selected registry case on seeded instances.
 
-    Each trial and each saturator instance is decomposed once into the
-    spectra its case reads, and the whole parameter grid is evaluated on them.
-    A PreconditionError or LinAlgError on an instance never aborts the run: it
-    counts in the case's failures and the first message is kept in the record.
-    A failed saturator instance also sets saturation_residual to None.  Any
-    other exception propagates.
+    A case's trials are made in trial order, evaluated in same-dims batches,
+    and their margins folded in (trial, point) order; each saturator instance
+    is a batch of its own.  A PreconditionError or LinAlgError on an instance
+    never aborts the run: it counts in failures, the first message in trial
+    order is kept, and the instance contributes no margin (a failed saturator
+    also nulls saturation_residual).  Any other exception propagates.
     """
     ids = config.case_filter if config.case_filter is not None else REGISTRY_IDS
+    base, trials, dims = config.base_seed, config.trials_per_case, config.dims
     records = []
     for cid in REGISTRY_IDS:
         if cid not in ids:
             continue
         case = REGISTRY[cid]
+        failed = {}  # instance index -> message; saturators follow the trials
+        specs = [(t, dims[t % len(dims)], _trial_seed(base, cid, t)) for t in range(trials)]
+        groups = {}
+        for index, pair, inst in _instances(case.make_instance, specs, failed):
+            groups.setdefault(pair, []).append((index, inst))
+        results = {}
+        for members in groups.values():
+            results.update(_evaluate(case, members, config, failed))
+        ordered = [results[t] for t in sorted(results)]
         worst = None
         violations = 0
-        failures = 0
-        first_failure = None
-        stats = {"dominance_strict_count": 0, "equivalence_max_dev": 0.0}
-        for trial in range(config.trials_per_case):
-            dims = config.dims[trial % len(config.dims)]
-            seed = _trial_seed(config.base_seed, cid, trial)
-            try:
-                sp = _Spectra(case.make_instance(dims, seed))
-                for margin in _margins(case, sp, config):
-                    if worst is None or margin < worst:
-                        worst = margin
-                    if margin < -config.tolerance:
-                        violations += 1
-                _update_trial_stats(cid, sp, stats)
-            except _INSTANCE_ERRORS as exc:
-                failures += 1
-                first_failure = first_failure or f"{type(exc).__name__}: {exc}"
+        for margins, _ in ordered:
+            for margin in margins.tolist():
+                if worst is None or margin < worst:
+                    worst = margin
+                if margin < -config.tolerance:
+                    violations += 1
         saturation = None
         if case.saturator is not None:
-            residual, trial_failures = 0.0, failures
-            for i, dims in enumerate(config.dims):
-                try:
-                    sp = _Spectra(case.saturator(dims, _trial_seed(config.base_seed, cid + ":sat", i)))
-                    for margin in _margins(case, sp, config):
+            residual = 0.0
+            specs = [(trials + i, pair, _trial_seed(base, cid + ":sat", i)) for i, pair in enumerate(dims)]
+            for index, _, inst in _instances(case.saturator, specs, failed):
+                for margins, _ in _evaluate(case, [(index, inst)], config, failed, False).values():
+                    for margin in margins.tolist():
                         residual = max(residual, abs(margin))
-                except _INSTANCE_ERRORS as exc:
-                    failures += 1
-                    first_failure = first_failure or f"{type(exc).__name__}: {exc}"
             # a residual over only some saturator instances must not read as clean
-            saturation = residual if failures == trial_failures else None
+            saturation = residual if max(failed, default=-1) < trials else None
         record = {
             "id": cid,
             "paper_eq": case.paper_eq,
@@ -1019,11 +983,11 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
             "violations": violations,
             "worst_margin": worst,
             "saturation_residual": saturation,
-            "failures": failures,
+            "failures": len(failed),
         }
-        if first_failure is not None:
-            record["first_failure"] = first_failure
-        extra = _case_extras(cid, stats)
+        if failed:
+            record["first_failure"] = failed[min(failed)]
+        extra = _case_extras(cid, [stat for _, stat in ordered])
         if extra is not None:
             record["extra"] = extra
         records.append(record)

@@ -40,8 +40,13 @@ class BipartiteOperator:
 
 def partial_trace_b(w: BipartiteOperator) -> np.ndarray:
     """Trace out the second factor: entry (i, j) is the trace of block (i, j)."""
-    t = w.matrix.reshape(w.dim_a, w.dim_b, w.dim_a, w.dim_b)
-    return np.einsum("iaja->ij", t)
+    return trace_out_b(w.matrix, w.dim_a, w.dim_b)
+
+
+def trace_out_b(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Tr_B of an (m*n)-square matrix, or of each matrix in a (trials, m*n, m*n) stack."""
+    t = mats.reshape(mats.shape[:-2] + (m, n, m, n))
+    return np.einsum("...iaja->...ij", t)
 
 
 def partial_trace_a(w: BipartiteOperator) -> np.ndarray:

@@ -98,8 +98,14 @@ def choi_matrix(ch: StinespringChannel) -> np.ndarray:
 
 
 def choi_rank(ch: StinespringChannel, tol: float = CHOI_RANK_TOL) -> int:
-    """Number of Choi eigenvalues above tol relative to the largest."""
-    w = np.linalg.eigvalsh(choi_matrix(ch))
+    """Number of Choi eigenvalues above tol relative to the largest.
+
+    The Choi matrix is A A^dag, A holding vec(K_c) of each Kraus operator as a
+    column, so its nonzero eigenvalues are those of A^dag A, which is only
+    dim_env square; the smaller of the two is decomposed.
+    """
+    a = np.stack([k.reshape(-1) for k in ch.kraus_operators()], axis=1)
+    w = np.linalg.eigvalsh(a.conj().T @ a if a.shape[1] <= a.shape[0] else a @ a.conj().T)
     top = float(w.max())
     return int(np.count_nonzero(w > tol * top))
 

@@ -9,7 +9,10 @@ alone, and of only two numbers of them: the power sum tr rho^alpha
 ``<name>_from`` routes between the two, given each as a function so that only
 the one its branch needs is computed and a caller may memoize both per state.
 ``<name>`` on a density matrix is the spectrum that ``density_spectrum``
-returns, then ``<name>_from`` on its two numbers.
+returns, then ``<name>_from`` on its two numbers.  The two inputs may also be
+lists, one entry per state of a stack (``power_sum_of`` and ``von_neumann_of``
+give one per state of ``density_spectrum`` of a stack), closed entry by entry
+in Python floats.  A value outside the float range raises DomainError.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ S_ZERO_TOL = 1e-12  # |s| below this routes to the Renyi branch
 EIG_DROP = 1e-14  # eigenvalues at or below this are dropped from sums
 DENSITY_EIG_FLOOR = -1e-10
 
-Lazy = Callable[[], float]  # a spectral input of an entropy, computed when called
+Lazy = Callable[[], object]  # a spectral input: a float, or a list of one per state
 
 
 def _check_alpha(alpha: float) -> None:
@@ -34,60 +37,101 @@ def _check_alpha(alpha: float) -> None:
         raise ExponentRangeError(f"alpha={alpha} must be a positive real")
 
 
-def density_spectrum(rho, tol: float = 1e-9) -> np.ndarray:
+def density_spectrum(rho, tol: float = 1e-9):
     """Validated eigenvalues of a density matrix, ascending, tiny ones dropped.
 
     Inputs are never renormalized: a trace away from 1 beyond tol is an error.
+    A (trials, d, d) stack gives its spectra grouped by length, as a list of
+    (trial indices, stacked spectra) pairs.
     """
     try:
         w = hermitian_eigenvalues(rho, DEFAULT_TOL)
     except NotHermitianError as exc:
         raise NotDensityError("density matrix must be Hermitian") from exc
-    if abs(float(w.sum()) - 1.0) > tol:
-        raise NotDensityError(f"trace {float(w.sum()):.12g} differs from 1 beyond {tol}")
-    if float(w.min()) < DENSITY_EIG_FLOOR:
-        raise NotDensityError(f"eigenvalue {float(w.min()):.3e} below {DENSITY_EIG_FLOOR}")
-    return w[w > EIG_DROP]
+    traces = w.sum(axis=-1)
+    off = np.abs(traces - 1.0) > tol
+    if off.any():
+        raise NotDensityError(f"trace {float(traces[off].flat[0]):.12g} differs from 1 beyond {tol}")
+    low = float(w.min())
+    if low < DENSITY_EIG_FLOOR:
+        raise NotDensityError(f"eigenvalue {low:.3e} below {DENSITY_EIG_FLOOR}")
+    if w.ndim == 1:
+        return w[w > EIG_DROP]
+    if float(w[:, 0].min()) > EIG_DROP:  # nothing to drop
+        return [(slice(None), w)]
+    # the dropped eigenvalues are the smallest, so a row keeps its last `size`
+    kept, d = (w > EIG_DROP).sum(axis=-1), w.shape[-1]
+    groups = []
+    for size in sorted(set(kept.tolist())):
+        rows = np.flatnonzero(kept == size)
+        groups.append((rows, w[rows, d - size :]))
+    return groups
 
 
-def von_neumann_of(w: np.ndarray) -> float:
-    """-tr(rho ln rho) of a density spectrum."""
-    return float(-(w * np.log(w)).sum())
+def _sums(term: Callable[[np.ndarray], np.ndarray], w):
+    """term(w).sum() of a spectrum, or of each of grouped spectra, row by row as alone."""
+    if isinstance(w, np.ndarray):
+        return float(term(w).sum())
+    sums = np.empty(sum(len(spectra) for _, spectra in w))
+    for rows, spectra in w:
+        sums[rows] = term(spectra).sum(axis=-1)
+    return sums
 
 
-def power_sum_of(w: np.ndarray, alpha: float) -> float:
-    """tr rho^alpha of a density spectrum."""
-    return float(np.sum(w**alpha))
+def von_neumann_of(w):
+    """-tr(rho ln rho) of a density spectrum, or an array of them for a stack's grouped spectra."""
+    return -_sums(lambda x: x * np.log(x), w)
 
 
-def _renyi(power_sum: Lazy, von_neumann: Lazy, alpha: float) -> float:
+def power_sum_of(w, alpha: float):
+    """tr rho^alpha of a density spectrum, or an array of them for a stack's grouped spectra."""
+    return _sums(lambda x: x**alpha, w)
+
+
+def _closed(formula: Callable[[float], float], x):
+    """formula on x, or on each entry of a list x, in Python floats.
+
+    Every entropy value and bound term is closed here, so this is where a value
+    outside the float range raises DomainError.
+    """
+    try:
+        if isinstance(x, list):
+            return [formula(v) for v in x]
+        return formula(float(x))
+    except OverflowError as exc:
+        raise DomainError("entropy term overflows the float range") from exc
+    except ValueError as exc:  # math.log(0.0)
+        raise DomainError("entropy term undefined: tr rho^alpha underflowed to 0") from exc
+
+
+def _renyi(power_sum: Lazy, von_neumann: Lazy, alpha: float):
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return von_neumann()
-    return float(math.log(power_sum()) / (1.0 - alpha))
+    return _closed(lambda x: math.log(x) / (1.0 - alpha), power_sum())
 
 
-def renyi_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float) -> float:
+def renyi_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float):
     """Renyi entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
     return _renyi(power_sum, von_neumann, alpha)
 
 
-def tsallis_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float) -> float:
+def tsallis_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float):
     """Tsallis entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return von_neumann()
-    return float((power_sum() - 1.0) / (1.0 - alpha))
+    return _closed(lambda x: (x - 1.0) / (1.0 - alpha), power_sum())
 
 
-def unified_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float, s: float) -> float:
+def unified_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float, s: float):
     """Unified (alpha, s) entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
     if math.isnan(s) or math.isinf(s):
         raise ExponentRangeError(f"s={s} must be a finite real")
     if abs(alpha - 1.0) < ALPHA_ONE_TOL or abs(s) < S_ZERO_TOL:
         return _renyi(power_sum, von_neumann, alpha)
-    return float(math.expm1(s * math.log(power_sum())) / ((1.0 - alpha) * s))
+    return _closed(lambda x: math.expm1(s * math.log(x)) / ((1.0 - alpha) * s), power_sum())
 
 
 def _inputs(w: np.ndarray, alpha: float) -> tuple[Lazy, Lazy]:
@@ -121,7 +165,12 @@ def max_entropy_value(m: int, alpha: float, s: float) -> float:
     _check_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL or abs(s) < S_ZERO_TOL:
         return math.log(m)
-    return math.expm1((1.0 - alpha) * s * math.log(m)) / ((1.0 - alpha) * s)
+    return _closed(lambda x: math.expm1((1.0 - alpha) * s * math.log(x)) / ((1.0 - alpha) * s), m)
+
+
+def dim_weight(m: int, alpha: float, s: float = 1.0) -> float:
+    """m^((1 - alpha) s), the weight of the reduced entropy in the unified-entropy bounds."""
+    return _closed(lambda x: x ** ((1.0 - alpha) * s), m)
 
 
 def alpha_log(x: float, alpha: float) -> float:
@@ -131,4 +180,4 @@ def alpha_log(x: float, alpha: float) -> float:
     _check_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return math.log(x)
-    return math.expm1((1.0 - alpha) * math.log(x)) / (1.0 - alpha)
+    return _closed(lambda v: math.expm1((1.0 - alpha) * math.log(v)) / (1.0 - alpha), x)

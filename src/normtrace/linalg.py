@@ -24,19 +24,39 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_matrices(a) -> np.ndarray:
+    """Coerce input to a nonempty complex128 matrix or (trials, r, c) stack of matrices."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.size == 0:
+        raise ShapeMismatchError(f"expected a nonempty matrix or stack of matrices, got shape {m.shape}")
+    return m
+
+
 def require_square(m: np.ndarray) -> int:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise NotSquareError(f"square matrix required, got shape {m.shape}")
-    return m.shape[0]
+    return m.shape[-1]
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    """True when max |M - M^dag| <= tol * (1 + max |M|)."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    """True when max |M - M^dag| <= tol * (1 + max |M|), for M or every matrix of a stack."""
+    m = as_matrices(m)
+    if m.shape[-2] != m.shape[-1]:
         return False
-    scale = 1.0 + float(np.abs(m).max())
-    return float(np.abs(m - m.conj().T).max()) <= tol * scale
+    if m.ndim == 2:
+        return float(np.abs(m - m.conj().T).max()) <= tol * (1.0 + float(np.abs(m).max()))
+    scale = 1.0 + np.abs(m).max(axis=(1, 2))
+    return bool((np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol * scale).all())
+
+
+def psd_eigenvalues(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian eigenvalues (or rows of them) with round-off negatives set to zero.
+
+    NotPsdError when a row's smallest is below -tol * (1 + its spectral radius).
+    """
+    if (w.min(axis=-1) < -tol * (1.0 + np.abs(w).max(axis=-1))).any():
+        raise NotPsdError("matrix has a negative eigenvalue beyond tolerance")
+    return np.where(w < 0.0, 0.0, w)
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
@@ -44,14 +64,16 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
     if not is_hermitian(m, tol):
         return False
-    w = np.linalg.eigvalsh(m)
-    spec = float(np.abs(w).max())
-    return float(w.min()) >= -tol * (1.0 + spec)
+    try:
+        psd_eigenvalues(np.linalg.eigvalsh(m), tol)
+    except NotPsdError:
+        return False
+    return True
 
 
 def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    m = as_matrix(m)
+    """Real eigenvalues of a Hermitian matrix, ascending; a stack gives one row per matrix."""
+    m = as_matrices(m)
     require_square(m)
     if not is_hermitian(m, tol):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
@@ -97,9 +119,7 @@ def psd_power(q, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotPsdError("matrix is not Hermitian within tolerance")
     w, u = np.linalg.eigh(q)
     spec = float(np.abs(w).max())
-    if float(w.min()) < -tol * (1.0 + spec):
-        raise NotPsdError("matrix has a negative eigenvalue beyond tolerance")
-    w = np.where(w < 0.0, 0.0, w)
+    w = psd_eigenvalues(w, tol)
     if t < 0:
         floor = PD_FLOOR_COEFF * (1.0 + spec)
         if float(w.min()) <= floor:

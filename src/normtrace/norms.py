@@ -7,7 +7,7 @@ Ky Fan k-norm.  Each norm is a function of the singular values alone, and for
 a fixed p one cumulative power sum over the descending spectrum serves every
 k at once: ``gauge_table`` returns the gauge for each k, ``gauge_kp`` reads
 one entry of it, and the matrix-level functions compute the singular values,
-then call that.
+then call that.  ``gauge_table`` also tabulates each row of a stack of spectra.
 """
 from __future__ import annotations
 
@@ -26,18 +26,18 @@ def gauge_table(desc: np.ndarray, p: float) -> np.ndarray:
     """Gauges of a descending nonnegative spectrum for every k = 1..len(desc).
 
     Entry k - 1 is the l_p combination of the k largest entries; p = math.inf
-    gives the largest entry for every k.
+    gives the largest entry for every k.  A (trials, d) stack of spectra gives
+    one table per row.
     """
+    top = desc[..., :1]
     if math.isinf(p) and p > 0:
-        return np.full(desc.size, float(desc[0]))
+        return np.repeat(top, desc.shape[-1], axis=-1)
     if not p >= 1:
         raise ExponentRangeError(f"p={p} must be >= 1 or +inf")
-    top = float(desc[0])
-    if top == 0.0:
-        return np.zeros(desc.size)
     if p > LARGE_P_THRESHOLD:
-        return top * ((desc / top) ** p).cumsum() ** (1.0 / p)
-    return (desc**p).cumsum() ** (1.0 / p)
+        # an all-zero spectrum is scaled by 1 and stays zero
+        return top * ((desc / np.where(top == 0.0, 1.0, top)) ** p).cumsum(axis=-1) ** (1.0 / p)
+    return (desc**p).cumsum(axis=-1) ** (1.0 / p)
 
 
 def gauge_kp(x, k: int, p: float) -> float:

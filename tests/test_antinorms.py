@@ -6,7 +6,9 @@ from normtrace.antinorms import (
     kp_antinorm,
     kp_antinorm_of,
     kyfan_antinorm,
+    kyfan_antinorm_of,
     partial_fidelity,
+    psd_spectrum,
     schatten_antinorm,
     schatten_antinorm_of,
 )
@@ -190,3 +192,24 @@ def test_partial_fidelity_monotone_in_k():
     assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
     with pytest.raises(ShapeMismatchError):
         partial_fidelity(rho, psd(rng, 3), 1)
+
+
+def test_stacked_spectra_match_one_by_one():
+    # a stack is checked and tabulated row by row, with the values each matrix gives alone
+    rng = np.random.default_rng(21)
+    pd = [psd(rng, 4) + 0.5 * np.eye(4) for _ in range(3)]
+    stack = np.stack(pd)
+    rows = psd_spectrum(stack)
+    assert rows.tolist() == [psd_spectrum(a).tolist() for a in pd]
+    for p in (0.25, 0.5, 1.0):
+        padded = antinorm_table(rows, p, ambient_dim=6)
+        assert padded.tolist() == [antinorm_table(r, p, ambient_dim=6).tolist() for r in rows]
+    for p in (0.5, -1.0):
+        assert schatten_antinorm_of(rows, p).tolist() == [schatten_antinorm(a, p) for a in pd]
+    assert kyfan_antinorm_of(rows, 3).tolist() == [kyfan_antinorm(a, 3) for a in pd]
+    with pytest.raises(NotPsdError):
+        psd_spectrum(np.stack([pd[0], -pd[1]]))
+    with pytest.raises(NotPsdError):
+        psd_spectrum(np.stack([pd[0], pd[1] + 1e-3j * np.triu(np.ones((4, 4)))]))
+    with pytest.raises(SingularPowerError):
+        schatten_antinorm_of(np.stack([rows[0], np.zeros(4)]), -1.0)

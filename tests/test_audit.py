@@ -187,6 +187,25 @@ def test_run_audit_counts_zero_exponents_as_failures(field, value):
         assert rec["first_failure"].startswith("ExponentRangeError"), rec
 
 
+@pytest.mark.parametrize("cid,s_grid,failures,message", [
+    # n^((1 - alpha) s) = n^1998 overflows on every instance
+    ("ET41", (-2.0,), 5, "overflows"),
+    ("STCTEP", (-2.0,), 5, "overflows"),
+    # tr rho^1000 underflows to 0 on the saturators' product states
+    ("ET41", (1.0,), 4, "underflowed"),
+    ("ET42", (1.0,), 4, "underflowed"),
+    ("STCTEP", (1.0,), 4, "underflowed"),
+    # the Tsallis form takes no logarithm
+    ("ETT41", (1.0,), 0, None),
+])
+def test_run_audit_counts_float_range_errors_as_failures(cid, s_grid, failures, message):
+    cfg = AuditConfig(trials_per_case=1, alpha_grid=(1000.0,), s_grid=s_grid, case_filter=(cid,))
+    (rec,) = run_audit(cfg).cases
+    assert rec["failures"] == failures
+    if message is not None:
+        assert rec["first_failure"].startswith("DomainError") and message in rec["first_failure"]
+
+
 def test_evaluate_case_rejects_wrong_instance_type():
     with pytest.raises(KindMismatchError):
         evaluate_case("KPN1", np.eye(4), {"k": 1, "p": 2.0})
@@ -267,46 +286,100 @@ def test_report_shape():
 
 DECOMPOSITIONS = ("svd", "eigvalsh", "eigh", "qr")
 
+# grid points per instance of each case, from the rank bound k_max of the
+# instance (the size of Tr_B W, of Phi(Q) or of Q) and the config
+GRID_SIZES = {
+    "KPN1": lambda k, c: k * len(c.norm_p_grid),
+    "SPN1": lambda k, c: len(c.norm_p_grid),
+    "TFSN": lambda k, c: 3,
+    "KPK1": lambda k, c: k,
+    "KPK2": lambda k, c: 1,
+    "TPN2": lambda k, c: k * len(c.pq_grid),
+    "CPN1": lambda k, c: k * len(c.pq_grid),
+    "KQN1": lambda k, c: k * len(c.antinorm_p_grid),
+    "KQN2": lambda k, c: len(c.negative_p_grid),
+    "KQK1": lambda k, c: k,
+    "TPN62": lambda k, c: k * len(c.subunit_pq_grid),
+    "STCT1": lambda k, c: k * len(c.norm_p_grid),
+    "STCTP": lambda k, c: len(c.norm_p_grid),
+    "STCT2": lambda k, c: k * len(c.antinorm_p_grid),
+    "STCTPP": lambda k, c: len(c.antinorm_p_grid),
+    "ET41": lambda k, c: len(c.alpha_grid) * len(c.s_grid),
+    "ETT41": lambda k, c: len(c.alpha_grid),
+    "ET42": lambda k, c: len(c.alpha_grid),
+    "STCTEP": lambda k, c: len(c.alpha_grid) * len(c.s_grid),
+    "SAT-WRQA": lambda k, c: k * (len(c.norm_p_grid) + len(c.antinorm_p_grid)),
+}
+
+
+def _rank_bound(inst) -> int:
+    if isinstance(inst, BipartiteOperator):
+        return inst.dim_a
+    if isinstance(inst, tuple):
+        return inst[0].dim_out
+    return inst.shape[0]
+
 
 def test_run_audit_decomposes_each_instance_once(monkeypatch):
-    # one bucket per instance, opened as it is made: a trial or saturator
-    # instance of the runner, or an equality witness of evaluate_case
+    # Instances are made first and then evaluated in batches: one per (case,
+    # dims) group of trials, one per saturator instance, and one per equality
+    # witness of evaluate_case.  A bucket opens as a batch's matrices are
+    # stacked; decompositions made while sampling or inside choi_rank count in
+    # no bucket.
     buckets = []
-    evaluations = []
+    state = {"current": None, "in_choi": False}
+    points = []  # the grid size of every instance made
     cfg = AuditConfig(trials_per_case=8)
 
-    def counting(fn, key):
-        def counted(*args, **kwargs):
-            buckets[-1][key] += 1
-            return fn(*args, **kwargs)
+    def counting(fn):
+        def counted(a, *args, **kwargs):
+            bucket = state["current"]
+            if bucket is not None and not state["in_choi"]:
+                bucket["calls"] += 1
+                bucket["matrices"] += a.shape[0] if a.ndim == 3 else 1
+            return fn(a, *args, **kwargs)
 
         return counted
 
+    def choi_rank(ch, *args):
+        state["current"]["choi_rank"] += 1
+        state["in_choi"] = True
+        try:
+            return channels.choi_rank(ch, *args)
+        finally:
+            state["in_choi"] = False
+
+    class Batch(audit._Spectra):
+        def __init__(self, insts, *args):
+            state["current"] = {
+                "size": len(insts), "channel": isinstance(insts[0], tuple),
+                "calls": 0, "matrices": 0, "choi_rank": 0, "evaluations": 0, "points": 0,
+            }
+            buckets.append(state["current"])
+            super().__init__(insts, *args)
+
     def opening(cid, make):
         def opened(dims, seed):
-            buckets.append({"case": cid, "witness": False, "decompositions": 0, "choi_rank": 0})
+            state["current"] = None
             inst = make(dims, seed)
-            buckets[-1]["grid"] = len(REGISTRY[cid].param_grid(inst, cfg))
+            points.append(GRID_SIZES[cid](_rank_bound(inst), cfg))
             return inst
 
         return opened
 
     def evaluating(fn):
-        def evaluate(*args):
-            evaluations.append(1)
-            return fn(*args)
+        def evaluate(sp, grid):
+            margins = fn(sp, grid)
+            state["current"]["evaluations"] += 1
+            state["current"]["points"] += margins.size
+            return margins
 
         return evaluate
 
-    def witness(cid, instance, params):
-        buckets.append({"case": cid, "witness": True, "decompositions": 0, "choi_rank": 0, "grid": 1})
-        return evaluate_case(cid, instance, params)
-
     for name in DECOMPOSITIONS:
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), "decompositions"))
-    for module in (audit, channels):
-        monkeypatch.setattr(module, "choi_rank", counting(channels.choi_rank, "choi_rank"))
-    monkeypatch.setattr(audit, "evaluate_case", witness)
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    monkeypatch.setattr(audit, "choi_rank", choi_rank)
+    monkeypatch.setattr(audit, "_Spectra", Batch)
     for cid, case in REGISTRY.items():
         monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(
             case,
@@ -319,14 +392,134 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
 
     assert report.violations == 0
     assert all(c["failures"] == 0 for c in report.cases)
-    made = [b for b in buckets if not b["witness"]]
     # every case has a saturator, run once per dims pair
-    assert len(made) == len(REGISTRY) * (cfg.trials_per_case + len(cfg.dims))
-    channel_cases = {cid for cid, c in REGISTRY.items() if c.instance_kind == "channel_pair"}
+    assert len(points) == len(REGISTRY) * (cfg.trials_per_case + len(cfg.dims))
+    witnesses = 4  # the TPN2 and TPN62 equality and strict margins
+    assert len(buckets) == 2 * len(REGISTRY) * len(cfg.dims) + witnesses
+    assert sum(b["size"] for b in buckets) == len(points) + witnesses
     for b in buckets:
-        assert b["decompositions"] <= 4, b
-        assert b["choi_rank"] == (b["case"] in channel_cases and not b["witness"]), b
-    assert len(evaluations) == sum(b["grid"] for b in buckets)
+        # one evaluate call per batch; each matrix stacked and decomposed once
+        assert b["evaluations"] == 1, b
+        assert b["calls"] <= 4, b
+        assert b["matrices"] <= 4 * b["size"], b
+        assert b["choi_rank"] == (b["size"] if b["channel"] else 0), b
+    # every grid point of every instance is evaluated exactly once
+    assert sum(b["points"] for b in buckets) == sum(points) + witnesses
+
+
+def _recorded_batches(monkeypatch, cfg, makers=None):
+    """Run the audit recording each case's instances and (grid, margins) of every batch, in order."""
+    made, batches = {}, {}
+    makers = makers or {}
+
+    def recording(cid, make):
+        def made_by(dims, seed):
+            inst = make(dims, seed)
+            made.setdefault(cid, []).append(inst)
+            return inst
+
+        return made_by
+
+    def evaluating(cid, fn):
+        def evaluate(sp, grid):
+            margins = fn(sp, grid)
+            batches.setdefault(cid, []).append((sp, dict(grid), margins.tolist()))
+            return margins
+
+        return evaluate
+
+    for cid in cfg.case_filter or REGISTRY_IDS:
+        case = REGISTRY[cid]
+        monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(
+            case,
+            make_instance=recording(cid, makers.get(cid, case.make_instance)),
+            saturator=recording(cid, case.saturator),
+            evaluate=evaluating(cid, case.evaluate),
+        ))
+    report = run_audit(cfg)
+    return report, made, batches
+
+
+def _assert_batches_match_evaluate_case(cid, cfg, insts, batches):
+    trials = cfg.trials_per_case
+    groups = [list(range(i, trials, len(cfg.dims))) for i in range(len(cfg.dims))]
+    groups += [[trials + i] for i in range(len(cfg.dims))]  # the saturator instances
+    assert len(batches) >= len(groups)
+    for rows, (_, grid, margins) in zip(groups, batches):
+        assert len(margins) == len(rows)
+        names = list(grid)
+        for row, trial in zip(margins, rows):
+            for j, margin in enumerate(row):
+                params = {name: grid[name][j] for name in names}
+                assert margin == evaluate_case(cid, insts[trial], params), (cid, trial, params)
+
+
+def test_batched_margins_equal_evaluate_case(monkeypatch):
+    # each batch holds three trials; every margin equals the one-instance,
+    # one-point evaluation bit for bit
+    cfg = AuditConfig(trials_per_case=6, dims=((2, 2), (4, 3)))
+    report, made, batches = _recorded_batches(monkeypatch, cfg)
+    assert all(c["failures"] == 0 for c in report.cases)
+    channel_d = set()
+    for cid in REGISTRY_IDS:
+        recorded = batches[cid][: 2 * len(cfg.dims)]
+        _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
+        if REGISTRY[cid].instance_kind == "channel_pair":
+            channel_d |= {len(set(sp.env_dims())) for sp, _, _ in recorded}
+    assert max(channel_d) > 1  # some batch stacks channels of different d
+
+
+def _rank_deficient_density(dims, seed):
+    # a density of rank about half its dimension: the rest of its spectrum is
+    # round-off and is dropped, so its spectrum is shorter than a full one
+    m, n = dims
+    rng = np.random.default_rng(seed)
+    shape = (m * n, (m * n + 1) // 2)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho = g @ g.conj().T
+    return BipartiteOperator(rho / np.trace(rho).real, m, n)
+
+
+def test_entropy_batches_mixing_rank_deficient_states(monkeypatch):
+    makers = {}
+    for cid in ("ET41", "ETT41", "ET42"):
+        full = REGISTRY[cid].make_instance
+
+        def mixed(dims, seed, full=full):
+            return _rank_deficient_density(dims, seed) if seed % 2 else full(dims, seed)
+
+        makers[cid] = mixed
+    cfg = AuditConfig(trials_per_case=6, dims=((2, 2), (4, 3)), case_filter=tuple(makers))
+    report, made, batches = _recorded_batches(monkeypatch, cfg, makers)
+    assert all(c["failures"] == 0 and c["violations"] == 0 for c in report.cases)
+    for cid in makers:
+        recorded = batches[cid][: 2 * len(cfg.dims)]
+        _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
+        # some batch holds spectra of two lengths
+        assert max(len(sp.density("w")) for sp, _, _ in recorded) > 1
+
+
+def test_run_audit_failed_trial_feeds_no_margin(monkeypatch):
+    # trial 1 is a singular product state: its p = 0.5 margin is about 0, far
+    # below the other trials', and at p = -1 it raises SingularPowerError
+    sampler = REGISTRY["KQN2"].make_instance
+    singular = BipartiteOperator(np.kron(np.diag([1.0, 0.0]), np.eye(2)).astype(complex), 2, 2)
+
+    def make_instance(dims, seed):
+        return singular if seed == audit._trial_seed(42, "KQN2", 1) else sampler(dims, seed)
+
+    cfg = AuditConfig(
+        trials_per_case=3, dims=((3, 2), (2, 2)), negative_p_grid=(0.5, -1.0), case_filter=("KQN2",)
+    )
+    _replace_case(monkeypatch, "KQN2", make_instance=make_instance)
+    (rec,) = run_audit(cfg).cases
+    assert rec["failures"] == 1
+    assert rec["first_failure"].startswith("SingularPowerError")
+    assert abs(evaluate_case("KQN2", singular, {"p": 0.5})) < 1e-12
+    others = [sampler(cfg.dims[t % 2], audit._trial_seed(42, "KQN2", t)) for t in (0, 2)]
+    expected = min(evaluate_case("KQN2", w, {"p": p}) for w in others for p in cfg.negative_p_grid)
+    assert expected > 0.1
+    assert rec["worst_margin"] == expected
 
 
 def _replace_case(monkeypatch, cid, **fields):

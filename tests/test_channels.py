@@ -122,6 +122,21 @@ def test_choi_ranks_of_reference_channels():
     assert choi_rank(partial_trace_channel(2, 3)) == 3
 
 
+@pytest.mark.parametrize("m,n,d", [(2, 2, 1), (3, 2, 4), (4, 3, 2), (2, 1, 3), (1, 2, 5), (3, 3, 12)])
+def test_choi_rank_counts_the_choi_spectrum(m, n, d):
+    # the rank read from the dim_env-square Gram matrix of the Kraus operators
+    # is the count of Choi eigenvalues above the relative tolerance, also when
+    # the environment is larger than the Choi matrix or the Kraus family is
+    # linearly dependent
+    rng = np.random.default_rng(10 * m + n + d)
+    ch = random_channel(rng, m, n, d)
+    # every Kraus operator twice, halved: twice the environment, the same rank
+    doubled = kraus_to_stinespring([k / np.sqrt(2) for k in ch.kraus_operators() for _ in range(2)])
+    for channel in (ch, doubled, partial_trace_channel(m, n)):
+        w = np.linalg.eigvalsh(choi_matrix(channel))
+        assert choi_rank(channel) == np.count_nonzero(w > 1e-9 * w.max())
+
+
 def test_choi_matrix_properties():
     rng = np.random.default_rng(13)
     ch = random_channel(rng, 3, 2, 2)

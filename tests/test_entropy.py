@@ -7,6 +7,7 @@ import pytest
 from normtrace.entropy import (
     alpha_log,
     density_spectrum,
+    dim_weight,
     max_entropy_value,
     power_sum_of,
     renyi_entropy,
@@ -179,3 +180,50 @@ def test_tiny_eigenvalues_are_dropped():
     rho = np.diag([1.0 - 1e-15, 1e-15])
     assert np.isfinite(von_neumann_entropy(rho))
     assert np.isfinite(renyi_entropy(rho, 0.5))
+
+
+def test_float_range_errors_are_domain_errors():
+    # tr rho^alpha underflows to 0 at alpha = 1000, where its logarithm is undefined
+    rho = np.eye(3) / 3
+    with pytest.raises(DomainError, match="underflowed"):
+        unified_entropy(rho, 1000.0, -2.0)
+    with pytest.raises(DomainError, match="underflowed"):
+        renyi_entropy(rho, 1000.0)
+    # the Tsallis form takes no logarithm and stays finite
+    assert tsallis_entropy(rho, 1000.0) == pytest.approx(1.0 / 999.0, rel=1e-15)
+    # 2^1998 and (tr rho^0.001)^1000 = 3^1000 overflow
+    with pytest.raises(DomainError, match="overflows"):
+        dim_weight(2, 1000.0, -2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        max_entropy_value(2, 1000.0, -2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        unified_entropy(rho, 0.001, 1000.0)
+    assert dim_weight(3, 2.0, 1.5) == 3.0 ** -1.5
+
+
+def test_stacked_densities_match_one_by_one():
+    # a stack mixing full-rank and rank-deficient states gives, per state, the
+    # sums that the state gives alone; spectra of 8 or more entries are summed
+    # pairwise by numpy, so their grouping must not shift their entries
+    rng = np.random.default_rng(8)
+    pure = np.zeros((12, 12), dtype=complex)
+    pure[1, 1] = 1.0
+
+    def of_rank(r):
+        g = rng.standard_normal((12, r)) + 1j * rng.standard_normal((12, r))
+        rho = g @ g.conj().T
+        return rho / np.trace(rho).real
+
+    full = random_density(rng, 12)
+    stack = np.stack([full, of_rank(9), pure, of_rank(9), random_density(rng, 12), of_rank(10)])
+    groups = density_spectrum(stack)
+    assert sorted(spectra.shape for _, spectra in groups) == [(1, 1), (1, 10), (2, 9), (2, 12)]
+    for alpha in (0.3, 1.5):
+        alone = [power_sum_of(density_spectrum(r), alpha) for r in stack]
+        assert power_sum_of(groups, alpha).tolist() == alone
+    assert von_neumann_of(groups).tolist() == [von_neumann_of(density_spectrum(r)) for r in stack]
+    ps, vn = power_sum_of(groups, 0.3).tolist(), von_neumann_of(groups).tolist()
+    batch = unified_entropy_from(lambda: ps, lambda: vn, 0.3, 2.0)
+    assert batch == [unified_entropy(r, 0.3, 2.0) for r in stack]
+    with pytest.raises(NotDensityError):
+        density_spectrum(np.stack([pure, 2 * pure]))

@@ -151,3 +151,10 @@ def test_zero_matrix():
     assert schatten_norm(z, np.inf) == 0.0
     for p in (1.0, 1.5, 10.0, 60.0, np.inf):
         assert gauge_table(np.zeros(3), p).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_gauge_table_of_a_stack_matches_each_row():
+    rng = np.random.default_rng(31)
+    rows = np.stack([top_sv(ginibre(rng, 5, 5), 5) for _ in range(3)] + [np.zeros(5)])
+    for p in (1.0, 1.5, 2.0, 60.0, np.inf):
+        assert gauge_table(rows, p).tolist() == [gauge_table(r, p).tolist() for r in rows]
