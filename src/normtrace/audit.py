@@ -9,12 +9,12 @@ sit at zero up to round-off.
 Every functional the cases compare is unitarily invariant, so an evaluator
 reads only spectra: singular values for norms, eigenvalues for anti-norms and
 entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's Choi rank.
-The runner makes all of a case's trial instances first and evaluates each
-same-dims group as one batch: each matrix is stacked and decomposed in one
-call, one table per (matrix, exponent) serves the stack (a cumulative power sum
-over the sorted spectra serves every k; entropies read tr rho^alpha and the von
-Neumann value), and one evaluator call returns the (trials, grid points)
-margins.  Each case declares its grid as products of named axes (see _axis).
+The runner makes a case's trial instances TRIAL_WINDOW at a time and evaluates
+each same-dims group of a window as one batch: each matrix is stacked and
+decomposed in one call, one table per (matrix, exponent) serves the stack (a
+cumulative power sum over the sorted spectra serves every k; entropies read
+tr rho^alpha and the von Neumann value), and one evaluator call returns the
+(trials, grid points) margins.  Each case declares its grid as products of named axes (see _axis).
 evaluate_case, a batch of one with a one-point grid, gives the same margins.
 
 Samplers draw from numpy's PCG64 generator and are bit-reproducible per
@@ -28,7 +28,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +43,7 @@ from .entropy import (
     density_spectrum,
     dim_weight,
     max_entropy_value,
+    per_state,
     power_sum_of,
     renyi_entropy_from,
     tsallis_entropy_from,
@@ -199,32 +200,8 @@ def _chain_factor(n: int, k: int, p: float, q: float) -> float:
     return (float(k) ** (q - 1.0) * float(n) ** (p * q - 1.0)) ** (1.0 / (p * q))
 
 
-@lru_cache(maxsize=1024)
-def _factors(f, d, *columns) -> np.ndarray:
-    """f(d, *point) at every grid point, in Python floats; d None calls f(*point)."""
-    head = () if d is None else (d,)
-    return np.array([f(*head, *point) for point in zip(*columns)])
-
-
-def _per_trial(f, dims: list, *columns) -> np.ndarray:
-    """(trials, points) values f(d, *point), d being each trial's channel d."""
-    return np.array([_factors(f, d, *columns) for d in dims])
-
-
 def _products(p: tuple, q: tuple) -> tuple:
     return tuple(a * b for a, b in zip(p, q))
-
-
-@lru_cache(maxsize=1024)
-def _flat_index(exps: tuple, d: int, ks) -> np.ndarray:
-    """Where entry ks[j] (1-based; None: the last) of point j's table lies when the
-    tables of the distinct exponents, each of length d, are laid end to end."""
-    distinct = list(dict.fromkeys(exps))
-    ks = ks or (d,) * len(exps)
-    bad = [k for k in ks if not 1 <= k <= d]
-    if bad:
-        raise RankRangeError(f"k={bad[0]} outside [1, {d}]")
-    return np.array([distinct.index(e) * d + k - 1 for e, k in zip(exps, ks)], dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +269,19 @@ class _Spectra:
 
         k holds one rank per point; None reads each table's last entry.
         """
-        distinct = list(dict.fromkeys(exps))
-        if not distinct:
+        if not exps:
             return np.empty((self.size, 0))
-        tables = [self._get(key + (e,), partial(make, e)) for e in distinct]
+        slot = {}  # exponent -> place of its table when the distinct ones are laid end to end
+        for e in exps:
+            slot.setdefault(e, len(slot))
+        tables = [self._get(key + (e,), partial(make, e)) for e in slot]
+        d = tables[0].shape[-1]
+        ks = np.full(len(exps), d) if k is None else np.asarray(k)
+        bad = ks[(ks < 1) | (ks > d)]
+        if bad.size:
+            raise RankRangeError(f"k={bad[0]} outside [1, {d}]")
         flat = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=-1)
-        ks = None if k is None else tuple(k.tolist())
-        return flat.take(_flat_index(exps, tables[0].shape[-1], ks), axis=1)
+        return flat.take(np.array([slot[e] for e in exps]) * d + ks - 1, axis=1)
 
     def norm(self, name: str, k, p: tuple) -> np.ndarray:
         """(k, p) norms of a matrix at each point; k None gives its Schatten p-norms."""
@@ -322,17 +305,19 @@ class _Spectra:
 
     def _entropy_inputs(self, name: str, alpha: float):
         """The two inputs of an entropy of a state, as lists of one per trial."""
-        density = self.density
+        power_sum = partial(power_sum_of, alpha=alpha)
         return (
-            lambda: self._get(("power_sum", name, alpha), lambda: power_sum_of(density(name), alpha).tolist()),
-            lambda: self._get(("von_neumann", name), lambda: von_neumann_of(density(name)).tolist()),
+            lambda: self._get(("power_sum", name, alpha), lambda: per_state(power_sum, self.density(name))),
+            lambda: self._get(("von_neumann", name), lambda: per_state(von_neumann_of, self.density(name))),
         )
 
     def env_dims(self) -> list:
         """Each channel's d: its Choi rank, or its dilation's environment dimension."""
         if self.env_mode == "dim_env":
             return [ch.dim_env for ch in self.channels]
-        return self._get("choi_rank", lambda: [choi_rank(ch) for ch in self.channels])
+        if self.env_mode == "choi_rank":
+            return self._get("choi_rank", lambda: [choi_rank(ch) for ch in self.channels])
+        raise PreconditionError(f"unknown env_dim mode {self.env_mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +328,13 @@ def _eval_kpn1(sp: _Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
     n = sp.dim_b
     joint, lhs = sp.norm("w", k * n, p), sp.norm("qa", k, p)
-    return _slack(lhs, _factors(_dim_factor, n, p) * joint)
+    return _slack(lhs, g.factors(_dim_factor, n, p) * joint)
 
 
 def _eval_spn1(sp: _Spectra, g) -> np.ndarray:
     p = g["p"]
     joint, lhs = sp.norm("w", None, p), sp.norm("qa", None, p)
-    return _slack(lhs, _factors(_dim_factor, sp.dim_b, p) * joint)
+    return _slack(lhs, g.factors(_dim_factor, sp.dim_b, p) * joint)
 
 
 def _eval_tfsn(sp: _Spectra, g) -> np.ndarray:
@@ -375,28 +360,28 @@ def _eval_kpk2(sp: _Spectra, g) -> np.ndarray:
 def _eval_tpn2(sp: _Spectra, g) -> np.ndarray:
     k, p, q = g["k"], g["p"], g["q"]
     lhs, top = sp.norm("q", np.array(k), p), sp.norm("q", np.array(k), _products(p, q))
-    return _slack(lhs, _factors(_rank_factor, None, k, p, q) * top)
+    return _slack(lhs, g.factors(_rank_factor, None, k, p, q) * top)
 
 
 def _eval_cpn1(sp: _Spectra, g) -> np.ndarray:
     k, p, q = g["k"], g["p"], g["q"]
     n = sp.dim_b
     lhs, joint = sp.norm("qa", np.array(k), p), sp.norm("w", np.array(k) * n, _products(p, q))
-    return _slack(lhs, _factors(_chain_factor, n, k, p, q) * joint)
+    return _slack(lhs, g.factors(_chain_factor, n, k, p, q) * joint)
 
 
 def _eval_kqn1(sp: _Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
     n = sp.dim_b
     joint, rhs = sp.antinorm("w", k * n, p), sp.antinorm("qa", k, p)
-    return _slack(_factors(_dim_factor, n, p) * joint, rhs)
+    return _slack(g.factors(_dim_factor, n, p) * joint, rhs)
 
 
 def _eval_kqn2(sp: _Spectra, g) -> np.ndarray:
     p = g["p"]
     joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("w"), e), p)
     rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("qa"), e), p)
-    return _slack(_factors(_dim_factor, sp.dim_b, p) * joint, rhs)
+    return _slack(g.factors(_dim_factor, sp.dim_b, p) * joint, rhs)
 
 
 def _eval_kqk1(sp: _Spectra, g) -> np.ndarray:
@@ -408,7 +393,7 @@ def _eval_kqk1(sp: _Spectra, g) -> np.ndarray:
 def _eval_tpn62(sp: _Spectra, g) -> np.ndarray:
     k, p, q = g["k"], g["p"], g["q"]
     top, rhs = sp.antinorm("q", np.array(k), _products(p, q)), sp.antinorm("q", np.array(k), p)
-    return _slack(_factors(_rank_factor, None, k, p, q) * top, rhs)
+    return _slack(g.factors(_rank_factor, None, k, p, q) * top, rhs)
 
 
 def _eval_stct1(sp: _Spectra, g) -> np.ndarray:
@@ -417,14 +402,14 @@ def _eval_stct1(sp: _Spectra, g) -> np.ndarray:
     # the (kd, p) norm of Q's spectrum zero-padded to length kd: the zeros add nothing
     padded = sp.per_d(lambda d: sp.norm("q", np.minimum(k * d, m), p))
     lhs = sp.norm("out", k, p)
-    return _slack(lhs, _per_trial(_dim_factor, sp.env_dims(), p) * padded)
+    return _slack(lhs, g.per_trial(_dim_factor, sp.env_dims(), p) * padded)
 
 
 def _eval_stctp(sp: _Spectra, g) -> np.ndarray:
     p = g["p"]
     ds = sp.env_dims()
     lhs, rhs = sp.norm("out", None, p), sp.norm("q", None, p)
-    return _slack(lhs, _per_trial(_dim_factor, ds, p) * rhs)
+    return _slack(lhs, g.per_trial(_dim_factor, ds, p) * rhs)
 
 
 def _eval_stct2(sp: _Spectra, g) -> np.ndarray:
@@ -432,7 +417,7 @@ def _eval_stct2(sp: _Spectra, g) -> np.ndarray:
     # Q's spectrum zero-padded to the output dimension, kmax, times d
     padded = sp.per_d(lambda d: sp.antinorm("q", k * d, p, ambient_dim=sp.kmax * d))
     rhs = sp.antinorm("out", k, p)
-    return _slack(_per_trial(_dim_factor, sp.env_dims(), p) * padded, rhs)
+    return _slack(g.per_trial(_dim_factor, sp.env_dims(), p) * padded, rhs)
 
 
 def _eval_stctpp(sp: _Spectra, g) -> np.ndarray:
@@ -440,7 +425,7 @@ def _eval_stctpp(sp: _Spectra, g) -> np.ndarray:
     ds = sp.env_dims()
     joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("q"), e), p)
     rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("out"), e), p)
-    return _slack(_per_trial(_dim_factor, ds, p) * joint, rhs)
+    return _slack(g.per_trial(_dim_factor, ds, p) * joint, rhs)
 
 
 def _eval_et41(sp: _Spectra, g) -> np.ndarray:
@@ -448,8 +433,8 @@ def _eval_et41(sp: _Spectra, g) -> np.ndarray:
     n = sp.dim_b
     lhs = sp.entropy("w", unified_entropy_from, alpha, s)
     reduced = sp.entropy("qa", unified_entropy_from, alpha, s)
-    rhs = _factors(dim_weight, n, alpha, s) * reduced
-    return _slack(lhs, rhs + _factors(max_entropy_value, n, alpha, s))
+    rhs = g.factors(dim_weight, n, alpha, s) * reduced
+    return _slack(lhs, rhs + g.factors(max_entropy_value, n, alpha, s))
 
 
 def _eval_ett41(sp: _Spectra, g) -> np.ndarray:
@@ -457,8 +442,8 @@ def _eval_ett41(sp: _Spectra, g) -> np.ndarray:
     n = sp.dim_b
     lhs = sp.entropy("w", tsallis_entropy_from, alpha)
     reduced = sp.entropy("qa", tsallis_entropy_from, alpha)
-    rhs = _factors(dim_weight, n, alpha) * reduced
-    return _slack(lhs, rhs + _factors(alpha_log, float(n), alpha))
+    rhs = g.factors(dim_weight, n, alpha) * reduced
+    return _slack(lhs, rhs + g.factors(alpha_log, float(n), alpha))
 
 
 def _eval_et42(sp: _Spectra, g) -> np.ndarray:
@@ -472,8 +457,8 @@ def _eval_stctep(sp: _Spectra, g) -> np.ndarray:
     ds = sp.env_dims()
     lhs = sp.entropy("q", unified_entropy_from, alpha, s)
     out = sp.entropy("out", unified_entropy_from, alpha, s)
-    rhs = _per_trial(dim_weight, ds, alpha, s) * out
-    return _slack(lhs, rhs + _per_trial(max_entropy_value, ds, alpha, s))
+    rhs = g.per_trial(dim_weight, ds, alpha, s) * out
+    return _slack(lhs, rhs + g.per_trial(max_entropy_value, ds, alpha, s))
 
 
 def _eval_sat_wrqa(sp: _Spectra, g) -> np.ndarray:
@@ -567,14 +552,35 @@ def _sat_product_density(dims, seed):
 
 
 class _Grid(dict):
-    """Parameter columns by name, each with one entry per point, in grid order."""
+    """Parameter columns by name, each with one entry per point, in grid order.
+
+    run_audit makes one grid per case and rank bound, so the factors memoized
+    on it serve every batch of the case.
+    """
 
     def __init__(self, columns: dict, size: int):
         super().__init__(columns)
         self.size = size
+        self._memo = {}
 
     def take(self, points: list) -> "_Grid":
-        return _Grid({name: tuple(col[j] for j in points) for name, col in self.items()}, len(points))
+        key = ("take", tuple(points))
+        if key not in self._memo:
+            columns = {name: tuple(col[j] for j in points) for name, col in self.items()}
+            self._memo[key] = _Grid(columns, len(points))
+        return self._memo[key]
+
+    def factors(self, f, d, *columns) -> np.ndarray:
+        """f(d, *point) at every point, in Python floats; d None calls f(*point)."""
+        key = (f, d, columns)
+        if key not in self._memo:
+            head = () if d is None else (d,)
+            self._memo[key] = np.array([f(*head, *point) for point in zip(*columns)])
+        return self._memo[key]
+
+    def per_trial(self, f, ds: list, *columns) -> np.ndarray:
+        """(trials, points) values f(d, *point), d being each trial's channel d."""
+        return np.array([self.factors(f, d, *columns) for d in ds])
 
 
 def _axis(name: str, kmax: int, cfg) -> tuple:
@@ -587,11 +593,10 @@ def _axis(name: str, kmax: int, cfg) -> tuple:
         return ("family",), [(name,)]
     values = getattr(cfg, name + "_grid")
     if name.endswith("pq"):
-        return ("p", "q"), values
+        return ("p", "q"), [tuple(pq) for pq in values]
     return ("p" if name.endswith("_p") else name,), [(v,) for v in values]
 
 
-@lru_cache(maxsize=256)
 def _grid(axes: tuple, kmax: int, cfg) -> _Grid:
     """The points of each product of axes in turn, the last axis varying fastest."""
     names, points = (), []
@@ -768,14 +773,18 @@ def _check_kind(case: InequalityCase, instance) -> None:
 def evaluate_case(case_id: str, instance, params) -> float:
     """Signed normalized margin of one registry case on one instance.
 
-    This is the audit's evaluation on a batch of one with a one-point grid.
+    This is the audit's evaluation on a batch of one with a one-point grid.  An
+    "env_mode" entry of params ("choi_rank", the default, or "dim_env") picks a
+    channel's d, as AuditConfig.env_dim_mode does.
     """
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
     _check_kind(case, instance)
-    grid = _Grid({name: (value,) for name, value in dict(params).items()}, 1)
-    return float(case.evaluate(_Spectra([instance]), grid)[0, 0])
+    params = dict(params)
+    env_mode = params.pop("env_mode", "choi_rank")
+    grid = _Grid({name: (value,) for name, value in params.items()}, 1)
+    return float(case.evaluate(_Spectra([instance], env_mode), grid)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +903,10 @@ def _trial_stats(cid: str, sp: _Spectra) -> list:
 # domain problems of one instance; anything else is a bug and propagates
 _INSTANCE_ERRORS = (PreconditionError, np.linalg.LinAlgError)
 
+# trials made and evaluated together, so a case holds at most this many
+# instances at once however many trials it runs
+TRIAL_WINDOW = 64
+
 
 def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
@@ -910,16 +923,21 @@ def _instances(make, specs, failed: dict) -> list:
     return made
 
 
-def _evaluate(case: InequalityCase, members: list, config: AuditConfig, failed: dict, trials=True) -> dict:
+def _evaluate(
+    case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict, trials=True
+) -> dict:
     """index -> (margins, trial statistic) of (index, instance) members, evaluated as one batch.
 
-    On a domain error each member is evaluated again alone, so only the ones
-    that raise go to failed, and those contribute no margin.  Saturator
-    instances (trials False) skip the statistic.
+    grids holds the case's grid per rank bound, made on first use.  On a domain
+    error each member is evaluated again alone, so only the ones that raise go
+    to failed, and those contribute no margin.  Saturator instances (trials
+    False) skip the statistic.
     """
     try:
         sp = _Spectra([inst for _, inst in members], config.env_dim_mode)
-        margins = case.evaluate(sp, _grid(case.axes, sp.kmax, config))
+        if sp.kmax not in grids:
+            grids[sp.kmax] = _grid(case.axes, sp.kmax, config)
+        margins = case.evaluate(sp, grids[sp.kmax])
         stats = _trial_stats(case.id, sp) if trials else [None] * sp.size
     except _INSTANCE_ERRORS as exc:
         if len(members) == 1:
@@ -927,7 +945,7 @@ def _evaluate(case: InequalityCase, members: list, config: AuditConfig, failed: 
             return {}
         results = {}
         for member in members:
-            results.update(_evaluate(case, [member], config, failed, trials))
+            results.update(_evaluate(case, [member], config, grids, failed, trials))
         return results
     return {index: (row, stat) for (index, _), row, stat in zip(members, margins, stats)}
 
@@ -935,12 +953,13 @@ def _evaluate(case: InequalityCase, members: list, config: AuditConfig, failed: 
 def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
     """Evaluate every selected registry case on seeded instances.
 
-    A case's trials are made in trial order, evaluated in same-dims batches,
-    and their margins folded in (trial, point) order; each saturator instance
-    is a batch of its own.  A PreconditionError or LinAlgError on an instance
-    never aborts the run: it counts in failures, the first message in trial
-    order is kept, and the instance contributes no margin (a failed saturator
-    also nulls saturation_residual).  Any other exception propagates.
+    A case's trials are made in trial order, TRIAL_WINDOW at a time; each
+    window is evaluated in same-dims batches and its margins folded in (trial,
+    point) order before the next window is made.  Each saturator instance is a
+    batch of its own.  A PreconditionError or LinAlgError on an instance never
+    aborts the run: it counts in failures, the first message in trial order is
+    kept, and the instance contributes no margin (a failed saturator also
+    nulls saturation_residual).  Any other exception propagates.
     """
     ids = config.case_filter if config.case_filter is not None else REGISTRY_IDS
     base, trials, dims = config.base_seed, config.trials_per_case, config.dims
@@ -950,28 +969,33 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
             continue
         case = REGISTRY[cid]
         failed = {}  # instance index -> message; saturators follow the trials
-        specs = [(t, dims[t % len(dims)], _trial_seed(base, cid, t)) for t in range(trials)]
-        groups = {}
-        for index, pair, inst in _instances(case.make_instance, specs, failed):
-            groups.setdefault(pair, []).append((index, inst))
-        results = {}
-        for members in groups.values():
-            results.update(_evaluate(case, members, config, failed))
-        ordered = [results[t] for t in sorted(results)]
+        grids = {}  # rank bound -> the case's grid
+        stats = []
         worst = None
         violations = 0
-        for margins, _ in ordered:
-            for margin in margins.tolist():
-                if worst is None or margin < worst:
-                    worst = margin
-                if margin < -config.tolerance:
-                    violations += 1
+        for start in range(0, trials, TRIAL_WINDOW):
+            window = range(start, min(start + TRIAL_WINDOW, trials))
+            specs = [(t, dims[t % len(dims)], _trial_seed(base, cid, t)) for t in window]
+            groups = {}
+            for index, pair, inst in _instances(case.make_instance, specs, failed):
+                groups.setdefault(pair, []).append((index, inst))
+            results = {}
+            for members in groups.values():
+                results.update(_evaluate(case, members, config, grids, failed))
+            for t in sorted(results):
+                margins, stat = results[t]
+                stats.append(stat)
+                for margin in margins.tolist():
+                    if worst is None or margin < worst:
+                        worst = margin
+                    if margin < -config.tolerance:
+                        violations += 1
         saturation = None
         if case.saturator is not None:
             residual = 0.0
             specs = [(trials + i, pair, _trial_seed(base, cid + ":sat", i)) for i, pair in enumerate(dims)]
             for index, _, inst in _instances(case.saturator, specs, failed):
-                for margins, _ in _evaluate(case, [(index, inst)], config, failed, False).values():
+                for margins, _ in _evaluate(case, [(index, inst)], config, grids, failed, False).values():
                     for margin in margins.tolist():
                         residual = max(residual, abs(margin))
             # a residual over only some saturator instances must not read as clean
@@ -987,7 +1011,7 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
         }
         if failed:
             record["first_failure"] = failed[min(failed)]
-        extra = _case_extras(cid, [stat for _, stat in ordered])
+        extra = _case_extras(cid, stats)
         if extra is not None:
             record["extra"] = extra
         records.append(record)

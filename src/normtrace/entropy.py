@@ -10,9 +10,9 @@ alone, and of only two numbers of them: the power sum tr rho^alpha
 the one its branch needs is computed and a caller may memoize both per state.
 ``<name>`` on a density matrix is the spectrum that ``density_spectrum``
 returns, then ``<name>_from`` on its two numbers.  The two inputs may also be
-lists, one entry per state of a stack (``power_sum_of`` and ``von_neumann_of``
-give one per state of ``density_spectrum`` of a stack), closed entry by entry
-in Python floats.  A value outside the float range raises DomainError.
+lists, one entry per state of a stack (``per_state`` gives them from
+``density_spectrum`` of a stack), closed entry by entry in Python floats.  A
+value outside the float range raises DomainError.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ def density_spectrum(rho, tol: float = 1e-9):
 
     Inputs are never renormalized: a trace away from 1 beyond tol is an error.
     A (trials, d, d) stack gives its spectra grouped by length, as a list of
-    (trial indices, stacked spectra) pairs.
+    (trial indices, stacked spectra) pairs; per_state reads values off them.
     """
     try:
         w = hermitian_eigenvalues(rho, DEFAULT_TOL)
@@ -57,35 +57,29 @@ def density_spectrum(rho, tol: float = 1e-9):
         raise NotDensityError(f"eigenvalue {low:.3e} below {DENSITY_EIG_FLOOR}")
     if w.ndim == 1:
         return w[w > EIG_DROP]
-    if float(w[:, 0].min()) > EIG_DROP:  # nothing to drop
-        return [(slice(None), w)]
     # the dropped eigenvalues are the smallest, so a row keeps its last `size`
     kept, d = (w > EIG_DROP).sum(axis=-1), w.shape[-1]
-    groups = []
-    for size in sorted(set(kept.tolist())):
-        rows = np.flatnonzero(kept == size)
-        groups.append((rows, w[rows, d - size :]))
-    return groups
+    groups = [(np.flatnonzero(kept == size), size) for size in sorted(set(kept.tolist()))]
+    return [(rows, w[rows, d - size :]) for rows, size in groups]
 
 
-def _sums(term: Callable[[np.ndarray], np.ndarray], w):
-    """term(w).sum() of a spectrum, or of each of grouped spectra, row by row as alone."""
-    if isinstance(w, np.ndarray):
-        return float(term(w).sum())
-    sums = np.empty(sum(len(spectra) for _, spectra in w))
-    for rows, spectra in w:
-        sums[rows] = term(spectra).sum(axis=-1)
-    return sums
+def per_state(f: Callable[[np.ndarray], list], groups: list) -> list:
+    """f of each group of density_spectrum of a stack, as one value per state in stack order."""
+    values = [None] * sum(len(rows) for rows, _ in groups)
+    for rows, spectra in groups:
+        for t, v in zip(rows.tolist(), f(spectra)):
+            values[t] = v
+    return values
 
 
 def von_neumann_of(w):
-    """-tr(rho ln rho) of a density spectrum, or an array of them for a stack's grouped spectra."""
-    return -_sums(lambda x: x * np.log(x), w)
+    """-tr(rho ln rho) of a density spectrum; a (states, d) stack of spectra gives a list."""
+    return (-(w * np.log(w)).sum(axis=-1)).tolist()
 
 
 def power_sum_of(w, alpha: float):
-    """tr rho^alpha of a density spectrum, or an array of them for a stack's grouped spectra."""
-    return _sums(lambda x: x**alpha, w)
+    """tr rho^alpha of a density spectrum; a (states, d) stack of spectra gives a list."""
+    return (w**alpha).sum(axis=-1).tolist()
 
 
 def _closed(formula: Callable[[float], float], x):

@@ -43,10 +43,8 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrices(m)
     if m.shape[-2] != m.shape[-1]:
         return False
-    if m.ndim == 2:
-        return float(np.abs(m - m.conj().T).max()) <= tol * (1.0 + float(np.abs(m).max()))
-    scale = 1.0 + np.abs(m).max(axis=(1, 2))
-    return bool((np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol * scale).all())
+    scale = 1.0 + np.abs(m).max(axis=(-2, -1))
+    return bool((np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1)) <= tol * scale).all())
 
 
 def psd_eigenvalues(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

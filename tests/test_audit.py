@@ -217,6 +217,55 @@ def test_evaluate_case_rejects_wrong_instance_type():
         evaluate_case("NOPE", np.eye(4), {})
 
 
+def test_evaluate_case_reads_env_mode():
+    # a dilation with a zero Kraus operator: dim_env 2, Choi rank 1
+    ch = channels.kraus_to_stinespring([np.eye(2), np.zeros((2, 2))])
+    pair = (ch, np.diag([2.0, 1.0]).astype(complex))
+    # ||Phi(Q)||_2 = ||Q||_2, so only the weight d^(1/2) of the bound moves the margin
+    assert evaluate_case("STCTP", pair, {"p": 2.0}) == 0.0
+    assert evaluate_case("STCTP", pair, {"p": 2.0, "env_mode": "choi_rank"}) == 0.0
+    assert evaluate_case("STCTP", pair, {"p": 2.0, "env_mode": "dim_env"}) > 0.1
+    with pytest.raises(PreconditionError):
+        evaluate_case("STCTP", pair, {"p": 2.0, "env_mode": "guess"})
+
+
+def test_run_audit_accepts_list_valued_config_fields():
+    lists = AuditConfig(
+        trials_per_case=2, norm_p_grid=[1.0, 2.0], pq_grid=[[1.0, 2.0]], case_filter=["KPN1", "TPN2"]
+    )
+    tuples = AuditConfig(
+        trials_per_case=2, norm_p_grid=(1.0, 2.0), pq_grid=((1.0, 2.0),), case_filter=("KPN1", "TPN2")
+    )
+    assert run_audit(lists).to_text() == run_audit(tuples).to_text()
+
+
+def test_run_audit_windows_bound_the_instances_held(monkeypatch):
+    # with a window of 3, no more than 3 trials are made before they are
+    # evaluated, and the report is that of one window holding every trial
+    cfg = AuditConfig(trials_per_case=8, case_filter=("KPK2", "KQK1", "STCT1", "ET41"))
+    whole = run_audit(cfg).to_text()
+    held = []  # trials made and not yet evaluated, as each trial is made
+
+    def tracking(case):
+        def make_instance(dims, seed):
+            held.append(held[-1] + 1 if held else 1)
+            return case.make_instance(dims, seed)
+
+        def evaluate(sp, grid):
+            if sp.size > 1 or held[-1]:  # saturators are made and evaluated one by one
+                held.append(held[-1] - sp.size)
+            return case.evaluate(sp, grid)
+
+        return make_instance, evaluate
+
+    for cid in cfg.case_filter:
+        make_instance, evaluate = tracking(REGISTRY[cid])
+        _replace_case(monkeypatch, cid, make_instance=make_instance, evaluate=evaluate)
+    monkeypatch.setattr(audit, "TRIAL_WINDOW", 3)
+    assert run_audit(cfg).to_text() == whole
+    assert max(held) == 3 and held[-1] == 0
+
+
 def test_config_validation():
     with pytest.raises(PreconditionError):
         AuditConfig(trials_per_case=0)
@@ -323,26 +372,31 @@ def _rank_bound(inst) -> int:
 def test_run_audit_decomposes_each_instance_once(monkeypatch):
     # Instances are made first and then evaluated in batches: one per (case,
     # dims) group of trials, one per saturator instance, and one per equality
-    # witness of evaluate_case.  A bucket opens as a batch's matrices are
-    # stacked; decompositions made while sampling or inside choi_rank count in
-    # no bucket.
+    # witness of evaluate_case.  Every decomposition counts against the batch
+    # of the instances it serves: those made while sampling an instance, each
+    # stacked call of the batch (one matrix per instance) and each channel's
+    # Choi rank.  A channel trial sits at the bound: the sampling QR, Q, Phi(Q)
+    # and the Choi spectrum.
     buckets = []
-    state = {"current": None, "in_choi": False}
+    sampled = {}  # id of an instance -> matrices decomposed while sampling it
+    state = {"sampling": None, "batch": None, "in_choi": False}
     points = []  # the grid size of every instance made
     cfg = AuditConfig(trials_per_case=8)
 
     def counting(fn):
         def counted(a, *args, **kwargs):
-            bucket = state["current"]
-            if bucket is not None and not state["in_choi"]:
-                bucket["calls"] += 1
-                bucket["matrices"] += a.shape[0] if a.ndim == 3 else 1
+            matrices = a.shape[0] if a.ndim == 3 else 1
+            if state["sampling"] is not None:
+                state["sampling"] += matrices
+            else:
+                state["batch"]["matrices"] += matrices
+                state["batch"]["calls"] += not state["in_choi"]
             return fn(a, *args, **kwargs)
 
         return counted
 
     def choi_rank(ch, *args):
-        state["current"]["choi_rank"] += 1
+        state["batch"]["choi_rank"] += 1
         state["in_choi"] = True
         try:
             return channels.choi_rank(ch, *args)
@@ -351,17 +405,20 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
 
     class Batch(audit._Spectra):
         def __init__(self, insts, *args):
-            state["current"] = {
-                "size": len(insts), "channel": isinstance(insts[0], tuple),
-                "calls": 0, "matrices": 0, "choi_rank": 0, "evaluations": 0, "points": 0,
+            state["batch"] = {
+                "size": len(insts), "channel": isinstance(insts[0], tuple), "calls": 0,
+                "matrices": sum(sampled.pop(id(inst), 0) for inst in insts),
+                "choi_rank": 0, "evaluations": 0, "points": 0,
             }
-            buckets.append(state["current"])
+            buckets.append(state["batch"])
             super().__init__(insts, *args)
 
     def opening(cid, make):
         def opened(dims, seed):
-            state["current"] = None
+            state["sampling"] = 0
             inst = make(dims, seed)
+            sampled[id(inst)] = state["sampling"]
+            state["sampling"] = None
             points.append(GRID_SIZES[cid](_rank_bound(inst), cfg))
             return inst
 
@@ -370,8 +427,8 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     def evaluating(fn):
         def evaluate(sp, grid):
             margins = fn(sp, grid)
-            state["current"]["evaluations"] += 1
-            state["current"]["points"] += margins.size
+            state["batch"]["evaluations"] += 1
+            state["batch"]["points"] += margins.size
             return margins
 
         return evaluate
@@ -394,15 +451,19 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     assert all(c["failures"] == 0 for c in report.cases)
     # every case has a saturator, run once per dims pair
     assert len(points) == len(REGISTRY) * (cfg.trials_per_case + len(cfg.dims))
+    assert not sampled  # every instance made was evaluated in some batch
     witnesses = 4  # the TPN2 and TPN62 equality and strict margins
     assert len(buckets) == 2 * len(REGISTRY) * len(cfg.dims) + witnesses
     assert sum(b["size"] for b in buckets) == len(points) + witnesses
+    channel_trials = 0
     for b in buckets:
         # one evaluate call per batch; each matrix stacked and decomposed once
         assert b["evaluations"] == 1, b
-        assert b["calls"] <= 4, b
+        assert b["calls"] <= (2 if b["channel"] else 4), b
         assert b["matrices"] <= 4 * b["size"], b
         assert b["choi_rank"] == (b["size"] if b["channel"] else 0), b
+        channel_trials += b["channel"] and b["matrices"] == 4 * b["size"]
+    assert channel_trials > 0  # the bound is reached, so it counts every decomposition
     # every grid point of every instance is evaluated exactly once
     assert sum(b["points"] for b in buckets) == sum(points) + witnesses
 

@@ -9,6 +9,7 @@ from normtrace.entropy import (
     density_spectrum,
     dim_weight,
     max_entropy_value,
+    per_state,
     power_sum_of,
     renyi_entropy,
     renyi_entropy_from,
@@ -220,9 +221,10 @@ def test_stacked_densities_match_one_by_one():
     assert sorted(spectra.shape for _, spectra in groups) == [(1, 1), (1, 10), (2, 9), (2, 12)]
     for alpha in (0.3, 1.5):
         alone = [power_sum_of(density_spectrum(r), alpha) for r in stack]
-        assert power_sum_of(groups, alpha).tolist() == alone
-    assert von_neumann_of(groups).tolist() == [von_neumann_of(density_spectrum(r)) for r in stack]
-    ps, vn = power_sum_of(groups, 0.3).tolist(), von_neumann_of(groups).tolist()
+        assert per_state(lambda w: power_sum_of(w, alpha), groups) == alone
+    vn = per_state(von_neumann_of, groups)
+    assert vn == [von_neumann_of(density_spectrum(r)) for r in stack]
+    ps = per_state(lambda w: power_sum_of(w, 0.3), groups)
     batch = unified_entropy_from(lambda: ps, lambda: vn, 0.3, 2.0)
     assert batch == [unified_entropy(r, 0.3, 2.0) for r in stack]
     with pytest.raises(NotDensityError):
