@@ -209,7 +209,7 @@ def _products(p: tuple, q: tuple) -> tuple:
 
 
 def _stack(mats) -> np.ndarray:
-    stack = np.stack([as_matrix(q) for q in mats])
+    stack = np.array([as_matrix(q) for q in mats])
     require_square(stack)
     return stack
 
@@ -232,13 +232,13 @@ class _Spectra:
         # kmax bounds the grid's rank k: the size of Tr_B W, of Phi(Q) or of Q
         if isinstance(first, BipartiteOperator):
             self.dim_a, self.dim_b, self.kmax = first.dim_a, first.dim_b, first.dim_a
-            w = np.stack([x.matrix for x in insts])
+            w = np.array([x.matrix for x in insts])
             self.matrices = {"w": w, "qa": trace_out_b(w, first.dim_a, first.dim_b)}
         elif isinstance(first, tuple):
             self.channels = [ch for ch, _ in insts]
             self.kmax = first[0].dim_out
             q = _stack(x for _, x in insts)
-            self.matrices = {"q": q, "out": np.stack([ch.apply(x) for ch, x in zip(self.channels, q)])}
+            self.matrices = {"q": q, "out": np.array([ch.apply(x) for ch, x in zip(self.channels, q)])}
         else:
             self.matrices = {"q": _stack(insts)}
             self.kmax = self.matrices["q"].shape[-1]
@@ -271,17 +271,17 @@ class _Spectra:
         """
         if not exps:
             return np.empty((self.size, 0))
-        slot = {}  # exponent -> place of its table when the distinct ones are laid end to end
-        for e in exps:
-            slot.setdefault(e, len(slot))
-        tables = [self._get(key + (e,), partial(make, e)) for e in slot]
+        distinct = dict.fromkeys(exps)
+        tables = [self._get(key + (e,), partial(make, e)) for e in distinct]
         d = tables[0].shape[-1]
-        ks = np.full(len(exps), d) if k is None else np.asarray(k)
-        bad = ks[(ks < 1) | (ks > d)]
-        if bad.size:
+        # grids are small, so the gather index is built in Python ints
+        ks = [d] * len(exps) if k is None else np.asarray(k).tolist()
+        bad = [r for r in ks if not 1 <= r <= d]
+        if bad:
             raise RankRangeError(f"k={bad[0]} outside [1, {d}]")
+        start = {e: i * d - 1 for i, e in enumerate(distinct)}  # entry r of table e is start[e] + r
         flat = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=-1)
-        return flat.take(np.array([slot[e] for e in exps]) * d + ks - 1, axis=1)
+        return flat.take([start[e] + r for e, r in zip(exps, ks)], axis=1)
 
     def norm(self, name: str, k, p: tuple) -> np.ndarray:
         """(k, p) norms of a matrix at each point; k None gives its Schatten p-norms."""
@@ -300,7 +300,7 @@ class _Spectra:
 
     def entropy(self, name: str, formula, alpha: tuple, *rest: tuple) -> np.ndarray:
         """A *_entropy_from formula of a state at each point's (alpha, ...)."""
-        inputs = {a: self._entropy_inputs(name, a) for a in alpha}
+        inputs = {a: self._entropy_inputs(name, a) for a in dict.fromkeys(alpha)}
         return self.columns(lambda point: formula(*inputs[point[0]], *point), list(zip(alpha, *rest)))
 
     def _entropy_inputs(self, name: str, alpha: float):
@@ -913,39 +913,45 @@ def _describe(exc: Exception) -> str:
 
 
 def _instances(make, specs, failed: dict) -> list:
-    """(index, dims, instance) for each (index, dims, seed); a maker's domain error goes to failed."""
+    """(index, instance) for each (index, dims, seed); a maker's domain error goes to failed."""
     made = []
     for index, dims, seed in specs:
         try:
-            made.append((index, dims, make(dims, seed)))
+            made.append((index, make(dims, seed)))
         except _INSTANCE_ERRORS as exc:
             failed[index] = _describe(exc)
     return made
 
 
-def _evaluate(
-    case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict, trials=True
-) -> dict:
+def _shape(inst) -> tuple:
+    """What instances must share to be stacked into one batch."""
+    if isinstance(inst, BipartiteOperator):
+        return inst.dim_a, inst.dim_b
+    if isinstance(inst, tuple):
+        return inst[0].dim_in, inst[0].dim_out
+    return np.shape(inst)
+
+
+def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict) -> dict:
     """index -> (margins, trial statistic) of (index, instance) members, evaluated as one batch.
 
     grids holds the case's grid per rank bound, made on first use.  On a domain
     error each member is evaluated again alone, so only the ones that raise go
-    to failed, and those contribute no margin.  Saturator instances (trials
-    False) skip the statistic.
+    to failed, and those contribute no margin.
     """
     try:
         sp = _Spectra([inst for _, inst in members], config.env_dim_mode)
         if sp.kmax not in grids:
             grids[sp.kmax] = _grid(case.axes, sp.kmax, config)
         margins = case.evaluate(sp, grids[sp.kmax])
-        stats = _trial_stats(case.id, sp) if trials else [None] * sp.size
+        stats = _trial_stats(case.id, sp)
     except _INSTANCE_ERRORS as exc:
         if len(members) == 1:
             failed[members[0][0]] = _describe(exc)
             return {}
         results = {}
         for member in members:
-            results.update(_evaluate(case, [member], config, grids, failed, trials))
+            results.update(_evaluate(case, [member], config, grids, failed))
         return results
     return {index: (row, stat) for (index, _), row, stat in zip(members, margins, stats)}
 
@@ -953,13 +959,14 @@ def _evaluate(
 def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
     """Evaluate every selected registry case on seeded instances.
 
-    A case's trials are made in trial order, TRIAL_WINDOW at a time; each
-    window is evaluated in same-dims batches and its margins folded in (trial,
-    point) order before the next window is made.  Each saturator instance is a
-    batch of its own.  A PreconditionError or LinAlgError on an instance never
-    aborts the run: it counts in failures, the first message in trial order is
-    kept, and the instance contributes no margin (a failed saturator also
-    nulls saturation_residual).  Any other exception propagates.
+    A case's trials are made in trial order, TRIAL_WINDOW at a time, and its
+    saturator instances, one per dims pair, join the last window.  Each window
+    is evaluated in batches of same-shape instances and its trial margins are
+    folded in (trial, point) order before the next window is made.  A
+    PreconditionError or LinAlgError on an instance never aborts the run: it
+    counts in failures, the first message in trial order is kept, and the
+    instance contributes no margin (a failed saturator also nulls
+    saturation_residual).  Any other exception propagates.
     """
     ids = config.case_filter if config.case_filter is not None else REGISTRY_IDS
     base, trials, dims = config.base_seed, config.trials_per_case, config.dims
@@ -973,17 +980,26 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
         stats = []
         worst = None
         violations = 0
+        residual = 0.0
         for start in range(0, trials, TRIAL_WINDOW):
-            window = range(start, min(start + TRIAL_WINDOW, trials))
-            specs = [(t, dims[t % len(dims)], _trial_seed(base, cid, t)) for t in window]
+            stop = min(start + TRIAL_WINDOW, trials)
+            specs = [(t, dims[t % len(dims)], _trial_seed(base, cid, t)) for t in range(start, stop)]
+            made = _instances(case.make_instance, specs, failed)
+            if stop == trials and case.saturator is not None:
+                specs = [(trials + i, pair, _trial_seed(base, cid + ":sat", i)) for i, pair in enumerate(dims)]
+                made += _instances(case.saturator, specs, failed)
             groups = {}
-            for index, pair, inst in _instances(case.make_instance, specs, failed):
-                groups.setdefault(pair, []).append((index, inst))
+            for index, inst in made:
+                groups.setdefault(_shape(inst), []).append((index, inst))
             results = {}
             for members in groups.values():
                 results.update(_evaluate(case, members, config, grids, failed))
-            for t in sorted(results):
-                margins, stat = results[t]
+            for index in sorted(results):
+                margins, stat = results[index]
+                if index >= trials:  # a saturator
+                    for margin in margins.tolist():
+                        residual = max(residual, abs(margin))
+                    continue
                 stats.append(stat)
                 for margin in margins.tolist():
                     if worst is None or margin < worst:
@@ -992,12 +1008,6 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
                         violations += 1
         saturation = None
         if case.saturator is not None:
-            residual = 0.0
-            specs = [(trials + i, pair, _trial_seed(base, cid + ":sat", i)) for i, pair in enumerate(dims)]
-            for index, _, inst in _instances(case.saturator, specs, failed):
-                for margins, _ in _evaluate(case, [(index, inst)], config, grids, failed, False).values():
-                    for margin in margins.tolist():
-                        residual = max(residual, abs(margin))
             # a residual over only some saturator instances must not read as clean
             saturation = residual if max(failed, default=-1) < trials else None
         record = {

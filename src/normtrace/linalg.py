@@ -44,7 +44,7 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     if m.shape[-2] != m.shape[-1]:
         return False
     scale = 1.0 + np.abs(m).max(axis=(-2, -1))
-    return bool((np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1)) <= tol * scale).all())
+    return bool((np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol * scale).all())
 
 
 def psd_eigenvalues(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

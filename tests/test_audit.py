@@ -240,30 +240,32 @@ def test_run_audit_accepts_list_valued_config_fields():
 
 
 def test_run_audit_windows_bound_the_instances_held(monkeypatch):
-    # with a window of 3, no more than 3 trials are made before they are
-    # evaluated, and the report is that of one window holding every trial
+    # with a window of 3, a case holds at most 3 trials and, in its last
+    # window, its saturators; the report is that of one window holding them all
     cfg = AuditConfig(trials_per_case=8, case_filter=("KPK2", "KQK1", "STCT1", "ET41"))
     whole = run_audit(cfg).to_text()
-    held = []  # trials made and not yet evaluated, as each trial is made
+    held = [0]  # instances made and not yet evaluated, after each make and evaluation
 
     def tracking(case):
-        def make_instance(dims, seed):
-            held.append(held[-1] + 1 if held else 1)
-            return case.make_instance(dims, seed)
+        def made(make):
+            def counted(dims, seed):
+                held.append(held[-1] + 1)
+                return make(dims, seed)
+
+            return counted
 
         def evaluate(sp, grid):
-            if sp.size > 1 or held[-1]:  # saturators are made and evaluated one by one
-                held.append(held[-1] - sp.size)
+            held.append(held[-1] - sp.size)
             return case.evaluate(sp, grid)
 
-        return make_instance, evaluate
+        return dict(make_instance=made(case.make_instance), saturator=made(case.saturator), evaluate=evaluate)
 
     for cid in cfg.case_filter:
-        make_instance, evaluate = tracking(REGISTRY[cid])
-        _replace_case(monkeypatch, cid, make_instance=make_instance, evaluate=evaluate)
+        _replace_case(monkeypatch, cid, **tracking(REGISTRY[cid]))
     monkeypatch.setattr(audit, "TRIAL_WINDOW", 3)
     assert run_audit(cfg).to_text() == whole
-    assert max(held) == 3 and held[-1] == 0
+    # the last window holds 8 - 2 * 3 trials and one saturator per dims pair
+    assert max(held) == 2 + len(cfg.dims) and held[-1] == 0
 
 
 def test_config_validation():
@@ -370,9 +372,9 @@ def _rank_bound(inst) -> int:
 
 
 def test_run_audit_decomposes_each_instance_once(monkeypatch):
-    # Instances are made first and then evaluated in batches: one per (case,
-    # dims) group of trials, one per saturator instance, and one per equality
-    # witness of evaluate_case.  Every decomposition counts against the batch
+    # Instances are made first and then evaluated in batches: one per case and
+    # shape of its trial and saturator instances, and one per equality witness
+    # of evaluate_case.  Every decomposition counts against the batch
     # of the instances it serves: those made while sampling an instance, each
     # stacked call of the batch (one matrix per instance) and each channel's
     # Choi rank.  A channel trial sits at the bound: the sampling QR, Q, Phi(Q)
@@ -381,6 +383,7 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     sampled = {}  # id of an instance -> matrices decomposed while sampling it
     state = {"sampling": None, "batch": None, "in_choi": False}
     points = []  # the grid size of every instance made
+    shapes = set()  # (case, batch shape) of every instance made
     cfg = AuditConfig(trials_per_case=8)
 
     def counting(fn):
@@ -420,6 +423,7 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
             sampled[id(inst)] = state["sampling"]
             state["sampling"] = None
             points.append(GRID_SIZES[cid](_rank_bound(inst), cfg))
+            shapes.add((cid, audit._shape(inst)))
             return inst
 
         return opened
@@ -453,7 +457,9 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     assert len(points) == len(REGISTRY) * (cfg.trials_per_case + len(cfg.dims))
     assert not sampled  # every instance made was evaluated in some batch
     witnesses = 4  # the TPN2 and TPN62 equality and strict margins
-    assert len(buckets) == 2 * len(REGISTRY) * len(cfg.dims) + witnesses
+    # one batch per case and shape: 8 trials fit one window, and the
+    # saturators join the trials of their shape
+    assert len(buckets) == len(shapes) + witnesses
     assert sum(b["size"] for b in buckets) == len(points) + witnesses
     channel_trials = 0
     for b in buckets:
@@ -469,9 +475,11 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
 
 
 def _recorded_batches(monkeypatch, cfg, makers=None):
-    """Run the audit recording each case's instances and (grid, margins) of every batch, in order."""
+    """Run the audit recording each case's instances, in the order made, and
+    (spectra, grid, instance indices, margins) of every batch, in order."""
     made, batches = {}, {}
     makers = makers or {}
+    evaluate_batch = audit._evaluate
 
     def recording(cid, make):
         def made_by(dims, seed):
@@ -484,10 +492,15 @@ def _recorded_batches(monkeypatch, cfg, makers=None):
     def evaluating(cid, fn):
         def evaluate(sp, grid):
             margins = fn(sp, grid)
-            batches.setdefault(cid, []).append((sp, dict(grid), margins.tolist()))
+            batches.setdefault(cid, []).append([sp, dict(grid), None, margins.tolist()])
             return margins
 
         return evaluate
+
+    def indexing(case, members, *args):
+        results = evaluate_batch(case, members, *args)
+        batches[case.id][-1][2] = [index for index, _ in members]
+        return results
 
     for cid in cfg.case_filter or REGISTRY_IDS:
         case = REGISTRY[cid]
@@ -497,36 +510,37 @@ def _recorded_batches(monkeypatch, cfg, makers=None):
             saturator=recording(cid, case.saturator),
             evaluate=evaluating(cid, case.evaluate),
         ))
+    monkeypatch.setattr(audit, "_evaluate", indexing)
     report = run_audit(cfg)
     return report, made, batches
 
 
 def _assert_batches_match_evaluate_case(cid, cfg, insts, batches):
-    trials = cfg.trials_per_case
-    groups = [list(range(i, trials, len(cfg.dims))) for i in range(len(cfg.dims))]
-    groups += [[trials + i] for i in range(len(cfg.dims))]  # the saturator instances
-    assert len(batches) >= len(groups)
-    for rows, (_, grid, margins) in zip(groups, batches):
+    # instances are made in index order: the trials, then one saturator per dims pair
+    assert sorted(i for _, _, rows, _ in batches for i in rows) == list(range(len(insts)))
+    for _, grid, rows, margins in batches:
         assert len(margins) == len(rows)
         names = list(grid)
-        for row, trial in zip(margins, rows):
+        for row, index in zip(margins, rows):
             for j, margin in enumerate(row):
                 params = {name: grid[name][j] for name in names}
-                assert margin == evaluate_case(cid, insts[trial], params), (cid, trial, params)
+                assert margin == evaluate_case(cid, insts[index], params), (cid, index, params)
 
 
 def test_batched_margins_equal_evaluate_case(monkeypatch):
-    # each batch holds three trials; every margin equals the one-instance,
-    # one-point evaluation bit for bit
+    # each batch holds three trials, and a saturator where its shape agrees;
+    # every margin equals the one-instance, one-point evaluation bit for bit
     cfg = AuditConfig(trials_per_case=6, dims=((2, 2), (4, 3)))
     report, made, batches = _recorded_batches(monkeypatch, cfg)
     assert all(c["failures"] == 0 for c in report.cases)
     channel_d = set()
     for cid in REGISTRY_IDS:
-        recorded = batches[cid][: 2 * len(cfg.dims)]
+        # not the TPN2 and TPN62 equality witnesses, nor what evaluate_case below records
+        recorded = [b for b in batches[cid] if b[2] is not None]
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
+        assert max(len(rows) for _, _, rows, _ in recorded) >= 3
         if REGISTRY[cid].instance_kind == "channel_pair":
-            channel_d |= {len(set(sp.env_dims())) for sp, _, _ in recorded}
+            channel_d |= {len(set(sp.env_dims())) for sp, _, _, _ in recorded}
     assert max(channel_d) > 1  # some batch stacks channels of different d
 
 
@@ -554,10 +568,10 @@ def test_entropy_batches_mixing_rank_deficient_states(monkeypatch):
     report, made, batches = _recorded_batches(monkeypatch, cfg, makers)
     assert all(c["failures"] == 0 and c["violations"] == 0 for c in report.cases)
     for cid in makers:
-        recorded = batches[cid][: 2 * len(cfg.dims)]
+        recorded = list(batches[cid])  # evaluate_case below records batches of its own
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
         # some batch holds spectra of two lengths
-        assert max(len(sp.density("w")) for sp, _, _ in recorded) > 1
+        assert max(len(sp.density("w")) for sp, _, _, _ in recorded) > 1
 
 
 def test_run_audit_failed_trial_feeds_no_margin(monkeypatch):
