@@ -4,18 +4,13 @@ Each registry case binds one proved relation to an evaluator returning a
 signed margin normalized by max(1, |lhs|, |rhs|); margin >= -tolerance means
 the relation held on that instance.  The SAT-WRQA case instead returns the
 negated equality residual of the product family c * R (x) I, so its margins
-sit at zero up to round-off.
+sit at zero up to round-off.  The evaluators, the stacked spectra they read and
+the parameter grids live in margins.py.
 
-Every functional the cases compare is unitarily invariant, so an evaluator
-reads only spectra: singular values for norms, eigenvalues for anti-norms and
-entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's Choi rank.
 The runner makes a case's trial instances TRIAL_WINDOW at a time and evaluates
-each same-dims group of a window as one batch: each matrix is stacked and
-decomposed in one call, one table per (matrix, exponent) serves the stack (a
-cumulative power sum over the sorted spectra serves every k; entropies read
-tr rho^alpha and the von Neumann value), and one evaluator call returns the
-(trials, grid points) margins.  Each case declares its grid as products of named axes (see _axis).
-evaluate_case, a batch of one with a one-point grid, gives the same margins.
+each window in batches of same-shape instances: one margins.Spectra and one
+evaluator call per batch.  evaluate_case, a batch of one with a one-point grid,
+gives the same margins.
 
 Samplers draw from numpy's PCG64 generator and are bit-reproducible per
 (kind, dims, seed); the audit derives per-trial seeds by hashing
@@ -25,7 +20,6 @@ configuration alone.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -35,24 +29,36 @@ import numpy as np
 
 from ._version import __version__
 from . import jsonio
-from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
-from .bipartite import BipartiteOperator, trace_out_b
-from .channels import StinespringChannel, choi_rank, partial_trace_channel
-from .entropy import (
-    alpha_log,
-    density_spectrum,
-    dim_weight,
-    max_entropy_value,
-    per_state,
-    power_sum_of,
-    renyi_entropy_from,
-    tsallis_entropy_from,
-    unified_entropy_from,
-    von_neumann_of,
+from .antinorms import kyfan_antinorm_of
+from .bipartite import BipartiteOperator
+from .channels import StinespringChannel, partial_trace_channel
+from .errors import BadDimsError, KindMismatchError, PreconditionError
+from .linalg import kron
+from .margins import (
+    Grid,
+    Spectra,
+    eval_cpn1,
+    eval_et41,
+    eval_et42,
+    eval_ett41,
+    eval_kpk1,
+    eval_kpk2,
+    eval_kpn1,
+    eval_kqk1,
+    eval_kqn1,
+    eval_kqn2,
+    eval_sat_wrqa,
+    eval_spn1,
+    eval_stct1,
+    eval_stct2,
+    eval_stctep,
+    eval_stctp,
+    eval_stctpp,
+    eval_tfsn,
+    eval_tpn2,
+    eval_tpn62,
+    make_grid,
 )
-from .errors import BadDimsError, KindMismatchError, PreconditionError, RankRangeError
-from .linalg import as_matrix, kron, require_square
-from .norms import gauge_table
 
 NORM_P_GRID = (1.0, 1.5, 2.0, 3.0, 10.0, math.inf)
 ANTINORM_P_GRID = (0.25, 0.5, 0.75, 1.0)
@@ -170,307 +176,6 @@ def _trial_seed(base_seed: int, tag: str, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# margin helpers
-
-
-def _slack(small, large) -> np.ndarray:
-    """Normalized margins of the inequalities small <= large, entry by entry."""
-    return (large - small) / np.maximum(np.maximum(1.0, np.abs(small)), np.abs(large))
-
-
-def _dim_factor(n: int, p: float) -> float:
-    """n^((p-1)/p), continued as n at p = +inf.
-
-    Evaluators read their functionals before this and the other exponent
-    factors, so an exponent such as p = 0 raises the functional's
-    ExponentRangeError, which counts as a failure, before a factor divides by it.
-    """
-    if math.isinf(p):
-        return float(n)
-    return float(n) ** ((p - 1.0) / p)
-
-
-def _rank_factor(k: int, p: float, q: float) -> float:
-    """k^((q-1)/(pq)), the factor between the (k, p) and (k, pq) functionals of one operator."""
-    return float(k) ** ((q - 1.0) / (p * q))
-
-
-def _chain_factor(n: int, k: int, p: float, q: float) -> float:
-    """[k^(q-1) n^(pq-1)]^(1/(pq)), the factor of the chained CPN1 bound."""
-    return (float(k) ** (q - 1.0) * float(n) ** (p * q - 1.0)) ** (1.0 / (p * q))
-
-
-def _products(p: tuple, q: tuple) -> tuple:
-    return tuple(a * b for a, b in zip(p, q))
-
-
-# ---------------------------------------------------------------------------
-# stacked spectra of a batch of instances
-
-
-def _stack(mats) -> np.ndarray:
-    stack = np.array([as_matrix(q) for q in mats])
-    require_square(stack)
-    return stack
-
-
-class _Spectra:
-    """Lazily computed, validated spectra of a batch of same-dims instances.
-
-    Each matrix (W and Tr_B W, Q and Phi(Q), or Q) is stacked to (trials, d, d)
-    and decomposed at most once per spectrum kind, in one call, with the checks
-    of the matrix-level functions applied row by row; each channel's Choi rank
-    is computed once.  One table per (matrix, exponent) serves the stack, so a
-    functional at every grid point is a lookup giving a (trials, points) array;
-    a lookup outside a table raises the scalar function's RankRangeError or
-    ExponentRangeError.
-    """
-
-    def __init__(self, insts: list, env_mode: str = "choi_rank"):
-        self.size, self.env_mode = len(insts), env_mode
-        first = insts[0]
-        # kmax bounds the grid's rank k: the size of Tr_B W, of Phi(Q) or of Q
-        if isinstance(first, BipartiteOperator):
-            self.dim_a, self.dim_b, self.kmax = first.dim_a, first.dim_b, first.dim_a
-            w = np.array([x.matrix for x in insts])
-            self.matrices = {"w": w, "qa": trace_out_b(w, first.dim_a, first.dim_b)}
-        elif isinstance(first, tuple):
-            self.channels = [ch for ch, _ in insts]
-            self.kmax = first[0].dim_out
-            q = _stack(x for _, x in insts)
-            self.matrices = {"q": q, "out": np.array([ch.apply(x) for ch, x in zip(self.channels, q)])}
-        else:
-            self.matrices = {"q": _stack(insts)}
-            self.kmax = self.matrices["q"].shape[-1]
-        self._memo = {}
-
-    def _get(self, key, make):
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = make()
-        return value
-
-    def sv(self, name: str) -> np.ndarray:
-        # numpy's SVD returns the singular values in descending order
-        return self._get(("sv", name), lambda: np.linalg.svd(self.matrices[name], compute_uv=False))
-
-    def psd(self, name: str) -> np.ndarray:
-        return self._get(("psd", name), lambda: psd_spectrum(self.matrices[name]))
-
-    def density(self, name: str) -> list:
-        return self._get(("density", name), lambda: density_spectrum(self.matrices[name]))
-
-    def columns(self, f, values) -> np.ndarray:
-        """(trials, points) array whose column j is f(values[j]), a value per trial."""
-        return np.array([f(v) for v in values]).T if len(values) else np.empty((self.size, 0))
-
-    def _lookup(self, key, make, k, exps: tuple) -> np.ndarray:
-        """Entry k[j] (1-based) of the table make(exps[j]) for each point j, per trial.
-
-        k holds one rank per point; None reads each table's last entry.
-        """
-        if not exps:
-            return np.empty((self.size, 0))
-        distinct = dict.fromkeys(exps)
-        tables = [self._get(key + (e,), partial(make, e)) for e in distinct]
-        d = tables[0].shape[-1]
-        # grids are small, so the gather index is built in Python ints
-        ks = [d] * len(exps) if k is None else np.asarray(k).tolist()
-        bad = [r for r in ks if not 1 <= r <= d]
-        if bad:
-            raise RankRangeError(f"k={bad[0]} outside [1, {d}]")
-        start = {e: i * d - 1 for i, e in enumerate(distinct)}  # entry r of table e is start[e] + r
-        flat = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=-1)
-        return flat.take([start[e] + r for e, r in zip(exps, ks)], axis=1)
-
-    def norm(self, name: str, k, p: tuple) -> np.ndarray:
-        """(k, p) norms of a matrix at each point; k None gives its Schatten p-norms."""
-        return self._lookup(("norm", name), lambda e: gauge_table(self.sv(name), e), k, p)
-
-    def antinorm(self, name: str, k, p: tuple, ambient_dim=None) -> np.ndarray:
-        """(k, p) anti-norms of a PSD matrix, its spectrum zero-padded to ambient_dim."""
-        table = partial(antinorm_table, ambient_dim=ambient_dim)
-        return self._lookup(("antinorm", name, ambient_dim), lambda e: table(self.psd(name), e), k, p)
-
-    def per_d(self, f) -> np.ndarray:
-        """(trials, points) array whose row t is row t of f(d) at trial t's channel d."""
-        ds = self.env_dims()
-        rows = {d: f(d) for d in set(ds)}
-        return np.array([rows[d][t] for t, d in enumerate(ds)])
-
-    def entropy(self, name: str, formula, alpha: tuple, *rest: tuple) -> np.ndarray:
-        """A *_entropy_from formula of a state at each point's (alpha, ...)."""
-        inputs = {a: self._entropy_inputs(name, a) for a in dict.fromkeys(alpha)}
-        return self.columns(lambda point: formula(*inputs[point[0]], *point), list(zip(alpha, *rest)))
-
-    def _entropy_inputs(self, name: str, alpha: float):
-        """The two inputs of an entropy of a state, as lists of one per trial."""
-        power_sum = partial(power_sum_of, alpha=alpha)
-        return (
-            lambda: self._get(("power_sum", name, alpha), lambda: per_state(power_sum, self.density(name))),
-            lambda: self._get(("von_neumann", name), lambda: per_state(von_neumann_of, self.density(name))),
-        )
-
-    def env_dims(self) -> list:
-        """Each channel's d: its Choi rank, or its dilation's environment dimension."""
-        if self.env_mode == "dim_env":
-            return [ch.dim_env for ch in self.channels]
-        if self.env_mode == "choi_rank":
-            return self._get("choi_rank", lambda: [choi_rank(ch) for ch in self.channels])
-        raise PreconditionError(f"unknown env_dim mode {self.env_mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# evaluators: (trials, points) margins from the spectra of a batch
-
-
-def _eval_kpn1(sp: _Spectra, g) -> np.ndarray:
-    k, p = np.array(g["k"]), g["p"]
-    n = sp.dim_b
-    joint, lhs = sp.norm("w", k * n, p), sp.norm("qa", k, p)
-    return _slack(lhs, g.factors(_dim_factor, n, p) * joint)
-
-
-def _eval_spn1(sp: _Spectra, g) -> np.ndarray:
-    p = g["p"]
-    joint, lhs = sp.norm("w", None, p), sp.norm("qa", None, p)
-    return _slack(lhs, g.factors(_dim_factor, sp.dim_b, p) * joint)
-
-
-def _eval_tfsn(sp: _Spectra, g) -> np.ndarray:
-    n = sp.dim_b
-    forms = {"trace": (1.0, 1.0), "frobenius": (2.0, math.sqrt(n)), "spectral": (math.inf, float(n))}
-    unknown = [v for v in g["variant"] if v not in forms]
-    if unknown:
-        raise PreconditionError(f"unknown variant {unknown[0]!r}")
-    p, factor = zip(*(forms[v] for v in g["variant"]))
-    return _slack(sp.norm("qa", None, p), np.array(factor) * sp.norm("w", None, p))
-
-
-def _eval_kpk1(sp: _Spectra, g) -> np.ndarray:
-    k, ones = np.array(g["k"]), (1.0,) * g.size
-    return _slack(sp.norm("qa", k, ones), sp.norm("w", k * sp.dim_b, ones))
-
-
-def _eval_kpk2(sp: _Spectra, g) -> np.ndarray:
-    lhs = sp.norm("qa", None, (math.inf,) * g.size)
-    return _slack(lhs, sp.norm("w", np.full(g.size, sp.dim_b), (1.0,) * g.size))
-
-
-def _eval_tpn2(sp: _Spectra, g) -> np.ndarray:
-    k, p, q = g["k"], g["p"], g["q"]
-    lhs, top = sp.norm("q", np.array(k), p), sp.norm("q", np.array(k), _products(p, q))
-    return _slack(lhs, g.factors(_rank_factor, None, k, p, q) * top)
-
-
-def _eval_cpn1(sp: _Spectra, g) -> np.ndarray:
-    k, p, q = g["k"], g["p"], g["q"]
-    n = sp.dim_b
-    lhs, joint = sp.norm("qa", np.array(k), p), sp.norm("w", np.array(k) * n, _products(p, q))
-    return _slack(lhs, g.factors(_chain_factor, n, k, p, q) * joint)
-
-
-def _eval_kqn1(sp: _Spectra, g) -> np.ndarray:
-    k, p = np.array(g["k"]), g["p"]
-    n = sp.dim_b
-    joint, rhs = sp.antinorm("w", k * n, p), sp.antinorm("qa", k, p)
-    return _slack(g.factors(_dim_factor, n, p) * joint, rhs)
-
-
-def _eval_kqn2(sp: _Spectra, g) -> np.ndarray:
-    p = g["p"]
-    joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("w"), e), p)
-    rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("qa"), e), p)
-    return _slack(g.factors(_dim_factor, sp.dim_b, p) * joint, rhs)
-
-
-def _eval_kqk1(sp: _Spectra, g) -> np.ndarray:
-    k, n = g["k"], sp.dim_b
-    joint = sp.columns(lambda k: kyfan_antinorm_of(sp.psd("w"), k * n), k)
-    return _slack(joint, sp.columns(lambda k: kyfan_antinorm_of(sp.psd("qa"), k), k))
-
-
-def _eval_tpn62(sp: _Spectra, g) -> np.ndarray:
-    k, p, q = g["k"], g["p"], g["q"]
-    top, rhs = sp.antinorm("q", np.array(k), _products(p, q)), sp.antinorm("q", np.array(k), p)
-    return _slack(g.factors(_rank_factor, None, k, p, q) * top, rhs)
-
-
-def _eval_stct1(sp: _Spectra, g) -> np.ndarray:
-    k, p = np.array(g["k"]), g["p"]
-    m = sp.matrices["q"].shape[-1]
-    # the (kd, p) norm of Q's spectrum zero-padded to length kd: the zeros add nothing
-    padded = sp.per_d(lambda d: sp.norm("q", np.minimum(k * d, m), p))
-    lhs = sp.norm("out", k, p)
-    return _slack(lhs, g.per_trial(_dim_factor, sp.env_dims(), p) * padded)
-
-
-def _eval_stctp(sp: _Spectra, g) -> np.ndarray:
-    p = g["p"]
-    ds = sp.env_dims()
-    lhs, rhs = sp.norm("out", None, p), sp.norm("q", None, p)
-    return _slack(lhs, g.per_trial(_dim_factor, ds, p) * rhs)
-
-
-def _eval_stct2(sp: _Spectra, g) -> np.ndarray:
-    k, p = np.array(g["k"]), g["p"]
-    # Q's spectrum zero-padded to the output dimension, kmax, times d
-    padded = sp.per_d(lambda d: sp.antinorm("q", k * d, p, ambient_dim=sp.kmax * d))
-    rhs = sp.antinorm("out", k, p)
-    return _slack(g.per_trial(_dim_factor, sp.env_dims(), p) * padded, rhs)
-
-
-def _eval_stctpp(sp: _Spectra, g) -> np.ndarray:
-    p = g["p"]
-    ds = sp.env_dims()
-    joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("q"), e), p)
-    rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("out"), e), p)
-    return _slack(g.per_trial(_dim_factor, ds, p) * joint, rhs)
-
-
-def _eval_et41(sp: _Spectra, g) -> np.ndarray:
-    alpha, s = g["alpha"], g["s"]
-    n = sp.dim_b
-    lhs = sp.entropy("w", unified_entropy_from, alpha, s)
-    reduced = sp.entropy("qa", unified_entropy_from, alpha, s)
-    rhs = g.factors(dim_weight, n, alpha, s) * reduced
-    return _slack(lhs, rhs + g.factors(max_entropy_value, n, alpha, s))
-
-
-def _eval_ett41(sp: _Spectra, g) -> np.ndarray:
-    alpha = g["alpha"]
-    n = sp.dim_b
-    lhs = sp.entropy("w", tsallis_entropy_from, alpha)
-    reduced = sp.entropy("qa", tsallis_entropy_from, alpha)
-    rhs = g.factors(dim_weight, n, alpha) * reduced
-    return _slack(lhs, rhs + g.factors(alpha_log, float(n), alpha))
-
-
-def _eval_et42(sp: _Spectra, g) -> np.ndarray:
-    alpha = g["alpha"]
-    rhs = sp.entropy("qa", renyi_entropy_from, alpha) + math.log(sp.dim_b)
-    return _slack(sp.entropy("w", renyi_entropy_from, alpha), rhs)
-
-
-def _eval_stctep(sp: _Spectra, g) -> np.ndarray:
-    alpha, s = g["alpha"], g["s"]
-    ds = sp.env_dims()
-    lhs = sp.entropy("q", unified_entropy_from, alpha, s)
-    out = sp.entropy("out", unified_entropy_from, alpha, s)
-    rhs = g.per_trial(dim_weight, ds, alpha, s) * out
-    return _slack(lhs, rhs + g.per_trial(max_entropy_value, ds, alpha, s))
-
-
-def _eval_sat_wrqa(sp: _Spectra, g) -> np.ndarray:
-    norm = [j for j, family in enumerate(g["family"]) if family == "norm"]
-    anti = [j for j, family in enumerate(g["family"]) if family != "norm"]
-    margins = np.empty((sp.size, g.size))
-    margins[:, norm] = _eval_kpn1(sp, g.take(norm))
-    margins[:, anti] = _eval_kqn1(sp, g.take(anti))
-    return -np.abs(margins)
-
-
-# ---------------------------------------------------------------------------
 # instance makers and saturators
 
 
@@ -548,66 +253,6 @@ def _sat_product_density(dims, seed):
 
 
 # ---------------------------------------------------------------------------
-# parameter grids: each case declares its axes, and a grid is their product
-
-
-class _Grid(dict):
-    """Parameter columns by name, each with one entry per point, in grid order.
-
-    run_audit makes one grid per case and rank bound, so the factors memoized
-    on it serve every batch of the case.
-    """
-
-    def __init__(self, columns: dict, size: int):
-        super().__init__(columns)
-        self.size = size
-        self._memo = {}
-
-    def take(self, points: list) -> "_Grid":
-        key = ("take", tuple(points))
-        if key not in self._memo:
-            columns = {name: tuple(col[j] for j in points) for name, col in self.items()}
-            self._memo[key] = _Grid(columns, len(points))
-        return self._memo[key]
-
-    def factors(self, f, d, *columns) -> np.ndarray:
-        """f(d, *point) at every point, in Python floats; d None calls f(*point)."""
-        key = (f, d, columns)
-        if key not in self._memo:
-            head = () if d is None else (d,)
-            self._memo[key] = np.array([f(*head, *point) for point in zip(*columns)])
-        return self._memo[key]
-
-    def per_trial(self, f, ds: list, *columns) -> np.ndarray:
-        """(trials, points) values f(d, *point), d being each trial's channel d."""
-        return np.array([self.factors(f, d, *columns) for d in ds])
-
-
-def _axis(name: str, kmax: int, cfg) -> tuple:
-    """The columns one grid axis sets, and its values, each one entry per column."""
-    if name == "k":
-        return ("k",), [(k,) for k in range(1, kmax + 1)]
-    if name == "variant":
-        return ("variant",), [("trace",), ("frobenius",), ("spectral",)]
-    if name in ("norm", "antinorm"):  # the SAT-WRQA family, a single value
-        return ("family",), [(name,)]
-    values = getattr(cfg, name + "_grid")
-    if name.endswith("pq"):
-        return ("p", "q"), [tuple(pq) for pq in values]
-    return ("p" if name.endswith("_p") else name,), [(v,) for v in values]
-
-
-def _grid(axes: tuple, kmax: int, cfg) -> _Grid:
-    """The points of each product of axes in turn, the last axis varying fastest."""
-    names, points = (), []
-    for product in axes:
-        parts = [_axis(name, kmax, cfg) for name in product.split()]
-        names = sum((cols for cols, _ in parts), ())
-        points += [sum(value, ()) for value in itertools.product(*(values for _, values in parts))]
-    return _Grid(dict(zip(names, zip(*points))), len(points))
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 
@@ -629,121 +274,121 @@ for _c in (
         "KPN1", "partial trace against the (k, p) norm of the joint operator",
         "||Tr_B W||_(k)^(p) <= n^((p-1)/p) ||W||_(kn)^(p)",
         "bipartite", partial(sample, "bipartite"),
-        ("k norm_p",), _eval_kpn1, _sat_product("psd"),
+        ("k norm_p",), eval_kpn1, _sat_product("psd"),
     ),
     InequalityCase(
         "SPN1", "partial trace against the Schatten norm of the joint operator",
         "||Tr_B W||_p <= n^((p-1)/p) ||W||_p",
         "bipartite", partial(sample, "bipartite"),
-        ("norm_p",), _eval_spn1, _sat_product("psd"),
+        ("norm_p",), eval_spn1, _sat_product("psd"),
     ),
     InequalityCase(
         "TFSN", "trace, Frobenius, and spectral norm forms of the partial trace bound",
         "||Tr_B W||_1 <= ||W||_1; ||Tr_B W||_2 <= sqrt(n) ||W||_2; ||Tr_B W||_inf <= n ||W||_inf",
         "bipartite", partial(sample, "bipartite"),
-        ("variant",), _eval_tfsn, _sat_product("psd"),
+        ("variant",), eval_tfsn, _sat_product("psd"),
     ),
     InequalityCase(
         "KPK1", "Ky Fan norm of the partial trace against the joint Ky Fan norm",
         "||Tr_B W||_(k) <= ||W||_(kn)",
         "bipartite", partial(sample, "bipartite"),
-        ("k",), _eval_kpk1, _sat_product("psd"),
+        ("k",), eval_kpk1, _sat_product("psd"),
     ),
     InequalityCase(
         "KPK2", "spectral norm of the partial trace against the Ky Fan n-norm",
         "||Tr_B W||_inf <= ||W||_(n)",
         "bipartite", partial(sample, "bipartite"),
-        ("",), _eval_kpk2, _sat_product("psd"),
+        ("",), eval_kpk2, _sat_product("psd"),
     ),
     InequalityCase(
         "TPN2", "(k, p) norm against the (k, pq) norm of the same operator",
         "||R||_(k)^(p) <= k^((q-1)/(pq)) ||R||_(k)^(pq)",
         "matrix", _make_square(lambda rng, m: _ginibre(rng, m, m)),
-        ("k pq",), _eval_tpn2, _sat_scalar,
+        ("k pq",), eval_tpn2, _sat_scalar,
     ),
     InequalityCase(
         "CPN1", "chained partial trace and exponent interpolation bound",
         "||Tr_B W||_(k)^(p) <= [k^(q-1) n^(pq-1)]^(1/(pq)) ||W||_(kn)^(pq)",
         "bipartite", partial(sample, "bipartite"),
-        ("k pq",), _eval_cpn1, _sat_identity_bipartite,
+        ("k pq",), eval_cpn1, _sat_identity_bipartite,
     ),
     InequalityCase(
         "KQN1", "partial trace against the (k, p) anti-norm of the joint operator",
         "||Tr_B W||_{k}^(p) >= n^((p-1)/p) ||W||_{kn}^(p), 0 < p <= 1",
         "bipartite_psd", partial(sample, "bipartite_psd"),
-        ("k antinorm_p",), _eval_kqn1, _sat_product("psd"),
+        ("k antinorm_p",), eval_kqn1, _sat_product("psd"),
     ),
     InequalityCase(
         "KQN2", "negative exponent Schatten anti-norm bound under partial trace",
         "||Tr_B W||_p >= n^((p-1)/p) ||W||_p, p < 0, W positive definite",
         "bipartite_pd", partial(sample, "bipartite_pd"),
-        ("negative_p",), _eval_kqn2, _sat_product("pd"),
+        ("negative_p",), eval_kqn2, _sat_product("pd"),
     ),
     InequalityCase(
         "KQK1", "Ky Fan anti-norm of the partial trace against the joint anti-norm",
         "||Tr_B W||_{k} >= ||W||_{kn}",
         "bipartite_psd", partial(sample, "bipartite_psd"),
-        ("k",), _eval_kqk1, _sat_product("psd"),
+        ("k",), eval_kqk1, _sat_product("psd"),
     ),
     InequalityCase(
         "TPN62", "(k, p) anti-norm against the (k, pq) anti-norm of the same operator",
         "||R||_{k}^(p) >= k^((q-1)/(pq)) ||R||_{k}^(pq), p, q in (0, 1)",
         "psd_matrix", _make_square(_psd),
-        ("k subunit_pq",), _eval_tpn62, _sat_scalar,
+        ("k subunit_pq",), eval_tpn62, _sat_scalar,
     ),
     InequalityCase(
         "STCT1", "channel output (k, p) norm against the padded input norm",
         "||Phi(Q)||_(k)^(p) <= d^((p-1)/p) ||Q||_(kd)^(p)",
         "channel_pair", _make_channel_pair("ginibre"),
-        ("k norm_p",), _eval_stct1, _sat_ptrace_pair("psd"),
+        ("k norm_p",), eval_stct1, _sat_ptrace_pair("psd"),
     ),
     InequalityCase(
         "STCTP", "channel output Schatten norm against the input Schatten norm",
         "||Phi(Q)||_p <= d^((p-1)/p) ||Q||_p",
         "channel_pair", _make_channel_pair("ginibre"),
-        ("norm_p",), _eval_stctp, _sat_ptrace_pair("psd"),
+        ("norm_p",), eval_stctp, _sat_ptrace_pair("psd"),
     ),
     InequalityCase(
         "STCT2", "channel output (k, p) anti-norm against the padded input anti-norm",
         "||Phi(Q)||_{k}^(p) >= d^((p-1)/p) ||Q||_{kd}^(p), spectrum padded to n*d",
         "channel_pair", _make_channel_pair("psd"),
-        ("k antinorm_p",), _eval_stct2, _sat_ptrace_pair("psd"),
+        ("k antinorm_p",), eval_stct2, _sat_ptrace_pair("psd"),
     ),
     InequalityCase(
         "STCTPP", "channel output Schatten anti-norm against the input Schatten anti-norm",
         "||Phi(Q)||_p >= d^((p-1)/p) ||Q||_p, 0 < p <= 1",
         "channel_pair", _make_channel_pair("psd"),
-        ("antinorm_p",), _eval_stctpp, _sat_ptrace_pair("psd"),
+        ("antinorm_p",), eval_stctpp, _sat_ptrace_pair("psd"),
     ),
     InequalityCase(
         "ET41", "unified entropy of the joint state against the reduced state",
         "E_as(W) <= n^((1-a)s) E_as(Tr_B W) + (1/s) ln_a(n^s)",
         "bipartite_density", partial(sample, "bipartite_density"),
-        ("alpha s",), _eval_et41, _sat_product_density,
+        ("alpha s",), eval_et41, _sat_product_density,
     ),
     InequalityCase(
         "ETT41", "Tsallis entropy of the joint state against the reduced state",
         "T_a(W) <= n^(1-a) T_a(Tr_B W) + ln_a(n)",
         "bipartite_density", partial(sample, "bipartite_density"),
-        ("alpha",), _eval_ett41, _sat_product_density,
+        ("alpha",), eval_ett41, _sat_product_density,
     ),
     InequalityCase(
         "ET42", "Renyi entropy of the joint state against the reduced state",
         "R_a(W) <= R_a(Tr_B W) + ln(n)",
         "bipartite_density", partial(sample, "bipartite_density"),
-        ("alpha",), _eval_et42, _sat_product_density,
+        ("alpha",), eval_et42, _sat_product_density,
     ),
     InequalityCase(
         "STCTEP", "input entropy against the channel output entropy",
         "E_as(rho) <= d^((1-a)s) E_as(Phi(rho)) + (1/s) ln_a(d^s)",
         "channel_pair", _make_channel_pair("density"),
-        ("alpha s",), _eval_stctep, _sat_ptrace_pair("density"),
+        ("alpha s",), eval_stctep, _sat_ptrace_pair("density"),
     ),
     InequalityCase(
         "SAT-WRQA", "equality of the norm and anti-norm partial trace bounds on c * R (x) I",
         "equality in the (k, p) norm and anti-norm bounds at W = c R (x) I",
         "bipartite_psd", _make_sat_wrqa,
-        ("norm k norm_p", "antinorm k antinorm_p"), _eval_sat_wrqa, _make_sat_wrqa,
+        ("norm k norm_p", "antinorm k antinorm_p"), eval_sat_wrqa, _make_sat_wrqa,
     ),
 ):
     REGISTRY[_c.id] = _c
@@ -783,8 +428,8 @@ def evaluate_case(case_id: str, instance, params) -> float:
     _check_kind(case, instance)
     params = dict(params)
     env_mode = params.pop("env_mode", "choi_rank")
-    grid = _Grid({name: (value,) for name, value in params.items()}, 1)
-    return float(case.evaluate(_Spectra([instance], env_mode), grid)[0, 0])
+    grid = Grid({name: (value,) for name, value in params.items()}, 1)
+    return float(case.evaluate(Spectra([instance], env_mode), grid)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +527,7 @@ def _case_extras(cid: str, stats: list):
     return None
 
 
-def _trial_stats(cid: str, sp: _Spectra) -> list:
+def _trial_stats(cid: str, sp: Spectra) -> list:
     """Each trial's share of the case's extra report field, None for a case without one."""
     if cid == "KPK2":
         n = sp.dim_b
@@ -940,9 +585,9 @@ def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: d
     to failed, and those contribute no margin.
     """
     try:
-        sp = _Spectra([inst for _, inst in members], config.env_dim_mode)
+        sp = Spectra([inst for _, inst in members], config.env_dim_mode)
         if sp.kmax not in grids:
-            grids[sp.kmax] = _grid(case.axes, sp.kmax, config)
+            grids[sp.kmax] = make_grid(case.axes, sp.kmax, config)
         margins = case.evaluate(sp, grids[sp.kmax])
         stats = _trial_stats(case.id, sp)
     except _INSTANCE_ERRORS as exc:

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from normtrace import audit, channels
+from normtrace import audit, channels, margins
 from normtrace.audit import (
     DEFAULT_DIMS,
     REGISTRY,
@@ -406,7 +406,7 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
         finally:
             state["in_choi"] = False
 
-    class Batch(audit._Spectra):
+    class Batch(audit.Spectra):
         def __init__(self, insts, *args):
             state["batch"] = {
                 "size": len(insts), "channel": isinstance(insts[0], tuple), "calls": 0,
@@ -439,8 +439,8 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
 
     for name in DECOMPOSITIONS:
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    monkeypatch.setattr(audit, "choi_rank", choi_rank)
-    monkeypatch.setattr(audit, "_Spectra", Batch)
+    monkeypatch.setattr(margins, "choi_rank", choi_rank)
+    monkeypatch.setattr(audit, "Spectra", Batch)
     for cid, case in REGISTRY.items():
         monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(
             case,
