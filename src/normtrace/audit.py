@@ -548,8 +548,9 @@ def _trial_stats(cid: str, sp: Spectra) -> list:
 # domain problems of one instance; anything else is a bug and propagates
 _INSTANCE_ERRORS = (PreconditionError, np.linalg.LinAlgError)
 
-# trials made and evaluated together, so a case holds at most this many
-# instances at once however many trials it runs
+# trials made and evaluated together, so a case holds at most this many trial
+# instances at once (and its saturators, in the last window) however many
+# trials it runs
 TRIAL_WINDOW = 64
 
 

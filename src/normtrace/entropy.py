@@ -48,10 +48,9 @@ def density_spectrum(rho, tol: float = 1e-9):
         w = hermitian_eigenvalues(rho, DEFAULT_TOL)
     except NotHermitianError as exc:
         raise NotDensityError("density matrix must be Hermitian") from exc
-    traces = w.sum(axis=-1)
-    off = np.abs(traces - 1.0) > tol
-    if off.any():
-        raise NotDensityError(f"trace {float(traces[off].flat[0]):.12g} differs from 1 beyond {tol}")
+    off = [t for t in w.reshape(-1, w.shape[-1]).sum(axis=1).tolist() if abs(t - 1.0) > tol]
+    if off:
+        raise NotDensityError(f"trace {off[0]:.12g} differs from 1 beyond {tol}")
     low = float(w.min())
     if low < DENSITY_EIG_FLOOR:
         raise NotDensityError(f"eigenvalue {low:.3e} below {DENSITY_EIG_FLOOR}")

@@ -86,7 +86,7 @@ def _stack(mats) -> np.ndarray:
 
 
 class Spectra:
-    """Lazily computed, validated spectra of a batch of same-dims instances.
+    """Lazily computed, validated spectra of a batch of same-shape instances.
 
     Each matrix (W and Tr_B W, Q and Phi(Q), or Q) is stacked to (trials, d, d)
     and decomposed at most once per spectrum kind, in one call, with the checks
