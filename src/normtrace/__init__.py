@@ -13,8 +13,6 @@ from .audit import (
 )
 from .bipartite import (
     BipartiteOperator,
-    dephase_b,
-    embed_a,
     partial_trace_a,
     partial_trace_b,
     swap_factors,
@@ -52,8 +50,6 @@ __all__ = [
     "StinespringChannel",
     "choi_matrix",
     "choi_rank",
-    "dephase_b",
-    "embed_a",
     "evaluate_case",
     "gauge_kp",
     "hermitian_eigenvalues",

@@ -12,10 +12,11 @@ each window in batches of same-shape instances: one margins.Spectra and one
 evaluator call per batch.  evaluate_case, a batch of one with a one-point grid,
 gives the same margins.
 
-Samplers draw from numpy's PCG64 generator and are bit-reproducible per
-(kind, dims, seed); the audit derives per-trial seeds by hashing
-(base_seed, case id, trial index), so reports are deterministic in the
-configuration alone.
+Each case names a trial kind and a saturator kind of the KINDS table, which
+gives each kind's form (see margins.form) and builder.  Builders draw from
+numpy's PCG64 generator and are bit-reproducible per (kind, dims, seed); the
+audit derives per-trial seeds by hashing (base_seed, case id, trial index), so
+reports are deterministic in the configuration alone.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from .margins import (
     eval_kqk1,
     eval_kqn1,
     eval_kqn2,
-    eval_sat_wrqa,
+    eval_satwrqa,
     eval_spn1,
     eval_stct1,
     eval_stct2,
@@ -57,6 +58,7 @@ from .margins import (
     eval_tfsn,
     eval_tpn2,
     eval_tpn62,
+    form,
     make_grid,
 )
 
@@ -77,7 +79,7 @@ PRNG_INFO = {
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers and instance kinds
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -115,11 +117,60 @@ def _channel(rng: np.random.Generator, m: int, n: int, d: int) -> StinespringCha
     return StinespringChannel(_isometry(rng, n * d, m), m, n, d)
 
 
+def _random_channel(rng: np.random.Generator, m: int, n: int) -> StinespringChannel:
+    # d is drawn before the isometry
+    return _channel(rng, m, n, math.ceil(m / n) + int(rng.integers(0, 3)))
+
+
+def _bipartite(matrix) -> tuple:
+    """The bipartite kind whose operator on H_A (x) H_B is matrix(rng, m, n)."""
+    return "bipartite", lambda rng, m, n: BipartiteOperator(matrix(rng, m, n), m, n)
+
+
+# Instance kinds: name -> (form, builder(rng, m, n)), the forms being those of
+# margins.form.  A registry case draws its trials from one kind and its
+# saturators, instances known to attain equality in its bound, from another.
+KINDS = {
+    "bipartite": _bipartite(lambda rng, m, n: _ginibre(rng, m * n, m * n)),
+    "bipartite_psd": _bipartite(lambda rng, m, n: _psd(rng, m * n)),
+    "bipartite_pd": _bipartite(lambda rng, m, n: _pd(rng, m * n)),
+    "bipartite_density": _bipartite(lambda rng, m, n: _density(rng, m * n)),
+    "square": ("matrix", lambda rng, m, n: _ginibre(rng, m, m)),
+    "square_psd": ("matrix", lambda rng, m, n: _psd(rng, m)),
+    "channel_ginibre": ("channel", lambda rng, m, n: (_random_channel(rng, m, n), _ginibre(rng, m, m))),
+    "channel_psd": ("channel", lambda rng, m, n: (_random_channel(rng, m, n), _psd(rng, m))),
+    "channel_density": ("channel", lambda rng, m, n: (_random_channel(rng, m, n), _density(rng, m))),
+    # saturators: products R (x) I, scalars, and Tr_B as a channel on a product
+    "product_psd": _bipartite(lambda rng, m, n: kron(_psd(rng, m), np.eye(n))),
+    "product_pd": _bipartite(lambda rng, m, n: kron(_pd(rng, m), np.eye(n))),
+    "product_density": _bipartite(lambda rng, m, n: kron(_density(rng, m), np.eye(n) / n)),
+    "scaled_product": _bipartite(  # c R (x) I, c drawn before R
+        lambda rng, m, n: float(rng.choice((1.0, 2.5))) * kron(_psd(rng, m), np.eye(n))
+    ),
+    # every eigenvalue multiplicity equals the dimension, so both chained
+    # bounds are tight across the whole grid
+    "scalar": ("matrix", lambda rng, m, n: 2.0 * np.eye(m, dtype=np.complex128)),
+    "scalar_bipartite": _bipartite(lambda rng, m, n: 2.0 * np.eye(m * n, dtype=np.complex128)),
+    "ptrace_psd": ("channel", lambda rng, m, n: (partial_trace_channel(m, n), kron(_psd(rng, m), np.eye(n)))),
+    "ptrace_density": (
+        "channel", lambda rng, m, n: (partial_trace_channel(m, n), kron(_density(rng, m), np.eye(n) / n)),
+    ),
+}
+
+# sample kind -> (the dims it takes, builder(rng, *dims))
+_SAMPLERS = {
+    "ginibre": (("rows", "cols"), _ginibre),
+    "psd": (("m",), _psd),
+    "pd": (("m",), _pd),
+    "density": (("m",), _density),
+    "unitary": (("m",), lambda rng, m: _isometry(rng, m, m)),
+    "channel": (("m", "n", "d"), _channel),
+    **{kind: (("m", "n"), build) for kind, (_, build) in KINDS.items() if kind.startswith("bipartite")},
+}
+
+
 def _dims_tuple(dims) -> tuple[int, ...]:
-    if isinstance(dims, (int, np.integer)):
-        t = (int(dims),)
-    else:
-        t = tuple(int(x) for x in dims)
+    t = tuple(int(x) for x in np.atleast_1d(dims))
     if not t or any(x < 1 for x in t):
         raise BadDimsError(f"dimensions must be positive, got {dims!r}")
     return t
@@ -129,45 +180,16 @@ def sample(kind: str, dims, seed: int):
     """Deterministic random instance; bit-identical per (kind, dims, seed).
 
     Kinds and their dims: ginibre (rows, cols); psd/pd/density/unitary m;
-    bipartite/bipartite_psd/bipartite_pd/bipartite_density (m, n);
-    channel (m, n, d) with n*d >= m.
+    bipartite/bipartite_psd/bipartite_pd/bipartite_density (m, n), built as the
+    audit's trial kinds of those names; channel (m, n, d) with n*d >= m.
     """
-    rng = np.random.default_rng(seed)
+    if kind not in _SAMPLERS:
+        raise KindMismatchError(f"unknown sample kind {kind!r}")
+    names, build = _SAMPLERS[kind]
     t = _dims_tuple(dims)
-    if kind == "ginibre":
-        if len(t) != 2:
-            raise BadDimsError("ginibre needs (rows, cols)")
-        return _ginibre(rng, *t)
-    if kind in ("psd", "pd", "density", "unitary"):
-        if len(t) != 1:
-            raise BadDimsError(f"{kind} needs a single dimension")
-        n = t[0]
-        if kind == "psd":
-            return _psd(rng, n)
-        if kind == "pd":
-            return _pd(rng, n)
-        if kind == "density":
-            return _density(rng, n)
-        return _isometry(rng, n, n)
-    if kind in ("bipartite", "bipartite_psd", "bipartite_pd", "bipartite_density"):
-        if len(t) != 2:
-            raise BadDimsError(f"{kind} needs (m, n)")
-        m, n = t
-        size = m * n
-        if kind == "bipartite":
-            mat = _ginibre(rng, size, size)
-        elif kind == "bipartite_psd":
-            mat = _psd(rng, size)
-        elif kind == "bipartite_pd":
-            mat = _pd(rng, size)
-        else:
-            mat = _density(rng, size)
-        return BipartiteOperator(mat, m, n)
-    if kind == "channel":
-        if len(t) != 3:
-            raise BadDimsError("channel needs (m, n, d)")
-        return _channel(rng, *t)
-    raise KindMismatchError(f"unknown sample kind {kind!r}")
+    if len(t) != len(names):
+        raise BadDimsError(f"{kind} needs dims ({', '.join(names)})")
+    return build(np.random.default_rng(seed), *t)
 
 
 def _trial_seed(base_seed: int, tag: str, index: int) -> int:
@@ -175,81 +197,8 @@ def _trial_seed(base_seed: int, tag: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# ---------------------------------------------------------------------------
-# instance makers and saturators
-
-
-def _make_square(builder):
-    def make(dims, seed):
-        rng = np.random.default_rng(seed)
-        return builder(rng, dims[0])
-
-    return make
-
-
-def _make_channel_pair(input_kind: str):
-    def make(dims, seed):
-        m, n = dims
-        rng = np.random.default_rng(seed)
-        d = math.ceil(m / n) + int(rng.integers(0, 3))
-        ch = _channel(rng, m, n, d)
-        if input_kind == "ginibre":
-            q = _ginibre(rng, m, m)
-        elif input_kind == "psd":
-            q = _psd(rng, m)
-        else:
-            q = _density(rng, m)
-        return ch, q
-
-    return make
-
-
-def _make_sat_wrqa(dims, seed):
-    m, n = dims
-    rng = np.random.default_rng(seed)
-    c = float(rng.choice((1.0, 2.5)))
-    return BipartiteOperator(c * kron(_psd(rng, m), np.eye(n)), m, n)
-
-
-def _sat_product(base: str):
-    def make(dims, seed):
-        m, n = dims
-        rng = np.random.default_rng(seed)
-        r = _psd(rng, m) if base == "psd" else _pd(rng, m)
-        return BipartiteOperator(kron(r, np.eye(n)), m, n)
-
-    return make
-
-
-def _sat_scalar(dims, seed):
-    # every eigenvalue multiplicity equals the dimension, so both chained
-    # bounds are tight across the whole grid
-    return 2.0 * np.eye(dims[0], dtype=np.complex128)
-
-
-def _sat_identity_bipartite(dims, seed):
-    m, n = dims
-    return BipartiteOperator(2.0 * np.eye(m * n, dtype=np.complex128), m, n)
-
-
-def _sat_ptrace_pair(input_kind: str):
-    def make(dims, seed):
-        m, n = dims
-        rng = np.random.default_rng(seed)
-        ch = partial_trace_channel(m, n)
-        if input_kind == "density":
-            q = kron(_density(rng, m), np.eye(n) / n)
-        else:
-            q = kron(_psd(rng, m), np.eye(n))
-        return ch, q
-
-    return make
-
-
-def _sat_product_density(dims, seed):
-    m, n = dims
-    rng = np.random.default_rng(seed)
-    return BipartiteOperator(kron(_density(rng, m), np.eye(n) / n), m, n)
+def _build(build, dims, seed):
+    return build(np.random.default_rng(seed), *dims)
 
 
 # ---------------------------------------------------------------------------
@@ -261,158 +210,126 @@ class InequalityCase:
     id: str
     description: str
     paper_eq: str
-    instance_kind: str
-    make_instance: Callable
+    form: str  # what margins.form names its instances
+    make_instance: Callable  # (dims, seed) -> a trial instance
     axes: tuple  # products of grid axes, each a string of axis names (see _axis), taken in turn
     evaluate: Callable
-    saturator: Optional[Callable] = None
+    saturator: Callable  # (dims, seed) -> an instance attaining equality
 
 
-REGISTRY: dict[str, InequalityCase] = {}
-for _c in (
-    InequalityCase(
+def _case(cid: str, description: str, paper_eq: str, kinds: tuple, axes: tuple, evaluate) -> InequalityCase:
+    """A registry case drawing trials and saturators from kinds, a (trial, saturator) pair of KINDS."""
+    trial, saturator = kinds
+    return InequalityCase(
+        cid, description, paper_eq, KINDS[trial][0], partial(_build, KINDS[trial][1]),
+        axes, evaluate, partial(_build, KINDS[saturator][1]),
+    )
+
+
+REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
+    _case(
         "KPN1", "partial trace against the (k, p) norm of the joint operator",
         "||Tr_B W||_(k)^(p) <= n^((p-1)/p) ||W||_(kn)^(p)",
-        "bipartite", partial(sample, "bipartite"),
-        ("k norm_p",), eval_kpn1, _sat_product("psd"),
+        ("bipartite", "product_psd"), ("k norm_p",), eval_kpn1,
     ),
-    InequalityCase(
+    _case(
         "SPN1", "partial trace against the Schatten norm of the joint operator",
         "||Tr_B W||_p <= n^((p-1)/p) ||W||_p",
-        "bipartite", partial(sample, "bipartite"),
-        ("norm_p",), eval_spn1, _sat_product("psd"),
+        ("bipartite", "product_psd"), ("norm_p",), eval_spn1,
     ),
-    InequalityCase(
+    _case(
         "TFSN", "trace, Frobenius, and spectral norm forms of the partial trace bound",
         "||Tr_B W||_1 <= ||W||_1; ||Tr_B W||_2 <= sqrt(n) ||W||_2; ||Tr_B W||_inf <= n ||W||_inf",
-        "bipartite", partial(sample, "bipartite"),
-        ("variant",), eval_tfsn, _sat_product("psd"),
+        ("bipartite", "product_psd"), ("variant",), eval_tfsn,
     ),
-    InequalityCase(
+    _case(
         "KPK1", "Ky Fan norm of the partial trace against the joint Ky Fan norm",
         "||Tr_B W||_(k) <= ||W||_(kn)",
-        "bipartite", partial(sample, "bipartite"),
-        ("k",), eval_kpk1, _sat_product("psd"),
+        ("bipartite", "product_psd"), ("k",), eval_kpk1,
     ),
-    InequalityCase(
+    _case(
         "KPK2", "spectral norm of the partial trace against the Ky Fan n-norm",
         "||Tr_B W||_inf <= ||W||_(n)",
-        "bipartite", partial(sample, "bipartite"),
-        ("",), eval_kpk2, _sat_product("psd"),
+        ("bipartite", "product_psd"), ("",), eval_kpk2,
     ),
-    InequalityCase(
+    _case(
         "TPN2", "(k, p) norm against the (k, pq) norm of the same operator",
         "||R||_(k)^(p) <= k^((q-1)/(pq)) ||R||_(k)^(pq)",
-        "matrix", _make_square(lambda rng, m: _ginibre(rng, m, m)),
-        ("k pq",), eval_tpn2, _sat_scalar,
+        ("square", "scalar"), ("k pq",), eval_tpn2,
     ),
-    InequalityCase(
+    _case(
         "CPN1", "chained partial trace and exponent interpolation bound",
         "||Tr_B W||_(k)^(p) <= [k^(q-1) n^(pq-1)]^(1/(pq)) ||W||_(kn)^(pq)",
-        "bipartite", partial(sample, "bipartite"),
-        ("k pq",), eval_cpn1, _sat_identity_bipartite,
+        ("bipartite", "scalar_bipartite"), ("k pq",), eval_cpn1,
     ),
-    InequalityCase(
+    _case(
         "KQN1", "partial trace against the (k, p) anti-norm of the joint operator",
         "||Tr_B W||_{k}^(p) >= n^((p-1)/p) ||W||_{kn}^(p), 0 < p <= 1",
-        "bipartite_psd", partial(sample, "bipartite_psd"),
-        ("k antinorm_p",), eval_kqn1, _sat_product("psd"),
+        ("bipartite_psd", "product_psd"), ("k antinorm_p",), eval_kqn1,
     ),
-    InequalityCase(
+    _case(
         "KQN2", "negative exponent Schatten anti-norm bound under partial trace",
         "||Tr_B W||_p >= n^((p-1)/p) ||W||_p, p < 0, W positive definite",
-        "bipartite_pd", partial(sample, "bipartite_pd"),
-        ("negative_p",), eval_kqn2, _sat_product("pd"),
+        ("bipartite_pd", "product_pd"), ("negative_p",), eval_kqn2,
     ),
-    InequalityCase(
+    _case(
         "KQK1", "Ky Fan anti-norm of the partial trace against the joint anti-norm",
         "||Tr_B W||_{k} >= ||W||_{kn}",
-        "bipartite_psd", partial(sample, "bipartite_psd"),
-        ("k",), eval_kqk1, _sat_product("psd"),
+        ("bipartite_psd", "product_psd"), ("k",), eval_kqk1,
     ),
-    InequalityCase(
+    _case(
         "TPN62", "(k, p) anti-norm against the (k, pq) anti-norm of the same operator",
         "||R||_{k}^(p) >= k^((q-1)/(pq)) ||R||_{k}^(pq), p, q in (0, 1)",
-        "psd_matrix", _make_square(_psd),
-        ("k subunit_pq",), eval_tpn62, _sat_scalar,
+        ("square_psd", "scalar"), ("k subunit_pq",), eval_tpn62,
     ),
-    InequalityCase(
+    _case(
         "STCT1", "channel output (k, p) norm against the padded input norm",
         "||Phi(Q)||_(k)^(p) <= d^((p-1)/p) ||Q||_(kd)^(p)",
-        "channel_pair", _make_channel_pair("ginibre"),
-        ("k norm_p",), eval_stct1, _sat_ptrace_pair("psd"),
+        ("channel_ginibre", "ptrace_psd"), ("k norm_p",), eval_stct1,
     ),
-    InequalityCase(
+    _case(
         "STCTP", "channel output Schatten norm against the input Schatten norm",
         "||Phi(Q)||_p <= d^((p-1)/p) ||Q||_p",
-        "channel_pair", _make_channel_pair("ginibre"),
-        ("norm_p",), eval_stctp, _sat_ptrace_pair("psd"),
+        ("channel_ginibre", "ptrace_psd"), ("norm_p",), eval_stctp,
     ),
-    InequalityCase(
+    _case(
         "STCT2", "channel output (k, p) anti-norm against the padded input anti-norm",
         "||Phi(Q)||_{k}^(p) >= d^((p-1)/p) ||Q||_{kd}^(p), spectrum padded to n*d",
-        "channel_pair", _make_channel_pair("psd"),
-        ("k antinorm_p",), eval_stct2, _sat_ptrace_pair("psd"),
+        ("channel_psd", "ptrace_psd"), ("k antinorm_p",), eval_stct2,
     ),
-    InequalityCase(
+    _case(
         "STCTPP", "channel output Schatten anti-norm against the input Schatten anti-norm",
         "||Phi(Q)||_p >= d^((p-1)/p) ||Q||_p, 0 < p <= 1",
-        "channel_pair", _make_channel_pair("psd"),
-        ("antinorm_p",), eval_stctpp, _sat_ptrace_pair("psd"),
+        ("channel_psd", "ptrace_psd"), ("antinorm_p",), eval_stctpp,
     ),
-    InequalityCase(
+    _case(
         "ET41", "unified entropy of the joint state against the reduced state",
         "E_as(W) <= n^((1-a)s) E_as(Tr_B W) + (1/s) ln_a(n^s)",
-        "bipartite_density", partial(sample, "bipartite_density"),
-        ("alpha s",), eval_et41, _sat_product_density,
+        ("bipartite_density", "product_density"), ("alpha s",), eval_et41,
     ),
-    InequalityCase(
+    _case(
         "ETT41", "Tsallis entropy of the joint state against the reduced state",
         "T_a(W) <= n^(1-a) T_a(Tr_B W) + ln_a(n)",
-        "bipartite_density", partial(sample, "bipartite_density"),
-        ("alpha",), eval_ett41, _sat_product_density,
+        ("bipartite_density", "product_density"), ("alpha",), eval_ett41,
     ),
-    InequalityCase(
+    _case(
         "ET42", "Renyi entropy of the joint state against the reduced state",
         "R_a(W) <= R_a(Tr_B W) + ln(n)",
-        "bipartite_density", partial(sample, "bipartite_density"),
-        ("alpha",), eval_et42, _sat_product_density,
+        ("bipartite_density", "product_density"), ("alpha",), eval_et42,
     ),
-    InequalityCase(
+    _case(
         "STCTEP", "input entropy against the channel output entropy",
         "E_as(rho) <= d^((1-a)s) E_as(Phi(rho)) + (1/s) ln_a(d^s)",
-        "channel_pair", _make_channel_pair("density"),
-        ("alpha s",), eval_stctep, _sat_ptrace_pair("density"),
+        ("channel_density", "ptrace_density"), ("alpha s",), eval_stctep,
     ),
-    InequalityCase(
+    _case(
         "SAT-WRQA", "equality of the norm and anti-norm partial trace bounds on c * R (x) I",
         "equality in the (k, p) norm and anti-norm bounds at W = c R (x) I",
-        "bipartite_psd", _make_sat_wrqa,
-        ("norm k norm_p", "antinorm k antinorm_p"), eval_sat_wrqa, _make_sat_wrqa,
+        ("scaled_product", "scaled_product"), ("norm k norm_p", "antinorm k antinorm_p"), eval_satwrqa,
     ),
-):
-    REGISTRY[_c.id] = _c
+)}
 
 REGISTRY_IDS = tuple(REGISTRY)
-
-
-def _check_kind(case: InequalityCase, instance) -> None:
-    kind = case.instance_kind
-    if kind.startswith("bipartite"):
-        if not isinstance(instance, BipartiteOperator):
-            raise KindMismatchError(f"case {case.id} needs a BipartiteOperator")
-        return
-    if kind == "channel_pair":
-        ok = (
-            isinstance(instance, tuple)
-            and len(instance) == 2
-            and isinstance(instance[0], StinespringChannel)
-        )
-        if not ok:
-            raise KindMismatchError(f"case {case.id} needs a (channel, matrix) pair")
-        return
-    if isinstance(instance, BipartiteOperator) or not isinstance(instance, np.ndarray):
-        raise KindMismatchError(f"case {case.id} needs a plain square matrix")
 
 
 def evaluate_case(case_id: str, instance, params) -> float:
@@ -425,7 +342,8 @@ def evaluate_case(case_id: str, instance, params) -> float:
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
-    _check_kind(case, instance)
+    if form(instance)[0] != case.form:
+        raise KindMismatchError(f"case {case_id} needs a {case.form} instance")
     params = dict(params)
     env_mode = params.pop("env_mode", "choi_rank")
     grid = Grid({name: (value,) for name, value in params.items()}, 1)
@@ -503,26 +421,24 @@ def _config_echo(cfg: AuditConfig) -> dict:
     }
 
 
+# equality-iff witnesses of TPN2 and TPN62: (a spectrum where the bound is
+# tight, one where it is strict, the grid point)
+_WITNESSES = {
+    "TPN2": ((2.0, 2.0, 1.0), (3.0, 2.0, 1.0), {"k": 2, "p": 1.0, "q": 2.0}),
+    "TPN62": ((1.0, 1.0, 3.0), (3.0, 2.0, 1.0), {"k": 2, "p": 0.5, "q": 0.5}),
+}
+
+
 def _case_extras(cid: str, stats: list):
     if cid == "KPK2":
         return {"dominance_strict_count": sum(stats)}
     if cid == "KQK1":
         return {"equivalence_max_dev": max([0.0] + stats)}
-    if cid == "TPN2":
-        flat = np.diag([2.0, 2.0, 1.0]).astype(complex)
-        tilted = np.diag([3.0, 2.0, 1.0]).astype(complex)
-        pr = {"k": 2, "p": 1.0, "q": 2.0}
+    if cid in _WITNESSES:
+        flat, tilted, pr = _WITNESSES[cid]
         return {
-            "equality_margin": evaluate_case(cid, flat, pr),
-            "strict_margin": evaluate_case(cid, tilted, pr),
-        }
-    if cid == "TPN62":
-        flat = np.diag([1.0, 1.0, 3.0]).astype(complex)
-        tilted = np.diag([3.0, 2.0, 1.0]).astype(complex)
-        pr = {"k": 2, "p": 0.5, "q": 0.5}
-        return {
-            "equality_margin": evaluate_case(cid, flat, pr),
-            "strict_margin": evaluate_case(cid, tilted, pr),
+            "equality_margin": evaluate_case(cid, np.diag(flat).astype(complex), pr),
+            "strict_margin": evaluate_case(cid, np.diag(tilted).astype(complex), pr),
         }
     return None
 
@@ -567,15 +483,6 @@ def _instances(make, specs, failed: dict) -> list:
         except _INSTANCE_ERRORS as exc:
             failed[index] = _describe(exc)
     return made
-
-
-def _shape(inst) -> tuple:
-    """What instances must share to be stacked into one batch."""
-    if isinstance(inst, BipartiteOperator):
-        return inst.dim_a, inst.dim_b
-    if isinstance(inst, tuple):
-        return inst[0].dim_in, inst[0].dim_out
-    return np.shape(inst)
 
 
 def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict) -> dict:
@@ -631,12 +538,12 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
             stop = min(start + TRIAL_WINDOW, trials)
             specs = [(t, dims[t % len(dims)], _trial_seed(base, cid, t)) for t in range(start, stop)]
             made = _instances(case.make_instance, specs, failed)
-            if stop == trials and case.saturator is not None:
+            if stop == trials:
                 specs = [(trials + i, pair, _trial_seed(base, cid + ":sat", i)) for i, pair in enumerate(dims)]
                 made += _instances(case.saturator, specs, failed)
             groups = {}
             for index, inst in made:
-                groups.setdefault(_shape(inst), []).append((index, inst))
+                groups.setdefault(form(inst), []).append((index, inst))
             results = {}
             for members in groups.values():
                 results.update(_evaluate(case, members, config, grids, failed))
@@ -652,10 +559,8 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
                         worst = margin
                     if margin < -config.tolerance:
                         violations += 1
-        saturation = None
-        if case.saturator is not None:
-            # a residual over only some saturator instances must not read as clean
-            saturation = residual if max(failed, default=-1) < trials else None
+        # a residual over only some saturator instances must not read as clean
+        saturation = residual if max(failed, default=-1) < trials else None
         record = {
             "id": cid,
             "paper_eq": case.paper_eq,

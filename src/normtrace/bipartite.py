@@ -75,28 +75,6 @@ def twirl_oracle_b(w: BipartiteOperator) -> np.ndarray:
     return acc / n
 
 
-def dephase_b(w: BipartiteOperator) -> np.ndarray:
-    """Phase average alone: keeps only the diagonal of every block."""
-    m, n = w.dim_a, w.dim_b
-    z = pauli_z(n)
-    eye_a = np.eye(m, dtype=np.complex128)
-    acc = np.zeros_like(w.matrix)
-    for j in range(n):
-        u = kron(eye_a, np.linalg.matrix_power(z, j))
-        acc = acc + u @ w.matrix @ u.conj().T
-    return acc / n
-
-
-def embed_a(a, n: int) -> BipartiteOperator:
-    """Lift an operator on the first factor to A (x) I_n."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError("embedded operator must be square")
-    if n < 1:
-        raise ShapeMismatchError("second factor dimension must be positive")
-    return BipartiteOperator(kron(a, np.eye(n)), a.shape[0], n)
-
-
 def swap_factors(w: BipartiteOperator) -> BipartiteOperator:
     """Exchange the two factors by index permutation."""
     m, n = w.dim_a, w.dim_b

@@ -14,6 +14,9 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 # floor below which a PSD matrix is treated as singular for negative powers
 PD_FLOOR_COEFF = 1e-8
+# eigenvalues of a PSD matrix at or below this share of its spectral radius are
+# round-off of exact zeros
+PSD_ZERO_REL = 1e-13
 
 
 def as_matrix(a) -> np.ndarray:
@@ -52,27 +55,18 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def psd_eigenvalues(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian eigenvalues (or rows of them) with round-off negatives set to zero.
+    """Hermitian eigenvalues (or rows of them) with round-off of exact zeros set to zero.
 
     NotPsdError when a row's smallest is below -tol * (1 + its spectral radius).
+    Entries at or below PSD_ZERO_REL times their row's spectral radius become
+    zero: the round-off negatives, and the tiny positives that eigvalsh returns
+    for exact zeros, which a power p < 1 would otherwise magnify.
     """
-    rows = w.reshape(-1, w.shape[-1])
-    lows, radii = rows.min(axis=1).tolist(), np.abs(rows).max(axis=1).tolist()
-    if any(low < -tol * (1.0 + radius) for low, radius in zip(lows, radii)):
+    radius = np.abs(w).max(axis=-1, keepdims=True)
+    lows = w.reshape(-1, w.shape[-1]).min(axis=1).tolist()
+    if any(low < -tol * (1.0 + r) for low, r in zip(lows, radius.ravel().tolist())):
         raise NotPsdError("matrix has a negative eigenvalue beyond tolerance")
-    return np.where(w < 0.0, 0.0, w)
-
-
-def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian with spectrum bounded below by -tol * (1 + spectral norm)."""
-    m = as_matrix(m)
-    if not is_hermitian(m, tol):
-        return False
-    try:
-        psd_eigenvalues(np.linalg.eigvalsh(m), tol)
-    except NotPsdError:
-        return False
-    return True
+    return np.where(w <= PSD_ZERO_REL * radius, 0.0, w)
 
 
 def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -84,25 +78,9 @@ def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def hermitian_eigh(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and unitary eigenvector columns of a Hermitian matrix."""
-    m = as_matrix(m)
-    require_square(m)
-    if not is_hermitian(m, tol):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(m)
-
-
-def singular_values(q, pad_to: int | None = None) -> np.ndarray:
-    """Singular values in descending order, optionally zero-padded to pad_to."""
-    return zero_pad(np.linalg.svd(as_matrix(q), compute_uv=False), pad_to)
-
-
-def zero_pad(s: np.ndarray, pad_to: int | None) -> np.ndarray:
-    """A descending spectrum followed by zeros up to length pad_to, if that is longer."""
-    if pad_to is not None and pad_to > s.size:
-        s = np.concatenate([s, np.zeros(pad_to - s.size)])
-    return s
+def singular_values(q) -> np.ndarray:
+    """Singular values in descending order."""
+    return np.linalg.svd(as_matrix(q), compute_uv=False)
 
 
 def kron(a, b) -> np.ndarray:

@@ -3,11 +3,13 @@
 Every functional the registry cases compare is unitarily invariant, so an
 evaluator reads only spectra: singular values for norms, eigenvalues for
 anti-norms and entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's
-Choi rank.  Spectra holds one batch of same-shape instances: each matrix is
-stacked and decomposed in one call, one table per (matrix, exponent) serves the
-stack (a cumulative power sum over the sorted spectra serves every k; entropies
-read tr rho^alpha and the von Neumann value), and one evaluator call returns
-the (instances, grid points) margins, each normalized by max(1, |lhs|, |rhs|).
+Choi rank.  form names an instance's kind (bipartite operator, channel pair or
+plain matrix) and shape.  Spectra holds one batch of instances of one form and
+shape: each matrix is stacked and decomposed in one call, one table per
+(matrix, exponent) serves the stack (a cumulative power sum over the sorted
+spectra serves every k; entropies read tr rho^alpha and the von Neumann value),
+and one evaluator call returns the (instances, grid points) margins, each
+normalized by max(1, |lhs|, |rhs|).
 Each case declares its grid as products of named axes (see _axis), and
 make_grid builds it from an audit configuration.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
 from .bipartite import BipartiteOperator, trace_out_b
-from .channels import choi_rank
+from .channels import StinespringChannel, choi_rank
 from .entropy import (
     alpha_log,
     density_spectrum,
@@ -35,7 +37,7 @@ from .entropy import (
     unified_entropy_from,
     von_neumann_of,
 )
-from .errors import PreconditionError, RankRangeError
+from .errors import KindMismatchError, PreconditionError, RankRangeError
 from .linalg import as_matrix, require_square
 from .norms import gauge_table
 
@@ -79,6 +81,23 @@ def _products(p: tuple, q: tuple) -> tuple:
 # stacked spectra of a batch of instances
 
 
+def form(inst) -> tuple:
+    """(form, shape) of an audit instance; instances of one form and shape stack into one batch.
+
+    The forms are "bipartite", a BipartiteOperator (shape (m, n)); "channel", a
+    (StinespringChannel, input matrix) pair (shape (dim_in, dim_out)); and
+    "matrix", a plain ndarray (its shape).  Anything else raises
+    KindMismatchError.
+    """
+    if isinstance(inst, BipartiteOperator):
+        return "bipartite", (inst.dim_a, inst.dim_b)
+    if isinstance(inst, tuple) and len(inst) == 2 and isinstance(inst[0], StinespringChannel):
+        return "channel", (inst[0].dim_in, inst[0].dim_out)
+    if isinstance(inst, np.ndarray):
+        return "matrix", inst.shape
+    raise KindMismatchError(f"not an audit instance: {type(inst).__name__}")
+
+
 def _stack(mats) -> np.ndarray:
     stack = np.array([as_matrix(q) for q in mats])
     require_square(stack)
@@ -86,7 +105,7 @@ def _stack(mats) -> np.ndarray:
 
 
 class Spectra:
-    """Lazily computed, validated spectra of a batch of same-shape instances.
+    """Lazily computed, validated spectra of a batch of same-form, same-shape instances.
 
     Each matrix (W and Tr_B W, Q and Phi(Q), or Q) is stacked to (trials, d, d)
     and decomposed at most once per spectrum kind, in one call, with the checks
@@ -99,15 +118,16 @@ class Spectra:
 
     def __init__(self, insts: list, env_mode: str = "choi_rank"):
         self.size, self.env_mode = len(insts), env_mode
-        first = insts[0]
+        kind, shape = form(insts[0])
         # kmax bounds the grid's rank k: the size of Tr_B W, of Phi(Q) or of Q
-        if isinstance(first, BipartiteOperator):
-            self.dim_a, self.dim_b, self.kmax = first.dim_a, first.dim_b, first.dim_a
+        if kind == "bipartite":
+            self.dim_a, self.dim_b = shape
+            self.kmax = self.dim_a
             w = np.array([x.matrix for x in insts])
-            self.matrices = {"w": w, "qa": trace_out_b(w, first.dim_a, first.dim_b)}
-        elif isinstance(first, tuple):
+            self.matrices = {"w": w, "qa": trace_out_b(w, *shape)}
+        elif kind == "channel":
             self.channels = [ch for ch, _ in insts]
-            self.kmax = first[0].dim_out
+            self.kmax = shape[1]
             q = _stack(x for _, x in insts)
             self.matrices = {"q": q, "out": np.array([ch.apply(x) for ch, x in zip(self.channels, q)])}
         else:
@@ -332,7 +352,7 @@ def eval_stctep(sp: Spectra, g) -> np.ndarray:
     return _slack(lhs, rhs + g.per_trial(max_entropy_value, ds, alpha, s))
 
 
-def eval_sat_wrqa(sp: Spectra, g) -> np.ndarray:
+def eval_satwrqa(sp: Spectra, g) -> np.ndarray:
     norm = [j for j, family in enumerate(g["family"]) if family == "norm"]
     anti = [j for j, family in enumerate(g["family"]) if family != "norm"]
     margins = np.empty((sp.size, g.size))

@@ -6,6 +6,7 @@ output) and asserts the criterion it reports.
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import normtrace
 from normtrace.audit import (
     ANTINORM_P_GRID,
     NORM_P_GRID,
@@ -280,9 +282,13 @@ def test_criterion_8_conjugation_cross_check():
 
 
 def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
+    # the child imports the normtrace under test, installed or not
+    path = [str(Path(normtrace.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "normtrace", *args], capture_output=True, text=True
+            [sys.executable, "-m", "normtrace", *args], capture_output=True, text=True, env=env
         )
 
     r1 = tmp_path / "r1.json"

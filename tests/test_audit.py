@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from normtrace import audit, channels, margins
+from normtrace.antinorms import kp_antinorm
 from normtrace.audit import (
     DEFAULT_DIMS,
     REGISTRY,
@@ -110,6 +111,16 @@ def test_sample_rejects_bad_requests():
         sample("channel", (4, 1, 2), 1)
 
 
+def test_instance_kinds_have_their_declared_form():
+    for kind, (declared, build) in audit.KINDS.items():
+        inst = build(np.random.default_rng(3), 2, 3)
+        assert margins.form(inst)[0] == declared, kind
+    for cid, case in REGISTRY.items():
+        dims = (3, 2) if case.form == "channel" else (2, 2)
+        made = (case.make_instance(dims, 5), case.saturator(dims, 5))
+        assert [margins.form(inst)[0] for inst in made] == [case.form] * 2, cid
+
+
 def test_evaluate_case_product_state_margins_vanish():
     r = sample("psd", (3,), 7)
     w = BipartiteOperator(np.kron(r, np.eye(2)), 3, 2)
@@ -130,6 +141,32 @@ def test_evaluate_case_known_equality_points():
     tilted = np.diag([3.0, 2.0, 1.0]).astype(complex)
     assert evaluate_case("TPN2", tilted, {"k": 2, "p": 1.0, "q": 2.0}) > 1e-6
     assert evaluate_case("TPN62", tilted, {"k": 2, "p": 0.5, "q": 0.5}) > 1e-6
+
+
+def test_kqn1_holds_on_rank_deficient_products():
+    # W = R (x) I_3 with R a rank-2 4x4 Wishart matrix: eigvalsh returns W's
+    # exact zeros as round-off of about 1e-16, which a power p = 0.25 would
+    # raise to about 1e-4 each
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        g = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
+        w = BipartiteOperator(np.kron(g @ g.conj().T, np.eye(3)), 4, 3)
+        for k in range(1, 5):
+            assert evaluate_case("KQN1", w, {"k": k, "p": 0.25}) >= -1e-9
+        # R's nonzero eigenvalues are those of g^dag g, each of multiplicity 3 in W
+        lam = np.linalg.eigvalsh(g.conj().T @ g)
+        expected = (3 * (lam**0.25).sum()) ** 4
+        assert kp_antinorm(w.matrix, 12, 0.25) == pytest.approx(expected, rel=1e-12)
+
+
+def test_run_audit_edge_shapes():
+    # one-dimensional factors: Tr_B of an m x 1 operator is itself, and a 1 x n
+    # operator traces to a scalar
+    report = run_audit(AuditConfig(trials_per_case=8, dims=((1, 3), (3, 1), (1, 1))))
+    assert report.violations == 0
+    for rec in report.cases:
+        assert rec["failures"] == 0, rec
+        assert rec["saturation_residual"] is not None and rec["saturation_residual"] <= 1e-12, rec
 
 
 @pytest.mark.parametrize("cid,params,error", [
@@ -156,7 +193,7 @@ def test_evaluate_case_known_equality_points():
 ])
 def test_evaluate_case_out_of_range_params_raise_typed_errors(cid, params, error):
     case = REGISTRY[cid]
-    instance = case.make_instance((3, 2) if case.instance_kind == "channel_pair" else (2, 2), 5)
+    instance = case.make_instance((3, 2) if case.form == "channel" else (2, 2), 5)
     with pytest.raises(error):
         evaluate_case(cid, instance, params)
 
@@ -207,12 +244,34 @@ def test_run_audit_counts_float_range_errors_as_failures(cid, s_grid, failures, 
 
 
 def test_evaluate_case_rejects_wrong_instance_type():
-    with pytest.raises(KindMismatchError):
-        evaluate_case("KPN1", np.eye(4), {"k": 1, "p": 2.0})
-    with pytest.raises(KindMismatchError):
-        evaluate_case("TPN2", BipartiteOperator(np.eye(4), 2, 2), {"k": 1, "p": 1.0, "q": 2.0})
-    with pytest.raises(KindMismatchError):
-        evaluate_case("STCT1", np.eye(4), {"k": 1, "p": 2.0})
+    ptrace = channels.partial_trace_channel(2, 2)
+    # an instance of each form, with its batch shape
+    instances = {
+        "bipartite": (BipartiteOperator(np.eye(4), 2, 2), (2, 2)),
+        "matrix": (np.eye(4, dtype=complex), (4, 4)),
+        "channel": ((ptrace, np.eye(4, dtype=complex)), (4, 2)),
+    }
+    cases = {
+        "bipartite": ("KPN1", {"k": 1, "p": 2.0}),
+        "matrix": ("TPN2", {"k": 1, "p": 1.0, "q": 2.0}),
+        "channel": ("STCT1", {"k": 1, "p": 2.0}),
+    }
+    for kind, (inst, shape) in instances.items():
+        assert margins.form(inst) == (kind, shape)
+        assert REGISTRY[cases[kind][0]].form == kind
+        for other, (cid, params) in cases.items():
+            if other == kind:
+                assert isinstance(evaluate_case(cid, inst, params), float)
+                continue
+            with pytest.raises(KindMismatchError):
+                evaluate_case(cid, inst, params)
+    # neither a bare channel nor a list (nor a pair that is not a channel's) is an instance
+    for junk in (ptrace, np.eye(4).tolist(), (np.eye(4), np.eye(4))):
+        with pytest.raises(KindMismatchError):
+            margins.form(junk)
+        for cid, params in cases.values():
+            with pytest.raises(KindMismatchError):
+                evaluate_case(cid, junk, params)
     with pytest.raises(KindMismatchError):
         evaluate_case("NOPE", np.eye(4), {})
 
@@ -423,7 +482,7 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
             sampled[id(inst)] = state["sampling"]
             state["sampling"] = None
             points.append(GRID_SIZES[cid](_rank_bound(inst), cfg))
-            shapes.add((cid, audit._shape(inst)))
+            shapes.add((cid, margins.form(inst)))
             return inst
 
         return opened
@@ -539,7 +598,7 @@ def test_batched_margins_equal_evaluate_case(monkeypatch):
         recorded = [b for b in batches[cid] if b[2] is not None]
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
         assert max(len(rows) for _, _, rows, _ in recorded) >= 3
-        if REGISTRY[cid].instance_kind == "channel_pair":
+        if REGISTRY[cid].form == "channel":
             channel_d |= {len(set(sp.env_dims())) for sp, _, _, _ in recorded}
     assert max(channel_d) > 1  # some batch stacks channels of different d
 

@@ -4,8 +4,6 @@ import pytest
 
 from normtrace.bipartite import (
     BipartiteOperator,
-    dephase_b,
-    embed_a,
     partial_trace_a,
     partial_trace_b,
     swap_factors,
@@ -67,27 +65,6 @@ def test_twirl_equals_embedded_partial_trace(m, n):
     rebuilt = np.kron(partial_trace_b(w), np.eye(n))
     scale = max(1.0, float(np.abs(w.matrix).max()))
     assert np.abs(twirled - rebuilt).max() <= 1e-12 * scale
-
-
-def test_dephase_keeps_block_diagonals():
-    rng = np.random.default_rng(13)
-    w = BipartiteOperator(ginibre(rng, 6), 2, 3)
-    d = dephase_b(w)
-    dd = BipartiteOperator(d, 2, 3)
-    for i in range(2):
-        for j in range(2):
-            block = dd.block(i, j)
-            orig = w.block(i, j)
-            assert np.allclose(np.diag(block), np.diag(orig))
-            assert np.allclose(block - np.diag(np.diag(block)), 0)
-
-
-def test_embed_round_trip():
-    rng = np.random.default_rng(15)
-    a = ginibre(rng, 3)
-    w = embed_a(a, 4)
-    assert np.allclose(partial_trace_b(w), 4 * a)
-    assert np.allclose(partial_trace_a(w), np.trace(a) * np.eye(4))
 
 
 def test_swap_factors_exchanges_roles():

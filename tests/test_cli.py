@@ -2,12 +2,15 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normtrace
 from normtrace import cli, jsonio
 from normtrace.antinorms import kp_antinorm
 from normtrace.audit import REGISTRY
@@ -17,11 +20,16 @@ from normtrace.errors import PreconditionError
 from normtrace.norms import kp_norm, schatten_norm
 
 
+# the child imports the normtrace under test, installed or not
+CHILD_PATH = [str(Path(normtrace.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "normtrace", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(CHILD_PATH)},
         **kwargs,
     )
 
