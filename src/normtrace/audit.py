@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Optional
 
@@ -335,9 +335,10 @@ REGISTRY_IDS = tuple(REGISTRY)
 def evaluate_case(case_id: str, instance, params) -> float:
     """Signed normalized margin of one registry case on one instance.
 
-    This is the audit's evaluation on a batch of one with a one-point grid.  An
-    "env_mode" entry of params ("choi_rank", the default, or "dim_env") picks a
-    channel's d, as AuditConfig.env_dim_mode does.
+    This is the audit's evaluation on a batch of one with a one-point grid.
+    params names exactly the grid columns of the case's axes.  An "env_mode"
+    entry of params ("choi_rank", the default, or "dim_env") picks a channel's
+    d, as AuditConfig.env_dim_mode does.
     """
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
@@ -346,6 +347,12 @@ def evaluate_case(case_id: str, instance, params) -> float:
         raise KindMismatchError(f"case {case_id} needs a {case.form} instance")
     params = dict(params)
     env_mode = params.pop("env_mode", "choi_rank")
+    expected = set(make_grid(case.axes, 1, AuditConfig()))  # the columns the case's axes set
+    missing, unexpected = sorted(expected - params.keys()), sorted(params.keys() - expected)
+    if missing or unexpected:
+        raise PreconditionError(
+            f"case {case_id} takes params {sorted(expected)}: missing {missing}, unexpected {unexpected}"
+        )
     grid = Grid({name: (value,) for name, value in params.items()}, 1)
     return float(case.evaluate(Spectra([instance], env_mode), grid)[0, 0])
 
@@ -381,6 +388,9 @@ class AuditConfig:
             raise PreconditionError("tolerance must be positive")
         if self.env_dim_mode not in ("choi_rank", "dim_env"):
             raise PreconditionError(f"unknown env_dim_mode {self.env_dim_mode!r}")
+        empty = [f.name for f in fields(self) if f.name.endswith("_grid") and len(getattr(self, f.name)) == 0]
+        if empty:
+            raise PreconditionError(f"empty parameter grids: {', '.join(empty)}")
         if self.case_filter is not None:
             unknown = [c for c in self.case_filter if c not in REGISTRY]
             if unknown:

@@ -15,7 +15,6 @@ import numpy as np
 from . import jsonio
 from ._version import __version__
 from .antinorms import kp_antinorm, partial_fidelity, schatten_antinorm
-from .audit import DEFAULT_DIMS, REGISTRY_IDS, AuditConfig, run_audit
 from .bipartite import BipartiteOperator, partial_trace_a, partial_trace_b, twirl_oracle_b
 from .entropy import unified_entropy
 from .errors import MatrixFileError, PreconditionError
@@ -101,10 +100,12 @@ def _run_compute(args) -> int:
 
 
 def _run_ptrace(args) -> int:
+    if args.oracle and args.over == "a":
+        raise _ParseFailure("--oracle checks Tr_B only, so it needs --over b")
     m, n = _parse_dims(args.dims)
     w = BipartiteOperator(_load(args.matrix), m, n)
     reduced = partial_trace_a(w) if args.over == "a" else partial_trace_b(w)
-    if args.oracle and args.over == "b":
+    if args.oracle:
         twirled = twirl_oracle_b(w)
         rebuilt = kron(reduced, np.eye(n))
         dev = float(np.abs(twirled - rebuilt).max())
@@ -114,6 +115,11 @@ def _run_ptrace(args) -> int:
 
 
 def _run_audit(args) -> int:
+    # imported here, so that compute and ptrace never load the audit modules
+    from .audit import DEFAULT_DIMS, REGISTRY_IDS, AuditConfig, run_audit
+
+    if args.dims == []:
+        raise _ParseFailure("--dims needs at least one MxN pair")
     dims = tuple(_parse_dims(t) for t in args.dims) if args.dims else DEFAULT_DIMS
     cases = tuple(args.case) if args.case else None
     if cases is not None:
@@ -169,7 +175,7 @@ def _build_parser() -> _Parser:
     pt.add_argument(
         "--oracle",
         action="store_true",
-        help="also run the twirl oracle and report the deviation on stderr",
+        help="also run the twirl oracle (Tr_B only) and report the deviation on stderr",
     )
     pt.set_defaults(func=_run_ptrace)
 

@@ -288,6 +288,41 @@ def test_evaluate_case_reads_env_mode():
         evaluate_case("STCTP", pair, {"p": 2.0, "env_mode": "guess"})
 
 
+@pytest.mark.parametrize("cid,params,missing", [
+    ("KPN1", {"k": 1}, "p"),
+    ("TPN2", {"k": 1, "p": 1.0}, "q"),
+    ("ET41", {"alpha": 0.7}, "s"),
+    ("SAT-WRQA", {"k": 1, "p": 2.0}, "family"),
+])
+def test_evaluate_case_names_missing_params(cid, params, missing):
+    case = REGISTRY[cid]
+    instance = case.make_instance((3, 2) if case.form == "channel" else (2, 2), 5)
+    with pytest.raises(PreconditionError, match=f"missing \\['{missing}'\\]"):
+        evaluate_case(cid, instance, params)
+
+
+@pytest.mark.parametrize("cid,params,unexpected", [
+    ("KPN1", {"k": 1, "p": 2.0}, "bogus"),
+    ("KPK2", {}, "k"),
+    ("ET42", {"alpha": 0.7}, "s"),
+])
+def test_evaluate_case_names_unexpected_params(cid, params, unexpected):
+    instance = REGISTRY[cid].make_instance((2, 2), 5)
+    with pytest.raises(PreconditionError, match=f"unexpected \\['{unexpected}'\\]"):
+        evaluate_case(cid, instance, {**params, unexpected: 3})
+    # env_mode is not a grid column, and every case takes it
+    assert isinstance(evaluate_case(cid, instance, {**params, "env_mode": "dim_env"}), float)
+
+
+@pytest.mark.parametrize("field", [
+    "norm_p_grid", "antinorm_p_grid", "negative_p_grid", "pq_grid", "subunit_pq_grid", "alpha_grid", "s_grid",
+])
+def test_config_rejects_empty_grids(field):
+    # an empty axis would leave its cases a grid without columns
+    with pytest.raises(PreconditionError, match=field):
+        AuditConfig(trials_per_case=3, **{field: ()})
+
+
 def test_run_audit_accepts_list_valued_config_fields():
     lists = AuditConfig(
         trials_per_case=2, norm_p_grid=[1.0, 2.0], pq_grid=[[1.0, 2.0]], case_filter=["KPN1", "TPN2"]

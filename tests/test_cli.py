@@ -134,6 +134,13 @@ def test_ptrace_over_a(matrices):
     assert np.allclose(got, partial_trace_a(w), atol=1e-15)
 
 
+def test_ptrace_oracle_over_a_exits_2(matrices):
+    # the twirl oracle reproduces Tr_B only, so it cannot check --over a
+    out = run_cli("ptrace", matrices["g"], "--dims", "3x2", "--over", "a", "--oracle")
+    assert out.returncode == 2
+    assert "--oracle checks Tr_B only" in out.stderr and out.stdout == ""
+
+
 def test_ptrace_bad_dims(matrices):
     assert run_cli("ptrace", matrices["g"], "--dims", "5").returncode == 2
     assert run_cli("ptrace", matrices["g"], "--dims", "2xx3").returncode == 2
@@ -173,6 +180,12 @@ def test_audit_violation_exit_code():
 
 def test_audit_unknown_case_exits_2():
     assert run_cli("audit", "--case", "NOPE").returncode == 2
+
+
+def test_audit_dims_without_pairs_exits_2():
+    out = run_cli("audit", "--trials", "1", "--case", "KPN1", "--dims")
+    assert out.returncode == 2
+    assert "--dims needs at least one MxN pair" in out.stderr and out.stdout == ""
 
 
 def test_version_flag():

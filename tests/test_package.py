@@ -1,0 +1,119 @@
+"""The lazily loaded package namespace, and which modules each command loads."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import normtrace
+from normtrace import jsonio, norms
+
+AUDIT_STACK = ("normtrace.audit", "normtrace.margins", "normtrace.channels")
+
+# the child imports the normtrace under test, installed or not
+CHILD_PATH = [str(Path(normtrace.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+
+# runs cli.main on argv[1:] (no call when empty), then prints which audit
+# modules are loaded and the exit code
+CHILD = """
+import contextlib, io, json, sys
+import normtrace
+code = None
+if sys.argv[1:]:
+    from normtrace import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(json.dumps([[m for m in {stack!r} if m in sys.modules], code]))
+""".format(stack=AUDIT_STACK)
+
+
+def run_child(code, *argv):
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(CHILD_PATH)},
+    ).stdout
+
+
+def loaded_after(*argv):
+    return json.loads(run_child(CHILD, *argv))
+
+
+@pytest.fixture()
+def bipartite_file(tmp_path):
+    path = tmp_path / "w.json"
+    jsonio.write_matrix_file(path, np.diag(np.arange(1.0, 7.0)))
+    return str(path)
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name in normtrace.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"normtrace.{normtrace._SOURCE[name]}")
+        value = getattr(normtrace, name)
+        assert value is getattr(module, name), name
+        # the table names the module that defines the name, not one that re-exports it
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from normtrace import *", namespace)
+    assert set(normtrace.__all__) <= set(namespace)
+    for name in normtrace.__all__:
+        assert namespace[name] is getattr(normtrace, name), name
+
+
+def test_dir_lists_the_public_names_and_submodules():
+    listed = dir(normtrace)
+    assert set(normtrace.__all__) <= set(listed)
+    assert {"audit", "cli", "linalg", "margins"} <= set(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        normtrace.no_such_name  # noqa: B018
+    assert not hasattr(normtrace, "eval_kpn1")  # a submodule's name that is not public
+
+
+def test_names_are_not_cached_in_the_package(monkeypatch):
+    # a name resolved while a submodule's function is swapped must not keep the swap
+    original = norms.kp_norm
+
+    def swapped(*args):
+        return original(*args)
+
+    monkeypatch.setattr(norms, "kp_norm", swapped)
+    assert normtrace.kp_norm is swapped
+    monkeypatch.undo()
+    assert normtrace.kp_norm is norms.kp_norm is original
+    assert "kp_norm" not in vars(normtrace)
+
+
+def test_submodule_attribute_loads_on_first_use():
+    child = "import normtrace; print(normtrace.audit.run_audit.__module__)"
+    assert run_child(child).split() == ["normtrace.audit"]
+
+
+# start-up guard: compute and ptrace run without the audit modules
+def test_import_loads_no_audit_module():
+    assert loaded_after() == [[], None]
+
+
+def test_compute_loads_no_audit_module(bipartite_file):
+    assert loaded_after("compute", "norm", bipartite_file, "--k", "2", "--p", "3") == [[], 0]
+
+
+def test_ptrace_loads_no_audit_module(bipartite_file):
+    assert loaded_after("ptrace", bipartite_file, "--dims", "2x3", "--oracle") == [[], 0]
+
+
+def test_audit_loads_the_audit_modules():
+    assert loaded_after("audit", "--trials", "1", "--case", "KPN1") == [list(AUDIT_STACK), 0]
