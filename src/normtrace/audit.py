@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Optional
@@ -70,6 +71,7 @@ SUBUNIT_PQ_GRID = tuple((p, q) for p in (0.25, 0.5, 0.75) for q in (0.25, 0.5, 0
 ALPHA_GRID = (0.3, 0.7, 1.0, 1.5, 3.0)
 S_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
 DEFAULT_DIMS = ((2, 2), (2, 3), (3, 2), (4, 3))
+ENV_DIM_MODES = ("choi_rank", "dim_env")  # a channel's d: its Choi rank, or its dilation's dim_env
 
 PRNG_INFO = {
     "bit_generator": "PCG64 via numpy.random.default_rng",
@@ -169,8 +171,16 @@ _SAMPLERS = {
 }
 
 
+def _integer(x, error=BadDimsError) -> int:
+    """x as an int; a value that is not an integer, such as 2.5 or even 2.0, raises error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"expected an integer, got {x!r}") from None
+
+
 def _dims_tuple(dims) -> tuple[int, ...]:
-    t = tuple(int(x) for x in np.atleast_1d(dims))
+    t = tuple(_integer(x) for x in np.atleast_1d(dims))
     if not t or any(x < 1 for x in t):
         raise BadDimsError(f"dimensions must be positive, got {dims!r}")
     return t
@@ -337,8 +347,8 @@ def evaluate_case(case_id: str, instance, params) -> float:
 
     This is the audit's evaluation on a batch of one with a one-point grid.
     params names exactly the grid columns of the case's axes.  An "env_mode"
-    entry of params ("choi_rank", the default, or "dim_env") picks a channel's
-    d, as AuditConfig.env_dim_mode does.
+    entry of params, one of ENV_DIM_MODES ("choi_rank" by default), picks a
+    channel's d as AuditConfig.env_dim_mode does, and AuditConfig checks it.
     """
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
@@ -347,7 +357,7 @@ def evaluate_case(case_id: str, instance, params) -> float:
         raise KindMismatchError(f"case {case_id} needs a {case.form} instance")
     params = dict(params)
     env_mode = params.pop("env_mode", "choi_rank")
-    expected = set(make_grid(case.axes, 1, AuditConfig()))  # the columns the case's axes set
+    expected = set(make_grid(case.axes, 1, AuditConfig(env_dim_mode=env_mode)))  # the columns the case's axes set
     missing, unexpected = sorted(expected - params.keys()), sorted(params.keys() - expected)
     if missing or unexpected:
         raise PreconditionError(
@@ -378,20 +388,22 @@ class AuditConfig:
     s_grid: tuple = S_GRID
 
     def __post_init__(self):
-        if self.trials_per_case < 1:
+        if _integer(self.trials_per_case, PreconditionError) < 1:
             raise PreconditionError("trials_per_case must be at least 1")
-        dims = tuple(tuple(int(x) for x in pair) for pair in self.dims)
+        dims = tuple(tuple(_integer(x) for x in pair) for pair in self.dims)
         if not dims or any(len(pair) != 2 or min(pair) < 1 for pair in dims):
             raise BadDimsError(f"dims must be nonempty (m, n) pairs, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
-        if not self.tolerance > 0:
-            raise PreconditionError("tolerance must be positive")
-        if self.env_dim_mode not in ("choi_rank", "dim_env"):
-            raise PreconditionError(f"unknown env_dim_mode {self.env_dim_mode!r}")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):  # inf would hide every violation
+            raise PreconditionError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if self.env_dim_mode not in ENV_DIM_MODES:
+            raise PreconditionError(f"unknown env_dim_mode {self.env_dim_mode!r}, expected one of {ENV_DIM_MODES}")
         empty = [f.name for f in fields(self) if f.name.endswith("_grid") and len(getattr(self, f.name)) == 0]
         if empty:
             raise PreconditionError(f"empty parameter grids: {', '.join(empty)}")
         if self.case_filter is not None:
+            if len(self.case_filter) == 0:  # a run of no case must not read as clean
+                raise PreconditionError("case_filter selects no case")
             unknown = [c for c in self.case_filter if c not in REGISTRY]
             if unknown:
                 raise KindMismatchError(f"unknown case ids {unknown}")

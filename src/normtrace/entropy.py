@@ -5,14 +5,14 @@ with the s -> 0 limit giving Renyi, s = 1 giving Tsallis, and alpha -> 1
 giving von Neumann for every s.  Limit routing uses fixed thresholds so the
 branch taken is deterministic.  Each entropy is a function of the eigenvalues
 alone, and of only two numbers of them: the power sum tr rho^alpha
-(``power_sum_of``) and the von Neumann value (``von_neumann_of``).
-``<name>_from`` routes between the two, given each as a function so that only
-the one its branch needs is computed and a caller may memoize both per state.
-``<name>`` on a density matrix is the spectrum that ``density_spectrum``
-returns, then ``<name>_from`` on its two numbers.  The two inputs may also be
-lists, one entry per state of a stack (``per_state`` gives them from
-``density_spectrum`` of a stack), closed entry by entry in Python floats.  A
-value outside the float range raises DomainError.
+(``power_sum_of``) and the von Neumann value (``von_neumann_of``), both read
+from ``density_spectrum``: the full ascending spectrum, with round-off of
+exact zeros set to 0.0 by linalg's one rule (``psd_eigenvalues``), one row
+per state of a stack.  ``<name>_from`` takes the two as values and routes
+between them; each is a float, or a list of one per state of a stack whose
+entries are closed one by one in Python floats.  ``<name>`` on a density
+matrix is ``<name>_from`` on the two values of its spectrum.  A value outside
+the float range raises DomainError.
 """
 from __future__ import annotations
 
@@ -22,14 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExponentRangeError, NotDensityError, NotHermitianError
-from .linalg import DEFAULT_TOL, hermitian_eigenvalues
+from .linalg import DEFAULT_TOL, hermitian_eigenvalues, psd_eigenvalues
 
 ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the von Neumann branch
 S_ZERO_TOL = 1e-12  # |s| below this routes to the Renyi branch
-EIG_DROP = 1e-14  # eigenvalues at or below this are dropped from sums
 DENSITY_EIG_FLOOR = -1e-10
-
-Lazy = Callable[[], object]  # a spectral input: a float, or a list of one per state
 
 
 def _check_alpha(alpha: float) -> None:
@@ -37,12 +34,11 @@ def _check_alpha(alpha: float) -> None:
         raise ExponentRangeError(f"alpha={alpha} must be a positive real")
 
 
-def density_spectrum(rho, tol: float = 1e-9):
-    """Validated eigenvalues of a density matrix, ascending, tiny ones dropped.
+def density_spectrum(rho, tol: float = 1e-9) -> np.ndarray:
+    """Validated eigenvalues of a density matrix, ascending, round-off of exact zeros set to 0.0.
 
     Inputs are never renormalized: a trace away from 1 beyond tol is an error.
-    A (trials, d, d) stack gives its spectra grouped by length, as a list of
-    (trial indices, stacked spectra) pairs; per_state reads values off them.
+    A (trials, d, d) stack gives a (trials, d) array, one spectrum per row.
     """
     try:
         w = hermitian_eigenvalues(rho, DEFAULT_TOL)
@@ -54,30 +50,21 @@ def density_spectrum(rho, tol: float = 1e-9):
     low = float(w.min())
     if low < DENSITY_EIG_FLOOR:
         raise NotDensityError(f"eigenvalue {low:.3e} below {DENSITY_EIG_FLOOR}")
-    if w.ndim == 1:
-        return w[w > EIG_DROP]
-    # the dropped eigenvalues are the smallest, so a row keeps its last `size`
-    kept, d = (w > EIG_DROP).sum(axis=-1), w.shape[-1]
-    groups = [(np.flatnonzero(kept == size), size) for size in sorted(set(kept.tolist()))]
-    return [(rows, w[rows, d - size :]) for rows, size in groups]
-
-
-def per_state(f: Callable[[np.ndarray], list], groups: list) -> list:
-    """f of each group of density_spectrum of a stack, as one value per state in stack order."""
-    values = [None] * sum(len(rows) for rows, _ in groups)
-    for rows, spectra in groups:
-        for t, v in zip(rows.tolist(), f(spectra)):
-            values[t] = v
-    return values
+    # past the floor, psd_eigenvalues only zeroes: its own check cannot fail
+    return psd_eigenvalues(w)
 
 
 def von_neumann_of(w):
-    """-tr(rho ln rho) of a density spectrum; a (states, d) stack of spectra gives a list."""
-    return (-(w * np.log(w)).sum(axis=-1)).tolist()
+    """-tr(rho ln rho) of a density spectrum, 0 ln 0 read as 0; a (states, d) stack gives a list."""
+    return (-(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)).tolist()
 
 
 def power_sum_of(w, alpha: float):
-    """tr rho^alpha of a density spectrum; a (states, d) stack of spectra gives a list."""
+    """tr rho^alpha of a density spectrum; a (states, d) stack gives a list.
+
+    alpha must be positive, as a zero eigenvalue has no power of order <= 0.
+    """
+    _check_alpha(alpha)
     return (w**alpha).sum(axis=-1).tolist()
 
 
@@ -97,38 +84,39 @@ def _closed(formula: Callable[[float], float], x):
         raise DomainError("entropy term undefined: tr rho^alpha underflowed to 0") from exc
 
 
-def _renyi(power_sum: Lazy, von_neumann: Lazy, alpha: float):
+def _renyi(power_sum, von_neumann, alpha: float):
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return von_neumann()
-    return _closed(lambda x: math.log(x) / (1.0 - alpha), power_sum())
+        return von_neumann
+    return _closed(lambda x: math.log(x) / (1.0 - alpha), power_sum)
 
 
-def renyi_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float):
+def renyi_entropy_from(power_sum, von_neumann, alpha: float):
     """Renyi entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
     return _renyi(power_sum, von_neumann, alpha)
 
 
-def tsallis_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float):
+def tsallis_entropy_from(power_sum, von_neumann, alpha: float):
     """Tsallis entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return von_neumann()
-    return _closed(lambda x: (x - 1.0) / (1.0 - alpha), power_sum())
+        return von_neumann
+    return _closed(lambda x: (x - 1.0) / (1.0 - alpha), power_sum)
 
 
-def unified_entropy_from(power_sum: Lazy, von_neumann: Lazy, alpha: float, s: float):
+def unified_entropy_from(power_sum, von_neumann, alpha: float, s: float):
     """Unified (alpha, s) entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
     if math.isnan(s) or math.isinf(s):
         raise ExponentRangeError(f"s={s} must be a finite real")
     if abs(alpha - 1.0) < ALPHA_ONE_TOL or abs(s) < S_ZERO_TOL:
         return _renyi(power_sum, von_neumann, alpha)
-    return _closed(lambda x: math.expm1(s * math.log(x)) / ((1.0 - alpha) * s), power_sum())
+    return _closed(lambda x: math.expm1(s * math.log(x)) / ((1.0 - alpha) * s), power_sum)
 
 
-def _inputs(w: np.ndarray, alpha: float) -> tuple[Lazy, Lazy]:
-    return (lambda: power_sum_of(w, alpha)), (lambda: von_neumann_of(w))
+def _inputs(rho, alpha: float, tol: float) -> tuple:
+    w = density_spectrum(rho, tol)
+    return power_sum_of(w, alpha), von_neumann_of(w)
 
 
 def von_neumann_entropy(rho, tol: float = 1e-9) -> float:
@@ -138,17 +126,17 @@ def von_neumann_entropy(rho, tol: float = 1e-9) -> float:
 
 def renyi_entropy(rho, alpha: float, tol: float = 1e-9) -> float:
     """ln(tr rho^alpha) / (1 - alpha); alpha near 1 gives von Neumann."""
-    return renyi_entropy_from(*_inputs(density_spectrum(rho, tol), alpha), alpha)
+    return renyi_entropy_from(*_inputs(rho, alpha, tol), alpha)
 
 
 def tsallis_entropy(rho, alpha: float, tol: float = 1e-9) -> float:
     """(tr rho^alpha - 1) / (1 - alpha); alpha near 1 gives von Neumann."""
-    return tsallis_entropy_from(*_inputs(density_spectrum(rho, tol), alpha), alpha)
+    return tsallis_entropy_from(*_inputs(rho, alpha, tol), alpha)
 
 
 def unified_entropy(rho, alpha: float, s: float, tol: float = 1e-9) -> float:
     """((tr rho^alpha)^s - 1) / ((1 - alpha) s) with deterministic limit branches."""
-    return unified_entropy_from(*_inputs(density_spectrum(rho, tol), alpha), alpha, s)
+    return unified_entropy_from(*_inputs(rho, alpha, tol), alpha, s)
 
 
 def max_entropy_value(m: int, alpha: float, s: float) -> float:

@@ -30,7 +30,6 @@ from .entropy import (
     density_spectrum,
     dim_weight,
     max_entropy_value,
-    per_state,
     power_sum_of,
     renyi_entropy_from,
     tsallis_entropy_from,
@@ -148,7 +147,7 @@ class Spectra:
     def psd(self, name: str) -> np.ndarray:
         return self._get(("psd", name), lambda: psd_spectrum(self.matrices[name]))
 
-    def density(self, name: str) -> list:
+    def density(self, name: str) -> np.ndarray:
         return self._get(("density", name), lambda: density_spectrum(self.matrices[name]))
 
     def columns(self, f, values) -> np.ndarray:
@@ -190,25 +189,21 @@ class Spectra:
         return np.array([rows[d][t] for t, d in enumerate(ds)])
 
     def entropy(self, name: str, formula, alpha: tuple, *rest: tuple) -> np.ndarray:
-        """A *_entropy_from formula of a state at each point's (alpha, ...)."""
-        inputs = {a: self._entropy_inputs(name, a) for a in dict.fromkeys(alpha)}
-        return self.columns(lambda point: formula(*inputs[point[0]], *point), list(zip(alpha, *rest)))
+        """A *_entropy_from formula of a state at each point's (alpha, ...).
 
-    def _entropy_inputs(self, name: str, alpha: float):
-        """The two inputs of an entropy of a state, as lists of one per trial."""
-        power_sum = partial(power_sum_of, alpha=alpha)
-        return (
-            lambda: self._get(("power_sum", name, alpha), lambda: per_state(power_sum, self.density(name))),
-            lambda: self._get(("von_neumann", name), lambda: per_state(von_neumann_of, self.density(name))),
-        )
+        It reads one memoized list of von Neumann values per state, and one of
+        power sums per distinct alpha, each with one entry per trial.
+        """
+        spectra = self.density(name)
+        von_neumann = self._get(("von_neumann", name), partial(von_neumann_of, spectra))
+        sums = {a: self._get(("power_sum", name, a), partial(power_sum_of, spectra, a)) for a in dict.fromkeys(alpha)}
+        return self.columns(lambda point: formula(sums[point[0]], von_neumann, *point), list(zip(alpha, *rest)))
 
     def env_dims(self) -> list:
-        """Each channel's d: its Choi rank, or its dilation's environment dimension."""
+        """Each channel's d: its dilation's environment dimension under "dim_env", else its Choi rank."""
         if self.env_mode == "dim_env":
             return [ch.dim_env for ch in self.channels]
-        if self.env_mode == "choi_rank":
-            return self._get("choi_rank", lambda: [choi_rank(ch) for ch in self.channels])
-        raise PreconditionError(f"unknown env_dim mode {self.env_mode!r}")
+        return self._get("choi_rank", lambda: [choi_rank(ch) for ch in self.channels])
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,24 @@ def test_kqn1_holds_on_rank_deficient_products():
         assert kp_antinorm(w.matrix, 12, 0.25) == pytest.approx(expected, rel=1e-12)
 
 
+def test_entropy_bounds_hold_on_rank_deficient_products():
+    # W = R (x) I_3 / 3 with R a rank-2 density on 4 dimensions: half of W's
+    # spectrum is round-off of exact zeros, which the entropies read as 0
+    margins = {"ET41": [], "ETT41": [], "ET42": []}
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        g = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
+        r = g @ g.conj().T
+        w = BipartiteOperator(np.kron(r / np.trace(r).real, np.eye(3) / 3), 4, 3)
+        for alpha in audit.ALPHA_GRID:
+            margins["ETT41"].append(evaluate_case("ETT41", w, {"alpha": alpha}))
+            margins["ET42"].append(evaluate_case("ET42", w, {"alpha": alpha}))
+            for s in audit.S_GRID:
+                margins["ET41"].append(evaluate_case("ET41", w, {"alpha": alpha, "s": s}))
+    for cid, values in margins.items():
+        assert min(values) >= -1e-9, cid
+
+
 def test_run_audit_edge_shapes():
     # one-dimensional factors: Tr_B of an m x 1 operator is itself, and a 1 x n
     # operator traces to a scalar
@@ -288,6 +306,17 @@ def test_evaluate_case_reads_env_mode():
         evaluate_case("STCTP", pair, {"p": 2.0, "env_mode": "guess"})
 
 
+def test_env_mode_is_checked_on_every_case():
+    # AuditConfig and evaluate_case accept the same modes, and a case that
+    # reads no channel still rejects an unknown one
+    w = sample("bipartite", (2, 2), 3)
+    for mode in audit.ENV_DIM_MODES:
+        assert AuditConfig(env_dim_mode=mode).env_dim_mode == mode
+        assert isinstance(evaluate_case("KPN1", w, {"k": 1, "p": 2.0, "env_mode": mode}), float)
+    with pytest.raises(PreconditionError, match="bogus"):
+        evaluate_case("KPN1", w, {"k": 1, "p": 2.0, "env_mode": "bogus"})
+
+
 @pytest.mark.parametrize("cid,params,missing", [
     ("KPN1", {"k": 1}, "p"),
     ("TPN2", {"k": 1, "p": 1.0}, "q"),
@@ -374,6 +403,44 @@ def test_config_validation():
     with pytest.raises(KindMismatchError):
         AuditConfig(case_filter=("KPN1", "BOGUS"))
     assert AuditConfig().dims == DEFAULT_DIMS
+
+
+@pytest.mark.parametrize("case_filter", [(), []])
+def test_config_rejects_empty_case_filter(case_filter):
+    # a run of no case would report clean without evaluating anything
+    with pytest.raises(PreconditionError, match="no case"):
+        AuditConfig(case_filter=case_filter)
+
+
+@pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), -float("inf")])
+def test_config_rejects_non_finite_tolerance(tolerance):
+    # no margin can fall below minus an infinite tolerance
+    with pytest.raises(PreconditionError, match="tolerance"):
+        AuditConfig(tolerance=tolerance)
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: sample("psd", 2.5, 0), BadDimsError),
+    (lambda: sample("psd", (2.0,), 0), BadDimsError),
+    (lambda: sample("bipartite", (2, 1.5), 0), BadDimsError),
+    (lambda: AuditConfig(dims=((2.7, 3),)), BadDimsError),
+    (lambda: AuditConfig(dims=((2, 3), (4, 3.0))), BadDimsError),
+    (lambda: AuditConfig(trials_per_case=2.5), PreconditionError),
+    (lambda: AuditConfig(trials_per_case=2.0), PreconditionError),
+    (lambda: sample("psd", np.int64(2), 0).shape == (2, 2), None),
+    (lambda: AuditConfig(dims=((np.int32(2), np.int64(3)),), trials_per_case=np.int64(2)).dims == ((2, 3),), None),
+], ids=[
+    "sample-scalar", "sample-float", "sample-pair", "config-dims", "config-dims-float", "trials", "trials-float",
+    "sample-numpy-int", "config-numpy-int",
+])
+def test_non_integer_sizes_are_rejected(make, error):
+    # a size that is not an integer is an error, never truncated; numpy
+    # integers are integers
+    if error is None:
+        assert make()
+        return
+    with pytest.raises(error, match="integer"):
+        make()
 
 
 def test_run_audit_small_clean():
@@ -640,7 +707,7 @@ def test_batched_margins_equal_evaluate_case(monkeypatch):
 
 def _rank_deficient_density(dims, seed):
     # a density of rank about half its dimension: the rest of its spectrum is
-    # round-off and is dropped, so its spectrum is shorter than a full one
+    # round-off of exact zeros, which density_spectrum sets to 0.0
     m, n = dims
     rng = np.random.default_rng(seed)
     shape = (m * n, (m * n + 1) // 2)
@@ -664,8 +731,8 @@ def test_entropy_batches_mixing_rank_deficient_states(monkeypatch):
     for cid in makers:
         recorded = list(batches[cid])  # evaluate_case below records batches of its own
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
-        # some batch holds spectra of two lengths
-        assert max(len(sp.density("w")) for sp, _, _, _ in recorded) > 1
+        # some batch stacks full-rank states with rank-deficient ones, whose zeros are exactly 0.0
+        assert any(0 < (sp.density("w") == 0.0).any(axis=1).sum() < sp.size for sp, _, _, _ in recorded)
 
 
 def test_run_audit_failed_trial_feeds_no_margin(monkeypatch):

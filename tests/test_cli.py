@@ -178,6 +178,14 @@ def test_audit_violation_exit_code():
     assert payload["cases"][0]["violations"] > 0
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan"])
+def test_audit_non_finite_tolerance_exits_3(capsys, tolerance):
+    # an infinite tolerance would hide every violation
+    assert cli.main(["audit", "--trials", "1", "--case", "KPN1", "--tolerance", tolerance]) == 3
+    out = capsys.readouterr()
+    assert "tolerance" in out.err and out.out == ""
+
+
 def test_audit_unknown_case_exits_2():
     assert run_cli("audit", "--case", "NOPE").returncode == 2
 

@@ -9,7 +9,6 @@ from normtrace.entropy import (
     density_spectrum,
     dim_weight,
     max_entropy_value,
-    per_state,
     power_sum_of,
     renyi_entropy,
     renyi_entropy_from,
@@ -85,23 +84,14 @@ def test_unified_general_formula():
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 3.0])
 @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 1.0, 2.0])
 def test_entropies_from_memoized_inputs(alpha, s):
-    # each entropy reads tr rho^alpha or the von Neumann value, never both, and
-    # a caller that memoizes them gets the matrix-level values
+    # a caller that memoizes tr rho^alpha and the von Neumann value gets the
+    # matrix-level values
     rng = np.random.default_rng(int(10 * alpha) + int(10 * s) + 50)
     rho = random_density(rng, 5)
     w = density_spectrum(rho)
     assert power_sum_of(w, alpha) == pytest.approx(float(np.sum(np.linalg.eigvalsh(rho) ** alpha)), rel=1e-13)
     assert von_neumann_of(w) == pytest.approx(von_neumann_entropy(rho), rel=1e-13)
-    reads = []
-
-    def power_sum():
-        reads.append("power_sum")
-        return power_sum_of(w, alpha)
-
-    def von_neumann():
-        reads.append("von_neumann")
-        return von_neumann_of(w)
-
+    power_sum, von_neumann = power_sum_of(w, alpha), von_neumann_of(w)
     pairs = [
         (unified_entropy_from(power_sum, von_neumann, alpha, s), unified_entropy(rho, alpha, s)),
         (renyi_entropy_from(power_sum, von_neumann, alpha), renyi_entropy(rho, alpha)),
@@ -109,7 +99,6 @@ def test_entropies_from_memoized_inputs(alpha, s):
     ]
     for got, want in pairs:
         assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
-    assert reads == (["von_neumann"] * 3 if alpha == 1.0 else ["power_sum"] * 3)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
@@ -177,7 +166,8 @@ def test_alpha_log_values():
 
 
 def test_tiny_eigenvalues_are_dropped():
-    # spectrum entries at or below the drop threshold must not poison logs
+    # spectrum entries at or below the round-off threshold are zeroed and must
+    # not poison logs
     rho = np.diag([1.0 - 1e-15, 1e-15])
     assert np.isfinite(von_neumann_entropy(rho))
     assert np.isfinite(renyi_entropy(rho, 0.5))
@@ -203,9 +193,10 @@ def test_float_range_errors_are_domain_errors():
 
 
 def test_stacked_densities_match_one_by_one():
-    # a stack mixing full-rank and rank-deficient states gives, per state, the
-    # sums that the state gives alone; spectra of 8 or more entries are summed
-    # pairwise by numpy, so their grouping must not shift their entries
+    # a stack mixing full-rank and rank-deficient states is one (trials, d)
+    # array whose rows are the states' spectra alone, bit for bit, with their
+    # round-off zeros exactly 0.0; spectra of 8 or more entries are summed
+    # pairwise by numpy, so each row's sums must equal those of the state alone
     rng = np.random.default_rng(8)
     pure = np.zeros((12, 12), dtype=complex)
     pure[1, 1] = 1.0
@@ -217,15 +208,18 @@ def test_stacked_densities_match_one_by_one():
 
     full = random_density(rng, 12)
     stack = np.stack([full, of_rank(9), pure, of_rank(9), random_density(rng, 12), of_rank(10)])
-    groups = density_spectrum(stack)
-    assert sorted(spectra.shape for _, spectra in groups) == [(1, 1), (1, 10), (2, 9), (2, 12)]
+    spectra = density_spectrum(stack)
+    assert type(spectra) is np.ndarray and spectra.shape == (6, 12)
+    for row, rho, rank in zip(spectra, stack, (12, 9, 1, 9, 12, 10)):
+        alone = density_spectrum(rho)
+        assert row.tobytes() == alone.tobytes()
+        assert row[: 12 - rank].tolist() == [0.0] * (12 - rank) and (row[12 - rank :] > 0).all()
     for alpha in (0.3, 1.5):
-        alone = [power_sum_of(density_spectrum(r), alpha) for r in stack]
-        assert per_state(lambda w: power_sum_of(w, alpha), groups) == alone
-    vn = per_state(von_neumann_of, groups)
+        assert power_sum_of(spectra, alpha) == [power_sum_of(density_spectrum(r), alpha) for r in stack]
+    vn = von_neumann_of(spectra)
     assert vn == [von_neumann_of(density_spectrum(r)) for r in stack]
-    ps = per_state(lambda w: power_sum_of(w, 0.3), groups)
-    batch = unified_entropy_from(lambda: ps, lambda: vn, 0.3, 2.0)
+    assert vn[2] == 0.0
+    batch = unified_entropy_from(power_sum_of(spectra, 0.3), vn, 0.3, 2.0)
     assert batch == [unified_entropy(r, 0.3, 2.0) for r in stack]
     with pytest.raises(NotDensityError):
         density_spectrum(np.stack([pure, 2 * pure]))
