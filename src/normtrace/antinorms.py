@@ -123,7 +123,8 @@ def partial_fidelity(rho, sigma, k: int, tol: float = DEFAULT_TOL) -> float:
     """Sum of the m-k smallest singular values of sqrt(rho) sqrt(sigma).
 
     Interpolates between 0 at k = m and the full fidelity-type overlap at
-    k = 0 (not admitted); computed as a Ky Fan anti-norm of |sqrt(rho) sqrt(sigma)|.
+    k = 0 (not admitted): the Ky Fan (m-k) anti-norm of |sqrt(rho) sqrt(sigma)|,
+    whose eigenvalues are the singular values of the product.
     """
     r = as_matrix(rho)
     s = as_matrix(sigma)
@@ -135,5 +136,4 @@ def partial_fidelity(rho, sigma, k: int, tol: float = DEFAULT_TOL) -> float:
     if k == m:
         return 0.0
     a = psd_power(r, 0.5, tol) @ psd_power(s, 0.5, tol)
-    absval = psd_power(a.conj().T @ a, 0.5, tol)
-    return kyfan_antinorm(absval, m - k, tol)
+    return kyfan_antinorm_of(np.linalg.svd(a, compute_uv=False)[::-1], m - k)

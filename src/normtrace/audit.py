@@ -388,6 +388,10 @@ class AuditConfig:
     s_grid: tuple = S_GRID
 
     def __post_init__(self):
+        # every trial seed hashes the seed's text, so 42.0 or True would give another audit
+        if isinstance(self.base_seed, bool):
+            raise PreconditionError(f"base_seed must be an integer, got {self.base_seed!r}")
+        _integer(self.base_seed, PreconditionError)
         if _integer(self.trials_per_case, PreconditionError) < 1:
             raise PreconditionError("trials_per_case must be at least 1")
         dims = tuple(tuple(_integer(x) for x in pair) for pair in self.dims)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import as_matrix, kron, pauli_x, pauli_z
+from .linalg import as_matrix, pauli_x, pauli_z
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,24 @@ def partial_trace_a(w: BipartiteOperator) -> np.ndarray:
 
 
 def twirl_oracle_b(w: BipartiteOperator) -> np.ndarray:
-    """Average of conjugations by I (x) X^l Z^j over the full shift/phase family.
+    """n times the average of conjugations by I (x) X^l Z^j over the full shift/phase family.
 
     Equals kron(partial_trace_b(w), I_n) exactly, which makes this sum an
-    independent cross-check for the block-trace route.
+    independent cross-check for the block-trace route: it never takes a
+    block trace.  The group average is the shift average of the phase
+    average, each one stacked conjugation over the n powers of its generator.
     """
     m, n = w.dim_a, w.dim_b
-    x = pauli_x(n)
-    z = pauli_z(n)
-    eye_a = np.eye(m, dtype=np.complex128)
-    xs = [np.linalg.matrix_power(x, l) for l in range(n)]
-    zs = [np.linalg.matrix_power(z, j) for j in range(n)]
-    acc = np.zeros_like(w.matrix)
-    for xl in xs:
-        for zj in zs:
-            u = kron(eye_a, xl @ zj)
-            acc = acc + u @ w.matrix @ u.conj().T
+    eye_a = np.eye(m, dtype=np.complex128)[None, :, None, :, None]
+    acc = w.matrix
+    for gen in (pauli_z(n), pauli_x(n)):
+        powers = np.empty((n, n, n), dtype=np.complex128)
+        powers[0] = np.eye(n)
+        for j in range(1, n):
+            np.matmul(powers[j - 1], gen, out=powers[j])
+        # kron(I_m, U) for every power U at once, as a broadcast product
+        us = (eye_a * powers[:, None, :, None, :]).reshape(n, m * n, m * n)
+        acc = (us @ acc @ us.conj().swapaxes(1, 2)).sum(axis=0)
     return acc / n
 
 

@@ -7,7 +7,7 @@ branch taken is deterministic.  Each entropy is a function of the eigenvalues
 alone, and of only two numbers of them: the power sum tr rho^alpha
 (``power_sum_of``) and the von Neumann value (``von_neumann_of``), both read
 from ``density_spectrum``: the full ascending spectrum, with round-off of
-exact zeros set to 0.0 by linalg's one rule (``psd_eigenvalues``), one row
+exact zeros set to 0.0 by linalg's one rule (``zero_round_off``), one row
 per state of a stack.  ``<name>_from`` takes the two as values and routes
 between them; each is a float, or a list of one per state of a stack whose
 entries are closed one by one in Python floats.  ``<name>`` on a density
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExponentRangeError, NotDensityError, NotHermitianError
-from .linalg import DEFAULT_TOL, hermitian_eigenvalues, psd_eigenvalues
+from .linalg import DEFAULT_TOL, hermitian_eigenvalues, spectral_radius, zero_round_off
 
 ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the von Neumann branch
 S_ZERO_TOL = 1e-12  # |s| below this routes to the Renyi branch
@@ -47,11 +47,10 @@ def density_spectrum(rho, tol: float = 1e-9) -> np.ndarray:
     off = [t for t in w.reshape(-1, w.shape[-1]).sum(axis=1).tolist() if abs(t - 1.0) > tol]
     if off:
         raise NotDensityError(f"trace {off[0]:.12g} differs from 1 beyond {tol}")
-    low = float(w.min())
+    low = float(w[..., 0].min())  # each row ascends from its minimum
     if low < DENSITY_EIG_FLOOR:
         raise NotDensityError(f"eigenvalue {low:.3e} below {DENSITY_EIG_FLOOR}")
-    # past the floor, psd_eigenvalues only zeroes: its own check cannot fail
-    return psd_eigenvalues(w)
+    return zero_round_off(w, spectral_radius(w))
 
 
 def von_neumann_of(w):

@@ -21,65 +21,65 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_SCALAR_TYPES = (bool, int, float, str, np.integer, np.floating)
+
+
 def _is_scalar(x) -> bool:
-    return x is None or isinstance(x, (bool, int, float, str, np.integer, np.floating))
+    return type(x) is float or x is None or isinstance(x, _SCALAR_TYPES)
 
 
-def _emit_scalar(x, out: list[str]) -> None:
+def _float_text(x: float) -> str:
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format_float(x)
+
+
+def _scalar_text(x) -> str:
+    if type(x) is float:  # most scalars: report values and matrix entries
+        return format(x, ".17g") if math.isfinite(x) else _float_text(x)
     if x is None:
-        out.append("null")
-    elif isinstance(x, bool):
-        out.append("true" if x else "false")
-    elif isinstance(x, str):
-        out.append(json.dumps(x))
-    elif isinstance(x, (int, np.integer)):
-        out.append(str(int(x)))
-    elif isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isinf(x):
-            out.append('"inf"' if x > 0 else '"-inf"')
-        else:
-            out.append(format_float(x))
-    else:
-        raise TypeError(f"not serializable: {type(x)!r}")
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return json.dumps(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _float_text(float(x))
+    raise TypeError(f"not serializable: {type(x)!r}")
 
 
 def _emit(obj, out: list[str], indent: int) -> None:
-    pad = "  " * indent
     if _is_scalar(obj):
-        _emit_scalar(obj, out)
+        out.append(_scalar_text(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        inner = "  " * (indent + 1)
         out.append("{\n")
-        items = list(obj.items())
-        for i, (key, val) in enumerate(items):
-            out.append("  " * (indent + 1))
-            out.append(json.dumps(str(key)))
-            out.append(": ")
+        for i, (key, val) in enumerate(obj.items()):
+            if i:
+                out.append(",\n")
+            out.append(inner + json.dumps(str(key)) + ": ")
             _emit(val, out, indent + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
+        out.append("\n" + "  " * indent + "}")
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             out.append("[]")
             return
-        if all(_is_scalar(x) for x in seq):
-            out.append("[")
-            for i, x in enumerate(seq):
-                if i:
-                    out.append(", ")
-                _emit_scalar(x, out)
-            out.append("]")
+        if all(map(_is_scalar, obj)):
+            out.append("[" + ", ".join(map(_scalar_text, obj)) + "]")
             return
+        inner = "  " * (indent + 1)
         out.append("[\n")
-        for i, x in enumerate(seq):
-            out.append("  " * (indent + 1))
+        for i, x in enumerate(obj):
+            if i:
+                out.append(",\n")
+            out.append(inner)
             _emit(x, out, indent + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
+        out.append("\n" + "  " * indent + "]")
     else:
         raise TypeError(f"not serializable: {type(obj)!r}")
 
@@ -95,15 +95,16 @@ def matrix_to_text(m) -> str:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.size == 0:
         raise MatrixFileError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise MatrixFileError("matrix entries must be finite")
     rows, cols = m.shape
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    data = m.reshape(-1, 1).view(np.float64).tolist()
     return dumps({"rows": rows, "cols": cols, "data": data}) + "\n"
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # parsed JSON holds exact ints and floats, and type() leaves out bool
+    return type(x) in (int, float) and math.isfinite(x)
 
 
 def matrix_from_text(text: str) -> np.ndarray:
@@ -122,12 +123,11 @@ def matrix_from_text(text: str) -> np.ndarray:
         raise MatrixFileError("cols must be a positive integer")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFileError(f"data must list exactly rows*cols = {rows * cols} entries")
-    values = np.empty(rows * cols, dtype=np.complex128)
     for i, entry in enumerate(data):
-        if not isinstance(entry, list) or len(entry) != 2 or not all(_is_number(v) for v in entry):
+        if not (type(entry) is list and len(entry) == 2 and _is_number(entry[0]) and _is_number(entry[1])):
             raise MatrixFileError(f"entry {i} must be a [re, im] pair of finite numbers")
-        values[i] = complex(entry[0], entry[1])
-    return values.reshape(rows, cols)
+    # each [re, im] row of float64 pairs is one complex128
+    return np.array(data, dtype=np.float64).view(np.complex128).reshape(rows, cols)
 
 
 def read_matrix_file(path) -> np.ndarray:

@@ -55,17 +55,28 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def psd_eigenvalues(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian eigenvalues (or rows of them) with round-off of exact zeros set to zero.
+    """Ascending Hermitian eigenvalues (or rows of them) with round-off of exact zeros set to zero.
 
     NotPsdError when a row's smallest is below -tol * (1 + its spectral radius).
-    Entries at or below PSD_ZERO_REL times their row's spectral radius become
-    zero: the round-off negatives, and the tiny positives that eigvalsh returns
-    for exact zeros, which a power p < 1 would otherwise magnify.
     """
-    radius = np.abs(w).max(axis=-1, keepdims=True)
-    lows = w.reshape(-1, w.shape[-1]).min(axis=1).tolist()
+    lows = w[..., 0].ravel().tolist()
+    radius = spectral_radius(w)
     if any(low < -tol * (1.0 + r) for low, r in zip(lows, radius.ravel().tolist())):
         raise NotPsdError("matrix has a negative eigenvalue beyond tolerance")
+    return zero_round_off(w, radius)
+
+
+def spectral_radius(w: np.ndarray) -> np.ndarray:
+    """Largest magnitude of an ascending spectrum, one per row, kept as a (..., 1) column."""
+    return np.maximum(-w[..., :1], w[..., -1:])
+
+
+def zero_round_off(w: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Entries at or below PSD_ZERO_REL times their row's spectral radius set to zero.
+
+    These are the round-off negatives, and the tiny positives that eigvalsh
+    returns for exact zeros, which a power p < 1 would otherwise magnify.
+    """
     return np.where(w <= PSD_ZERO_REL * radius, 0.0, w)
 
 

@@ -19,6 +19,7 @@ from normtrace.errors import (
     ShapeMismatchError,
     SingularPowerError,
 )
+from normtrace.linalg import psd_power
 from normtrace.norms import kyfan_norm
 
 
@@ -192,6 +193,48 @@ def test_partial_fidelity_monotone_in_k():
     assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
     with pytest.raises(ShapeMismatchError):
         partial_fidelity(rho, psd(rng, 3), 1)
+
+
+def density(rng, n, rank=None):
+    g = (rng.standard_normal((n, rank or n)) + 1j * rng.standard_normal((n, rank or n))) / np.sqrt(2)
+    a = g @ g.conj().T
+    return a / np.trace(a).real
+
+
+@pytest.mark.parametrize("d,rank", [(4, None), (9, None), (16, None), (36, None), (9, 2)])
+def test_partial_fidelity_matches_direct_svd(d, rank):
+    # the m-k smallest singular values of sqrt(rho) sqrt(sigma), rho possibly rank-deficient
+    rng = np.random.default_rng(d + (rank or 0))
+    rho, sigma = density(rng, d, rank), density(rng, d)
+    sv = np.sort(np.linalg.svd(psd_power(rho, 0.5) @ psd_power(sigma, 0.5), compute_uv=False))
+    for k in range(1, d):
+        expected = float(sv[: d - k].sum())
+        assert abs(partial_fidelity(rho, sigma, k) - expected) <= 1e-12 * abs(expected)
+
+
+def test_partial_fidelity_rejects_bad_inputs():
+    rng = np.random.default_rng(41)
+    rho, sigma = density(rng, 3), density(rng, 3)
+    with pytest.raises(NotPsdError):
+        partial_fidelity(rho + 1e-3j * np.triu(np.ones((3, 3)), 1), sigma, 1)
+    with pytest.raises(NotPsdError):
+        partial_fidelity(rho, -sigma, 1)
+    with pytest.raises(ShapeMismatchError):
+        partial_fidelity(rho, density(rng, 2), 1)
+    for k in (0, 4):
+        with pytest.raises(RankRangeError):
+            partial_fidelity(rho, sigma, k)
+
+
+def test_partial_fidelity_decomposition_count(monkeypatch):
+    # one eigh per square root and one svd of their product
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=real, **kw: calls.append(_n) or _f(*a, **kw))
+    rng = np.random.default_rng(43)
+    partial_fidelity(density(rng, 5), density(rng, 5), 2)
+    assert sorted(calls) == ["eigh", "eigh", "svd"]
 
 
 def test_stacked_spectra_match_one_by_one():

@@ -443,6 +443,22 @@ def test_non_integer_sizes_are_rejected(make, error):
         make()
 
 
+@pytest.mark.parametrize("seed", [42.0, 2.5, "42", True, False, None])
+def test_config_rejects_base_seed_that_is_not_an_integer(seed):
+    # the seed's text is hashed into every trial seed: 42.0 and True ("True")
+    # would each give another audit than 42 and 1
+    with pytest.raises(PreconditionError, match="integer"):
+        AuditConfig(base_seed=seed)
+
+
+def test_numpy_integer_base_seed_gives_the_same_audit():
+    # a numpy integer formats as the int does, so it hashes the same trial seeds
+    cfg = dict(trials_per_case=2, dims=((2, 2),), case_filter=("KPN1",))
+    assert run_audit(AuditConfig(base_seed=np.int64(42), **cfg)).to_text() == run_audit(
+        AuditConfig(base_seed=42, **cfg)
+    ).to_text()
+
+
 def test_run_audit_small_clean():
     cfg = AuditConfig(trials_per_case=5, dims=((2, 2), (2, 3)))
     report = run_audit(cfg)

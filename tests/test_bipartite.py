@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from normtrace import bipartite
 from normtrace.bipartite import (
     BipartiteOperator,
     partial_trace_a,
@@ -57,14 +58,35 @@ def test_partial_trace_of_kron_products():
     assert np.allclose(partial_trace_a(w), np.trace(a) * b)
 
 
-@pytest.mark.parametrize("m,n", DIMS)
+TWIRL_DIMS = DIMS + [(1, 1), (1, 4), (3, 1), (2, 5), (6, 6)]
+
+
+@pytest.mark.parametrize("m,n", TWIRL_DIMS)
 def test_twirl_equals_embedded_partial_trace(m, n):
     rng = np.random.default_rng(m * 1000 + n)
     w = BipartiteOperator(ginibre(rng, m * n), m, n)
     twirled = twirl_oracle_b(w)
     rebuilt = np.kron(partial_trace_b(w), np.eye(n))
     scale = max(1.0, float(np.abs(w.matrix).max()))
+    assert twirled.shape == (m * n, m * n)
     assert np.abs(twirled - rebuilt).max() <= 1e-12 * scale
+
+
+def test_twirl_never_takes_a_block_trace(monkeypatch):
+    # the oracle is a cross-check only while it shares no code with the
+    # block-trace route: it must run with that route and einsum unavailable
+    rng = np.random.default_rng(25)
+    w = BipartiteOperator(100.0 * ginibre(rng, 12), 3, 4)
+    rebuilt = np.kron(partial_trace_b(w), np.eye(4))
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the twirl oracle took a block trace")
+
+    monkeypatch.setattr(bipartite, "trace_out_b", unavailable)
+    monkeypatch.setattr(bipartite, "partial_trace_b", unavailable)
+    monkeypatch.setattr(np, "einsum", unavailable)
+    twirled = bipartite.twirl_oracle_b(w)
+    assert np.abs(twirled - rebuilt).max() <= 1e-12 * float(np.abs(w.matrix).max())
 
 
 def test_swap_factors_exchanges_roles():

@@ -135,6 +135,16 @@ def test_density_validation():
     assert np.allclose(np.sort(w), [0.25, 0.75])
 
 
+def test_density_errors_name_the_failing_value():
+    with pytest.raises(NotDensityError, match=r"trace 1\.4 differs from 1 beyond 1e-09"):
+        density_spectrum(np.diag([0.7, 0.7]))
+    with pytest.raises(NotDensityError, match=r"eigenvalue -5\.000e-01 below -1e-10"):
+        density_spectrum(np.stack([np.diag([0.5, 0.5]), np.diag([1.5, -0.5])]))
+    # within the floor, a negative eigenvalue is round-off of a zero and becomes 0.0
+    w = density_spectrum(np.diag([-1e-14, 1.0 + 1e-14]))
+    assert w.tolist() == [0.0, 1.0 + 1e-14]
+
+
 def test_alpha_negative_or_zero_rejected():
     rho = np.eye(2) / 2
     for alpha in (0.0, -1.0, np.nan):

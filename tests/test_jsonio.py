@@ -40,6 +40,39 @@ def test_matrix_round_trip(tmp_path):
     assert np.array_equal(back, m)
 
 
+def test_matrix_to_text_bytes_are_pinned():
+    # signed zeros, the smallest subnormal, 17-digit decimals, huge and
+    # integer-valued floats, and numpy scalars, each written as 17 significant digits
+    m = [[complex(-0.0, 5e-324), complex(0.1, 1e300)], [np.float64(3.0), complex(np.float64(-2.5e-8), -0.0)]]
+    assert jsonio.matrix_to_text(m) == (
+        "{\n"
+        '  "rows": 2,\n'
+        '  "cols": 2,\n'
+        '  "data": [\n'
+        "    [-0, 4.9406564584124654e-324],\n"
+        "    [0.10000000000000001, 1.0000000000000001e+300],\n"
+        "    [3, 0],\n"
+        "    [-2.4999999999999999e-08, -0]\n"
+        "  ]\n"
+        "}\n"
+    )
+
+
+def test_dumps_scalars_of_every_type():
+    obj = {"a": [np.float64(0.1), 2.0, -0.0, np.int64(3), True, None, math.inf, np.float64(-math.inf)], "b": {"c": 1e-320}}
+    assert jsonio.dumps(obj) == (
+        '{\n  "a": [0.10000000000000001, 2, -0, 3, true, null, "inf", "-inf"],\n'
+        '  "b": {\n    "c": 9.9998886718268301e-321\n  }\n}'
+    )
+
+
+def test_matrix_text_round_trips_bit_for_bit():
+    m = np.array([[complex(1.5, 5e-324), complex(0.1, -1e300)], [3.0, complex(-2.5e-8, 7.0)]])
+    back = jsonio.matrix_from_text(jsonio.matrix_to_text(m))
+    assert back.shape == (2, 2)
+    assert back.view(np.float64).tobytes() == m.view(np.float64).tobytes()
+
+
 def test_matrix_text_shape():
     text = jsonio.matrix_to_text(np.array([[1.0 + 2.0j]]))
     payload = json.loads(text)
