@@ -72,6 +72,21 @@ def test_twirl_equals_embedded_partial_trace(m, n):
     assert np.abs(twirled - rebuilt).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
+def test_twirl_is_the_literal_group_sum(m, n):
+    # the factored average equals (1/n) sum over l, j of U W U^dag with U = I (x) X^l Z^j
+    rng = np.random.default_rng(m * 7 + n)
+    w = BipartiteOperator(ginibre(rng, m * n), m, n)
+    x = np.roll(np.eye(n), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    total = np.zeros((m * n, m * n), dtype=complex)
+    for l in range(n):
+        for j in range(n):
+            u = np.kron(np.eye(m), np.linalg.matrix_power(x, l) @ np.linalg.matrix_power(z, j))
+            total += u @ w.matrix @ u.conj().T
+    assert np.abs(twirl_oracle_b(w) - total / n).max() <= 1e-12 * float(np.abs(w.matrix).max())
+
+
 def test_twirl_never_takes_a_block_trace(monkeypatch):
     # the oracle is a cross-check only while it shares no code with the
     # block-trace route: it must run with that route and einsum unavailable
