@@ -16,7 +16,9 @@ Each case names a trial kind and a saturator kind of the KINDS table, which
 gives each kind's form (see margins.form) and builder.  Builders draw from
 numpy's PCG64 generator and are bit-reproducible per (kind, dims, seed); the
 audit derives per-trial seeds by hashing (base_seed, case id, trial index), so
-reports are deterministic in the configuration alone.
+reports are deterministic in the configuration alone.  run_audit hashes a
+window's seeds in one vectorized pass of numpy's SeedSequence and hands them to
+the builders as TrialSeeds, ints that carry their generator state.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ._version import __version__
 from . import jsonio
@@ -85,9 +88,8 @@ PRNG_INFO = {
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / math.sqrt(2.0)
+    x = rng.standard_normal((2, rows, cols))  # the real part's draws, then the imaginary part's
+    return (x[0] + 1j * x[1]) / math.sqrt(2.0)
 
 
 def _psd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -207,6 +209,89 @@ def _trial_seed(base_seed: int, tag: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), which default_rng(seed)
+# runs on an int seed: hashmix folds the seed's uint32 words into a pool of 4,
+# each pool word is mixed into the other three, and generate_state hashes the
+# pool, cycled, into the state words.  Each hashmix call takes the next pair
+# of constants of a multiplicative chain.
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    """The (xor, multiplier) constants of count successive hashmix calls, as uint32 arrays."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain[:-1], np.uint32), np.array(chain[1:], np.uint32)
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mult  # uint32 arrays wrap silently
+    return words ^ (words >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+_POOL_HASH_XOR, _POOL_HASH_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+# pool word i is hashed once for each other word, with three successive
+# constants, and mixed into it; with placeholder constants (xor 0, multiplier
+# 1) at position i, one step mixes all four words and then puts word i back
+_MIX_STEPS = tuple(
+    (np.insert(_POOL_HASH_XOR[4 + 3 * i:7 + 3 * i], i, 0), np.insert(_POOL_HASH_MULT[4 + 3 * i:7 + 3 * i], i, 1))
+    for i in range(4)
+)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _seed_states(seeds: list) -> np.ndarray:
+    """Row i is np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64), for 0 <= seeds[i] < 2**64."""
+    entropy = np.zeros((len(seeds), 2), "<u8")
+    entropy[:, 0] = seeds
+    # a seed's words are its little-endian uint32 words; words 2 and 3 are 0
+    pool = _hashmix(entropy.view("<u4"), _POOL_HASH_XOR[:4], _POOL_HASH_MULT[:4])
+    for i, (xor, mult) in enumerate(_MIX_STEPS):
+        source = pool[:, i].copy()
+        pool = _mix(pool, _hashmix(source[:, None], xor, mult))
+        pool[:, i] = source
+    state = _hashmix(np.tile(pool, 2), *_STATE_HASH)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class TrialSeed(int, ISeedSequence):
+    """An int seed that carries the generator state numpy hashes from it.
+
+    It is the int it was made from everywhere; np.random.default_rng(seed)
+    takes it as a seed sequence and builds from its precomputed state words
+    the generator of default_rng(int(seed)) without hashing the seed again.
+    """
+
+    def __new__(cls, value: int, state: np.ndarray):
+        seed = super().__new__(cls, value)
+        seed._state = state
+        return seed
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        # the one request PCG64 makes of its seed sequence
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a TrialSeed holds 4 uint64 state words, not {n_words!r} of {dtype!r}")
+        return self._state.copy()
+
+
+# below this many seeds, one hashing pass costs more than it saves over
+# hashing each seed in default_rng
+SEED_PASS_MIN = 6
+
+
+def _seeds(values: list) -> list:
+    """values as TrialSeeds, hashed in one pass; fewer than SEED_PASS_MIN stay plain ints."""
+    if len(values) < SEED_PASS_MIN:
+        return values
+    return [TrialSeed(value, state) for value, state in zip(values, _seed_states(values))]
+
+
 def _build(build, dims, seed):
     return build(np.random.default_rng(seed), *dims)
 
@@ -221,7 +306,7 @@ class InequalityCase:
     description: str
     paper_eq: str
     form: str  # what margins.form names its instances
-    make_instance: Callable  # (dims, seed) -> a trial instance
+    make_instance: Callable  # (dims, seed) -> a trial instance; seed is an int, from run_audit often a TrialSeed
     axes: tuple  # products of grid axes, each a string of axis names (see _axis), taken in turn
     evaluate: Callable
     saturator: Callable  # (dims, seed) -> an instance attaining equality
@@ -562,10 +647,14 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
         residual = 0.0
         for start in range(0, trials, TRIAL_WINDOW):
             stop = min(start + TRIAL_WINDOW, trials)
-            specs = [(t, dims[t % len(dims)], _trial_seed(base, cid, t)) for t in range(start, stop)]
+            seeds = [_trial_seed(base, cid, t) for t in range(start, stop)]
+            if stop == trials:
+                seeds += [_trial_seed(base, cid + ":sat", i) for i in range(len(dims))]
+            seeds = _seeds(seeds)
+            specs = [(t, dims[t % len(dims)], seeds[t - start]) for t in range(start, stop)]
             made = _instances(case.make_instance, specs, failed)
             if stop == trials:
-                specs = [(trials + i, pair, _trial_seed(base, cid + ":sat", i)) for i, pair in enumerate(dims)]
+                specs = [(trials + i, pair, seeds[stop - start + i]) for i, pair in enumerate(dims)]
                 made += _instances(case.saturator, specs, failed)
             groups = {}
             for index, inst in made:

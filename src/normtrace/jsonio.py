@@ -107,9 +107,14 @@ def _is_number(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
+def _parse_int(text: str):
+    # the emitter writes a negative zero as "-0", which int() would read as +0
+    return -0.0 if text == "-0" else int(text)
+
+
 def matrix_from_text(text: str) -> np.ndarray:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

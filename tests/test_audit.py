@@ -1,5 +1,6 @@
 """Registry, samplers, and the audit runner."""
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ def test_sample_rejects_bad_requests():
         sample("psd", (0,), 1)
     with pytest.raises(BadDimsError):
         sample("channel", (4, 1, 2), 1)
+
+
+def test_ginibre_reads_the_real_draws_then_the_imaginary_draws():
+    # one (2, rows, cols) draw is the stream of two (rows, cols) draws
+    for seed in range(50):
+        for rows, cols in ((1, 1), (3, 4), (6, 6), (12, 4)):
+            rng = np.random.default_rng(seed)
+            re = rng.standard_normal((rows, cols))
+            expected = (re + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+            got = audit._ginibre(np.random.default_rng(seed), rows, cols)
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_instance_kinds_have_their_declared_form():
@@ -389,6 +401,114 @@ def test_run_audit_windows_bound_the_instances_held(monkeypatch):
     assert run_audit(cfg).to_text() == whole
     # the last window holds 8 - 2 * 3 trials and one saturator per dims pair
     assert max(held) == 2 + len(cfg.dims) and held[-1] == 0
+
+
+# the edge words of a 64-bit seed and 2,000 seeds shaped like trial seeds
+EDGE_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+SHA_SEEDS = [int.from_bytes(hashlib.sha256(str(i).encode()).digest()[:8], "big") for i in range(2000)]
+
+
+def test_seed_states_equal_numpy_seed_sequence():
+    seeds = EDGE_SEEDS + SHA_SEEDS
+    states = audit._seed_states(seeds)
+    assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+    for seed, state in zip(seeds, states):
+        assert np.array_equal(state, np.random.SeedSequence(seed).generate_state(4, np.uint64)), seed
+    assert np.array_equal(audit._seed_states(seeds[:1]), states[:1])
+
+
+def _rng_state(seed):
+    return np.random.default_rng(seed).bit_generator.state
+
+
+def _trial_seeds(values):
+    return [audit.TrialSeed(value, state) for value, state in zip(values, audit._seed_states(values))]
+
+
+def test_trial_seed_is_its_int_and_seeds_its_generator():
+    for value, seed in zip(EDGE_SEEDS, _trial_seeds(EDGE_SEEDS)):
+        assert seed == value and hash(seed) == hash(value)
+        assert str(seed) == str(value) and seed % 2 == value % 2
+        assert _rng_state(seed) == _rng_state(value)
+        first = seed.generate_state(4, np.uint64)
+        first[:] = 0  # each call returns its own copy
+        assert np.array_equal(seed.generate_state(4, "uint64"), np.random.SeedSequence(value).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])
+def test_trial_seed_refuses_other_state_requests(n_words, dtype):
+    (seed,) = _trial_seeds([7])
+    with pytest.raises(ValueError, match="4 uint64 state words"):
+        seed.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        seed.generate_state(4)  # SeedSequence's default dtype is uint32
+
+
+def test_seeds_below_the_pass_minimum_stay_ints():
+    few = SHA_SEEDS[:audit.SEED_PASS_MIN - 1]
+    assert audit._seeds(few) is few
+    assert all(type(seed) is audit.TrialSeed for seed in audit._seeds(SHA_SEEDS[:audit.SEED_PASS_MIN]))
+
+
+def _instance_bytes(inst) -> bytes:
+    if isinstance(inst, BipartiteOperator):
+        return inst.matrix.tobytes()
+    if isinstance(inst, tuple):  # a (channel, input) pair
+        ch, q = inst
+        return np.asarray(ch.v).tobytes() + q.tobytes()
+    return inst.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(audit.KINDS))
+def test_kinds_build_the_same_from_trial_seeds(kind):
+    _, build = audit.KINDS[kind]
+    seeds = SHA_SEEDS[:8]
+    for dims, value, seed in zip(((2, 2), (2, 3), (3, 2), (4, 3)) * 2, seeds, _trial_seeds(seeds)):
+        assert _instance_bytes(audit._build(build, dims, seed)) == _instance_bytes(audit._build(build, dims, value))
+
+
+def test_run_audit_hands_makers_trial_seeds(monkeypatch):
+    # 70 trials make a 64-trial window and a last window of 6 trials and the
+    # saturators; a pass minimum of 1 makes every window take the pass
+    cfg = AuditConfig(base_seed=5, trials_per_case=70, case_filter=("KPK2", "STCTP"))
+    handed = []
+
+    def recording(make, tag):
+        def record(dims, seed):
+            handed.append((tag, dims, seed))
+            return make(dims, seed)
+
+        return record
+
+    for cid in cfg.case_filter:
+        case = REGISTRY[cid]
+        _replace_case(
+            monkeypatch, cid, make_instance=recording(case.make_instance, cid),
+            saturator=recording(case.saturator, cid + ":sat"),
+        )
+    monkeypatch.setattr(audit, "SEED_PASS_MIN", 1)
+    run_audit(cfg)
+    n = len(cfg.dims)
+    expected = [
+        (tag, cfg.dims[i % n], i)
+        for cid in cfg.case_filter
+        for tag, count in ((cid, cfg.trials_per_case), (cid + ":sat", n))
+        for i in range(count)
+    ]
+    assert [(tag, dims) for tag, dims, _ in handed] == [(tag, dims) for tag, dims, _ in expected]
+    for (_, _, seed), (tag, _, i) in zip(handed, expected):
+        assert type(seed) is audit.TrialSeed and seed == audit._trial_seed(cfg.base_seed, tag, i)
+        assert _rng_state(seed) == _rng_state(int(seed))
+
+
+@pytest.mark.parametrize("base_seed", [42, 7])
+@pytest.mark.parametrize("config", [dict(trials_per_case=70), dict(dims=((6, 6), (4, 8)), trials_per_case=2)])
+def test_run_audit_without_the_seed_pass_gives_the_same_report(monkeypatch, base_seed, config):
+    cfg = AuditConfig(base_seed=base_seed, **config)
+    monkeypatch.setattr(audit, "SEED_PASS_MIN", 1)  # every window takes the pass
+    hashed = run_audit(cfg).to_text()
+    monkeypatch.setattr(audit, "_seeds", lambda values: values)
+    assert run_audit(cfg).to_text() == hashed
 
 
 def test_config_validation():

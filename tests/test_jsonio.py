@@ -38,8 +38,11 @@ def test_matrix_round_trip(tmp_path):
     back = jsonio.read_matrix_file(path)
     assert back.dtype == np.complex128
     assert np.array_equal(back, m)
-    # the smallest subnormal and huge magnitudes come back bit for bit
-    extreme = np.array([[complex(1.5, 5e-324), complex(0.1, -1e300)], [3.0, complex(-2.5e-8, 7.0)]])
+    # signed zeros, the smallest subnormal and huge magnitudes come back bit for bit
+    extreme = np.array([
+        [complex(1.5, 5e-324), complex(0.1, -1e300), complex(-0.0, -0.0)],
+        [3.0, complex(-2.5e-8, 7.0), complex(0.0, -0.0)],
+    ])
     back = jsonio.matrix_from_text(jsonio.matrix_to_text(extreme))
     assert back.view(np.float64).tobytes() == extreme.view(np.float64).tobytes()
 
