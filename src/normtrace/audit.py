@@ -266,12 +266,18 @@ class TrialSeed(int, ISeedSequence):
     It is the int it was made from everywhere; np.random.default_rng(seed)
     takes it as a seed sequence and builds from its precomputed state words
     the generator of default_rng(int(seed)) without hashing the seed again.
+    Such a generator cannot spawn (rng.spawn raises TypeError), since numpy
+    spawns only from a SeedSequence; no builder spawns.
     """
 
     def __new__(cls, value: int, state: np.ndarray):
         seed = super().__new__(cls, value)
         seed._state = state
         return seed
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild an int subclass from these arguments
+        return int(self), self._state
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
         # the one request PCG64 makes of its seed sequence
@@ -280,15 +286,8 @@ class TrialSeed(int, ISeedSequence):
         return self._state.copy()
 
 
-# below this many seeds, one hashing pass costs more than it saves over
-# hashing each seed in default_rng
-SEED_PASS_MIN = 6
-
-
 def _seeds(values: list) -> list:
-    """values as TrialSeeds, hashed in one pass; fewer than SEED_PASS_MIN stay plain ints."""
-    if len(values) < SEED_PASS_MIN:
-        return values
+    """values as TrialSeeds, hashed in one pass."""
     return [TrialSeed(value, state) for value, state in zip(values, _seed_states(values))]
 
 
@@ -306,7 +305,7 @@ class InequalityCase:
     description: str
     paper_eq: str
     form: str  # what margins.form names its instances
-    make_instance: Callable  # (dims, seed) -> a trial instance; seed is an int, from run_audit often a TrialSeed
+    make_instance: Callable  # (dims, seed) -> a trial instance; seed is an int, from run_audit a TrialSeed
     axes: tuple  # products of grid axes, each a string of axis names (see _axis), taken in turn
     evaluate: Callable
     saturator: Callable  # (dims, seed) -> an instance attaining equality

@@ -1,6 +1,8 @@
 """Registry, samplers, and the audit runner."""
+import copy
 import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -444,10 +446,17 @@ def test_trial_seed_refuses_other_state_requests(n_words, dtype):
         seed.generate_state(4)  # SeedSequence's default dtype is uint32
 
 
-def test_seeds_below_the_pass_minimum_stay_ints():
-    few = SHA_SEEDS[:audit.SEED_PASS_MIN - 1]
-    assert audit._seeds(few) is few
-    assert all(type(seed) is audit.TrialSeed for seed in audit._seeds(SHA_SEEDS[:audit.SEED_PASS_MIN]))
+def test_trial_seed_survives_copy_and_pickle():
+    (seed,) = _trial_seeds([2**64 - 1])
+    for twin in (copy.copy(seed), copy.deepcopy(seed), pickle.loads(pickle.dumps(seed))):
+        assert type(twin) is audit.TrialSeed and twin == seed
+        assert _rng_state(twin) == _rng_state(int(seed))
+
+
+def test_trial_seed_generator_cannot_spawn():
+    (seed,) = _trial_seeds([7])
+    with pytest.raises(TypeError):
+        np.random.default_rng(seed).spawn(1)
 
 
 def _instance_bytes(inst) -> bytes:
@@ -469,7 +478,7 @@ def test_kinds_build_the_same_from_trial_seeds(kind):
 
 def test_run_audit_hands_makers_trial_seeds(monkeypatch):
     # 70 trials make a 64-trial window and a last window of 6 trials and the
-    # saturators; a pass minimum of 1 makes every window take the pass
+    # saturators
     cfg = AuditConfig(base_seed=5, trials_per_case=70, case_filter=("KPK2", "STCTP"))
     handed = []
 
@@ -486,7 +495,6 @@ def test_run_audit_hands_makers_trial_seeds(monkeypatch):
             monkeypatch, cid, make_instance=recording(case.make_instance, cid),
             saturator=recording(case.saturator, cid + ":sat"),
         )
-    monkeypatch.setattr(audit, "SEED_PASS_MIN", 1)
     run_audit(cfg)
     n = len(cfg.dims)
     expected = [
@@ -505,7 +513,6 @@ def test_run_audit_hands_makers_trial_seeds(monkeypatch):
 @pytest.mark.parametrize("config", [dict(trials_per_case=70), dict(dims=((6, 6), (4, 8)), trials_per_case=2)])
 def test_run_audit_without_the_seed_pass_gives_the_same_report(monkeypatch, base_seed, config):
     cfg = AuditConfig(base_seed=base_seed, **config)
-    monkeypatch.setattr(audit, "SEED_PASS_MIN", 1)  # every window takes the pass
     hashed = run_audit(cfg).to_text()
     monkeypatch.setattr(audit, "_seeds", lambda values: values)
     assert run_audit(cfg).to_text() == hashed
