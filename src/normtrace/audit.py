@@ -10,7 +10,8 @@ the parameter grids live in margins.py.
 The runner makes a case's trial instances TRIAL_WINDOW at a time and evaluates
 each window in batches of same-shape instances: one margins.Spectra and one
 evaluator call per batch.  evaluate_case, a batch of one with a one-point grid,
-gives the same margins.
+gives the same margins.  A channel trial's builder only draws it (see
+channels.DrawnChannel), and Spectra finishes a batch's channels in stacked calls.
 
 Each case names a trial kind and a saturator kind of the KINDS table, which
 gives each kind's form (see margins.form) and builder.  Builders draw from
@@ -36,7 +37,7 @@ from ._version import __version__
 from . import jsonio
 from .antinorms import kyfan_antinorm_of
 from .bipartite import BipartiteOperator
-from .channels import StinespringChannel, partial_trace_channel
+from .channels import DrawnChannel, partial_trace_channel, qr_isometry
 from .errors import BadDimsError, KindMismatchError, PreconditionError
 from .linalg import kron
 from .margins import (
@@ -108,20 +109,13 @@ def _density(rng: np.random.Generator, n: int) -> np.ndarray:
     return a / float(a.trace().real)
 
 
-def _isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
-
-
-def _channel(rng: np.random.Generator, m: int, n: int, d: int) -> StinespringChannel:
+def _channel(rng: np.random.Generator, m: int, n: int, d: int) -> DrawnChannel:
     if n * d < m:
         raise BadDimsError(f"no isometry from dimension {m} into {n}*{d}")
-    return StinespringChannel(_isometry(rng, n * d, m), m, n, d)
+    return DrawnChannel(_ginibre(rng, n * d, m), m, n, d)
 
 
-def _random_channel(rng: np.random.Generator, m: int, n: int) -> StinespringChannel:
+def _random_channel(rng: np.random.Generator, m: int, n: int) -> DrawnChannel:
     # d is drawn before the isometry
     return _channel(rng, m, n, math.ceil(m / n) + int(rng.integers(0, 3)))
 
@@ -167,8 +161,8 @@ _SAMPLERS = {
     "psd": (("m",), _psd),
     "pd": (("m",), _pd),
     "density": (("m",), _density),
-    "unitary": (("m",), lambda rng, m: _isometry(rng, m, m)),
-    "channel": (("m", "n", "d"), _channel),
+    "unitary": (("m",), lambda rng, m: qr_isometry(_ginibre(rng, m, m))),
+    "channel": (("m", "n", "d"), lambda rng, m, n, d: _channel(rng, m, n, d).finish()),
     **{kind: (("m", "n"), build) for kind, (_, build) in KINDS.items() if kind.startswith("bipartite")},
 }
 
@@ -305,7 +299,7 @@ class InequalityCase:
     description: str
     paper_eq: str
     form: str  # what margins.form names its instances
-    make_instance: Callable  # (dims, seed) -> a trial instance; seed is an int, from run_audit a TrialSeed
+    make_instance: Callable  # (dims, seed) -> a trial instance, channels drawn only; seed an int, or a TrialSeed
     axes: tuple  # products of grid axes, each a string of axis names (see _axis), taken in turn
     evaluate: Callable
     saturator: Callable  # (dims, seed) -> an instance attaining equality
@@ -600,7 +594,7 @@ def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: d
 
     grids holds the case's grid per rank bound, made on first use.  On a domain
     error each member is evaluated again alone, so only the ones that raise go
-    to failed, and those contribute no margin.
+    to failed, as do those with a margin that is not finite: none of them gives a margin.
     """
     try:
         sp = Spectra([inst for _, inst in members], config.env_dim_mode)
@@ -616,7 +610,16 @@ def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: d
         for member in members:
             results.update(_evaluate(case, [member], config, grids, failed))
         return results
-    return {index: (row, stat) for (index, _), row, stat in zip(members, margins, stats)}
+    finite = np.isfinite(margins)
+    if not finite.all():  # one check per batch
+        trials = config.trials_per_case
+        for (index, _), row, ok in zip(members, margins, finite):
+            if not ok.all():
+                j = int(np.argmin(ok))  # the first point that is not finite
+                who = f"trial {index}" if index < trials else f"saturator {index - trials}"
+                point = ", ".join(f"{name}={column[j]}" for name, column in grids[sp.kmax].items())
+                failed[index] = f"non-finite margin {row[j]} in {case.id} {who} at {point}"
+    return {index: (row, stat) for (index, _), row, stat in zip(members, margins, stats) if index not in failed}
 
 
 def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:

@@ -7,25 +7,58 @@ Kraus operators are the environment slices of V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bipartite import BipartiteOperator, partial_trace_b
+from .bipartite import trace_out_b
 from .errors import NotTracePreservingError, ShapeMismatchError
-from .linalg import as_matrix, singular_values
+from .linalg import as_matrices, as_matrix, singular_values
 
 ISOMETRY_TOL = 1e-10
 CHOI_RANK_TOL = 1e-9
 
 
+def qr_isometry(g: np.ndarray) -> np.ndarray:
+    """Q of g = QR rephased so R's diagonal is positive: a function of g, Haar for a Ginibre g."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def validate_isometry(v, tol: float = ISOMETRY_TOL) -> bool:
-    """True when V^dag V = I within tol * (1 + max|V|^2).  V must be tall."""
-    v = as_matrix(v)
-    if v.shape[0] < v.shape[1]:
+    """True when V^dag V = I within tol * (1 + max|V|^2), for V or every matrix of a stack.  V must be tall."""
+    v = as_matrices(v)
+    if v.shape[-2] < v.shape[-1]:
         raise ShapeMismatchError("isometry requires at least as many rows as columns")
-    gram = v.conj().T @ v
-    scale = 1.0 + float(np.abs(v).max()) ** 2
-    return float(np.abs(gram - np.eye(v.shape[1])).max()) <= tol * scale
+    off = np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])).max(axis=(-2, -1)).reshape(-1).tolist()
+    top = np.abs(v).max(axis=(-2, -1)).reshape(-1).tolist()
+    return all(o <= tol * (1.0 + t ** 2) for o, t in zip(off, top))
+
+
+def require_isometry(v: np.ndarray) -> np.ndarray:
+    """v, or NotTracePreservingError where validate_isometry refuses it."""
+    if not validate_isometry(v):
+        raise NotTracePreservingError("dilation matrix is not an isometry")
+    return v
+
+
+def channel_outputs(v: np.ndarray, q: np.ndarray, dim_out: int, dim_env: int) -> np.ndarray:
+    """Tr_env(V Q V^dag) for one dilation and input, or for each pair of two stacks of them."""
+    return trace_out_b(v @ q @ v.conj().swapaxes(-1, -2), dim_out, dim_env)
+
+
+def choi_ranks(v: np.ndarray, dim_out: int, dim_env: int, tol: float = CHOI_RANK_TOL) -> np.ndarray:
+    """Choi rank of the channel of a dilation V, or of each V of a stack (see choi_rank).
+
+    The Choi matrix is A A^dag, column c of A holding vec(K_c), K_c the slice of V at
+    environment index c; its nonzero eigenvalues are those of A^dag A, and the smaller Gram is decomposed.
+    """
+    lead, m = v.shape[:-2], v.shape[-1]
+    a = v.reshape(lead + (dim_out, dim_env, m)).swapaxes(-1, -2).reshape(lead + (dim_out * m, dim_env))
+    ah = a.conj().swapaxes(-1, -2)
+    w = np.linalg.eigvalsh(ah @ a if dim_env <= dim_out * m else a @ ah)  # ascending: the last is the largest
+    return np.count_nonzero(w > tol * w[..., -1:], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -44,24 +77,32 @@ class StinespringChannel:
             raise ShapeMismatchError("channel dimensions must be positive")
         if v.shape != expected:
             raise ShapeMismatchError(f"dilation shape {v.shape}, expected {expected}")
-        if not validate_isometry(v):
-            raise NotTracePreservingError("dilation matrix is not an isometry")
+        require_isometry(v)
         object.__setattr__(self, "v", v)
 
     def apply(self, q) -> np.ndarray:
         """Channel output Tr_env(V Q V^dag) for a square input on dim_in."""
         q = as_matrix(q)
         if q.shape != (self.dim_in, self.dim_in):
-            raise ShapeMismatchError(
-                f"input shape {q.shape}, channel expects ({self.dim_in}, {self.dim_in})"
-            )
-        lifted = self.v @ q @ self.v.conj().T
-        return partial_trace_b(BipartiteOperator(lifted, self.dim_out, self.dim_env))
+            raise ShapeMismatchError(f"input shape {q.shape}, channel expects ({self.dim_in}, {self.dim_in})")
+        return channel_outputs(self.v, q, self.dim_out, self.dim_env)
 
     def kraus_operators(self) -> list[np.ndarray]:
         """Environment slices of V; apply(Q) equals sum_c K_c Q K_c^dag."""
         r = self.v.reshape(self.dim_out, self.dim_env, self.dim_in)
         return [np.ascontiguousarray(r[:, c, :]) for c in range(self.dim_env)]
+
+
+class DrawnChannel(NamedTuple):
+    """A drawn channel before its finish, the dilation V = qr_isometry(gaussian); Spectra finishes stacks of them."""
+
+    gaussian: np.ndarray  # (dim_out * dim_env, dim_in)
+    dim_in: int
+    dim_out: int
+    dim_env: int
+
+    def finish(self) -> StinespringChannel:
+        return StinespringChannel(qr_isometry(self.gaussian), self.dim_in, self.dim_out, self.dim_env)
 
 
 def kraus_to_stinespring(kraus) -> StinespringChannel:
@@ -98,16 +139,8 @@ def choi_matrix(ch: StinespringChannel) -> np.ndarray:
 
 
 def choi_rank(ch: StinespringChannel, tol: float = CHOI_RANK_TOL) -> int:
-    """Number of Choi eigenvalues above tol relative to the largest.
-
-    The Choi matrix is A A^dag, A holding vec(K_c) of each Kraus operator as a
-    column, so its nonzero eigenvalues are those of A^dag A, which is only
-    dim_env square; the smaller of the two is decomposed.
-    """
-    a = np.stack([k.reshape(-1) for k in ch.kraus_operators()], axis=1)
-    w = np.linalg.eigvalsh(a.conj().T @ a if a.shape[1] <= a.shape[0] else a @ a.conj().T)
-    top = float(w.max())
-    return int(np.count_nonzero(w > tol * top))
+    """Number of Choi eigenvalues above tol relative to the largest."""
+    return int(choi_ranks(ch.v, ch.dim_out, ch.dim_env, tol))
 
 
 def singular_value_conjugation_check(ch_or_v, q, tol: float = 1e-9) -> bool:

@@ -95,8 +95,9 @@ def singular_values(q) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor owning the outer (block) index."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with the left factor owning the outer (block) index; np.kron's products in one broadcast."""
+    a, b = as_matrix(a), as_matrix(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def psd_power(q, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -5,11 +5,11 @@ evaluator reads only spectra: singular values for norms, eigenvalues for
 anti-norms and entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's
 Choi rank.  form names an instance's kind (bipartite operator, channel pair or
 plain matrix) and shape.  Spectra holds one batch of instances of one form and
-shape: each matrix is stacked and decomposed in one call, one table per
-(matrix, exponent) serves the stack (a cumulative power sum over the sorted
-spectra serves every k; entropies read tr rho^alpha and the von Neumann value),
-and one evaluator call returns the (instances, grid points) margins, each
-normalized by max(1, |lhs|, |rhs|).
+shape: drawn channels are finished, each matrix is stacked and decomposed in
+one call, one table per (matrix, exponent) serves the stack (a cumulative power
+sum over the sorted spectra serves every k; entropies read tr rho^alpha and the
+von Neumann value), and one evaluator call returns the (instances, grid points)
+margins, each normalized by max(1, |lhs|, |rhs|).
 Each case declares its grid as products of named axes (see _axis), and
 make_grid builds it from an audit configuration.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
 from .bipartite import BipartiteOperator, trace_out_b
-from .channels import StinespringChannel, choi_rank
+from .channels import DrawnChannel, StinespringChannel, channel_outputs, choi_ranks, qr_isometry, require_isometry
 from .entropy import (
     alpha_log,
     density_spectrum,
@@ -84,13 +84,13 @@ def form(inst) -> tuple:
     """(form, shape) of an audit instance; instances of one form and shape stack into one batch.
 
     The forms are "bipartite", a BipartiteOperator (shape (m, n)); "channel", a
-    (StinespringChannel, input matrix) pair (shape (dim_in, dim_out)); and
-    "matrix", a plain ndarray (its shape).  Anything else raises
-    KindMismatchError.
+    (channel, input matrix) pair, the channel a StinespringChannel or a
+    DrawnChannel still to be finished (shape (dim_in, dim_out)); and "matrix",
+    a plain ndarray (its shape).  Anything else raises KindMismatchError.
     """
     if isinstance(inst, BipartiteOperator):
         return "bipartite", (inst.dim_a, inst.dim_b)
-    if isinstance(inst, tuple) and len(inst) == 2 and isinstance(inst[0], StinespringChannel):
+    if isinstance(inst, tuple) and len(inst) == 2 and isinstance(inst[0], (StinespringChannel, DrawnChannel)):
         return "channel", (inst[0].dim_in, inst[0].dim_out)
     if isinstance(inst, np.ndarray):
         return "matrix", inst.shape
@@ -108,15 +108,16 @@ class Spectra:
 
     Each matrix (W and Tr_B W, Q and Phi(Q), or Q) is stacked to (trials, d, d)
     and decomposed at most once per spectrum kind, in one call, with the checks
-    of the matrix-level functions applied row by row; each channel's Choi rank
-    is computed once.  One table per (matrix, exponent) serves the stack, so a
-    functional at every grid point is a lookup giving a (trials, points) array;
-    a lookup outside a table raises the scalar function's RankRangeError or
-    ExponentRangeError.
+    of the matrix-level functions applied row by row.  Channels are finished in
+    one call per step and sub-stack, the drawn or the finished channels of one d:
+    their dilations V (see _dilations), Phi(Q) and, under "choi_rank", the Choi
+    ranks.  One table per (matrix, exponent) serves the stack, so a functional at every
+    grid point is a lookup giving a (trials, points) array; a lookup outside a
+    table raises the scalar function's RankRangeError or ExponentRangeError.
     """
 
     def __init__(self, insts: list, env_mode: str = "choi_rank"):
-        self.size, self.env_mode = len(insts), env_mode
+        self.size = len(insts)
         kind, shape = form(insts[0])
         # kmax bounds the grid's rank k: the size of Tr_B W, of Phi(Q) or of Q
         if kind == "bipartite":
@@ -125,10 +126,20 @@ class Spectra:
             w = np.array([x.matrix for x in insts])
             self.matrices = {"w": w, "qa": trace_out_b(w, *shape)}
         elif kind == "channel":
-            self.channels = [ch for ch, _ in insts]
-            self.kmax = shape[1]
+            self.kmax = n = shape[1]
             q = _stack(x for _, x in insts)
-            self.matrices = {"q": q, "out": np.array([ch.apply(x) for ch, x in zip(self.channels, q)])}
+            groups = {}  # (d, drawn or not) -> the rows of those channels
+            for i, (ch, _) in enumerate(insts):
+                groups.setdefault((ch.dim_env, isinstance(ch, DrawnChannel)), []).append(i)
+            self.dilations = [  # (rows, d, their stacked dilations V)
+                (rows, d, _dilations([insts[i][0] for i in rows], drawn)) for (d, drawn), rows in groups.items()
+            ]
+            # env_dims: each channel's d, its Choi rank or, under "dim_env", its dilation's dim_env
+            out, ds = np.empty((self.size, n, n), dtype=np.complex128), np.empty(self.size, dtype=int)
+            for rows, d, v in self.dilations:
+                out[rows] = channel_outputs(v, q[rows], n, d)
+                ds[rows] = choi_ranks(v, n, d) if env_mode == "choi_rank" else d
+            self.matrices, self.env_dims = {"q": q, "out": out}, ds.tolist()
         else:
             self.matrices = {"q": _stack(insts)}
             self.kmax = self.matrices["q"].shape[-1]
@@ -184,7 +195,7 @@ class Spectra:
 
     def per_d(self, f) -> np.ndarray:
         """(trials, points) array whose row t is row t of f(d) at trial t's channel d."""
-        ds = self.env_dims()
+        ds = self.env_dims
         rows = {d: f(d) for d in set(ds)}
         return np.array([rows[d][t] for t, d in enumerate(ds)])
 
@@ -199,11 +210,12 @@ class Spectra:
         sums = {a: self._get(("power_sum", name, a), partial(power_sum_of, spectra, a)) for a in dict.fromkeys(alpha)}
         return self.columns(lambda point: formula(sums[point[0]], von_neumann, *point), list(zip(alpha, *rest)))
 
-    def env_dims(self) -> list:
-        """Each channel's d: its dilation's environment dimension under "dim_env", else its Choi rank."""
-        if self.env_mode == "dim_env":
-            return [ch.dim_env for ch in self.channels]
-        return self._get("choi_rank", lambda: [choi_rank(ch) for ch in self.channels])
+
+def _dilations(channels: list, drawn: bool) -> np.ndarray:
+    """The stacked dilations V of a sub-stack: the drawn channels' checked QR isometries, or the finished ones' V."""
+    if drawn:
+        return require_isometry(qr_isometry(np.array([ch.gaussian for ch in channels])))
+    return np.array([ch.v for ch in channels])
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +300,12 @@ def eval_stct1(sp: Spectra, g) -> np.ndarray:
     # the (kd, p) norm of Q's spectrum zero-padded to length kd: the zeros add nothing
     padded = sp.per_d(lambda d: sp.norm("q", np.minimum(k * d, m), p))
     lhs = sp.norm("out", k, p)
-    return _slack(lhs, g.per_trial(_dim_factor, sp.env_dims(), p) * padded)
+    return _slack(lhs, g.per_trial(_dim_factor, sp.env_dims, p) * padded)
 
 
 def eval_stctp(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    ds = sp.env_dims()
+    ds = sp.env_dims
     lhs, rhs = sp.norm("out", None, p), sp.norm("q", None, p)
     return _slack(lhs, g.per_trial(_dim_factor, ds, p) * rhs)
 
@@ -303,12 +315,12 @@ def eval_stct2(sp: Spectra, g) -> np.ndarray:
     # Q's spectrum zero-padded to the output dimension, kmax, times d
     padded = sp.per_d(lambda d: sp.antinorm("q", k * d, p, ambient_dim=sp.kmax * d))
     rhs = sp.antinorm("out", k, p)
-    return _slack(g.per_trial(_dim_factor, sp.env_dims(), p) * padded, rhs)
+    return _slack(g.per_trial(_dim_factor, sp.env_dims, p) * padded, rhs)
 
 
 def eval_stctpp(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    ds = sp.env_dims()
+    ds = sp.env_dims
     joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("q"), e), p)
     rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("out"), e), p)
     return _slack(g.per_trial(_dim_factor, ds, p) * joint, rhs)
@@ -340,7 +352,7 @@ def eval_et42(sp: Spectra, g) -> np.ndarray:
 
 def eval_stctep(sp: Spectra, g) -> np.ndarray:
     alpha, s = g["alpha"], g["s"]
-    ds = sp.env_dims()
+    ds = sp.env_dims
     lhs = sp.entropy("q", unified_entropy_from, alpha, s)
     out = sp.entropy("out", unified_entropy_from, alpha, s)
     rhs = g.per_trial(dim_weight, ds, alpha, s) * out

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import normtrace
 from normtrace.audit import (
@@ -21,6 +22,7 @@ from normtrace.audit import (
     AuditConfig,
     evaluate_case,
     run_audit,
+    sample,
 )
 from normtrace.bipartite import BipartiteOperator, partial_trace_b, twirl_oracle_b
 from normtrace.channels import (
@@ -138,6 +140,61 @@ def test_criterion_2_full_audit_clean():
         f"{failures} failures in {elapsed:.1f}s, pinned report byte-identical={exact}, "
         f"mismatches {mismatches[:3]}",
     )
+
+
+# sha256 of run_audit(config).to_text() beyond the default config, written on
+# the pinning build: the dims of the benchmark's large audit at 2 trials per
+# case, and the default dims at 70 trials (a 64-trial window and a second one)
+# with d read from each dilation
+PINNED_CONFIG_SHA256 = {
+    **{
+        f"large dims, base seed {seed}": (dict(base_seed=seed, dims=((6, 6), (4, 8)), trials_per_case=2), digest)
+        for seed, digest in {
+            11: "555a39a4a98b9ade45ef60d587533e2e10aed9335c358a5ef90372e4c973b72f",
+            12: "df019cef6cf734055fb36b5b8abde60604545d64534a5215c20edcfa90a959a8",
+            13: "ceffe75174f70751cbb3b35d39f267bdc4cf8cf181535a26aed9b3e43150517a",
+            14: "612dbe95756ac1d0f746076e7f7575651fcac9e95cebd5676806280a943b026e",
+            15: "efc72a49c50aeaccc2e081ee048eef0ecc05b25f08ee3fd5b1b5fcad99457510",
+            16: "0dc89990325efaa354e5dffb257205941868629174bc4dc8b0016ca843a634e1",
+        }.items()
+    },
+    "dim_env, 70 trials": (
+        dict(env_dim_mode="dim_env", trials_per_case=70),
+        "88cb17fad5c023067108d779287c36852d779e6bd38251922b8f1f59816c06d9",
+    ),
+}
+# sha256 of the bytes of sample("channel", (3, 2, 2), seed).v and of
+# sample("unitary", (4,), seed), per seed, written on the pinning build
+PINNED_SAMPLE_SHA256 = {
+    0: ("d3a1dc7fa31b857e4716b318e1e533ac5a684acbdb8af4bbe9ce8f92cf574cfc",
+        "5a846ff4bb01f23e02cca218640484e24b5108e64591714989821ff8bd85bfe0"),
+    7: ("bd5325ff673d2f8c68891f756bd2e2287b0f126287a257f69799856f06ab69f8",
+        "b722d25a59ac1902bb93f3aa2f4f7206f383c8f49b57701afeea4067054d44d6"),
+    2**64 - 1: ("6bb64f2a78b3baace4c6dee305ae3c64efeab1a85658dde5088994c50b51d575",
+                "9847468f5e86546ccbbe8b9ddb206fc64797eabdd8cd73c0e79a544b18abe5c4"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED_CONFIG_SHA256))
+def test_criterion_2_reports_beyond_the_default_are_pinned(name):
+    if not _pinned_platform():
+        pytest.skip("the pinned bytes were written with numpy 2.4.6 on OpenBLAS")
+    config, digest = PINNED_CONFIG_SHA256[name]
+    report = run_audit(AuditConfig(**config))
+    got = _sha256(report.to_text().encode())
+    _report(f"criterion 2 ({name})", got == digest, f"report sha256 {got[:12]}…, pinned {digest[:12]}…")
+
+
+@pytest.mark.parametrize("seed", list(PINNED_SAMPLE_SHA256))
+def test_criterion_2_channel_and_unitary_samples_are_pinned(seed):
+    if not _pinned_platform():
+        pytest.skip("the pinned bytes were written with numpy 2.4.6 on OpenBLAS")
+    got = (_sha256(sample("channel", (3, 2, 2), seed).v.tobytes()), _sha256(sample("unitary", (4,), seed).tobytes()))
+    _report(f"criterion 2 (samples, seed {seed})", got == PINNED_SAMPLE_SHA256[seed], f"sha256 {got}")
 
 
 def test_criterion_3_product_family_saturation():

@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -19,7 +20,7 @@ from normtrace.audit import (
     sample,
 )
 from normtrace.bipartite import BipartiteOperator
-from normtrace.channels import StinespringChannel
+from normtrace.channels import DrawnChannel, StinespringChannel, choi_matrix
 from normtrace.errors import (
     BadDimsError,
     ExponentRangeError,
@@ -462,9 +463,9 @@ def test_trial_seed_generator_cannot_spawn():
 def _instance_bytes(inst) -> bytes:
     if isinstance(inst, BipartiteOperator):
         return inst.matrix.tobytes()
-    if isinstance(inst, tuple):  # a (channel, input) pair
+    if isinstance(inst, tuple):  # a (channel, input) pair; a drawn channel holds its Gaussian draw
         ch, q = inst
-        return np.asarray(ch.v).tobytes() + q.tobytes()
+        return np.asarray(ch.gaussian if isinstance(ch, DrawnChannel) else ch.v).tobytes() + q.tobytes()
     return inst.tobytes()
 
 
@@ -681,8 +682,11 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     # of evaluate_case.  Every decomposition counts against the batch
     # of the instances it serves: those made while sampling an instance, each
     # stacked call of the batch (one matrix per instance) and each channel's
-    # Choi rank.  A channel trial sits at the bound: the sampling QR, Q, Phi(Q)
-    # and the Choi spectrum.
+    # Choi spectrum, a row of the stacked Choi eigvalsh.  A drawn channel trial
+    # sits at the bound: its QR, Q, Phi(Q) and its Choi spectrum, the QR and
+    # the Choi spectrum taken in one call per environment dimension d (the
+    # finished channels of a d, such as the saturators, are a sub-stack of
+    # their own).
     buckets = []
     sampled = {}  # id of an instance -> matrices decomposed while sampling it
     state = {"sampling": None, "batch": None, "in_choi": False}
@@ -690,32 +694,42 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     shapes = set()  # (case, batch shape) of every instance made
     cfg = AuditConfig(trials_per_case=8)
 
-    def counting(fn):
+    def counting(name, fn):
         def counted(a, *args, **kwargs):
             matrices = a.shape[0] if a.ndim == 3 else 1
             if state["sampling"] is not None:
                 state["sampling"] += matrices
             else:
-                state["batch"]["matrices"] += matrices
-                state["batch"]["calls"] += not state["in_choi"]
+                batch = state["batch"]
+                batch["matrices"] += matrices
+                if name == "qr":
+                    batch["qr_calls"] += 1
+                elif state["in_choi"]:
+                    batch["choi_calls"] += 1
+                    batch["choi_rows"] += matrices
+                else:
+                    batch["calls"] += 1
             return fn(a, *args, **kwargs)
 
         return counted
 
-    def choi_rank(ch, *args):
-        state["batch"]["choi_rank"] += 1
+    def choi_ranks(v, *args):
         state["in_choi"] = True
         try:
-            return channels.choi_rank(ch, *args)
+            return channels.choi_ranks(v, *args)
         finally:
             state["in_choi"] = False
 
     class Batch(audit.Spectra):
         def __init__(self, insts, *args):
+            channel = isinstance(insts[0], tuple)
             state["batch"] = {
-                "size": len(insts), "channel": isinstance(insts[0], tuple), "calls": 0,
-                "matrices": sum(sampled.pop(id(inst), 0) for inst in insts),
-                "choi_rank": 0, "evaluations": 0, "points": 0,
+                "size": len(insts), "channel": channel, "calls": 0, "qr_calls": 0, "choi_calls": 0,
+                "matrices": sum(sampled.pop(id(inst), 0) for inst in insts), "choi_rows": 0,
+                "evaluations": 0, "points": 0,
+                # the environment dimensions of the drawn channels, and the (d, drawn or not) sub-stacks
+                "drawn_envs": {ch.dim_env for ch, _ in insts if isinstance(ch, DrawnChannel)} if channel else set(),
+                "subs": {(ch.dim_env, isinstance(ch, DrawnChannel)) for ch, _ in insts} if channel else set(),
             }
             buckets.append(state["batch"])
             super().__init__(insts, *args)
@@ -742,8 +756,8 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
         return evaluate
 
     for name in DECOMPOSITIONS:
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    monkeypatch.setattr(margins, "choi_rank", choi_rank)
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(margins, "choi_ranks", choi_ranks)
     monkeypatch.setattr(audit, "Spectra", Batch)
     for cid, case in REGISTRY.items():
         monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(
@@ -771,9 +785,13 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
         assert b["evaluations"] == 1, b
         assert b["calls"] <= (2 if b["channel"] else 4), b
         assert b["matrices"] <= 4 * b["size"], b
-        assert b["choi_rank"] == (b["size"] if b["channel"] else 0), b
+        # one QR call per d of the drawn channels, one Choi call per sub-stack,
+        # and exactly one Choi spectrum per channel
+        assert b["qr_calls"] == len(b["drawn_envs"]), b
+        assert b["choi_calls"] == len(b["subs"]) and b["choi_rows"] == (b["size"] if b["channel"] else 0), b
         channel_trials += b["channel"] and b["matrices"] == 4 * b["size"]
     assert channel_trials > 0  # the bound is reached, so it counts every decomposition
+    assert any(len(b["drawn_envs"]) > 1 for b in buckets)  # some batch finishes channels of several d
     # every grid point of every instance is evaluated exactly once
     assert sum(b["points"] for b in buckets) == sum(points) + witnesses
 
@@ -844,7 +862,7 @@ def test_batched_margins_equal_evaluate_case(monkeypatch):
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
         assert max(len(rows) for _, _, rows, _ in recorded) >= 3
         if REGISTRY[cid].form == "channel":
-            channel_d |= {len(set(sp.env_dims())) for sp, _, _, _ in recorded}
+            channel_d |= {len(set(sp.env_dims)) for sp, _, _, _ in recorded}
     assert max(channel_d) > 1  # some batch stacks channels of different d
 
 
@@ -949,3 +967,152 @@ def test_run_audit_propagates_programming_errors(monkeypatch):
     _replace_case(monkeypatch, "KPK2", make_instance=make_instance)
     with pytest.raises(TypeError, match="bug in an instance maker"):
         run_audit(AuditConfig(trials_per_case=2, case_filter=("KPK2",)))
+
+
+@pytest.mark.parametrize("column", ["first", "p=inf"])
+def test_non_finite_margins_fail_their_instance(monkeypatch, column):
+    # trial 1 gets a NaN margin in its first grid column or in its p = inf
+    # column: the fold used to spread the first over worst_margin and to drop
+    # the second without a word
+    kpn1 = REGISTRY["KPN1"]
+    cfg = AuditConfig(trials_per_case=3, dims=((2, 2),), case_filter=("KPN1",))
+    seed = audit._trial_seed(cfg.base_seed, "KPN1", 1)
+    marked = kpn1.make_instance((2, 2), seed).matrix
+
+    def evaluate(sp, grid):
+        margins = kpn1.evaluate(sp, grid).copy()
+        cols = [0] if column == "first" else [j for j, p in enumerate(grid["p"]) if p == math.inf]
+        for i, w in enumerate(sp.matrices["w"]):
+            if np.array_equal(w, marked):
+                margins[i, cols] = np.nan
+        return margins
+
+    def make_instance(dims, s):
+        if s == seed:
+            raise PreconditionError("trial 1 disabled")
+        return kpn1.make_instance(dims, s)
+
+    monkeypatch.setitem(REGISTRY, "KPN1", dataclasses.replace(kpn1, evaluate=evaluate))
+    (rec,) = run_audit(cfg).cases
+    point = "k=1, p=1.0" if column == "first" else "k=1, p=inf"
+    assert rec["first_failure"] == f"non-finite margin nan in KPN1 trial 1 at {point}"
+    # the rest of the record is that of a run whose trial 1 raised
+    monkeypatch.setitem(REGISTRY, "KPN1", dataclasses.replace(kpn1, make_instance=make_instance))
+    (raised,) = run_audit(cfg).cases
+    assert raised["first_failure"] == "PreconditionError: trial 1 disabled"
+    assert {**rec, "first_failure": None} == {**raised, "first_failure": None}
+    assert rec["failures"] == 1 and math.isfinite(rec["worst_margin"]) and rec["saturation_residual"] is not None
+
+
+def test_non_finite_saturator_margins_null_the_residual(monkeypatch):
+    # max(0.0, nan) is 0.0, so a saturator that gave only NaN used to read as tight
+    stctp = REGISTRY["STCTP"]
+
+    def evaluate(sp, grid):
+        margins = stctp.evaluate(sp, grid)
+        # the saturator, Tr_B on a 2 x 2 product, is the batch whose inputs have dimension 4
+        return np.full_like(margins, np.nan) if sp.matrices["q"].shape[-1] == 4 else margins
+
+    _replace_case(monkeypatch, "STCTP", evaluate=evaluate)
+    (rec,) = run_audit(AuditConfig(trials_per_case=3, dims=((2, 2),), case_filter=("STCTP",))).cases
+    assert rec["saturation_residual"] is None
+    assert rec["failures"] == 1
+    assert rec["first_failure"] == "non-finite margin nan in STCTP saturator 0 at p=1.0"
+    assert rec["violations"] == 0 and math.isfinite(rec["worst_margin"])
+
+
+def _literal_isometry(g):
+    # the per-matrix QR and phase fix the stacked finish replaces
+    q, r = np.linalg.qr(g)
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
+
+
+def test_stacked_finish_equals_a_literal_per_channel_finish(monkeypatch):
+    # one 64-trial window of STCT1 draws channels of every dims pair and every
+    # d; each batch finishes them in stacked calls per d, and its saturators,
+    # finished Tr_B channels, join the same path at V
+    batches = []
+
+    class Recorded(audit.Spectra):
+        def __init__(self, insts, *args):
+            super().__init__(insts, *args)
+            batches.append((insts, self))
+
+    monkeypatch.setattr(audit, "Spectra", Recorded)
+    report = run_audit(AuditConfig(trials_per_case=64, case_filter=("STCT1",)))
+    assert report.cases[0]["failures"] == 0
+    covered = set()
+    for insts, sp in batches:
+        ranks = sp.env_dims
+        for rows, d, v in sp.dilations:
+            for i, vi in zip(rows, v):
+                ch, q = insts[i]
+                m, n = ch.dim_in, ch.dim_out
+                assert ch.dim_env == d
+                if isinstance(ch, DrawnChannel):
+                    covered.add((m, n, d))
+                    assert vi.tobytes() == _literal_isometry(ch.gaussian).tobytes()
+                else:
+                    assert vi.tobytes() == ch.v.tobytes()
+                kraus = vi.reshape(n, d, m).transpose(1, 0, 2)
+                expected = sum(k @ q @ k.conj().T for k in kraus)
+                out = sp.matrices["out"][i]
+                assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+                w = np.linalg.eigvalsh(choi_matrix(StinespringChannel(vi, m, n, d)))
+                assert ranks[i] == np.count_nonzero(w > 1e-9 * w.max())
+    every_d = {(m, n, d) for m, n in DEFAULT_DIMS for d in range(math.ceil(m / n), math.ceil(m / n) + 3)}
+    assert covered == every_d
+
+
+@pytest.mark.parametrize("finished", ["odd seeds", "every trial"])
+def test_finished_channel_pairs_give_the_report_of_drawn_ones(monkeypatch, finished):
+    # a maker may return finished (StinespringChannel, Q) pairs: they enter the
+    # stacked finish at V, also in a batch with drawn channels
+    cids = tuple(cid for cid in REGISTRY_IDS if REGISTRY[cid].form == "channel")
+    cfg = AuditConfig(trials_per_case=12, case_filter=cids)
+    drawn = run_audit(cfg).to_text()
+    kinds = set()
+
+    def finishing(make):
+        def made(dims, seed):
+            ch, q = make(dims, seed)
+            if finished == "every trial" or seed % 2:
+                ch = ch.finish()
+            kinds.add(type(ch))
+            return ch, q
+
+        return made
+
+    for cid in cids:
+        _replace_case(monkeypatch, cid, make_instance=finishing(REGISTRY[cid].make_instance))
+    assert run_audit(cfg).to_text() == drawn
+    assert kinds == ({StinespringChannel, DrawnChannel} if finished == "odd seeds" else {StinespringChannel})
+
+
+def test_stacked_finish_fails_only_the_instance_that_is_not_an_isometry(monkeypatch):
+    # trial 3's isometry comes out doubled, so it fails the isometry check: it
+    # fails alone, with the message StinespringChannel gives such a dilation
+    stctp = REGISTRY["STCTP"]
+    cfg = AuditConfig(trials_per_case=8, dims=((2, 2),), case_filter=("STCTP",))
+    seed = audit._trial_seed(cfg.base_seed, "STCTP", 3)
+    marked = stctp.make_instance((2, 2), seed)[0].gaussian
+    qr_isometry = margins.qr_isometry
+
+    def doubling(g):
+        return qr_isometry(g) * np.array([[[2.0 if np.array_equal(x, marked) else 1.0]] for x in g])
+
+    def raising(dims, s):
+        if s == seed:
+            raise PreconditionError("trial 3 disabled")
+        return stctp.make_instance(dims, s)
+
+    monkeypatch.setattr(margins, "qr_isometry", doubling)
+    (rec,) = run_audit(cfg).cases
+    assert rec["failures"] == 1
+    assert rec["first_failure"] == "NotTracePreservingError: dilation matrix is not an isometry"
+    monkeypatch.setattr(margins, "qr_isometry", qr_isometry)
+    _replace_case(monkeypatch, "STCTP", make_instance=raising)
+    (raised,) = run_audit(cfg).cases
+    assert {**rec, "first_failure": None} == {**raised, "first_failure": None}

@@ -213,3 +213,24 @@ def test_audit_with_failed_trials_exits_5(monkeypatch, capsys):
     (rec,) = json.loads(out)["cases"]
     assert rec["failures"] == 3 and rec["violations"] == 0 and rec["worst_margin"] is None
     assert "0 violations, 3 failures" in err
+
+
+def test_audit_with_non_finite_margins_exits_5(monkeypatch, capsys):
+    # a NaN in the first grid column used to make worst_margin NaN, which the
+    # report writer refuses; now each such instance counts as a failure
+    kpn1 = REGISTRY["KPN1"]
+
+    def evaluate(sp, grid):
+        margins = kpn1.evaluate(sp, grid).copy()
+        margins[:, 0] = np.nan
+        return margins
+
+    monkeypatch.setitem(REGISTRY, "KPN1", dataclasses.replace(kpn1, evaluate=evaluate))
+    code = cli.main(["audit", "--case", "KPN1", "--trials", "3", "--dims", "2x2"])
+    out, err = capsys.readouterr()
+    assert code == 5
+    (rec,) = json.loads(out)["cases"]
+    assert rec["failures"] == 4 and rec["violations"] == 0
+    assert rec["worst_margin"] is None and rec["saturation_residual"] is None
+    assert rec["first_failure"] == "non-finite margin nan in KPN1 trial 0 at k=1, p=1.0"
+    assert "0 violations, 4 failures" in err

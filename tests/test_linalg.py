@@ -97,6 +97,22 @@ def test_kron_matches_numpy():
     assert np.allclose(kron(a, b), np.kron(a, b))
 
 
+@pytest.mark.parametrize("left,right", [((1, 1), (1, 1)), ((1, 1), (3, 2)), ((2, 3), (1, 1)), ((4, 4), (3, 3)),
+                                        ((2, 5), (3, 1)), ((1, 4), (4, 1)), ((6, 6), (2, 2)), ((3, 2), (2, 4))])
+def test_kron_has_the_bytes_of_numpy_kron(left, right):
+    # the broadcast product forms the same entry products as np.kron
+    rng = np.random.default_rng(sum(left) * 10 + sum(right))
+    a = ginibre(rng, *left)
+    (s, t) = right
+    factors = [ginibre(rng, s, t), np.full((s, t), -0.0, dtype=complex), rng.standard_normal((s, t))]
+    if s == t:
+        factors += [np.eye(s), np.eye(s) / s]
+    for b in factors:
+        got, want = kron(a, b), np.kron(a, b.astype(complex))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (left, right)
+
+
 def test_psd_power_square_root():
     rng = np.random.default_rng(23)
     g = ginibre(rng, 4, 4)
