@@ -7,11 +7,11 @@ negated equality residual of the product family c * R (x) I, so its margins
 sit at zero up to round-off.  The evaluators, the stacked spectra they read and
 the parameter grids live in margins.py.
 
-The runner makes a case's trial instances TRIAL_WINDOW at a time and evaluates
-each window in batches of same-shape instances: one margins.Spectra and one
-evaluator call per batch.  evaluate_case, a batch of one with a one-point grid,
-gives the same margins.  A channel trial's builder only draws it (see
-channels.DrawnChannel), and Spectra finishes a batch's channels in stacked calls.
+The runner makes a case's trial instances TRIAL_WINDOW at a time, evaluates
+each window in batches of same-shape instances, one margins.Spectra and one
+evaluator call each, and folds each batch's margins by numpy reductions.
+evaluate_case, a batch of one with a one-point grid, gives the same margins.
+Channel trials are only drawn (channels.DrawnChannel); Spectra finishes them.
 
 Each case names a trial kind and a saturator kind of the KINDS table, which
 gives each kind's form (see margins.form) and builder.  Builders draw from
@@ -167,12 +167,12 @@ _SAMPLERS = {
 }
 
 
-def _integer(x, error=BadDimsError) -> int:
+def _integer(x, error=BadDimsError, expected="an integer") -> int:
     """x as an int; a value that is not an integer, such as 2.5 or even 2.0, raises error."""
     try:
         return operator.index(x)
     except TypeError:
-        raise error(f"expected an integer, got {x!r}") from None
+        raise error(f"expected {expected}, got {x!r}") from None
 
 
 def _dims_tuple(dims) -> tuple[int, ...]:
@@ -188,6 +188,7 @@ def sample(kind: str, dims, seed: int):
     Kinds and their dims: ginibre (rows, cols); psd/pd/density/unitary m;
     bipartite/bipartite_psd/bipartite_pd/bipartite_density (m, n), built as the
     audit's trial kinds of those names; channel (m, n, d) with n*d >= m.
+    seed is a nonnegative integer; any other seed raises PreconditionError.
     """
     if kind not in _SAMPLERS:
         raise KindMismatchError(f"unknown sample kind {kind!r}")
@@ -195,6 +196,8 @@ def sample(kind: str, dims, seed: int):
     t = _dims_tuple(dims)
     if len(t) != len(names):
         raise BadDimsError(f"{kind} needs dims ({', '.join(names)})")
+    if _integer(seed, PreconditionError, "a nonnegative integer seed") < 0:
+        raise PreconditionError(f"expected a nonnegative integer seed, got {seed!r}")
     return build(np.random.default_rng(seed), *t)
 
 
@@ -506,23 +509,13 @@ class AuditReport:
         return jsonio.dumps(payload) + "\n"
 
 
+def _listed(x):
+    """x with every tuple or list in it, nested ones too, a new list."""
+    return [_listed(v) for v in x] if isinstance(x, (tuple, list)) else x
+
+
 def _config_echo(cfg: AuditConfig) -> dict:
-    return {
-        "base_seed": cfg.base_seed,
-        "trials_per_case": cfg.trials_per_case,
-        "dims": [list(pair) for pair in cfg.dims],
-        "tolerance": cfg.tolerance,
-        "env_dim_mode": cfg.env_dim_mode,
-        "case_filter": list(cfg.case_filter) if cfg.case_filter is not None else None,
-        "norm_p_grid": list(cfg.norm_p_grid),
-        "antinorm_p_grid": list(cfg.antinorm_p_grid),
-        "negative_p_grid": list(cfg.negative_p_grid),
-        "pq_grid": [list(pq) for pq in cfg.pq_grid],
-        "subunit_pq_grid": [list(pq) for pq in cfg.subunit_pq_grid],
-        "alpha_grid": list(cfg.alpha_grid),
-        "s_grid": list(cfg.s_grid),
-        "prng": dict(PRNG_INFO),
-    }
+    return {**{f.name: _listed(getattr(cfg, f.name)) for f in fields(cfg)}, "prng": dict(PRNG_INFO)}
 
 
 # equality-iff witnesses of TPN2 and TPN62: (a spectrum where the bound is
@@ -533,11 +526,11 @@ _WITNESSES = {
 }
 
 
-def _case_extras(cid: str, stats: list):
+def _case_extras(cid: str, stats: np.ndarray):
     if cid == "KPK2":
-        return {"dominance_strict_count": sum(stats)}
+        return {"dominance_strict_count": int(np.count_nonzero(stats))}
     if cid == "KQK1":
-        return {"equivalence_max_dev": max([0.0] + stats)}
+        return {"equivalence_max_dev": float(np.max(stats, initial=0.0))}
     if cid in _WITNESSES:
         flat, tilted, pr = _WITNESSES[cid]
         return {
@@ -547,13 +540,13 @@ def _case_extras(cid: str, stats: list):
     return None
 
 
-def _trial_stats(cid: str, sp: Spectra) -> list:
-    """Each trial's share of the case's extra report field, None for a case without one."""
+def _trial_stats(cid: str, sp: Spectra) -> Optional[np.ndarray]:
+    """Each instance's share of the case's extra report field, None for a case without one."""
     if cid == "KPK2":
         n = sp.dim_b
         lhs = sp.norm("w", np.array([n]), (1.0,))[:, 0]
         rhs = n * sp.norm("w", None, (math.inf,))[:, 0]
-        return (rhs - lhs > 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs)).tolist()
+        return rhs - lhs > 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs)
     if cid == "KQK1":
         m, n = sp.dim_a, sp.dim_b
         ks, ones = np.arange(1, m), (1.0,) * (m - 1)
@@ -561,8 +554,8 @@ def _trial_stats(cid: str, sp: Spectra) -> list:
         anti = sp.columns(lambda k: kyfan_antinorm_of(qa, k) - kyfan_antinorm_of(w, k * n), ks.tolist())
         norm = sp.norm("w", (m - ks) * n, ones) - sp.norm("qa", m - ks, ones)
         denom = np.maximum(1.0, np.abs(np.trace(sp.matrices["w"], axis1=-2, axis2=-1).real))
-        return np.fmax.reduce(np.abs(anti - norm) / denom[:, None], axis=-1, initial=0.0).tolist()
-    return [None] * sp.size
+        return np.fmax.reduce(np.abs(anti - norm) / denom[:, None], axis=-1, initial=0.0)
+    return None
 
 
 # domain problems of one instance; anything else is a bug and propagates
@@ -578,23 +571,13 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _instances(make, specs, failed: dict) -> list:
-    """(index, instance) for each (index, dims, seed); a maker's domain error goes to failed."""
-    made = []
-    for index, dims, seed in specs:
-        try:
-            made.append((index, make(dims, seed)))
-        except _INSTANCE_ERRORS as exc:
-            failed[index] = _describe(exc)
-    return made
+def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict) -> list:
+    """(indices, margins, statistics) arrays of the members kept, one triple per batch evaluated.
 
-
-def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict) -> dict:
-    """index -> (margins, trial statistic) of (index, instance) members, evaluated as one batch.
-
-    grids holds the case's grid per rank bound, made on first use.  On a domain
-    error each member is evaluated again alone, so only the ones that raise go
-    to failed, as do those with a margin that is not finite: none of them gives a margin.
+    members, (index, instance) pairs, are evaluated as one batch; grids holds the
+    case's grid per rank bound, made on first use.  On a domain error each
+    member is evaluated again alone, so only the ones that raise go to failed, as
+    do those with a margin that is not finite: none of them is kept.
     """
     try:
         sp = Spectra([inst for _, inst in members], config.env_dim_mode)
@@ -605,21 +588,20 @@ def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: d
     except _INSTANCE_ERRORS as exc:
         if len(members) == 1:
             failed[members[0][0]] = _describe(exc)
-            return {}
-        results = {}
-        for member in members:
-            results.update(_evaluate(case, [member], config, grids, failed))
-        return results
+            return []
+        return [batch for member in members for batch in _evaluate(case, [member], config, grids, failed)]
+    indices = np.array([index for index, _ in members])
     finite = np.isfinite(margins)
-    if not finite.all():  # one check per batch
-        trials = config.trials_per_case
-        for (index, _), row, ok in zip(members, margins, finite):
-            if not ok.all():
-                j = int(np.argmin(ok))  # the first point that is not finite
-                who = f"trial {index}" if index < trials else f"saturator {index - trials}"
-                point = ", ".join(f"{name}={column[j]}" for name, column in grids[sp.kmax].items())
-                failed[index] = f"non-finite margin {row[j]} in {case.id} {who} at {point}"
-    return {index: (row, stat) for (index, _), row, stat in zip(members, margins, stats) if index not in failed}
+    if finite.all():  # one check per batch
+        return [(indices, margins, stats)]
+    kept = finite.all(axis=1)
+    trials = config.trials_per_case
+    for i in np.flatnonzero(~kept).tolist():
+        index, j = members[i][0], int(np.argmin(finite[i]))  # j: the first point that is not finite
+        who = f"trial {index}" if index < trials else f"saturator {index - trials}"
+        point = ", ".join(f"{name}={column[j]}" for name, column in grids[sp.kmax].items()) or "its one point"
+        failed[index] = f"non-finite margin {margins[i, j]} in {case.id} {who} at {point}"
+    return [(indices[kept], margins[kept], None if stats is None else stats[kept])]
 
 
 def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
@@ -627,8 +609,10 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
 
     A case's trials are made in trial order, TRIAL_WINDOW at a time, and its
     saturator instances, one per dims pair, join the last window.  Each window
-    is evaluated in batches of same-shape instances and its trial margins are
-    folded in (trial, point) order before the next window is made.  A
+    is evaluated in batches of same-shape instances, and each batch's margins
+    are folded before the next window is made: worst_margin is the minimum of
+    the trial rows, violations counts their margins below -tolerance, and
+    saturation_residual is the maximum |margin| of the saturator rows.  A
     PreconditionError or LinAlgError on an instance never aborts the run: it
     counts in failures, the first message in trial order is kept, and the
     instance contributes no margin (a failed saturator also nulls
@@ -643,39 +627,34 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
         case = REGISTRY[cid]
         failed = {}  # instance index -> message; saturators follow the trials
         grids = {}  # rank bound -> the case's grid
-        stats = []
-        worst = None
+        stats = [np.empty(0)]  # the kept trials' statistics, batch by batch
+        worst = math.inf  # no trial margin yet
         violations = 0
         residual = 0.0
         for start in range(0, trials, TRIAL_WINDOW):
             stop = min(start + TRIAL_WINDOW, trials)
-            seeds = [_trial_seed(base, cid, t) for t in range(start, stop)]
+            # (instance index, dims, seed tag, seed index): the trials, then the saturators
+            specs = [(t, dims[t % len(dims)], cid, t) for t in range(start, stop)]
             if stop == trials:
-                seeds += [_trial_seed(base, cid + ":sat", i) for i in range(len(dims))]
-            seeds = _seeds(seeds)
-            specs = [(t, dims[t % len(dims)], seeds[t - start]) for t in range(start, stop)]
-            made = _instances(case.make_instance, specs, failed)
-            if stop == trials:
-                specs = [(trials + i, pair, seeds[stop - start + i]) for i, pair in enumerate(dims)]
-                made += _instances(case.saturator, specs, failed)
+                specs += [(trials + i, pair, cid + ":sat", i) for i, pair in enumerate(dims)]
+            seeds = _seeds([_trial_seed(base, tag, i) for _, _, tag, i in specs])
             groups = {}
-            for index, inst in made:
-                groups.setdefault(form(inst), []).append((index, inst))
-            results = {}
-            for members in groups.values():
-                results.update(_evaluate(case, members, config, grids, failed))
-            for index in sorted(results):
-                margins, stat = results[index]
-                if index >= trials:  # a saturator
-                    for margin in margins.tolist():
-                        residual = max(residual, abs(margin))
+            for (index, pair, _, _), seed in zip(specs, seeds):
+                make = case.make_instance if index < trials else case.saturator
+                try:
+                    inst = make(pair, seed)
+                except _INSTANCE_ERRORS as exc:
+                    failed[index] = _describe(exc)
                     continue
-                stats.append(stat)
-                for margin in margins.tolist():
-                    if worst is None or margin < worst:
-                        worst = margin
-                    if margin < -config.tolerance:
-                        violations += 1
+                groups.setdefault(form(inst), []).append((index, inst))
+            for members in groups.values():
+                for indices, margins, stat in _evaluate(case, members, config, grids, failed):
+                    n = int(np.searchsorted(indices, trials))  # rows are in index order, the saturators last
+                    worst = min(worst, float(margins[:n].min(initial=math.inf)))
+                    violations += int(np.count_nonzero(margins[:n] < -config.tolerance))
+                    residual = max(residual, float(np.abs(margins[n:]).max(initial=0.0)))
+                    if stat is not None:
+                        stats.append(stat[:n])
         # a residual over only some saturator instances must not read as clean
         saturation = residual if max(failed, default=-1) < trials else None
         record = {
@@ -683,13 +662,13 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
             "paper_eq": case.paper_eq,
             "trials": config.trials_per_case,
             "violations": violations,
-            "worst_margin": worst,
+            "worst_margin": worst if worst < math.inf else None,
             "saturation_residual": saturation,
             "failures": len(failed),
         }
         if failed:
             record["first_failure"] = failed[min(failed)]
-        extra = _case_extras(cid, stats)
+        extra = _case_extras(cid, np.concatenate(stats))
         if extra is not None:
             record["extra"] = extra
         records.append(record)

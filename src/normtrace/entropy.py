@@ -152,12 +152,3 @@ def dim_weight(m: int, alpha: float, s: float = 1.0) -> float:
     """m^((1 - alpha) s), the weight of the reduced entropy in the unified-entropy bounds."""
     return _closed(lambda x: x ** ((1.0 - alpha) * s), m)
 
-
-def alpha_log(x: float, alpha: float) -> float:
-    """Deformed logarithm (x^(1-alpha) - 1) / (1 - alpha), ln x at alpha near 1."""
-    if math.isnan(x) or x <= 0:
-        raise DomainError(f"x={x} must be positive")
-    _check_alpha(alpha)
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return math.log(x)
-    return _closed(lambda v: math.expm1((1.0 - alpha) * math.log(v)) / (1.0 - alpha), x)

@@ -26,7 +26,6 @@ from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten
 from .bipartite import BipartiteOperator, trace_out_b
 from .channels import DrawnChannel, StinespringChannel, channel_outputs, choi_ranks, qr_isometry, require_isometry
 from .entropy import (
-    alpha_log,
     density_spectrum,
     dim_weight,
     max_entropy_value,
@@ -341,7 +340,8 @@ def eval_ett41(sp: Spectra, g) -> np.ndarray:
     lhs = sp.entropy("w", tsallis_entropy_from, alpha)
     reduced = sp.entropy("qa", tsallis_entropy_from, alpha)
     rhs = g.factors(dim_weight, n, alpha) * reduced
-    return _slack(lhs, rhs + g.factors(alpha_log, float(n), alpha))
+    # ln_a(n) is the Tsallis entropy of the maximally mixed state
+    return _slack(lhs, rhs + g.factors(max_entropy_value, n, alpha, (1.0,) * g.size))
 
 
 def eval_et42(sp: Spectra, g) -> np.ndarray:

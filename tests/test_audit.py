@@ -113,6 +113,11 @@ def test_sample_rejects_bad_requests():
         sample("psd", (0,), 1)
     with pytest.raises(BadDimsError):
         sample("channel", (4, 1, 2), 1)
+    for seed in (-1, -2**64, 2.5, 7.0, "7", None):
+        with pytest.raises(PreconditionError, match=f"integer seed, got {seed!r}"):
+            sample("psd", (3,), seed)
+    # numpy seeds from any nonnegative int, 2**64 and above too
+    assert not np.array_equal(sample("psd", (2,), 2**64), sample("psd", (2,), 2**80))
 
 
 def test_ginibre_reads_the_real_draws_then_the_imaginary_draws():
@@ -820,9 +825,11 @@ def _recorded_batches(monkeypatch, cfg, makers=None):
         return evaluate
 
     def indexing(case, members, *args):
-        results = evaluate_batch(case, members, *args)
-        batches[case.id][-1][2] = [index for index, _ in members]
-        return results
+        kept = evaluate_batch(case, members, *args)
+        ((indices, margins, _),) = kept  # no batch of these runs fails, so it stays whole
+        batches[case.id][-1][2] = indices.tolist()
+        assert margins.tolist() == batches[case.id][-1][3]
+        return kept
 
     for cid in cfg.case_filter or REGISTRY_IDS:
         case = REGISTRY[cid]
@@ -969,18 +976,21 @@ def test_run_audit_propagates_programming_errors(monkeypatch):
         run_audit(AuditConfig(trials_per_case=2, case_filter=("KPK2",)))
 
 
-@pytest.mark.parametrize("column", ["first", "p=inf"])
-def test_non_finite_margins_fail_their_instance(monkeypatch, column):
+@pytest.mark.parametrize("cid,column,point", [
+    ("KPN1", "first", "k=1, p=1.0"), ("KPN1", "p=inf", "k=1, p=inf"),
+    ("KPK2", "first", "its one point"), ("KQK1", "first", "k=1"),
+], ids=["first", "p=inf", "KPK2", "KQK1"])
+def test_non_finite_margins_fail_their_instance(monkeypatch, cid, column, point):
     # trial 1 gets a NaN margin in its first grid column or in its p = inf
     # column: the fold used to spread the first over worst_margin and to drop
-    # the second without a word
-    kpn1 = REGISTRY["KPN1"]
-    cfg = AuditConfig(trials_per_case=3, dims=((2, 2),), case_filter=("KPN1",))
-    seed = audit._trial_seed(cfg.base_seed, "KPN1", 1)
-    marked = kpn1.make_instance((2, 2), seed).matrix
+    # the second without a word; KPK2's and KQK1's extra fields drop it too
+    case = REGISTRY[cid]
+    cfg = AuditConfig(trials_per_case=3, dims=((2, 2),), case_filter=(cid,))
+    seed = audit._trial_seed(cfg.base_seed, cid, 1)
+    marked = case.make_instance((2, 2), seed).matrix
 
     def evaluate(sp, grid):
-        margins = kpn1.evaluate(sp, grid).copy()
+        margins = case.evaluate(sp, grid).copy()
         cols = [0] if column == "first" else [j for j, p in enumerate(grid["p"]) if p == math.inf]
         for i, w in enumerate(sp.matrices["w"]):
             if np.array_equal(w, marked):
@@ -990,18 +1000,46 @@ def test_non_finite_margins_fail_their_instance(monkeypatch, column):
     def make_instance(dims, s):
         if s == seed:
             raise PreconditionError("trial 1 disabled")
-        return kpn1.make_instance(dims, s)
+        return case.make_instance(dims, s)
 
-    monkeypatch.setitem(REGISTRY, "KPN1", dataclasses.replace(kpn1, evaluate=evaluate))
+    monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(case, evaluate=evaluate))
     (rec,) = run_audit(cfg).cases
-    point = "k=1, p=1.0" if column == "first" else "k=1, p=inf"
-    assert rec["first_failure"] == f"non-finite margin nan in KPN1 trial 1 at {point}"
+    assert rec["first_failure"] == f"non-finite margin nan in {cid} trial 1 at {point}"
     # the rest of the record is that of a run whose trial 1 raised
-    monkeypatch.setitem(REGISTRY, "KPN1", dataclasses.replace(kpn1, make_instance=make_instance))
+    monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(case, make_instance=make_instance))
     (raised,) = run_audit(cfg).cases
     assert raised["first_failure"] == "PreconditionError: trial 1 disabled"
     assert {**rec, "first_failure": None} == {**raised, "first_failure": None}
     assert rec["failures"] == 1 and math.isfinite(rec["worst_margin"]) and rec["saturation_residual"] is not None
+
+
+def test_saturator_rows_move_only_the_residual(monkeypatch):
+    # batches that mix trial and saturator rows: the saturators' margins, made
+    # the most negative of the batch, move saturation_residual and never
+    # worst_margin or violations
+    kpn1 = REGISTRY["KPN1"]
+    cfg = AuditConfig(trials_per_case=5, dims=((2, 2), (2, 3)), case_filter=("KPN1",))
+    (clean,) = run_audit(cfg).cases
+    saturators, mixed = [], []
+
+    def saturator(dims, seed):
+        inst = kpn1.saturator(dims, seed)
+        saturators.append(inst.matrix)
+        return inst
+
+    def evaluate(sp, grid):
+        margins = kpn1.evaluate(sp, grid).copy()
+        rows = [i for i, w in enumerate(sp.matrices["w"]) if any(np.array_equal(w, s) for s in saturators)]
+        margins[rows] = -1.0
+        mixed.append(0 < len(rows) < sp.size)
+        return margins
+
+    _replace_case(monkeypatch, "KPN1", saturator=saturator, evaluate=evaluate)
+    (rec,) = run_audit(cfg).cases
+    assert all(mixed) and len(mixed) == len(saturators) == len(cfg.dims)
+    assert rec["saturation_residual"] == 1.0 and clean["saturation_residual"] < 1e-12
+    assert {**rec, "saturation_residual": None} == {**clean, "saturation_residual": None}
+    assert rec["violations"] == 0 and rec["worst_margin"] > 0
 
 
 def test_non_finite_saturator_margins_null_the_residual(monkeypatch):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from normtrace.entropy import (
-    alpha_log,
     density_spectrum,
     dim_weight,
     max_entropy_value,
@@ -164,15 +163,9 @@ def test_max_entropy_value_forms():
     assert max_entropy_value(m, alpha, s) == pytest.approx(ref, rel=1e-13)
     with pytest.raises(DomainError):
         max_entropy_value(0, 2.0, 1.0)
-
-
-def test_alpha_log_values():
-    assert alpha_log(math.e, 1.0) == pytest.approx(1.0)
-    x, alpha = 3.0, 0.5
-    ref = (x ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
-    assert alpha_log(x, alpha) == pytest.approx(ref, rel=1e-13)
-    with pytest.raises(DomainError):
-        alpha_log(0.0, 2.0)
+    # at s = 1 it is the deformed logarithm ln_a(m) = (m^(1-a) - 1) / (1 - a)
+    assert max_entropy_value(3, 0.5, 1.0) == pytest.approx((3.0**0.5 - 1.0) / 0.5, rel=1e-13)
+    assert max_entropy_value(3, 1.0, 1.0) == math.log(3)
 
 
 def test_tiny_eigenvalues_are_dropped():
