@@ -173,6 +173,50 @@ PINNED_SAMPLE_SHA256 = {
     2**64 - 1: ("6bb64f2a78b3baace4c6dee305ae3c64efeab1a85658dde5088994c50b51d575",
                 "9847468f5e86546ccbbe8b9ddb206fc64797eabdd8cd73c0e79a544b18abe5c4"),
 }
+# sha256 of sample(kind, dims, seed)'s matrix bytes at seeds 0, 7 and 2**64 - 1;
+# the sizes from 8 up sum their traces in numpy's pairwise blocks
+PINNED_KIND_SAMPLE_SHA256 = {
+    "ginibre": ((3, 5), (
+        "d96fa7ef053ed788b80f4cc47ca94075266381ab48e5dfbb748819b6787e135d",
+        "24ed707aad5f89e2dfbe5503ecbd5c0d2a44ea101421b49028d44bc41ed11e25",
+        "0c761eace1f1fa6eb80658ad04268b7c98c09fe49aaee20bb3ea1946a38d43b7",
+    )),
+    "psd": ((5,), (
+        "1eebd078182afd5cb7d24da04e8575f2c905cd2f2f5f15c6443176aa2fe08396",
+        "1aaa6cbadc8b7c9355f2474726b3443840071d5d658f9e34b5e59c90eb9db1dd",
+        "1680c3b039505e3be61b83b9326418d89307a0f3828fa5b21e8f6fe36556426e",
+    )),
+    "pd": ((9,), (
+        "24aaeae1d29155da961eb614390d0b8aa71676613502a729c20e5a19f366dc2e",
+        "ec1f49ed3d8767a3c0040cbbf323201e7b2d8d49405f88b9cd1c410f68984132",
+        "c093d7bae8cb8b31b08a199f02d62553160909caeefe4e4b1a695bb5d629db73",
+    )),
+    "density": ((12,), (
+        "f6ab6d393e4960f6423d5f9a2128d75bb76fa07a35022a3aaa7769f9aeef01fd",
+        "0c674d31d0e0e4340fc97c95c4aba135fbf5fb255340af73baa7c883b8e7fd7d",
+        "494dc88a90216823b438d1e1569443d54d26a7eb9a4fdbde945967fd67736cec",
+    )),
+    "bipartite": ((2, 3), (
+        "f93c2cf0d49518008bbdfc7922bf5daeba78c6c1e66549ee8cad992ae0d9c9b1",
+        "40e63297c6becc428f67cc8decdfb12f26ff10be72db490cc4e5edbf4b0dbcae",
+        "e7d536a53509d4f9cff3af962ca795f4934335c8510b6c20bba4fec3bf3c766f",
+    )),
+    "bipartite_psd": ((3, 3), (
+        "6499981a46c435024bbbf685a7c230909381f643311506accf040e1842c808d2",
+        "ae9ab6eb52c5e9c494a8e87f0b4dc846065eb8d033bc1d03af57aaf75c011461",
+        "eeca135e54be1aecfad937ef1c1c345bd5630e13d3e6e8e8ce4e856abf0b687c",
+    )),
+    "bipartite_pd": ((4, 3), (
+        "1e0f7a41704ccb6ae45de4510ff12c61d34a2ee113a7f97441f15294af6ccd73",
+        "a10299d43f7f9467d442a68ad180d25fdb6609226a3c82c55c273bee188ee42c",
+        "db1fb81563df84a2b3a279b2831c759e099ef63f81bf6957297b987f0b847e96",
+    )),
+    "bipartite_density": ((2, 4), (
+        "db4f6d45d8314062d75e66e259caed9098b5ae0f0d34d5eb6575efe12cfafbcf",
+        "38e8f3481f384e96c114a618a52cfa46d9a2c64f5841e61505187fd482a1ade5",
+        "4f5cedea9c2f6c69ab54efc7d1216750178ed7b79ad830aede6b4f7a8becf01c",
+    )),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -195,6 +239,16 @@ def test_criterion_2_channel_and_unitary_samples_are_pinned(seed):
         pytest.skip("the pinned bytes were written with numpy 2.4.6 on OpenBLAS")
     got = (_sha256(sample("channel", (3, 2, 2), seed).v.tobytes()), _sha256(sample("unitary", (4,), seed).tobytes()))
     _report(f"criterion 2 (samples, seed {seed})", got == PINNED_SAMPLE_SHA256[seed], f"sha256 {got}")
+
+
+@pytest.mark.parametrize("kind", list(PINNED_KIND_SAMPLE_SHA256))
+def test_criterion_2_matrix_samples_are_pinned(kind):
+    if not _pinned_platform():
+        pytest.skip("the pinned bytes were written with numpy 2.4.6 on OpenBLAS")
+    dims, digests = PINNED_KIND_SAMPLE_SHA256[kind]
+    made = [sample(kind, dims, seed) for seed in (0, 7, 2**64 - 1)]
+    got = tuple(_sha256((x.matrix if isinstance(x, BipartiteOperator) else x).tobytes()) for x in made)
+    _report(f"criterion 2 ({kind} samples)", got == digests, f"sha256 {got}")
 
 
 def test_criterion_3_product_family_saturation():
