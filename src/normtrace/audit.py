@@ -11,24 +11,25 @@ The runner makes a case's trial instances TRIAL_WINDOW at a time, evaluates
 each window in batches of same-shape instances, one margins.Spectra and one
 evaluator call each, and folds each batch's margins by numpy reductions.
 evaluate_case, a batch of one with a one-point grid, gives the same margins.
-Channel trials are only drawn (channels.DrawnChannel); Spectra finishes them.
 
-Each case names a trial kind and a saturator kind of the KINDS table, which
-gives each kind's form (see margins.form) and builder.  Builders draw from
-numpy's PCG64 generator and are bit-reproducible per (kind, dims, seed); the
-audit derives per-trial seeds by hashing (base_seed, case id, trial index), so
-reports are deterministic in the configuration alone.  run_audit hashes a
-window's seeds in one vectorized pass of numpy's SeedSequence and hands them to
-the builders as TrialSeeds, ints that carry their generator state.
+Each case names a trial kind and a saturator kind of the KINDS table.  A kind
+is a draw, which makes its generator calls and nothing else, and a finish,
+which maps the stacked draws of many instances to their stacked matrices.
+The registry's makers only draw (margins.Drawn); Spectra finishes each
+sub-stack of a batch in one call, and sample finishes a stack of one.  Draws
+come from numpy's PCG64 generator and are bit-reproducible per (kind, dims,
+seed); the audit derives per-trial seeds by hashing (base_seed, case id, trial
+index), so reports are deterministic in the configuration alone.  run_audit
+hashes a window's seeds in one vectorized pass of numpy's SeedSequence and
+hands them to the makers as TrialSeeds, ints that carry their generator state.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -36,11 +37,11 @@ from numpy.random.bit_generator import ISeedSequence
 from ._version import __version__
 from . import jsonio
 from .antinorms import kyfan_antinorm_of
-from .bipartite import BipartiteOperator
-from .channels import DrawnChannel, partial_trace_channel, qr_isometry
+from .channels import StinespringChannel, qr_isometry, require_isometry
 from .errors import BadDimsError, KindMismatchError, PreconditionError
-from .linalg import kron
+from .linalg import as_integer, kron
 from .margins import (
+    Drawn,
     Grid,
     Spectra,
     eval_cpn1,
@@ -88,95 +89,135 @@ PRNG_INFO = {
 # samplers and instance kinds
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    x = rng.standard_normal((2, rows, cols))  # the real part's draws, then the imaginary part's
-    return (x[0] + 1j * x[1]) / math.sqrt(2.0)
+def _gaussians(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    return rng.standard_normal((2, rows, cols))  # the real part's draws, then the imaginary part's
 
 
-def _psd(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = _ginibre(rng, n, n)
-    return g @ g.conj().T
+# finishes of stacked (2, rows, cols) draws, on the last axes: a draw's own
+# finish is that of a stack of one
 
 
-def _pd(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = _psd(rng, n)
+def _ginibre(x: np.ndarray) -> np.ndarray:
+    return (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / math.sqrt(2.0)
+
+
+def _psd(x: np.ndarray) -> np.ndarray:
+    g = _ginibre(x)
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+def _pd(x: np.ndarray) -> np.ndarray:
+    a = _psd(x)
     # floor at one tenth of the mean eigenvalue keeps negative powers stable
-    return a + 0.1 * (float(a.trace().real) / n) * np.eye(n)
+    return a + 0.1 * (_traces(a) / a.shape[-1]) * np.eye(a.shape[-1])
 
 
-def _density(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = _psd(rng, n)
-    return a / float(a.trace().real)
+def _density(x: np.ndarray) -> np.ndarray:
+    a = _psd(x)
+    return a / _traces(a)
 
 
-def _channel(rng: np.random.Generator, m: int, n: int, d: int) -> DrawnChannel:
+def _traces(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _haar(x: np.ndarray) -> np.ndarray:
+    return qr_isometry(_ginibre(x))
+
+
+class Kind(NamedTuple):
+    """An instance kind: draw(rng, m, n) -> (sizes, draws) and finish, as margins.Drawn holds them."""
+
+    form: str  # what margins.form names its instances
+    draw: Callable
+    finish: Callable
+
+
+def _joint(finish) -> Kind:  # W on H_A (x) H_B, finish of an (m*n)-square draw
+    return Kind("bipartite", lambda rng, m, n: ((m, n), (_gaussians(rng, m * n, m * n),)), lambda x, m, n: finish(x[0]))
+
+
+def _square(finish) -> Kind:  # R on H_A, finish of an m-square draw
+    return Kind("matrix", lambda rng, m, n: ((m, m), (_gaussians(rng, m, m),)), lambda x, m, _: finish(x[0]))
+
+
+def _product(finish, share: bool = False) -> Kind:  # R (x) I, or R (x) I / n, R finish of an m-square draw
+    return Kind("bipartite", lambda rng, m, n: ((m, n), (_gaussians(rng, m, m),)),
+                lambda x, m, n: kron(finish(x[0]), np.eye(n) / n if share else np.eye(n)))
+
+
+def _channel(finish) -> Kind:
+    """(Phi, Q): Phi from m to n with a Haar dilation into n*d, d drawn first, and Q finish of an m-square draw."""
+    def draw(rng, m, n):
+        d = math.ceil(m / n) + int(rng.integers(0, 3))
+        return (m, n, d), (_gaussians(rng, n * d, m), _gaussians(rng, m, m))
+
+    return Kind("channel", draw, lambda x, m, n, d: (require_isometry(_haar(x[0])), finish(x[1])))
+
+
+def _traced(product: Kind) -> Kind:  # (Tr_B, W): Tr_B from m*n to m, its dilation the identity, and W of a product kind
+    return Kind("channel", lambda rng, m, n: ((m * n, m, n), product.draw(rng, m, n)[1]), lambda x, mn, m, n: (
+        np.repeat(np.eye(mn, dtype=complex)[None], len(x[0]), axis=0), product.finish(x, m, n)))
+
+
+# Instance kinds, whose forms are those of margins.form.  A registry case
+# draws its trials from one kind and its saturators, instances known to attain
+# equality in its bound, from another.
+KINDS = {
+    "bipartite": _joint(_ginibre),
+    "bipartite_psd": _joint(_psd),
+    "bipartite_pd": _joint(_pd),
+    "bipartite_density": _joint(_density),
+    "square": _square(_ginibre),
+    "square_psd": _square(_psd),
+    "channel_ginibre": _channel(_ginibre),
+    "channel_psd": _channel(_psd),
+    "channel_density": _channel(_density),
+    # saturators: products R (x) I, scalars, and Tr_B as a channel on a product
+    "product_psd": _product(_psd),
+    "product_pd": _product(_pd),
+    "product_density": _product(_density, share=True),
+    "scaled_product": Kind(  # c R (x) I, c drawn before R
+        "bipartite", lambda rng, m, n: ((m, n), (float(rng.choice((1.0, 2.5))), _gaussians(rng, m, m))),
+        lambda x, m, n: x[0][:, None, None] * kron(_psd(x[1]), np.eye(n)),
+    ),
+    # 2 I, a scale no call draws: every eigenvalue multiplicity equals the
+    # dimension, so both chained bounds are tight across the whole grid
+    "scalar": Kind(
+        "matrix", lambda rng, m, n: ((m, m), (2.0,)), lambda x, m, _: x[0][:, None, None] * np.eye(m, dtype=complex),
+    ),
+    "scalar_bipartite": Kind(
+        "bipartite", lambda rng, m, n: ((m, n), (2.0,)),
+        lambda x, m, n: x[0][:, None, None] * np.eye(m * n, dtype=complex),
+    ),
+    "ptrace_psd": _traced(_product(_psd)),
+    "ptrace_density": _traced(_product(_density, share=True)),
+}
+
+
+def _build(kind: Kind, dims, seed) -> Drawn:
+    return Drawn(kind.form, kind.finish, *kind.draw(np.random.default_rng(seed), *dims))
+
+
+def _sample_channel(rng: np.random.Generator, m: int, n: int, d: int) -> StinespringChannel:
     if n * d < m:
         raise BadDimsError(f"no isometry from dimension {m} into {n}*{d}")
-    return DrawnChannel(_ginibre(rng, n * d, m), m, n, d)
+    return StinespringChannel(_haar(_gaussians(rng, n * d, m)[None])[0], m, n, d)
 
 
-def _random_channel(rng: np.random.Generator, m: int, n: int) -> DrawnChannel:
-    # d is drawn before the isometry
-    return _channel(rng, m, n, math.ceil(m / n) + int(rng.integers(0, 3)))
-
-
-def _bipartite(matrix) -> tuple:
-    """The bipartite kind whose operator on H_A (x) H_B is matrix(rng, m, n)."""
-    return "bipartite", lambda rng, m, n: BipartiteOperator(matrix(rng, m, n), m, n)
-
-
-# Instance kinds: name -> (form, builder(rng, m, n)), the forms being those of
-# margins.form.  A registry case draws its trials from one kind and its
-# saturators, instances known to attain equality in its bound, from another.
-KINDS = {
-    "bipartite": _bipartite(lambda rng, m, n: _ginibre(rng, m * n, m * n)),
-    "bipartite_psd": _bipartite(lambda rng, m, n: _psd(rng, m * n)),
-    "bipartite_pd": _bipartite(lambda rng, m, n: _pd(rng, m * n)),
-    "bipartite_density": _bipartite(lambda rng, m, n: _density(rng, m * n)),
-    "square": ("matrix", lambda rng, m, n: _ginibre(rng, m, m)),
-    "square_psd": ("matrix", lambda rng, m, n: _psd(rng, m)),
-    "channel_ginibre": ("channel", lambda rng, m, n: (_random_channel(rng, m, n), _ginibre(rng, m, m))),
-    "channel_psd": ("channel", lambda rng, m, n: (_random_channel(rng, m, n), _psd(rng, m))),
-    "channel_density": ("channel", lambda rng, m, n: (_random_channel(rng, m, n), _density(rng, m))),
-    # saturators: products R (x) I, scalars, and Tr_B as a channel on a product
-    "product_psd": _bipartite(lambda rng, m, n: kron(_psd(rng, m), np.eye(n))),
-    "product_pd": _bipartite(lambda rng, m, n: kron(_pd(rng, m), np.eye(n))),
-    "product_density": _bipartite(lambda rng, m, n: kron(_density(rng, m), np.eye(n) / n)),
-    "scaled_product": _bipartite(  # c R (x) I, c drawn before R
-        lambda rng, m, n: float(rng.choice((1.0, 2.5))) * kron(_psd(rng, m), np.eye(n))
-    ),
-    # every eigenvalue multiplicity equals the dimension, so both chained
-    # bounds are tight across the whole grid
-    "scalar": ("matrix", lambda rng, m, n: 2.0 * np.eye(m, dtype=np.complex128)),
-    "scalar_bipartite": _bipartite(lambda rng, m, n: 2.0 * np.eye(m * n, dtype=np.complex128)),
-    "ptrace_psd": ("channel", lambda rng, m, n: (partial_trace_channel(m, n), kron(_psd(rng, m), np.eye(n)))),
-    "ptrace_density": (
-        "channel", lambda rng, m, n: (partial_trace_channel(m, n), kron(_density(rng, m), np.eye(n) / n)),
-    ),
-}
-
-# sample kind -> (the dims it takes, builder(rng, *dims))
+# sample kind -> (the dims it takes, builder(rng, *dims)), each the finish of a stack of one draw
 _SAMPLERS = {
-    "ginibre": (("rows", "cols"), _ginibre),
-    "psd": (("m",), _psd),
-    "pd": (("m",), _pd),
-    "density": (("m",), _density),
-    "unitary": (("m",), lambda rng, m: qr_isometry(_ginibre(rng, m, m))),
-    "channel": (("m", "n", "d"), lambda rng, m, n, d: _channel(rng, m, n, d).finish()),
-    **{kind: (("m", "n"), build) for kind, (_, build) in KINDS.items() if kind.startswith("bipartite")},
+    "ginibre": (("rows", "cols"), lambda rng, rows, cols: _ginibre(_gaussians(rng, rows, cols)[None])[0]),
+    **{name: (("m",), lambda rng, m, f=f: f(_gaussians(rng, m, m)[None])[0])
+       for name, f in (("psd", _psd), ("pd", _pd), ("density", _density), ("unitary", _haar))},
+    "channel": (("m", "n", "d"), _sample_channel),
+    **{name: (("m", "n"), lambda rng, m, n, k=k: Drawn(k.form, k.finish, *k.draw(rng, m, n)).alone())
+       for name, k in KINDS.items() if name.startswith("bipartite")},
 }
-
-
-def _integer(x, error=BadDimsError, expected="an integer") -> int:
-    """x as an int; a value that is not an integer, such as 2.5 or even 2.0, raises error."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise error(f"expected {expected}, got {x!r}") from None
 
 
 def _dims_tuple(dims) -> tuple[int, ...]:
-    t = tuple(_integer(x) for x in np.atleast_1d(dims))
+    t = tuple(as_integer(x) for x in np.atleast_1d(dims))
     if not t or any(x < 1 for x in t):
         raise BadDimsError(f"dimensions must be positive, got {dims!r}")
     return t
@@ -196,7 +237,7 @@ def sample(kind: str, dims, seed: int):
     t = _dims_tuple(dims)
     if len(t) != len(names):
         raise BadDimsError(f"{kind} needs dims ({', '.join(names)})")
-    if _integer(seed, PreconditionError, "a nonnegative integer seed") < 0:
+    if as_integer(seed, PreconditionError, "a nonnegative integer seed") < 0:
         raise PreconditionError(f"expected a nonnegative integer seed, got {seed!r}")
     return build(np.random.default_rng(seed), *t)
 
@@ -264,7 +305,7 @@ class TrialSeed(int, ISeedSequence):
     takes it as a seed sequence and builds from its precomputed state words
     the generator of default_rng(int(seed)) without hashing the seed again.
     Such a generator cannot spawn (rng.spawn raises TypeError), since numpy
-    spawns only from a SeedSequence; no builder spawns.
+    spawns only from a SeedSequence; no draw spawns.
     """
 
     def __new__(cls, value: int, state: np.ndarray):
@@ -288,10 +329,6 @@ def _seeds(values: list) -> list:
     return [TrialSeed(value, state) for value, state in zip(values, _seed_states(values))]
 
 
-def _build(build, dims, seed):
-    return build(np.random.default_rng(seed), *dims)
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -302,18 +339,18 @@ class InequalityCase:
     description: str
     paper_eq: str
     form: str  # what margins.form names its instances
-    make_instance: Callable  # (dims, seed) -> a trial instance, channels drawn only; seed an int, or a TrialSeed
+    make_instance: Callable  # (dims, seed) -> a trial instance, drawn only (margins.Drawn); seed an int, or a TrialSeed
     axes: tuple  # products of grid axes, each a string of axis names (see _axis), taken in turn
     evaluate: Callable
-    saturator: Callable  # (dims, seed) -> an instance attaining equality
+    saturator: Callable  # (dims, seed) -> an instance attaining equality, drawn only
 
 
 def _case(cid: str, description: str, paper_eq: str, kinds: tuple, axes: tuple, evaluate) -> InequalityCase:
     """A registry case drawing trials and saturators from kinds, a (trial, saturator) pair of KINDS."""
     trial, saturator = kinds
     return InequalityCase(
-        cid, description, paper_eq, KINDS[trial][0], partial(_build, KINDS[trial][1]),
-        axes, evaluate, partial(_build, KINDS[saturator][1]),
+        cid, description, paper_eq, KINDS[trial].form, partial(_build, KINDS[trial]),
+        axes, evaluate, partial(_build, KINDS[saturator]),
     )
 
 
@@ -470,12 +507,10 @@ class AuditConfig:
 
     def __post_init__(self):
         # every trial seed hashes the seed's text, so 42.0 or True would give another audit
-        if isinstance(self.base_seed, bool):
-            raise PreconditionError(f"base_seed must be an integer, got {self.base_seed!r}")
-        _integer(self.base_seed, PreconditionError)
-        if _integer(self.trials_per_case, PreconditionError) < 1:
+        as_integer(self.base_seed, PreconditionError)
+        if as_integer(self.trials_per_case, PreconditionError) < 1:
             raise PreconditionError("trials_per_case must be at least 1")
-        dims = tuple(tuple(_integer(x) for x in pair) for pair in self.dims)
+        dims = tuple(tuple(as_integer(x) for x in pair) for pair in self.dims)
         if not dims or any(len(pair) != 2 or min(pair) < 1 for pair in dims):
             raise BadDimsError(f"dims must be nonempty (m, n) pairs, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import as_matrix, pauli_x, pauli_z
+from .linalg import as_integer, as_matrix, pauli_x, pauli_z
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,10 @@ class BipartiteOperator:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if self.dim_a < 1 or self.dim_b < 1:
+        dim_a, dim_b = as_integer(self.dim_a), as_integer(self.dim_b)
+        if dim_a < 1 or dim_b < 1:
             raise ShapeMismatchError("factor dimensions must be positive")
-        d = self.dim_a * self.dim_b
+        d = dim_a * dim_b
         if m.shape != (d, d):
             raise ShapeMismatchError(
                 f"matrix shape {m.shape} does not match factors ({self.dim_a}, {self.dim_b})"

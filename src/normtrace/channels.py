@@ -7,13 +7,12 @@ Kraus operators are the environment slices of V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .bipartite import trace_out_b
 from .errors import NotTracePreservingError, ShapeMismatchError
-from .linalg import as_matrices, as_matrix, singular_values
+from .linalg import as_integer, as_matrices, as_matrix, singular_values
 
 ISOMETRY_TOL = 1e-10
 CHOI_RANK_TOL = 1e-9
@@ -72,8 +71,9 @@ class StinespringChannel:
 
     def __post_init__(self):
         v = as_matrix(self.v)
-        expected = (self.dim_out * self.dim_env, self.dim_in)
-        if min(self.dim_in, self.dim_out, self.dim_env) < 1:
+        dim_in, dim_out, dim_env = (as_integer(x) for x in (self.dim_in, self.dim_out, self.dim_env))
+        expected = (dim_out * dim_env, dim_in)
+        if min(dim_in, dim_out, dim_env) < 1:
             raise ShapeMismatchError("channel dimensions must be positive")
         if v.shape != expected:
             raise ShapeMismatchError(f"dilation shape {v.shape}, expected {expected}")
@@ -91,18 +91,6 @@ class StinespringChannel:
         """Environment slices of V; apply(Q) equals sum_c K_c Q K_c^dag."""
         r = self.v.reshape(self.dim_out, self.dim_env, self.dim_in)
         return [np.ascontiguousarray(r[:, c, :]) for c in range(self.dim_env)]
-
-
-class DrawnChannel(NamedTuple):
-    """A drawn channel before its finish, the dilation V = qr_isometry(gaussian); Spectra finishes stacks of them."""
-
-    gaussian: np.ndarray  # (dim_out * dim_env, dim_in)
-    dim_in: int
-    dim_out: int
-    dim_env: int
-
-    def finish(self) -> StinespringChannel:
-        return StinespringChannel(qr_isometry(self.gaussian), self.dim_in, self.dim_out, self.dim_env)
 
 
 def kraus_to_stinespring(kraus) -> StinespringChannel:

@@ -1,9 +1,12 @@
 """Dense complex matrix kernels for operators on small Hilbert spaces."""
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import (
+    BadDimsError,
     NotHermitianError,
     NotPsdError,
     NotSquareError,
@@ -25,6 +28,16 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.size == 0:
         raise ShapeMismatchError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
     return m
+
+
+def as_integer(x, error=BadDimsError, expected: str = "an integer") -> int:
+    """x as an int; a bool, or a value that is not an integer such as 2.5 or even 2.0, raises error."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise error(f"expected {expected}, got {x!r}")
 
 
 def as_matrices(a) -> np.ndarray:
@@ -95,9 +108,10 @@ def singular_values(q) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor owning the outer (block) index; np.kron's products in one broadcast."""
-    a, b = as_matrix(a), as_matrix(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+    """Kronecker product of matrices or stacks of them, the left factor owning the block index; np.kron's products."""
+    a, b = as_matrices(a), as_matrices(b)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def psd_power(q, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:

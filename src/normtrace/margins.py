@@ -5,7 +5,7 @@ evaluator reads only spectra: singular values for norms, eigenvalues for
 anti-norms and entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's
 Choi rank.  form names an instance's kind (bipartite operator, channel pair or
 plain matrix) and shape.  Spectra holds one batch of instances of one form and
-shape: drawn channels are finished, each matrix is stacked and decomposed in
+shape: drawn instances are finished, each matrix is stacked and decomposed in
 one call, one table per (matrix, exponent) serves the stack (a cumulative power
 sum over the sorted spectra serves every k; entropies read tr rho^alpha and the
 von Neumann value), and one evaluator call returns the (instances, grid points)
@@ -19,12 +19,13 @@ import itertools
 import math
 import sys
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
 from .bipartite import BipartiteOperator, trace_out_b
-from .channels import DrawnChannel, StinespringChannel, channel_outputs, choi_ranks, qr_isometry, require_isometry
+from .channels import StinespringChannel, channel_outputs, choi_ranks
 from .entropy import (
     density_spectrum,
     dim_weight,
@@ -79,17 +80,46 @@ def _products(p: tuple, q: tuple) -> tuple:
 # stacked spectra of a batch of instances
 
 
+class Drawn(NamedTuple):
+    """An audit instance as drawn: its kind's generator output, to be finished in a stack.
+
+    finish(draws, *sizes) maps a sub-stack, the rows of one finish and sizes with their
+    draws stacked field by field, to its stacked W, Q, or (V, Q) pair of stacks.
+    sizes[:2] is the shape form gives; a channel's sizes are (dim_in, dim_out, dim_env).
+    """
+
+    form: str
+    finish: Callable
+    sizes: tuple
+    draws: tuple
+
+    def alone(self):
+        """The finished instance: a BipartiteOperator, a (StinespringChannel, Q) pair or a matrix."""
+        out = self.finish(tuple(np.array([x]) for x in self.draws), *self.sizes)
+        if self.form == "channel":
+            return StinespringChannel(out[0][0], *self.sizes), out[1][0]
+        return BipartiteOperator(out[0], *self.sizes) if self.form == "bipartite" else out[0]
+
+    def __getattr__(self, name: str):
+        # any other attribute is the finished instance's, as when makers finished (W.matrix, say)
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.alone(), name)
+
+
 def form(inst) -> tuple:
     """(form, shape) of an audit instance; instances of one form and shape stack into one batch.
 
     The forms are "bipartite", a BipartiteOperator (shape (m, n)); "channel", a
-    (channel, input matrix) pair, the channel a StinespringChannel or a
-    DrawnChannel still to be finished (shape (dim_in, dim_out)); and "matrix",
-    a plain ndarray (its shape).  Anything else raises KindMismatchError.
+    (StinespringChannel, input matrix) pair (shape (dim_in, dim_out)); and
+    "matrix", a plain ndarray (its shape).  A Drawn instance has the form and
+    shape of its finished one.  Anything else raises KindMismatchError.
     """
+    if isinstance(inst, Drawn):
+        return inst.form, inst.sizes[:2]
     if isinstance(inst, BipartiteOperator):
         return "bipartite", (inst.dim_a, inst.dim_b)
-    if isinstance(inst, tuple) and len(inst) == 2 and isinstance(inst[0], (StinespringChannel, DrawnChannel)):
+    if isinstance(inst, tuple) and len(inst) == 2 and isinstance(inst[0], StinespringChannel):
         return "channel", (inst[0].dim_in, inst[0].dim_out)
     if isinstance(inst, np.ndarray):
         return "matrix", inst.shape
@@ -102,14 +132,43 @@ def _stack(mats) -> np.ndarray:
     return stack
 
 
+def _substacks(insts: list, kind: str) -> list:
+    """(rows, stack) of each sub-stack of a batch of one form.
+
+    A sub-stack is the Drawn rows of one finish and sizes, finished in one call,
+    or the finished rows (for channels, those of one dim_env), stacked as they are.
+    """
+    groups = {}
+    for i, x in enumerate(insts):
+        key = (x.finish, x.sizes) if isinstance(x, Drawn) else (None, x[0].dim_env if kind == "channel" else None)
+        groups.setdefault(key, []).append(i)
+    subs = []
+    for (finish, sizes), rows in groups.items():
+        xs = [insts[i] for i in rows]
+        if finish is not None:
+            subs.append((rows, finish(tuple(np.array(f) for f in zip(*(x.draws for x in xs))), *sizes)))
+        elif kind == "channel":
+            subs.append((rows, (np.array([ch.v for ch, _ in xs]), _stack(q for _, q in xs))))
+        else:
+            subs.append((rows, _stack(x.matrix if kind == "bipartite" else x for x in xs)))
+    return subs
+
+
+def _joined(subs: list) -> np.ndarray:
+    """The stack of a batch's rows, from its sub-stacks' (rows, stack) pairs."""
+    order = [i for rows, _ in subs for i in rows]
+    stack = np.concatenate([x for _, x in subs]) if len(subs) > 1 else subs[0][1]
+    return stack if order == list(range(len(order))) else stack[np.argsort(order)]
+
+
 class Spectra:
     """Lazily computed, validated spectra of a batch of same-form, same-shape instances.
 
     Each matrix (W and Tr_B W, Q and Phi(Q), or Q) is stacked to (trials, d, d)
     and decomposed at most once per spectrum kind, in one call, with the checks
-    of the matrix-level functions applied row by row.  Channels are finished in
-    one call per step and sub-stack, the drawn or the finished channels of one d:
-    their dilations V (see _dilations), Phi(Q) and, under "choi_rank", the Choi
+    of the matrix-level functions applied row by row.  Each sub-stack (see
+    _substacks) is finished in one call, and a channel sub-stack, whose V share
+    one d, takes one call for Phi(Q) and, under "choi_rank", one for the Choi
     ranks.  One table per (matrix, exponent) serves the stack, so a functional at every
     grid point is a lookup giving a (trials, points) array; a lookup outside a
     table raises the scalar function's RankRangeError or ExponentRangeError.
@@ -118,30 +177,27 @@ class Spectra:
     def __init__(self, insts: list, env_mode: str = "choi_rank"):
         self.size = len(insts)
         kind, shape = form(insts[0])
+        subs = _substacks(insts, kind)
         # kmax bounds the grid's rank k: the size of Tr_B W, of Phi(Q) or of Q
         if kind == "bipartite":
             self.dim_a, self.dim_b = shape
             self.kmax = self.dim_a
-            w = np.array([x.matrix for x in insts])
+            w = _joined(subs)
             self.matrices = {"w": w, "qa": trace_out_b(w, *shape)}
         elif kind == "channel":
             self.kmax = n = shape[1]
-            q = _stack(x for _, x in insts)
-            groups = {}  # (d, drawn or not) -> the rows of those channels
-            for i, (ch, _) in enumerate(insts):
-                groups.setdefault((ch.dim_env, isinstance(ch, DrawnChannel)), []).append(i)
-            self.dilations = [  # (rows, d, their stacked dilations V)
-                (rows, d, _dilations([insts[i][0] for i in rows], drawn)) for (d, drawn), rows in groups.items()
-            ]
+            # (rows, d, their stacked dilations V) per sub-stack
+            self.dilations = [(rows, v.shape[-2] // n, v) for rows, (v, _) in subs]
             # env_dims: each channel's d, its Choi rank or, under "dim_env", its dilation's dim_env
             out, ds = np.empty((self.size, n, n), dtype=np.complex128), np.empty(self.size, dtype=int)
-            for rows, d, v in self.dilations:
-                out[rows] = channel_outputs(v, q[rows], n, d)
+            for (rows, d, v), (_, (_, q)) in zip(self.dilations, subs):
+                out[rows] = channel_outputs(v, q, n, d)
                 ds[rows] = choi_ranks(v, n, d) if env_mode == "choi_rank" else d
+            q = _joined([(rows, q) for rows, (_, q) in subs])
             self.matrices, self.env_dims = {"q": q, "out": out}, ds.tolist()
         else:
-            self.matrices = {"q": _stack(insts)}
-            self.kmax = self.matrices["q"].shape[-1]
+            self.matrices = {"q": _joined(subs)}
+            self.kmax = shape[-1]
         self._memo = {}
 
     def _get(self, key, make):
@@ -208,13 +264,6 @@ class Spectra:
         von_neumann = self._get(("von_neumann", name), partial(von_neumann_of, spectra))
         sums = {a: self._get(("power_sum", name, a), partial(power_sum_of, spectra, a)) for a in dict.fromkeys(alpha)}
         return self.columns(lambda point: formula(sums[point[0]], von_neumann, *point), list(zip(alpha, *rest)))
-
-
-def _dilations(channels: list, drawn: bool) -> np.ndarray:
-    """The stacked dilations V of a sub-stack: the drawn channels' checked QR isometries, or the finished ones' V."""
-    if drawn:
-        return require_isometry(qr_isometry(np.array([ch.gaussian for ch in channels])))
-    return np.array([ch.v for ch in channels])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from normtrace.audit import (
     sample,
 )
 from normtrace.bipartite import BipartiteOperator
-from normtrace.channels import DrawnChannel, StinespringChannel, choi_matrix
+from normtrace.channels import StinespringChannel, choi_matrix
 from normtrace.errors import (
     BadDimsError,
     ExponentRangeError,
@@ -28,6 +28,7 @@ from normtrace.errors import (
     PreconditionError,
     RankRangeError,
 )
+from normtrace.margins import Drawn
 
 EXPECTED_IDS = (
     "KPN1",
@@ -127,18 +128,32 @@ def test_ginibre_reads_the_real_draws_then_the_imaginary_draws():
             rng = np.random.default_rng(seed)
             re = rng.standard_normal((rows, cols))
             expected = (re + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-            got = audit._ginibre(np.random.default_rng(seed), rows, cols)
+            got = audit._ginibre(audit._gaussians(np.random.default_rng(seed), rows, cols))
             assert got.tobytes() == expected.tobytes()
 
 
 def test_instance_kinds_have_their_declared_form():
-    for kind, (declared, build) in audit.KINDS.items():
-        inst = build(np.random.default_rng(3), 2, 3)
-        assert margins.form(inst)[0] == declared, kind
+    for name, kind in audit.KINDS.items():
+        inst = audit._build(kind, (2, 3), 3)
+        assert margins.form(inst)[0] == kind.form, name
+        assert margins.form(inst.alone()) == margins.form(inst), name
     for cid, case in REGISTRY.items():
         dims = (3, 2) if case.form == "channel" else (2, 2)
         made = (case.make_instance(dims, 5), case.saturator(dims, 5))
         assert [margins.form(inst)[0] for inst in made] == [case.form] * 2, cid
+
+
+def test_drawn_instances_read_as_their_finished_ones():
+    # code that reads a maker's instance, such as a wrapper that perturbs W,
+    # gets the attributes of the instance finished alone
+    w = REGISTRY["KPN1"].make_instance((2, 3), 7)
+    assert isinstance(w, Drawn) and (w.dim_a, w.dim_b) == (2, 3)
+    assert w.matrix.tobytes() == w.alone().matrix.tobytes() == sample("bipartite", (2, 3), 7).matrix.tobytes()
+    assert w.draws[0].shape == (2, 6, 6)  # its own fields stay its own
+    with pytest.raises(AttributeError):
+        w.no_such_attribute
+    with pytest.raises(AttributeError):
+        w.__array_interface__
 
 
 def test_evaluate_case_product_state_margins_vanish():
@@ -465,21 +480,13 @@ def test_trial_seed_generator_cannot_spawn():
         np.random.default_rng(seed).spawn(1)
 
 
-def _instance_bytes(inst) -> bytes:
-    if isinstance(inst, BipartiteOperator):
-        return inst.matrix.tobytes()
-    if isinstance(inst, tuple):  # a (channel, input) pair; a drawn channel holds its Gaussian draw
-        ch, q = inst
-        return np.asarray(ch.gaussian if isinstance(ch, DrawnChannel) else ch.v).tobytes() + q.tobytes()
-    return inst.tobytes()
-
-
 @pytest.mark.parametrize("kind", list(audit.KINDS))
 def test_kinds_build_the_same_from_trial_seeds(kind):
-    _, build = audit.KINDS[kind]
     seeds = SHA_SEEDS[:8]
     for dims, value, seed in zip(((2, 2), (2, 3), (3, 2), (4, 3)) * 2, seeds, _trial_seeds(seeds)):
-        assert _instance_bytes(audit._build(build, dims, seed)) == _instance_bytes(audit._build(build, dims, value))
+        hashed, plain = (audit._build(audit.KINDS[kind], dims, s) for s in (seed, value))
+        assert hashed.sizes == plain.sizes
+        assert [np.asarray(x).tobytes() for x in hashed.draws] == [np.asarray(x).tobytes() for x in plain.draws]
 
 
 def test_run_audit_hands_makers_trial_seeds(monkeypatch):
@@ -560,15 +567,23 @@ def test_config_rejects_non_finite_tolerance(tolerance):
     (lambda: AuditConfig(dims=((2, 3), (4, 3.0))), BadDimsError),
     (lambda: AuditConfig(trials_per_case=2.5), PreconditionError),
     (lambda: AuditConfig(trials_per_case=2.0), PreconditionError),
+    # a bool is an int to Python: trials_per_case=True ran one trial and
+    # echoed "true", and sample drew from seed True
+    (lambda: AuditConfig(trials_per_case=True), PreconditionError),
+    (lambda: AuditConfig(dims=((True, 2),)), BadDimsError),
+    (lambda: sample("psd", (True,), 3), BadDimsError),
+    (lambda: sample("psd", (3,), True), PreconditionError),
+    (lambda: sample("psd", (3,), False), PreconditionError),
     (lambda: sample("psd", np.int64(2), 0).shape == (2, 2), None),
     (lambda: AuditConfig(dims=((np.int32(2), np.int64(3)),), trials_per_case=np.int64(2)).dims == ((2, 3),), None),
 ], ids=[
     "sample-scalar", "sample-float", "sample-pair", "config-dims", "config-dims-float", "trials", "trials-float",
+    "trials-bool", "config-dims-bool", "sample-dims-bool", "seed-true", "seed-false",
     "sample-numpy-int", "config-numpy-int",
 ])
 def test_non_integer_sizes_are_rejected(make, error):
     # a size that is not an integer is an error, never truncated; numpy
-    # integers are integers
+    # integers are integers, and bools are not
     if error is None:
         assert make()
         return
@@ -674,11 +689,12 @@ GRID_SIZES = {
 
 
 def _rank_bound(inst) -> int:
-    if isinstance(inst, BipartiteOperator):
-        return inst.dim_a
-    if isinstance(inst, tuple):
-        return inst[0].dim_out
-    return inst.shape[0]
+    kind, shape = margins.form(inst)
+    return shape[1] if kind == "channel" else shape[0]
+
+
+# the finishes that take a QR: those of the channel trials, and not Tr_B's
+QR_FINISHES = {audit.KINDS[kind].finish for kind in ("channel_ginibre", "channel_psd", "channel_density")}
 
 
 def test_run_audit_decomposes_each_instance_once(monkeypatch):
@@ -687,11 +703,11 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     # of evaluate_case.  Every decomposition counts against the batch
     # of the instances it serves: those made while sampling an instance, each
     # stacked call of the batch (one matrix per instance) and each channel's
-    # Choi spectrum, a row of the stacked Choi eigvalsh.  A drawn channel trial
-    # sits at the bound: its QR, Q, Phi(Q) and its Choi spectrum, the QR and
-    # the Choi spectrum taken in one call per environment dimension d (the
-    # finished channels of a d, such as the saturators, are a sub-stack of
-    # their own).
+    # Choi spectrum, a row of the stacked Choi eigvalsh.  A channel trial sits
+    # at the bound: its QR, Q, Phi(Q) and its Choi spectrum, the QR and the
+    # Choi spectrum taken in one call per sub-stack, the trials of one
+    # environment dimension d (the Tr_B saturators are sub-stacks of their
+    # own, with no QR).
     buckets = []
     sampled = {}  # id of an instance -> matrices decomposed while sampling it
     state = {"sampling": None, "batch": None, "in_choi": False}
@@ -727,14 +743,14 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
 
     class Batch(audit.Spectra):
         def __init__(self, insts, *args):
-            channel = isinstance(insts[0], tuple)
+            channel = margins.form(insts[0])[0] == "channel"
             state["batch"] = {
                 "size": len(insts), "channel": channel, "calls": 0, "qr_calls": 0, "choi_calls": 0,
                 "matrices": sum(sampled.pop(id(inst), 0) for inst in insts), "choi_rows": 0,
                 "evaluations": 0, "points": 0,
-                # the environment dimensions of the drawn channels, and the (d, drawn or not) sub-stacks
-                "drawn_envs": {ch.dim_env for ch, _ in insts if isinstance(ch, DrawnChannel)} if channel else set(),
-                "subs": {(ch.dim_env, isinstance(ch, DrawnChannel)) for ch, _ in insts} if channel else set(),
+                # the environment dimensions of the channel trials, and the (finish, sizes) sub-stacks
+                "drawn_envs": {x.sizes[2] for x in insts if x.finish in QR_FINISHES} if channel else set(),
+                "subs": {(x.finish, x.sizes) for x in insts} if channel else set(),
             }
             buckets.append(state["batch"])
             super().__init__(insts, *args)
@@ -790,7 +806,7 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
         assert b["evaluations"] == 1, b
         assert b["calls"] <= (2 if b["channel"] else 4), b
         assert b["matrices"] <= 4 * b["size"], b
-        # one QR call per d of the drawn channels, one Choi call per sub-stack,
+        # one QR call per d of the channel trials, one Choi call per sub-stack,
         # and exactly one Choi spectrum per channel
         assert b["qr_calls"] == len(b["drawn_envs"]), b
         assert b["choi_calls"] == len(b["subs"]) and b["choi_rows"] == (b["size"] if b["channel"] else 0), b
@@ -1070,7 +1086,7 @@ def _literal_isometry(g):
 def test_stacked_finish_equals_a_literal_per_channel_finish(monkeypatch):
     # one 64-trial window of STCT1 draws channels of every dims pair and every
     # d; each batch finishes them in stacked calls per d, and its saturators,
-    # finished Tr_B channels, join the same path at V
+    # drawn Tr_B channels, are finished with V the identity
     batches = []
 
     class Recorded(audit.Spectra):
@@ -1086,14 +1102,15 @@ def test_stacked_finish_equals_a_literal_per_channel_finish(monkeypatch):
         ranks = sp.env_dims
         for rows, d, v in sp.dilations:
             for i, vi in zip(rows, v):
-                ch, q = insts[i]
-                m, n = ch.dim_in, ch.dim_out
-                assert ch.dim_env == d
-                if isinstance(ch, DrawnChannel):
+                m, n, dim_env = insts[i].sizes
+                q = sp.matrices["q"][i]
+                assert dim_env == d
+                if insts[i].finish in QR_FINISHES:
                     covered.add((m, n, d))
-                    assert vi.tobytes() == _literal_isometry(ch.gaussian).tobytes()
+                    g = insts[i].draws[0]
+                    assert vi.tobytes() == _literal_isometry((g[0] + 1j * g[1]) / np.sqrt(2.0)).tobytes()
                 else:
-                    assert vi.tobytes() == ch.v.tobytes()
+                    assert vi.tobytes() == np.eye(m, dtype=complex).tobytes()
                 kraus = vi.reshape(n, d, m).transpose(1, 0, 2)
                 expected = sum(k @ q @ k.conj().T for k in kraus)
                 out = sp.matrices["out"][i]
@@ -1106,8 +1123,8 @@ def test_stacked_finish_equals_a_literal_per_channel_finish(monkeypatch):
 
 @pytest.mark.parametrize("finished", ["odd seeds", "every trial"])
 def test_finished_channel_pairs_give_the_report_of_drawn_ones(monkeypatch, finished):
-    # a maker may return finished (StinespringChannel, Q) pairs: they enter the
-    # stacked finish at V, also in a batch with drawn channels
+    # a maker may return finished (StinespringChannel, Q) pairs: they join the
+    # stacked path at V, also in a batch with drawn channels
     cids = tuple(cid for cid in REGISTRY_IDS if REGISTRY[cid].form == "channel")
     cfg = AuditConfig(trials_per_case=12, case_filter=cids)
     drawn = run_audit(cfg).to_text()
@@ -1115,18 +1132,44 @@ def test_finished_channel_pairs_give_the_report_of_drawn_ones(monkeypatch, finis
 
     def finishing(make):
         def made(dims, seed):
-            ch, q = make(dims, seed)
+            inst = make(dims, seed)
             if finished == "every trial" or seed % 2:
-                ch = ch.finish()
-            kinds.add(type(ch))
-            return ch, q
+                inst = inst.alone()
+            kinds.add(type(inst))
+            return inst
 
         return made
 
     for cid in cids:
         _replace_case(monkeypatch, cid, make_instance=finishing(REGISTRY[cid].make_instance))
     assert run_audit(cfg).to_text() == drawn
-    assert kinds == ({StinespringChannel, DrawnChannel} if finished == "odd seeds" else {StinespringChannel})
+    assert kinds == ({tuple, Drawn} if finished == "odd seeds" else {tuple})
+
+
+@pytest.mark.parametrize("config", [
+    dict(trials_per_case=70), dict(dims=((6, 6), (4, 8)), trials_per_case=2),
+], ids=["default-dims", "large-dims"])
+def test_finished_instances_give_the_report_of_drawn_ones(monkeypatch, config):
+    # every registry maker returns its instance finished alone, which the
+    # batches stack as it is: the report is the drawn run's
+    cfg = AuditConfig(**config)
+    drawn = run_audit(cfg).to_text()
+    types = set()
+
+    def finishing(make):
+        def made(dims, seed):
+            inst = make(dims, seed).alone()
+            types.add(type(inst))
+            return inst
+
+        return made
+
+    for cid, case in REGISTRY.items():
+        _replace_case(
+            monkeypatch, cid, make_instance=finishing(case.make_instance), saturator=finishing(case.saturator),
+        )
+    assert run_audit(cfg).to_text() == drawn
+    assert types == {BipartiteOperator, tuple, np.ndarray}
 
 
 def test_stacked_finish_fails_only_the_instance_that_is_not_an_isometry(monkeypatch):
@@ -1135,8 +1178,8 @@ def test_stacked_finish_fails_only_the_instance_that_is_not_an_isometry(monkeypa
     stctp = REGISTRY["STCTP"]
     cfg = AuditConfig(trials_per_case=8, dims=((2, 2),), case_filter=("STCTP",))
     seed = audit._trial_seed(cfg.base_seed, "STCTP", 3)
-    marked = stctp.make_instance((2, 2), seed)[0].gaussian
-    qr_isometry = margins.qr_isometry
+    marked = audit._ginibre(stctp.make_instance((2, 2), seed).draws[0])
+    qr_isometry = audit.qr_isometry
 
     def doubling(g):
         return qr_isometry(g) * np.array([[[2.0 if np.array_equal(x, marked) else 1.0]] for x in g])
@@ -1146,11 +1189,83 @@ def test_stacked_finish_fails_only_the_instance_that_is_not_an_isometry(monkeypa
             raise PreconditionError("trial 3 disabled")
         return stctp.make_instance(dims, s)
 
-    monkeypatch.setattr(margins, "qr_isometry", doubling)
+    monkeypatch.setattr(audit, "qr_isometry", doubling)
     (rec,) = run_audit(cfg).cases
     assert rec["failures"] == 1
     assert rec["first_failure"] == "NotTracePreservingError: dilation matrix is not an isometry"
-    monkeypatch.setattr(margins, "qr_isometry", qr_isometry)
+    monkeypatch.setattr(audit, "qr_isometry", qr_isometry)
     _replace_case(monkeypatch, "STCTP", make_instance=raising)
     (raised,) = run_audit(cfg).cases
     assert {**rec, "first_failure": None} == {**raised, "first_failure": None}
+
+
+def _literal_ginibre(rng, rows, cols):
+    re = rng.standard_normal((rows, cols))
+    return (re + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+
+
+def _literal_psd(rng, n):
+    g = _literal_ginibre(rng, n, n)
+    return g @ g.conj().T
+
+
+def _literal_pd(rng, n):
+    a = _literal_psd(rng, n)
+    return a + 0.1 * (a.trace().real / n) * np.eye(n)
+
+
+def _literal_density(rng, n):
+    a = _literal_psd(rng, n)
+    return a / a.trace().real
+
+
+def _literal_channel(build):
+    def pair(rng, m, n):
+        d = math.ceil(m / n) + int(rng.integers(0, 3))
+        v = _literal_isometry(_literal_ginibre(rng, n * d, m))
+        return v, build(rng, m)
+
+    return pair
+
+
+# each audit kind built one instance at a time: W, Q, or a (V, Q) pair
+LITERAL_KINDS = {
+    "bipartite": lambda rng, m, n: _literal_ginibre(rng, m * n, m * n),
+    "bipartite_psd": lambda rng, m, n: _literal_psd(rng, m * n),
+    "bipartite_pd": lambda rng, m, n: _literal_pd(rng, m * n),
+    "bipartite_density": lambda rng, m, n: _literal_density(rng, m * n),
+    "square": lambda rng, m, n: _literal_ginibre(rng, m, m),
+    "square_psd": lambda rng, m, n: _literal_psd(rng, m),
+    "channel_ginibre": _literal_channel(lambda rng, m: _literal_ginibre(rng, m, m)),
+    "channel_psd": _literal_channel(_literal_psd),
+    "channel_density": _literal_channel(_literal_density),
+    "product_psd": lambda rng, m, n: np.kron(_literal_psd(rng, m), np.eye(n)),
+    "product_pd": lambda rng, m, n: np.kron(_literal_pd(rng, m), np.eye(n)),
+    "product_density": lambda rng, m, n: np.kron(_literal_density(rng, m), np.eye(n) / n),
+    "scaled_product": lambda rng, m, n: float(rng.choice((1.0, 2.5))) * np.kron(_literal_psd(rng, m), np.eye(n)),
+    "scalar": lambda rng, m, n: 2.0 * np.eye(m, dtype=complex),
+    "scalar_bipartite": lambda rng, m, n: 2.0 * np.eye(m * n, dtype=complex),
+    "ptrace_psd": lambda rng, m, n: (np.eye(m * n, dtype=complex), np.kron(_literal_psd(rng, m), np.eye(n))),
+    "ptrace_density": lambda rng, m, n: (
+        np.eye(m * n, dtype=complex), np.kron(_literal_density(rng, m), np.eye(n) / n),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(audit.KINDS))
+def test_stacked_finish_equals_a_literal_build(kind):
+    # five drawn instances of a kind, finished in one batch, equal byte for
+    # byte the instances built one at a time from the same generators
+    assert LITERAL_KINDS.keys() == audit.KINDS.keys()
+    seeds = _trial_seeds(SHA_SEEDS[:5])
+    for m, n in ((1, 1), (2, 3), (3, 1), (4, 3)):
+        sp = margins.Spectra([audit._build(audit.KINDS[kind], (m, n), seed) for seed in seeds])
+        literal = [LITERAL_KINDS[kind](np.random.default_rng(int(seed)), m, n) for seed in seeds]
+        if audit.KINDS[kind].form == "channel":
+            assert sorted(i for rows, _, _ in sp.dilations for i in rows) == list(range(5))
+            for rows, _, v in sp.dilations:
+                for i, vi in zip(rows, v):
+                    assert vi.tobytes() == literal[i][0].tobytes(), (m, n, i)
+            literal = [q for _, q in literal]
+        stacked = sp.matrices["w" if audit.KINDS[kind].form == "bipartite" else "q"]
+        assert [x.tobytes() for x in stacked] == [x.tobytes() for x in literal], (m, n)

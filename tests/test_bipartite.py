@@ -10,7 +10,7 @@ from normtrace.bipartite import (
     swap_factors,
     twirl_oracle_b,
 )
-from normtrace.errors import ShapeMismatchError
+from normtrace.errors import PreconditionError, ShapeMismatchError
 
 
 def ginibre(rng, n):
@@ -28,6 +28,15 @@ def test_operator_validation():
     w = BipartiteOperator(np.arange(36).reshape(6, 6).astype(complex), 2, 3)
     assert w.block(1, 0).shape == (3, 3)
     assert w.block(0, 1)[0, 0] == 3
+
+
+@pytest.mark.parametrize("matrix,dim_a,dim_b", [(np.eye(5), 2.5, 2), (np.eye(2), True, 2), (np.eye(4), 2, 2.0)])
+def test_factor_dims_must_be_integers(matrix, dim_a, dim_b):
+    # 2.5 * 2 == 5 and True * 2 == 2 match the shape, but no partial trace has such factors
+    with pytest.raises(PreconditionError, match="integer"):
+        BipartiteOperator(matrix, dim_a, dim_b)
+    w = BipartiteOperator(np.eye(4), np.int64(2), np.int32(2))
+    assert partial_trace_b(w).shape == (2, 2)
 
 
 @pytest.mark.parametrize("m,n", DIMS)

@@ -11,7 +11,7 @@ from normtrace.channels import (
     validate_isometry,
 )
 from normtrace.bipartite import BipartiteOperator, partial_trace_b
-from normtrace.errors import NotTracePreservingError, ShapeMismatchError
+from normtrace.errors import NotTracePreservingError, PreconditionError, ShapeMismatchError
 
 
 def ginibre(rng, rows, cols):
@@ -44,6 +44,15 @@ def test_channel_rejects_non_isometry():
         StinespringChannel(ginibre(rng, 6, 2), 2, 2, 3)
     with pytest.raises(ShapeMismatchError):
         StinespringChannel(haar_isometry(rng, 6, 2), 2, 2, 2)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2.0), (2.0, 2, 2), (2, True, 4), (True, 2, 1)])
+def test_channel_dims_must_be_integers(dims):
+    # each of these matches the dilation's shape, but a Choi rank needs integer dims
+    v = np.eye(4)[:, : int(dims[0])]
+    with pytest.raises(PreconditionError, match="integer"):
+        StinespringChannel(v, *dims)
+    assert choi_rank(StinespringChannel(np.eye(4)[:, :2], np.int64(2), np.int64(2), np.int64(2))) == 2
 
 
 @pytest.mark.parametrize("m,n,d", [(2, 2, 2), (3, 2, 3), (2, 4, 1), (4, 3, 2)])

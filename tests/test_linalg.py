@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from normtrace.errors import (
+    BadDimsError,
     NotHermitianError,
     NotPsdError,
     NotSquareError,
@@ -9,6 +10,7 @@ from normtrace.errors import (
     SingularPowerError,
 )
 from normtrace.linalg import (
+    as_integer,
     as_matrix,
     hermitian_eigenvalues,
     is_hermitian,
@@ -111,6 +113,24 @@ def test_kron_has_the_bytes_of_numpy_kron(left, right):
         got, want = kron(a, b), np.kron(a, b.astype(complex))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (left, right)
+
+
+def test_kron_of_a_stack_is_the_stack_of_krons():
+    rng = np.random.default_rng(4)
+    a = np.array([ginibre(rng, 3, 2) for _ in range(5)])
+    for b in (ginibre(rng, 2, 4), np.eye(3), np.array([ginibre(rng, 2, 2) for _ in range(5)])):
+        want = np.array([np.kron(x, y.astype(complex)) for x, y in zip(a, b if b.ndim == 3 else [b] * 5)])
+        assert kron(a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x", [2.5, 2.0, True, False, "2", None, np.float64(2.0), np.bool_(True)])
+def test_as_integer_rejects_what_is_not_an_integer(x):
+    with pytest.raises(BadDimsError, match="expected an integer"):
+        as_integer(x)
+
+
+def test_as_integer_takes_python_and_numpy_integers():
+    assert [as_integer(x) for x in (0, 7, np.int64(3), np.uint8(2), 2**70)] == [0, 7, 3, 2, 2**70]
 
 
 def test_psd_power_square_root():
