@@ -101,7 +101,7 @@ class Drawn(NamedTuple):
         return BipartiteOperator(out[0], *self.sizes) if self.form == "bipartite" else out[0]
 
     def __getattr__(self, name: str):
-        # any other attribute is the finished instance's, as when makers finished (W.matrix, say)
+        # any other attribute is the finished instance's, so code that reads a maker's W.matrix, say, gets it
         if name.startswith("__"):
             raise AttributeError(name)
         return getattr(self.alone(), name)

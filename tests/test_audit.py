@@ -567,8 +567,8 @@ def test_config_rejects_non_finite_tolerance(tolerance):
     (lambda: AuditConfig(dims=((2, 3), (4, 3.0))), BadDimsError),
     (lambda: AuditConfig(trials_per_case=2.5), PreconditionError),
     (lambda: AuditConfig(trials_per_case=2.0), PreconditionError),
-    # a bool is an int to Python: trials_per_case=True ran one trial and
-    # echoed "true", and sample drew from seed True
+    # a bool is an int to Python, but no size or seed: trials_per_case=True
+    # would run one trial and echo "true"
     (lambda: AuditConfig(trials_per_case=True), PreconditionError),
     (lambda: AuditConfig(dims=((True, 2),)), BadDimsError),
     (lambda: sample("psd", (True,), 3), BadDimsError),
