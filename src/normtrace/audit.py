@@ -8,15 +8,15 @@ sit at zero up to round-off.  The evaluators, the stacked spectra they read and
 the parameter grids live in margins.py.
 
 The runner makes a case's trial instances TRIAL_WINDOW at a time, evaluates
-each window in batches of same-shape instances, one margins.Spectra and one
-evaluator call each, and folds each batch's margins by numpy reductions.
-evaluate_case, a batch of one with a one-point grid, gives the same margins.
+each window, saturators and every dims pair included, as one batch (one
+margins.Spectra and one evaluator call), and folds its in-bound margins by
+numpy reductions.  evaluate_case, a batch of one on a one-point grid, agrees.
 
 Each case names a trial kind and a saturator kind of the KINDS table.  A kind
 is a draw, which makes its generator calls and nothing else, and a finish,
 which maps the stacked draws of many instances to their stacked matrices.
 The registry's makers only draw (margins.Drawn); Spectra finishes each
-sub-stack of a batch in one call, and sample finishes a stack of one.  Draws
+sub-stack of a window in one call, and sample finishes a stack of one.  Draws
 come from numpy's PCG64 generator and are bit-reproducible per (kind, dims,
 seed); the audit derives per-trial seeds by hashing (base_seed, case id, trial
 index), so reports are deterministic in the configuration alone.  run_audit
@@ -29,6 +29,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Real
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -36,9 +37,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from ._version import __version__
 from . import jsonio
-from .antinorms import kyfan_antinorm_of
 from .channels import StinespringChannel, qr_isometry, require_isometry
-from .errors import BadDimsError, KindMismatchError, PreconditionError
+from .errors import BadDimsError, KindMismatchError, PreconditionError, RankRangeError
 from .linalg import as_integer, kron
 from .margins import (
     Drawn,
@@ -152,12 +152,13 @@ def _channel(finish) -> Kind:
         d = math.ceil(m / n) + int(rng.integers(0, 3))
         return (m, n, d), (_gaussians(rng, n * d, m), _gaussians(rng, m, m))
 
-    return Kind("channel", draw, lambda x, m, n, d: (require_isometry(_haar(x[0])), finish(x[1])))
+    return Kind("channel", draw, (lambda x, m, n, d: require_isometry(_haar(x[0])), lambda x, m, n: finish(x[0])))
 
 
-def _traced(product: Kind) -> Kind:  # (Tr_B, W): Tr_B from m*n to m, its dilation the identity, and W of a product kind
-    return Kind("channel", lambda rng, m, n: ((m * n, m, n), product.draw(rng, m, n)[1]), lambda x, mn, m, n: (
-        np.repeat(np.eye(mn, dtype=complex)[None], len(x[0]), axis=0), product.finish(x, m, n)))
+def _traced(product: Kind) -> Kind:  # (Tr_B, W): Tr_B from m*n to m, its dilation I, drawn as (), W of a product kind
+    return Kind("channel", lambda rng, m, n: ((m * n, m, n), ((),) + product.draw(rng, m, n)[1]), (
+        lambda x, mn, m, n: np.repeat(np.eye(mn, dtype=complex)[None], len(x[0]), axis=0),
+        lambda x, mn, m: product.finish(x, m, mn // m)))
 
 
 # Instance kinds, whose forms are those of margins.form.  A registry case
@@ -481,8 +482,10 @@ def evaluate_case(case_id: str, instance, params) -> float:
         raise PreconditionError(
             f"case {case_id} takes params {sorted(expected)}: missing {missing}, unexpected {unexpected}"
         )
-    grid = Grid({name: (value,) for name, value in params.items()}, 1)
-    return float(case.evaluate(Spectra([instance], env_mode), grid)[0, 0])
+    grid, sp = Grid({name: (value,) for name, value in params.items()}, 1), Spectra([instance], env_mode)
+    if not sp.in_bound(grid).all():  # a point that was asked for is never out of bound
+        raise RankRangeError(f"k={params['k']} outside [1, {sp.bound[0]}]")
+    return float(case.evaluate(sp, grid)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +509,8 @@ class AuditConfig:
     s_grid: tuple = S_GRID
 
     def __post_init__(self):
+        # a bool would run as 0 or 1 and echo as false or true, and a str fails deep in a comparison
+        real = lambda x: type(x) in (float, int) or isinstance(x, Real) and not isinstance(x, bool)  # noqa: E731
         # every trial seed hashes the seed's text, so 42.0 or True would give another audit
         as_integer(self.base_seed, PreconditionError)
         if as_integer(self.trials_per_case, PreconditionError) < 1:
@@ -514,13 +519,19 @@ class AuditConfig:
         if not dims or any(len(pair) != 2 or min(pair) < 1 for pair in dims):
             raise BadDimsError(f"dims must be nonempty (m, n) pairs, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
-        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):  # inf would hide every violation
-            raise PreconditionError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if not (real(self.tolerance) and self.tolerance > 0 and math.isfinite(self.tolerance)):  # inf hides violations
+            raise PreconditionError(f"tolerance must be a finite positive real number, got {self.tolerance!r}")
         if self.env_dim_mode not in ENV_DIM_MODES:
             raise PreconditionError(f"unknown env_dim_mode {self.env_dim_mode!r}, expected one of {ENV_DIM_MODES}")
-        empty = [f.name for f in fields(self) if f.name.endswith("_grid") and len(getattr(self, f.name)) == 0]
+        grids = [f.name for f in fields(self) if f.name.endswith("_grid")]
+        empty = [name for name in grids if len(getattr(self, name)) == 0]
         if empty:
             raise PreconditionError(f"empty parameter grids: {', '.join(empty)}")
+        for name in grids:
+            pair = name.endswith("pq_grid")  # its entries are (p, q) pairs
+            for x in getattr(self, name):
+                if not (isinstance(x, (tuple, list)) and len(x) == 2 and all(map(real, x)) if pair else real(x)):
+                    raise PreconditionError(f"{name} takes {'pairs of ' * pair}real numbers, got {x!r}")
         if self.case_filter is not None:
             if len(self.case_filter) == 0:  # a run of no case must not read as clean
                 raise PreconditionError("case_filter selects no case")
@@ -578,18 +589,19 @@ def _case_extras(cid: str, stats: np.ndarray):
 def _trial_stats(cid: str, sp: Spectra) -> Optional[np.ndarray]:
     """Each instance's share of the case's extra report field, None for a case without one."""
     if cid == "KPK2":
-        n = sp.dim_b
-        lhs = sp.norm("w", np.array([n]), (1.0,))[:, 0]
+        n = sp.n
+        lhs = sp.norm("w", n[:, None], (1.0,))[:, 0]
         rhs = n * sp.norm("w", None, (math.inf,))[:, 0]
         return rhs - lhs > 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs)
     if cid == "KQK1":
-        m, n = sp.dim_a, sp.dim_b
-        ks, ones = np.arange(1, m), (1.0,) * (m - 1)
-        qa, w = sp.psd("qa"), sp.psd("w")
-        anti = sp.columns(lambda k: kyfan_antinorm_of(qa, k) - kyfan_antinorm_of(w, k * n), ks.tolist())
-        norm = sp.norm("w", (m - ks) * n, ones) - sp.norm("qa", m - ks, ones)
-        denom = np.maximum(1.0, np.abs(np.trace(sp.matrices["w"], axis1=-2, axis2=-1).real))
-        return np.fmax.reduce(np.abs(anti - norm) / denom[:, None], axis=-1, initial=0.0)
+        m, n, ks = sp.bound[:, None], sp.n[:, None], tuple(range(1, int(sp.bound.max())))
+        inner, ones = np.array(ks, int) < m, (1.0,) * len(ks)  # each row's k: 1 to m - 1
+        anti = sp.kyfan_antinorm("qa", ks) - sp.kyfan_antinorm("w", ks, times_n=True)
+        rest = np.where(inner, m - np.array(ks, int), 1)
+        norm = sp.norm("w", rest * n, ones) - sp.norm("qa", rest, ones)
+        traces = sp.joined([np.trace(part["w"], axis1=-2, axis2=-1).real for part in sp.parts])
+        deviation = np.abs(anti - norm) / np.maximum(1.0, np.abs(traces))[:, None]
+        return np.fmax.reduce(np.where(inner, deviation, 0.0), axis=-1, initial=0.0)
     return None
 
 
@@ -607,36 +619,36 @@ def _describe(exc: Exception) -> str:
 
 
 def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict) -> list:
-    """(indices, margins, statistics) arrays of the members kept, one triple per batch evaluated.
+    """(indices, margins, in-bound mask, statistics) arrays of the members kept, one per batch evaluated.
 
-    members, (index, instance) pairs, are evaluated as one batch; grids holds the
-    case's grid per rank bound, made on first use.  On a domain error each
-    member is evaluated again alone, so only the ones that raise go to failed, as
-    do those with a margin that is not finite: none of them is kept.
+    members, (index, instance) pairs of one form, are one batch on the case's grid
+    at their largest rank bound (grids holds one per bound).  On a domain error each
+    member is evaluated again alone, so only the ones that raise go to failed, as do
+    those with an in-bound margin that is not finite: none of them is kept.
     """
     try:
         sp = Spectra([inst for _, inst in members], config.env_dim_mode)
-        if sp.kmax not in grids:
-            grids[sp.kmax] = make_grid(case.axes, sp.kmax, config)
-        margins = case.evaluate(sp, grids[sp.kmax])
+        kmax = int(sp.bound.max())
+        grid = grids[kmax] = grids[kmax] if kmax in grids else make_grid(case.axes, kmax, config)
+        margins = case.evaluate(sp, grid)
         stats = _trial_stats(case.id, sp)
     except _INSTANCE_ERRORS as exc:
         if len(members) == 1:
             failed[members[0][0]] = _describe(exc)
             return []
         return [batch for member in members for batch in _evaluate(case, [member], config, grids, failed)]
-    indices = np.array([index for index, _ in members])
-    finite = np.isfinite(margins)
+    indices, mask = np.array([index for index, _ in members]), sp.in_bound(grid)
+    finite = np.isfinite(margins) | ~mask
     if finite.all():  # one check per batch
-        return [(indices, margins, stats)]
+        return [(indices, margins, mask, stats)]
     kept = finite.all(axis=1)
     trials = config.trials_per_case
     for i in np.flatnonzero(~kept).tolist():
-        index, j = members[i][0], int(np.argmin(finite[i]))  # j: the first point that is not finite
+        index, j = members[i][0], int(np.argmin(finite[i]))  # j: the first in-bound point that is not finite
         who = f"trial {index}" if index < trials else f"saturator {index - trials}"
-        point = ", ".join(f"{name}={column[j]}" for name, column in grids[sp.kmax].items()) or "its one point"
+        point = ", ".join(f"{name}={column[j]}" for name, column in grid.items()) or "its one point"
         failed[index] = f"non-finite margin {margins[i, j]} in {case.id} {who} at {point}"
-    return [(indices[kept], margins[kept], None if stats is None else stats[kept])]
+    return [(indices[kept], margins[kept], mask[kept], None if stats is None else stats[kept])]
 
 
 def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
@@ -644,9 +656,9 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
 
     A case's trials are made in trial order, TRIAL_WINDOW at a time, and its
     saturator instances, one per dims pair, join the last window.  Each window
-    is evaluated in batches of same-shape instances, and each batch's margins
-    are folded before the next window is made: worst_margin is the minimum of
-    the trial rows, violations counts their margins below -tolerance, and
+    is evaluated as one batch, and its in-bound margins (Spectra.in_bound) are
+    folded before the next window is made: worst_margin is the minimum of the
+    trial rows, violations counts their margins below -tolerance, and
     saturation_residual is the maximum |margin| of the saturator rows.  A
     PreconditionError or LinAlgError on an instance never aborts the run: it
     counts in failures, the first message in trial order is kept, and the
@@ -681,13 +693,14 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
                 except _INSTANCE_ERRORS as exc:
                     failed[index] = _describe(exc)
                     continue
-                groups.setdefault(form(inst), []).append((index, inst))
+                groups.setdefault(form(inst)[0], []).append((index, inst))
             for members in groups.values():
-                for indices, margins, stat in _evaluate(case, members, config, grids, failed):
+                for indices, margins, mask, stat in _evaluate(case, members, config, grids, failed):
                     n = int(np.searchsorted(indices, trials))  # rows are in index order, the saturators last
-                    worst = min(worst, float(margins[:n].min(initial=math.inf)))
-                    violations += int(np.count_nonzero(margins[:n] < -config.tolerance))
-                    residual = max(residual, float(np.abs(margins[n:]).max(initial=0.0)))
+                    trial, saturator = margins[:n][mask[:n]], margins[n:][mask[n:]]
+                    worst = min(worst, float(trial.min(initial=math.inf)))
+                    violations += int(np.count_nonzero(trial < -config.tolerance))
+                    residual = max(residual, float(np.abs(saturator).max(initial=0.0)))
                     if stat is not None:
                         stats.append(stat[:n])
         # a residual over only some saturator instances must not read as clean

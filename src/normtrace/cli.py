@@ -63,16 +63,27 @@ def _load(path: str) -> np.ndarray:
         raise _ParseFailure(str(exc)) from None
 
 
-def _require(args, names) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+# the options each compute kind needs, and those it may take: antinorm takes --ambient-dim only with --k
+_OPTIONS = {"norm": (("p",), ("k",)), "antinorm": (("p",), ("k", "ambient_dim")),
+            "entropy": (("alpha", "s"), ()), "fidelity": (("sigma", "k"), ())}
+
+
+def _require(args) -> None:
+    needs, takes = _OPTIONS.get(args.kind, ((), ()))
+    missing = [f"--{n}" for n in needs if getattr(args, n) is None]
     if missing:
         raise _ParseFailure(f"kind {args.kind!r} needs {', '.join(missing)}")
+    without = " without --k" if args.kind == "antinorm" and args.k is None else ""
+    unread = [f"--{n.replace('_', '-')}" for n in ("k", "p", "alpha", "s", "ambient_dim", "sigma")
+              if n not in needs + (() if without else takes) and getattr(args, n) is not None]
+    if unread:
+        raise _ParseFailure(f"kind {args.kind!r}{without} does not read {', '.join(unread)}")
 
 
 def _run_compute(args) -> int:
+    _require(args)
     q = _load(args.matrix)
     if args.kind == "norm":
-        _require(args, ("p",))
         p = _parse_p(args.p)
         if args.k is None:
             value = schatten_norm(q, p)
@@ -81,17 +92,14 @@ def _run_compute(args) -> int:
         else:
             value = kp_norm(q, args.k, p)
     elif args.kind == "antinorm":
-        _require(args, ("p",))
         p = _parse_p(args.p)
         if args.k is None:
             value = schatten_antinorm(q, p)
         else:
             value = kp_antinorm(q, args.k, p, ambient_dim=args.ambient_dim)
     elif args.kind == "entropy":
-        _require(args, ("alpha", "s"))
         value = unified_entropy(q, float(args.alpha), float(args.s))
     elif args.kind == "fidelity":
-        _require(args, ("sigma", "k"))
         value = partial_fidelity(q, _load(args.sigma), args.k)
     else:
         raise _ParseFailure(f"unknown kind {args.kind!r}")

@@ -4,12 +4,15 @@ Every functional the registry cases compare is unitarily invariant, so an
 evaluator reads only spectra: singular values for norms, eigenvalues for
 anti-norms and entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's
 Choi rank.  form names an instance's kind (bipartite operator, channel pair or
-plain matrix) and shape.  Spectra holds one batch of instances of one form and
-shape: drawn instances are finished, each matrix is stacked and decomposed in
-one call, one table per (matrix, exponent) serves the stack (a cumulative power
-sum over the sorted spectra serves every k; entropies read tr rho^alpha and the
-von Neumann value), and one evaluator call returns the (instances, grid points)
-margins, each normalized by max(1, |lhs|, |rhs|).
+plain matrix) and shape.  Spectra holds one window of instances of one form and
+any shapes: drawn instances are finished, each shape's matrices are stacked
+and decomposed in one call, the shapes' spectra join in one zero-padded stack
+per matrix, one table per (matrix, exponent) serves the window (a cumulative
+power sum over the sorted spectra serves every k; entropies read tr rho^alpha
+and the von Neumann value), and one evaluator call returns the (instances, grid
+points) margins, each normalized by max(1, |lhs|, |rhs|).  Each instance has
+its own traced-out dimension and rank bound, and a grid point whose k exceeds
+an instance's bound is out of bound for it (Spectra.in_bound): never folded.
 Each case declares its grid as products of named axes (see _axis), and
 make_grid builds it from an audit configuration.
 """
@@ -77,27 +80,31 @@ def _products(p: tuple, q: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# stacked spectra of a batch of instances
+# stacked spectra of a window of instances
 
 
 class Drawn(NamedTuple):
     """An audit instance as drawn: its kind's generator output, to be finished in a stack.
 
     finish(draws, *sizes) maps a sub-stack, the rows of one finish and sizes with their
-    draws stacked field by field, to its stacked W, Q, or (V, Q) pair of stacks.
-    sizes[:2] is the shape form gives; a channel's sizes are (dim_in, dim_out, dim_env).
+    draws stacked field by field, to its stacked W or Q.  sizes[:2] is the shape form
+    gives.  A channel's sizes are (dim_in, dim_out, dim_env) and its finish is a pair:
+    V's, of draws[:1] and all three sizes, and Q's, of draws[1:] and the shape alone,
+    so channels of every d share Q's.
     """
 
     form: str
-    finish: Callable
+    finish: Callable  # for a channel, a (V's finish, Q's finish) pair
     sizes: tuple
     draws: tuple
 
     def alone(self):
         """The finished instance: a BipartiteOperator, a (StinespringChannel, Q) pair or a matrix."""
-        out = self.finish(tuple(np.array([x]) for x in self.draws), *self.sizes)
+        x = tuple(np.array([f]) for f in self.draws)
         if self.form == "channel":
-            return StinespringChannel(out[0][0], *self.sizes), out[1][0]
+            v, q = self.finish
+            return StinespringChannel(v(x[:1], *self.sizes)[0], *self.sizes), q(x[1:], *self.sizes[:2])[0]
+        out = self.finish(x, *self.sizes)
         return BipartiteOperator(out[0], *self.sizes) if self.form == "bipartite" else out[0]
 
     def __getattr__(self, name: str):
@@ -108,7 +115,7 @@ class Drawn(NamedTuple):
 
 
 def form(inst) -> tuple:
-    """(form, shape) of an audit instance; instances of one form and shape stack into one batch.
+    """(form, shape) of an audit instance; instances of one form stack into one window.
 
     The forms are "bipartite", a BipartiteOperator (shape (m, n)); "channel", a
     (StinespringChannel, input matrix) pair (shape (dim_in, dim_out)); and
@@ -126,79 +133,83 @@ def form(inst) -> tuple:
     raise KindMismatchError(f"not an audit instance: {type(inst).__name__}")
 
 
-def _stack(mats) -> np.ndarray:
-    stack = np.array([as_matrix(q) for q in mats])
-    require_square(stack)
+# a finished instance's matrix, by form; 0 and 1 stand for a channel's V and Q
+_MATRIX = {"bipartite": lambda x: x.matrix, "matrix": lambda x: x, 0: lambda x: x[0].v, 1: lambda x: x[1]}
+
+
+def _finished(xs: list, part) -> np.ndarray:
+    """The stacked matrices of one shape's instances, part their form, or a channel's V (0) or Q (1).
+
+    The Drawn rows of one finish and sizes are finished in one call; a channel's Q
+    takes only the shape, so one call serves its rows of every d.  Finished rows are stacked as they are.
+    """
+    groups = {}
+    for i, x in enumerate(xs):
+        if not isinstance(x, Drawn):
+            key = None
+        elif part in (0, 1):  # V's finish and all three sizes, or Q's and the shape
+            key = (x.finish[part], x.sizes[:3 - part])
+        else:
+            key = (x.finish, x.sizes)
+        groups.setdefault(key, []).append(i)
+    fields = {0: slice(0, 1), 1: slice(1, None)}.get(part, slice(None))  # the draws a channel's V or Q reads
+    subs = []
+    for key, rows in groups.items():
+        if key is None:
+            subs.append((rows, np.array([as_matrix(_MATRIX[part](xs[i])) for i in rows])))
+        else:
+            subs.append((rows, key[0](tuple(map(np.array, zip(*(xs[i].draws[fields] for i in rows)))), *key[1])))
+    stack = subs[0][1] if len(subs) == 1 else np.empty((len(xs),) + subs[0][1].shape[1:], complex)
+    for rows, sub in subs[len(subs) == 1:]:
+        stack[rows] = sub
+    if part != 0:
+        require_square(stack)
     return stack
 
 
-def _substacks(insts: list, kind: str) -> list:
-    """(rows, stack) of each sub-stack of a batch of one form.
-
-    A sub-stack is the Drawn rows of one finish and sizes, finished in one call,
-    or the finished rows (for channels, those of one dim_env), stacked as they are.
-    """
-    groups = {}
-    for i, x in enumerate(insts):
-        key = (x.finish, x.sizes) if isinstance(x, Drawn) else (None, x[0].dim_env if kind == "channel" else None)
-        groups.setdefault(key, []).append(i)
-    subs = []
-    for (finish, sizes), rows in groups.items():
-        xs = [insts[i] for i in rows]
-        if finish is not None:
-            subs.append((rows, finish(tuple(np.array(f) for f in zip(*(x.draws for x in xs))), *sizes)))
-        elif kind == "channel":
-            subs.append((rows, (np.array([ch.v for ch, _ in xs]), _stack(q for _, q in xs))))
-        else:
-            subs.append((rows, _stack(x.matrix if kind == "bipartite" else x for x in xs)))
-    return subs
-
-
-def _joined(subs: list) -> np.ndarray:
-    """The stack of a batch's rows, from its sub-stacks' (rows, stack) pairs."""
-    order = [i for rows, _ in subs for i in rows]
-    stack = np.concatenate([x for _, x in subs]) if len(subs) > 1 else subs[0][1]
-    return stack if order == list(range(len(order))) else stack[np.argsort(order)]
-
-
 class Spectra:
-    """Lazily computed, validated spectra of a batch of same-form, same-shape instances.
+    """Lazily computed, validated spectra of a window of same-form instances of any shapes.
 
-    Each matrix (W and Tr_B W, Q and Phi(Q), or Q) is stacked to (trials, d, d)
-    and decomposed at most once per spectrum kind, in one call, with the checks
-    of the matrix-level functions applied row by row.  Each sub-stack (see
-    _substacks) is finished in one call, and a channel sub-stack, whose V share
-    one d, takes one call for Phi(Q) and, under "choi_rank", one for the Choi
-    ranks.  One table per (matrix, exponent) serves the stack, so a functional at every
-    grid point is a lookup giving a (trials, points) array; a lookup outside a
-    table raises the scalar function's RankRangeError or ExponentRangeError.
+    Each shape's rows are finished (_finished) and stacked per matrix (W and Tr_B W,
+    Q and Phi(Q), or Q), and each stack is decomposed at most once per spectrum kind,
+    in one call, with the matrix-level checks row by row; a channel's V, Phi(Q) and
+    Choi ranks take one call per shape and d.  Row i has its traced-out dimension n[i]
+    (a channel's d) and rank bound bound[i] (the size of Tr_B W, Phi(Q) or Q).  The
+    shapes' spectra join zero-padded, descending ones on the right and ascending ones
+    on the left, which keeps each cumulative sum bit for bit, so one table per
+    (matrix, exponent) serves the window; other sums run per shape (shapewise).  A
+    point past a row's bound is out of bound for it (in_bound) and never folded.
     """
 
     def __init__(self, insts: list, env_mode: str = "choi_rank"):
-        self.size = len(insts)
-        kind, shape = form(insts[0])
-        subs = _substacks(insts, kind)
-        # kmax bounds the grid's rank k: the size of Tr_B W, of Phi(Q) or of Q
-        if kind == "bipartite":
-            self.dim_a, self.dim_b = shape
-            self.kmax = self.dim_a
-            w = _joined(subs)
-            self.matrices = {"w": w, "qa": trace_out_b(w, *shape)}
-        elif kind == "channel":
-            self.kmax = n = shape[1]
-            # (rows, d, their stacked dilations V) per sub-stack
-            self.dilations = [(rows, v.shape[-2] // n, v) for rows, (v, _) in subs]
-            # env_dims: each channel's d, its Choi rank or, under "dim_env", its dilation's dim_env
-            out, ds = np.empty((self.size, n, n), dtype=np.complex128), np.empty(self.size, dtype=int)
-            for (rows, d, v), (_, (_, q)) in zip(self.dilations, subs):
-                out[rows] = channel_outputs(v, q, n, d)
-                ds[rows] = choi_ranks(v, n, d) if env_mode == "choi_rank" else d
-            q = _joined([(rows, q) for rows, (_, q) in subs])
-            self.matrices, self.env_dims = {"q": q, "out": out}, ds.tolist()
-        else:
-            self.matrices = {"q": _joined(subs)}
-            self.kmax = shape[-1]
-        self._memo = {}
+        self.size, self._memo = len(insts), {}
+        kind, shapes = form(insts[0])[0], {}
+        for i, x in enumerate(insts):
+            shapes.setdefault(form(x)[1], []).append(i)
+        self.shapes, self.rows = list(shapes), [np.array(rows) for rows in shapes.values()]
+        self.parts, sizes = [], []  # each shape's stacked matrices by name, its rows in window order, and (n, bound)
+        for shape, rows in shapes.items():
+            xs = [insts[i] for i in rows]
+            if kind == "bipartite":
+                w = _finished(xs, kind)
+                self.parts.append({"w": w, "qa": trace_out_b(w, *shape)})
+                sizes.append(shape[::-1])
+            elif kind == "channel":
+                b, q, envs = shape[1], _finished(xs, 1), {}
+                out, ds = np.empty((len(xs), b, b), complex), np.empty(len(xs), int)
+                for j, x in enumerate(xs):
+                    envs.setdefault(x.sizes[2] if isinstance(x, Drawn) else x[0].dim_env, []).append(j)
+                for d, js in envs.items():
+                    v = _finished([xs[j] for j in js], 0)
+                    out[js] = channel_outputs(v, q[js], b, d)
+                    # each channel's d: its Choi rank or, under "dim_env", its dilation's dim_env
+                    ds[js] = choi_ranks(v, b, d) if env_mode == "choi_rank" else d
+                self.parts.append({"q": q, "out": out})
+                sizes.append((ds, b))
+            else:
+                self.parts.append({"q": _finished(xs, kind)})
+                sizes.append((1, self.parts[-1]["q"].shape[-1]))
+        self.n, self.bound = (self.joined(list(x), int) for x in zip(*sizes))
 
     def _get(self, key, make):
         value = self._memo.get(key)
@@ -206,101 +217,122 @@ class Spectra:
             value = self._memo[key] = make()
         return value
 
-    def sv(self, name: str) -> np.ndarray:
-        # numpy's SVD returns the singular values in descending order
-        return self._get(("sv", name), lambda: np.linalg.svd(self.matrices[name], compute_uv=False))
+    def joined(self, parts: list, dtype=float) -> np.ndarray:
+        """One array, in window order, of per-shape values: one row per instance, or one for all."""
+        if len(parts) == 1 and np.ndim(parts[0]):  # one shape's rows are the window's, in order
+            return np.asarray(parts[0], dtype)
+        out = np.empty((self.size,) + np.shape(parts[0])[1:], dtype)
+        for rows, x in zip(self.rows, parts):
+            out[rows] = x
+        return out
 
-    def psd(self, name: str) -> np.ndarray:
-        return self._get(("psd", name), lambda: psd_spectrum(self.matrices[name]))
+    def spectra(self, kind: str, name: str) -> list:
+        """Each shape's spectra of a matrix: "sv" descending singular values, or ascending validated eigenvalues."""
+        decompose = {"sv": partial(np.linalg.svd, compute_uv=False), "psd": psd_spectrum, "density": density_spectrum}
+        return self._get((kind, name), lambda: [decompose[kind](part[name]) for part in self.parts])
 
-    def density(self, name: str) -> np.ndarray:
-        return self._get(("density", name), lambda: density_spectrum(self.matrices[name]))
+    def padded(self, kind: str, name: str) -> np.ndarray:
+        """The window's spectra of a matrix, zero-padded to one width: "sv" on the right, eigenvalues on the left."""
+        if ("padded", kind, name) not in self._memo:
+            parts = self.spectra(kind, name)
+            width = max(s.shape[-1] for s in parts)
+            out = self._memo["padded", kind, name] = parts[0] if len(parts) == 1 else np.zeros((self.size, width))
+            for rows, s in zip(self.rows, parts[len(parts) == 1:]):
+                out[rows, slice(0, s.shape[-1]) if kind == "sv" else slice(width - s.shape[-1], width)] = s
+        return self._memo["padded", kind, name]
 
-    def columns(self, f, values) -> np.ndarray:
-        """(trials, points) array whose column j is f(values[j]), a value per trial."""
-        return np.array([f(v) for v in values]).T if len(values) else np.empty((self.size, 0))
+    def shapewise(self, kind: str, name: str, f, values) -> np.ndarray:
+        """(rows, points) array whose column j is f(s, values[j], shape) on each shape's own spectra s."""
+        parts = zip(self.spectra(kind, name), self.shapes, self.rows)
+        return self.joined([np.array([f(s, v, shape) for v in values], float).reshape(len(values), len(rows)).T
+                            for s, shape, rows in parts])
 
-    def _lookup(self, key, make, k, exps: tuple) -> np.ndarray:
-        """Entry k[j] (1-based) of the table make(exps[j]) for each point j, per trial.
+    def in_bound(self, g) -> np.ndarray:
+        """(rows, points) mask of the points whose k is in [1, the row's rank bound]; a grid without k has no other."""
+        k = np.array(g.get("k", (1,) * g.size))
+        return (k >= 1) & (k <= self.bound[:, None])
 
-        k holds one rank per point; None reads each table's last entry.
+    def _lookup(self, key, make, k, exps: tuple, first) -> np.ndarray:
+        """Entry k[i, j] (1-based) of row i's own table make(exps[j]), the window's from column first[i] on.
+
+        k >= 1 (in_bound holds every k of a grid to it) broadcasts to (rows, points);
+        None, or a k past the last entry, reads the last: for a descending spectrum,
+        the value of the spectrum zero-padded to k.
         """
         if not exps:
             return np.empty((self.size, 0))
         distinct = dict.fromkeys(exps)
         tables = [self._get(key + (e,), partial(make, e)) for e in distinct]
-        d = tables[0].shape[-1]
-        # grids are small, so the gather index is built in Python ints
-        ks = [d] * len(exps) if k is None else np.asarray(k).tolist()
-        bad = [r for r in ks if not 1 <= r <= d]
-        if bad:
-            raise RankRangeError(f"k={bad[0]} outside [1, {d}]")
-        start = {e: i * d - 1 for i, e in enumerate(distinct)}  # entry r of table e is start[e] + r
+        width = tables[0].shape[-1]
+        start = {e: i * width - 1 for i, e in enumerate(distinct)}  # entry r of table e is start[e] + r
+        index = np.minimum(first + (width - first if k is None else k), width) + [start[e] for e in exps]
         flat = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=-1)
-        return flat.take([start[e] + r for e, r in zip(exps, ks)], axis=1)
+        # an index shared by every row is a take, which costs less than the gather
+        return flat.take(index, axis=1) if index.ndim == 1 else flat[np.arange(self.size)[:, None], index]
 
     def norm(self, name: str, k, p: tuple) -> np.ndarray:
         """(k, p) norms of a matrix at each point; k None gives its Schatten p-norms."""
-        return self._lookup(("norm", name), lambda e: gauge_table(self.sv(name), e), k, p)
+        table = lambda e: gauge_table(self.padded("sv", name), e)  # noqa: E731
+        return self._lookup(("norm", name), table, k, p, 0)
 
-    def antinorm(self, name: str, k, p: tuple, ambient_dim=None) -> np.ndarray:
-        """(k, p) anti-norms of a PSD matrix, its spectrum zero-padded to ambient_dim."""
-        table = partial(antinorm_table, ambient_dim=ambient_dim)
-        return self._lookup(("antinorm", name, ambient_dim), lambda e: table(self.psd(name), e), k, p)
+    def antinorm(self, name: str, k, p: tuple, ambient=None) -> np.ndarray:
+        """(k, p) anti-norms of a PSD matrix, each row's spectrum zero-padded to its entry of ambient."""
+        if ambient is None:  # each row's own size
+            ambient = self.joined([part[name].shape[-1] for part in self.parts], int)
+        top = int(ambient.max())
+        table = lambda e: antinorm_table(self.padded("psd", name), e, top)  # noqa: E731
+        return self._lookup(("antinorm", name, top), table, k, p, (top - ambient)[:, None])
 
-    def per_d(self, f) -> np.ndarray:
-        """(trials, points) array whose row t is row t of f(d) at trial t's channel d."""
-        ds = self.env_dims
-        rows = {d: f(d) for d in set(ds)}
-        return np.array([rows[d][t] for t, d in enumerate(ds)])
+    def schatten_antinorm(self, name: str, p: tuple) -> np.ndarray:
+        """Schatten anti-norms of a PSD matrix at each point, p < 0 too."""
+        return self.shapewise("psd", name, lambda s, e, _: schatten_antinorm_of(s, e), p)
+
+    def kyfan_antinorm(self, name: str, k: tuple, times_n: bool = False) -> np.ndarray:
+        """Ky Fan anti-norms of a bipartite PSD matrix at each point's k, or k n; a k past a row's bound reads 1."""
+        return self.shapewise("psd", name, lambda s, k, shape: kyfan_antinorm_of(
+            s, (k if k <= shape[0] else 1) * (shape[1] if times_n else 1)), k)
 
     def entropy(self, name: str, formula, alpha: tuple, *rest: tuple) -> np.ndarray:
-        """A *_entropy_from formula of a state at each point's (alpha, ...).
-
-        It reads one memoized list of von Neumann values per state, and one of
-        power sums per distinct alpha, each with one entry per trial.
-        """
-        spectra = self.density(name)
-        von_neumann = self._get(("von_neumann", name), partial(von_neumann_of, spectra))
-        sums = {a: self._get(("power_sum", name, a), partial(power_sum_of, spectra, a)) for a in dict.fromkeys(alpha)}
-        return self.columns(lambda point: formula(sums[point[0]], von_neumann, *point), list(zip(alpha, *rest)))
+        """A *_entropy_from formula of a state at each point's (alpha, ...): its von Neumann value and power sums."""
+        von_neumann = self.shapewise("density", name, lambda s, *_: von_neumann_of(s), (None,))[:, 0].tolist()
+        alphas = tuple(dict.fromkeys(alpha))
+        sums = dict(zip(alphas, self.shapewise("density", name, lambda s, a, _: power_sum_of(s, a), alphas).T.tolist()))
+        return np.array([formula(sums[point[0]], von_neumann, *point) for point in zip(alpha, *rest)]).T
 
 
 # ---------------------------------------------------------------------------
-# evaluators: (trials, points) margins from the spectra of a batch
+# evaluators: (instances, points) margins from the spectra of a window
 
 
 def eval_kpn1(sp: Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
-    n = sp.dim_b
-    joint, lhs = sp.norm("w", k * n, p), sp.norm("qa", k, p)
-    return _slack(lhs, g.factors(_dim_factor, n, p) * joint)
+    joint, lhs = sp.norm("w", k * sp.n[:, None], p), sp.norm("qa", k, p)
+    return _slack(lhs, g.factors(_dim_factor, sp.n, p) * joint)
 
 
 def eval_spn1(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
     joint, lhs = sp.norm("w", None, p), sp.norm("qa", None, p)
-    return _slack(lhs, g.factors(_dim_factor, sp.dim_b, p) * joint)
+    return _slack(lhs, g.factors(_dim_factor, sp.n, p) * joint)
 
 
 def eval_tfsn(sp: Spectra, g) -> np.ndarray:
-    n = sp.dim_b
-    forms = {"trace": (1.0, 1.0), "frobenius": (2.0, math.sqrt(n)), "spectral": (math.inf, float(n))}
+    n = sp.n[:, None].astype(float)  # sqrt is correctly rounded, so np.sqrt gives math.sqrt's bits
+    forms = {"trace": (1.0, np.ones_like(n)), "frobenius": (2.0, np.sqrt(n)), "spectral": (math.inf, n)}
     unknown = [v for v in g["variant"] if v not in forms]
     if unknown:
         raise PreconditionError(f"unknown variant {unknown[0]!r}")
     p, factor = zip(*(forms[v] for v in g["variant"]))
-    return _slack(sp.norm("qa", None, p), np.array(factor) * sp.norm("w", None, p))
+    return _slack(sp.norm("qa", None, p), np.hstack(factor) * sp.norm("w", None, p))
 
 
 def eval_kpk1(sp: Spectra, g) -> np.ndarray:
     k, ones = np.array(g["k"]), (1.0,) * g.size
-    return _slack(sp.norm("qa", k, ones), sp.norm("w", k * sp.dim_b, ones))
+    return _slack(sp.norm("qa", k, ones), sp.norm("w", k * sp.n[:, None], ones))
 
 
 def eval_kpk2(sp: Spectra, g) -> np.ndarray:
-    lhs = sp.norm("qa", None, (math.inf,) * g.size)
-    return _slack(lhs, sp.norm("w", np.full(g.size, sp.dim_b), (1.0,) * g.size))
+    return _slack(sp.norm("qa", None, (math.inf,) * g.size), sp.norm("w", sp.n[:, None], (1.0,) * g.size))
 
 
 def eval_tpn2(sp: Spectra, g) -> np.ndarray:
@@ -311,29 +343,25 @@ def eval_tpn2(sp: Spectra, g) -> np.ndarray:
 
 def eval_cpn1(sp: Spectra, g) -> np.ndarray:
     k, p, q = g["k"], g["p"], g["q"]
-    n = sp.dim_b
-    lhs, joint = sp.norm("qa", np.array(k), p), sp.norm("w", np.array(k) * n, _products(p, q))
-    return _slack(lhs, g.factors(_chain_factor, n, k, p, q) * joint)
+    lhs, joint = sp.norm("qa", np.array(k), p), sp.norm("w", np.array(k) * sp.n[:, None], _products(p, q))
+    return _slack(lhs, g.factors(_chain_factor, sp.n, k, p, q) * joint)
 
 
 def eval_kqn1(sp: Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
-    n = sp.dim_b
-    joint, rhs = sp.antinorm("w", k * n, p), sp.antinorm("qa", k, p)
-    return _slack(g.factors(_dim_factor, n, p) * joint, rhs)
+    joint, rhs = sp.antinorm("w", k * sp.n[:, None], p), sp.antinorm("qa", k, p)
+    return _slack(g.factors(_dim_factor, sp.n, p) * joint, rhs)
 
 
 def eval_kqn2(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("w"), e), p)
-    rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("qa"), e), p)
-    return _slack(g.factors(_dim_factor, sp.dim_b, p) * joint, rhs)
+    joint, rhs = sp.schatten_antinorm("w", p), sp.schatten_antinorm("qa", p)
+    return _slack(g.factors(_dim_factor, sp.n, p) * joint, rhs)
 
 
 def eval_kqk1(sp: Spectra, g) -> np.ndarray:
-    k, n = g["k"], sp.dim_b
-    joint = sp.columns(lambda k: kyfan_antinorm_of(sp.psd("w"), k * n), k)
-    return _slack(joint, sp.columns(lambda k: kyfan_antinorm_of(sp.psd("qa"), k), k))
+    joint = sp.kyfan_antinorm("w", g["k"], times_n=True)
+    return _slack(joint, sp.kyfan_antinorm("qa", g["k"]))
 
 
 def eval_tpn62(sp: Spectra, g) -> np.ndarray:
@@ -344,68 +372,56 @@ def eval_tpn62(sp: Spectra, g) -> np.ndarray:
 
 def eval_stct1(sp: Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
-    m = sp.matrices["q"].shape[-1]
-    # the (kd, p) norm of Q's spectrum zero-padded to length kd: the zeros add nothing
-    padded = sp.per_d(lambda d: sp.norm("q", np.minimum(k * d, m), p))
-    lhs = sp.norm("out", k, p)
-    return _slack(lhs, g.per_trial(_dim_factor, sp.env_dims, p) * padded)
+    # the (kd, p) norm of Q's spectrum zero-padded to length kd: a kd past Q's size reads the full gauge
+    padded = sp.norm("q", k * sp.n[:, None], p)
+    return _slack(sp.norm("out", k, p), g.factors(_dim_factor, sp.n, p) * padded)
 
 
 def eval_stctp(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    ds = sp.env_dims
     lhs, rhs = sp.norm("out", None, p), sp.norm("q", None, p)
-    return _slack(lhs, g.per_trial(_dim_factor, ds, p) * rhs)
+    return _slack(lhs, g.factors(_dim_factor, sp.n, p) * rhs)
 
 
 def eval_stct2(sp: Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
-    # Q's spectrum zero-padded to the output dimension, kmax, times d
-    padded = sp.per_d(lambda d: sp.antinorm("q", k * d, p, ambient_dim=sp.kmax * d))
-    rhs = sp.antinorm("out", k, p)
-    return _slack(g.per_trial(_dim_factor, sp.env_dims, p) * padded, rhs)
+    # Q's spectrum zero-padded to the output dimension, the rank bound, times d
+    padded = sp.antinorm("q", k * sp.n[:, None], p, ambient=sp.bound * sp.n)
+    return _slack(g.factors(_dim_factor, sp.n, p) * padded, sp.antinorm("out", k, p))
 
 
 def eval_stctpp(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    ds = sp.env_dims
-    joint = sp.columns(lambda e: schatten_antinorm_of(sp.psd("q"), e), p)
-    rhs = sp.columns(lambda e: schatten_antinorm_of(sp.psd("out"), e), p)
-    return _slack(g.per_trial(_dim_factor, ds, p) * joint, rhs)
+    joint, rhs = sp.schatten_antinorm("q", p), sp.schatten_antinorm("out", p)
+    return _slack(g.factors(_dim_factor, sp.n, p) * joint, rhs)
 
 
 def eval_et41(sp: Spectra, g) -> np.ndarray:
     alpha, s = g["alpha"], g["s"]
-    n = sp.dim_b
     lhs = sp.entropy("w", unified_entropy_from, alpha, s)
-    reduced = sp.entropy("qa", unified_entropy_from, alpha, s)
-    rhs = g.factors(dim_weight, n, alpha, s) * reduced
-    return _slack(lhs, rhs + g.factors(max_entropy_value, n, alpha, s))
+    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy("qa", unified_entropy_from, alpha, s)
+    return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, s))
 
 
 def eval_ett41(sp: Spectra, g) -> np.ndarray:
     alpha = g["alpha"]
-    n = sp.dim_b
     lhs = sp.entropy("w", tsallis_entropy_from, alpha)
-    reduced = sp.entropy("qa", tsallis_entropy_from, alpha)
-    rhs = g.factors(dim_weight, n, alpha) * reduced
+    rhs = g.factors(dim_weight, sp.n, alpha) * sp.entropy("qa", tsallis_entropy_from, alpha)
     # ln_a(n) is the Tsallis entropy of the maximally mixed state
-    return _slack(lhs, rhs + g.factors(max_entropy_value, n, alpha, (1.0,) * g.size))
+    return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, (1.0,) * g.size))
 
 
 def eval_et42(sp: Spectra, g) -> np.ndarray:
     alpha = g["alpha"]
-    rhs = sp.entropy("qa", renyi_entropy_from, alpha) + math.log(sp.dim_b)
+    rhs = sp.entropy("qa", renyi_entropy_from, alpha) + np.array([math.log(n) for n in sp.n.tolist()])[:, None]
     return _slack(sp.entropy("w", renyi_entropy_from, alpha), rhs)
 
 
 def eval_stctep(sp: Spectra, g) -> np.ndarray:
     alpha, s = g["alpha"], g["s"]
-    ds = sp.env_dims
     lhs = sp.entropy("q", unified_entropy_from, alpha, s)
-    out = sp.entropy("out", unified_entropy_from, alpha, s)
-    rhs = g.per_trial(dim_weight, ds, alpha, s) * out
-    return _slack(lhs, rhs + g.per_trial(max_entropy_value, ds, alpha, s))
+    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy("out", unified_entropy_from, alpha, s)
+    return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, s))
 
 
 def eval_satwrqa(sp: Spectra, g) -> np.ndarray:
@@ -424,8 +440,8 @@ def eval_satwrqa(sp: Spectra, g) -> np.ndarray:
 class Grid(dict):
     """Parameter columns by name, each with one entry per point, in grid order.
 
-    run_audit makes one grid per case and rank bound, so the factors memoized
-    on it serve every batch of the case.
+    run_audit makes one grid per case and window rank bound, so the factors
+    memoized on it serve every window of the case.
     """
 
     def __init__(self, columns: dict, size: int):
@@ -440,17 +456,16 @@ class Grid(dict):
             self._memo[key] = Grid(columns, len(points))
         return self._memo[key]
 
-    def factors(self, f, d, *columns) -> np.ndarray:
-        """f(d, *point) at every point, in Python floats; d None calls f(*point)."""
-        key = (f, d, columns)
-        if key not in self._memo:
-            head = () if d is None else (d,)
-            self._memo[key] = np.array([f(*head, *point) for point in zip(*columns)])
-        return self._memo[key]
-
-    def per_trial(self, f, ds: list, *columns) -> np.ndarray:
-        """(trials, points) values f(d, *point), d being each trial's channel d."""
-        return np.array([self.factors(f, d, *columns) for d in ds])
+    def factors(self, f, ns, *columns) -> np.ndarray:
+        """(rows, points) values f(n, *point) in Python floats, n row i's ns[i]; one row if ns is None or one n."""
+        values = [None] if ns is None else ns.tolist()
+        order = {n: i for i, n in enumerate(dict.fromkeys(values))}  # the distinct n, as Python ints
+        for n in order:
+            if (f, n, columns) not in self._memo:
+                head = () if n is None else (n,)
+                self._memo[f, n, columns] = np.array([[f(*head, *point) for point in zip(*columns)]])
+        rows = [self._memo[f, n, columns] for n in order]
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)[[order[n] for n in values]]
 
 
 def _axis(name: str, kmax: int, cfg) -> tuple:

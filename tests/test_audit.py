@@ -559,6 +559,30 @@ def test_config_rejects_non_finite_tolerance(tolerance):
         AuditConfig(tolerance=tolerance)
 
 
+@pytest.mark.parametrize("field,value", [
+    # True ran as tolerance 1 and p = 1, and each was echoed as true; "2" escaped as a bare TypeError
+    ("tolerance", True),
+    ("tolerance", "1e-9"),
+    ("norm_p_grid", (True, 2.0)),
+    ("norm_p_grid", ("2",)),
+    ("antinorm_p_grid", (0.5, None)),
+    ("alpha_grid", (np.bool_(True),)),
+    ("pq_grid", ((1.0, "2"),)),
+    ("pq_grid", ((1.0, 2.0, 3.0),)),
+    ("subunit_pq_grid", (0.5,)),
+])
+def test_config_rejects_values_that_are_not_real_numbers(field, value):
+    with pytest.raises(PreconditionError, match=f"{field}.*real number"):
+        AuditConfig(**{field: value})
+
+
+def test_config_takes_numpy_reals():
+    cfg = AuditConfig(
+        trials_per_case=1, tolerance=np.float64(1e-9), norm_p_grid=(np.float32(2.0), 3), case_filter=("KPN1",)
+    )
+    assert run_audit(cfg).cases[0]["failures"] == 0
+
+
 @pytest.mark.parametrize("make,error", [
     (lambda: sample("psd", 2.5, 0), BadDimsError),
     (lambda: sample("psd", (2.0,), 0), BadDimsError),
@@ -698,21 +722,20 @@ QR_FINISHES = {audit.KINDS[kind].finish for kind in ("channel_ginibre", "channel
 
 
 def test_run_audit_decomposes_each_instance_once(monkeypatch):
-    # Instances are made first and then evaluated in batches: one per case and
-    # shape of its trial and saturator instances, and one per equality witness
-    # of evaluate_case.  Every decomposition counts against the batch
-    # of the instances it serves: those made while sampling an instance, each
-    # stacked call of the batch (one matrix per instance) and each channel's
-    # Choi spectrum, a row of the stacked Choi eigvalsh.  A channel trial sits
-    # at the bound: its QR, Q, Phi(Q) and its Choi spectrum, the QR and the
-    # Choi spectrum taken in one call per sub-stack, the trials of one
-    # environment dimension d (the Tr_B saturators are sub-stacks of their
-    # own, with no QR).
+    # Instances are made first and then evaluated in batches: one per case
+    # window (8 trials fit one window, and the saturators join it), and one per
+    # equality witness of evaluate_case.  Every decomposition counts against the
+    # batch of the instances it serves: those made while sampling an instance,
+    # each stacked call of a shape of the batch (one matrix per instance) and
+    # each channel's Choi spectrum, a row of the stacked Choi eigvalsh.  A
+    # channel window sits at the bound: a trial's QR, Q, Phi(Q) and its Choi
+    # spectrum, the QR and the Choi spectrum taken in one call per shape and
+    # environment dimension d, and the same but the QR for a Tr_B saturator.
     buckets = []
     sampled = {}  # id of an instance -> matrices decomposed while sampling it
     state = {"sampling": None, "batch": None, "in_choi": False}
     points = []  # the grid size of every instance made
-    shapes = set()  # (case, batch shape) of every instance made
+    shapes = set()  # (case, form and shape) of every instance made
     cfg = AuditConfig(trials_per_case=8)
 
     def counting(name, fn):
@@ -747,10 +770,11 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
             state["batch"] = {
                 "size": len(insts), "channel": channel, "calls": 0, "qr_calls": 0, "choi_calls": 0,
                 "matrices": sum(sampled.pop(id(inst), 0) for inst in insts), "choi_rows": 0,
-                "evaluations": 0, "points": 0,
-                # the environment dimensions of the channel trials, and the (finish, sizes) sub-stacks
-                "drawn_envs": {x.sizes[2] for x in insts if x.finish in QR_FINISHES} if channel else set(),
-                "subs": {(x.finish, x.sizes) for x in insts} if channel else set(),
+                "evaluations": 0, "points": 0, "shapes": len({margins.form(x) for x in insts}),
+                # the (shape, d) of the channel trials, and of every channel
+                "drawn_envs": {x.sizes for x in insts if x.finish in QR_FINISHES} if channel else set(),
+                "envs": {x.sizes for x in insts} if channel else set(),
+                "qr_rows": sum(x.finish in QR_FINISHES for x in insts) if channel else 0,
             }
             buckets.append(state["batch"])
             super().__init__(insts, *args)
@@ -771,7 +795,7 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
         def evaluate(sp, grid):
             margins = fn(sp, grid)
             state["batch"]["evaluations"] += 1
-            state["batch"]["points"] += margins.size
+            state["batch"]["points"] += int(sp.in_bound(grid).sum())
             return margins
 
         return evaluate
@@ -796,30 +820,78 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     assert len(points) == len(REGISTRY) * (cfg.trials_per_case + len(cfg.dims))
     assert not sampled  # every instance made was evaluated in some batch
     witnesses = 4  # the TPN2 and TPN62 equality and strict margins
-    # one batch per case and shape: 8 trials fit one window, and the
-    # saturators join the trials of their shape
-    assert len(buckets) == len(shapes) + witnesses
+    # one batch per case window, each of every shape of its trials and saturators
+    assert len(buckets) == len(REGISTRY) + witnesses
     assert sum(b["size"] for b in buckets) == len(points) + witnesses
+    assert sum(b["shapes"] for b in buckets) == len(shapes) + witnesses
     channel_trials = 0
     for b in buckets:
-        # one evaluate call per batch; each matrix stacked and decomposed once
+        # one evaluate call per batch; each matrix of a shape stacked and decomposed once
         assert b["evaluations"] == 1, b
-        assert b["calls"] <= (2 if b["channel"] else 4), b
-        assert b["matrices"] <= 4 * b["size"], b
-        # one QR call per d of the channel trials, one Choi call per sub-stack,
-        # and exactly one Choi spectrum per channel
+        assert b["calls"] <= (2 if b["channel"] else 4) * b["shapes"], b
+        # (a channel's Q, Phi(Q) and Choi spectrum, and its QR if it takes one)
+        bound = 3 * b["size"] + b["qr_rows"] if b["channel"] else 4 * b["size"]
+        assert b["matrices"] <= bound, b
+        # one QR call per shape and d of the channel trials, one Choi call per
+        # shape and d, and exactly one Choi spectrum per channel
         assert b["qr_calls"] == len(b["drawn_envs"]), b
-        assert b["choi_calls"] == len(b["subs"]) and b["choi_rows"] == (b["size"] if b["channel"] else 0), b
-        channel_trials += b["channel"] and b["matrices"] == 4 * b["size"]
+        assert b["choi_calls"] == len(b["envs"]) and b["choi_rows"] == (b["size"] if b["channel"] else 0), b
+        channel_trials += b["channel"] and b["matrices"] == bound
     assert channel_trials > 0  # the bound is reached, so it counts every decomposition
-    assert any(len(b["drawn_envs"]) > 1 for b in buckets)  # some batch finishes channels of several d
-    # every grid point of every instance is evaluated exactly once
+    # some shape of a window holds channels of several d
+    assert any(len(b["drawn_envs"]) > len({sizes[:2] for sizes in b["drawn_envs"]}) for b in buckets)
+    # every in-bound grid point of every instance is evaluated exactly once
     assert sum(b["points"] for b in buckets) == sum(points) + witnesses
+
+
+def test_channel_windows_finish_q_once_per_finish_and_shape(monkeypatch):
+    # the inputs Q of a window's channels of one finish and shape are finished
+    # in one call, whatever their environment dimensions d
+    cids = tuple(cid for cid in REGISTRY_IDS if REGISTRY[cid].form == "channel")
+    calls, wrapped = [], {}
+
+    def counted(cid, x):
+        key = (cid, x.finish)
+        if key not in wrapped:
+            v, q = x.finish
+
+            def finish_q(draws, m, n):
+                calls.append((*key, m, n, len(draws[0])))
+                return q(draws, m, n)
+
+            wrapped[key] = (v, finish_q)
+        return x._replace(finish=wrapped[key])
+
+    def counting(cid, make):
+        return lambda dims, seed: counted(cid, make(dims, seed))
+
+    for cid in cids:
+        case = REGISTRY[cid]
+        _replace_case(monkeypatch, cid, make_instance=counting(cid, case.make_instance),
+                      saturator=counting(cid, case.saturator))
+    cfg = AuditConfig(trials_per_case=40, case_filter=cids)
+    report = run_audit(cfg)
+    assert all(c["failures"] == 0 for c in report.cases)
+    # per case, the trials' four shapes and the saturators' four, each one call
+    assert len(calls) == len({call[:4] for call in calls}) == len(cids) * 2 * len(cfg.dims)
+    assert sum(call[4] for call in calls) == len(cids) * (cfg.trials_per_case + len(cfg.dims))
+    # and some of those calls finish the Q of channels of several d
+    drawn = [(x.sizes[:2], x.sizes[2]) for x in (REGISTRY["STCT1"].make_instance(
+        cfg.dims[t % 4], audit._trial_seed(cfg.base_seed, "STCT1", t)) for t in range(cfg.trials_per_case))]
+    assert len(set(drawn)) > len({shape for shape, _ in drawn})
+
+
+def _row_matrices(sp, name):
+    """Each row's matrix of a window's Spectra, in window order."""
+    rows = {}
+    for indices, part in zip(sp.rows, sp.parts):
+        rows.update(zip(indices.tolist(), part[name]))
+    return [rows[i] for i in range(sp.size)]
 
 
 def _recorded_batches(monkeypatch, cfg, makers=None):
     """Run the audit recording each case's instances, in the order made, and
-    (spectra, grid, instance indices, margins) of every batch, in order."""
+    [spectra, grid, instance indices, margins, in-bound mask] of every batch, in order."""
     made, batches = {}, {}
     makers = makers or {}
     evaluate_batch = audit._evaluate
@@ -835,16 +907,16 @@ def _recorded_batches(monkeypatch, cfg, makers=None):
     def evaluating(cid, fn):
         def evaluate(sp, grid):
             margins = fn(sp, grid)
-            batches.setdefault(cid, []).append([sp, dict(grid), None, margins.tolist()])
+            batches.setdefault(cid, []).append([sp, dict(grid), None, margins.tolist(), sp.in_bound(grid).tolist()])
             return margins
 
         return evaluate
 
     def indexing(case, members, *args):
         kept = evaluate_batch(case, members, *args)
-        ((indices, margins, _),) = kept  # no batch of these runs fails, so it stays whole
+        ((indices, margins, mask, _),) = kept  # no batch of these runs fails, so it stays whole
         batches[case.id][-1][2] = indices.tolist()
-        assert margins.tolist() == batches[case.id][-1][3]
+        assert margins.tolist() == batches[case.id][-1][3] and mask.tolist() == batches[case.id][-1][4]
         return kept
 
     for cid in cfg.case_filter or REGISTRY_IDS:
@@ -862,31 +934,49 @@ def _recorded_batches(monkeypatch, cfg, makers=None):
 
 def _assert_batches_match_evaluate_case(cid, cfg, insts, batches):
     # instances are made in index order: the trials, then one saturator per dims pair
-    assert sorted(i for _, _, rows, _ in batches for i in rows) == list(range(len(insts)))
-    for _, grid, rows, margins in batches:
-        assert len(margins) == len(rows)
+    assert sorted(i for _, _, rows, _, _ in batches for i in rows) == list(range(len(insts)))
+    for _, grid, rows, margins, mask in batches:
+        assert len(margins) == len(mask) == len(rows)
         names = list(grid)
-        for row, index in zip(margins, rows):
-            for j, margin in enumerate(row):
+        for row, inside, index in zip(margins, mask, rows):
+            for j, (margin, in_bound) in enumerate(zip(row, inside)):
                 params = {name: grid[name][j] for name in names}
-                assert margin == evaluate_case(cid, insts[index], params), (cid, index, params)
+                if in_bound:
+                    assert margin == evaluate_case(cid, insts[index], params), (cid, index, params)
+                else:  # exactly the points past the instance's rank bound are out of bound
+                    with pytest.raises(RankRangeError):
+                        evaluate_case(cid, insts[index], params)
 
 
-def test_batched_margins_equal_evaluate_case(monkeypatch):
-    # each batch holds three trials, and a saturator where its shape agrees;
-    # every margin equals the one-instance, one-point evaluation bit for bit
-    cfg = AuditConfig(trials_per_case=6, dims=((2, 2), (4, 3)))
+def _assert_windows_match_evaluate_case(monkeypatch, cfg):
+    # each case's trials and saturators, of every shape, are one batch; every
+    # in-bound margin equals the one-instance, one-point evaluation bit for bit
     report, made, batches = _recorded_batches(monkeypatch, cfg)
     assert all(c["failures"] == 0 for c in report.cases)
     channel_d = set()
     for cid in REGISTRY_IDS:
         # not the TPN2 and TPN62 equality witnesses, nor what evaluate_case below records
-        recorded = [b for b in batches[cid] if b[2] is not None]
+        (window,) = recorded = [b for b in batches[cid] if b[2] is not None]
+        sp, grid, rows, _, mask = window
+        assert rows == list(range(cfg.trials_per_case + len(cfg.dims)))
+        assert {margins.form(inst)[1] for inst in made[cid]} == set(sp.shapes)
+        assert any(map(all, mask))  # the grid is made at the window's largest rank bound
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
-        assert max(len(rows) for _, _, rows, _ in recorded) >= 3
         if REGISTRY[cid].form == "channel":
-            channel_d |= {len(set(sp.env_dims)) for sp, _, _, _ in recorded}
-    assert max(channel_d) > 1  # some batch stacks channels of different d
+            channel_d |= {len(set(sp.n[rows].tolist())) for rows in sp.rows}
+    return channel_d
+
+
+def test_batched_margins_equal_evaluate_case(monkeypatch):
+    # the default dims: a channel window holds its Tr_B saturators too
+    cfg = AuditConfig(trials_per_case=6)
+    assert max(_assert_windows_match_evaluate_case(monkeypatch, cfg)) > 1  # some shape stacks channels of several d
+
+
+def test_window_of_edge_shapes_equals_evaluate_case(monkeypatch):
+    # one-dimensional factors beside a larger shape: rank bounds 1, 3 and 4 in one window
+    cfg = AuditConfig(trials_per_case=4, dims=((1, 1), (1, 3), (3, 1), (4, 3)))
+    _assert_windows_match_evaluate_case(monkeypatch, cfg)
 
 
 def _rank_deficient_density(dims, seed):
@@ -915,8 +1005,8 @@ def test_entropy_batches_mixing_rank_deficient_states(monkeypatch):
     for cid in makers:
         recorded = list(batches[cid])  # evaluate_case below records batches of its own
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
-        # some batch stacks full-rank states with rank-deficient ones, whose zeros are exactly 0.0
-        assert any(0 < (sp.density("w") == 0.0).any(axis=1).sum() < sp.size for sp, _, _, _ in recorded)
+        # some shape stacks full-rank states with rank-deficient ones, whose zeros are exactly 0.0
+        assert any(0 < (s == 0.0).any(axis=1).sum() < len(s) for b in recorded for s in b[0].spectra("density", "w"))
 
 
 def test_run_audit_failed_trial_feeds_no_margin(monkeypatch):
@@ -1008,7 +1098,7 @@ def test_non_finite_margins_fail_their_instance(monkeypatch, cid, column, point)
     def evaluate(sp, grid):
         margins = case.evaluate(sp, grid).copy()
         cols = [0] if column == "first" else [j for j, p in enumerate(grid["p"]) if p == math.inf]
-        for i, w in enumerate(sp.matrices["w"]):
+        for i, w in enumerate(_row_matrices(sp, "w")):
             if np.array_equal(w, marked):
                 margins[i, cols] = np.nan
         return margins
@@ -1030,9 +1120,9 @@ def test_non_finite_margins_fail_their_instance(monkeypatch, cid, column, point)
 
 
 def test_saturator_rows_move_only_the_residual(monkeypatch):
-    # batches that mix trial and saturator rows: the saturators' margins, made
-    # the most negative of the batch, move saturation_residual and never
-    # worst_margin or violations
+    # a window that mixes trial and saturator rows of two shapes: the
+    # saturators' margins, made the most negative of the window, move
+    # saturation_residual and never worst_margin or violations
     kpn1 = REGISTRY["KPN1"]
     cfg = AuditConfig(trials_per_case=5, dims=((2, 2), (2, 3)), case_filter=("KPN1",))
     (clean,) = run_audit(cfg).cases
@@ -1045,17 +1135,68 @@ def test_saturator_rows_move_only_the_residual(monkeypatch):
 
     def evaluate(sp, grid):
         margins = kpn1.evaluate(sp, grid).copy()
-        rows = [i for i, w in enumerate(sp.matrices["w"]) if any(np.array_equal(w, s) for s in saturators)]
+        rows = [i for i, w in enumerate(_row_matrices(sp, "w")) if any(np.array_equal(w, s) for s in saturators)]
         margins[rows] = -1.0
         mixed.append(0 < len(rows) < sp.size)
         return margins
 
     _replace_case(monkeypatch, "KPN1", saturator=saturator, evaluate=evaluate)
     (rec,) = run_audit(cfg).cases
-    assert all(mixed) and len(mixed) == len(saturators) == len(cfg.dims)
+    assert mixed == [True] and len(saturators) == len(cfg.dims)
     assert rec["saturation_residual"] == 1.0 and clean["saturation_residual"] < 1e-12
     assert {**rec, "saturation_residual": None} == {**clean, "saturation_residual": None}
     assert rec["violations"] == 0 and rec["worst_margin"] > 0
+
+
+@pytest.mark.parametrize("fill", [np.nan, -np.inf, -1.0])
+def test_out_of_bound_points_never_count_or_fail(monkeypatch, fill):
+    # one window of rank bounds 2 and 4: the (2, 2) rows' points at k = 3 and
+    # k = 4 are out of bound, and whatever they hold leaves the record alone
+    kpn1 = REGISTRY["KPN1"]
+    cfg = AuditConfig(trials_per_case=4, dims=((2, 2), (4, 3)), case_filter=("KPN1",))
+    (clean,) = run_audit(cfg).cases
+    masked = []
+
+    def evaluate(sp, grid):
+        margins = kpn1.evaluate(sp, grid).copy()
+        outside = ~sp.in_bound(grid)
+        assert (outside == (np.array(grid["k"]) > sp.bound[:, None])).all()
+        margins[outside] = fill
+        masked.append(int(outside.sum()))
+        return margins
+
+    _replace_case(monkeypatch, "KPN1", evaluate=evaluate)
+    (rec,) = run_audit(cfg).cases
+    # trials 0 and 2 and the first saturator, at two k and every p
+    assert masked == [3 * 2 * len(cfg.norm_p_grid)]
+    assert rec == clean and rec["failures"] == 0
+
+
+def test_non_finite_in_bound_point_of_a_window_fails_its_instance(monkeypatch):
+    # the last in-bound point of trial 0, a (2, 2) row beside rows of bound 4,
+    # fails it with the message a window of its shape alone gives
+    kpn1 = REGISTRY["KPN1"]
+    cfg = AuditConfig(trials_per_case=4, dims=((2, 2), (4, 3)), case_filter=("KPN1",))
+
+    def evaluate(sp, grid):
+        margins = kpn1.evaluate(sp, grid).copy()
+        point = [j for j, (k, p) in enumerate(zip(grid["k"], grid["p"])) if k == 2 and p == math.inf]
+        margins[0, point] = np.nan
+        return margins
+
+    def make_instance(dims, seed):
+        if seed == audit._trial_seed(cfg.base_seed, "KPN1", 0):
+            raise PreconditionError("trial 0 disabled")
+        return kpn1.make_instance(dims, seed)
+
+    _replace_case(monkeypatch, "KPN1", evaluate=evaluate)
+    (rec,) = run_audit(cfg).cases
+    assert rec["first_failure"] == "non-finite margin nan in KPN1 trial 0 at k=2, p=inf"
+    (alone,) = run_audit(dataclasses.replace(cfg, dims=((2, 2),), trials_per_case=1)).cases
+    assert alone["first_failure"] == rec["first_failure"]
+    _replace_case(monkeypatch, "KPN1", make_instance=make_instance, evaluate=kpn1.evaluate)
+    (raised,) = run_audit(cfg).cases
+    assert {**rec, "first_failure": None} == {**raised, "first_failure": None} and rec["failures"] == 1
 
 
 def test_non_finite_saturator_margins_null_the_residual(monkeypatch):
@@ -1063,9 +1204,10 @@ def test_non_finite_saturator_margins_null_the_residual(monkeypatch):
     stctp = REGISTRY["STCTP"]
 
     def evaluate(sp, grid):
-        margins = stctp.evaluate(sp, grid)
-        # the saturator, Tr_B on a 2 x 2 product, is the batch whose inputs have dimension 4
-        return np.full_like(margins, np.nan) if sp.matrices["q"].shape[-1] == 4 else margins
+        margins = stctp.evaluate(sp, grid).copy()
+        # the saturator, Tr_B on a 2 x 2 product, is the row whose input has dimension 4
+        margins[[i for i, q in enumerate(_row_matrices(sp, "q")) if q.shape[-1] == 4]] = np.nan
+        return margins
 
     _replace_case(monkeypatch, "STCTP", evaluate=evaluate)
     (rec,) = run_audit(AuditConfig(trials_per_case=3, dims=((2, 2),), case_filter=("STCTP",))).cases
@@ -1085,38 +1227,40 @@ def _literal_isometry(g):
 
 def test_stacked_finish_equals_a_literal_per_channel_finish(monkeypatch):
     # one 64-trial window of STCT1 draws channels of every dims pair and every
-    # d; each batch finishes them in stacked calls per d, and its saturators,
-    # drawn Tr_B channels, are finished with V the identity
-    batches = []
+    # d; it finishes them in stacked calls per shape and d, and its saturators,
+    # drawn Tr_B channels, with V the identity
+    batches, dilations = [], {}  # each stacked Q's bytes -> its V and d
 
     class Recorded(audit.Spectra):
         def __init__(self, insts, *args):
             super().__init__(insts, *args)
             batches.append((insts, self))
 
+    def outputs(v, q, n, d):
+        dilations.update((qi.tobytes(), (vi, d)) for vi, qi in zip(v, q))
+        return channels.channel_outputs(v, q, n, d)
+
     monkeypatch.setattr(audit, "Spectra", Recorded)
+    monkeypatch.setattr(margins, "channel_outputs", outputs)
     report = run_audit(AuditConfig(trials_per_case=64, case_filter=("STCT1",)))
     assert report.cases[0]["failures"] == 0
     covered = set()
     for insts, sp in batches:
-        ranks = sp.env_dims
-        for rows, d, v in sp.dilations:
-            for i, vi in zip(rows, v):
-                m, n, dim_env = insts[i].sizes
-                q = sp.matrices["q"][i]
-                assert dim_env == d
-                if insts[i].finish in QR_FINISHES:
-                    covered.add((m, n, d))
-                    g = insts[i].draws[0]
-                    assert vi.tobytes() == _literal_isometry((g[0] + 1j * g[1]) / np.sqrt(2.0)).tobytes()
-                else:
-                    assert vi.tobytes() == np.eye(m, dtype=complex).tobytes()
-                kraus = vi.reshape(n, d, m).transpose(1, 0, 2)
-                expected = sum(k @ q @ k.conj().T for k in kraus)
-                out = sp.matrices["out"][i]
-                assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
-                w = np.linalg.eigvalsh(choi_matrix(StinespringChannel(vi, m, n, d)))
-                assert ranks[i] == np.count_nonzero(w > 1e-9 * w.max())
+        for i, (x, q, out) in enumerate(zip(insts, _row_matrices(sp, "q"), _row_matrices(sp, "out"))):
+            m, n, dim_env = x.sizes
+            vi, d = dilations[q.tobytes()]
+            assert dim_env == d
+            if x.finish in QR_FINISHES:
+                covered.add((m, n, d))
+                g = x.draws[0]
+                assert vi.tobytes() == _literal_isometry((g[0] + 1j * g[1]) / np.sqrt(2.0)).tobytes()
+            else:
+                assert vi.tobytes() == np.eye(m, dtype=complex).tobytes()
+            kraus = vi.reshape(n, d, m).transpose(1, 0, 2)
+            expected = sum(k @ q @ k.conj().T for k in kraus)
+            assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+            w = np.linalg.eigvalsh(choi_matrix(StinespringChannel(vi, m, n, d)))
+            assert sp.n[i] == np.count_nonzero(w > 1e-9 * w.max())
     every_d = {(m, n, d) for m, n in DEFAULT_DIMS for d in range(math.ceil(m / n), math.ceil(m / n) + 3)}
     assert covered == every_d
 
@@ -1253,19 +1397,22 @@ LITERAL_KINDS = {
 
 
 @pytest.mark.parametrize("kind", list(audit.KINDS))
-def test_stacked_finish_equals_a_literal_build(kind):
+def test_stacked_finish_equals_a_literal_build(monkeypatch, kind):
     # five drawn instances of a kind, finished in one batch, equal byte for
     # byte the instances built one at a time from the same generators
     assert LITERAL_KINDS.keys() == audit.KINDS.keys()
     seeds = _trial_seeds(SHA_SEEDS[:5])
+    dilations = []  # each channel's stacked V, in the order finished
+    monkeypatch.setattr(margins, "channel_outputs", lambda v, *args: dilations.append(v) or channels.channel_outputs(
+        v, *args))
     for m, n in ((1, 1), (2, 3), (3, 1), (4, 3)):
         sp = margins.Spectra([audit._build(audit.KINDS[kind], (m, n), seed) for seed in seeds])
         literal = [LITERAL_KINDS[kind](np.random.default_rng(int(seed)), m, n) for seed in seeds]
         if audit.KINDS[kind].form == "channel":
-            assert sorted(i for rows, _, _ in sp.dilations for i in rows) == list(range(5))
-            for rows, _, v in sp.dilations:
-                for i, vi in zip(rows, v):
-                    assert vi.tobytes() == literal[i][0].tobytes(), (m, n, i)
+            # the V of one d are finished together; match each to its instance by bytes
+            vs = sorted(vi.tobytes() for v in dilations for vi in v)
+            assert vs == sorted(v.tobytes() for v, _ in literal), (m, n)
+            dilations.clear()
             literal = [q for _, q in literal]
-        stacked = sp.matrices["w" if audit.KINDS[kind].form == "bipartite" else "q"]
+        stacked = _row_matrices(sp, "w" if audit.KINDS[kind].form == "bipartite" else "q")
         assert [x.tobytes() for x in stacked] == [x.tobytes() for x in literal], (m, n)

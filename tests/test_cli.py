@@ -98,6 +98,33 @@ def test_compute_missing_flag_exits_2(matrices):
     assert "error" in out.stderr
 
 
+@pytest.mark.parametrize("kind,options,unread", [
+    # each printed its value without the option and exited 0
+    ("antinorm", ("--p", "0.5", "--ambient-dim", "5"), "without --k does not read --ambient-dim"),
+    ("norm", ("--p", "2", "--ambient-dim", "5"), "does not read --ambient-dim"),
+    ("norm", ("--k", "2", "--p", "2", "--alpha", "2", "--s", "1"), "does not read --alpha, --s"),
+    ("entropy", ("--alpha", "2", "--s", "1", "--k", "1"), "does not read --k"),
+    ("entropy", ("--alpha", "2", "--s", "1", "--p", "2"), "does not read --p"),
+    ("fidelity", ("--k", "1", "--p", "2", "--sigma", "SELF"), "does not read --p"),
+    ("fidelity", ("--k", "1", "--ambient-dim", "4", "--sigma", "SELF"), "does not read --ambient-dim"),
+])
+def test_compute_rejects_options_its_kind_does_not_read(tmp_path, capsys, kind, options, unread):
+    path = tmp_path / "diag.json"
+    jsonio.write_matrix_file(path, np.diag([1.0, 2.0, 3.0]))
+    options = [str(path) if x == "SELF" else x for x in options]
+    assert cli.main(["compute", kind, str(path), *options]) == 2
+    assert capsys.readouterr().err == f"error: kind {kind!r} {unread}\n"
+
+
+def test_compute_antinorm_reads_the_ambient_dimension_with_k(tmp_path, capsys):
+    path = tmp_path / "diag.json"
+    jsonio.write_matrix_file(path, np.diag([1.0, 2.0, 3.0]))
+    assert cli.main(["compute", "antinorm", str(path), "--k", "3", "--p", "0.5", "--ambient-dim", "5"]) == 0
+    expected = kp_antinorm(np.diag([1.0, 2.0, 3.0]), 3, 0.5, ambient_dim=5)
+    assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-14)
+    assert expected != pytest.approx(kp_antinorm(np.diag([1.0, 2.0, 3.0]), 3, 0.5))
+
+
 def test_compute_bad_file_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
