@@ -467,7 +467,7 @@ def evaluate_case(case_id: str, instance, params) -> float:
     This is the audit's evaluation on a batch of one with a one-point grid.
     params names exactly the grid columns of the case's axes.  An "env_mode"
     entry of params, one of ENV_DIM_MODES ("choi_rank" by default), picks a
-    channel's d as AuditConfig.env_dim_mode does, and AuditConfig checks it.
+    channel's d as AuditConfig.env_dim_mode does, and is checked as that is.
     """
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
@@ -476,7 +476,9 @@ def evaluate_case(case_id: str, instance, params) -> float:
         raise KindMismatchError(f"case {case_id} needs a {case.form} instance")
     params = dict(params)
     env_mode = params.pop("env_mode", "choi_rank")
-    expected = set(make_grid(case.axes, 1, AuditConfig(env_dim_mode=env_mode)))  # the columns the case's axes set
+    if env_mode not in ENV_DIM_MODES:
+        raise PreconditionError(f"unknown env_dim_mode {env_mode!r}, expected one of {ENV_DIM_MODES}")
+    expected = set(make_grid(case.axes, 1, AuditConfig))  # the columns the case's axes set, on the default grids
     missing, unexpected = sorted(expected - params.keys()), sorted(params.keys() - expected)
     if missing or unexpected:
         raise PreconditionError(
@@ -510,7 +512,7 @@ class AuditConfig:
 
     def __post_init__(self):
         # a bool would run as 0 or 1 and echo as false or true, and a str fails deep in a comparison
-        real = lambda x: type(x) in (float, int) or isinstance(x, Real) and not isinstance(x, bool)  # noqa: E731
+        real = lambda x: isinstance(x, Real) and not isinstance(x, bool)  # noqa: E731
         # every trial seed hashes the seed's text, so 42.0 or True would give another audit
         as_integer(self.base_seed, PreconditionError)
         if as_integer(self.trials_per_case, PreconditionError) < 1:

@@ -63,20 +63,21 @@ def _load(path: str) -> np.ndarray:
         raise _ParseFailure(str(exc)) from None
 
 
-# the options each compute kind needs, and those it may take: antinorm takes --ambient-dim only with --k
+# the options each compute kind needs, and those it also reads with --k
 _OPTIONS = {"norm": (("p",), ("k",)), "antinorm": (("p",), ("k", "ambient_dim")),
             "entropy": (("alpha", "s"), ()), "fidelity": (("sigma", "k"), ())}
 
 
 def _require(args) -> None:
-    needs, takes = _OPTIONS.get(args.kind, ((), ()))
+    needs, takes = _OPTIONS[args.kind]
     missing = [f"--{n}" for n in needs if getattr(args, n) is None]
     if missing:
         raise _ParseFailure(f"kind {args.kind!r} needs {', '.join(missing)}")
-    without = " without --k" if args.kind == "antinorm" and args.k is None else ""
-    unread = [f"--{n.replace('_', '-')}" for n in ("k", "p", "alpha", "s", "ambient_dim", "sigma")
-              if n not in needs + (() if without else takes) and getattr(args, n) is not None]
+    # every compute option defaults to None, so the options given are the entries set besides these four
+    given = [n for n, x in vars(args).items() if x is not None and n not in ("command", "kind", "matrix", "func")]
+    unread = [f"--{n.replace('_', '-')}" for n in given if n not in needs + (() if args.k is None else takes)]
     if unread:
+        without = " without --k" if args.k is None and set(given) & set(takes) else ""
         raise _ParseFailure(f"kind {args.kind!r}{without} does not read {', '.join(unread)}")
 
 
@@ -99,10 +100,8 @@ def _run_compute(args) -> int:
             value = kp_antinorm(q, args.k, p, ambient_dim=args.ambient_dim)
     elif args.kind == "entropy":
         value = unified_entropy(q, float(args.alpha), float(args.s))
-    elif args.kind == "fidelity":
+    else:  # fidelity
         value = partial_fidelity(q, _load(args.sigma), args.k)
-    else:
-        raise _ParseFailure(f"unknown kind {args.kind!r}")
     print(format(value, ".15g"))
     return 0
 

@@ -86,11 +86,10 @@ def _products(p: tuple, q: tuple) -> tuple:
 class Drawn(NamedTuple):
     """An audit instance as drawn: its kind's generator output, to be finished in a stack.
 
-    finish(draws, *sizes) maps a sub-stack, the rows of one finish and sizes with their
-    draws stacked field by field, to its stacked W or Q.  sizes[:2] is the shape form
-    gives.  A channel's sizes are (dim_in, dim_out, dim_env) and its finish is a pair:
-    V's, of draws[:1] and all three sizes, and Q's, of draws[1:] and the shape alone,
-    so channels of every d share Q's.
+    A finish maps a sub-stack, the rows of one finish and sizes with their draws
+    stacked field by field, to its stacked matrices; sizes[:2] is the shape form
+    gives.  A channel's sizes are (dim_in, dim_out, dim_env) and its finish is a
+    (V's, Q's) pair (see part), so channels of every d share Q's.
     """
 
     form: str
@@ -98,14 +97,19 @@ class Drawn(NamedTuple):
     sizes: tuple
     draws: tuple
 
+    def part(self, name: str) -> tuple:
+        """(finish, sizes, draws) of a matrix: a channel's "v", of all its sizes, or "q", of its shape; else the one."""
+        if self.form != "channel":
+            return self.finish, self.sizes, self.draws
+        v, q = self.finish
+        return (v, self.sizes, self.draws[:1]) if name == "v" else (q, self.sizes[:2], self.draws[1:])
+
     def alone(self):
         """The finished instance: a BipartiteOperator, a (StinespringChannel, Q) pair or a matrix."""
-        x = tuple(np.array([f]) for f in self.draws)
+        one = lambda name: _finished([self], name, None)[0]  # noqa: E731
         if self.form == "channel":
-            v, q = self.finish
-            return StinespringChannel(v(x[:1], *self.sizes)[0], *self.sizes), q(x[1:], *self.sizes[:2])[0]
-        out = self.finish(x, *self.sizes)
-        return BipartiteOperator(out[0], *self.sizes) if self.form == "bipartite" else out[0]
+            return StinespringChannel(one("v"), *self.sizes), one("q")
+        return BipartiteOperator(one("w"), *self.sizes) if self.form == "bipartite" else one("q")
 
     def __getattr__(self, name: str):
         # any other attribute is the finished instance's, so code that reads a maker's W.matrix, say, gets it
@@ -133,36 +137,25 @@ def form(inst) -> tuple:
     raise KindMismatchError(f"not an audit instance: {type(inst).__name__}")
 
 
-# a finished instance's matrix, by form; 0 and 1 stand for a channel's V and Q
-_MATRIX = {"bipartite": lambda x: x.matrix, "matrix": lambda x: x, 0: lambda x: x[0].v, 1: lambda x: x[1]}
+def _finished(xs: list, name: str, matrix: Callable) -> np.ndarray:
+    """The stacked matrix name of one shape's instances: matrix(x) of a finished x, row by row.
 
-
-def _finished(xs: list, part) -> np.ndarray:
-    """The stacked matrices of one shape's instances, part their form, or a channel's V (0) or Q (1).
-
-    The Drawn rows of one finish and sizes are finished in one call; a channel's Q
-    takes only the shape, so one call serves its rows of every d.  Finished rows are stacked as they are.
+    The Drawn rows of one finish and sizes (Drawn.part) are finished in one call;
+    a channel's Q takes only the shape, so one call serves its rows of every d.
     """
     groups = {}
     for i, x in enumerate(xs):
-        if not isinstance(x, Drawn):
-            key = None
-        elif part in (0, 1):  # V's finish and all three sizes, or Q's and the shape
-            key = (x.finish[part], x.sizes[:3 - part])
-        else:
-            key = (x.finish, x.sizes)
-        groups.setdefault(key, []).append(i)
-    fields = {0: slice(0, 1), 1: slice(1, None)}.get(part, slice(None))  # the draws a channel's V or Q reads
+        groups.setdefault(x.part(name)[:2] if isinstance(x, Drawn) else None, []).append(i)
     subs = []
     for key, rows in groups.items():
         if key is None:
-            subs.append((rows, np.array([as_matrix(_MATRIX[part](xs[i])) for i in rows])))
+            subs.append((rows, np.array([as_matrix(matrix(xs[i])) for i in rows])))
         else:
-            subs.append((rows, key[0](tuple(map(np.array, zip(*(xs[i].draws[fields] for i in rows)))), *key[1])))
+            subs.append((rows, key[0](tuple(map(np.array, zip(*(xs[i].part(name)[2] for i in rows)))), *key[1])))
     stack = subs[0][1] if len(subs) == 1 else np.empty((len(xs),) + subs[0][1].shape[1:], complex)
     for rows, sub in subs[len(subs) == 1:]:
         stack[rows] = sub
-    if part != 0:
+    if name != "v":
         require_square(stack)
     return stack
 
@@ -191,23 +184,23 @@ class Spectra:
         for shape, rows in shapes.items():
             xs = [insts[i] for i in rows]
             if kind == "bipartite":
-                w = _finished(xs, kind)
+                w = _finished(xs, "w", lambda x: x.matrix)
                 self.parts.append({"w": w, "qa": trace_out_b(w, *shape)})
                 sizes.append(shape[::-1])
             elif kind == "channel":
-                b, q, envs = shape[1], _finished(xs, 1), {}
+                b, q, envs = shape[1], _finished(xs, "q", lambda x: x[1]), {}
                 out, ds = np.empty((len(xs), b, b), complex), np.empty(len(xs), int)
                 for j, x in enumerate(xs):
                     envs.setdefault(x.sizes[2] if isinstance(x, Drawn) else x[0].dim_env, []).append(j)
                 for d, js in envs.items():
-                    v = _finished([xs[j] for j in js], 0)
+                    v = _finished([xs[j] for j in js], "v", lambda x: x[0].v)
                     out[js] = channel_outputs(v, q[js], b, d)
                     # each channel's d: its Choi rank or, under "dim_env", its dilation's dim_env
                     ds[js] = choi_ranks(v, b, d) if env_mode == "choi_rank" else d
                 self.parts.append({"q": q, "out": out})
                 sizes.append((ds, b))
             else:
-                self.parts.append({"q": _finished(xs, kind)})
+                self.parts.append({"q": _finished(xs, "q", lambda x: x)})
                 sizes.append((1, self.parts[-1]["q"].shape[-1]))
         self.n, self.bound = (self.joined(list(x), int) for x in zip(*sizes))
 

@@ -1402,17 +1402,23 @@ def test_stacked_finish_equals_a_literal_build(monkeypatch, kind):
     # byte the instances built one at a time from the same generators
     assert LITERAL_KINDS.keys() == audit.KINDS.keys()
     seeds = _trial_seeds(SHA_SEEDS[:5])
-    dilations = []  # each channel's stacked V, in the order finished
-    monkeypatch.setattr(margins, "channel_outputs", lambda v, *args: dilations.append(v) or channels.channel_outputs(
-        v, *args))
+    outputs = {}  # (Q, V) bytes of each channel finished -> its output's bytes
+
+    def channel_outputs(v, q, *args):
+        out = channels.channel_outputs(v, q, *args)
+        outputs.update(((qi.tobytes(), vi.tobytes()), oi.tobytes()) for vi, qi, oi in zip(v, q, out))
+        return out
+
+    monkeypatch.setattr(margins, "channel_outputs", channel_outputs)
     for m, n in ((1, 1), (2, 3), (3, 1), (4, 3)):
         sp = margins.Spectra([audit._build(audit.KINDS[kind], (m, n), seed) for seed in seeds])
         literal = [LITERAL_KINDS[kind](np.random.default_rng(int(seed)), m, n) for seed in seeds]
         if audit.KINDS[kind].form == "channel":
-            # the V of one d are finished together; match each to its instance by bytes
-            vs = sorted(vi.tobytes() for v in dilations for vi in v)
-            assert vs == sorted(v.tobytes() for v, _ in literal), (m, n)
-            dilations.clear()
+            # the V of one d are finished together: instance i's output row must come
+            # from its own literal V and Q, so its V is finished byte for byte and paired right
+            for i, (out, (v, q)) in enumerate(zip(_row_matrices(sp, "out"), literal)):
+                assert outputs[q.tobytes(), v.tobytes()] == out.tobytes(), (m, n, i)
+            outputs.clear()
             literal = [q for _, q in literal]
         stacked = _row_matrices(sp, "w" if audit.KINDS[kind].form == "bipartite" else "q")
         assert [x.tobytes() for x in stacked] == [x.tobytes() for x in literal], (m, n)

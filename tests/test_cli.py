@@ -116,6 +116,15 @@ def test_compute_rejects_options_its_kind_does_not_read(tmp_path, capsys, kind, 
     assert capsys.readouterr().err == f"error: kind {kind!r} {unread}\n"
 
 
+def test_compute_rejects_an_option_no_kind_lists():
+    # the options given are read off the parsed arguments, so an option added
+    # to the parser is refused until its kinds list it
+    args = cli._build_parser().parse_args(["compute", "entropy", "F", "--alpha", "2", "--s", "1"])
+    args.extra_dim = 3
+    with pytest.raises(cli._ParseFailure, match="kind 'entropy' does not read --extra-dim$"):
+        cli._require(args)
+
+
 def test_compute_antinorm_reads_the_ambient_dimension_with_k(tmp_path, capsys):
     path = tmp_path / "diag.json"
     jsonio.write_matrix_file(path, np.diag([1.0, 2.0, 3.0]))
