@@ -100,7 +100,7 @@ class Drawn(NamedTuple):
     def part(self, name: str) -> tuple:
         """(finish, sizes, draws) of a matrix: a channel's "v", of all its sizes, or "q", of its shape; else the one."""
         if self.form != "channel":
-            return self.finish, self.sizes, self.draws
+            return self[1:]
         v, q = self.finish
         return (v, self.sizes, self.draws[:1]) if name == "v" else (q, self.sizes[:2], self.draws[1:])
 
@@ -143,15 +143,15 @@ def _finished(xs: list, name: str, matrix: Callable) -> np.ndarray:
     The Drawn rows of one finish and sizes (Drawn.part) are finished in one call;
     a channel's Q takes only the shape, so one call serves its rows of every d.
     """
-    groups = {}
-    for i, x in enumerate(xs):
-        groups.setdefault(x.part(name)[:2] if isinstance(x, Drawn) else None, []).append(i)
+    groups, parts = {}, [x.part(name) if isinstance(x, Drawn) else None for x in xs]
+    for i, part in enumerate(parts):
+        groups.setdefault(None if part is None else part[:2], []).append(i)
     subs = []
     for key, rows in groups.items():
         if key is None:
             subs.append((rows, np.array([as_matrix(matrix(xs[i])) for i in rows])))
         else:
-            subs.append((rows, key[0](tuple(map(np.array, zip(*(xs[i].part(name)[2] for i in rows)))), *key[1])))
+            subs.append((rows, key[0](tuple(map(np.array, zip(*(parts[i][2] for i in rows)))), *key[1])))
     stack = subs[0][1] if len(subs) == 1 else np.empty((len(xs),) + subs[0][1].shape[1:], complex)
     for rows, sub in subs[len(subs) == 1:]:
         stack[rows] = sub
