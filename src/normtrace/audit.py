@@ -9,8 +9,9 @@ the parameter grids live in margins.py.
 
 The runner makes a case's trial instances TRIAL_WINDOW at a time, evaluates
 each window, saturators and every dims pair included, as one batch (one
-margins.Spectra and one evaluator call), and folds its in-bound margins by
-numpy reductions.  evaluate_case, a batch of one on a one-point grid, agrees.
+margins.Spectra, which decomposes each size of a matrix once, and one evaluator
+call), and folds its in-bound margins by numpy reductions.  evaluate_case, a
+batch of one on a one-point grid, agrees.
 
 Each case names a trial kind and a saturator kind of the KINDS table.  A kind
 is a draw, which makes its generator calls and nothing else, and a finish,
@@ -37,7 +38,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from ._version import __version__
 from . import jsonio
-from .channels import StinespringChannel, qr_isometry, require_isometry
+from .channels import StinespringChannel, qr_isometry
 from .errors import BadDimsError, KindMismatchError, PreconditionError, RankRangeError
 from .linalg import as_integer, kron
 from .margins import (
@@ -56,11 +57,6 @@ from .margins import (
     eval_kqn2,
     eval_satwrqa,
     eval_spn1,
-    eval_stct1,
-    eval_stct2,
-    eval_stctep,
-    eval_stctp,
-    eval_stctpp,
     eval_tfsn,
     eval_tpn2,
     eval_tpn62,
@@ -152,13 +148,12 @@ def _channel(finish) -> Kind:
         d = math.ceil(m / n) + int(rng.integers(0, 3))
         return (m, n, d), (_gaussians(rng, n * d, m), _gaussians(rng, m, m))
 
-    return Kind("channel", draw, (lambda x, m, n, d: require_isometry(_haar(x[0])), lambda x, m, n: finish(x[0])))
+    return Kind("channel", draw, (lambda x, m, n, d: _haar(x[0]), lambda x, m, n: finish(x[0])))
 
 
-def _traced(product: Kind) -> Kind:  # (Tr_B, W): Tr_B from m*n to m, its dilation I, drawn as (), W of a product kind
-    return Kind("channel", lambda rng, m, n: ((m * n, m, n), ((),) + product.draw(rng, m, n)[1]), (
-        lambda x, mn, m, n: np.repeat(np.eye(mn, dtype=complex)[None], len(x[0]), axis=0),
-        lambda x, mn, m: product.finish(x, m, mn // m)))
+def _traced(product: Kind) -> Kind:  # (Tr_B, W): Tr_B from m*n to m, its dilation I (V's finish None), W of a product
+    return Kind("channel", lambda rng, m, n: ((m * n, m, n), ((),) + product.draw(rng, m, n)[1]),
+                (None, lambda x, mn, m: product.finish(x, m, mn // m)))
 
 
 # Instance kinds, whose forms are those of margins.form.  A registry case
@@ -179,7 +174,8 @@ KINDS = {
     "product_pd": _product(_pd),
     "product_density": _product(_density, share=True),
     "scaled_product": Kind(  # c R (x) I, c drawn before R
-        "bipartite", lambda rng, m, n: ((m, n), (float(rng.choice((1.0, 2.5))), _gaussians(rng, m, m))),
+        # rng.choice of a 2-sequence draws integers(0, 2), so this is its value and stream, at a quarter of its cost
+        "bipartite", lambda rng, m, n: ((m, n), ((1.0, 2.5)[rng.integers(0, 2)], _gaussians(rng, m, m))),
         lambda x, m, n: x[0][:, None, None] * kron(_psd(x[1]), np.eye(n)),
     ),
     # 2 I, a scale no call draws: every eigenvalue multiplicity equals the
@@ -414,22 +410,22 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "STCT1", "channel output (k, p) norm against the padded input norm",
         "||Phi(Q)||_(k)^(p) <= d^((p-1)/p) ||Q||_(kd)^(p)",
-        ("channel_ginibre", "ptrace_psd"), ("k norm_p",), eval_stct1,
+        ("channel_ginibre", "ptrace_psd"), ("k norm_p",), eval_kpn1,
     ),
     _case(
         "STCTP", "channel output Schatten norm against the input Schatten norm",
         "||Phi(Q)||_p <= d^((p-1)/p) ||Q||_p",
-        ("channel_ginibre", "ptrace_psd"), ("norm_p",), eval_stctp,
+        ("channel_ginibre", "ptrace_psd"), ("norm_p",), eval_spn1,
     ),
     _case(
         "STCT2", "channel output (k, p) anti-norm against the padded input anti-norm",
         "||Phi(Q)||_{k}^(p) >= d^((p-1)/p) ||Q||_{kd}^(p), spectrum padded to n*d",
-        ("channel_psd", "ptrace_psd"), ("k antinorm_p",), eval_stct2,
+        ("channel_psd", "ptrace_psd"), ("k antinorm_p",), eval_kqn1,
     ),
     _case(
         "STCTPP", "channel output Schatten anti-norm against the input Schatten anti-norm",
         "||Phi(Q)||_p >= d^((p-1)/p) ||Q||_p, 0 < p <= 1",
-        ("channel_psd", "ptrace_psd"), ("antinorm_p",), eval_stctpp,
+        ("channel_psd", "ptrace_psd"), ("antinorm_p",), eval_kqn2,
     ),
     _case(
         "ET41", "unified entropy of the joint state against the reduced state",
@@ -449,7 +445,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "STCTEP", "input entropy against the channel output entropy",
         "E_as(rho) <= d^((1-a)s) E_as(Phi(rho)) + (1/s) ln_a(d^s)",
-        ("channel_density", "ptrace_density"), ("alpha s",), eval_stctep,
+        ("channel_density", "ptrace_density"), ("alpha s",), eval_et41,
     ),
     _case(
         "SAT-WRQA", "equality of the norm and anti-norm partial trace bounds on c * R (x) I",

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bipartite import trace_out_b
 from .errors import NotTracePreservingError, ShapeMismatchError
-from .linalg import as_integer, as_matrices, as_matrix, singular_values
+from .linalg import as_integer, as_matrices, as_matrix, singular_values, stacked
 
 ISOMETRY_TOL = 1e-10
 CHOI_RANK_TOL = 1e-9
@@ -27,19 +27,29 @@ def qr_isometry(g: np.ndarray) -> np.ndarray:
 
 def validate_isometry(v, tol: float = ISOMETRY_TOL) -> bool:
     """True when V^dag V = I within tol * (1 + max|V|^2), for V or every matrix of a stack.  V must be tall."""
-    v = as_matrices(v)
-    if v.shape[-2] < v.shape[-1]:
-        raise ShapeMismatchError("isometry requires at least as many rows as columns")
-    off = np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])).max(axis=(-2, -1)).reshape(-1).tolist()
-    top = np.abs(v).max(axis=(-2, -1)).reshape(-1).tolist()
-    return all(o <= tol * (1.0 + t ** 2) for o, t in zip(off, top))
+    return _isometric([v], tol)
 
 
-def require_isometry(v: np.ndarray) -> np.ndarray:
-    """v, or NotTracePreservingError where validate_isometry refuses it."""
-    if not validate_isometry(v):
+def require_isometry(*vs) -> None:
+    """NotTracePreservingError unless validate_isometry holds for each V, or stack of them, given."""
+    if not _isometric(vs, ISOMETRY_TOL):
         raise NotTracePreservingError("dilation matrix is not an isometry")
-    return v
+
+
+def _isometric(vs, tol: float) -> bool:
+    """validate_isometry of every stack of vs: V^dag V per stack, the residuals in one pass per input dimension."""
+    pairs = {}
+    for v in map(as_matrices, vs):
+        if v.shape[-2] < v.shape[-1]:
+            raise ShapeMismatchError("isometry requires at least as many rows as columns")
+        v = v.reshape((-1,) + v.shape[-2:])
+        pairs.setdefault(v.shape[-1], []).append((v.conj().swapaxes(-1, -2) @ v, np.abs(v).max(axis=(-2, -1))))
+    for m, grams_tops in pairs.items():
+        grams, tops = zip(*grams_tops)
+        off = np.abs(stacked(grams) - np.eye(m)).max(axis=(-2, -1)).tolist()
+        if not all(o <= tol * (1.0 + t ** 2) for o, t in zip(off, stacked(tops).tolist())):
+            return False
+    return True
 
 
 def channel_outputs(v: np.ndarray, q: np.ndarray, dim_out: int, dim_env: int) -> np.ndarray:
@@ -47,16 +57,21 @@ def channel_outputs(v: np.ndarray, q: np.ndarray, dim_out: int, dim_env: int) ->
     return trace_out_b(v @ q @ v.conj().swapaxes(-1, -2), dim_out, dim_env)
 
 
-def choi_ranks(v: np.ndarray, dim_out: int, dim_env: int, tol: float = CHOI_RANK_TOL) -> np.ndarray:
-    """Choi rank of the channel of a dilation V, or of each V of a stack (see choi_rank).
+def choi_gram(v: np.ndarray, dim_out: int, dim_env: int) -> np.ndarray:
+    """The smaller Gram matrix of the Choi factor of a dilation V, or of each V of a stack.
 
     The Choi matrix is A A^dag, column c of A holding vec(K_c), K_c the slice of V at
-    environment index c; its nonzero eigenvalues are those of A^dag A, and the smaller Gram is decomposed.
+    environment index c; its nonzero eigenvalues are those of A^dag A, and this is the smaller of the two.
     """
     lead, m = v.shape[:-2], v.shape[-1]
     a = v.reshape(lead + (dim_out, dim_env, m)).swapaxes(-1, -2).reshape(lead + (dim_out * m, dim_env))
     ah = a.conj().swapaxes(-1, -2)
-    w = np.linalg.eigvalsh(ah @ a if dim_env <= dim_out * m else a @ ah)  # ascending: the last is the largest
+    return ah @ a if dim_env <= dim_out * m else a @ ah
+
+
+def gram_ranks(grams: np.ndarray, tol: float = CHOI_RANK_TOL) -> np.ndarray:
+    """Rank of a PSD Gram matrix, or of each of a stack: its eigenvalues above tol times its largest."""
+    w = np.linalg.eigvalsh(grams)  # ascending: the last is the largest
     return np.count_nonzero(w > tol * w[..., -1:], axis=-1)
 
 
@@ -128,7 +143,7 @@ def choi_matrix(ch: StinespringChannel) -> np.ndarray:
 
 def choi_rank(ch: StinespringChannel, tol: float = CHOI_RANK_TOL) -> int:
     """Number of Choi eigenvalues above tol relative to the largest."""
-    return int(choi_ranks(ch.v, ch.dim_out, ch.dim_env, tol))
+    return int(gram_ranks(choi_gram(ch.v, ch.dim_out, ch.dim_env), tol))
 
 
 def singular_value_conjugation_check(ch_or_v, q, tol: float = 1e-9) -> bool:

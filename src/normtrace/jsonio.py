@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,28 +22,30 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-_SCALAR_TYPES = (bool, int, float, str, np.integer, np.floating)
-
-
-def _is_scalar(x) -> bool:
-    return type(x) is float or x is None or isinstance(x, _SCALAR_TYPES)
-
-
 def _float_text(x: float) -> str:
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return format_float(x)
 
 
+# the text of a scalar by its exact type; subclasses and numpy scalars take _scalar_text's isinstance checks
+_TEXT = {
+    float: lambda x: format(x, ".17g") if math.isfinite(x) else _float_text(x),
+    int: int.__repr__, str: encode_basestring_ascii,  # what json.dumps calls on a str
+    bool: lambda x: "true" if x else "false", type(None): lambda x: "null",
+}
+
+
+def _is_scalar(x) -> bool:
+    return type(x) in _TEXT or isinstance(x, (int, float, str, np.integer, np.floating))
+
+
 def _scalar_text(x) -> str:
-    if type(x) is float:  # most scalars: report values and matrix entries
-        return format(x, ".17g") if math.isfinite(x) else _float_text(x)
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
+    text = _TEXT.get(type(x))
+    if text is not None:
+        return text(x)
     if isinstance(x, str):
-        return json.dumps(x)
+        return encode_basestring_ascii(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
@@ -51,8 +54,9 @@ def _scalar_text(x) -> str:
 
 
 def _emit(obj, out: list[str], indent: int) -> None:
-    if _is_scalar(obj):
-        out.append(_scalar_text(obj))
+    text = _TEXT.get(type(obj))
+    if text is not None:
+        out.append(text(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -62,13 +66,18 @@ def _emit(obj, out: list[str], indent: int) -> None:
         for i, (key, val) in enumerate(obj.items()):
             if i:
                 out.append(",\n")
-            out.append(inner + json.dumps(str(key)) + ": ")
+            out.append(inner + encode_basestring_ascii(key if type(key) is str else str(key)) + ": ")
             _emit(val, out, indent + 1)
         out.append("\n" + "  " * indent + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
+        try:  # a list of scalars of the exact types of _TEXT, as most are
+            out.append("[" + ", ".join([_TEXT[type(x)](x) for x in obj]) + "]")
+            return
+        except KeyError:
+            pass
         if all(map(_is_scalar, obj)):
             out.append("[" + ", ".join(map(_scalar_text, obj)) + "]")
             return
@@ -80,6 +89,8 @@ def _emit(obj, out: list[str], indent: int) -> None:
             out.append(inner)
             _emit(x, out, indent + 1)
         out.append("\n" + "  " * indent + "]")
+    elif _is_scalar(obj):
+        out.append(_scalar_text(obj))
     else:
         raise TypeError(f"not serializable: {type(obj)!r}")
 

@@ -48,6 +48,11 @@ def as_matrices(a) -> np.ndarray:
     return m
 
 
+def stacked(parts) -> np.ndarray:
+    """The stacks of parts joined along the first axis; a single part is itself, not a copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def require_square(m: np.ndarray) -> int:
     if m.shape[-2] != m.shape[-1]:
         raise NotSquareError(f"square matrix required, got shape {m.shape}")

@@ -2,19 +2,20 @@
 
 Every functional the registry cases compare is unitarily invariant, so an
 evaluator reads only spectra: singular values for norms, eigenvalues for
-anti-norms and entropies, of W and Tr_B W or of Q and Phi(Q), plus a channel's
-Choi rank.  form names an instance's kind (bipartite operator, channel pair or
-plain matrix) and shape.  Spectra holds one window of instances of one form and
-any shapes: drawn instances are finished, each shape's matrices are stacked
-and decomposed in one call, the shapes' spectra join in one zero-padded stack
-per matrix, one table per (matrix, exponent) serves the window (a cumulative
-power sum over the sorted spectra serves every k; entropies read tr rho^alpha
-and the von Neumann value), and one evaluator call returns the (instances, grid
-points) margins, each normalized by max(1, |lhs|, |rhs|).  Each instance has
-its own traced-out dimension and rank bound, and a grid point whose k exceeds
-an instance's bound is out of bound for it (Spectra.in_bound): never folded.
-Each case declares its grid as products of named axes (see _axis), and
-make_grid builds it from an audit configuration.
+anti-norms and entropies, of W and Tr_B W or of Q and Phi(Q) (a channel case
+and its bipartite case share one evaluator), plus a channel's Choi rank.  form
+names an instance's kind (bipartite operator, channel pair or plain matrix) and
+shape.  Spectra holds one window of instances of one form and any shapes: drawn
+instances are finished, the matrices of each size are stacked and decomposed in
+one call, the sizes' spectra join in one zero-padded stack per matrix, one
+table per (matrix, exponent) serves the window (a cumulative power sum over the
+sorted spectra serves every k; entropies read tr rho^alpha and the von Neumann
+value), and one evaluator call returns the (instances, grid points) margins,
+each normalized by max(1, |lhs|, |rhs|).  Each instance has its own traced-out
+dimension and rank bound, and a grid point whose k exceeds an instance's bound
+is out of bound for it (Spectra.in_bound): never folded.  Each case declares
+its grid as products of named axes (see _axis), and make_grid builds it from an
+audit configuration.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
 from .bipartite import BipartiteOperator, trace_out_b
-from .channels import StinespringChannel, channel_outputs, choi_ranks
+from .channels import StinespringChannel, channel_outputs, choi_gram, gram_ranks, require_isometry
 from .entropy import (
     density_spectrum,
     dim_weight,
@@ -39,8 +40,8 @@ from .entropy import (
     unified_entropy_from,
     von_neumann_of,
 )
-from .errors import KindMismatchError, PreconditionError, RankRangeError
-from .linalg import as_matrix, require_square
+from .errors import DomainError, KindMismatchError, PreconditionError, RankRangeError
+from .linalg import as_matrix, require_square, stacked
 from .norms import gauge_table
 
 
@@ -88,8 +89,8 @@ class Drawn(NamedTuple):
 
     A finish maps a sub-stack, the rows of one finish and sizes with their draws
     stacked field by field, to its stacked matrices; sizes[:2] is the shape form
-    gives.  A channel's sizes are (dim_in, dim_out, dim_env) and its finish is a
-    (V's, Q's) pair (see part), so channels of every d share Q's.
+    gives.  A channel's sizes are (dim_in, dim_out, dim_env) and its finish is a (V's, Q's)
+    pair (see part), so channels of every d share Q's; V's finish None is Tr_B's identity.
     """
 
     form: str
@@ -150,6 +151,8 @@ def _finished(xs: list, name: str, matrix: Callable) -> np.ndarray:
     for key, rows in groups.items():
         if key is None:
             subs.append((rows, np.array([as_matrix(matrix(xs[i])) for i in rows])))
+        elif key[0] is None:  # the identity dilation
+            subs.append((rows, np.repeat(np.eye(key[1][0], dtype=complex)[None], len(rows), axis=0)))
         else:
             subs.append((rows, key[0](tuple(map(np.array, zip(*(parts[i][2] for i in rows)))), *key[1])))
     stack = subs[0][1] if len(subs) == 1 else np.empty((len(xs),) + subs[0][1].shape[1:], complex)
@@ -160,17 +163,25 @@ def _finished(xs: list, name: str, matrix: Callable) -> np.ndarray:
     return stack
 
 
+def _by_size(stacks: list) -> list:
+    """The indices of the stacks of each trailing shape, in first-seen order."""
+    shapes = [stack.shape[1:] for stack in stacks]
+    return [[i for i, s in enumerate(shapes) if s == shape] for shape in dict.fromkeys(shapes)]
+
+
 class Spectra:
     """Lazily computed, validated spectra of a window of same-form instances of any shapes.
 
-    Each shape's rows are finished (_finished) and stacked per matrix (W and Tr_B W,
-    Q and Phi(Q), or Q), and each stack is decomposed at most once per spectrum kind,
-    in one call, with the matrix-level checks row by row; a channel's V, Phi(Q) and
-    Choi ranks take one call per shape and d.  Row i has its traced-out dimension n[i]
-    (a channel's d) and rank bound bound[i] (the size of Tr_B W, Phi(Q) or Q).  The
-    shapes' spectra join zero-padded, descending ones on the right and ascending ones
-    on the left, which keeps each cumulative sum bit for bit, so one table per
-    (matrix, exponent) serves the window; other sums run per shape (shapewise).  A
+    Each shape's rows are finished (_finished) and stacked per matrix (W and Tr_B W, Q and
+    Phi(Q), or Q); the stacks of one size are joined and decomposed at most once per
+    spectrum kind, in one call, with the matrix-level checks row by row.  A channel's V
+    and Phi(Q) take one call per shape and d, its isometry check one per input dimension
+    and its Choi rank one per Gram size.  Row i has its traced-out dimension n[i] (a
+    channel's d) and rank bound bound[i] (the size of Tr_B W, Phi(Q) or Q).  The sizes'
+    spectra join zero-padded, descending ones on the right and ascending ones on the left,
+    which keeps each cumulative sum bit for bit, so one table per (matrix, exponent) serves
+    the window; a pairwise sum depends on its row width alone, so other sums run per size
+    (sizewise), but a Ky Fan sum's length differs between shapes of a size (shapewise).  A
     point past a row's bound is out of bound for it (in_bound) and never folded.
     """
 
@@ -180,29 +191,42 @@ class Spectra:
         for i, x in enumerate(insts):
             shapes.setdefault(form(x)[1], []).append(i)
         self.shapes, self.rows = list(shapes), [np.array(rows) for rows in shapes.values()]
-        self.parts, sizes = [], []  # each shape's stacked matrices by name, its rows in window order, and (n, bound)
-        for shape, rows in shapes.items():
+        # the matrices a bound compares: W and Tr_B W, or Q and Phi(Q), the joint one by way of V Q V^dag
+        self.joint, self.reduced = ("q", "out") if kind == "channel" else ("w", "qa")
+        # each shape's stacked matrices by name and rank bound, the dilations finished from draws, the Choi Grams
+        self.parts, bounds, drawn, grams, self.n = [], [], [], [], np.empty(self.size, int)
+        for (shape, rows), at in zip(shapes.items(), self.rows):
             xs = [insts[i] for i in rows]
             if kind == "bipartite":
                 w = _finished(xs, "w", lambda x: x.matrix)
                 self.parts.append({"w": w, "qa": trace_out_b(w, *shape)})
-                sizes.append(shape[::-1])
+                self.n[at] = shape[1]
             elif kind == "channel":
                 b, q, envs = shape[1], _finished(xs, "q", lambda x: x[1]), {}
-                out, ds = np.empty((len(xs), b, b), complex), np.empty(len(xs), int)
+                out = np.empty((len(xs), b, b), complex)
                 for j, x in enumerate(xs):
                     envs.setdefault(x.sizes[2] if isinstance(x, Drawn) else x[0].dim_env, []).append(j)
                 for d, js in envs.items():
-                    v = _finished([xs[j] for j in js], "v", lambda x: x[0].v)
-                    out[js] = channel_outputs(v, q[js], b, d)
-                    # each channel's d: its Choi rank or, under "dim_env", its dilation's dim_env
-                    ds[js] = choi_ranks(v, b, d) if env_mode == "choi_rank" else d
+                    group = [xs[j] for j in js]
+                    v = _finished(group, "v", lambda x: x[0].v)
+                    # each channel's d: its dilation's dim_env or, under "choi_rank", its Choi rank (below)
+                    out[js], self.n[at[js]] = channel_outputs(v, q[js], b, d), d
+                    if any(isinstance(x, Drawn) and x.finish[0] is not None for x in group):
+                        drawn.append(v)  # a StinespringChannel checked its own
+                    if env_mode == "choi_rank":
+                        grams.append((choi_gram(v, b, d), at[js]))
                 self.parts.append({"q": q, "out": out})
-                sizes.append((ds, b))
             else:
                 self.parts.append({"q": _finished(xs, "q", lambda x: x)})
-                sizes.append((1, self.parts[-1]["q"].shape[-1]))
-        self.n, self.bound = (self.joined(list(x), int) for x in zip(*sizes))
+                self.n[at] = 1
+            bounds.append(shape[kind == "channel"])
+        require_isometry(*drawn)  # before any Choi rank, so a dilation that is no isometry fails as such
+        for ids in _by_size([gram for gram, _ in grams]):
+            self.n[stacked([grams[i][1] for i in ids])] = gram_ranks(stacked([grams[i][0] for i in ids]))
+        self.bound = self.joined(bounds, int)
+        # each matrix's (rows, shape indices) per size: the rows of its shapes, in window order, one after another
+        self.sizes = {name: [(stacked([self.rows[i] for i in ids]), ids) for ids in _by_size(
+            [part[name] for part in self.parts])] for name in self.parts[0]}
 
     def _get(self, key, make):
         value = self._memo.get(key)
@@ -210,35 +234,45 @@ class Spectra:
             value = self._memo[key] = make()
         return value
 
-    def joined(self, parts: list, dtype=float) -> np.ndarray:
-        """One array, in window order, of per-shape values: one row per instance, or one for all."""
-        if len(parts) == 1 and np.ndim(parts[0]):  # one shape's rows are the window's, in order
+    def joined(self, parts: list, dtype=float, rows=None) -> np.ndarray:
+        """One array, in window order, of per-shape values (or per-size ones at rows): one row per instance, or one for all."""
+        if len(self.rows) == 1 and np.ndim(parts[0]):  # one shape's rows are the window's, in order
             return np.asarray(parts[0], dtype)
         out = np.empty((self.size,) + np.shape(parts[0])[1:], dtype)
-        for rows, x in zip(self.rows, parts):
-            out[rows] = x
+        for at, x in zip(self.rows if rows is None else rows, parts):
+            out[at] = x
         return out
 
     def spectra(self, kind: str, name: str) -> list:
-        """Each shape's spectra of a matrix: "sv" descending singular values, or ascending validated eigenvalues."""
+        """Each size's spectra of a matrix: "sv" descending singular values, or ascending validated eigenvalues."""
         decompose = {"sv": partial(np.linalg.svd, compute_uv=False), "psd": psd_spectrum, "density": density_spectrum}
-        return self._get((kind, name), lambda: [decompose[kind](part[name]) for part in self.parts])
+        return self._get((kind, name), lambda: [decompose[kind](stacked([self.parts[i][name] for i in ids]))
+                                                for _, ids in self.sizes[name]])
 
     def padded(self, kind: str, name: str) -> np.ndarray:
         """The window's spectra of a matrix, zero-padded to one width: "sv" on the right, eigenvalues on the left."""
         if ("padded", kind, name) not in self._memo:
             parts = self.spectra(kind, name)
             width = max(s.shape[-1] for s in parts)
-            out = self._memo["padded", kind, name] = parts[0] if len(parts) == 1 else np.zeros((self.size, width))
-            for rows, s in zip(self.rows, parts[len(parts) == 1:]):
+            out = self._memo["padded", kind, name] = parts[0] if len(self.rows) == 1 else np.zeros((self.size, width))
+            for (rows, _), s in zip(self.sizes[name], parts[len(self.rows) == 1:]):
                 out[rows, slice(0, s.shape[-1]) if kind == "sv" else slice(width - s.shape[-1], width)] = s
         return self._memo["padded", kind, name]
 
+    def sizewise(self, kind: str, name: str, f, values) -> np.ndarray:
+        """(rows, points) array whose column j is f(s, values[j]) on each size's spectra s."""
+        parts = self.spectra(kind, name)
+        return self.joined([np.array([f(s, v) for v in values], float).reshape(len(values), len(s)).T for s in parts],
+                           rows=[rows for rows, _ in self.sizes[name]])
+
     def shapewise(self, kind: str, name: str, f, values) -> np.ndarray:
         """(rows, points) array whose column j is f(s, values[j], shape) on each shape's own spectra s."""
-        parts = zip(self.spectra(kind, name), self.shapes, self.rows)
+        spectra = [None] * len(self.parts)
+        for (_, ids), s in zip(self.sizes[name], self.spectra(kind, name)):  # a size's rows are its shapes', in turn
+            for i, end in zip(ids, itertools.accumulate(len(self.rows[i]) for i in ids)):
+                spectra[i] = s[end - len(self.rows[i]):end]
         return self.joined([np.array([f(s, v, shape) for v in values], float).reshape(len(values), len(rows)).T
-                            for s, shape, rows in parts])
+                            for s, shape, rows in zip(spectra, self.shapes, self.rows)])
 
     def in_bound(self, g) -> np.ndarray:
         """(rows, points) mask of the points whose k is in [1, the row's rank bound]; a grid without k has no other."""
@@ -278,7 +312,7 @@ class Spectra:
 
     def schatten_antinorm(self, name: str, p: tuple) -> np.ndarray:
         """Schatten anti-norms of a PSD matrix at each point, p < 0 too."""
-        return self.shapewise("psd", name, lambda s, e, _: schatten_antinorm_of(s, e), p)
+        return self.sizewise("psd", name, schatten_antinorm_of, p)
 
     def kyfan_antinorm(self, name: str, k: tuple, times_n: bool = False) -> np.ndarray:
         """Ky Fan anti-norms of a bipartite PSD matrix at each point's k, or k n; a k past a row's bound reads 1."""
@@ -287,9 +321,9 @@ class Spectra:
 
     def entropy(self, name: str, formula, alpha: tuple, *rest: tuple) -> np.ndarray:
         """A *_entropy_from formula of a state at each point's (alpha, ...): its von Neumann value and power sums."""
-        von_neumann = self.shapewise("density", name, lambda s, *_: von_neumann_of(s), (None,))[:, 0].tolist()
+        von_neumann = self.sizewise("density", name, lambda s, _: von_neumann_of(s), (None,))[:, 0].tolist()
         alphas = tuple(dict.fromkeys(alpha))
-        sums = dict(zip(alphas, self.shapewise("density", name, lambda s, a, _: power_sum_of(s, a), alphas).T.tolist()))
+        sums = dict(zip(alphas, self.sizewise("density", name, power_sum_of, alphas).T.tolist()))
         return np.array([formula(sums[point[0]], von_neumann, *point) for point in zip(alpha, *rest)]).T
 
 
@@ -299,13 +333,14 @@ class Spectra:
 
 def eval_kpn1(sp: Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
-    joint, lhs = sp.norm("w", k * sp.n[:, None], p), sp.norm("qa", k, p)
+    # the (kn, p) norm of the spectrum zero-padded to length kn: a kd past Q's size reads the full gauge
+    joint, lhs = sp.norm(sp.joint, k * sp.n[:, None], p), sp.norm(sp.reduced, k, p)
     return _slack(lhs, g.factors(_dim_factor, sp.n, p) * joint)
 
 
 def eval_spn1(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    joint, lhs = sp.norm("w", None, p), sp.norm("qa", None, p)
+    joint, lhs = sp.norm(sp.joint, None, p), sp.norm(sp.reduced, None, p)
     return _slack(lhs, g.factors(_dim_factor, sp.n, p) * joint)
 
 
@@ -342,13 +377,14 @@ def eval_cpn1(sp: Spectra, g) -> np.ndarray:
 
 def eval_kqn1(sp: Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
-    joint, rhs = sp.antinorm("w", k * sp.n[:, None], p), sp.antinorm("qa", k, p)
-    return _slack(g.factors(_dim_factor, sp.n, p) * joint, rhs)
+    # the spectrum zero-padded to the rank bound times n: W's own size, or Phi(Q)'s times d
+    joint = sp.antinorm(sp.joint, k * sp.n[:, None], p, ambient=sp.bound * sp.n)
+    return _slack(g.factors(_dim_factor, sp.n, p) * joint, sp.antinorm(sp.reduced, k, p))
 
 
 def eval_kqn2(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    joint, rhs = sp.schatten_antinorm("w", p), sp.schatten_antinorm("qa", p)
+    joint, rhs = sp.schatten_antinorm(sp.joint, p), sp.schatten_antinorm(sp.reduced, p)
     return _slack(g.factors(_dim_factor, sp.n, p) * joint, rhs)
 
 
@@ -363,36 +399,10 @@ def eval_tpn62(sp: Spectra, g) -> np.ndarray:
     return _slack(g.factors(_rank_factor, None, k, p, q) * top, rhs)
 
 
-def eval_stct1(sp: Spectra, g) -> np.ndarray:
-    k, p = np.array(g["k"]), g["p"]
-    # the (kd, p) norm of Q's spectrum zero-padded to length kd: a kd past Q's size reads the full gauge
-    padded = sp.norm("q", k * sp.n[:, None], p)
-    return _slack(sp.norm("out", k, p), g.factors(_dim_factor, sp.n, p) * padded)
-
-
-def eval_stctp(sp: Spectra, g) -> np.ndarray:
-    p = g["p"]
-    lhs, rhs = sp.norm("out", None, p), sp.norm("q", None, p)
-    return _slack(lhs, g.factors(_dim_factor, sp.n, p) * rhs)
-
-
-def eval_stct2(sp: Spectra, g) -> np.ndarray:
-    k, p = np.array(g["k"]), g["p"]
-    # Q's spectrum zero-padded to the output dimension, the rank bound, times d
-    padded = sp.antinorm("q", k * sp.n[:, None], p, ambient=sp.bound * sp.n)
-    return _slack(g.factors(_dim_factor, sp.n, p) * padded, sp.antinorm("out", k, p))
-
-
-def eval_stctpp(sp: Spectra, g) -> np.ndarray:
-    p = g["p"]
-    joint, rhs = sp.schatten_antinorm("q", p), sp.schatten_antinorm("out", p)
-    return _slack(g.factors(_dim_factor, sp.n, p) * joint, rhs)
-
-
 def eval_et41(sp: Spectra, g) -> np.ndarray:
     alpha, s = g["alpha"], g["s"]
-    lhs = sp.entropy("w", unified_entropy_from, alpha, s)
-    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy("qa", unified_entropy_from, alpha, s)
+    lhs = sp.entropy(sp.joint, unified_entropy_from, alpha, s)
+    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy(sp.reduced, unified_entropy_from, alpha, s)
     return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, s))
 
 
@@ -408,13 +418,6 @@ def eval_et42(sp: Spectra, g) -> np.ndarray:
     alpha = g["alpha"]
     rhs = sp.entropy("qa", renyi_entropy_from, alpha) + np.array([math.log(n) for n in sp.n.tolist()])[:, None]
     return _slack(sp.entropy("w", renyi_entropy_from, alpha), rhs)
-
-
-def eval_stctep(sp: Spectra, g) -> np.ndarray:
-    alpha, s = g["alpha"], g["s"]
-    lhs = sp.entropy("q", unified_entropy_from, alpha, s)
-    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy("out", unified_entropy_from, alpha, s)
-    return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, s))
 
 
 def eval_satwrqa(sp: Spectra, g) -> np.ndarray:
@@ -450,13 +453,23 @@ class Grid(dict):
         return self._memo[key]
 
     def factors(self, f, ns, *columns) -> np.ndarray:
-        """(rows, points) values f(n, *point) in Python floats, n row i's ns[i]; one row if ns is None or one n."""
+        """(rows, points) values f(n, *point) in Python floats, n row i's ns[i]; one row if ns is None or one n.
+
+        Every exponent factor of a bound is closed here, so this is where one
+        outside the float range raises DomainError, as an entropy term does.
+        """
         values = [None] if ns is None else ns.tolist()
         order = {n: i for i, n in enumerate(dict.fromkeys(values))}  # the distinct n, as Python ints
         for n in order:
             if (f, n, columns) not in self._memo:
                 head = () if n is None else (n,)
-                self._memo[f, n, columns] = np.array([[f(*head, *point) for point in zip(*columns)]])
+                try:
+                    row = [f(*head, *point) for point in zip(*columns)]
+                except OverflowError:
+                    row = [math.inf]
+                if any(map(math.isinf, row)):  # past the float range a power raises, and a product reads inf
+                    raise DomainError(f"bound factor {f.__name__} overflows the float range")
+                self._memo[f, n, columns] = np.array([row])
         rows = [self._memo[f, n, columns] for n in order]
         return rows[0] if len(rows) == 1 else np.concatenate(rows)[[order[n] for n in values]]
 

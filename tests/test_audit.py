@@ -23,6 +23,7 @@ from normtrace.bipartite import BipartiteOperator
 from normtrace.channels import StinespringChannel, choi_matrix
 from normtrace.errors import (
     BadDimsError,
+    DomainError,
     ExponentRangeError,
     KindMismatchError,
     PreconditionError,
@@ -119,6 +120,20 @@ def test_sample_rejects_bad_requests():
             sample("psd", (3,), seed)
     # numpy seeds from any nonnegative int, 2**64 and above too
     assert not np.array_equal(sample("psd", (2,), 2**64), sample("psd", (2,), 2**80))
+
+
+def test_scaled_product_draws_its_scale_as_choice_does():
+    # the scale is (1.0, 2.5)[rng.integers(0, 2)]: the value rng.choice would
+    # give, leaving the generator in the state rng.choice would leave it
+    draw = audit.KINDS["scaled_product"].draw
+    for seed in range(256):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        _, (c, g) = draw(rng, 2, 3)
+        assert type(c) is float and c == float(ref.choice((1.0, 2.5))), seed
+        assert g.tobytes() == audit._gaussians(ref, 2, 2).tobytes()
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (1.0, 2.5)[rng.integers(0, 2)] == ref.choice((1.0, 2.5)), seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
 
 
 def test_ginibre_reads_the_real_draws_then_the_imaginary_draws():
@@ -294,6 +309,24 @@ def test_run_audit_counts_float_range_errors_as_failures(cid, s_grid, failures, 
     assert rec["failures"] == failures
     if message is not None:
         assert rec["first_failure"].startswith("DomainError") and message in rec["first_failure"]
+
+
+@pytest.mark.parametrize("cid,grid,failures", [
+    # n^((p-1)/p) = n^1001 passes the float range at n = 3, not at n = 2
+    ("KQN2", {"negative_p_grid": (-0.001,)}, 3),
+    # k^599 n^599 does at every k = 2 and n = 2, and k^599 alone at k = 4
+    ("CPN1", {"pq_grid": ((1.0, 600.0),)}, 6),
+])
+def test_run_audit_counts_overflowing_bound_factors_as_failures(cid, grid, failures):
+    cfg = AuditConfig(trials_per_case=2, case_filter=(cid,), **grid)
+    (rec,) = run_audit(cfg).cases
+    assert rec["failures"] == failures
+    assert rec["first_failure"].startswith("DomainError: bound factor") and "overflows" in rec["first_failure"]
+
+
+def test_evaluate_case_overflowing_bound_factor_raises_domain_error():
+    with pytest.raises(DomainError, match="overflows the float range"):
+        evaluate_case("KQN2", sample("bipartite_pd", (2, 3), 1), {"p": -0.001})
 
 
 def test_evaluate_case_rejects_wrong_instance_type():
@@ -721,16 +754,24 @@ def _rank_bound(inst) -> int:
 QR_FINISHES = {audit.KINDS[kind].finish for kind in ("channel_ginibre", "channel_psd", "channel_density")}
 
 
+def _gram_size(sizes) -> int:
+    # the Choi Gram of a channel from m to n with environment d is the smaller of d and n m
+    m, n, d = sizes
+    return min(d, n * m)
+
+
 def test_run_audit_decomposes_each_instance_once(monkeypatch):
     # Instances are made first and then evaluated in batches: one per case
     # window (8 trials fit one window, and the saturators join it), and one per
     # equality witness of evaluate_case.  Every decomposition counts against the
     # batch of the instances it serves: those made while sampling an instance,
-    # each stacked call of a shape of the batch (one matrix per instance) and
-    # each channel's Choi spectrum, a row of the stacked Choi eigvalsh.  A
-    # channel window sits at the bound: a trial's QR, Q, Phi(Q) and its Choi
-    # spectrum, the QR and the Choi spectrum taken in one call per shape and
-    # environment dimension d, and the same but the QR for a Tr_B saturator.
+    # each stacked call of a size of a matrix of the batch (one matrix per
+    # instance) and each channel's Choi spectrum, a row of the stacked Choi
+    # eigvalsh.  A batch makes one call per (matrix, spectrum kind, size), one
+    # QR per shape and environment dimension d of its channel trials and one
+    # Choi eigvalsh per Gram size.  A channel window sits at the bound: a
+    # trial's QR, Q, Phi(Q) and its Choi spectrum, and the same but the QR for
+    # a Tr_B saturator.
     buckets = []
     sampled = {}  # id of an instance -> matrices decomposed while sampling it
     state = {"sampling": None, "batch": None, "in_choi": False}
@@ -757,12 +798,16 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
 
         return counted
 
-    def choi_ranks(v, *args):
+    def gram_ranks(grams, *args):
         state["in_choi"] = True
         try:
-            return channels.choi_ranks(v, *args)
+            return channels.gram_ranks(grams, *args)
         finally:
             state["in_choi"] = False
+
+    def require_isometry(*vs):
+        state["batch"]["checked"] += sum(len(v) for v in vs)
+        return channels.require_isometry(*vs)
 
     class Batch(audit.Spectra):
         def __init__(self, insts, *args):
@@ -775,9 +820,15 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
                 "drawn_envs": {x.sizes for x in insts if x.finish in QR_FINISHES} if channel else set(),
                 "envs": {x.sizes for x in insts} if channel else set(),
                 "qr_rows": sum(x.finish in QR_FINISHES for x in insts) if channel else 0,
+                "checked": 0, "decomposed": set(),
             }
             buckets.append(state["batch"])
             super().__init__(insts, *args)
+            state["batch"]["sp"] = self
+
+        def spectra(self, kind, name):
+            state["batch"]["decomposed"].add((kind, name))
+            return super().spectra(kind, name)
 
     def opening(cid, make):
         def opened(dims, seed):
@@ -802,7 +853,8 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
 
     for name in DECOMPOSITIONS:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(margins, "choi_ranks", choi_ranks)
+    monkeypatch.setattr(margins, "gram_ranks", gram_ranks)
+    monkeypatch.setattr(margins, "require_isometry", require_isometry)
     monkeypatch.setattr(audit, "Spectra", Batch)
     for cid, case in REGISTRY.items():
         monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(
@@ -824,22 +876,31 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     assert len(buckets) == len(REGISTRY) + witnesses
     assert sum(b["size"] for b in buckets) == len(points) + witnesses
     assert sum(b["shapes"] for b in buckets) == len(shapes) + witnesses
-    channel_trials = 0
+    channel_trials, shared = 0, 0
     for b in buckets:
-        # one evaluate call per batch; each matrix of a shape stacked and decomposed once
+        # one evaluate call per batch; the stacks of each size of a matrix are
+        # joined and decomposed once per spectrum kind
         assert b["evaluations"] == 1, b
-        assert b["calls"] <= (2 if b["channel"] else 4) * b["shapes"], b
+        sizes = {name: {part[name].shape[-1] for part in b["sp"].parts} for _, name in b["decomposed"]}
+        assert b["calls"] == sum(len(sizes[name]) for _, name in b["decomposed"]), b
+        shared += sum(len(sizes[name]) < b["shapes"] for _, name in b["decomposed"])
         # (a channel's Q, Phi(Q) and Choi spectrum, and its QR if it takes one)
         bound = 3 * b["size"] + b["qr_rows"] if b["channel"] else 4 * b["size"]
         assert b["matrices"] <= bound, b
         # one QR call per shape and d of the channel trials, one Choi call per
-        # shape and d, and exactly one Choi spectrum per channel
+        # Gram size, and exactly one Choi spectrum per channel
         assert b["qr_calls"] == len(b["drawn_envs"]), b
-        assert b["choi_calls"] == len(b["envs"]) and b["choi_rows"] == (b["size"] if b["channel"] else 0), b
+        assert b["choi_calls"] == len({_gram_size(sizes) for sizes in b["envs"]}), b
+        assert b["choi_rows"] == (b["size"] if b["channel"] else 0), b
+        # the isometry check reads every QR dilation, and no identity of a Tr_B saturator
+        assert b["checked"] == b["qr_rows"], b
         channel_trials += b["channel"] and b["matrices"] == bound
     assert channel_trials > 0  # the bound is reached, so it counts every decomposition
+    assert shared > 0  # some matrix has fewer sizes than its window has shapes
     # some shape of a window holds channels of several d
     assert any(len(b["drawn_envs"]) > len({sizes[:2] for sizes in b["drawn_envs"]}) for b in buckets)
+    # and some Gram size serves several shapes and d
+    assert any(len({_gram_size(sizes) for sizes in b["envs"]}) < len(b["envs"]) for b in buckets)
     # every in-bound grid point of every instance is evaluated exactly once
     assert sum(b["points"] for b in buckets) == sum(points) + witnesses
 
@@ -1341,6 +1402,104 @@ def test_stacked_finish_fails_only_the_instance_that_is_not_an_isometry(monkeypa
     _replace_case(monkeypatch, "STCTP", make_instance=raising)
     (raised,) = run_audit(cfg).cases
     assert {**rec, "first_failure": None} == {**raised, "first_failure": None}
+
+
+def test_window_checks_dilations_before_any_choi_rank(monkeypatch):
+    # trial 7's isometry, from 2 into 3 x 3 (d = 3), comes out NaN in a window whose
+    # shapes share its input dimension 2: the isometry check, one pass for all
+    # of them, fails it alone with the isometry message, where the eigvalsh of
+    # its 3 x 3 Choi Gram would not converge
+    stctp = REGISTRY["STCTP"]
+    cfg = AuditConfig(trials_per_case=9, dims=((2, 2), (2, 3), (2, 1)), case_filter=("STCTP",))
+    seed = audit._trial_seed(cfg.base_seed, "STCTP", 7)
+    marked = audit._ginibre(stctp.make_instance(cfg.dims[1], seed).draws[0])
+    qr_isometry = audit.qr_isometry
+
+    def spoiling(g):
+        return qr_isometry(g) * np.array([[[np.nan if np.array_equal(x, marked) else 1.0]] for x in g])
+
+    def raising(dims, s):
+        if s == seed:
+            raise PreconditionError("trial 7 disabled")
+        return stctp.make_instance(dims, s)
+
+    monkeypatch.setattr(audit, "qr_isometry", spoiling)
+    (rec,) = run_audit(cfg).cases
+    assert rec["failures"] == 1
+    assert rec["first_failure"] == "NotTracePreservingError: dilation matrix is not an isometry"
+    monkeypatch.setattr(audit, "qr_isometry", qr_isometry)
+    _replace_case(monkeypatch, "STCTP", make_instance=raising)
+    (raised,) = run_audit(cfg).cases
+    assert {**rec, "first_failure": None} == {**raised, "first_failure": None}
+
+
+# W is 4 x 4 for three shapes and 6 x 6 for two; Tr_B W, Q and Phi(Q) share sizes too
+SIZE_DIMS = ((1, 4), (2, 2), (4, 1), (2, 3), (3, 2))
+
+
+def _degenerate_channel(m, n, seed):
+    # Kraus operators W / sqrt(2), twice, for an isometry W from m into n:
+    # environment 2 and Choi rank 1, so a Gram size holds ranks 1 and 2
+    rng = np.random.default_rng(seed)
+    w = np.linalg.qr(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))[0]
+    channel = channels.kraus_to_stinespring([w / np.sqrt(2.0)] * 2)
+    return channel, sample("density", (m,), seed)
+
+
+class _Recorded(margins.Spectra):
+    """A window that records the (spectrum kind, matrix) pairs its evaluator decomposes."""
+
+    def spectra(self, kind, name):
+        self.__dict__.setdefault("decomposed", set()).add((kind, name))
+        return super().spectra(kind, name)
+
+
+def _row_spectra(sp, kind, name):
+    """Each row's spectrum of a matrix of a window, in window order, from its per-size decompositions."""
+    rows = {}
+    for (indices, _), spectra in zip(sp.sizes[name], sp.spectra(kind, name)):
+        rows.update(zip(indices.tolist(), spectra))
+    return [rows[i] for i in range(sp.size)]
+
+
+@pytest.mark.parametrize("env_mode", audit.ENV_DIM_MODES)
+def test_size_batched_windows_equal_per_shape_windows(env_mode):
+    # a window of five shapes decomposes each size of a matrix once; every
+    # spectrum row, statistic and in-bound margin equals, bit for bit, that of
+    # a window of its shape alone, which decomposes that shape's stack
+    cfg = AuditConfig(trials_per_case=15, dims=SIZE_DIMS, env_dim_mode=env_mode)
+    shared = set()
+    for cid, case in REGISTRY.items():
+        if env_mode == "dim_env" and case.form != "channel":
+            continue
+        insts = [case.make_instance(cfg.dims[t % len(cfg.dims)], audit._trial_seed(cfg.base_seed, cid, t))
+                 for t in range(cfg.trials_per_case)]
+        insts += [case.saturator(pair, audit._trial_seed(cfg.base_seed, cid + ":sat", i))
+                  for i, pair in enumerate(cfg.dims)]
+        if case.form == "channel":
+            insts += [_degenerate_channel(m, n, 10 * m + n) for m, n in ((1, 4), (2, 2), (2, 3))]
+            channel = [x.alone()[0] if isinstance(x, Drawn) else x[0] for x in insts]
+            ranks = [channels.choi_rank(ch) if env_mode == "choi_rank" else ch.dim_env for ch in channel]
+        sp = _Recorded(insts, env_mode)
+        grid = margins.make_grid(case.axes, int(sp.bound.max()), cfg)
+        values, mask, stats = case.evaluate(sp, grid), sp.in_bound(grid), audit._trial_stats(cid, sp)
+        if case.form == "channel":
+            assert sp.n.tolist() == ranks, cid  # each channel's own Choi rank, or dim_env
+            assert env_mode == "dim_env" or 1 in ranks and len(set(ranks)) > 2
+        spectra = {key: _row_spectra(sp, *key) for key in sp.decomposed}
+        shared |= {(cid, name) for _, name in sp.decomposed if len(sp.sizes[name]) < len(sp.shapes)}
+        for rows in sp.rows:
+            alone = _Recorded([insts[i] for i in rows], env_mode)
+            inside = alone.in_bound(grid)
+            assert (inside == mask[rows]).all() and alone.n.tolist() == sp.n[rows].tolist(), cid
+            assert values[rows][inside].tobytes() == case.evaluate(alone, grid)[inside].tobytes(), cid
+            if stats is not None:
+                assert stats[rows].tobytes() == audit._trial_stats(cid, alone).tobytes(), cid
+            for key, rows_spectra in spectra.items():
+                assert [rows_spectra[i].tobytes() for i in rows] == [
+                    x.tobytes() for x in _row_spectra(alone, *key)], (cid, key)
+    # every matrix kind shares a size between shapes somewhere
+    assert {name for _, name in shared} == ({"w", "qa", "q", "out"} if env_mode == "choi_rank" else {"q", "out"})
 
 
 def _literal_ginibre(rng, rows, cols):

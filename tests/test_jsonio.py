@@ -73,6 +73,57 @@ def test_dumps_scalars_of_every_type():
     )
 
 
+class _Count(int):
+    def __str__(self):
+        return "a count"
+
+
+class _Name(str):
+    pass
+
+
+class _Record(dict):
+    pass
+
+
+@pytest.mark.parametrize("nan", [math.nan, np.float64(math.nan), np.float32(math.nan)], ids=["float", "f64", "f32"])
+@pytest.mark.parametrize("where", ["value", "list", "nested"])
+def test_dumps_refuses_nan_wherever_it_sits(nan, where):
+    obj = {"value": {"v": nan}, "list": {"v": [1.0, nan]}, "nested": {"v": [[1, 2], [nan]]}}[where]
+    with pytest.raises(ValueError, match="NaN"):
+        jsonio.dumps(obj)
+
+
+def test_dumps_writes_scalars_outside_lists_and_subclasses_as_before():
+    # numpy scalars, bools and None as values of a dict and as items of a
+    # nested list; int, str, dict and tuple subclasses by their base type
+    obj = _Record({
+        "np": {"i": np.int64(-7), "u": np.uint8(200), "f": np.float64(0.1), "g": np.float32(0.5),
+               "inf": np.float64(math.inf)},
+        "flags": {"t": True, "f": False, "none": None},
+        "nested": [[True, None], [np.int32(1), np.float64(-0.0)], [], {}],
+        _Name("subclasses"): [_Count(3), _Name("caf\u00e9 \"q\"\n"), (1, (2.0,))],
+        7: "an int key",
+    })
+    assert jsonio.dumps(obj) == (
+        '{\n'
+        '  "np": {\n'
+        '    "i": -7,\n    "u": 200,\n    "f": 0.10000000000000001,\n    "g": 0.5,\n    "inf": "inf"\n'
+        '  },\n'
+        '  "flags": {\n    "t": true,\n    "f": false,\n    "none": null\n  },\n'
+        '  "nested": [\n    [true, null],\n    [1, -0],\n    [],\n    {}\n  ],\n'
+        '  "subclasses": [\n    3,\n    ' + json.dumps("caf\u00e9 \"q\"\n")
+        + ',\n    [\n      1,\n      [2]\n    ]\n  ],\n'
+        '  "7": "an int key"\n'
+        '}'
+    )
+    assert json.loads(jsonio.dumps(obj))["subclasses"][1] == "caf\u00e9 \"q\"\n"
+    with pytest.raises(TypeError, match="not serializable"):
+        jsonio.dumps({"flag": np.bool_(True)})  # as before: a numpy bool is no int
+    with pytest.raises(TypeError, match="not serializable"):
+        jsonio.dumps([{1, 2}])
+
+
 def test_matrix_text_shape():
     text = jsonio.matrix_to_text(np.array([[1.0 + 2.0j]]))
     payload = json.loads(text)
