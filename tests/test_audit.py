@@ -312,9 +312,9 @@ def test_run_audit_counts_float_range_errors_as_failures(cid, s_grid, failures, 
 
 
 @pytest.mark.parametrize("cid,grid,failures", [
-    # n^((p-1)/p) = n^1001 passes the float range at n = 3, not at n = 2
+    # n^((p-1)/p) = n^1001 overflows at n = 3, not at n = 2: 3 of the 6 instances fail
     ("KQN2", {"negative_p_grid": (-0.001,)}, 3),
-    # k^599 n^599 does at every k = 2 and n = 2, and k^599 alone at k = 4
+    # k^599 n^599 overflows as a product (it reads inf) at k = n = 2, and k^599 as a power at k = 4
     ("CPN1", {"pq_grid": ((1.0, 600.0),)}, 6),
 ])
 def test_run_audit_counts_overflowing_bound_factors_as_failures(cid, grid, failures):
