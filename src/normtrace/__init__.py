@@ -16,7 +16,7 @@ _SOURCE = {
     for module, names in {
         "antinorms": "kp_antinorm kyfan_antinorm partial_fidelity schatten_antinorm",
         "audit": "REGISTRY REGISTRY_IDS AuditConfig AuditReport evaluate_case run_audit sample",
-        "bipartite": "BipartiteOperator partial_trace_a partial_trace_b swap_factors twirl_oracle_b",
+        "bipartite": "BipartiteOperator partial_trace_a partial_trace_b twirl_oracle_b",
         "channels": (
             "StinespringChannel choi_matrix choi_rank kraus_to_stinespring"
             " partial_trace_channel singular_value_conjugation_check validate_isometry"

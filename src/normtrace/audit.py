@@ -60,7 +60,7 @@ from .margins import (
     eval_tfsn,
     eval_tpn2,
     eval_tpn62,
-    form,
+    drawn,
     make_grid,
 )
 
@@ -124,7 +124,7 @@ def _haar(x: np.ndarray) -> np.ndarray:
 class Kind(NamedTuple):
     """An instance kind: draw(rng, m, n) -> (sizes, draws) and finish, as margins.Drawn holds them."""
 
-    form: str  # what margins.form names its instances
+    form: str  # its instances' form, as margins.drawn names it
     draw: Callable
     finish: Callable
 
@@ -151,12 +151,13 @@ def _channel(finish) -> Kind:
     return Kind("channel", draw, (lambda x, m, n, d: _haar(x[0]), lambda x, m, n: finish(x[0])))
 
 
-def _traced(product: Kind) -> Kind:  # (Tr_B, W): Tr_B from m*n to m, its dilation I (V's finish None), W of a product
+def _traced(product: Kind) -> Kind:  # (Tr_B, W): Tr_B from m*n to m, its dilation I, W of a product
     return Kind("channel", lambda rng, m, n: ((m * n, m, n), ((),) + product.draw(rng, m, n)[1]),
-                (None, lambda x, mn, m: product.finish(x, m, mn // m)))
+                (lambda x, mn, m, n: np.repeat(np.eye(mn, dtype=complex)[None], len(x[0]), axis=0),
+                 lambda x, mn, m: product.finish(x, m, mn // m)))
 
 
-# Instance kinds, whose forms are those of margins.form.  A registry case
+# Instance kinds, whose forms are those of margins.drawn.  A registry case
 # draws its trials from one kind and its saturators, instances known to attain
 # equality in its bound, from another.
 KINDS = {
@@ -335,7 +336,7 @@ class InequalityCase:
     id: str
     description: str
     paper_eq: str
-    form: str  # what margins.form names its instances
+    form: str  # its instances' form, as margins.drawn names it
     make_instance: Callable  # (dims, seed) -> a trial instance, drawn only (margins.Drawn); seed an int, or a TrialSeed
     axes: tuple  # products of grid axes, each a string of axis names (see _axis), taken in turn
     evaluate: Callable
@@ -457,6 +458,20 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
 REGISTRY_IDS = tuple(REGISTRY)
 
 
+def _entered(case: InequalityCase, inst) -> Drawn:
+    """inst as a Drawn (margins.drawn), which must be of the case's form."""
+    inst = drawn(inst)
+    if inst.form != case.form:
+        raise KindMismatchError(f"case {case.id} needs a {case.form} instance, not a {inst.form} one")
+    return inst
+
+
+def _env_mode(mode) -> str:
+    if mode not in ENV_DIM_MODES:
+        raise PreconditionError(f"unknown env_dim_mode {mode!r}, expected one of {ENV_DIM_MODES}")
+    return mode
+
+
 def evaluate_case(case_id: str, instance, params) -> float:
     """Signed normalized margin of one registry case on one instance.
 
@@ -468,12 +483,9 @@ def evaluate_case(case_id: str, instance, params) -> float:
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
-    if form(instance)[0] != case.form:
-        raise KindMismatchError(f"case {case_id} needs a {case.form} instance")
+    instance = _entered(case, instance)
     params = dict(params)
-    env_mode = params.pop("env_mode", "choi_rank")
-    if env_mode not in ENV_DIM_MODES:
-        raise PreconditionError(f"unknown env_dim_mode {env_mode!r}, expected one of {ENV_DIM_MODES}")
+    env_mode = _env_mode(params.pop("env_mode", "choi_rank"))
     expected = set(make_grid(case.axes, 1, AuditConfig))  # the columns the case's axes set, on the default grids
     missing, unexpected = sorted(expected - params.keys()), sorted(params.keys() - expected)
     if missing or unexpected:
@@ -519,8 +531,7 @@ class AuditConfig:
         object.__setattr__(self, "dims", dims)
         if not (real(self.tolerance) and self.tolerance > 0 and math.isfinite(self.tolerance)):  # inf hides violations
             raise PreconditionError(f"tolerance must be a finite positive real number, got {self.tolerance!r}")
-        if self.env_dim_mode not in ENV_DIM_MODES:
-            raise PreconditionError(f"unknown env_dim_mode {self.env_dim_mode!r}, expected one of {ENV_DIM_MODES}")
+        _env_mode(self.env_dim_mode)
         grids = [f.name for f in fields(self) if f.name.endswith("_grid")]
         empty = [name for name in grids if len(getattr(self, name)) == 0]
         if empty:
@@ -619,7 +630,7 @@ def _describe(exc: Exception) -> str:
 def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict) -> list:
     """(indices, margins, in-bound mask, statistics) arrays of the members kept, one per batch evaluated.
 
-    members, (index, instance) pairs of one form, are one batch on the case's grid
+    members, (index, Drawn instance) pairs, are one batch on the case's grid
     at their largest rank bound (grids holds one per bound).  On a domain error each
     member is evaluated again alone, so only the ones that raise go to failed, as do
     those with an in-bound margin that is not finite: none of them is kept.
@@ -683,7 +694,7 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
             if stop == trials:
                 specs += [(trials + i, pair, cid + ":sat", i) for i, pair in enumerate(dims)]
             seeds = _seeds([_trial_seed(base, tag, i) for _, _, tag, i in specs])
-            groups = {}
+            members = []
             for (index, pair, _, _), seed in zip(specs, seeds):
                 make = case.make_instance if index < trials else case.saturator
                 try:
@@ -691,16 +702,15 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
                 except _INSTANCE_ERRORS as exc:
                     failed[index] = _describe(exc)
                     continue
-                groups.setdefault(form(inst)[0], []).append((index, inst))
-            for members in groups.values():
-                for indices, margins, mask, stat in _evaluate(case, members, config, grids, failed):
-                    n = int(np.searchsorted(indices, trials))  # rows are in index order, the saturators last
-                    trial, saturator = margins[:n][mask[:n]], margins[n:][mask[n:]]
-                    worst = min(worst, float(trial.min(initial=math.inf)))
-                    violations += int(np.count_nonzero(trial < -config.tolerance))
-                    residual = max(residual, float(np.abs(saturator).max(initial=0.0)))
-                    if stat is not None:
-                        stats.append(stat[:n])
+                members.append((index, _entered(case, inst)))  # a maker's mistake, so outside the guard
+            for indices, margins, mask, stat in _evaluate(case, members, config, grids, failed) if members else ():
+                n = int(np.searchsorted(indices, trials))  # rows are in index order, the saturators last
+                trial, saturator = margins[:n][mask[:n]], margins[n:][mask[n:]]
+                worst = min(worst, float(trial.min(initial=math.inf)))
+                violations += int(np.count_nonzero(trial < -config.tolerance))
+                residual = max(residual, float(np.abs(saturator).max(initial=0.0)))
+                if stat is not None:
+                    stats.append(stat[:n])
         # a residual over only some saturator instances must not read as clean
         saturation = residual if max(failed, default=-1) < trials else None
         record = {

@@ -77,9 +77,3 @@ def twirl_oracle_b(w: BipartiteOperator) -> np.ndarray:
         acc = (us @ acc @ us.conj().swapaxes(1, 2)).sum(axis=0)
     return acc / n
 
-
-def swap_factors(w: BipartiteOperator) -> BipartiteOperator:
-    """Exchange the two factors by index permutation."""
-    m, n = w.dim_a, w.dim_b
-    t = w.matrix.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
-    return BipartiteOperator(t, n, m)

@@ -3,19 +3,19 @@
 Every functional the registry cases compare is unitarily invariant, so an
 evaluator reads only spectra: singular values for norms, eigenvalues for
 anti-norms and entropies, of W and Tr_B W or of Q and Phi(Q) (a channel case
-and its bipartite case share one evaluator), plus a channel's Choi rank.  form
-names an instance's kind (bipartite operator, channel pair or plain matrix) and
-shape.  Spectra holds one window of instances of one form and any shapes: drawn
-instances are finished, the matrices of each size are stacked and decomposed in
-one call, the sizes' spectra join in one zero-padded stack per matrix, one
-table per (matrix, exponent) serves the window (a cumulative power sum over the
-sorted spectra serves every k; entropies read tr rho^alpha and the von Neumann
-value), and one evaluator call returns the (instances, grid points) margins,
-each normalized by max(1, |lhs|, |rhs|).  Each instance has its own traced-out
-dimension and rank bound, and a grid point whose k exceeds an instance's bound
-is out of bound for it (Spectra.in_bound): never folded.  Each case declares
-its grid as products of named axes (see _axis), and make_grid builds it from an
-audit configuration.
+and its bipartite case share one evaluator), plus a channel's Choi rank.  drawn
+makes every audit instance a Drawn, of a form (bipartite operator, channel pair
+or plain matrix) and a shape.  Spectra holds one window of Drawn instances of
+one form and any shapes: they are finished, the matrices of each size are
+stacked and decomposed in one call, the sizes' spectra join in one zero-padded
+stack per matrix, one table per (matrix, exponent) serves the window (a
+cumulative power sum over the sorted spectra serves every k; entropies read
+tr rho^alpha and the von Neumann value), and one evaluator call returns the
+(instances, grid points) margins, each normalized by max(1, |lhs|, |rhs|).
+Each instance has its own traced-out dimension and rank bound, and a grid
+point whose k exceeds an instance's bound is out of bound for it
+(Spectra.in_bound): never folded.  Each case declares its grid as products of
+named axes (see _axis), and make_grid builds it from an audit configuration.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from .entropy import (
     unified_entropy_from,
     von_neumann_of,
 )
-from .errors import DomainError, KindMismatchError, PreconditionError, RankRangeError
+from .errors import DomainError, KindMismatchError, PreconditionError
 from .linalg import as_matrix, require_square, stacked
 from .norms import gauge_table
 
@@ -88,9 +88,9 @@ class Drawn(NamedTuple):
     """An audit instance as drawn: its kind's generator output, to be finished in a stack.
 
     A finish maps a sub-stack, the rows of one finish and sizes with their draws
-    stacked field by field, to its stacked matrices; sizes[:2] is the shape form
-    gives.  A channel's sizes are (dim_in, dim_out, dim_env) and its finish is a (V's, Q's)
-    pair (see part), so channels of every d share Q's; V's finish None is Tr_B's identity.
+    stacked field by field, to its stacked matrices; sizes[:2] is the shape.  A
+    channel's sizes are (dim_in, dim_out, dim_env) and its finish is a (V's, Q's)
+    pair (see part), so channels of every d share Q's.
     """
 
     form: str
@@ -107,7 +107,7 @@ class Drawn(NamedTuple):
 
     def alone(self):
         """The finished instance: a BipartiteOperator, a (StinespringChannel, Q) pair or a matrix."""
-        one = lambda name: _finished([self], name, None)[0]  # noqa: E731
+        one = lambda name: _finished([self], name)[0]  # noqa: E731
         if self.form == "channel":
             return StinespringChannel(one("v"), *self.sizes), one("q")
         return BipartiteOperator(one("w"), *self.sizes) if self.form == "bipartite" else one("q")
@@ -119,42 +119,39 @@ class Drawn(NamedTuple):
         return getattr(self.alone(), name)
 
 
-def form(inst) -> tuple:
-    """(form, shape) of an audit instance; instances of one form stack into one window.
+def _given(x: tuple, *sizes) -> np.ndarray:  # the finish of a finished instance's matrix, its one draw
+    return x[0]
 
-    The forms are "bipartite", a BipartiteOperator (shape (m, n)); "channel", a
-    (StinespringChannel, input matrix) pair (shape (dim_in, dim_out)); and
-    "matrix", a plain ndarray (its shape).  A Drawn instance has the form and
-    shape of its finished one.  Anything else raises KindMismatchError.
+
+def drawn(inst) -> Drawn:
+    """An audit instance as a Drawn, the one place that tells instance forms apart: a Drawn is itself.
+
+    A BipartiteOperator ("bipartite", shape (dim_a, dim_b)), a (StinespringChannel, Q)
+    pair ("channel", shape (dim_in, dim_out)) or an ndarray ("matrix", its shape) is
+    wrapped with finishes that return its matrices; anything else raises KindMismatchError.
     """
     if isinstance(inst, Drawn):
-        return inst.form, inst.sizes[:2]
+        return inst
     if isinstance(inst, BipartiteOperator):
-        return "bipartite", (inst.dim_a, inst.dim_b)
+        return Drawn("bipartite", _given, (inst.dim_a, inst.dim_b), (inst.matrix,))
     if isinstance(inst, tuple) and len(inst) == 2 and isinstance(inst[0], StinespringChannel):
-        return "channel", (inst[0].dim_in, inst[0].dim_out)
+        ch, q = inst
+        return Drawn("channel", (_given, _given), (ch.dim_in, ch.dim_out, ch.dim_env), (ch.v, as_matrix(q)))
     if isinstance(inst, np.ndarray):
-        return "matrix", inst.shape
+        return Drawn("matrix", _given, inst.shape, (as_matrix(inst),))
     raise KindMismatchError(f"not an audit instance: {type(inst).__name__}")
 
 
-def _finished(xs: list, name: str, matrix: Callable) -> np.ndarray:
-    """The stacked matrix name of one shape's instances: matrix(x) of a finished x, row by row.
+def _finished(xs: list, name: str) -> np.ndarray:
+    """The stacked matrix name of one shape's instances, the rows of one finish and sizes (Drawn.part) in one call.
 
-    The Drawn rows of one finish and sizes (Drawn.part) are finished in one call;
-    a channel's Q takes only the shape, so one call serves its rows of every d.
+    A channel's Q takes only the shape, so one call serves its rows of every d.
     """
-    groups, parts = {}, [x.part(name) if isinstance(x, Drawn) else None for x in xs]
+    groups, parts = {}, [x.part(name) for x in xs]
     for i, part in enumerate(parts):
-        groups.setdefault(None if part is None else part[:2], []).append(i)
-    subs = []
-    for key, rows in groups.items():
-        if key is None:
-            subs.append((rows, np.array([as_matrix(matrix(xs[i])) for i in rows])))
-        elif key[0] is None:  # the identity dilation
-            subs.append((rows, np.repeat(np.eye(key[1][0], dtype=complex)[None], len(rows), axis=0)))
-        else:
-            subs.append((rows, key[0](tuple(map(np.array, zip(*(parts[i][2] for i in rows)))), *key[1])))
+        groups.setdefault(part[:2], []).append(i)
+    subs = [(rows, finish(tuple(map(np.array, zip(*(parts[i][2] for i in rows)))), *sizes))
+            for (finish, sizes), rows in groups.items()]
     stack = subs[0][1] if len(subs) == 1 else np.empty((len(xs),) + subs[0][1].shape[1:], complex)
     for rows, sub in subs[len(subs) == 1:]:
         stack[rows] = sub
@@ -170,7 +167,7 @@ def _by_size(stacks: list) -> list:
 
 
 class Spectra:
-    """Lazily computed, validated spectra of a window of same-form instances of any shapes.
+    """Lazily computed, validated spectra of a window of Drawn instances (drawn) of one form and any shapes.
 
     Each shape's rows are finished (_finished) and stacked per matrix (W and Tr_B W, Q and
     Phi(Q), or Q); the stacks of one size are joined and decomposed at most once per
@@ -187,40 +184,38 @@ class Spectra:
 
     def __init__(self, insts: list, env_mode: str = "choi_rank"):
         self.size, self._memo = len(insts), {}
-        kind, shapes = form(insts[0])[0], {}
+        kind, shapes = insts[0].form, {}
         for i, x in enumerate(insts):
-            shapes.setdefault(form(x)[1], []).append(i)
+            shapes.setdefault(x.sizes[:2], []).append(i)
         self.shapes, self.rows = list(shapes), [np.array(rows) for rows in shapes.values()]
         # the matrices a bound compares: W and Tr_B W, or Q and Phi(Q), the joint one by way of V Q V^dag
         self.joint, self.reduced = ("q", "out") if kind == "channel" else ("w", "qa")
-        # each shape's stacked matrices by name and rank bound, the dilations finished from draws, the Choi Grams
-        self.parts, bounds, drawn, grams, self.n = [], [], [], [], np.empty(self.size, int)
+        # each shape's stacked matrices by name and rank bound, the dilations, the Choi Grams
+        self.parts, bounds, dilations, grams, self.n = [], [], [], [], np.empty(self.size, int)
         for (shape, rows), at in zip(shapes.items(), self.rows):
             xs = [insts[i] for i in rows]
             if kind == "bipartite":
-                w = _finished(xs, "w", lambda x: x.matrix)
+                w = _finished(xs, "w")
                 self.parts.append({"w": w, "qa": trace_out_b(w, *shape)})
                 self.n[at] = shape[1]
             elif kind == "channel":
-                b, q, envs = shape[1], _finished(xs, "q", lambda x: x[1]), {}
+                b, q, envs = shape[1], _finished(xs, "q"), {}
                 out = np.empty((len(xs), b, b), complex)
                 for j, x in enumerate(xs):
-                    envs.setdefault(x.sizes[2] if isinstance(x, Drawn) else x[0].dim_env, []).append(j)
+                    envs.setdefault(x.sizes[2], []).append(j)
                 for d, js in envs.items():
-                    group = [xs[j] for j in js]
-                    v = _finished(group, "v", lambda x: x[0].v)
+                    v = _finished([xs[j] for j in js], "v")
                     # each channel's d: its dilation's dim_env or, under "choi_rank", its Choi rank (below)
                     out[js], self.n[at[js]] = channel_outputs(v, q[js], b, d), d
-                    if any(isinstance(x, Drawn) and x.finish[0] is not None for x in group):
-                        drawn.append(v)  # a StinespringChannel checked its own
+                    dilations.append(v)
                     if env_mode == "choi_rank":
                         grams.append((choi_gram(v, b, d), at[js]))
                 self.parts.append({"q": q, "out": out})
             else:
-                self.parts.append({"q": _finished(xs, "q", lambda x: x)})
+                self.parts.append({"q": _finished(xs, "q")})
                 self.n[at] = 1
             bounds.append(shape[kind == "channel"])
-        require_isometry(*drawn)  # before any Choi rank, so a dilation that is no isometry fails as such
+        require_isometry(*dilations)  # before any Choi rank, so a dilation that is no isometry fails as such
         for ids in _by_size([gram for gram, _ in grams]):
             self.n[stacked([grams[i][1] for i in ids])] = gram_ranks(stacked([grams[i][0] for i in ids]))
         self.bound = self.joined(bounds, int)

@@ -35,6 +35,9 @@ def test_kyfan_antinorm_sums_smallest(m):
     w = np.sort(np.linalg.eigvalsh(a))
     for k in range(1, m + 1):
         assert kyfan_antinorm(a, k) == pytest.approx(float(w[:k].sum()), rel=1e-12)
+    for k in (0, m + 1):
+        with pytest.raises(RankRangeError):
+            kyfan_antinorm(a, k)
 
 
 def test_complement_identity_with_kyfan_norm():

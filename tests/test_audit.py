@@ -2,8 +2,11 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
+import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from normtrace.errors import (
     KindMismatchError,
     PreconditionError,
     RankRangeError,
+    ShapeMismatchError,
 )
 from normtrace.margins import Drawn
 
@@ -147,15 +151,20 @@ def test_ginibre_reads_the_real_draws_then_the_imaginary_draws():
             assert got.tobytes() == expected.tobytes()
 
 
+def _form(inst) -> tuple:
+    x = margins.drawn(inst)
+    return x.form, x.sizes[:2]
+
+
 def test_instance_kinds_have_their_declared_form():
     for name, kind in audit.KINDS.items():
         inst = audit._build(kind, (2, 3), 3)
-        assert margins.form(inst)[0] == kind.form, name
-        assert margins.form(inst.alone()) == margins.form(inst), name
+        assert margins.drawn(inst) is inst and inst.form == kind.form, name
+        assert _form(inst.alone()) == _form(inst), name
     for cid, case in REGISTRY.items():
         dims = (3, 2) if case.form == "channel" else (2, 2)
         made = (case.make_instance(dims, 5), case.saturator(dims, 5))
-        assert [margins.form(inst)[0] for inst in made] == [case.form] * 2, cid
+        assert [inst.form for inst in made] == [case.form] * 2, cid
 
 
 def test_drawn_instances_read_as_their_finished_ones():
@@ -258,6 +267,7 @@ def test_run_audit_edge_shapes():
     ("STCTPP", {"p": 0.0}, ExponentRangeError),
     ("ET41", {"alpha": 0.0, "s": 1.0}, ExponentRangeError),
     ("ET42", {"alpha": -1.0}, ExponentRangeError),
+    ("TFSN", {"variant": "nuclear"}, PreconditionError),  # not one of TFSN's three norms
 ])
 def test_evaluate_case_out_of_range_params_raise_typed_errors(cid, params, error):
     case = REGISTRY[cid]
@@ -343,7 +353,7 @@ def test_evaluate_case_rejects_wrong_instance_type():
         "channel": ("STCT1", {"k": 1, "p": 2.0}),
     }
     for kind, (inst, shape) in instances.items():
-        assert margins.form(inst) == (kind, shape)
+        assert _form(inst) == (kind, shape)
         assert REGISTRY[cases[kind][0]].form == kind
         for other, (cid, params) in cases.items():
             if other == kind:
@@ -354,7 +364,7 @@ def test_evaluate_case_rejects_wrong_instance_type():
     # neither a bare channel nor a list (nor a pair that is not a channel's) is an instance
     for junk in (ptrace, np.eye(4).tolist(), (np.eye(4), np.eye(4))):
         with pytest.raises(KindMismatchError):
-            margins.form(junk)
+            margins.drawn(junk)
         for cid, params in cases.values():
             with pytest.raises(KindMismatchError):
                 evaluate_case(cid, junk, params)
@@ -746,7 +756,7 @@ GRID_SIZES = {
 
 
 def _rank_bound(inst) -> int:
-    kind, shape = margins.form(inst)
+    kind, shape = _form(inst)
     return shape[1] if kind == "channel" else shape[0]
 
 
@@ -811,11 +821,11 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
 
     class Batch(audit.Spectra):
         def __init__(self, insts, *args):
-            channel = margins.form(insts[0])[0] == "channel"
+            channel = insts[0].form == "channel"
             state["batch"] = {
                 "size": len(insts), "channel": channel, "calls": 0, "qr_calls": 0, "choi_calls": 0,
                 "matrices": sum(sampled.pop(id(inst), 0) for inst in insts), "choi_rows": 0,
-                "evaluations": 0, "points": 0, "shapes": len({margins.form(x) for x in insts}),
+                "evaluations": 0, "points": 0, "shapes": len({_form(x) for x in insts}),
                 # the (shape, d) of the channel trials, and of every channel
                 "drawn_envs": {x.sizes for x in insts if x.finish in QR_FINISHES} if channel else set(),
                 "envs": {x.sizes for x in insts} if channel else set(),
@@ -837,7 +847,7 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
             sampled[id(inst)] = state["sampling"]
             state["sampling"] = None
             points.append(GRID_SIZES[cid](_rank_bound(inst), cfg))
-            shapes.add((cid, margins.form(inst)))
+            shapes.add((cid, _form(inst)))
             return inst
 
         return opened
@@ -892,8 +902,8 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
         assert b["qr_calls"] == len(b["drawn_envs"]), b
         assert b["choi_calls"] == len({_gram_size(sizes) for sizes in b["envs"]}), b
         assert b["choi_rows"] == (b["size"] if b["channel"] else 0), b
-        # the isometry check reads every QR dilation, and no identity of a Tr_B saturator
-        assert b["checked"] == b["qr_rows"], b
+        # the isometry check reads every dilation, the identities of the Tr_B saturators too
+        assert b["checked"] == (b["size"] if b["channel"] else 0), b
         channel_trials += b["channel"] and b["matrices"] == bound
     assert channel_trials > 0  # the bound is reached, so it counts every decomposition
     assert shared > 0  # some matrix has fewer sizes than its window has shapes
@@ -1020,7 +1030,7 @@ def _assert_windows_match_evaluate_case(monkeypatch, cfg):
         (window,) = recorded = [b for b in batches[cid] if b[2] is not None]
         sp, grid, rows, _, mask = window
         assert rows == list(range(cfg.trials_per_case + len(cfg.dims)))
-        assert {margins.form(inst)[1] for inst in made[cid]} == set(sp.shapes)
+        assert {_form(inst)[1] for inst in made[cid]} == set(sp.shapes)
         assert any(map(all, mask))  # the grid is made at the window's largest rank bound
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
         if REGISTRY[cid].form == "channel":
@@ -1095,6 +1105,66 @@ def test_run_audit_failed_trial_feeds_no_margin(monkeypatch):
 
 def _replace_case(monkeypatch, cid, **fields):
     monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(REGISTRY[cid], **fields))
+
+
+def test_drawn_wraps_each_finished_form_with_finishes_that_return_its_matrices():
+    ptrace = channels.partial_trace_channel(2, 3)
+    w, q = BipartiteOperator(np.arange(36.0).reshape(6, 6), 2, 3), np.eye(6)
+    for inst, form, sizes, matrices in (
+        (w, "bipartite", (2, 3), {"w": w.matrix}),
+        ((ptrace, q), "channel", (6, 2, 3), {"v": ptrace.v, "q": q}),
+        (q[:4, :4], "matrix", (4, 4), {"q": q[:4, :4]}),
+    ):
+        x = margins.drawn(inst)
+        assert (x.form, x.sizes) == (form, sizes)
+        for name, matrix in matrices.items():
+            finished = margins._finished([x, x], name)
+            assert finished.dtype == complex and (finished == matrix).all()
+        assert margins.drawn(x) is x  # a Drawn enters as it is
+    with pytest.raises(ShapeMismatchError):  # a 1-d array is no matrix
+        margins.drawn(np.ones(4))
+
+
+@pytest.mark.parametrize("maker", ["make_instance", "saturator"])
+def test_run_audit_raises_on_a_maker_of_the_wrong_form(monkeypatch, maker):
+    # a maker that returns the wrong form, or no instance, is a bug in the
+    # maker and not a domain error of an instance: it raises out of the run
+    cfg = AuditConfig(trials_per_case=2, case_filter=("KPN1",))
+    _replace_case(monkeypatch, "KPN1", **{maker: lambda dims, seed: np.eye(dims[0], dtype=complex)})
+    with pytest.raises(KindMismatchError, match="case KPN1 needs a bipartite instance, not a matrix one"):
+        run_audit(cfg)
+    _replace_case(monkeypatch, "KPN1", **{maker: lambda dims, seed: np.eye(dims[0]).tolist()})
+    with pytest.raises(KindMismatchError, match="not an audit instance: list"):
+        run_audit(cfg)
+
+
+def _load_reference():
+    """perfbench/reference.py, the benchmark's independent formulas, loaded from its file as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("normtrace_benchmark_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("makers", ["drawn", "finished alone"])
+@pytest.mark.parametrize("env_mode", audit.ENV_DIM_MODES)
+def test_worst_margins_equal_the_independent_reference(monkeypatch, env_mode, makers):
+    # the benchmark's reference rebuilds these cases' margins from textbook
+    # formulas (sorted spectra, block partial traces, Kraus sums), with none
+    # of the library's code, and must agree within the benchmark's bound
+    reference = _load_reference()
+    cids = tuple(cid for cid in REGISTRY_IDS if cid in reference.RECOMPUTED)
+    assert {"KPN1", "KQN1", "ET41", "STCTP"} <= set(cids)
+    if makers == "finished alone":
+        alone = lambda make: lambda dims, seed: make(dims, seed).alone()  # noqa: E731
+        for cid in cids:
+            case = REGISTRY[cid]
+            _replace_case(monkeypatch, cid, make_instance=alone(case.make_instance), saturator=alone(case.saturator))
+    report = json.loads(run_audit(AuditConfig(trials_per_case=8, env_dim_mode=env_mode, case_filter=cids)).to_text())
+    for rec in report["cases"]:
+        worst = rec["worst_margin"]
+        assert abs(reference.worst_margin(rec["id"], report["config"]) - worst) <= 1e-13 + 1e-9 * abs(worst), rec["id"]
 
 
 def test_run_audit_counts_failed_saturators(monkeypatch):
@@ -1477,8 +1547,8 @@ def test_size_batched_windows_equal_per_shape_windows(env_mode):
         insts += [case.saturator(pair, audit._trial_seed(cfg.base_seed, cid + ":sat", i))
                   for i, pair in enumerate(cfg.dims)]
         if case.form == "channel":
-            insts += [_degenerate_channel(m, n, 10 * m + n) for m, n in ((1, 4), (2, 2), (2, 3))]
-            channel = [x.alone()[0] if isinstance(x, Drawn) else x[0] for x in insts]
+            insts += [margins.drawn(_degenerate_channel(m, n, 10 * m + n)) for m, n in ((1, 4), (2, 2), (2, 3))]
+            channel = [x.alone()[0] for x in insts]
             ranks = [channels.choi_rank(ch) if env_mode == "choi_rank" else ch.dim_env for ch in channel]
         sp = _Recorded(insts, env_mode)
         grid = margins.make_grid(case.axes, int(sp.bound.max()), cfg)

@@ -7,7 +7,6 @@ from normtrace.bipartite import (
     BipartiteOperator,
     partial_trace_a,
     partial_trace_b,
-    swap_factors,
     twirl_oracle_b,
 )
 from normtrace.errors import PreconditionError, ShapeMismatchError
@@ -111,14 +110,3 @@ def test_twirl_never_takes_a_block_trace(monkeypatch):
     monkeypatch.setattr(np, "einsum", unavailable)
     twirled = bipartite.twirl_oracle_b(w)
     assert np.abs(twirled - rebuilt).max() <= 1e-12 * float(np.abs(w.matrix).max())
-
-
-def test_swap_factors_exchanges_roles():
-    rng = np.random.default_rng(18)
-    w = BipartiteOperator(ginibre(rng, 6), 2, 3)
-    s = swap_factors(w)
-    assert (s.dim_a, s.dim_b) == (3, 2)
-    assert np.allclose(partial_trace_b(s), partial_trace_a(w))
-    assert np.allclose(partial_trace_a(s), partial_trace_b(w))
-    # swapping twice restores the original matrix
-    assert np.allclose(swap_factors(s).matrix, w.matrix)

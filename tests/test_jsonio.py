@@ -143,11 +143,19 @@ def test_matrix_text_shape():
         '{"rows": 1, "cols": 1, "data": [[true, 0]]}',
         "[1, 2, 3]",
         "not json",
+        '{"rows": 1, "cols": 0, "data": []}',
+        '{"rows": 1, "cols": true, "data": [[1, 0]]}',
     ],
 )
 def test_matrix_from_text_rejects_malformed(bad):
     with pytest.raises(MatrixFileError):
         jsonio.matrix_from_text(bad)
+
+
+@pytest.mark.parametrize("bad", [np.ones(3), np.zeros((0, 2)), np.zeros((1, 1, 1))])
+def test_matrix_to_text_rejects_non_matrices(bad):
+    with pytest.raises(MatrixFileError, match="2-d matrix"):
+        jsonio.matrix_to_text(bad)
 
 
 def test_matrix_to_text_rejects_non_finite():

@@ -11,6 +11,7 @@ from normtrace.errors import (
 )
 from normtrace.linalg import (
     as_integer,
+    as_matrices,
     as_matrix,
     hermitian_eigenvalues,
     is_hermitian,
@@ -37,6 +38,13 @@ def test_as_matrix_accepts_lists():
 def test_as_matrix_rejects_non_matrices(bad):
     with pytest.raises(ShapeMismatchError):
         as_matrix(bad)
+
+
+@pytest.mark.parametrize("bad", [3.0, [1, 2, 3], np.zeros((2, 2, 2, 2)), np.zeros((0, 2, 2))])
+def test_as_matrices_rejects_non_stacks(bad):
+    with pytest.raises(ShapeMismatchError):
+        as_matrices(bad)
+    assert as_matrices(np.zeros((3, 2, 2))).dtype == np.complex128
 
 
 def test_hermitian_checks():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from normtrace.errors import ExponentRangeError, RankRangeError
+from normtrace.errors import ExponentRangeError, RankRangeError, ShapeMismatchError
 from normtrace.norms import LARGE_P_THRESHOLD, gauge_kp, gauge_table, kp_norm, kyfan_norm, schatten_norm
 
 
@@ -140,6 +140,9 @@ def test_rank_and_exponent_validation():
         kp_norm(q, 2, np.nan)
     with pytest.raises(RankRangeError):
         gauge_kp([1.0, 2.0], 3, 1.0)
+    for x in ([[1.0, 2.0]], [], 3.0):  # not a nonempty 1-d sequence
+        with pytest.raises(ShapeMismatchError):
+            gauge_kp(x, 1, 1.0)
     for p in (0.0, 0.5, -np.inf, np.nan):
         with pytest.raises(ExponentRangeError):
             gauge_table(np.array([2.0, 1.0]), p)

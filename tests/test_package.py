@@ -1,7 +1,9 @@
 """The lazily loaded package namespace, and which modules each command loads."""
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,3 +119,31 @@ def test_ptrace_loads_no_audit_module(bipartite_file):
 
 def test_audit_loads_the_audit_modules():
     assert loaded_after("audit", "--trials", "1", "--case", "KPN1") == [list(AUDIT_STACK), 0]
+
+
+def _public_names_the_library_never_calls() -> set:
+    """The names of normtrace._SOURCE that no module of the package loads or imports."""
+    used = set()
+    for path in Path(normtrace.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":  # where the public names are declared
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in normtrace._SUBMODULES:  # such as jsonio.dumps
+                    used.add(node.attr)
+    return set(normtrace._SOURCE) - used
+
+
+def test_readme_lists_the_public_symbols_the_library_never_calls():
+    # README gives a reason for each public symbol whose only callers are
+    # tests, the benchmark or users: its list is that set, no more and no less
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("public symbols have no caller inside the library"):]
+    section = section[:section.index("\n## ")]
+    listed = re.findall(r"^- `(\w+)`", section, re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == _public_names_the_library_never_calls()
