@@ -11,7 +11,9 @@ The runner makes a case's trial instances TRIAL_WINDOW at a time, evaluates
 each window, saturators and every dims pair included, as one batch (one
 margins.Spectra, which decomposes each size of a matrix once, and one evaluator
 call), and folds its in-bound margins by numpy reductions.  evaluate_case, a
-batch of one on a one-point grid, agrees.
+batch of one on a one-point grid, agrees.  A channel case's saturators are its
+bipartite twin's products R (x) I: the Tr_B channel's output on them, with the
+identity as dilation, is the twin's Tr_B W, so no identity is built.
 
 Each case names a trial kind and a saturator kind of the KINDS table.  A kind
 is a draw, which makes its generator calls and nothing else, and a finish,
@@ -21,12 +23,14 @@ sub-stack of a window in one call, and sample finishes a stack of one.  Draws
 come from numpy's PCG64 generator and are bit-reproducible per (kind, dims,
 seed); the audit derives per-trial seeds by hashing (base_seed, case id, trial
 index), so reports are deterministic in the configuration alone.  run_audit
-hashes a window's seeds in one vectorized pass of numpy's SeedSequence and
+derives a run's seeds as one stream in run order, hashes them TRIAL_WINDOW at a
+time, across case boundaries, in vectorized passes of numpy's SeedSequence, and
 hands them to the makers as TrialSeeds, ints that carry their generator state.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import partial
@@ -151,12 +155,6 @@ def _channel(finish) -> Kind:
     return Kind("channel", draw, (lambda x, m, n, d: _haar(x[0]), lambda x, m, n: finish(x[0])))
 
 
-def _traced(product: Kind) -> Kind:  # (Tr_B, W): Tr_B from m*n to m, its dilation I, W of a product
-    return Kind("channel", lambda rng, m, n: ((m * n, m, n), ((),) + product.draw(rng, m, n)[1]),
-                (lambda x, mn, m, n: np.repeat(np.eye(mn, dtype=complex)[None], len(x[0]), axis=0),
-                 lambda x, mn, m: product.finish(x, m, mn // m)))
-
-
 # Instance kinds, whose forms are those of margins.drawn.  A registry case
 # draws its trials from one kind and its saturators, instances known to attain
 # equality in its bound, from another.
@@ -170,7 +168,8 @@ KINDS = {
     "channel_ginibre": _channel(_ginibre),
     "channel_psd": _channel(_psd),
     "channel_density": _channel(_density),
-    # saturators: products R (x) I, scalars, and Tr_B as a channel on a product
+    # saturators: products R (x) I (which a channel case reads through Tr_B, the channel of the identity
+    # dilation) and scalars
     "product_psd": _product(_psd),
     "product_pd": _product(_pd),
     "product_density": _product(_density, share=True),
@@ -188,8 +187,6 @@ KINDS = {
         "bipartite", lambda rng, m, n: ((m, n), (2.0,)),
         lambda x, m, n: x[0][:, None, None] * np.eye(m * n, dtype=complex),
     ),
-    "ptrace_psd": _traced(_product(_psd)),
-    "ptrace_density": _traced(_product(_density, share=True)),
 }
 
 
@@ -327,6 +324,17 @@ def _seeds(values: list) -> list:
     return [TrialSeed(value, state) for value, state in zip(values, _seed_states(values))]
 
 
+def _seed_stream(base_seed: int, ids: list, trials: int, pairs: int):
+    """A run's TrialSeeds in run order: each case's trial seeds, then its saturator seeds, one per dims pair.
+
+    They are hashed TRIAL_WINDOW at a time across case boundaries, so windows of
+    one or two instances share a pass, and at most TRIAL_WINDOW wait to be handed out.
+    """
+    tags = ((tag, i) for cid in ids for tag, count in ((cid, trials), (cid + ":sat", pairs)) for i in range(count))
+    chunks = iter(lambda: [_trial_seed(base_seed, tag, i) for tag, i in itertools.islice(tags, TRIAL_WINDOW)], [])
+    return itertools.chain.from_iterable(map(_seeds, chunks))  # a chunk is hashed when the one before runs out
+
+
 # ---------------------------------------------------------------------------
 # registry
 
@@ -336,11 +344,12 @@ class InequalityCase:
     id: str
     description: str
     paper_eq: str
-    form: str  # its instances' form, as margins.drawn names it
+    form: str  # its trial instances' form, as margins.drawn names it
     make_instance: Callable  # (dims, seed) -> a trial instance, drawn only (margins.Drawn); seed an int, or a TrialSeed
     axes: tuple  # products of grid axes, each a string of axis names (see _axis), taken in turn
     evaluate: Callable
     saturator: Callable  # (dims, seed) -> an instance attaining equality, drawn only
+    saturator_form: str  # a channel case's saturators are bipartite products
 
 
 def _case(cid: str, description: str, paper_eq: str, kinds: tuple, axes: tuple, evaluate) -> InequalityCase:
@@ -348,7 +357,7 @@ def _case(cid: str, description: str, paper_eq: str, kinds: tuple, axes: tuple, 
     trial, saturator = kinds
     return InequalityCase(
         cid, description, paper_eq, KINDS[trial].form, partial(_build, KINDS[trial]),
-        axes, evaluate, partial(_build, KINDS[saturator]),
+        axes, evaluate, partial(_build, KINDS[saturator]), KINDS[saturator].form,
     )
 
 
@@ -411,22 +420,22 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "STCT1", "channel output (k, p) norm against the padded input norm",
         "||Phi(Q)||_(k)^(p) <= d^((p-1)/p) ||Q||_(kd)^(p)",
-        ("channel_ginibre", "ptrace_psd"), ("k norm_p",), eval_kpn1,
+        ("channel_ginibre", "product_psd"), ("k norm_p",), eval_kpn1,
     ),
     _case(
         "STCTP", "channel output Schatten norm against the input Schatten norm",
         "||Phi(Q)||_p <= d^((p-1)/p) ||Q||_p",
-        ("channel_ginibre", "ptrace_psd"), ("norm_p",), eval_spn1,
+        ("channel_ginibre", "product_psd"), ("norm_p",), eval_spn1,
     ),
     _case(
         "STCT2", "channel output (k, p) anti-norm against the padded input anti-norm",
         "||Phi(Q)||_{k}^(p) >= d^((p-1)/p) ||Q||_{kd}^(p), spectrum padded to n*d",
-        ("channel_psd", "ptrace_psd"), ("k antinorm_p",), eval_kqn1,
+        ("channel_psd", "product_psd"), ("k antinorm_p",), eval_kqn1,
     ),
     _case(
         "STCTPP", "channel output Schatten anti-norm against the input Schatten anti-norm",
         "||Phi(Q)||_p >= d^((p-1)/p) ||Q||_p, 0 < p <= 1",
-        ("channel_psd", "ptrace_psd"), ("antinorm_p",), eval_kqn2,
+        ("channel_psd", "product_psd"), ("antinorm_p",), eval_kqn2,
     ),
     _case(
         "ET41", "unified entropy of the joint state against the reduced state",
@@ -446,7 +455,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "STCTEP", "input entropy against the channel output entropy",
         "E_as(rho) <= d^((1-a)s) E_as(Phi(rho)) + (1/s) ln_a(d^s)",
-        ("channel_density", "ptrace_density"), ("alpha s",), eval_et41,
+        ("channel_density", "product_density"), ("alpha s",), eval_et41,
     ),
     _case(
         "SAT-WRQA", "equality of the norm and anti-norm partial trace bounds on c * R (x) I",
@@ -458,11 +467,11 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
 REGISTRY_IDS = tuple(REGISTRY)
 
 
-def _entered(case: InequalityCase, inst) -> Drawn:
-    """inst as a Drawn (margins.drawn), which must be of the case's form."""
+def _entered(cid: str, form: str, inst) -> Drawn:
+    """inst, an instance of case cid, as a Drawn (margins.drawn), which must be of form."""
     inst = drawn(inst)
-    if inst.form != case.form:
-        raise KindMismatchError(f"case {case.id} needs a {case.form} instance, not a {inst.form} one")
+    if inst.form != form:
+        raise KindMismatchError(f"case {cid} needs a {form} instance, not a {inst.form} one")
     return inst
 
 
@@ -483,7 +492,7 @@ def evaluate_case(case_id: str, instance, params) -> float:
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
-    instance = _entered(case, instance)
+    instance = _entered(case_id, case.form, instance)
     params = dict(params)
     env_mode = _env_mode(params.pop("env_mode", "choi_rank"))
     expected = set(make_grid(case.axes, 1, AuditConfig))  # the columns the case's axes set, on the default grids
@@ -519,8 +528,9 @@ class AuditConfig:
     s_grid: tuple = S_GRID
 
     def __post_init__(self):
-        # a bool would run as 0 or 1 and echo as false or true, and a str fails deep in a comparison
-        real = lambda x: isinstance(x, Real) and not isinstance(x, bool)  # noqa: E731
+        # a bool would run as 0 or 1 and echo as false or true, a str fails deep in a comparison,
+        # and NaN, the one real unequal to itself, fails every instance and then the report's serialization
+        real = lambda x: isinstance(x, Real) and not isinstance(x, bool) and x == x  # noqa: E731
         # every trial seed hashes the seed's text, so 42.0 or True would give another audit
         as_integer(self.base_seed, PreconditionError)
         if as_integer(self.trials_per_case, PreconditionError) < 1:
@@ -540,7 +550,7 @@ class AuditConfig:
             pair = name.endswith("pq_grid")  # its entries are (p, q) pairs
             for x in getattr(self, name):
                 if not (isinstance(x, (tuple, list)) and len(x) == 2 and all(map(real, x)) if pair else real(x)):
-                    raise PreconditionError(f"{name} takes {'pairs of ' * pair}real numbers, got {x!r}")
+                    raise PreconditionError(f"{name} takes {'pairs of ' * pair}real numbers other than NaN, got {x!r}")
         if self.case_filter is not None:
             if len(self.case_filter) == 0:  # a run of no case must not read as clean
                 raise PreconditionError("case_filter selects no case")
@@ -581,34 +591,33 @@ _WITNESSES = {
 }
 
 
-def _case_extras(cid: str, stats: np.ndarray):
-    if cid == "KPK2":
+def _case_extras(case: InequalityCase, stats: np.ndarray) -> dict:
+    if case.id == "KPK2":
         return {"dominance_strict_count": int(np.count_nonzero(stats))}
-    if cid == "KQK1":
+    if case.id == "KQK1":
         return {"equivalence_max_dev": float(np.max(stats, initial=0.0))}
-    if cid in _WITNESSES:
-        flat, tilted, pr = _WITNESSES[cid]
-        return {
-            "equality_margin": evaluate_case(cid, np.diag(flat).astype(complex), pr),
-            "strict_margin": evaluate_case(cid, np.diag(tilted).astype(complex), pr),
-        }
-    return None
+    if case.id in _WITNESSES:  # both witnesses in one batch, on the witnesses' one-point grid
+        *spectra, point = _WITNESSES[case.id]
+        sp = Spectra([drawn(np.diag(s).astype(complex)) for s in spectra])
+        equality, strict = case.evaluate(sp, Grid({name: (v,) for name, v in point.items()}, 1))[:, 0].tolist()
+        return {"equality_margin": equality, "strict_margin": strict}
+    return {}
 
 
 def _trial_stats(cid: str, sp: Spectra) -> Optional[np.ndarray]:
     """Each instance's share of the case's extra report field, None for a case without one."""
     if cid == "KPK2":
         n = sp.n
-        lhs = sp.norm("w", n[:, None], (1.0,))[:, 0]
-        rhs = n * sp.norm("w", None, (math.inf,))[:, 0]
+        lhs = sp.norm("joint", n[:, None], (1.0,))[:, 0]
+        rhs = n * sp.norm("joint", None, (math.inf,))[:, 0]
         return rhs - lhs > 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs)
     if cid == "KQK1":
         m, n, ks = sp.bound[:, None], sp.n[:, None], tuple(range(1, int(sp.bound.max())))
         inner, ones = np.array(ks, int) < m, (1.0,) * len(ks)  # each row's k: 1 to m - 1
-        anti = sp.kyfan_antinorm("qa", ks) - sp.kyfan_antinorm("w", ks, times_n=True)
+        anti = sp.kyfan_antinorm("reduced", ks) - sp.kyfan_antinorm("joint", ks, times_n=True)
         rest = np.where(inner, m - np.array(ks, int), 1)
-        norm = sp.norm("w", rest * n, ones) - sp.norm("qa", rest, ones)
-        traces = sp.joined([np.trace(part["w"], axis1=-2, axis2=-1).real for part in sp.parts])
+        norm = sp.norm("joint", rest * n, ones) - sp.norm("reduced", rest, ones)
+        traces = sp.joined([np.trace(part["joint"], axis1=-2, axis2=-1).real for part in sp.parts])
         deviation = np.abs(anti - norm) / np.maximum(1.0, np.abs(traces))[:, None]
         return np.fmax.reduce(np.where(inner, deviation, 0.0), axis=-1, initial=0.0)
     return None
@@ -664,22 +673,25 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
     """Evaluate every selected registry case on seeded instances.
 
     A case's trials are made in trial order, TRIAL_WINDOW at a time, and its
-    saturator instances, one per dims pair, join the last window.  Each window
-    is evaluated as one batch, and its in-bound margins (Spectra.in_bound) are
-    folded before the next window is made: worst_margin is the minimum of the
-    trial rows, violations counts their margins below -tolerance, and
-    saturation_residual is the maximum |margin| of the saturator rows.  A
+    saturator instances, one per dims pair, join the last window; their seeds
+    come from one stream for the run (_seed_stream).  Each window is evaluated
+    as one batch, and its in-bound margins (Spectra.in_bound) are folded before
+    the next window is made: worst_margin is the minimum of the trial rows,
+    violations counts their margins below -tolerance, and saturation_residual is
+    the maximum |margin| of the saturator rows.  Each tightness claim above
+    tolerance (saturation_residual, KQK1's equivalence_max_dev, |equality_margin|
+    of TPN2's and TPN62's witnesses) counts as one more violation.  A
     PreconditionError or LinAlgError on an instance never aborts the run: it
     counts in failures, the first message in trial order is kept, and the
     instance contributes no margin (a failed saturator also nulls
     saturation_residual).  Any other exception propagates.
     """
-    ids = config.case_filter if config.case_filter is not None else REGISTRY_IDS
-    base, trials, dims = config.base_seed, config.trials_per_case, config.dims
+    selected = config.case_filter if config.case_filter is not None else REGISTRY_IDS
+    ids = [cid for cid in REGISTRY_IDS if cid in selected]
+    trials, dims = config.trials_per_case, config.dims
+    seeds = _seed_stream(config.base_seed, ids, trials, len(dims))
     records = []
-    for cid in REGISTRY_IDS:
-        if cid not in ids:
-            continue
+    for cid in ids:
         case = REGISTRY[cid]
         failed = {}  # instance index -> message; saturators follow the trials
         grids = {}  # rank bound -> the case's grid
@@ -689,20 +701,20 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
         residual = 0.0
         for start in range(0, trials, TRIAL_WINDOW):
             stop = min(start + TRIAL_WINDOW, trials)
-            # (instance index, dims, seed tag, seed index): the trials, then the saturators
-            specs = [(t, dims[t % len(dims)], cid, t) for t in range(start, stop)]
+            # (instance index, dims): the trials, then the saturators
+            specs = [(t, dims[t % len(dims)]) for t in range(start, stop)]
             if stop == trials:
-                specs += [(trials + i, pair, cid + ":sat", i) for i, pair in enumerate(dims)]
-            seeds = _seeds([_trial_seed(base, tag, i) for _, _, tag, i in specs])
+                specs += [(trials + i, pair) for i, pair in enumerate(dims)]
             members = []
-            for (index, pair, _, _), seed in zip(specs, seeds):
-                make = case.make_instance if index < trials else case.saturator
+            for (index, pair), seed in zip(specs, seeds):  # specs run out first, so no seed is drawn past them
+                make, form = ((case.make_instance, case.form) if index < trials
+                              else (case.saturator, case.saturator_form))
                 try:
                     inst = make(pair, seed)
                 except _INSTANCE_ERRORS as exc:
                     failed[index] = _describe(exc)
                     continue
-                members.append((index, _entered(case, inst)))  # a maker's mistake, so outside the guard
+                members.append((index, _entered(cid, form, inst)))  # a maker's mistake, so outside the guard
             for indices, margins, mask, stat in _evaluate(case, members, config, grids, failed) if members else ():
                 n = int(np.searchsorted(indices, trials))  # rows are in index order, the saturators last
                 trial, saturator = margins[:n][mask[:n]], margins[n:][mask[n:]]
@@ -713,6 +725,10 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
                     stats.append(stat[:n])
         # a residual over only some saturator instances must not read as clean
         saturation = residual if max(failed, default=-1) < trials else None
+        extra = _case_extras(case, np.concatenate(stats))
+        # each tightness claim that does not hold within tolerance counts as a violation
+        claims = (saturation or 0.0, extra.get("equivalence_max_dev", 0.0), abs(extra.get("equality_margin", 0.0)))
+        violations += sum(not x <= config.tolerance for x in claims)
         record = {
             "id": cid,
             "paper_eq": case.paper_eq,
@@ -724,8 +740,7 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
         }
         if failed:
             record["first_failure"] = failed[min(failed)]
-        extra = _case_extras(cid, np.concatenate(stats))
-        if extra is not None:
+        if extra:
             record["extra"] = extra
         records.append(record)
     return AuditReport(version=__version__, config=_config_echo(config), cases=tuple(records))

@@ -2,20 +2,23 @@
 
 Every functional the registry cases compare is unitarily invariant, so an
 evaluator reads only spectra: singular values for norms, eigenvalues for
-anti-norms and entropies, of W and Tr_B W or of Q and Phi(Q) (a channel case
-and its bipartite case share one evaluator), plus a channel's Choi rank.  drawn
-makes every audit instance a Drawn, of a form (bipartite operator, channel pair
-or plain matrix) and a shape.  Spectra holds one window of Drawn instances of
-one form and any shapes: they are finished, the matrices of each size are
-stacked and decomposed in one call, the sizes' spectra join in one zero-padded
-stack per matrix, one table per (matrix, exponent) serves the window (a
-cumulative power sum over the sorted spectra serves every k; entropies read
-tr rho^alpha and the von Neumann value), and one evaluator call returns the
-(instances, grid points) margins, each normalized by max(1, |lhs|, |rhs|).
-Each instance has its own traced-out dimension and rank bound, and a grid
-point whose k exceeds an instance's bound is out of bound for it
-(Spectra.in_bound): never folded.  Each case declares its grid as products of
-named axes (see _axis), and make_grid builds it from an audit configuration.
+anti-norms and entropies, of two matrices every window names "joint" and
+"reduced" (W and Tr_B W, Q and Phi(Q), or a matrix R twice, its own Tr_B over
+a trivial factor), plus a channel's Choi rank; so a channel case and its
+bipartite case share one evaluator.  drawn makes every audit instance a Drawn,
+of a form (bipartite operator, channel pair or plain matrix) and a shape.
+Spectra holds one window of Drawn instances of any forms and shapes (a channel
+case's trials beside its bipartite saturators, say): they are finished per
+(form, shape), the matrices of each size are stacked and decomposed in one
+call, the sizes' spectra join in one zero-padded stack per matrix, one table
+per (matrix, exponent) serves the window (a cumulative power sum over the
+sorted spectra serves every k; entropies read tr rho^alpha and the von Neumann
+value), and one evaluator call returns the (instances, grid points) margins,
+each normalized by max(1, |lhs|, |rhs|).  Each instance has its own traced-out
+dimension and rank bound, and a grid point whose k exceeds an instance's bound
+is out of bound for it (Spectra.in_bound): never folded.  Each case declares
+its grid as products of named axes (see _axis), and make_grid builds it from
+an audit configuration.
 """
 from __future__ import annotations
 
@@ -99,7 +102,7 @@ class Drawn(NamedTuple):
     draws: tuple
 
     def part(self, name: str) -> tuple:
-        """(finish, sizes, draws) of a matrix: a channel's "v", of all its sizes, or "q", of its shape; else the one."""
+        """(finish, sizes, draws) of a matrix: a channel's "v", of all its sizes, or Q, of its shape; else the one."""
         if self.form != "channel":
             return self[1:]
         v, q = self.finish
@@ -109,8 +112,8 @@ class Drawn(NamedTuple):
         """The finished instance: a BipartiteOperator, a (StinespringChannel, Q) pair or a matrix."""
         one = lambda name: _finished([self], name)[0]  # noqa: E731
         if self.form == "channel":
-            return StinespringChannel(one("v"), *self.sizes), one("q")
-        return BipartiteOperator(one("w"), *self.sizes) if self.form == "bipartite" else one("q")
+            return StinespringChannel(one("v"), *self.sizes), one("joint")
+        return BipartiteOperator(one("joint"), *self.sizes) if self.form == "bipartite" else one("joint")
 
     def __getattr__(self, name: str):
         # any other attribute is the finished instance's, so code that reads a maker's W.matrix, say, gets it
@@ -167,59 +170,54 @@ def _by_size(stacks: list) -> list:
 
 
 class Spectra:
-    """Lazily computed, validated spectra of a window of Drawn instances (drawn) of one form and any shapes.
+    """Lazily computed, validated spectra of a window of Drawn instances (drawn) of any forms and shapes.
 
-    Each shape's rows are finished (_finished) and stacked per matrix (W and Tr_B W, Q and
-    Phi(Q), or Q); the stacks of one size are joined and decomposed at most once per
-    spectrum kind, in one call, with the matrix-level checks row by row.  A channel's V
-    and Phi(Q) take one call per shape and d, its isometry check one per input dimension
-    and its Choi rank one per Gram size.  Row i has its traced-out dimension n[i] (a
-    channel's d) and rank bound bound[i] (the size of Tr_B W, Phi(Q) or Q).  The sizes'
-    spectra join zero-padded, descending ones on the right and ascending ones on the left,
-    which keeps each cumulative sum bit for bit, so one table per (matrix, exponent) serves
-    the window; a pairwise sum depends on its row width alone, so other sums run per size
-    (sizewise), but a Ky Fan sum's length differs between shapes of a size (shapewise).  A
-    point past a row's bound is out of bound for it (in_bound) and never folded.
+    Each (form, shape) group's rows are finished (_finished) and stacked per matrix, "joint"
+    and "reduced" (W and Tr_B W, Q and Phi(Q), or R and R); the stacks of one size are
+    joined and decomposed at most once per spectrum kind, in one call, with the
+    matrix-level checks row by row.  A channel's V and Phi(Q) take one call per shape and
+    d, its isometry check one per input dimension and its Choi rank one per Gram size.
+    Row i has its traced-out dimension n[i] (n, a channel's d, or 1) and rank bound
+    bound[i], the size of its reduced matrix.  The sizes' spectra join zero-padded,
+    descending ones on the right and ascending ones on the left, which keeps each
+    cumulative sum bit for bit, so one table per (matrix, exponent) serves the window; a
+    pairwise sum depends on its row width alone, so other sums run per size (sizewise),
+    but a Ky Fan sum's length differs between shapes of a size (shapewise).  A point past
+    a row's bound is out of bound for it (in_bound) and never folded.
     """
 
     def __init__(self, insts: list, env_mode: str = "choi_rank"):
         self.size, self._memo = len(insts), {}
-        kind, shapes = insts[0].form, {}
+        groups = {}
         for i, x in enumerate(insts):
-            shapes.setdefault(x.sizes[:2], []).append(i)
-        self.shapes, self.rows = list(shapes), [np.array(rows) for rows in shapes.values()]
-        # the matrices a bound compares: W and Tr_B W, or Q and Phi(Q), the joint one by way of V Q V^dag
-        self.joint, self.reduced = ("q", "out") if kind == "channel" else ("w", "qa")
-        # each shape's stacked matrices by name and rank bound, the dilations, the Choi Grams
-        self.parts, bounds, dilations, grams, self.n = [], [], [], [], np.empty(self.size, int)
-        for (shape, rows), at in zip(shapes.items(), self.rows):
+            groups.setdefault((x.form, x.sizes[:2]), []).append(i)
+        self.shapes, self.rows = [shape for _, shape in groups], [np.array(rows) for rows in groups.values()]
+        # each group's stacked matrices by name, the dilations, the Choi Grams
+        self.parts, dilations, grams, self.n = [], [], [], np.empty(self.size, int)
+        for ((form, shape), rows), at in zip(groups.items(), self.rows):
             xs = [insts[i] for i in rows]
-            if kind == "bipartite":
-                w = _finished(xs, "w")
-                self.parts.append({"w": w, "qa": trace_out_b(w, *shape)})
-                self.n[at] = shape[1]
-            elif kind == "channel":
-                b, q, envs = shape[1], _finished(xs, "q"), {}
-                out = np.empty((len(xs), b, b), complex)
+            joint = _finished(xs, "joint")
+            if form == "bipartite":
+                reduced, self.n[at] = trace_out_b(joint, *shape), shape[1]
+            elif form == "channel":
+                reduced, envs = np.empty((len(xs), shape[1], shape[1]), complex), {}
                 for j, x in enumerate(xs):
                     envs.setdefault(x.sizes[2], []).append(j)
                 for d, js in envs.items():
                     v = _finished([xs[j] for j in js], "v")
                     # each channel's d: its dilation's dim_env or, under "choi_rank", its Choi rank (below)
-                    out[js], self.n[at[js]] = channel_outputs(v, q[js], b, d), d
+                    reduced[js], self.n[at[js]] = channel_outputs(v, joint[js], shape[1], d), d
                     dilations.append(v)
                     if env_mode == "choi_rank":
-                        grams.append((choi_gram(v, b, d), at[js]))
-                self.parts.append({"q": q, "out": out})
-            else:
-                self.parts.append({"q": _finished(xs, "q")})
-                self.n[at] = 1
-            bounds.append(shape[kind == "channel"])
+                        grams.append((choi_gram(v, shape[1], d), at[js]))
+            else:  # a matrix is its own Tr_B over a trivial factor
+                reduced, self.n[at] = joint, 1
+            self.parts.append({"joint": joint, "reduced": reduced})
         require_isometry(*dilations)  # before any Choi rank, so a dilation that is no isometry fails as such
         for ids in _by_size([gram for gram, _ in grams]):
             self.n[stacked([grams[i][1] for i in ids])] = gram_ranks(stacked([grams[i][0] for i in ids]))
-        self.bound = self.joined(bounds, int)
-        # each matrix's (rows, shape indices) per size: the rows of its shapes, in window order, one after another
+        self.bound = self.joined([part["reduced"].shape[-1] for part in self.parts], int)
+        # each matrix's (rows, group indices) per size: the rows of its groups, in window order, one after another
         self.sizes = {name: [(stacked([self.rows[i] for i in ids]), ids) for ids in _by_size(
             [part[name] for part in self.parts])] for name in self.parts[0]}
 
@@ -230,8 +228,8 @@ class Spectra:
         return value
 
     def joined(self, parts: list, dtype=float, rows=None) -> np.ndarray:
-        """One array, in window order, of per-shape values (or per-size ones at rows): one row per instance, or one for all."""
-        if len(self.rows) == 1 and np.ndim(parts[0]):  # one shape's rows are the window's, in order
+        """One array, in window order, of per-group values (or per-size ones at rows): one row per instance, or one for all."""
+        if len(self.rows) == 1 and np.ndim(parts[0]):  # one group's rows are the window's, in order
             return np.asarray(parts[0], dtype)
         out = np.empty((self.size,) + np.shape(parts[0])[1:], dtype)
         for at, x in zip(self.rows if rows is None else rows, parts):
@@ -329,13 +327,13 @@ class Spectra:
 def eval_kpn1(sp: Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
     # the (kn, p) norm of the spectrum zero-padded to length kn: a kd past Q's size reads the full gauge
-    joint, lhs = sp.norm(sp.joint, k * sp.n[:, None], p), sp.norm(sp.reduced, k, p)
+    joint, lhs = sp.norm("joint", k * sp.n[:, None], p), sp.norm("reduced", k, p)
     return _slack(lhs, g.factors(_dim_factor, sp.n, p) * joint)
 
 
 def eval_spn1(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    joint, lhs = sp.norm(sp.joint, None, p), sp.norm(sp.reduced, None, p)
+    joint, lhs = sp.norm("joint", None, p), sp.norm("reduced", None, p)
     return _slack(lhs, g.factors(_dim_factor, sp.n, p) * joint)
 
 
@@ -346,73 +344,73 @@ def eval_tfsn(sp: Spectra, g) -> np.ndarray:
     if unknown:
         raise PreconditionError(f"unknown variant {unknown[0]!r}")
     p, factor = zip(*(forms[v] for v in g["variant"]))
-    return _slack(sp.norm("qa", None, p), np.hstack(factor) * sp.norm("w", None, p))
+    return _slack(sp.norm("reduced", None, p), np.hstack(factor) * sp.norm("joint", None, p))
 
 
 def eval_kpk1(sp: Spectra, g) -> np.ndarray:
     k, ones = np.array(g["k"]), (1.0,) * g.size
-    return _slack(sp.norm("qa", k, ones), sp.norm("w", k * sp.n[:, None], ones))
+    return _slack(sp.norm("reduced", k, ones), sp.norm("joint", k * sp.n[:, None], ones))
 
 
 def eval_kpk2(sp: Spectra, g) -> np.ndarray:
-    return _slack(sp.norm("qa", None, (math.inf,) * g.size), sp.norm("w", sp.n[:, None], (1.0,) * g.size))
+    return _slack(sp.norm("reduced", None, (math.inf,) * g.size), sp.norm("joint", sp.n[:, None], (1.0,) * g.size))
 
 
 def eval_tpn2(sp: Spectra, g) -> np.ndarray:
     k, p, q = g["k"], g["p"], g["q"]
-    lhs, top = sp.norm("q", np.array(k), p), sp.norm("q", np.array(k), _products(p, q))
+    lhs, top = sp.norm("joint", np.array(k), p), sp.norm("joint", np.array(k), _products(p, q))
     return _slack(lhs, g.factors(_rank_factor, None, k, p, q) * top)
 
 
 def eval_cpn1(sp: Spectra, g) -> np.ndarray:
     k, p, q = g["k"], g["p"], g["q"]
-    lhs, joint = sp.norm("qa", np.array(k), p), sp.norm("w", np.array(k) * sp.n[:, None], _products(p, q))
+    lhs, joint = sp.norm("reduced", np.array(k), p), sp.norm("joint", np.array(k) * sp.n[:, None], _products(p, q))
     return _slack(lhs, g.factors(_chain_factor, sp.n, k, p, q) * joint)
 
 
 def eval_kqn1(sp: Spectra, g) -> np.ndarray:
     k, p = np.array(g["k"]), g["p"]
     # the spectrum zero-padded to the rank bound times n: W's own size, or Phi(Q)'s times d
-    joint = sp.antinorm(sp.joint, k * sp.n[:, None], p, ambient=sp.bound * sp.n)
-    return _slack(g.factors(_dim_factor, sp.n, p) * joint, sp.antinorm(sp.reduced, k, p))
+    joint = sp.antinorm("joint", k * sp.n[:, None], p, ambient=sp.bound * sp.n)
+    return _slack(g.factors(_dim_factor, sp.n, p) * joint, sp.antinorm("reduced", k, p))
 
 
 def eval_kqn2(sp: Spectra, g) -> np.ndarray:
     p = g["p"]
-    joint, rhs = sp.schatten_antinorm(sp.joint, p), sp.schatten_antinorm(sp.reduced, p)
+    joint, rhs = sp.schatten_antinorm("joint", p), sp.schatten_antinorm("reduced", p)
     return _slack(g.factors(_dim_factor, sp.n, p) * joint, rhs)
 
 
 def eval_kqk1(sp: Spectra, g) -> np.ndarray:
-    joint = sp.kyfan_antinorm("w", g["k"], times_n=True)
-    return _slack(joint, sp.kyfan_antinorm("qa", g["k"]))
+    joint = sp.kyfan_antinorm("joint", g["k"], times_n=True)
+    return _slack(joint, sp.kyfan_antinorm("reduced", g["k"]))
 
 
 def eval_tpn62(sp: Spectra, g) -> np.ndarray:
     k, p, q = g["k"], g["p"], g["q"]
-    top, rhs = sp.antinorm("q", np.array(k), _products(p, q)), sp.antinorm("q", np.array(k), p)
+    top, rhs = sp.antinorm("joint", np.array(k), _products(p, q)), sp.antinorm("joint", np.array(k), p)
     return _slack(g.factors(_rank_factor, None, k, p, q) * top, rhs)
 
 
 def eval_et41(sp: Spectra, g) -> np.ndarray:
     alpha, s = g["alpha"], g["s"]
-    lhs = sp.entropy(sp.joint, unified_entropy_from, alpha, s)
-    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy(sp.reduced, unified_entropy_from, alpha, s)
+    lhs = sp.entropy("joint", unified_entropy_from, alpha, s)
+    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy("reduced", unified_entropy_from, alpha, s)
     return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, s))
 
 
 def eval_ett41(sp: Spectra, g) -> np.ndarray:
     alpha = g["alpha"]
-    lhs = sp.entropy("w", tsallis_entropy_from, alpha)
-    rhs = g.factors(dim_weight, sp.n, alpha) * sp.entropy("qa", tsallis_entropy_from, alpha)
+    lhs = sp.entropy("joint", tsallis_entropy_from, alpha)
+    rhs = g.factors(dim_weight, sp.n, alpha) * sp.entropy("reduced", tsallis_entropy_from, alpha)
     # ln_a(n) is the Tsallis entropy of the maximally mixed state
     return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, (1.0,) * g.size))
 
 
 def eval_et42(sp: Spectra, g) -> np.ndarray:
     alpha = g["alpha"]
-    rhs = sp.entropy("qa", renyi_entropy_from, alpha) + np.array([math.log(n) for n in sp.n.tolist()])[:, None]
-    return _slack(sp.entropy("w", renyi_entropy_from, alpha), rhs)
+    rhs = sp.entropy("reduced", renyi_entropy_from, alpha) + np.array([math.log(n) for n in sp.n.tolist()])[:, None]
+    return _slack(sp.entropy("joint", renyi_entropy_from, alpha), rhs)
 
 
 def eval_satwrqa(sp: Spectra, g) -> np.ndarray:

@@ -162,6 +162,16 @@ PINNED_CONFIG_SHA256 = {
         dict(env_dim_mode="dim_env", trials_per_case=70),
         "88cb17fad5c023067108d779287c36852d779e6bd38251922b8f1f59816c06d9",
     ),
+    # the benchmark's warm-up audit: 20 windows of one trial and one saturator
+    "one trial at 2x2, base seed 11": (
+        dict(base_seed=11, trials_per_case=1, dims=((2, 2),)),
+        "7ef8ab7248c04480ba6c6dbfd89001e781022c959325b61d281cd3e2f77b97bf",
+    ),
+    # 222 seeds, whose hashed chunks of 64 cross case and window boundaries
+    "three cases, 70 trials": (
+        dict(case_filter=("KPN1", "STCT1", "ET41"), trials_per_case=70),
+        "cd8425b3add37862555e7ba3a78222117cc7301e4f07514000c1613006449baf",
+    ),
 }
 # sha256 of the bytes of sample("channel", (3, 2, 2), seed).v and of
 # sample("unitary", (4,), seed), per seed, written on the pinning build

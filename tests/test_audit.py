@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normtrace import audit, channels, margins
+from normtrace import audit, channels, cli, margins
 from normtrace.antinorms import kp_antinorm
 from normtrace.audit import (
     DEFAULT_DIMS,
@@ -35,6 +35,9 @@ from normtrace.errors import (
 )
 from normtrace.margins import Drawn
 
+# each channel case beside the bipartite case whose evaluator and saturator kind's draws it shares:
+# its saturators are products R (x) I, whose Tr_B W is the Tr_B channel's output with V the identity
+TWINS = {"STCT1": "KPN1", "STCTP": "SPN1", "STCT2": "KQN1", "STCTPP": "KQN2", "STCTEP": "ET41"}
 EXPECTED_IDS = (
     "KPN1",
     "SPN1",
@@ -164,7 +167,10 @@ def test_instance_kinds_have_their_declared_form():
     for cid, case in REGISTRY.items():
         dims = (3, 2) if case.form == "channel" else (2, 2)
         made = (case.make_instance(dims, 5), case.saturator(dims, 5))
-        assert [inst.form for inst in made] == [case.form] * 2, cid
+        assert [inst.form for inst in made] == [case.form, case.saturator_form], cid
+        # a case's saturators are of its trials' form, but a channel case's are bipartite products
+        assert case.saturator_form == ("bipartite" if cid in TWINS else case.form), cid
+    assert {cid for cid, case in REGISTRY.items() if case.form == "channel"} == set(TWINS)
 
 
 def test_drawn_instances_read_as_their_finished_ones():
@@ -565,6 +571,41 @@ def test_run_audit_hands_makers_trial_seeds(monkeypatch):
         assert _rng_state(seed) == _rng_state(int(seed))
 
 
+def test_run_audit_hashes_one_seed_stream_across_cases(monkeypatch):
+    # 3 cases of 70 trials and 4 saturators: 222 seeds in run order, hashed in
+    # chunks of 64 whose bounds fall inside cases and inside their windows
+    cfg = AuditConfig(base_seed=3, trials_per_case=70, case_filter=("KPK2", "STCT1", "ET41"))
+    handed, chunks = [], []
+    seed_states = audit._seed_states
+
+    def recording(make, tag):
+        def record(dims, seed):
+            handed.append((tag, seed))
+            return make(dims, seed)
+
+        return record
+
+    def counted(seeds):
+        chunks.append(len(seeds))
+        return seed_states(seeds)
+
+    for cid in cfg.case_filter:
+        case = REGISTRY[cid]
+        _replace_case(monkeypatch, cid, make_instance=recording(case.make_instance, cid),
+                      saturator=recording(case.saturator, cid + ":sat"))
+    monkeypatch.setattr(audit, "_seed_states", counted)
+    run_audit(cfg)
+    n = len(cfg.dims)
+    expected = [(tag, i) for cid in cfg.case_filter
+                for tag, count in ((cid, cfg.trials_per_case), (cid + ":sat", n)) for i in range(count)]
+    assert chunks == [64, 64, 64, len(expected) - 3 * 64]
+    assert [tag for tag, _ in handed] == [tag for tag, _ in expected]
+    for (_, seed), (tag, i) in zip(handed, expected):
+        assert type(seed) is audit.TrialSeed and seed == audit._trial_seed(cfg.base_seed, tag, i)
+        state = np.random.SeedSequence(int(seed)).generate_state(4, np.uint64)
+        assert np.array_equal(seed.generate_state(4, np.uint64), state), (tag, i)
+
+
 @pytest.mark.parametrize("base_seed", [42, 7])
 @pytest.mark.parametrize("config", [dict(trials_per_case=70), dict(dims=((6, 6), (4, 8)), trials_per_case=2)])
 def test_run_audit_without_the_seed_pass_gives_the_same_report(monkeypatch, base_seed, config):
@@ -586,6 +627,14 @@ def test_config_validation():
     with pytest.raises(KindMismatchError):
         AuditConfig(case_filter=("KPN1", "BOGUS"))
     assert AuditConfig().dims == DEFAULT_DIMS
+    # a NaN grid entry failed every instance and then the report's serialization
+    nan = float("nan")
+    for field, value in (("norm_p_grid", (2.0, nan)), ("alpha_grid", (np.float64(nan),)), ("s_grid", (nan,)),
+                         ("pq_grid", ((1.0, nan),)), ("subunit_pq_grid", ((nan, 0.5),))):
+        with pytest.raises(PreconditionError, match=f"{field} takes .*real numbers other than NaN"):
+            AuditConfig(**{field: value})
+    # +-inf stay legal entries
+    assert AuditConfig(norm_p_grid=(math.inf,), s_grid=(-math.inf, 1.0)).norm_p_grid == (math.inf,)
 
 
 @pytest.mark.parametrize("case_filter", [(), []])
@@ -760,7 +809,7 @@ def _rank_bound(inst) -> int:
     return shape[1] if kind == "channel" else shape[0]
 
 
-# the finishes that take a QR: those of the channel trials, and not Tr_B's
+# the finishes that take a QR: those of every channel kind
 QR_FINISHES = {audit.KINDS[kind].finish for kind in ("channel_ginibre", "channel_psd", "channel_density")}
 
 
@@ -773,15 +822,15 @@ def _gram_size(sizes) -> int:
 def test_run_audit_decomposes_each_instance_once(monkeypatch):
     # Instances are made first and then evaluated in batches: one per case
     # window (8 trials fit one window, and the saturators join it), and one per
-    # equality witness of evaluate_case.  Every decomposition counts against the
-    # batch of the instances it serves: those made while sampling an instance,
-    # each stacked call of a size of a matrix of the batch (one matrix per
-    # instance) and each channel's Choi spectrum, a row of the stacked Choi
-    # eigvalsh.  A batch makes one call per (matrix, spectrum kind, size), one
-    # QR per shape and environment dimension d of its channel trials and one
-    # Choi eigvalsh per Gram size.  A channel window sits at the bound: a
-    # trial's QR, Q, Phi(Q) and its Choi spectrum, and the same but the QR for
-    # a Tr_B saturator.
+    # pair of TPN2's or TPN62's equality witnesses.  Every decomposition counts
+    # against the batch of the instances it serves: those made while sampling
+    # an instance, each stacked call of a size of a matrix of the batch (one
+    # matrix per instance) and each channel's Choi spectrum, a row of the
+    # stacked Choi eigvalsh.  A batch makes one call per (matrix, spectrum kind,
+    # size), one QR per shape and environment dimension d of its channels and
+    # one Choi eigvalsh per Gram size.  A channel window sits at the bound: a
+    # trial's QR, Q, Phi(Q) and its Choi spectrum, and a saturator's W and
+    # Tr_B W, with no dilation.
     buckets = []
     sampled = {}  # id of an instance -> matrices decomposed while sampling it
     state = {"sampling": None, "batch": None, "in_choi": False}
@@ -826,10 +875,11 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
                 "size": len(insts), "channel": channel, "calls": 0, "qr_calls": 0, "choi_calls": 0,
                 "matrices": sum(sampled.pop(id(inst), 0) for inst in insts), "choi_rows": 0,
                 "evaluations": 0, "points": 0, "shapes": len({_form(x) for x in insts}),
-                # the (shape, d) of the channel trials, and of every channel
-                "drawn_envs": {x.sizes for x in insts if x.finish in QR_FINISHES} if channel else set(),
-                "envs": {x.sizes for x in insts} if channel else set(),
-                "qr_rows": sum(x.finish in QR_FINISHES for x in insts) if channel else 0,
+                "channels": sum(x.form == "channel" for x in insts),
+                # the (shape, d) of the channels that take a QR, and of every channel
+                "drawn_envs": {x.sizes for x in insts if x.finish in QR_FINISHES},
+                "envs": {x.sizes for x in insts if x.form == "channel"},
+                "qr_rows": sum(x.finish in QR_FINISHES for x in insts),
                 "checked": 0, "decomposed": set(),
             }
             buckets.append(state["batch"])
@@ -881,10 +931,10 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     # every case has a saturator, run once per dims pair
     assert len(points) == len(REGISTRY) * (cfg.trials_per_case + len(cfg.dims))
     assert not sampled  # every instance made was evaluated in some batch
-    witnesses = 4  # the TPN2 and TPN62 equality and strict margins
-    # one batch per case window, each of every shape of its trials and saturators
+    witnesses = 2  # batches of the TPN2 and TPN62 equality and strict margins, two 3 x 3 matrices each
+    # one batch per case window, each of every form and shape of its trials and saturators
     assert len(buckets) == len(REGISTRY) + witnesses
-    assert sum(b["size"] for b in buckets) == len(points) + witnesses
+    assert sum(b["size"] for b in buckets) == len(points) + 2 * witnesses
     assert sum(b["shapes"] for b in buckets) == len(shapes) + witnesses
     channel_trials, shared = 0, 0
     for b in buckets:
@@ -894,16 +944,19 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
         sizes = {name: {part[name].shape[-1] for part in b["sp"].parts} for _, name in b["decomposed"]}
         assert b["calls"] == sum(len(sizes[name]) for _, name in b["decomposed"]), b
         shared += sum(len(sizes[name]) < b["shapes"] for _, name in b["decomposed"])
-        # (a channel's Q, Phi(Q) and Choi spectrum, and its QR if it takes one)
-        bound = 3 * b["size"] + b["qr_rows"] if b["channel"] else 4 * b["size"]
+        # (two matrices a row, each of one spectrum kind in a channel case, and a
+        # channel's Choi spectrum and its QR if it takes one)
+        bound = 2 * b["size"] + b["channels"] + b["qr_rows"] if b["channel"] else 4 * b["size"]
         assert b["matrices"] <= bound, b
-        # one QR call per shape and d of the channel trials, one Choi call per
-        # Gram size, and exactly one Choi spectrum per channel
+        # one QR call per shape and d of the channels, one Choi call per Gram
+        # size, and exactly one Choi spectrum per channel
         assert b["qr_calls"] == len(b["drawn_envs"]), b
         assert b["choi_calls"] == len({_gram_size(sizes) for sizes in b["envs"]}), b
-        assert b["choi_rows"] == (b["size"] if b["channel"] else 0), b
-        # the isometry check reads every dilation, the identities of the Tr_B saturators too
-        assert b["checked"] == (b["size"] if b["channel"] else 0), b
+        assert b["choi_rows"] == b["channels"], b
+        # the isometry check reads every dilation, and each is a QR's: no identity is built
+        assert b["checked"] == b["channels"] == b["qr_rows"], b
+        # a channel window's saturators are its bipartite rows
+        assert not b["channel"] or b["size"] - b["channels"] == len(cfg.dims), b
         channel_trials += b["channel"] and b["matrices"] == bound
     assert channel_trials > 0  # the bound is reached, so it counts every decomposition
     assert shared > 0  # some matrix has fewer sizes than its window has shapes
@@ -912,7 +965,39 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
     # and some Gram size serves several shapes and d
     assert any(len({_gram_size(sizes) for sizes in b["envs"]}) < len(b["envs"]) for b in buckets)
     # every in-bound grid point of every instance is evaluated exactly once
-    assert sum(b["points"] for b in buckets) == sum(points) + witnesses
+    assert sum(b["points"] for b in buckets) == sum(points) + 2 * witnesses
+
+
+def test_small_runs_make_one_seed_pass_and_check_only_qr_dilations(monkeypatch):
+    # a run of one trial per case at one dims pair, 20 windows of two
+    # instances, hashes its 40 seeds in one pass; its five channel windows each
+    # check the one dilation stack of their trial, a QR's, and no identity;
+    # and the default audit's 4,080 seeds take 64 passes, not one or more a window
+    passes, made, checked = [], [], []
+    seed_states, qr_isometry = audit._seed_states, audit.qr_isometry
+
+    def counted(seeds):
+        passes.append(len(seeds))
+        return seed_states(seeds)
+
+    def qr(g):
+        made.append(qr_isometry(g))
+        return made[-1]
+
+    def require_isometry(*vs):
+        checked.extend(vs)
+        return channels.require_isometry(*vs)
+
+    monkeypatch.setattr(audit, "_seed_states", counted)
+    monkeypatch.setattr(audit, "qr_isometry", qr)
+    monkeypatch.setattr(margins, "require_isometry", require_isometry)
+    run_audit(AuditConfig(base_seed=11, trials_per_case=1, dims=((2, 2),)))
+    assert passes == [2 * len(REGISTRY)]
+    assert len(checked) == len(made) == len(TWINS)
+    assert all(any(v is qr_made for qr_made in made) for v in checked)
+    passes.clear()
+    run_audit(AuditConfig())
+    assert len(passes) == math.ceil(len(REGISTRY) * (200 + len(DEFAULT_DIMS)) / 64) == 64
 
 
 def test_channel_windows_finish_q_once_per_finish_and_shape(monkeypatch):
@@ -936,16 +1021,14 @@ def test_channel_windows_finish_q_once_per_finish_and_shape(monkeypatch):
     def counting(cid, make):
         return lambda dims, seed: counted(cid, make(dims, seed))
 
-    for cid in cids:
-        case = REGISTRY[cid]
-        _replace_case(monkeypatch, cid, make_instance=counting(cid, case.make_instance),
-                      saturator=counting(cid, case.saturator))
+    for cid in cids:  # the saturators are bipartite products, with no channel's Q
+        _replace_case(monkeypatch, cid, make_instance=counting(cid, REGISTRY[cid].make_instance))
     cfg = AuditConfig(trials_per_case=40, case_filter=cids)
     report = run_audit(cfg)
     assert all(c["failures"] == 0 for c in report.cases)
-    # per case, the trials' four shapes and the saturators' four, each one call
-    assert len(calls) == len({call[:4] for call in calls}) == len(cids) * 2 * len(cfg.dims)
-    assert sum(call[4] for call in calls) == len(cids) * (cfg.trials_per_case + len(cfg.dims))
+    # per case, the trials' four shapes, each one call
+    assert len(calls) == len({call[:4] for call in calls}) == len(cids) * len(cfg.dims)
+    assert sum(call[4] for call in calls) == len(cids) * cfg.trials_per_case
     # and some of those calls finish the Q of channels of several d
     drawn = [(x.sizes[:2], x.sizes[2]) for x in (REGISTRY["STCT1"].make_instance(
         cfg.dims[t % 4], audit._trial_seed(cfg.base_seed, "STCT1", t)) for t in range(cfg.trials_per_case))]
@@ -1010,13 +1093,15 @@ def _assert_batches_match_evaluate_case(cid, cfg, insts, batches):
         assert len(margins) == len(mask) == len(rows)
         names = list(grid)
         for row, inside, index in zip(margins, mask, rows):
+            # a channel case's saturator, a product W, has the margins of its twin case on W
+            case_id = TWINS.get(cid, cid) if index >= cfg.trials_per_case else cid
             for j, (margin, in_bound) in enumerate(zip(row, inside)):
                 params = {name: grid[name][j] for name in names}
                 if in_bound:
-                    assert margin == evaluate_case(cid, insts[index], params), (cid, index, params)
+                    assert margin == evaluate_case(case_id, insts[index], params), (cid, index, params)
                 else:  # exactly the points past the instance's rank bound are out of bound
                     with pytest.raises(RankRangeError):
-                        evaluate_case(cid, insts[index], params)
+                        evaluate_case(case_id, insts[index], params)
 
 
 def _assert_windows_match_evaluate_case(monkeypatch, cfg):
@@ -1077,7 +1162,7 @@ def test_entropy_batches_mixing_rank_deficient_states(monkeypatch):
         recorded = list(batches[cid])  # evaluate_case below records batches of its own
         _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
         # some shape stacks full-rank states with rank-deficient ones, whose zeros are exactly 0.0
-        assert any(0 < (s == 0.0).any(axis=1).sum() < len(s) for b in recorded for s in b[0].spectra("density", "w"))
+        assert any(0 < (s == 0.0).any(axis=1).sum() < len(s) for b in recorded for s in b[0].spectra("density", "joint"))
 
 
 def test_run_audit_failed_trial_feeds_no_margin(monkeypatch):
@@ -1229,7 +1314,7 @@ def test_non_finite_margins_fail_their_instance(monkeypatch, cid, column, point)
     def evaluate(sp, grid):
         margins = case.evaluate(sp, grid).copy()
         cols = [0] if column == "first" else [j for j, p in enumerate(grid["p"]) if p == math.inf]
-        for i, w in enumerate(_row_matrices(sp, "w")):
+        for i, w in enumerate(_row_matrices(sp, "joint")):
             if np.array_equal(w, marked):
                 margins[i, cols] = np.nan
         return margins
@@ -1253,7 +1338,8 @@ def test_non_finite_margins_fail_their_instance(monkeypatch, cid, column, point)
 def test_saturator_rows_move_only_the_residual(monkeypatch):
     # a window that mixes trial and saturator rows of two shapes: the
     # saturators' margins, made the most negative of the window, move
-    # saturation_residual and never worst_margin or violations
+    # saturation_residual, whose gate counts one violation, and never
+    # worst_margin or a violation per margin
     kpn1 = REGISTRY["KPN1"]
     cfg = AuditConfig(trials_per_case=5, dims=((2, 2), (2, 3)), case_filter=("KPN1",))
     (clean,) = run_audit(cfg).cases
@@ -1266,7 +1352,7 @@ def test_saturator_rows_move_only_the_residual(monkeypatch):
 
     def evaluate(sp, grid):
         margins = kpn1.evaluate(sp, grid).copy()
-        rows = [i for i, w in enumerate(_row_matrices(sp, "w")) if any(np.array_equal(w, s) for s in saturators)]
+        rows = [i for i, w in enumerate(_row_matrices(sp, "joint")) if any(np.array_equal(w, s) for s in saturators)]
         margins[rows] = -1.0
         mixed.append(0 < len(rows) < sp.size)
         return margins
@@ -1275,8 +1361,36 @@ def test_saturator_rows_move_only_the_residual(monkeypatch):
     (rec,) = run_audit(cfg).cases
     assert mixed == [True] and len(saturators) == len(cfg.dims)
     assert rec["saturation_residual"] == 1.0 and clean["saturation_residual"] < 1e-12
-    assert {**rec, "saturation_residual": None} == {**clean, "saturation_residual": None}
-    assert rec["violations"] == 0 and rec["worst_margin"] > 0
+    moved = {"saturation_residual": None, "violations": None}
+    assert {**rec, **moved} == {**clean, **moved}
+    assert rec["violations"] == clean["violations"] + 1 == 1 and rec["worst_margin"] > 0
+
+
+@pytest.mark.parametrize("cid", EXPECTED_IDS)
+def test_every_case_fails_when_its_margins_move_by_a_millionth(monkeypatch, cid):
+    # a bound made stronger by 1e-6 must be caught: most trial margins sit far
+    # above it, so what catches it is a tightness claim (the saturators'
+    # residual, or TPN2's and TPN62's equality witness), gated at the tolerance
+    case = REGISTRY[cid]
+    _replace_case(monkeypatch, cid, evaluate=lambda sp, grid: case.evaluate(sp, grid) - 1e-6)
+    (rec,) = run_audit(AuditConfig(trials_per_case=4, case_filter=(cid,))).cases
+    assert rec["violations"] > 0 and rec["failures"] == 0
+    assert cli.main(["audit", "--case", cid, "--trials", "4"]) == 4
+
+
+def test_each_tightness_claim_above_the_tolerance_is_one_violation(monkeypatch):
+    # KPN1's saturation residual, TPN2's |equality_margin| and KQK1's
+    # equivalence_max_dev, each moved to twice the tolerance: one violation each
+    cfg = AuditConfig(trials_per_case=2, case_filter=("KPN1", "TPN2", "KQK1"))
+    clean = run_audit(cfg).cases
+    assert [rec["violations"] for rec in clean] == [0, 0, 0]
+    kpn1, case_extras = REGISTRY["KPN1"], audit._case_extras
+    moved = {"TPN2": {"equality_margin": -2e-9, "strict_margin": 0.5}, "KQK1": {"equivalence_max_dev": 2e-9}}
+    _replace_case(monkeypatch, "KPN1", evaluate=lambda sp, grid: kpn1.evaluate(sp, grid) - 2e-9)
+    monkeypatch.setattr(audit, "_case_extras", lambda case, stats: moved.get(case.id) or case_extras(case, stats))
+    records = run_audit(cfg).cases
+    assert [rec["violations"] for rec in records] == [1, 1, 1]
+    assert 1e-9 < records[0]["saturation_residual"] < 3e-9 and records[0]["worst_margin"] > 0.1
 
 
 @pytest.mark.parametrize("fill", [np.nan, -np.inf, -1.0])
@@ -1336,8 +1450,8 @@ def test_non_finite_saturator_margins_null_the_residual(monkeypatch):
 
     def evaluate(sp, grid):
         margins = stctp.evaluate(sp, grid).copy()
-        # the saturator, Tr_B on a 2 x 2 product, is the row whose input has dimension 4
-        margins[[i for i, q in enumerate(_row_matrices(sp, "q")) if q.shape[-1] == 4]] = np.nan
+        # the saturator, a 2 x 2 product W, is the row whose joint matrix has dimension 4
+        margins[[i for i, w in enumerate(_row_matrices(sp, "joint")) if w.shape[-1] == 4]] = np.nan
         return margins
 
     _replace_case(monkeypatch, "STCTP", evaluate=evaluate)
@@ -1359,7 +1473,7 @@ def _literal_isometry(g):
 def test_stacked_finish_equals_a_literal_per_channel_finish(monkeypatch):
     # one 64-trial window of STCT1 draws channels of every dims pair and every
     # d; it finishes them in stacked calls per shape and d, and its saturators,
-    # drawn Tr_B channels, with V the identity
+    # products W read through Tr_B, as the Tr_B channel with V the identity
     batches, dilations = [], {}  # each stacked Q's bytes -> its V and d
 
     class Recorded(audit.Spectra):
@@ -1375,25 +1489,27 @@ def test_stacked_finish_equals_a_literal_per_channel_finish(monkeypatch):
     monkeypatch.setattr(margins, "channel_outputs", outputs)
     report = run_audit(AuditConfig(trials_per_case=64, case_filter=("STCT1",)))
     assert report.cases[0]["failures"] == 0
-    covered = set()
+    covered, saturators = set(), 0
     for insts, sp in batches:
-        for i, (x, q, out) in enumerate(zip(insts, _row_matrices(sp, "q"), _row_matrices(sp, "out"))):
-            m, n, dim_env = x.sizes
-            vi, d = dilations[q.tobytes()]
-            assert dim_env == d
-            if x.finish in QR_FINISHES:
+        for i, (x, q, out) in enumerate(zip(insts, _row_matrices(sp, "joint"), _row_matrices(sp, "reduced"))):
+            if x.form == "channel":
+                m, n, dim_env = x.sizes
+                vi, d = dilations[q.tobytes()]
+                assert dim_env == d and x.finish in QR_FINISHES
                 covered.add((m, n, d))
                 g = x.draws[0]
                 assert vi.tobytes() == _literal_isometry((g[0] + 1j * g[1]) / np.sqrt(2.0)).tobytes()
-            else:
-                assert vi.tobytes() == np.eye(m, dtype=complex).tobytes()
+            else:  # no channel is built, so no dilation reaches channel_outputs
+                assert x.form == "bipartite" and q.tobytes() not in dilations
+                (m, n, d), saturators = (x.sizes[0] * x.sizes[1], *x.sizes), saturators + 1
+                vi = np.eye(m, dtype=complex)
             kraus = vi.reshape(n, d, m).transpose(1, 0, 2)
             expected = sum(k @ q @ k.conj().T for k in kraus)
             assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
             w = np.linalg.eigvalsh(choi_matrix(StinespringChannel(vi, m, n, d)))
             assert sp.n[i] == np.count_nonzero(w > 1e-9 * w.max())
     every_d = {(m, n, d) for m, n in DEFAULT_DIMS for d in range(math.ceil(m / n), math.ceil(m / n) + 3)}
-    assert covered == every_d
+    assert covered == every_d and saturators == len(DEFAULT_DIMS)
 
 
 @pytest.mark.parametrize("finished", ["odd seeds", "every trial"])
@@ -1548,16 +1664,18 @@ def test_size_batched_windows_equal_per_shape_windows(env_mode):
                   for i, pair in enumerate(cfg.dims)]
         if case.form == "channel":
             insts += [margins.drawn(_degenerate_channel(m, n, 10 * m + n)) for m, n in ((1, 4), (2, 2), (2, 3))]
-            channel = [x.alone()[0] for x in insts]
-            ranks = [channels.choi_rank(ch) if env_mode == "choi_rank" else ch.dim_env for ch in channel]
+            channel = {i: x.alone()[0] for i, x in enumerate(insts) if x.form == "channel"}
+            ranks = {i: channels.choi_rank(ch) if env_mode == "choi_rank" else ch.dim_env for i, ch in channel.items()}
         sp = _Recorded(insts, env_mode)
         grid = margins.make_grid(case.axes, int(sp.bound.max()), cfg)
         values, mask, stats = case.evaluate(sp, grid), sp.in_bound(grid), audit._trial_stats(cid, sp)
         if case.form == "channel":
-            assert sp.n.tolist() == ranks, cid  # each channel's own Choi rank, or dim_env
-            assert env_mode == "dim_env" or 1 in ranks and len(set(ranks)) > 2
+            # each channel's own Choi rank, or dim_env, and each saturator's n, the dimension W traces out
+            assert sp.n.tolist() == [ranks[i] if i in ranks else x.sizes[1] for i, x in enumerate(insts)], cid
+            assert len(ranks) == len(insts) - len(cfg.dims)
+            assert env_mode == "dim_env" or 1 in ranks.values() and len(set(ranks.values())) > 2
         spectra = {key: _row_spectra(sp, *key) for key in sp.decomposed}
-        shared |= {(cid, name) for _, name in sp.decomposed if len(sp.sizes[name]) < len(sp.shapes)}
+        shared |= {(case.form, name) for _, name in sp.decomposed if len(sp.sizes[name]) < len(sp.shapes)}
         for rows in sp.rows:
             alone = _Recorded([insts[i] for i in rows], env_mode)
             inside = alone.in_bound(grid)
@@ -1568,8 +1686,9 @@ def test_size_batched_windows_equal_per_shape_windows(env_mode):
             for key, rows_spectra in spectra.items():
                 assert [rows_spectra[i].tobytes() for i in rows] == [
                     x.tobytes() for x in _row_spectra(alone, *key)], (cid, key)
-    # every matrix kind shares a size between shapes somewhere
-    assert {name for _, name in shared} == ({"w", "qa", "q", "out"} if env_mode == "choi_rank" else {"q", "out"})
+    # every matrix of every form shares a size between groups somewhere
+    forms = ("bipartite", "channel") if env_mode == "choi_rank" else ("channel",)
+    assert shared == {(form, name) for form in forms for name in ("joint", "reduced")}
 
 
 def _literal_ginibre(rng, rows, cols):
@@ -1618,10 +1737,6 @@ LITERAL_KINDS = {
     "scaled_product": lambda rng, m, n: float(rng.choice((1.0, 2.5))) * np.kron(_literal_psd(rng, m), np.eye(n)),
     "scalar": lambda rng, m, n: 2.0 * np.eye(m, dtype=complex),
     "scalar_bipartite": lambda rng, m, n: 2.0 * np.eye(m * n, dtype=complex),
-    "ptrace_psd": lambda rng, m, n: (np.eye(m * n, dtype=complex), np.kron(_literal_psd(rng, m), np.eye(n))),
-    "ptrace_density": lambda rng, m, n: (
-        np.eye(m * n, dtype=complex), np.kron(_literal_density(rng, m), np.eye(n) / n),
-    ),
 }
 
 
@@ -1645,9 +1760,9 @@ def test_stacked_finish_equals_a_literal_build(monkeypatch, kind):
         if audit.KINDS[kind].form == "channel":
             # the V of one d are finished together: instance i's output row must come
             # from its own literal V and Q, so its V is finished byte for byte and paired right
-            for i, (out, (v, q)) in enumerate(zip(_row_matrices(sp, "out"), literal)):
+            for i, (out, (v, q)) in enumerate(zip(_row_matrices(sp, "reduced"), literal)):
                 assert outputs[q.tobytes(), v.tobytes()] == out.tobytes(), (m, n, i)
             outputs.clear()
             literal = [q for _, q in literal]
-        stacked = _row_matrices(sp, "w" if audit.KINDS[kind].form == "bipartite" else "q")
+        stacked = _row_matrices(sp, "joint")
         assert [x.tobytes() for x in stacked] == [x.tobytes() for x in literal], (m, n)
