@@ -8,9 +8,10 @@ that function.  ``psd_spectrum`` validates positive semidefiniteness and
 clamps round-off negatives to zero.  For a fixed p in (0, 1], one cumulative
 power sum over the ascending spectrum serves every k at once:
 ``antinorm_table`` returns the (k, p) anti-norm for each k, and
-``kp_antinorm_of`` and the p > 0 branch of ``schatten_antinorm_of`` read one
-entry of it.  ``psd_spectrum`` and the ``_of`` functions also take a stack,
-one matrix or spectrum per row, and give each row the value it gives alone.
+``kp_antinorm_of`` (at p = 1 the Ky Fan anti-norm) and the p > 0 branch of
+``schatten_antinorm_of`` read one entry of it.  ``psd_spectrum``,
+``antinorm_table`` and ``schatten_antinorm_of`` also take a stack, one matrix
+or spectrum per row, and give each row the value it gives alone.
 """
 from __future__ import annotations
 
@@ -66,19 +67,6 @@ def antinorm_table(w: np.ndarray, p: float, ambient_dim: int | None = None) -> n
     return np.concatenate([np.zeros(w.shape[:-1] + (amb - m,)), table], axis=-1) if amb > m else table
 
 
-def kyfan_antinorm_of(w: np.ndarray, k: int):
-    """Sum of the k smallest entries of an ascending PSD spectrum; a stack gives one per row."""
-    if not 1 <= k <= w.shape[-1]:
-        raise RankRangeError(f"k={k} outside [1, {w.shape[-1]}]")
-    sums = w[..., :k].sum(axis=-1)
-    return sums if w.ndim > 1 else float(sums)
-
-
-def kyfan_antinorm(q, k: int, tol: float = DEFAULT_TOL) -> float:
-    """Sum of the k smallest eigenvalues of a PSD matrix."""
-    return kyfan_antinorm_of(psd_spectrum(q, tol), k)
-
-
 def kp_antinorm_of(w: np.ndarray, k: int, p: float, ambient_dim: int | None = None) -> float:
     """(k, p) anti-norm of an ascending PSD spectrum; see kp_antinorm."""
     table = antinorm_table(w, p, ambient_dim)
@@ -95,6 +83,11 @@ def kp_antinorm(q, k: int, p: float, tol: float = DEFAULT_TOL, ambient_dim: int 
     eigenvalues, so the result can vanish on a nonzero operator.
     """
     return kp_antinorm_of(psd_spectrum(q, tol), k, p, ambient_dim)
+
+
+def kyfan_antinorm(q, k: int, tol: float = DEFAULT_TOL) -> float:
+    """Sum of the k smallest eigenvalues of a PSD matrix: the (k, 1) anti-norm, a cumulative sum."""
+    return kp_antinorm(q, k, 1.0, tol)
 
 
 def schatten_antinorm_of(w: np.ndarray, p: float):
@@ -136,4 +129,4 @@ def partial_fidelity(rho, sigma, k: int, tol: float = DEFAULT_TOL) -> float:
     if k == m:
         return 0.0
     a = psd_power(r, 0.5, tol) @ psd_power(s, 0.5, tol)
-    return kyfan_antinorm_of(np.linalg.svd(a, compute_uv=False)[::-1], m - k)
+    return kp_antinorm_of(np.linalg.svd(a, compute_uv=False)[::-1], m - k, 1.0)

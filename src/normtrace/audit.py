@@ -467,11 +467,11 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
 REGISTRY_IDS = tuple(REGISTRY)
 
 
-def _entered(cid: str, form: str, inst) -> Drawn:
-    """inst, an instance of case cid, as a Drawn (margins.drawn), which must be of form."""
+def _entered(cid: str, forms, inst) -> Drawn:
+    """inst, an instance of case cid, as a Drawn (margins.drawn), which must be of one of forms, each named once."""
     inst = drawn(inst)
-    if inst.form != form:
-        raise KindMismatchError(f"case {cid} needs a {form} instance, not a {inst.form} one")
+    if inst.form not in forms:
+        raise KindMismatchError(f"case {cid} needs a {' or '.join(forms)} instance, not a {inst.form} one")
     return inst
 
 
@@ -485,6 +485,8 @@ def evaluate_case(case_id: str, instance, params) -> float:
     """Signed normalized margin of one registry case on one instance.
 
     This is the audit's evaluation on a batch of one with a one-point grid.
+    The instance is of the case's form or, as its saturators are, of its
+    saturator_form (a channel case's saturators are bipartite products).
     params names exactly the grid columns of the case's axes.  An "env_mode"
     entry of params, one of ENV_DIM_MODES ("choi_rank" by default), picks a
     channel's d as AuditConfig.env_dim_mode does, and is checked as that is.
@@ -492,7 +494,7 @@ def evaluate_case(case_id: str, instance, params) -> float:
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
-    instance = _entered(case_id, case.form, instance)
+    instance = _entered(case_id, dict.fromkeys((case.form, case.saturator_form)), instance)
     params = dict(params)
     env_mode = _env_mode(params.pop("env_mode", "choi_rank"))
     expected = set(make_grid(case.axes, 1, AuditConfig))  # the columns the case's axes set, on the default grids
@@ -552,11 +554,14 @@ class AuditConfig:
                 if not (isinstance(x, (tuple, list)) and len(x) == 2 and all(map(real, x)) if pair else real(x)):
                     raise PreconditionError(f"{name} takes {'pairs of ' * pair}real numbers other than NaN, got {x!r}")
         if self.case_filter is not None:
+            if isinstance(self.case_filter, str):  # "KPN1" would read as the ids K, P, N and 1
+                raise PreconditionError(f"case_filter takes a sequence of case ids, not a string: {self.case_filter!r}")
             if len(self.case_filter) == 0:  # a run of no case must not read as clean
                 raise PreconditionError("case_filter selects no case")
-            unknown = [c for c in self.case_filter if c not in REGISTRY]
+            unknown = [c for c in self.case_filter if c not in REGISTRY_IDS]
             if unknown:
                 raise KindMismatchError(f"unknown case ids {unknown}")
+            object.__setattr__(self, "case_filter", tuple(map(str, self.case_filter)))
 
 
 @dataclass(frozen=True)
@@ -612,10 +617,10 @@ def _trial_stats(cid: str, sp: Spectra) -> Optional[np.ndarray]:
         rhs = n * sp.norm("joint", None, (math.inf,))[:, 0]
         return rhs - lhs > 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs)
     if cid == "KQK1":
-        m, n, ks = sp.bound[:, None], sp.n[:, None], tuple(range(1, int(sp.bound.max())))
-        inner, ones = np.array(ks, int) < m, (1.0,) * len(ks)  # each row's k: 1 to m - 1
-        anti = sp.kyfan_antinorm("reduced", ks) - sp.kyfan_antinorm("joint", ks, times_n=True)
-        rest = np.where(inner, m - np.array(ks, int), 1)
+        m, n, ks = sp.bound[:, None], sp.n[:, None], np.arange(1, int(sp.bound.max()))
+        inner, ones = ks < m, (1.0,) * len(ks)  # each row's k: 1 to m - 1
+        anti = sp.antinorm("reduced", ks, ones) - sp.antinorm("joint", ks * n, ones)
+        rest = np.where(inner, m - ks, 1)
         norm = sp.norm("joint", rest * n, ones) - sp.norm("reduced", rest, ones)
         traces = sp.joined([np.trace(part["joint"], axis1=-2, axis2=-1).real for part in sp.parts])
         deviation = np.abs(anti - norm) / np.maximum(1.0, np.abs(traces))[:, None]
@@ -714,7 +719,7 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
                 except _INSTANCE_ERRORS as exc:
                     failed[index] = _describe(exc)
                     continue
-                members.append((index, _entered(cid, form, inst)))  # a maker's mistake, so outside the guard
+                members.append((index, _entered(cid, (form,), inst)))  # a maker's mistake, so outside the guard
             for indices, margins, mask, stat in _evaluate(case, members, config, grids, failed) if members else ():
                 n = int(np.searchsorted(indices, trials))  # rows are in index order, the saturators last
                 trial, saturator = margins[:n][mask[:n]], margins[n:][mask[n:]]

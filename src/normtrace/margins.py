@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .antinorms import antinorm_table, kyfan_antinorm_of, psd_spectrum, schatten_antinorm_of
+from .antinorms import antinorm_table, psd_spectrum, schatten_antinorm_of
 from .bipartite import BipartiteOperator, trace_out_b
 from .channels import StinespringChannel, channel_outputs, choi_gram, gram_ranks, require_isometry
 from .entropy import (
@@ -180,10 +180,10 @@ class Spectra:
     Row i has its traced-out dimension n[i] (n, a channel's d, or 1) and rank bound
     bound[i], the size of its reduced matrix.  The sizes' spectra join zero-padded,
     descending ones on the right and ascending ones on the left, which keeps each
-    cumulative sum bit for bit, so one table per (matrix, exponent) serves the window; a
-    pairwise sum depends on its row width alone, so other sums run per size (sizewise),
-    but a Ky Fan sum's length differs between shapes of a size (shapewise).  A point past
-    a row's bound is out of bound for it (in_bound) and never folded.
+    cumulative sum bit for bit, so one table per (matrix, exponent) serves the window,
+    the Ky Fan norms and anti-norms as its p = 1 tables; a pairwise sum depends on its row
+    width alone, so other sums run per size (sizewise).  A point past a row's bound is
+    out of bound for it (in_bound) and never folded.
     """
 
     def __init__(self, insts: list, env_mode: str = "choi_rank"):
@@ -258,15 +258,6 @@ class Spectra:
         return self.joined([np.array([f(s, v) for v in values], float).reshape(len(values), len(s)).T for s in parts],
                            rows=[rows for rows, _ in self.sizes[name]])
 
-    def shapewise(self, kind: str, name: str, f, values) -> np.ndarray:
-        """(rows, points) array whose column j is f(s, values[j], shape) on each shape's own spectra s."""
-        spectra = [None] * len(self.parts)
-        for (_, ids), s in zip(self.sizes[name], self.spectra(kind, name)):  # a size's rows are its shapes', in turn
-            for i, end in zip(ids, itertools.accumulate(len(self.rows[i]) for i in ids)):
-                spectra[i] = s[end - len(self.rows[i]):end]
-        return self.joined([np.array([f(s, v, shape) for v in values], float).reshape(len(values), len(rows)).T
-                            for s, shape, rows in zip(spectra, self.shapes, self.rows)])
-
     def in_bound(self, g) -> np.ndarray:
         """(rows, points) mask of the points whose k is in [1, the row's rank bound]; a grid without k has no other."""
         k = np.array(g.get("k", (1,) * g.size))
@@ -306,11 +297,6 @@ class Spectra:
     def schatten_antinorm(self, name: str, p: tuple) -> np.ndarray:
         """Schatten anti-norms of a PSD matrix at each point, p < 0 too."""
         return self.sizewise("psd", name, schatten_antinorm_of, p)
-
-    def kyfan_antinorm(self, name: str, k: tuple, times_n: bool = False) -> np.ndarray:
-        """Ky Fan anti-norms of a bipartite PSD matrix at each point's k, or k n; a k past a row's bound reads 1."""
-        return self.shapewise("psd", name, lambda s, k, shape: kyfan_antinorm_of(
-            s, (k if k <= shape[0] else 1) * (shape[1] if times_n else 1)), k)
 
     def entropy(self, name: str, formula, alpha: tuple, *rest: tuple) -> np.ndarray:
         """A *_entropy_from formula of a state at each point's (alpha, ...): its von Neumann value and power sums."""
@@ -382,8 +368,8 @@ def eval_kqn2(sp: Spectra, g) -> np.ndarray:
 
 
 def eval_kqk1(sp: Spectra, g) -> np.ndarray:
-    joint = sp.kyfan_antinorm("joint", g["k"], times_n=True)
-    return _slack(joint, sp.kyfan_antinorm("reduced", g["k"]))
+    k, ones = np.array(g["k"]), (1.0,) * g.size
+    return _slack(sp.antinorm("joint", k * sp.n[:, None], ones), sp.antinorm("reduced", k, ones))
 
 
 def eval_tpn62(sp: Spectra, g) -> np.ndarray:

@@ -150,12 +150,12 @@ PINNED_CONFIG_SHA256 = {
     **{
         f"large dims, base seed {seed}": (dict(base_seed=seed, dims=((6, 6), (4, 8)), trials_per_case=2), digest)
         for seed, digest in {
-            11: "555a39a4a98b9ade45ef60d587533e2e10aed9335c358a5ef90372e4c973b72f",
+            11: "b9b5fe35d6314847b9c89c33d9e1524b28207a43b30fd92e28183e1293dfe7f7",
             12: "df019cef6cf734055fb36b5b8abde60604545d64534a5215c20edcfa90a959a8",
-            13: "ceffe75174f70751cbb3b35d39f267bdc4cf8cf181535a26aed9b3e43150517a",
-            14: "612dbe95756ac1d0f746076e7f7575651fcac9e95cebd5676806280a943b026e",
-            15: "efc72a49c50aeaccc2e081ee048eef0ecc05b25f08ee3fd5b1b5fcad99457510",
-            16: "0dc89990325efaa354e5dffb257205941868629174bc4dc8b0016ca843a634e1",
+            13: "1c0d1d3dd0ce2f8089f3152aa8919329d7f0e4aaf9500939c29f10cbcafdb46d",
+            14: "4a99e4f842a99ad11a5080dbd6c74924ad02b1ab220477b2ac60c81728480e6d",
+            15: "a7b12d9ba440ae23f6bc354a5dd2f504ff660be5996b5211763eb38f3eee1f3e",
+            16: "569cbd85e35037dedbc408edc58a080b072f173ecb30aaf7be7c6c44bac76795",
         }.items()
     },
     "dim_env, 70 trials": (

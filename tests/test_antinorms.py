@@ -6,7 +6,6 @@ from normtrace.antinorms import (
     kp_antinorm,
     kp_antinorm_of,
     kyfan_antinorm,
-    kyfan_antinorm_of,
     partial_fidelity,
     psd_spectrum,
     schatten_antinorm,
@@ -38,6 +37,17 @@ def test_kyfan_antinorm_sums_smallest(m):
     for k in (0, m + 1):
         with pytest.raises(RankRangeError):
             kyfan_antinorm(a, k)
+
+
+def test_kyfan_antinorm_is_the_k_1_antinorm():
+    # the (k, 1) entry of the anti-norm table, a cumulative sum; numpy's sum
+    # groups 8 or more terms pairwise, so it may differ in the last bits
+    rng = np.random.default_rng(12)
+    a = psd(rng, 12)
+    w = psd_spectrum(a)
+    for k in range(1, 13):
+        assert kyfan_antinorm(a, k) == kp_antinorm(a, k, 1.0)
+        assert kyfan_antinorm(a, k) == pytest.approx(float(w[:k].sum()), rel=1e-13, abs=0.0)
 
 
 def test_complement_identity_with_kyfan_norm():
@@ -252,7 +262,6 @@ def test_stacked_spectra_match_one_by_one():
         assert padded.tolist() == [antinorm_table(r, p, ambient_dim=6).tolist() for r in rows]
     for p in (0.5, -1.0):
         assert schatten_antinorm_of(rows, p).tolist() == [schatten_antinorm(a, p) for a in pd]
-    assert kyfan_antinorm_of(rows, 3).tolist() == [kyfan_antinorm(a, 3) for a in pd]
     with pytest.raises(NotPsdError):
         psd_spectrum(np.stack([pd[0], -pd[1]]))
     with pytest.raises(NotPsdError):

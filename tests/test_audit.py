@@ -170,6 +170,7 @@ def test_instance_kinds_have_their_declared_form():
         assert [inst.form for inst in made] == [case.form, case.saturator_form], cid
         # a case's saturators are of its trials' form, but a channel case's are bipartite products
         assert case.saturator_form == ("bipartite" if cid in TWINS else case.form), cid
+        assert cid not in TWINS or case.evaluate is REGISTRY[TWINS[cid]].evaluate, cid
     assert {cid for cid, case in REGISTRY.items() if case.form == "channel"} == set(TWINS)
 
 
@@ -345,6 +346,18 @@ def test_evaluate_case_overflowing_bound_factor_raises_domain_error():
         evaluate_case("KQN2", sample("bipartite_pd", (2, 3), 1), {"p": -0.001})
 
 
+def test_evaluate_case_replays_a_channel_case_saturator():
+    # a channel case's saturator, a bipartite product R (x) I, replays through the
+    # case's own id with its bipartite twin's margins, which the product saturates
+    for cid, twin in TWINS.items():
+        w = REGISTRY[cid].saturator((3, 2), 5)
+        grid = margins.make_grid(REGISTRY[cid].axes, 3, AuditConfig)
+        for j in range(grid.size):
+            params = {name: column[j] for name, column in grid.items()}
+            margin = evaluate_case(cid, w, params)
+            assert margin == evaluate_case(twin, w, params) and abs(margin) <= 1e-12, (cid, params)
+
+
 def test_evaluate_case_rejects_wrong_instance_type():
     ptrace = channels.partial_trace_channel(2, 2)
     # an instance of each form, with its batch shape
@@ -361,12 +374,15 @@ def test_evaluate_case_rejects_wrong_instance_type():
     for kind, (inst, shape) in instances.items():
         assert _form(inst) == (kind, shape)
         assert REGISTRY[cases[kind][0]].form == kind
-        for other, (cid, params) in cases.items():
-            if other == kind:
+        for cid, params in cases.values():
+            # a case takes its trials' form and its saturators': a channel case also takes a bipartite operator
+            if kind in (REGISTRY[cid].form, REGISTRY[cid].saturator_form):
                 assert isinstance(evaluate_case(cid, inst, params), float)
                 continue
-            with pytest.raises(KindMismatchError):
+            with pytest.raises(KindMismatchError, match=f"case {cid} needs a "):
                 evaluate_case(cid, inst, params)
+    with pytest.raises(KindMismatchError, match="case STCT1 needs a channel or bipartite instance, not a matrix one"):
+        evaluate_case("STCT1", instances["matrix"][0], cases["channel"][1])
     # neither a bare channel nor a list (nor a pair that is not a channel's) is an instance
     for junk in (ptrace, np.eye(4).tolist(), (np.eye(4), np.eye(4))):
         with pytest.raises(KindMismatchError):
@@ -635,6 +651,14 @@ def test_config_validation():
             AuditConfig(**{field: value})
     # +-inf stay legal entries
     assert AuditConfig(norm_p_grid=(math.inf,), s_grid=(-math.inf, 1.0)).norm_p_grid == (math.inf,)
+    # a bare string read as the case ids K, P, N and 1; an id that is no string is unknown
+    with pytest.raises(PreconditionError, match="case_filter takes a sequence of case ids, not a string: 'KPN1'"):
+        AuditConfig(case_filter="KPN1")
+    with pytest.raises(KindMismatchError, match=r"unknown case ids \[\['KPN1'\]\]"):
+        AuditConfig(case_filter=[["KPN1"]])
+    # a list is stored as a tuple of str, as dims are stored as tuples, so the config hashes
+    listed, tupled = AuditConfig(case_filter=["KPN1", np.str_("TPN2")]), AuditConfig(case_filter=("KPN1", "TPN2"))
+    assert listed == tupled and hash(listed) == hash(tupled) and {type(c) for c in listed.case_filter} == {str}
 
 
 @pytest.mark.parametrize("case_filter", [(), []])
@@ -1086,22 +1110,21 @@ def _recorded_batches(monkeypatch, cfg, makers=None):
     return report, made, batches
 
 
-def _assert_batches_match_evaluate_case(cid, cfg, insts, batches):
+def _assert_batches_match_evaluate_case(cid, insts, batches):
     # instances are made in index order: the trials, then one saturator per dims pair
     assert sorted(i for _, _, rows, _, _ in batches for i in rows) == list(range(len(insts)))
     for _, grid, rows, margins, mask in batches:
         assert len(margins) == len(mask) == len(rows)
         names = list(grid)
         for row, inside, index in zip(margins, mask, rows):
-            # a channel case's saturator, a product W, has the margins of its twin case on W
-            case_id = TWINS.get(cid, cid) if index >= cfg.trials_per_case else cid
+            # a saturator replays through its own case too, a channel case's bipartite product included
             for j, (margin, in_bound) in enumerate(zip(row, inside)):
                 params = {name: grid[name][j] for name in names}
                 if in_bound:
-                    assert margin == evaluate_case(case_id, insts[index], params), (cid, index, params)
+                    assert margin == evaluate_case(cid, insts[index], params), (cid, index, params)
                 else:  # exactly the points past the instance's rank bound are out of bound
                     with pytest.raises(RankRangeError):
-                        evaluate_case(case_id, insts[index], params)
+                        evaluate_case(cid, insts[index], params)
 
 
 def _assert_windows_match_evaluate_case(monkeypatch, cfg):
@@ -1117,7 +1140,7 @@ def _assert_windows_match_evaluate_case(monkeypatch, cfg):
         assert rows == list(range(cfg.trials_per_case + len(cfg.dims)))
         assert {_form(inst)[1] for inst in made[cid]} == set(sp.shapes)
         assert any(map(all, mask))  # the grid is made at the window's largest rank bound
-        _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
+        _assert_batches_match_evaluate_case(cid, made[cid], recorded)
         if REGISTRY[cid].form == "channel":
             channel_d |= {len(set(sp.n[rows].tolist())) for rows in sp.rows}
     return channel_d
@@ -1133,6 +1156,18 @@ def test_window_of_edge_shapes_equals_evaluate_case(monkeypatch):
     # one-dimensional factors beside a larger shape: rank bounds 1, 3 and 4 in one window
     cfg = AuditConfig(trials_per_case=4, dims=((1, 1), (1, 3), (3, 1), (4, 3)))
     _assert_windows_match_evaluate_case(monkeypatch, cfg)
+
+
+def test_kqk1_window_of_long_prefixes_equals_evaluate_case(monkeypatch):
+    # joint Ky Fan prefixes k n of 9 and 12 terms, past the 8 where numpy's
+    # pairwise sums begin: each row of the window still equals its replay
+    cfg = AuditConfig(trials_per_case=6, dims=((3, 3), (4, 3)), case_filter=("KQK1",))
+    report, made, batches = _recorded_batches(monkeypatch, cfg)
+    assert report.cases[0]["failures"] == 0
+    (window,) = [b for b in batches["KQK1"] if b[2] is not None]
+    sp, grid, _, _, mask = window
+    assert (np.array(grid["k"]) * sp.n[:, None])[np.array(mask)].max() == 12
+    _assert_batches_match_evaluate_case("KQK1", made["KQK1"], [window])
 
 
 def _rank_deficient_density(dims, seed):
@@ -1160,7 +1195,7 @@ def test_entropy_batches_mixing_rank_deficient_states(monkeypatch):
     assert all(c["failures"] == 0 and c["violations"] == 0 for c in report.cases)
     for cid in makers:
         recorded = list(batches[cid])  # evaluate_case below records batches of its own
-        _assert_batches_match_evaluate_case(cid, cfg, made[cid], recorded)
+        _assert_batches_match_evaluate_case(cid, made[cid], recorded)
         # some shape stacks full-rank states with rank-deficient ones, whose zeros are exactly 0.0
         assert any(0 < (s == 0.0).any(axis=1).sum() < len(s) for b in recorded for s in b[0].spectra("density", "joint"))
 

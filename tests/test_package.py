@@ -147,3 +147,23 @@ def test_readme_lists_the_public_symbols_the_library_never_calls():
     listed = re.findall(r"^- `(\w+)`", section, re.MULTILINE)
     assert len(listed) == len(set(listed))
     assert set(listed) == _public_names_the_library_never_calls()
+
+
+def test_every_spectra_method_has_a_caller_in_the_package():
+    # README says every method of margins.Spectra has a caller in the evaluators
+    # or the runner: an ast scan of the package, so no method outlives its last caller
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(normtrace.__file__).parent.glob("*.py")}
+    (spectra,) = [x for x in trees["margins.py"].body if isinstance(x, ast.ClassDef) and x.name == "Spectra"]
+    methods = {x.name for x in spectra.body if isinstance(x, ast.FunctionDef) and not x.name.startswith("__")}
+    assert {"norm", "antinorm", "in_bound"} <= methods
+    read = set()  # attributes read off a variable, as sp.norm, by a function other than the one of that name
+    for tree in trees.values():
+        # np.linalg.norm is an attribute of a module, not a call of Spectra.norm
+        modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                read.update(node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)
+                            and isinstance(node.value, ast.Name) and node.value.id not in modules
+                            and node.attr != function.name)
+    assert methods - read == set()
