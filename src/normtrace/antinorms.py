@@ -28,7 +28,6 @@ from .errors import (
     SingularPowerError,
 )
 from .linalg import (
-    DEFAULT_TOL,
     PD_FLOOR_COEFF,
     as_matrix,
     hermitian_eigenvalues,
@@ -38,16 +37,16 @@ from .linalg import (
 )
 
 
-def psd_spectrum(q, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_spectrum(q) -> np.ndarray:
     """Ascending eigenvalues of a PSD matrix, round-off negatives set to zero.
 
     A (trials, d, d) stack gives one row per matrix, each checked alone.
     """
     try:
-        w = hermitian_eigenvalues(q, tol)
+        w = hermitian_eigenvalues(q)
     except NotHermitianError as exc:
         raise NotPsdError("matrix is not Hermitian within tolerance") from exc
-    return psd_eigenvalues(w, tol)
+    return psd_eigenvalues(w)
 
 
 def antinorm_table(w: np.ndarray, p: float, ambient_dim: int | None = None) -> np.ndarray:
@@ -68,26 +67,28 @@ def antinorm_table(w: np.ndarray, p: float, ambient_dim: int | None = None) -> n
 
 
 def kp_antinorm_of(w: np.ndarray, k: int, p: float, ambient_dim: int | None = None) -> float:
-    """(k, p) anti-norm of an ascending PSD spectrum; see kp_antinorm."""
+    """(k, p) anti-norm of an ascending PSD spectrum, a 1-d array; see kp_antinorm."""
+    if np.ndim(w) != 1:
+        raise ShapeMismatchError(f"expected a 1-d spectrum, got shape {np.shape(w)}")
     table = antinorm_table(w, p, ambient_dim)
     if not 1 <= k <= table.size:
         raise RankRangeError(f"k={k} outside [1, {table.size}]")
     return float(table[k - 1])
 
 
-def kp_antinorm(q, k: int, p: float, tol: float = DEFAULT_TOL, ambient_dim: int | None = None) -> float:
+def kp_antinorm(q, k: int, p: float, ambient_dim: int | None = None) -> float:
     """(sum of p-th powers of the k smallest eigenvalues)^(1/p) for p in (0, 1].
 
     ambient_dim > m treats the matrix as embedded in a larger space, padding
     the spectrum with zeros; the padded zeros count among the smallest
     eigenvalues, so the result can vanish on a nonzero operator.
     """
-    return kp_antinorm_of(psd_spectrum(q, tol), k, p, ambient_dim)
+    return kp_antinorm_of(psd_spectrum(q), k, p, ambient_dim)
 
 
-def kyfan_antinorm(q, k: int, tol: float = DEFAULT_TOL) -> float:
+def kyfan_antinorm(q, k: int) -> float:
     """Sum of the k smallest eigenvalues of a PSD matrix: the (k, 1) anti-norm, a cumulative sum."""
-    return kp_antinorm(q, k, 1.0, tol)
+    return kp_antinorm(q, k, 1.0)
 
 
 def schatten_antinorm_of(w: np.ndarray, p: float):
@@ -107,12 +108,12 @@ def schatten_antinorm_of(w: np.ndarray, p: float):
     return values if w.ndim > 1 else float(values[0])
 
 
-def schatten_antinorm(q, p: float, tol: float = DEFAULT_TOL) -> float:
+def schatten_antinorm(q, p: float) -> float:
     """(tr Q^p)^(1/p) for p in (0, 1], extended to p < 0 on positive definite Q."""
-    return schatten_antinorm_of(psd_spectrum(q, tol), p)
+    return schatten_antinorm_of(psd_spectrum(q), p)
 
 
-def partial_fidelity(rho, sigma, k: int, tol: float = DEFAULT_TOL) -> float:
+def partial_fidelity(rho, sigma, k: int) -> float:
     """Sum of the m-k smallest singular values of sqrt(rho) sqrt(sigma).
 
     Interpolates between 0 at k = m and the full fidelity-type overlap at
@@ -128,5 +129,5 @@ def partial_fidelity(rho, sigma, k: int, tol: float = DEFAULT_TOL) -> float:
         raise RankRangeError(f"k={k} outside [1, {m}]")
     if k == m:
         return 0.0
-    a = psd_power(r, 0.5, tol) @ psd_power(s, 0.5, tol)
+    a = psd_power(r, 0.5) @ psd_power(s, 0.5)
     return kp_antinorm_of(np.linalg.svd(a, compute_uv=False)[::-1], m - k, 1.0)

@@ -43,9 +43,10 @@ from numpy.random.bit_generator import ISeedSequence
 from ._version import __version__
 from . import jsonio
 from .channels import StinespringChannel, qr_isometry
-from .errors import BadDimsError, KindMismatchError, PreconditionError, RankRangeError
+from .errors import BadDimsError, ExponentRangeError, KindMismatchError, PreconditionError, RankRangeError
 from .linalg import as_integer, kron
 from .margins import (
+    GRIDS,
     Drawn,
     Grid,
     Spectra,
@@ -68,13 +69,7 @@ from .margins import (
     make_grid,
 )
 
-NORM_P_GRID = (1.0, 1.5, 2.0, 3.0, 10.0, math.inf)
-ANTINORM_P_GRID = (0.25, 0.5, 0.75, 1.0)
-NEGATIVE_P_GRID = (-0.5, -1.0, -2.0)
-PQ_GRID = tuple((p, q) for p in (1.0, 1.5, 2.0) for q in (1.5, 2.0, 3.0))
-SUBUNIT_PQ_GRID = tuple((p, q) for p in (0.25, 0.5, 0.75) for q in (0.25, 0.5, 0.75))
-ALPHA_GRID = (0.3, 0.7, 1.0, 1.5, 3.0)
-S_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
+NORM_P_GRID, ANTINORM_P_GRID, NEGATIVE_P_GRID, PQ_GRID, SUBUNIT_PQ_GRID, ALPHA_GRID, S_GRID = GRIDS.values()
 DEFAULT_DIMS = ((2, 2), (2, 3), (3, 2), (4, 3))
 ENV_DIM_MODES = ("choi_rank", "dim_env")  # a channel's d: its Choi rank, or its dilation's dim_env
 
@@ -487,9 +482,11 @@ def evaluate_case(case_id: str, instance, params) -> float:
     This is the audit's evaluation on a batch of one with a one-point grid.
     The instance is of the case's form or, as its saturators are, of its
     saturator_form (a channel case's saturators are bipartite products).
-    params names exactly the grid columns of the case's axes.  An "env_mode"
-    entry of params, one of ENV_DIM_MODES ("choi_rank" by default), picks a
-    channel's d as AuditConfig.env_dim_mode does, and is checked as that is.
+    params names exactly the grid columns of the case's axes: k an integer,
+    variant and family strings, and every other column a real number other
+    than a bool.  An "env_mode" entry of params, one of ENV_DIM_MODES
+    ("choi_rank" by default), picks a channel's d as AuditConfig.env_dim_mode
+    does, and is checked as that is.
     """
     if case_id not in REGISTRY:
         raise KindMismatchError(f"unknown case id {case_id!r}")
@@ -497,12 +494,17 @@ def evaluate_case(case_id: str, instance, params) -> float:
     instance = _entered(case_id, dict.fromkeys((case.form, case.saturator_form)), instance)
     params = dict(params)
     env_mode = _env_mode(params.pop("env_mode", "choi_rank"))
-    expected = set(make_grid(case.axes, 1, AuditConfig))  # the columns the case's axes set, on the default grids
+    expected = set(make_grid(case.axes, 1))  # the columns the case's axes set
     missing, unexpected = sorted(expected - params.keys()), sorted(params.keys() - expected)
     if missing or unexpected:
         raise PreconditionError(
             f"case {case_id} takes params {sorted(expected)}: missing {missing}, unexpected {unexpected}"
         )
+    for name, value in params.items():
+        if name == "k":  # True would run as k = 1, and 1.5 or "1" fail deep in an index
+            params["k"] = as_integer(value, RankRangeError, "an integer k")
+        elif name not in ("variant", "family") and (isinstance(value, bool) or not isinstance(value, Real)):
+            raise ExponentRangeError(f"{name} takes a real number, got {value!r}")
     grid, sp = Grid({name: (value,) for name, value in params.items()}, 1), Spectra([instance], env_mode)
     if not sp.in_bound(grid).all():  # a point that was asked for is never out of bound
         raise RankRangeError(f"k={params['k']} outside [1, {sp.bound[0]}]")
@@ -521,18 +523,8 @@ class AuditConfig:
     tolerance: float = 1e-9
     env_dim_mode: str = "choi_rank"
     case_filter: Optional[tuple] = None
-    norm_p_grid: tuple = NORM_P_GRID
-    antinorm_p_grid: tuple = ANTINORM_P_GRID
-    negative_p_grid: tuple = NEGATIVE_P_GRID
-    pq_grid: tuple = PQ_GRID
-    subunit_pq_grid: tuple = SUBUNIT_PQ_GRID
-    alpha_grid: tuple = ALPHA_GRID
-    s_grid: tuple = S_GRID
 
     def __post_init__(self):
-        # a bool would run as 0 or 1 and echo as false or true, a str fails deep in a comparison,
-        # and NaN, the one real unequal to itself, fails every instance and then the report's serialization
-        real = lambda x: isinstance(x, Real) and not isinstance(x, bool) and x == x  # noqa: E731
         # every trial seed hashes the seed's text, so 42.0 or True would give another audit
         as_integer(self.base_seed, PreconditionError)
         if as_integer(self.trials_per_case, PreconditionError) < 1:
@@ -541,18 +533,12 @@ class AuditConfig:
         if not dims or any(len(pair) != 2 or min(pair) < 1 for pair in dims):
             raise BadDimsError(f"dims must be nonempty (m, n) pairs, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
-        if not (real(self.tolerance) and self.tolerance > 0 and math.isfinite(self.tolerance)):  # inf hides violations
-            raise PreconditionError(f"tolerance must be a finite positive real number, got {self.tolerance!r}")
+        # a bool would run as 0 or 1 and echo as false or true, a str fails deep in a comparison,
+        # NaN fails every margin, and inf hides violations
+        t = self.tolerance
+        if isinstance(t, bool) or not isinstance(t, Real) or not 0 < t < math.inf:
+            raise PreconditionError(f"tolerance must be a finite positive real number, got {t!r}")
         _env_mode(self.env_dim_mode)
-        grids = [f.name for f in fields(self) if f.name.endswith("_grid")]
-        empty = [name for name in grids if len(getattr(self, name)) == 0]
-        if empty:
-            raise PreconditionError(f"empty parameter grids: {', '.join(empty)}")
-        for name in grids:
-            pair = name.endswith("pq_grid")  # its entries are (p, q) pairs
-            for x in getattr(self, name):
-                if not (isinstance(x, (tuple, list)) and len(x) == 2 and all(map(real, x)) if pair else real(x)):
-                    raise PreconditionError(f"{name} takes {'pairs of ' * pair}real numbers other than NaN, got {x!r}")
         if self.case_filter is not None:
             if isinstance(self.case_filter, str):  # "KPN1" would read as the ids K, P, N and 1
                 raise PreconditionError(f"case_filter takes a sequence of case ids, not a string: {self.case_filter!r}")
@@ -585,7 +571,8 @@ def _listed(x):
 
 
 def _config_echo(cfg: AuditConfig) -> dict:
-    return {**{f.name: _listed(getattr(cfg, f.name)) for f in fields(cfg)}, "prng": dict(PRNG_INFO)}
+    fixed = {name + "_grid": _listed(grid) for name, grid in GRIDS.items()}
+    return {**{f.name: _listed(getattr(cfg, f.name)) for f in fields(cfg)}, **fixed, "prng": dict(PRNG_INFO)}
 
 
 # equality-iff witnesses of TPN2 and TPN62: (a spectrum where the bound is
@@ -652,7 +639,7 @@ def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: d
     try:
         sp = Spectra([inst for _, inst in members], config.env_dim_mode)
         kmax = int(sp.bound.max())
-        grid = grids[kmax] = grids[kmax] if kmax in grids else make_grid(case.axes, kmax, config)
+        grid = grids[kmax] = grids[kmax] if kmax in grids else make_grid(case.axes, kmax)
         margins = case.evaluate(sp, grid)
         stats = _trial_stats(case.id, sp)
     except _INSTANCE_ERRORS as exc:

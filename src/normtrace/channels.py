@@ -16,6 +16,7 @@ from .linalg import as_integer, as_matrices, as_matrix, singular_values, stacked
 
 ISOMETRY_TOL = 1e-10
 CHOI_RANK_TOL = 1e-9
+CONJUGATION_TOL = 1e-9  # singular values at most this share of the largest are zeros, and match within it
 
 
 def qr_isometry(g: np.ndarray) -> np.ndarray:
@@ -25,19 +26,11 @@ def qr_isometry(g: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def validate_isometry(v, tol: float = ISOMETRY_TOL) -> bool:
-    """True when V^dag V = I within tol * (1 + max|V|^2), for V or every matrix of a stack.  V must be tall."""
-    return _isometric([v], tol)
+def validate_isometry(*vs) -> bool:
+    """True when V^dag V = I within ISOMETRY_TOL * (1 + max|V|^2) for each tall V, or stack of them, given.
 
-
-def require_isometry(*vs) -> None:
-    """NotTracePreservingError unless validate_isometry holds for each V, or stack of them, given."""
-    if not _isometric(vs, ISOMETRY_TOL):
-        raise NotTracePreservingError("dilation matrix is not an isometry")
-
-
-def _isometric(vs, tol: float) -> bool:
-    """validate_isometry of every stack of vs: V^dag V per stack, the residuals in one pass per input dimension."""
+    V^dag V is formed per stack, and the residuals are checked in one pass per input dimension.
+    """
     pairs = {}
     for v in map(as_matrices, vs):
         if v.shape[-2] < v.shape[-1]:
@@ -47,9 +40,15 @@ def _isometric(vs, tol: float) -> bool:
     for m, grams_tops in pairs.items():
         grams, tops = zip(*grams_tops)
         off = np.abs(stacked(grams) - np.eye(m)).max(axis=(-2, -1)).tolist()
-        if not all(o <= tol * (1.0 + t ** 2) for o, t in zip(off, stacked(tops).tolist())):
+        if not all(o <= ISOMETRY_TOL * (1.0 + t ** 2) for o, t in zip(off, stacked(tops).tolist())):
             return False
     return True
+
+
+def require_isometry(*vs) -> None:
+    """NotTracePreservingError unless validate_isometry holds for each V, or stack of them, given."""
+    if not validate_isometry(*vs):
+        raise NotTracePreservingError("dilation matrix is not an isometry")
 
 
 def channel_outputs(v: np.ndarray, q: np.ndarray, dim_out: int, dim_env: int) -> np.ndarray:
@@ -69,10 +68,10 @@ def choi_gram(v: np.ndarray, dim_out: int, dim_env: int) -> np.ndarray:
     return ah @ a if dim_env <= dim_out * m else a @ ah
 
 
-def gram_ranks(grams: np.ndarray, tol: float = CHOI_RANK_TOL) -> np.ndarray:
-    """Rank of a PSD Gram matrix, or of each of a stack: its eigenvalues above tol times its largest."""
+def gram_ranks(grams: np.ndarray) -> np.ndarray:
+    """Rank of a PSD Gram matrix, or of each of a stack: its eigenvalues above CHOI_RANK_TOL times its largest."""
     w = np.linalg.eigvalsh(grams)  # ascending: the last is the largest
-    return np.count_nonzero(w > tol * w[..., -1:], axis=-1)
+    return np.count_nonzero(w > CHOI_RANK_TOL * w[..., -1:], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -141,12 +140,12 @@ def choi_matrix(ch: StinespringChannel) -> np.ndarray:
     return total
 
 
-def choi_rank(ch: StinespringChannel, tol: float = CHOI_RANK_TOL) -> int:
-    """Number of Choi eigenvalues above tol relative to the largest."""
-    return int(gram_ranks(choi_gram(ch.v, ch.dim_out, ch.dim_env), tol))
+def choi_rank(ch: StinespringChannel) -> int:
+    """Number of Choi eigenvalues above CHOI_RANK_TOL relative to the largest."""
+    return int(gram_ranks(choi_gram(ch.v, ch.dim_out, ch.dim_env)))
 
 
-def singular_value_conjugation_check(ch_or_v, q, tol: float = 1e-9) -> bool:
+def singular_value_conjugation_check(ch_or_v, q) -> bool:
     """Whether V Q V^dag and Q share their nonzero singular values.
 
     True for every isometry V; accepts either a channel or a raw tall matrix
@@ -164,11 +163,11 @@ def singular_value_conjugation_check(ch_or_v, q, tol: float = 1e-9) -> bool:
     smax = max(float(s_out.max()), float(s_in.max()))
     if smax == 0.0:
         return True
-    cutoff = tol * smax
+    cutoff = CONJUGATION_TOL * smax
     a = s_out[s_out > cutoff]
     b = s_in[s_in > cutoff]
     if a.size != b.size:
         return False
     if a.size == 0:
         return True
-    return float(np.abs(a - b).max()) <= tol * smax
+    return float(np.abs(a - b).max()) <= cutoff

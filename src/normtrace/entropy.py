@@ -22,11 +22,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExponentRangeError, NotDensityError, NotHermitianError
-from .linalg import DEFAULT_TOL, hermitian_eigenvalues, spectral_radius, zero_round_off
+from .linalg import hermitian_eigenvalues, spectral_radius, zero_round_off
 
 ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the von Neumann branch
 S_ZERO_TOL = 1e-12  # |s| below this routes to the Renyi branch
 DENSITY_EIG_FLOOR = -1e-10
+TRACE_TOL = 1e-9  # |tr rho - 1| above this is not a density matrix
 
 
 def _check_alpha(alpha: float) -> None:
@@ -34,19 +35,19 @@ def _check_alpha(alpha: float) -> None:
         raise ExponentRangeError(f"alpha={alpha} must be a positive real")
 
 
-def density_spectrum(rho, tol: float = 1e-9) -> np.ndarray:
+def density_spectrum(rho) -> np.ndarray:
     """Validated eigenvalues of a density matrix, ascending, round-off of exact zeros set to 0.0.
 
-    Inputs are never renormalized: a trace away from 1 beyond tol is an error.
+    Inputs are never renormalized: a trace away from 1 beyond TRACE_TOL is an error.
     A (trials, d, d) stack gives a (trials, d) array, one spectrum per row.
     """
     try:
-        w = hermitian_eigenvalues(rho, DEFAULT_TOL)
+        w = hermitian_eigenvalues(rho)
     except NotHermitianError as exc:
         raise NotDensityError("density matrix must be Hermitian") from exc
-    off = [t for t in w.reshape(-1, w.shape[-1]).sum(axis=1).tolist() if abs(t - 1.0) > tol]
+    off = [t for t in w.reshape(-1, w.shape[-1]).sum(axis=1).tolist() if abs(t - 1.0) > TRACE_TOL]
     if off:
-        raise NotDensityError(f"trace {off[0]:.12g} differs from 1 beyond {tol}")
+        raise NotDensityError(f"trace {off[0]:.12g} differs from 1 beyond {TRACE_TOL}")
     low = float(w[..., 0].min())  # each row ascends from its minimum
     if low < DENSITY_EIG_FLOOR:
         raise NotDensityError(f"eigenvalue {low:.3e} below {DENSITY_EIG_FLOOR}")
@@ -113,29 +114,29 @@ def unified_entropy_from(power_sum, von_neumann, alpha: float, s: float):
     return _closed(lambda x: math.expm1(s * math.log(x)) / ((1.0 - alpha) * s), power_sum)
 
 
-def _inputs(rho, alpha: float, tol: float) -> tuple:
-    w = density_spectrum(rho, tol)
+def _inputs(rho, alpha: float) -> tuple:
+    w = density_spectrum(rho)
     return power_sum_of(w, alpha), von_neumann_of(w)
 
 
-def von_neumann_entropy(rho, tol: float = 1e-9) -> float:
+def von_neumann_entropy(rho) -> float:
     """-tr(rho ln rho)."""
-    return von_neumann_of(density_spectrum(rho, tol))
+    return von_neumann_of(density_spectrum(rho))
 
 
-def renyi_entropy(rho, alpha: float, tol: float = 1e-9) -> float:
+def renyi_entropy(rho, alpha: float) -> float:
     """ln(tr rho^alpha) / (1 - alpha); alpha near 1 gives von Neumann."""
-    return renyi_entropy_from(*_inputs(rho, alpha, tol), alpha)
+    return renyi_entropy_from(*_inputs(rho, alpha), alpha)
 
 
-def tsallis_entropy(rho, alpha: float, tol: float = 1e-9) -> float:
+def tsallis_entropy(rho, alpha: float) -> float:
     """(tr rho^alpha - 1) / (1 - alpha); alpha near 1 gives von Neumann."""
-    return tsallis_entropy_from(*_inputs(rho, alpha, tol), alpha)
+    return tsallis_entropy_from(*_inputs(rho, alpha), alpha)
 
 
-def unified_entropy(rho, alpha: float, s: float, tol: float = 1e-9) -> float:
+def unified_entropy(rho, alpha: float, s: float) -> float:
     """((tr rho^alpha)^s - 1) / ((1 - alpha) s) with deterministic limit branches."""
-    return unified_entropy_from(*_inputs(rho, alpha, tol), alpha, s)
+    return unified_entropy_from(*_inputs(rho, alpha), alpha, s)
 
 
 def max_entropy_value(m: int, alpha: float, s: float) -> float:

@@ -59,8 +59,8 @@ def require_square(m: np.ndarray) -> int:
     return m.shape[-1]
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    """True when max |M - M^dag| <= tol * (1 + max |M|), for M or every matrix of a stack."""
+def is_hermitian(m) -> bool:
+    """True when max |M - M^dag| <= DEFAULT_TOL * (1 + max |M|), for M or every matrix of a stack."""
     m = as_matrices(m)
     if m.shape[-2] != m.shape[-1]:
         return False
@@ -69,17 +69,17 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     rows = (-1, m.shape[-1] ** 2)
     off = np.abs(m - m.conj().swapaxes(-1, -2)).reshape(rows).max(axis=1).tolist()
     scale = np.abs(m).reshape(rows).max(axis=1).tolist()
-    return all(o <= tol * (1.0 + s) for o, s in zip(off, scale))
+    return all(o <= DEFAULT_TOL * (1.0 + s) for o, s in zip(off, scale))
 
 
-def psd_eigenvalues(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Ascending Hermitian eigenvalues (or rows of them) with round-off of exact zeros set to zero.
 
-    NotPsdError when a row's smallest is below -tol * (1 + its spectral radius).
+    NotPsdError when a row's smallest is below -DEFAULT_TOL * (1 + its spectral radius).
     """
     lows = w[..., 0].ravel().tolist()
     radius = spectral_radius(w)
-    if any(low < -tol * (1.0 + r) for low, r in zip(lows, radius.ravel().tolist())):
+    if any(low < -DEFAULT_TOL * (1.0 + r) for low, r in zip(lows, radius.ravel().tolist())):
         raise NotPsdError("matrix has a negative eigenvalue beyond tolerance")
     return zero_round_off(w, radius)
 
@@ -98,11 +98,11 @@ def zero_round_off(w: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return np.where(w <= PSD_ZERO_REL * radius, 0.0, w)
 
 
-def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending; a stack gives one row per matrix."""
     m = as_matrices(m)
     require_square(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)
 
@@ -119,20 +119,20 @@ def kron(a, b) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def psd_power(q, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_power(q, t: float) -> np.ndarray:
     """Spectral power Q^t of a PSD matrix.
 
-    Round-off negatives inside (-tol * scale, 0) are clamped to zero.  A
+    Round-off negatives inside (-DEFAULT_TOL * scale, 0) are clamped to zero.  A
     negative exponent requires the smallest eigenvalue to clear the floor
     PD_FLOOR_COEFF * (1 + spectral norm).
     """
     q = as_matrix(q)
     require_square(q)
-    if not is_hermitian(q, tol):
+    if not is_hermitian(q):
         raise NotPsdError("matrix is not Hermitian within tolerance")
     w, u = np.linalg.eigh(q)
     spec = float(np.abs(w).max())
-    w = psd_eigenvalues(w, tol)
+    w = psd_eigenvalues(w)
     if t < 0:
         floor = PD_FLOOR_COEFF * (1.0 + spec)
         if float(w.min()) <= floor:

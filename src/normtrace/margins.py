@@ -18,13 +18,12 @@ each normalized by max(1, |lhs|, |rhs|).  Each instance has its own traced-out
 dimension and rank bound, and a grid point whose k exceeds an instance's bound
 is out of bound for it (Spectra.in_bound): never folded.  Each case declares
 its grid as products of named axes (see _axis), and make_grid builds it from
-an audit configuration.
+the registry's fixed parameter grids (GRIDS).
 """
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -400,8 +399,11 @@ def eval_et42(sp: Spectra, g) -> np.ndarray:
 
 
 def eval_satwrqa(sp: Spectra, g) -> np.ndarray:
+    unknown = [f for f in g["family"] if f not in ("norm", "antinorm")]
+    if unknown:
+        raise PreconditionError(f"unknown family {unknown[0]!r}")
     norm = [j for j, family in enumerate(g["family"]) if family == "norm"]
-    anti = [j for j, family in enumerate(g["family"]) if family != "norm"]
+    anti = [j for j, family in enumerate(g["family"]) if family == "antinorm"]
     margins = np.empty((sp.size, g.size))
     margins[:, norm] = eval_kpn1(sp, g.take(norm))
     margins[:, anti] = eval_kqn1(sp, g.take(anti))
@@ -453,7 +455,19 @@ class Grid(dict):
         return rows[0] if len(rows) == 1 else np.concatenate(rows)[[order[n] for n in values]]
 
 
-def _axis(name: str, kmax: int, cfg) -> tuple:
+# the registry's parameter grids by axis name; the audit report echoes each as "<name>_grid"
+GRIDS = {
+    "norm_p": (1.0, 1.5, 2.0, 3.0, 10.0, math.inf),
+    "antinorm_p": (0.25, 0.5, 0.75, 1.0),
+    "negative_p": (-0.5, -1.0, -2.0),
+    "pq": tuple((p, q) for p in (1.0, 1.5, 2.0) for q in (1.5, 2.0, 3.0)),
+    "subunit_pq": tuple((p, q) for p in (0.25, 0.5, 0.75) for q in (0.25, 0.5, 0.75)),
+    "alpha": (0.3, 0.7, 1.0, 1.5, 3.0),
+    "s": (-1.0, 0.0, 0.5, 1.0, 2.0),
+}
+
+
+def _axis(name: str, kmax: int) -> tuple:
     """The columns one grid axis sets, and its values, each one entry per column."""
     if name == "k":
         return ("k",), [(k,) for k in range(1, kmax + 1)]
@@ -461,19 +475,16 @@ def _axis(name: str, kmax: int, cfg) -> tuple:
         return ("variant",), [("trace",), ("frobenius",), ("spectral",)]
     if name in ("norm", "antinorm"):  # the SAT-WRQA family, a single value
         return ("family",), [(name,)]
-    # interned: CPython's type attribute cache keeps a reference to each name
-    # string it is asked for, so a fresh string per call would stay alive
-    values = getattr(cfg, sys.intern(name + "_grid"))
     if name.endswith("pq"):
-        return ("p", "q"), [tuple(pq) for pq in values]
-    return ("p" if name.endswith("_p") else name,), [(v,) for v in values]
+        return ("p", "q"), list(GRIDS[name])
+    return ("p" if name.endswith("_p") else name,), [(v,) for v in GRIDS[name]]
 
 
-def make_grid(axes: tuple, kmax: int, cfg) -> Grid:
+def make_grid(axes: tuple, kmax: int) -> Grid:
     """The points of each product of axes in turn, the last axis varying fastest."""
     names, points = (), []
     for product in axes:
-        parts = [_axis(name, kmax, cfg) for name in product.split()]
+        parts = [_axis(name, kmax) for name in product.split()]
         names = sum((cols for cols, _ in parts), ())
         points += [sum(value, ()) for value in itertools.product(*(values for _, values in parts))]
     return Grid(dict(zip(names, zip(*points))), len(points))

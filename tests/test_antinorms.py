@@ -113,6 +113,13 @@ def test_kp_antinorm_ambient_padding():
         antinorm_table(w, 0.5, ambient_dim=1)
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_kp_antinorm_of_takes_one_spectrum(k):
+    # a (rows, d) stack raised a bare TypeError, and a k past one row an IndexError
+    with pytest.raises(ShapeMismatchError, match="1-d spectrum"):
+        kp_antinorm_of(np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]]), k, 0.5)
+
+
 def test_superadditivity_sampled():
     rng = np.random.default_rng(19)
     for trial in range(25):

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,16 @@ import pytest
 from normtrace import audit, channels, cli, margins
 from normtrace.antinorms import kp_antinorm
 from normtrace.audit import (
+    ALPHA_GRID,
+    ANTINORM_P_GRID,
     DEFAULT_DIMS,
+    NEGATIVE_P_GRID,
+    NORM_P_GRID,
+    PQ_GRID,
     REGISTRY,
     REGISTRY_IDS,
+    S_GRID,
+    SUBUNIT_PQ_GRID,
     AuditConfig,
     evaluate_case,
     run_audit,
@@ -283,7 +291,7 @@ def test_evaluate_case_out_of_range_params_raise_typed_errors(cid, params, error
         evaluate_case(cid, instance, params)
 
 
-# each config grid and the cases that read it
+# each grid, by its report key, and the cases that read it
 GRID_READERS = {
     "norm_p_grid": ("KPN1", "SPN1", "STCT1", "STCTP", "SAT-WRQA"),
     "antinorm_p_grid": ("KQN1", "STCT2", "STCTPP", "SAT-WRQA"),
@@ -301,8 +309,9 @@ GRID_READERS = {
     ("pq_grid", ((1.0, 0.0),)),
     ("subunit_pq_grid", ((0.0, 0.5),)),
 ])
-def test_run_audit_counts_zero_exponents_as_failures(field, value):
-    cfg = AuditConfig(trials_per_case=1, case_filter=GRID_READERS[field], **{field: value})
+def test_run_audit_counts_zero_exponents_as_failures(monkeypatch, field, value):
+    monkeypatch.setitem(margins.GRIDS, field.removesuffix("_grid"), value)
+    cfg = AuditConfig(trials_per_case=1, case_filter=GRID_READERS[field])
     report = run_audit(cfg)
     for rec in report.cases:
         assert rec["failures"] == cfg.trials_per_case + len(cfg.dims), rec
@@ -320,8 +329,10 @@ def test_run_audit_counts_zero_exponents_as_failures(field, value):
     # the Tsallis form takes no logarithm
     ("ETT41", (1.0,), 0, None),
 ])
-def test_run_audit_counts_float_range_errors_as_failures(cid, s_grid, failures, message):
-    cfg = AuditConfig(trials_per_case=1, alpha_grid=(1000.0,), s_grid=s_grid, case_filter=(cid,))
+def test_run_audit_counts_float_range_errors_as_failures(monkeypatch, cid, s_grid, failures, message):
+    monkeypatch.setitem(margins.GRIDS, "alpha", (1000.0,))
+    monkeypatch.setitem(margins.GRIDS, "s", s_grid)
+    cfg = AuditConfig(trials_per_case=1, case_filter=(cid,))
     (rec,) = run_audit(cfg).cases
     assert rec["failures"] == failures
     if message is not None:
@@ -330,12 +341,14 @@ def test_run_audit_counts_float_range_errors_as_failures(cid, s_grid, failures, 
 
 @pytest.mark.parametrize("cid,grid,failures", [
     # n^((p-1)/p) = n^1001 overflows at n = 3, not at n = 2: 3 of the 6 instances fail
-    ("KQN2", {"negative_p_grid": (-0.001,)}, 3),
+    ("KQN2", {"negative_p": (-0.001,)}, 3),
     # k^599 n^599 overflows as a product (it reads inf) at k = n = 2, and k^599 as a power at k = 4
-    ("CPN1", {"pq_grid": ((1.0, 600.0),)}, 6),
+    ("CPN1", {"pq": ((1.0, 600.0),)}, 6),
 ])
-def test_run_audit_counts_overflowing_bound_factors_as_failures(cid, grid, failures):
-    cfg = AuditConfig(trials_per_case=2, case_filter=(cid,), **grid)
+def test_run_audit_counts_overflowing_bound_factors_as_failures(monkeypatch, cid, grid, failures):
+    for name, values in grid.items():
+        monkeypatch.setitem(margins.GRIDS, name, values)
+    cfg = AuditConfig(trials_per_case=2, case_filter=(cid,))
     (rec,) = run_audit(cfg).cases
     assert rec["failures"] == failures
     assert rec["first_failure"].startswith("DomainError: bound factor") and "overflows" in rec["first_failure"]
@@ -351,7 +364,7 @@ def test_evaluate_case_replays_a_channel_case_saturator():
     # case's own id with its bipartite twin's margins, which the product saturates
     for cid, twin in TWINS.items():
         w = REGISTRY[cid].saturator((3, 2), 5)
-        grid = margins.make_grid(REGISTRY[cid].axes, 3, AuditConfig)
+        grid = margins.make_grid(REGISTRY[cid].axes, 3)
         for j in range(grid.size):
             params = {name: column[j] for name, column in grid.items()}
             margin = evaluate_case(cid, w, params)
@@ -443,22 +456,28 @@ def test_evaluate_case_names_unexpected_params(cid, params, unexpected):
     assert isinstance(evaluate_case(cid, instance, {**params, "env_mode": "dim_env"}), float)
 
 
-@pytest.mark.parametrize("field", [
-    "norm_p_grid", "antinorm_p_grid", "negative_p_grid", "pq_grid", "subunit_pq_grid", "alpha_grid", "s_grid",
+@pytest.mark.parametrize("cid,params,error,message", [
+    # a k that is no integer failed in an index or a ufunc, and True ran as k = 1
+    ("KPN1", {"k": 1.5, "p": 2.0}, RankRangeError, "expected an integer k, got 1.5"),
+    ("KPN1", {"k": True, "p": 2.0}, RankRangeError, "expected an integer k, got True"),
+    ("KPN1", {"k": "1", "p": 2.0}, RankRangeError, "expected an integer k, got '1'"),
+    ("KPN1", {"k": 1, "p": "x"}, ExponentRangeError, "p takes a real number, got 'x'"),
+    ("KPN1", {"k": 1, "p": True}, ExponentRangeError, "p takes a real number, got True"),
+    ("ET41", {"alpha": 0.7, "s": None}, ExponentRangeError, "s takes a real number, got None"),
+    # an unknown family was read as an anti-norm
+    ("SAT-WRQA", {"k": 1, "p": 2.0, "family": "x"}, PreconditionError, "unknown family 'x'"),
 ])
-def test_config_rejects_empty_grids(field):
-    # an empty axis would leave its cases a grid without columns
-    with pytest.raises(PreconditionError, match=field):
-        AuditConfig(trials_per_case=3, **{field: ()})
+def test_evaluate_case_rejects_malformed_params(cid, params, error, message):
+    w = sample("bipartite", (2, 3), 5)
+    with pytest.raises(error, match=re.escape(message)):
+        evaluate_case(cid, w, params)
 
 
 def test_run_audit_accepts_list_valued_config_fields():
-    lists = AuditConfig(
-        trials_per_case=2, norm_p_grid=[1.0, 2.0], pq_grid=[[1.0, 2.0]], case_filter=["KPN1", "TPN2"]
-    )
-    tuples = AuditConfig(
-        trials_per_case=2, norm_p_grid=(1.0, 2.0), pq_grid=((1.0, 2.0),), case_filter=("KPN1", "TPN2")
-    )
+    lists = AuditConfig(trials_per_case=2, dims=[[2, 2], [3, 2]], case_filter=["KPN1", "TPN2"])
+    tuples = AuditConfig(trials_per_case=2, dims=((2, 2), (3, 2)), case_filter=("KPN1", "TPN2"))
+    # every field is stored as tuples, so a config given lists hashes
+    assert lists == tuples and hash(lists) == hash(tuples)
     assert run_audit(lists).to_text() == run_audit(tuples).to_text()
 
 
@@ -643,14 +662,6 @@ def test_config_validation():
     with pytest.raises(KindMismatchError):
         AuditConfig(case_filter=("KPN1", "BOGUS"))
     assert AuditConfig().dims == DEFAULT_DIMS
-    # a NaN grid entry failed every instance and then the report's serialization
-    nan = float("nan")
-    for field, value in (("norm_p_grid", (2.0, nan)), ("alpha_grid", (np.float64(nan),)), ("s_grid", (nan,)),
-                         ("pq_grid", ((1.0, nan),)), ("subunit_pq_grid", ((nan, 0.5),))):
-        with pytest.raises(PreconditionError, match=f"{field} takes .*real numbers other than NaN"):
-            AuditConfig(**{field: value})
-    # +-inf stay legal entries
-    assert AuditConfig(norm_p_grid=(math.inf,), s_grid=(-math.inf, 1.0)).norm_p_grid == (math.inf,)
     # a bare string read as the case ids K, P, N and 1; an id that is no string is unknown
     with pytest.raises(PreconditionError, match="case_filter takes a sequence of case ids, not a string: 'KPN1'"):
         AuditConfig(case_filter="KPN1")
@@ -679,13 +690,6 @@ def test_config_rejects_non_finite_tolerance(tolerance):
     # True ran as tolerance 1 and p = 1, and each was echoed as true; "2" escaped as a bare TypeError
     ("tolerance", True),
     ("tolerance", "1e-9"),
-    ("norm_p_grid", (True, 2.0)),
-    ("norm_p_grid", ("2",)),
-    ("antinorm_p_grid", (0.5, None)),
-    ("alpha_grid", (np.bool_(True),)),
-    ("pq_grid", ((1.0, "2"),)),
-    ("pq_grid", ((1.0, 2.0, 3.0),)),
-    ("subunit_pq_grid", (0.5,)),
 ])
 def test_config_rejects_values_that_are_not_real_numbers(field, value):
     with pytest.raises(PreconditionError, match=f"{field}.*real number"):
@@ -693,10 +697,11 @@ def test_config_rejects_values_that_are_not_real_numbers(field, value):
 
 
 def test_config_takes_numpy_reals():
-    cfg = AuditConfig(
-        trials_per_case=1, tolerance=np.float64(1e-9), norm_p_grid=(np.float32(2.0), 3), case_filter=("KPN1",)
-    )
+    cfg = AuditConfig(trials_per_case=1, tolerance=np.float64(1e-9), case_filter=("KPN1",))
     assert run_audit(cfg).cases[0]["failures"] == 0
+    w = sample("bipartite", (2, 3), 5)
+    assert evaluate_case("KPN1", w, {"k": np.int64(1), "p": np.float64(2.0)}) == evaluate_case(
+        "KPN1", w, {"k": 1, "p": 2.0})
 
 
 @pytest.mark.parametrize("make,error", [
@@ -803,28 +808,28 @@ def test_report_shape():
 DECOMPOSITIONS = ("svd", "eigvalsh", "eigh", "qr")
 
 # grid points per instance of each case, from the rank bound k_max of the
-# instance (the size of Tr_B W, of Phi(Q) or of Q) and the config
+# instance (the size of Tr_B W, of Phi(Q) or of Q) and the grids
 GRID_SIZES = {
-    "KPN1": lambda k, c: k * len(c.norm_p_grid),
-    "SPN1": lambda k, c: len(c.norm_p_grid),
-    "TFSN": lambda k, c: 3,
-    "KPK1": lambda k, c: k,
-    "KPK2": lambda k, c: 1,
-    "TPN2": lambda k, c: k * len(c.pq_grid),
-    "CPN1": lambda k, c: k * len(c.pq_grid),
-    "KQN1": lambda k, c: k * len(c.antinorm_p_grid),
-    "KQN2": lambda k, c: len(c.negative_p_grid),
-    "KQK1": lambda k, c: k,
-    "TPN62": lambda k, c: k * len(c.subunit_pq_grid),
-    "STCT1": lambda k, c: k * len(c.norm_p_grid),
-    "STCTP": lambda k, c: len(c.norm_p_grid),
-    "STCT2": lambda k, c: k * len(c.antinorm_p_grid),
-    "STCTPP": lambda k, c: len(c.antinorm_p_grid),
-    "ET41": lambda k, c: len(c.alpha_grid) * len(c.s_grid),
-    "ETT41": lambda k, c: len(c.alpha_grid),
-    "ET42": lambda k, c: len(c.alpha_grid),
-    "STCTEP": lambda k, c: len(c.alpha_grid) * len(c.s_grid),
-    "SAT-WRQA": lambda k, c: k * (len(c.norm_p_grid) + len(c.antinorm_p_grid)),
+    "KPN1": lambda k: k * len(NORM_P_GRID),
+    "SPN1": lambda k: len(NORM_P_GRID),
+    "TFSN": lambda k: 3,
+    "KPK1": lambda k: k,
+    "KPK2": lambda k: 1,
+    "TPN2": lambda k: k * len(PQ_GRID),
+    "CPN1": lambda k: k * len(PQ_GRID),
+    "KQN1": lambda k: k * len(ANTINORM_P_GRID),
+    "KQN2": lambda k: len(NEGATIVE_P_GRID),
+    "KQK1": lambda k: k,
+    "TPN62": lambda k: k * len(SUBUNIT_PQ_GRID),
+    "STCT1": lambda k: k * len(NORM_P_GRID),
+    "STCTP": lambda k: len(NORM_P_GRID),
+    "STCT2": lambda k: k * len(ANTINORM_P_GRID),
+    "STCTPP": lambda k: len(ANTINORM_P_GRID),
+    "ET41": lambda k: len(ALPHA_GRID) * len(S_GRID),
+    "ETT41": lambda k: len(ALPHA_GRID),
+    "ET42": lambda k: len(ALPHA_GRID),
+    "STCTEP": lambda k: len(ALPHA_GRID) * len(S_GRID),
+    "SAT-WRQA": lambda k: k * (len(NORM_P_GRID) + len(ANTINORM_P_GRID)),
 }
 
 
@@ -920,7 +925,7 @@ def test_run_audit_decomposes_each_instance_once(monkeypatch):
             inst = make(dims, seed)
             sampled[id(inst)] = state["sampling"]
             state["sampling"] = None
-            points.append(GRID_SIZES[cid](_rank_bound(inst), cfg))
+            points.append(GRID_SIZES[cid](_rank_bound(inst)))
             shapes.add((cid, _form(inst)))
             return inst
 
@@ -1209,16 +1214,15 @@ def test_run_audit_failed_trial_feeds_no_margin(monkeypatch):
     def make_instance(dims, seed):
         return singular if seed == audit._trial_seed(42, "KQN2", 1) else sampler(dims, seed)
 
-    cfg = AuditConfig(
-        trials_per_case=3, dims=((3, 2), (2, 2)), negative_p_grid=(0.5, -1.0), case_filter=("KQN2",)
-    )
+    monkeypatch.setitem(margins.GRIDS, "negative_p", (0.5, -1.0))
+    cfg = AuditConfig(trials_per_case=3, dims=((3, 2), (2, 2)), case_filter=("KQN2",))
     _replace_case(monkeypatch, "KQN2", make_instance=make_instance)
     (rec,) = run_audit(cfg).cases
     assert rec["failures"] == 1
     assert rec["first_failure"].startswith("SingularPowerError")
     assert abs(evaluate_case("KQN2", singular, {"p": 0.5})) < 1e-12
     others = [sampler(cfg.dims[t % 2], audit._trial_seed(42, "KQN2", t)) for t in (0, 2)]
-    expected = min(evaluate_case("KQN2", w, {"p": p}) for w in others for p in cfg.negative_p_grid)
+    expected = min(evaluate_case("KQN2", w, {"p": p}) for w in others for p in margins.GRIDS["negative_p"])
     assert expected > 0.1
     assert rec["worst_margin"] == expected
 
@@ -1448,7 +1452,7 @@ def test_out_of_bound_points_never_count_or_fail(monkeypatch, fill):
     _replace_case(monkeypatch, "KPN1", evaluate=evaluate)
     (rec,) = run_audit(cfg).cases
     # trials 0 and 2 and the first saturator, at two k and every p
-    assert masked == [3 * 2 * len(cfg.norm_p_grid)]
+    assert masked == [3 * 2 * len(NORM_P_GRID)]
     assert rec == clean and rec["failures"] == 0
 
 
@@ -1702,7 +1706,7 @@ def test_size_batched_windows_equal_per_shape_windows(env_mode):
             channel = {i: x.alone()[0] for i, x in enumerate(insts) if x.form == "channel"}
             ranks = {i: channels.choi_rank(ch) if env_mode == "choi_rank" else ch.dim_env for i, ch in channel.items()}
         sp = _Recorded(insts, env_mode)
-        grid = margins.make_grid(case.axes, int(sp.bound.max()), cfg)
+        grid = margins.make_grid(case.axes, int(sp.bound.max()))
         values, mask, stats = case.evaluate(sp, grid), sp.in_bound(grid), audit._trial_stats(cid, sp)
         if case.form == "channel":
             # each channel's own Choi rank, or dim_env, and each saturator's n, the dimension W traces out

@@ -1,4 +1,5 @@
 """End-to-end command line checks through subprocess calls."""
+import argparse
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 import normtrace
 from normtrace import cli, jsonio
 from normtrace.antinorms import kp_antinorm
-from normtrace.audit import REGISTRY
+from normtrace.audit import DEFAULT_DIMS, ENV_DIM_MODES, REGISTRY, AuditConfig
 from normtrace.bipartite import BipartiteOperator, partial_trace_a, partial_trace_b
 from normtrace.entropy import unified_entropy
 from normtrace.errors import PreconditionError
@@ -230,6 +231,22 @@ def test_audit_dims_without_pairs_exits_2():
     out = run_cli("audit", "--trials", "1", "--case", "KPN1", "--dims")
     assert out.returncode == 2
     assert "--dims needs at least one MxN pair" in out.stderr and out.stdout == ""
+
+
+def test_audit_options_are_the_config_fields():
+    # each config field has exactly one audit option with the field's default, so a field no caller sets shows
+    args = vars(cli._build_parser().parse_args(["audit"]))
+    fields = {"seed": "base_seed", "trials": "trials_per_case", "dims": "dims", "tolerance": "tolerance",
+              "env_dim": "env_dim_mode", "case": "case_filter"}
+    assert set(args) - {"command", "func", "out"} == set(fields)
+    assert set(fields.values()) == {f.name for f in dataclasses.fields(AuditConfig)}
+    config = AuditConfig()
+    for option, field in fields.items():
+        default = DEFAULT_DIMS if option == "dims" and args[option] is None else args[option]
+        assert default == getattr(config, field), option
+    (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (env_dim,) = [a for a in commands.choices["audit"]._actions if a.dest == "env_dim"]
+    assert tuple(env_dim.choices) == ENV_DIM_MODES
 
 
 def test_version_flag():
