@@ -52,16 +52,12 @@ from .margins import (
     Spectra,
     eval_cpn1,
     eval_et41,
-    eval_et42,
     eval_ett41,
-    eval_kpk1,
     eval_kpk2,
     eval_kpn1,
-    eval_kqk1,
     eval_kqn1,
     eval_kqn2,
     eval_satwrqa,
-    eval_spn1,
     eval_tfsn,
     eval_tpn2,
     eval_tpn62,
@@ -365,7 +361,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "SPN1", "partial trace against the Schatten norm of the joint operator",
         "||Tr_B W||_p <= n^((p-1)/p) ||W||_p",
-        ("bipartite", "product_psd"), ("norm_p",), eval_spn1,
+        ("bipartite", "product_psd"), ("norm_p",), eval_kpn1,
     ),
     _case(
         "TFSN", "trace, Frobenius, and spectral norm forms of the partial trace bound",
@@ -375,7 +371,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "KPK1", "Ky Fan norm of the partial trace against the joint Ky Fan norm",
         "||Tr_B W||_(k) <= ||W||_(kn)",
-        ("bipartite", "product_psd"), ("k",), eval_kpk1,
+        ("bipartite", "product_psd"), ("k",), eval_kpn1,
     ),
     _case(
         "KPK2", "spectral norm of the partial trace against the Ky Fan n-norm",
@@ -405,7 +401,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "KQK1", "Ky Fan anti-norm of the partial trace against the joint anti-norm",
         "||Tr_B W||_{k} >= ||W||_{kn}",
-        ("bipartite_psd", "product_psd"), ("k",), eval_kqk1,
+        ("bipartite_psd", "product_psd"), ("k",), eval_kqn1,
     ),
     _case(
         "TPN62", "(k, p) anti-norm against the (k, pq) anti-norm of the same operator",
@@ -420,7 +416,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "STCTP", "channel output Schatten norm against the input Schatten norm",
         "||Phi(Q)||_p <= d^((p-1)/p) ||Q||_p",
-        ("channel_ginibre", "product_psd"), ("norm_p",), eval_spn1,
+        ("channel_ginibre", "product_psd"), ("norm_p",), eval_kpn1,
     ),
     _case(
         "STCT2", "channel output (k, p) anti-norm against the padded input anti-norm",
@@ -445,7 +441,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "ET42", "Renyi entropy of the joint state against the reduced state",
         "R_a(W) <= R_a(Tr_B W) + ln(n)",
-        ("bipartite_density", "product_density"), ("alpha",), eval_et42,
+        ("bipartite_density", "product_density"), ("alpha",), eval_et41,
     ),
     _case(
         "STCTEP", "input entropy against the channel output entropy",
@@ -482,19 +478,23 @@ def evaluate_case(case_id: str, instance, params) -> float:
     This is the audit's evaluation on a batch of one with a one-point grid.
     The instance is of the case's form or, as its saturators are, of its
     saturator_form (a channel case's saturators are bipartite products).
-    params names exactly the grid columns of the case's axes: k an integer,
-    variant and family strings, and every other column a real number other
-    than a bool.  An "env_mode" entry of params, one of ENV_DIM_MODES
+    params, a mapping, names exactly the grid columns of the case's axes: k an
+    integer, variant and family strings, and every other column a real number
+    other than a bool.  An "env_mode" entry of params, one of ENV_DIM_MODES
     ("choi_rank" by default), picks a channel's d as AuditConfig.env_dim_mode
     does, and is checked as that is.
     """
-    if case_id not in REGISTRY:
+    if not isinstance(case_id, str) or case_id not in REGISTRY:  # a list would raise a bare TypeError
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
     instance = _entered(case_id, dict.fromkeys((case.form, case.saturator_form)), instance)
-    params = dict(params)
-    env_mode = _env_mode(params.pop("env_mode", "choi_rank"))
     expected = set(make_grid(case.axes, 1))  # the columns the case's axes set
+    try:
+        params = dict(params)
+    except (TypeError, ValueError):  # None, 5 or "k": no mapping of names to values
+        message = f"case {case_id} takes a mapping of params {sorted(expected)}, not {params!r}"
+        raise PreconditionError(message) from None
+    env_mode = _env_mode(params.pop("env_mode", "choi_rank"))
     missing, unexpected = sorted(expected - params.keys()), sorted(params.keys() - expected)
     if missing or unexpected:
         raise PreconditionError(
@@ -529,7 +529,10 @@ class AuditConfig:
         as_integer(self.base_seed, PreconditionError)
         if as_integer(self.trials_per_case, PreconditionError) < 1:
             raise PreconditionError("trials_per_case must be at least 1")
-        dims = tuple(tuple(as_integer(x) for x in pair) for pair in self.dims)
+        try:
+            dims = tuple(tuple(as_integer(x) for x in pair) for pair in self.dims)
+        except TypeError:  # dims, or a pair in them, that is no sequence: 5, None, (2, 3) or ((2, 3), 4)
+            dims = ()
         if not dims or any(len(pair) != 2 or min(pair) < 1 for pair in dims):
             raise BadDimsError(f"dims must be nonempty (m, n) pairs, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
@@ -542,12 +545,16 @@ class AuditConfig:
         if self.case_filter is not None:
             if isinstance(self.case_filter, str):  # "KPN1" would read as the ids K, P, N and 1
                 raise PreconditionError(f"case_filter takes a sequence of case ids, not a string: {self.case_filter!r}")
-            if len(self.case_filter) == 0:  # a run of no case must not read as clean
+            try:
+                ids = tuple(self.case_filter)
+            except TypeError:
+                raise PreconditionError(f"case_filter takes a sequence of case ids, got {self.case_filter!r}") from None
+            if not ids:  # a run of no case must not read as clean
                 raise PreconditionError("case_filter selects no case")
-            unknown = [c for c in self.case_filter if c not in REGISTRY_IDS]
+            unknown = [c for c in ids if c not in REGISTRY_IDS]
             if unknown:
                 raise KindMismatchError(f"unknown case ids {unknown}")
-            object.__setattr__(self, "case_filter", tuple(map(str, self.case_filter)))
+            object.__setattr__(self, "case_filter", tuple(map(str, ids)))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ exact zeros set to 0.0 by linalg's one rule (``zero_round_off``), one row
 per state of a stack.  ``<name>_from`` takes the two as values and routes
 between them; each is a float, or a list of one per state of a stack whose
 entries are closed one by one in Python floats.  ``<name>`` on a density
-matrix is ``<name>_from`` on the two values of its spectrum.  A value outside
-the float range raises DomainError.
+matrix is ``<name>_from`` on its spectrum's two values, Renyi the unified
+entropy at s = 0.  A value outside the float range raises DomainError.
 """
 from __future__ import annotations
 
@@ -84,18 +84,6 @@ def _closed(formula: Callable[[float], float], x):
         raise DomainError("entropy term undefined: tr rho^alpha underflowed to 0") from exc
 
 
-def _renyi(power_sum, von_neumann, alpha: float):
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return von_neumann
-    return _closed(lambda x: math.log(x) / (1.0 - alpha), power_sum)
-
-
-def renyi_entropy_from(power_sum, von_neumann, alpha: float):
-    """Renyi entropy from tr rho^alpha and the von Neumann value; see the module notes."""
-    _check_alpha(alpha)
-    return _renyi(power_sum, von_neumann, alpha)
-
-
 def tsallis_entropy_from(power_sum, von_neumann, alpha: float):
     """Tsallis entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
@@ -109,8 +97,10 @@ def unified_entropy_from(power_sum, von_neumann, alpha: float, s: float):
     _check_alpha(alpha)
     if math.isnan(s) or math.isinf(s):
         raise ExponentRangeError(f"s={s} must be a finite real")
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL or abs(s) < S_ZERO_TOL:
-        return _renyi(power_sum, von_neumann, alpha)
+    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
+        return von_neumann
+    if abs(s) < S_ZERO_TOL:  # Renyi
+        return _closed(lambda x: math.log(x) / (1.0 - alpha), power_sum)
     return _closed(lambda x: math.expm1(s * math.log(x)) / ((1.0 - alpha) * s), power_sum)
 
 
@@ -125,8 +115,8 @@ def von_neumann_entropy(rho) -> float:
 
 
 def renyi_entropy(rho, alpha: float) -> float:
-    """ln(tr rho^alpha) / (1 - alpha); alpha near 1 gives von Neumann."""
-    return renyi_entropy_from(*_inputs(rho, alpha), alpha)
+    """ln(tr rho^alpha) / (1 - alpha), the unified entropy at s = 0; alpha near 1 gives von Neumann."""
+    return unified_entropy(rho, alpha, 0.0)
 
 
 def tsallis_entropy(rho, alpha: float) -> float:

@@ -4,9 +4,11 @@ Every functional the registry cases compare is unitarily invariant, so an
 evaluator reads only spectra: singular values for norms, eigenvalues for
 anti-norms and entropies, of two matrices every window names "joint" and
 "reduced" (W and Tr_B W, Q and Phi(Q), or a matrix R twice, its own Tr_B over
-a trivial factor), plus a channel's Choi rank; so a channel case and its
-bipartite case share one evaluator.  drawn makes every audit instance a Drawn,
-of a form (bipartite operator, channel pair or plain matrix) and a shape.
+a trivial factor), plus a channel's Choi rank.  So each bound family has one
+evaluator, which its channel cases share, and a grid without a k, p or s column
+is the family's Schatten (k the rank), Ky Fan (p = 1) or Renyi (s = 0) case.
+drawn makes every audit instance a Drawn, of a form (bipartite operator,
+channel pair or plain matrix) and a shape.
 Spectra holds one window of Drawn instances of any forms and shapes (a channel
 case's trials beside its bipartite saturators, say): they are finished per
 (form, shape), the matrices of each size are stacked and decomposed in one
@@ -37,7 +39,6 @@ from .entropy import (
     dim_weight,
     max_entropy_value,
     power_sum_of,
-    renyi_entropy_from,
     tsallis_entropy_from,
     unified_entropy_from,
     von_neumann_of,
@@ -310,16 +311,11 @@ class Spectra:
 
 
 def eval_kpn1(sp: Spectra, g) -> np.ndarray:
-    k, p = np.array(g["k"]), g["p"]
+    """The (k, p) norm bound, and its restrictions: no k column is Schatten's, no p column Ky Fan's (p = 1)."""
+    k, p = np.array(g["k"]) if "k" in g else None, g.get("p", (1.0,) * g.size)
     # the (kn, p) norm of the spectrum zero-padded to length kn: a kd past Q's size reads the full gauge
-    joint, lhs = sp.norm("joint", k * sp.n[:, None], p), sp.norm("reduced", k, p)
-    return _slack(lhs, g.factors(_dim_factor, sp.n, p) * joint)
-
-
-def eval_spn1(sp: Spectra, g) -> np.ndarray:
-    p = g["p"]
-    joint, lhs = sp.norm("joint", None, p), sp.norm("reduced", None, p)
-    return _slack(lhs, g.factors(_dim_factor, sp.n, p) * joint)
+    joint = sp.norm("joint", None if k is None else k * sp.n[:, None], p)
+    return _slack(sp.norm("reduced", k, p), g.factors(_dim_factor, sp.n, p) * joint)
 
 
 def eval_tfsn(sp: Spectra, g) -> np.ndarray:
@@ -330,11 +326,6 @@ def eval_tfsn(sp: Spectra, g) -> np.ndarray:
         raise PreconditionError(f"unknown variant {unknown[0]!r}")
     p, factor = zip(*(forms[v] for v in g["variant"]))
     return _slack(sp.norm("reduced", None, p), np.hstack(factor) * sp.norm("joint", None, p))
-
-
-def eval_kpk1(sp: Spectra, g) -> np.ndarray:
-    k, ones = np.array(g["k"]), (1.0,) * g.size
-    return _slack(sp.norm("reduced", k, ones), sp.norm("joint", k * sp.n[:, None], ones))
 
 
 def eval_kpk2(sp: Spectra, g) -> np.ndarray:
@@ -354,7 +345,8 @@ def eval_cpn1(sp: Spectra, g) -> np.ndarray:
 
 
 def eval_kqn1(sp: Spectra, g) -> np.ndarray:
-    k, p = np.array(g["k"]), g["p"]
+    """The (k, p) anti-norm bound, and its Ky Fan restriction: no p column is p = 1."""
+    k, p = np.array(g["k"]), g.get("p", (1.0,) * g.size)
     # the spectrum zero-padded to the rank bound times n: W's own size, or Phi(Q)'s times d
     joint = sp.antinorm("joint", k * sp.n[:, None], p, ambient=sp.bound * sp.n)
     return _slack(g.factors(_dim_factor, sp.n, p) * joint, sp.antinorm("reduced", k, p))
@@ -366,11 +358,6 @@ def eval_kqn2(sp: Spectra, g) -> np.ndarray:
     return _slack(g.factors(_dim_factor, sp.n, p) * joint, rhs)
 
 
-def eval_kqk1(sp: Spectra, g) -> np.ndarray:
-    k, ones = np.array(g["k"]), (1.0,) * g.size
-    return _slack(sp.antinorm("joint", k * sp.n[:, None], ones), sp.antinorm("reduced", k, ones))
-
-
 def eval_tpn62(sp: Spectra, g) -> np.ndarray:
     k, p, q = g["k"], g["p"], g["q"]
     top, rhs = sp.antinorm("joint", np.array(k), _products(p, q)), sp.antinorm("joint", np.array(k), p)
@@ -378,7 +365,8 @@ def eval_tpn62(sp: Spectra, g) -> np.ndarray:
 
 
 def eval_et41(sp: Spectra, g) -> np.ndarray:
-    alpha, s = g["alpha"], g["s"]
+    """The unified (alpha, s) entropy bound, and its Renyi restriction: no s column is s = 0."""
+    alpha, s = g["alpha"], g.get("s", (0.0,) * g.size)
     lhs = sp.entropy("joint", unified_entropy_from, alpha, s)
     rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy("reduced", unified_entropy_from, alpha, s)
     return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, s))
@@ -390,12 +378,6 @@ def eval_ett41(sp: Spectra, g) -> np.ndarray:
     rhs = g.factors(dim_weight, sp.n, alpha) * sp.entropy("reduced", tsallis_entropy_from, alpha)
     # ln_a(n) is the Tsallis entropy of the maximally mixed state
     return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, (1.0,) * g.size))
-
-
-def eval_et42(sp: Spectra, g) -> np.ndarray:
-    alpha = g["alpha"]
-    rhs = sp.entropy("reduced", renyi_entropy_from, alpha) + np.array([math.log(n) for n in sp.n.tolist()])[:, None]
-    return _slack(sp.entropy("joint", renyi_entropy_from, alpha), rhs)
 
 
 def eval_satwrqa(sp: Spectra, g) -> np.ndarray:

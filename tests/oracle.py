@@ -1,0 +1,88 @@
+"""Textbook margins of the partial-trace bounds, for checking the library's evaluators.
+
+Nothing here imports normtrace or the benchmark: each value is rebuilt from
+its definition, with numpy's decompositions sorted by hand, an einsum partial
+trace and entropies summed term by term, and each bound's factor is written
+out from the case's paper_eq.  A margin is (large - small) / max(1, |small|,
+|large|) for the relation small <= large, as the audit normalizes it.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def partial_trace_b(w: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Tr_B W on H_A (x) H_B: entry (i, k) is sum_j W[(i, j), (k, j)]."""
+    return np.einsum("ijkj->ik", w.reshape(m, n, m, n))
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values, descending."""
+    return np.sort(np.linalg.svd(a, compute_uv=False))[::-1]
+
+
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a Hermitian matrix, ascending."""
+    return np.sort(np.linalg.eigvalsh(a))
+
+
+def kp_norm(a: np.ndarray, k: int, p: float) -> float:
+    """(k, p) norm: the l_p norm of the k largest singular values; k past the size takes them all."""
+    top = singular_values(a)[:k]
+    return float(top.max()) if math.isinf(p) else float(np.sum(top**p) ** (1.0 / p))
+
+
+def kp_antinorm(a: np.ndarray, k: int, p: float) -> float:
+    """(k, p) anti-norm of a PSD matrix, 0 < p <= 1: the l_p quasi-norm of its k smallest eigenvalues."""
+    low = eigenvalues(a)[:k]
+    return float(np.sum(low**p) ** (1.0 / p))
+
+
+def unified_entropy(rho: np.ndarray, alpha: float, s: float) -> float:
+    """((tr rho^alpha)^s - 1) / ((1 - alpha) s); Renyi at s = 0 and von Neumann at alpha = 1."""
+    w = eigenvalues(rho)
+    w = w[w > 0.0]
+    if alpha == 1.0:
+        return float(-np.sum(w * np.log(w)))
+    trace = float(np.sum(w**alpha))
+    if s == 0.0:
+        return math.log(trace) / (1.0 - alpha)
+    return (trace**s - 1.0) / ((1.0 - alpha) * s)
+
+
+def slack(small: float, large: float) -> float:
+    """The normalized margin of small <= large."""
+    return (large - small) / max(1.0, abs(small), abs(large))
+
+
+def margin(cid: str, w: np.ndarray, m: int, n: int, point: dict) -> float:
+    """The margin of case cid on W, an operator on C^m (x) C^n, at one grid point."""
+    reduced = partial_trace_b(w, m, n)
+    k, p = point.get("k"), point.get("p")
+    if cid == "KPN1":  # ||Tr_B W||_(k)^(p) <= n^((p-1)/p) ||W||_(kn)^(p)
+        factor = n if math.isinf(p) else n ** ((p - 1.0) / p)
+        return slack(kp_norm(reduced, k, p), factor * kp_norm(w, k * n, p))
+    if cid == "SPN1":  # ||Tr_B W||_p <= n^((p-1)/p) ||W||_p
+        factor = n if math.isinf(p) else n ** ((p - 1.0) / p)
+        return slack(kp_norm(reduced, m, p), factor * kp_norm(w, m * n, p))
+    if cid == "KPK1":  # ||Tr_B W||_(k) <= ||W||_(kn)
+        return slack(kp_norm(reduced, k, 1.0), kp_norm(w, k * n, 1.0))
+    if cid == "KQN1":  # ||Tr_B W||_{k}^(p) >= n^((p-1)/p) ||W||_{kn}^(p)
+        return slack(n ** ((p - 1.0) / p) * kp_antinorm(w, k * n, p), kp_antinorm(reduced, k, p))
+    if cid == "KQK1":  # ||Tr_B W||_{k} >= ||W||_{kn}
+        return slack(kp_antinorm(w, k * n, 1.0), kp_antinorm(reduced, k, 1.0))
+    alpha = point["alpha"]
+    if cid == "ET41":  # E_as(W) <= n^((1-a)s) E_as(Tr_B W) + (1/s) ln_a(n^s)
+        s = point["s"]
+        # (1/s) ln_a(n^s) = (n^((1-a)s) - 1) / ((1-a)s), which tends to ln(n) at s = 0 and at a = 1
+        weight = n ** ((1.0 - alpha) * s)
+        top = math.log(n) if s == 0.0 or alpha == 1.0 else (weight - 1.0) / ((1.0 - alpha) * s)
+        return slack(unified_entropy(w, alpha, s), weight * unified_entropy(reduced, alpha, s) + top)
+    if cid == "ET42":  # R_a(W) <= R_a(Tr_B W) + ln(n)
+        return slack(unified_entropy(w, alpha, 0.0), unified_entropy(reduced, alpha, 0.0) + math.log(n))
+    raise KeyError(f"no textbook margin for case {cid}")
+
+
+CASES = ("KPN1", "SPN1", "KPK1", "KQN1", "KQK1", "ET41", "ET42")

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,9 @@ from normtrace.errors import (
     RankRangeError,
     ShapeMismatchError,
 )
-from normtrace.margins import Drawn
+from normtrace.margins import Drawn, Grid, Spectra, make_grid
+
+import oracle
 
 # each channel case beside the bipartite case whose evaluator and saturator kind's draws it shares:
 # its saturators are products R (x) I, whose Tr_B W is the Tr_B channel's output with V the identity
@@ -466,6 +469,12 @@ def test_evaluate_case_names_unexpected_params(cid, params, unexpected):
     ("ET41", {"alpha": 0.7, "s": None}, ExponentRangeError, "s takes a real number, got None"),
     # an unknown family was read as an anti-norm
     ("SAT-WRQA", {"k": 1, "p": 2.0, "family": "x"}, PreconditionError, "unknown family 'x'"),
+    # params that are no mapping raised a bare TypeError or ValueError from dict(params)
+    ("KPN1", None, PreconditionError, "case KPN1 takes a mapping of params ['k', 'p'], not None"),
+    ("KPN1", 5, PreconditionError, "case KPN1 takes a mapping of params ['k', 'p'], not 5"),
+    ("KPN1", "k", PreconditionError, "case KPN1 takes a mapping of params ['k', 'p'], not 'k'"),
+    # a case id that cannot be hashed raised a bare TypeError
+    (["KPN1"], {"k": 1, "p": 2.0}, KindMismatchError, "unknown case id ['KPN1']"),
 ])
 def test_evaluate_case_rejects_malformed_params(cid, params, error, message):
     w = sample("bipartite", (2, 3), 5)
@@ -670,6 +679,12 @@ def test_config_validation():
     # a list is stored as a tuple of str, as dims are stored as tuples, so the config hashes
     listed, tupled = AuditConfig(case_filter=["KPN1", np.str_("TPN2")]), AuditConfig(case_filter=("KPN1", "TPN2"))
     assert listed == tupled and hash(listed) == hash(tupled) and {type(c) for c in listed.case_filter} == {str}
+    # dims that are no sequence of pairs, and a case_filter that is no sequence, raised a bare TypeError
+    for dims in ((2, 3), ((2, 3), 4), 5, None):
+        with pytest.raises(BadDimsError, match=re.escape(f"dims must be nonempty (m, n) pairs, got {dims!r}")):
+            AuditConfig(dims=dims)
+    with pytest.raises(PreconditionError, match="case_filter takes a sequence of case ids, got 5"):
+        AuditConfig(case_filter=5)
 
 
 @pytest.mark.parametrize("case_filter", [(), []])
@@ -1289,6 +1304,57 @@ def test_worst_margins_equal_the_independent_reference(monkeypatch, env_mode, ma
     for rec in report["cases"]:
         worst = rec["worst_margin"]
         assert abs(reference.worst_margin(rec["id"], report["config"]) - worst) <= 1e-13 + 1e-9 * abs(worst), rec["id"]
+
+
+@pytest.mark.parametrize("cid", oracle.CASES)
+def test_every_margin_equals_the_textbook_oracle(cid):
+    # tests/oracle.py rebuilds each margin from its paper_eq with textbook
+    # numpy and none of the library's code: every grid point of every trial
+    # and saturator of the audit's first 8 trials over the default dims
+    case = REGISTRY[cid]
+    seed = partial(audit._trial_seed, 42)  # the default audit's seeds
+    insts = [case.make_instance(DEFAULT_DIMS[t % 4], seed(cid, t)).alone() for t in range(8)]
+    insts += [case.saturator(pair, seed(cid + ":sat", i)).alone() for i, pair in enumerate(DEFAULT_DIMS)]
+    for w in insts:
+        grid = make_grid(case.axes, w.dim_a)
+        for j in range(grid.size):
+            point = {name: column[j] for name, column in grid.items()}
+            want = oracle.margin(cid, w.matrix, w.dim_a, w.dim_b, point)
+            # saturator margins are round-off of 0, hence the absolute floor
+            assert evaluate_case(cid, w, point) == pytest.approx(want, rel=1e-12, abs=1e-13), (cid, point)
+
+
+# each family evaluator and the cases that read it, particular cases of the family or its channel twins,
+# with the column a particular case's grid leaves out
+FAMILIES = {
+    "KPN1": {"SPN1": "k", "KPK1": "p", "STCT1": None, "STCTP": "k"},
+    "KQN1": {"KQK1": "p", "STCT2": None},
+    "ET41": {"ET42": "s", "STCTEP": None},
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_particular_cases_share_their_family_evaluator(family):
+    # a grid without a k, p or s column is the family's Schatten (k the rank),
+    # Ky Fan (p = 1) or Renyi (s = 0) case: written out, it gives the same bits
+    evaluate = REGISTRY[family].evaluate
+    for cid, left_out in FAMILIES[family].items():
+        case = REGISTRY[cid]
+        assert case.evaluate is evaluate, cid
+        insts = [case.make_instance(DEFAULT_DIMS[t % 4], t) for t in range(8)]
+        insts += [case.saturator(pair, i) for i, pair in enumerate(DEFAULT_DIMS)]
+        sp = Spectra(insts)
+        kmax = int(sp.bound.max())
+        grid = make_grid(case.axes, kmax)
+        written = dict(grid)
+        if left_out is not None:
+            # a k of the window's largest rank bound reads every row's full gauge
+            assert left_out not in grid
+            written[left_out] = ({"k": kmax, "p": 1.0, "s": 0.0}[left_out],) * grid.size
+        assert set(written) == set(make_grid(REGISTRY[family].axes, 1)), cid
+        got = evaluate(sp, grid)
+        assert got.shape == (len(insts), grid.size)
+        assert np.array_equal(got, evaluate(Spectra(insts), Grid(written, grid.size))), cid
 
 
 def test_run_audit_counts_failed_saturators(monkeypatch):

@@ -10,7 +10,6 @@ from normtrace.entropy import (
     max_entropy_value,
     power_sum_of,
     renyi_entropy,
-    renyi_entropy_from,
     tsallis_entropy,
     tsallis_entropy_from,
     unified_entropy,
@@ -93,7 +92,6 @@ def test_entropies_from_memoized_inputs(alpha, s):
     power_sum, von_neumann = power_sum_of(w, alpha), von_neumann_of(w)
     pairs = [
         (unified_entropy_from(power_sum, von_neumann, alpha, s), unified_entropy(rho, alpha, s)),
-        (renyi_entropy_from(power_sum, von_neumann, alpha), renyi_entropy(rho, alpha)),
         (tsallis_entropy_from(power_sum, von_neumann, alpha), tsallis_entropy(rho, alpha)),
     ]
     for got, want in pairs:

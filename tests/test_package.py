@@ -167,3 +167,18 @@ def test_every_spectra_method_has_a_caller_in_the_package():
                             and isinstance(node.value, ast.Name) and node.value.id not in modules
                             and node.attr != function.name)
     assert methods - read == set()
+
+
+def test_every_evaluator_serves_a_case():
+    # an ast scan of margins.py: every eval_* is some registry case's evaluate,
+    # or is called inside one, as eval_satwrqa calls eval_kpn1 and eval_kqn1,
+    # so no evaluator outlives the last case that reads it
+    from normtrace.audit import REGISTRY
+
+    tree = ast.parse((Path(normtrace.__file__).parent / "margins.py").read_text())
+    defined = {x.name: x for x in tree.body if isinstance(x, ast.FunctionDef) and x.name.startswith("eval_")}
+    served = {case.evaluate.__name__ for case in REGISTRY.values()}
+    assert served <= set(defined)
+    called = {node.func.id for name in served for node in ast.walk(defined[name])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert set(defined) - served - called == set()
