@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import (
     PD_FLOOR_COEFF,
+    as_integer,
     as_matrix,
     hermitian_eigenvalues,
     psd_eigenvalues,
@@ -57,7 +58,7 @@ def antinorm_table(w: np.ndarray, p: float, ambient_dim: int | None = None) -> n
     spectra gives one table per row.
     """
     m = w.shape[-1]
-    amb = m if ambient_dim is None else int(ambient_dim)
+    amb = m if ambient_dim is None else as_integer(ambient_dim, ShapeMismatchError, "an integer ambient_dim")
     if amb < m:
         raise ShapeMismatchError(f"ambient_dim={amb} smaller than matrix dimension {m}")
     if not 0 < p <= 1:
@@ -70,6 +71,7 @@ def kp_antinorm_of(w: np.ndarray, k: int, p: float, ambient_dim: int | None = No
     """(k, p) anti-norm of an ascending PSD spectrum, a 1-d array; see kp_antinorm."""
     if np.ndim(w) != 1:
         raise ShapeMismatchError(f"expected a 1-d spectrum, got shape {np.shape(w)}")
+    k = as_integer(k, RankRangeError, "an integer k")
     table = antinorm_table(w, p, ambient_dim)
     if not 1 <= k <= table.size:
         raise RankRangeError(f"k={k} outside [1, {table.size}]")
@@ -124,7 +126,7 @@ def partial_fidelity(rho, sigma, k: int) -> float:
     s = as_matrix(sigma)
     if r.shape != s.shape:
         raise ShapeMismatchError(f"operands have shapes {r.shape} and {s.shape}")
-    m = require_square(r)
+    m, k = require_square(r), as_integer(k, RankRangeError, "an integer k")
     if not 1 <= k <= m:
         raise RankRangeError(f"k={k} outside [1, {m}]")
     if k == m:

@@ -65,7 +65,6 @@ from .margins import (
     make_grid,
 )
 
-NORM_P_GRID, ANTINORM_P_GRID, NEGATIVE_P_GRID, PQ_GRID, SUBUNIT_PQ_GRID, ALPHA_GRID, S_GRID = GRIDS.values()
 DEFAULT_DIMS = ((2, 2), (2, 3), (3, 2), (4, 3))
 ENV_DIM_MODES = ("choi_rank", "dim_env")  # a channel's d: its Choi rank, or its dilation's dim_env
 
@@ -635,25 +634,24 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _evaluate(case: InequalityCase, members: list, config: AuditConfig, grids: dict, failed: dict) -> list:
+def _evaluate(case: InequalityCase, members: list, config: AuditConfig, failed: dict) -> list:
     """(indices, margins, in-bound mask, statistics) arrays of the members kept, one per batch evaluated.
 
-    members, (index, Drawn instance) pairs, are one batch on the case's grid
-    at their largest rank bound (grids holds one per bound).  On a domain error each
+    members, (index, Drawn instance) pairs, are one batch on the case's grid at
+    their largest rank bound, made here for the batch.  On a domain error each
     member is evaluated again alone, so only the ones that raise go to failed, as do
     those with an in-bound margin that is not finite: none of them is kept.
     """
     try:
         sp = Spectra([inst for _, inst in members], config.env_dim_mode)
-        kmax = int(sp.bound.max())
-        grid = grids[kmax] = grids[kmax] if kmax in grids else make_grid(case.axes, kmax)
+        grid = make_grid(case.axes, int(sp.bound.max()))
         margins = case.evaluate(sp, grid)
         stats = _trial_stats(case.id, sp)
     except _INSTANCE_ERRORS as exc:
         if len(members) == 1:
             failed[members[0][0]] = _describe(exc)
             return []
-        return [batch for member in members for batch in _evaluate(case, [member], config, grids, failed)]
+        return [batch for member in members for batch in _evaluate(case, [member], config, failed)]
     indices, mask = np.array([index for index, _ in members]), sp.in_bound(grid)
     finite = np.isfinite(margins) | ~mask
     if finite.all():  # one check per batch
@@ -693,7 +691,6 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
     for cid in ids:
         case = REGISTRY[cid]
         failed = {}  # instance index -> message; saturators follow the trials
-        grids = {}  # rank bound -> the case's grid
         stats = [np.empty(0)]  # the kept trials' statistics, batch by batch
         worst = math.inf  # no trial margin yet
         violations = 0
@@ -714,7 +711,7 @@ def run_audit(config: AuditConfig = AuditConfig()) -> AuditReport:
                     failed[index] = _describe(exc)
                     continue
                 members.append((index, _entered(cid, (form,), inst)))  # a maker's mistake, so outside the guard
-            for indices, margins, mask, stat in _evaluate(case, members, config, grids, failed) if members else ():
+            for indices, margins, mask, stat in _evaluate(case, members, config, failed) if members else ():
                 n = int(np.searchsorted(indices, trials))  # rows are in index order, the saturators last
                 trial, saturator = margins[:n][mask[:n]], margins[n:][mask[n:]]
                 worst = min(worst, float(trial.min(initial=math.inf)))

@@ -1,13 +1,13 @@
 """Command line front end: compute, ptrace, and audit subcommands.
 
-Exit codes: 0 success, 2 argument or input file problems, 3 domain
+Exit codes: 0 success, 2 argument, input file or report file problems, 3 domain
 precondition failures, 4 audit found violations, 5 audit found no violations
 but some instances failed to evaluate.
 """
 from __future__ import annotations
 
 import argparse
-import math
+import contextlib
 import sys
 
 import numpy as np
@@ -19,7 +19,7 @@ from .bipartite import BipartiteOperator, partial_trace_a, partial_trace_b, twir
 from .entropy import unified_entropy
 from .errors import MatrixFileError, PreconditionError
 from .linalg import kron
-from .norms import kp_norm, kyfan_norm, schatten_norm
+from .norms import kp_norm, schatten_norm
 
 
 class _ParseFailure(Exception):
@@ -32,11 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_p(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "+inf", "infinity"):
-        return math.inf
     try:
-        return float(t)
+        return float(text)  # which also reads inf, +inf and Infinity, in any case and with spaces around
     except ValueError:
         raise _ParseFailure(f"bad exponent {text!r}") from None
 
@@ -88,8 +85,6 @@ def _run_compute(args) -> int:
         p = _parse_p(args.p)
         if args.k is None:
             value = schatten_norm(q, p)
-        elif p == 1.0:  # kyfan_norm also takes non-square matrices, kp_norm does not
-            value = kyfan_norm(q, args.k)
         else:
             value = kp_norm(q, args.k, p)
     elif args.kind == "antinorm":
@@ -141,13 +136,13 @@ def _run_audit(args) -> int:
         env_dim_mode=args.env_dim,
         case_filter=cases,
     )
-    report = run_audit(config)
-    text = report.to_text()
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:  # opened before the run, so a report that cannot be written costs no audit
+        out = open(args.out, "w", encoding="utf-8") if args.out is not None else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise _ParseFailure(f"cannot write {args.out}: {exc}") from None
+    with out as fh:
+        report = run_audit(config)
+        fh.write(report.to_text())
     total = report.violations
     failures = sum(c["failures"] for c in report.cases)
     print(

@@ -397,44 +397,36 @@ def eval_satwrqa(sp: Spectra, g) -> np.ndarray:
 
 
 class Grid(dict):
-    """Parameter columns by name, each with one entry per point, in grid order.
-
-    run_audit makes one grid per case and window rank bound, so the factors
-    memoized on it serve every window of the case.
-    """
+    """Parameter columns by name, each with one entry per point, in grid order."""
 
     def __init__(self, columns: dict, size: int):
         super().__init__(columns)
         self.size = size
-        self._memo = {}
 
     def take(self, points: list) -> "Grid":
-        key = ("take", tuple(points))
-        if key not in self._memo:
-            columns = {name: tuple(col[j] for j in points) for name, col in self.items()}
-            self._memo[key] = Grid(columns, len(points))
-        return self._memo[key]
+        return Grid({name: tuple(col[j] for j in points) for name, col in self.items()}, len(points))
 
     def factors(self, f, ns, *columns) -> np.ndarray:
         """(rows, points) values f(n, *point) in Python floats, n row i's ns[i]; one row if ns is None or one n.
 
-        Every exponent factor of a bound is closed here, so this is where one
-        outside the float range raises DomainError, as an entropy term does.
+        Every exponent factor of a bound is closed here, once per distinct n, so
+        this is where one outside the float range raises DomainError, as an
+        entropy term does.
         """
         values = [None] if ns is None else ns.tolist()
         order = {n: i for i, n in enumerate(dict.fromkeys(values))}  # the distinct n, as Python ints
+        rows = []
         for n in order:
-            if (f, n, columns) not in self._memo:
-                head = () if n is None else (n,)
-                try:
-                    row = [f(*head, *point) for point in zip(*columns)]
-                except OverflowError:
-                    row = [math.inf]
-                if any(map(math.isinf, row)):  # past the float range a power raises, and a product reads inf
-                    raise DomainError(f"bound factor {f.__name__} overflows the float range")
-                self._memo[f, n, columns] = np.array([row])
-        rows = [self._memo[f, n, columns] for n in order]
-        return rows[0] if len(rows) == 1 else np.concatenate(rows)[[order[n] for n in values]]
+            head = () if n is None else (n,)
+            try:
+                row = [f(*head, *point) for point in zip(*columns)]
+            except OverflowError:
+                row = [math.inf]
+            if any(map(math.isinf, row)):  # past the float range a power raises, and a product reads inf
+                raise DomainError(f"bound factor {f.__name__} overflows the float range")
+            rows.append(row)
+        table = np.array(rows)
+        return table if len(rows) == 1 else table[[order[n] for n in values]]
 
 
 # the registry's parameter grids by axis name; the audit report echoes each as "<name>_grid"

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ExponentRangeError, RankRangeError, ShapeMismatchError
-from .linalg import as_matrix, require_square, singular_values
+from .linalg import as_integer, as_matrix, singular_values
 
 # above this exponent sums are accumulated on a scaled axis to avoid overflow
 LARGE_P_THRESHOLD = 50.0
@@ -42,6 +42,7 @@ def gauge_table(desc: np.ndarray, p: float) -> np.ndarray:
 
 def gauge_kp(x, k: int, p: float) -> float:
     """l_p combination of the k largest |x_j|; p = math.inf returns max |x_j|."""
+    k = as_integer(k, RankRangeError, "an integer k")
     v = np.abs(np.asarray(x, dtype=float))
     if v.ndim != 1 or v.size == 0:
         raise ShapeMismatchError("x must be a nonempty 1-d real sequence")
@@ -51,10 +52,8 @@ def gauge_kp(x, k: int, p: float) -> float:
 
 
 def kp_norm(q, k: int, p: float) -> float:
-    """Gauge of the singular values: the (k, p) norm of a square matrix."""
-    q = as_matrix(q)
-    require_square(q)
-    return gauge_kp(singular_values(q), k, p)
+    """Gauge of the singular values: the (k, p) norm of a matrix, k at most its smaller side."""
+    return gauge_kp(singular_values(as_matrix(q)), k, p)
 
 
 def schatten_norm(q, p: float) -> float:

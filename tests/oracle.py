@@ -40,6 +40,11 @@ def kp_antinorm(a: np.ndarray, k: int, p: float) -> float:
     return float(np.sum(low**p) ** (1.0 / p))
 
 
+def schatten_antinorm(a: np.ndarray, p: float) -> float:
+    """(tr A^p)^(1/p) of a positive definite matrix, p < 0."""
+    return float(np.sum(eigenvalues(a) ** p) ** (1.0 / p))
+
+
 def unified_entropy(rho: np.ndarray, alpha: float, s: float) -> float:
     """((tr rho^alpha)^s - 1) / ((1 - alpha) s); Renyi at s = 0 and von Neumann at alpha = 1."""
     w = eigenvalues(rho)
@@ -58,21 +63,37 @@ def slack(small: float, large: float) -> float:
 
 
 def margin(cid: str, w: np.ndarray, m: int, n: int, point: dict) -> float:
-    """The margin of case cid on W, an operator on C^m (x) C^n, at one grid point."""
+    """The margin of case cid on W, an operator on C^m (x) C^n, at one grid point; TPN2's and TPN62's R is W at n = 1."""
     reduced = partial_trace_b(w, m, n)
-    k, p = point.get("k"), point.get("p")
+    k, p, q = point.get("k"), point.get("p"), point.get("q")
     if cid == "KPN1":  # ||Tr_B W||_(k)^(p) <= n^((p-1)/p) ||W||_(kn)^(p)
         factor = n if math.isinf(p) else n ** ((p - 1.0) / p)
         return slack(kp_norm(reduced, k, p), factor * kp_norm(w, k * n, p))
     if cid == "SPN1":  # ||Tr_B W||_p <= n^((p-1)/p) ||W||_p
         factor = n if math.isinf(p) else n ** ((p - 1.0) / p)
         return slack(kp_norm(reduced, m, p), factor * kp_norm(w, m * n, p))
+    if cid == "TFSN":  # ||Tr_B W||_1 <= ||W||_1; ||Tr_B W||_2 <= sqrt(n) ||W||_2; ||Tr_B W||_inf <= n ||W||_inf
+        p, factor = {"trace": (1.0, 1.0), "frobenius": (2.0, math.sqrt(n)), "spectral": (math.inf, n)}[point["variant"]]
+        return slack(kp_norm(reduced, m, p), factor * kp_norm(w, m * n, p))
     if cid == "KPK1":  # ||Tr_B W||_(k) <= ||W||_(kn)
         return slack(kp_norm(reduced, k, 1.0), kp_norm(w, k * n, 1.0))
+    if cid == "KPK2":  # ||Tr_B W||_inf <= ||W||_(n)
+        return slack(kp_norm(reduced, 1, math.inf), kp_norm(w, n, 1.0))
+    if cid == "TPN2":  # ||R||_(k)^(p) <= k^((q-1)/(pq)) ||R||_(k)^(pq)
+        return slack(kp_norm(w, k, p), k ** ((q - 1.0) / (p * q)) * kp_norm(w, k, p * q))
+    if cid == "CPN1":  # ||Tr_B W||_(k)^(p) <= [k^(q-1) n^(pq-1)]^(1/(pq)) ||W||_(kn)^(pq)
+        factor = (k ** (q - 1.0) * n ** (p * q - 1.0)) ** (1.0 / (p * q))
+        return slack(kp_norm(reduced, k, p), factor * kp_norm(w, k * n, p * q))
     if cid == "KQN1":  # ||Tr_B W||_{k}^(p) >= n^((p-1)/p) ||W||_{kn}^(p)
         return slack(n ** ((p - 1.0) / p) * kp_antinorm(w, k * n, p), kp_antinorm(reduced, k, p))
+    if cid == "KQN2":  # ||Tr_B W||_p >= n^((p-1)/p) ||W||_p, p < 0
+        return slack(n ** ((p - 1.0) / p) * schatten_antinorm(w, p), schatten_antinorm(reduced, p))
     if cid == "KQK1":  # ||Tr_B W||_{k} >= ||W||_{kn}
         return slack(kp_antinorm(w, k * n, 1.0), kp_antinorm(reduced, k, 1.0))
+    if cid == "TPN62":  # ||R||_{k}^(p) >= k^((q-1)/(pq)) ||R||_{k}^(pq), p, q in (0, 1)
+        return slack(k ** ((q - 1.0) / (p * q)) * kp_antinorm(w, k, p * q), kp_antinorm(w, k, p))
+    if cid == "SAT-WRQA":  # equality in the (k, p) norm and anti-norm bounds at W = c R (x) I: minus |margin|
+        return -abs(margin("KPN1" if point["family"] == "norm" else "KQN1", w, m, n, point))
     alpha = point["alpha"]
     if cid == "ET41":  # E_as(W) <= n^((1-a)s) E_as(Tr_B W) + (1/s) ln_a(n^s)
         s = point["s"]
@@ -80,9 +101,14 @@ def margin(cid: str, w: np.ndarray, m: int, n: int, point: dict) -> float:
         weight = n ** ((1.0 - alpha) * s)
         top = math.log(n) if s == 0.0 or alpha == 1.0 else (weight - 1.0) / ((1.0 - alpha) * s)
         return slack(unified_entropy(w, alpha, s), weight * unified_entropy(reduced, alpha, s) + top)
+    if cid == "ETT41":  # T_a(W) <= n^(1-a) T_a(Tr_B W) + ln_a(n), T_a the unified entropy at s = 1
+        log = math.log(n) if alpha == 1.0 else (n ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+        return slack(unified_entropy(w, alpha, 1.0), n ** (1.0 - alpha) * unified_entropy(reduced, alpha, 1.0) + log)
     if cid == "ET42":  # R_a(W) <= R_a(Tr_B W) + ln(n)
         return slack(unified_entropy(w, alpha, 0.0), unified_entropy(reduced, alpha, 0.0) + math.log(n))
     raise KeyError(f"no textbook margin for case {cid}")
 
 
-CASES = ("KPN1", "SPN1", "KPK1", "KQN1", "KQK1", "ET41", "ET42")
+# every case but the five channel cases
+CASES = ("KPN1", "SPN1", "TFSN", "KPK1", "KPK2", "TPN2", "CPN1", "KQN1", "KQN2", "KQK1", "TPN62", "ET41", "ETT41",
+         "ET42", "SAT-WRQA")

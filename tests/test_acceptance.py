@@ -17,8 +17,6 @@ import pytest
 
 import normtrace
 from normtrace.audit import (
-    ANTINORM_P_GRID,
-    NORM_P_GRID,
     AuditConfig,
     evaluate_case,
     run_audit,
@@ -37,6 +35,7 @@ from normtrace.entropy import (
     unified_entropy,
     von_neumann_entropy,
 )
+from normtrace.margins import GRIDS
 
 
 # the default report, as written by run_audit(AuditConfig()).to_text()
@@ -268,9 +267,9 @@ def test_criterion_3_product_family_saturation():
         for c in (1.0, 2.5):
             w = BipartiteOperator(c * np.kron(_psd(rng, m), np.eye(n)), m, n)
             for k in range(1, m + 1):
-                for p in NORM_P_GRID:
+                for p in GRIDS["norm_p"]:
                     worst = max(worst, abs(evaluate_case("KPN1", w, {"k": k, "p": p})))
-                for p in ANTINORM_P_GRID:
+                for p in GRIDS["antinorm_p"]:
                     worst = max(worst, abs(evaluate_case("KQN1", w, {"k": k, "p": p})))
     ok = worst <= 1e-10
     _report("criterion 3 (saturation family)", ok, f"max equality residual {worst:.3e}")
@@ -360,7 +359,7 @@ def test_criterion_7_channel_consistency():
             q = _ginibre(rng, m * n)
             w = BipartiteOperator(q, m, n)
             for k in range(1, m + 1):
-                for p in NORM_P_GRID:
+                for p in GRIDS["norm_p"]:
                     a = evaluate_case("STCT1", (ch, q), {"k": k, "p": p})
                     b = evaluate_case("KPN1", w, {"k": k, "p": p})
                     worst = max(worst, abs(a - b))

@@ -19,7 +19,7 @@ from normtrace.errors import (
     SingularPowerError,
 )
 from normtrace.linalg import psd_power
-from normtrace.norms import kyfan_norm
+from normtrace.norms import kp_norm, kyfan_norm
 
 
 def psd(rng, n):
@@ -275,3 +275,29 @@ def test_stacked_spectra_match_one_by_one():
         psd_spectrum(np.stack([pd[0], pd[1] + 1e-3j * np.triu(np.ones((4, 4)))]))
     with pytest.raises(SingularPowerError):
         schatten_antinorm_of(np.stack([rows[0], np.zeros(4)]), -1.0)
+
+
+# rank arguments that are no integer: a float, even an integral one, a string or a bool
+NON_INTEGER_RANKS = {
+    "kp_norm k=2.5": (lambda a: kp_norm(a, 2.5, 2.0), RankRangeError),
+    "kp_norm k=True": (lambda a: kp_norm(a, True, 2.0), RankRangeError),
+    "kyfan_norm k=2.0": (lambda a: kyfan_norm(a, 2.0), RankRangeError),
+    "kp_antinorm k=2.5": (lambda a: kp_antinorm(a, 2.5, 0.5), RankRangeError),
+    "kyfan_antinorm k='2'": (lambda a: kyfan_antinorm(a, "2"), RankRangeError),
+    "kp_antinorm_of k=1.0": (lambda a: kp_antinorm_of(psd_spectrum(a), 1.0, 0.5), RankRangeError),
+    "partial_fidelity k=1.5": (lambda a: partial_fidelity(a / 6, a / 6, 1.5), RankRangeError),
+    "kp_antinorm ambient_dim=5.5": (lambda a: kp_antinorm(a, 2, 0.5, ambient_dim=5.5), ShapeMismatchError),
+    "kp_antinorm ambient_dim=True": (lambda a: kp_antinorm(a, 1, 0.5, ambient_dim=True), ShapeMismatchError),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_RANKS)
+def test_rank_arguments_must_be_integers(name):
+    # no rank is truncated, read as 0 or 1, or left to fail deep in an index
+    call, error = NON_INTEGER_RANKS[name]
+    a = 2.0 * np.eye(3, dtype=complex)
+    with pytest.raises(error, match="expected an integer"):
+        call(a)
+    # numpy integers are integers
+    assert kp_norm(a, np.int64(2), 2.0) == kp_norm(a, 2, 2.0)
+    assert kp_antinorm(a, np.int64(2), 0.5, ambient_dim=np.int64(5)) == kp_antinorm(a, 2, 0.5, ambient_dim=5)

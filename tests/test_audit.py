@@ -16,16 +16,9 @@ import pytest
 from normtrace import audit, channels, cli, margins
 from normtrace.antinorms import kp_antinorm
 from normtrace.audit import (
-    ALPHA_GRID,
-    ANTINORM_P_GRID,
     DEFAULT_DIMS,
-    NEGATIVE_P_GRID,
-    NORM_P_GRID,
-    PQ_GRID,
     REGISTRY,
     REGISTRY_IDS,
-    S_GRID,
-    SUBUNIT_PQ_GRID,
     AuditConfig,
     evaluate_case,
     run_audit,
@@ -42,7 +35,7 @@ from normtrace.errors import (
     RankRangeError,
     ShapeMismatchError,
 )
-from normtrace.margins import Drawn, Grid, Spectra, make_grid
+from normtrace.margins import GRIDS, Drawn, Grid, Spectra, make_grid
 
 import oracle
 
@@ -245,10 +238,10 @@ def test_entropy_bounds_hold_on_rank_deficient_products():
         g = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) / np.sqrt(2)
         r = g @ g.conj().T
         w = BipartiteOperator(np.kron(r / np.trace(r).real, np.eye(3) / 3), 4, 3)
-        for alpha in audit.ALPHA_GRID:
+        for alpha in GRIDS["alpha"]:
             margins["ETT41"].append(evaluate_case("ETT41", w, {"alpha": alpha}))
             margins["ET42"].append(evaluate_case("ET42", w, {"alpha": alpha}))
-            for s in audit.S_GRID:
+            for s in GRIDS["s"]:
                 margins["ET41"].append(evaluate_case("ET41", w, {"alpha": alpha, "s": s}))
     for cid, values in margins.items():
         assert min(values) >= -1e-9, cid
@@ -490,10 +483,13 @@ def test_run_audit_accepts_list_valued_config_fields():
     assert run_audit(lists).to_text() == run_audit(tuples).to_text()
 
 
-def test_run_audit_windows_bound_the_instances_held(monkeypatch):
+@pytest.mark.parametrize("cid", REGISTRY_IDS)
+def test_run_audit_windows_bound_the_instances_held(monkeypatch, cid):
     # with a window of 3, a case holds at most 3 trials and, in its last
-    # window, its saturators; the report is that of one window holding them all
-    cfg = AuditConfig(trials_per_case=8, case_filter=("KPK2", "KQK1", "STCT1", "ET41"))
+    # window, its saturators; the report is that of one window holding them all.
+    # Over the 4 dims pairs the windows have different rank bounds, so each
+    # window's own grid must give the margins of the one window's grid
+    cfg = AuditConfig(trials_per_case=8, case_filter=(cid,))
     whole = run_audit(cfg).to_text()
     held = [0]  # instances made and not yet evaluated, after each make and evaluation
 
@@ -511,12 +507,12 @@ def test_run_audit_windows_bound_the_instances_held(monkeypatch):
 
         return dict(make_instance=made(case.make_instance), saturator=made(case.saturator), evaluate=evaluate)
 
-    for cid in cfg.case_filter:
-        _replace_case(monkeypatch, cid, **tracking(REGISTRY[cid]))
+    _replace_case(monkeypatch, cid, **tracking(REGISTRY[cid]))
     monkeypatch.setattr(audit, "TRIAL_WINDOW", 3)
     assert run_audit(cfg).to_text() == whole
-    # the last window holds 8 - 2 * 3 trials and one saturator per dims pair
-    assert max(held) == 2 + len(cfg.dims) and held[-1] == 0
+    # the last window holds 8 - 2 * 3 trials and one saturator per dims pair; after
+    # the windows, TPN2 and TPN62 evaluate their two witnesses, which no maker made
+    assert max(held) == 2 + len(cfg.dims) and held[-1] == (-2 if cid in audit._WITNESSES else 0)
 
 
 # the edge words of a 64-bit seed and 2,000 seeds shaped like trial seeds
@@ -825,26 +821,26 @@ DECOMPOSITIONS = ("svd", "eigvalsh", "eigh", "qr")
 # grid points per instance of each case, from the rank bound k_max of the
 # instance (the size of Tr_B W, of Phi(Q) or of Q) and the grids
 GRID_SIZES = {
-    "KPN1": lambda k: k * len(NORM_P_GRID),
-    "SPN1": lambda k: len(NORM_P_GRID),
+    "KPN1": lambda k: k * len(GRIDS["norm_p"]),
+    "SPN1": lambda k: len(GRIDS["norm_p"]),
     "TFSN": lambda k: 3,
     "KPK1": lambda k: k,
     "KPK2": lambda k: 1,
-    "TPN2": lambda k: k * len(PQ_GRID),
-    "CPN1": lambda k: k * len(PQ_GRID),
-    "KQN1": lambda k: k * len(ANTINORM_P_GRID),
-    "KQN2": lambda k: len(NEGATIVE_P_GRID),
+    "TPN2": lambda k: k * len(GRIDS["pq"]),
+    "CPN1": lambda k: k * len(GRIDS["pq"]),
+    "KQN1": lambda k: k * len(GRIDS["antinorm_p"]),
+    "KQN2": lambda k: len(GRIDS["negative_p"]),
     "KQK1": lambda k: k,
-    "TPN62": lambda k: k * len(SUBUNIT_PQ_GRID),
-    "STCT1": lambda k: k * len(NORM_P_GRID),
-    "STCTP": lambda k: len(NORM_P_GRID),
-    "STCT2": lambda k: k * len(ANTINORM_P_GRID),
-    "STCTPP": lambda k: len(ANTINORM_P_GRID),
-    "ET41": lambda k: len(ALPHA_GRID) * len(S_GRID),
-    "ETT41": lambda k: len(ALPHA_GRID),
-    "ET42": lambda k: len(ALPHA_GRID),
-    "STCTEP": lambda k: len(ALPHA_GRID) * len(S_GRID),
-    "SAT-WRQA": lambda k: k * (len(NORM_P_GRID) + len(ANTINORM_P_GRID)),
+    "TPN62": lambda k: k * len(GRIDS["subunit_pq"]),
+    "STCT1": lambda k: k * len(GRIDS["norm_p"]),
+    "STCTP": lambda k: len(GRIDS["norm_p"]),
+    "STCT2": lambda k: k * len(GRIDS["antinorm_p"]),
+    "STCTPP": lambda k: len(GRIDS["antinorm_p"]),
+    "ET41": lambda k: len(GRIDS["alpha"]) * len(GRIDS["s"]),
+    "ETT41": lambda k: len(GRIDS["alpha"]),
+    "ET42": lambda k: len(GRIDS["alpha"]),
+    "STCTEP": lambda k: len(GRIDS["alpha"]) * len(GRIDS["s"]),
+    "SAT-WRQA": lambda k: k * (len(GRIDS["norm_p"]) + len(GRIDS["antinorm_p"])),
 }
 
 
@@ -1315,13 +1311,15 @@ def test_every_margin_equals_the_textbook_oracle(cid):
     seed = partial(audit._trial_seed, 42)  # the default audit's seeds
     insts = [case.make_instance(DEFAULT_DIMS[t % 4], seed(cid, t)).alone() for t in range(8)]
     insts += [case.saturator(pair, seed(cid + ":sat", i)).alone() for i, pair in enumerate(DEFAULT_DIMS)]
-    for w in insts:
-        grid = make_grid(case.axes, w.dim_a)
+    for inst in insts:
+        # a matrix instance R (TPN2's and TPN62's) is an operator on C^m (x) C^1
+        w, m, n = (inst.matrix, inst.dim_a, inst.dim_b) if isinstance(inst, BipartiteOperator) else (inst, len(inst), 1)
+        grid = make_grid(case.axes, m)
         for j in range(grid.size):
             point = {name: column[j] for name, column in grid.items()}
-            want = oracle.margin(cid, w.matrix, w.dim_a, w.dim_b, point)
-            # saturator margins are round-off of 0, hence the absolute floor
-            assert evaluate_case(cid, w, point) == pytest.approx(want, rel=1e-12, abs=1e-13), (cid, point)
+            want = oracle.margin(cid, w, m, n, point)
+            # saturator margins (and every SAT-WRQA margin) are round-off of 0, hence the absolute floor
+            assert evaluate_case(cid, inst, point) == pytest.approx(want, rel=1e-12, abs=1e-13), (cid, point)
 
 
 # each family evaluator and the cases that read it, particular cases of the family or its channel twins,
@@ -1518,7 +1516,7 @@ def test_out_of_bound_points_never_count_or_fail(monkeypatch, fill):
     _replace_case(monkeypatch, "KPN1", evaluate=evaluate)
     (rec,) = run_audit(cfg).cases
     # trials 0 and 2 and the first saturator, at two k and every p
-    assert masked == [3 * 2 * len(NORM_P_GRID)]
+    assert masked == [3 * 2 * len(GRIDS["norm_p"])]
     assert rec == clean and rec["failures"] == 0
 
 

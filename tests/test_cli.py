@@ -57,6 +57,21 @@ def test_compute_norm_matches_library(matrices):
     assert float(out.stdout.strip()) == pytest.approx(ref, rel=1e-14)
 
 
+def test_compute_norm_takes_a_rectangular_matrix_with_k(tmp_path, capsys):
+    # the (k, p) norm is the gauge of the singular values, of a matrix of any shape
+    g = np.arange(6.0).reshape(2, 3) + 1j
+    path = tmp_path / "g23.json"
+    jsonio.write_matrix_file(path, g)
+    assert cli.main(["compute", "norm", str(path), "--k", "2", "--p", "2"]) == 0
+    s = np.linalg.svd(g, compute_uv=False)
+    assert float(capsys.readouterr().out) == pytest.approx(math.sqrt(s[0] ** 2 + s[1] ** 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("token", ["inf", "+inf", "Infinity", " INF "])
+def test_parse_p_reads_every_spelling_of_inf(token):
+    assert cli._parse_p(token) == math.inf
+
+
 def test_compute_norm_inf_token(matrices):
     out = run_cli("compute", "norm", matrices["g"], "--p", "inf")
     assert out.returncode == 0
@@ -231,6 +246,17 @@ def test_audit_dims_without_pairs_exits_2():
     out = run_cli("audit", "--trials", "1", "--case", "KPN1", "--dims")
     assert out.returncode == 2
     assert "--dims needs at least one MxN pair" in out.stderr and out.stdout == ""
+
+
+def test_audit_out_to_an_unwritable_path_exits_2_before_the_run(monkeypatch, tmp_path, capsys):
+    def run_audit(config):
+        raise AssertionError("the audit ran")
+
+    monkeypatch.setattr(normtrace.audit, "run_audit", run_audit)
+    path = tmp_path / "missing_dir" / "r.json"
+    assert cli.main(["audit", "--trials", "1", "--case", "KPN1", "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write {path}: ") and out == "" and not path.parent.exists()
 
 
 def test_audit_options_are_the_config_fields():
