@@ -52,13 +52,11 @@ from .margins import (
     Spectra,
     eval_cpn1,
     eval_et41,
-    eval_ett41,
     eval_kpk2,
     eval_kpn1,
     eval_kqn1,
     eval_kqn2,
     eval_satwrqa,
-    eval_tfsn,
     eval_tpn2,
     eval_tpn62,
     drawn,
@@ -365,7 +363,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "TFSN", "trace, Frobenius, and spectral norm forms of the partial trace bound",
         "||Tr_B W||_1 <= ||W||_1; ||Tr_B W||_2 <= sqrt(n) ||W||_2; ||Tr_B W||_inf <= n ||W||_inf",
-        ("bipartite", "product_psd"), ("variant",), eval_tfsn,
+        ("bipartite", "product_psd"), ("tfsn_p",), eval_kpn1,
     ),
     _case(
         "KPK1", "Ky Fan norm of the partial trace against the joint Ky Fan norm",
@@ -435,7 +433,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "ETT41", "Tsallis entropy of the joint state against the reduced state",
         "T_a(W) <= n^(1-a) T_a(Tr_B W) + ln_a(n)",
-        ("bipartite_density", "product_density"), ("alpha",), eval_ett41,
+        ("bipartite_density", "product_density"), ("alpha tsallis",), eval_et41,
     ),
     _case(
         "ET42", "Renyi entropy of the joint state against the reduced state",
@@ -478,10 +476,10 @@ def evaluate_case(case_id: str, instance, params) -> float:
     The instance is of the case's form or, as its saturators are, of its
     saturator_form (a channel case's saturators are bipartite products).
     params, a mapping, names exactly the grid columns of the case's axes: k an
-    integer, variant and family strings, and every other column a real number
-    other than a bool.  An "env_mode" entry of params, one of ENV_DIM_MODES
-    ("choi_rank" by default), picks a channel's d as AuditConfig.env_dim_mode
-    does, and is checked as that is.
+    integer, family a string, and every other column a real number other than
+    a bool; ETT41's are alpha and s, s 1.0 on its grid.  An "env_mode" entry of
+    params, one of ENV_DIM_MODES ("choi_rank" by default), picks a channel's d
+    as AuditConfig.env_dim_mode does, and is checked as that is.
     """
     if not isinstance(case_id, str) or case_id not in REGISTRY:  # a list would raise a bare TypeError
         raise KindMismatchError(f"unknown case id {case_id!r}")
@@ -502,7 +500,7 @@ def evaluate_case(case_id: str, instance, params) -> float:
     for name, value in params.items():
         if name == "k":  # True would run as k = 1, and 1.5 or "1" fail deep in an index
             params["k"] = as_integer(value, RankRangeError, "an integer k")
-        elif name not in ("variant", "family") and (isinstance(value, bool) or not isinstance(value, Real)):
+        elif name != "family" and (isinstance(value, bool) or not isinstance(value, Real)):
             raise ExponentRangeError(f"{name} takes a real number, got {value!r}")
     grid, sp = Grid({name: (value,) for name, value in params.items()}, 1), Spectra([instance], env_mode)
     if not sp.in_bound(grid).all():  # a point that was asked for is never out of bound

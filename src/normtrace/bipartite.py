@@ -34,7 +34,10 @@ class BipartiteOperator:
         object.__setattr__(self, "matrix", m)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """The n-by-n block at grid position (i, j)."""
+        """The n-by-n block at grid position (i, j), each in [0, dim_a)."""
+        i, j = (as_integer(x, ShapeMismatchError, "an integer block index") for x in (i, j))
+        if not (0 <= i < self.dim_a and 0 <= j < self.dim_a):
+            raise ShapeMismatchError(f"block ({i}, {j}) outside [0, {self.dim_a})")
         n = self.dim_b
         return self.matrix[i * n : (i + 1) * n, j * n : (j + 1) * n]
 

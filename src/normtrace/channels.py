@@ -126,6 +126,7 @@ def kraus_to_stinespring(kraus) -> StinespringChannel:
 
 def partial_trace_channel(m: int, n: int) -> StinespringChannel:
     """Partial trace over the second factor as a channel from dim m*n to m."""
+    m, n = (as_integer(x, ShapeMismatchError, "an integer dimension") for x in (m, n))
     if m < 1 or n < 1:
         raise ShapeMismatchError("factor dimensions must be positive")
     return StinespringChannel(np.eye(m * n, dtype=np.complex128), m * n, m, n)

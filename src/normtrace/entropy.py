@@ -3,16 +3,16 @@
 unified_entropy(rho, alpha, s) = ((tr rho^alpha)^s - 1) / ((1 - alpha) s)
 with the s -> 0 limit giving Renyi, s = 1 giving Tsallis, and alpha -> 1
 giving von Neumann for every s.  Limit routing uses fixed thresholds so the
-branch taken is deterministic.  Each entropy is a function of the eigenvalues
-alone, and of only two numbers of them: the power sum tr rho^alpha
-(``power_sum_of``) and the von Neumann value (``von_neumann_of``), both read
-from ``density_spectrum``: the full ascending spectrum, with round-off of
-exact zeros set to 0.0 by linalg's one rule (``zero_round_off``), one row
-per state of a stack.  ``<name>_from`` takes the two as values and routes
-between them; each is a float, or a list of one per state of a stack whose
-entries are closed one by one in Python floats.  ``<name>`` on a density
-matrix is ``<name>_from`` on its spectrum's two values, Renyi the unified
-entropy at s = 0.  A value outside the float range raises DomainError.
+branch taken is deterministic; s == 1 takes Tsallis' closed form, which needs
+no logarithm.  Each entropy is a function of the eigenvalues alone, and of only
+two numbers of them: the power sum tr rho^alpha (``power_sum_of``) and the von
+Neumann value (``von_neumann_of``), both read from ``density_spectrum``: the
+full ascending spectrum, with round-off of exact zeros set to 0.0 by linalg's
+one rule (``zero_round_off``), one row per state of a stack.
+``unified_entropy_from`` takes the two as values and routes between them; each
+is a float, or a list of one per state of a stack whose entries are closed one
+by one in Python floats.  Each named entropy of a density matrix is it on its
+spectrum's two values.  A value outside the float range raises DomainError.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExponentRangeError, NotDensityError, NotHermitianError
-from .linalg import hermitian_eigenvalues, spectral_radius, zero_round_off
+from .linalg import as_integer, hermitian_eigenvalues, spectral_radius, zero_round_off
 
 ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the von Neumann branch
 S_ZERO_TOL = 1e-12  # |s| below this routes to the Renyi branch
@@ -84,14 +84,6 @@ def _closed(formula: Callable[[float], float], x):
         raise DomainError("entropy term undefined: tr rho^alpha underflowed to 0") from exc
 
 
-def tsallis_entropy_from(power_sum, von_neumann, alpha: float):
-    """Tsallis entropy from tr rho^alpha and the von Neumann value; see the module notes."""
-    _check_alpha(alpha)
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return von_neumann
-    return _closed(lambda x: (x - 1.0) / (1.0 - alpha), power_sum)
-
-
 def unified_entropy_from(power_sum, von_neumann, alpha: float, s: float):
     """Unified (alpha, s) entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
@@ -101,12 +93,9 @@ def unified_entropy_from(power_sum, von_neumann, alpha: float, s: float):
         return von_neumann
     if abs(s) < S_ZERO_TOL:  # Renyi
         return _closed(lambda x: math.log(x) / (1.0 - alpha), power_sum)
+    if s == 1.0:  # Tsallis
+        return _closed(lambda x: (x - 1.0) / (1.0 - alpha), power_sum)
     return _closed(lambda x: math.expm1(s * math.log(x)) / ((1.0 - alpha) * s), power_sum)
-
-
-def _inputs(rho, alpha: float) -> tuple:
-    w = density_spectrum(rho)
-    return power_sum_of(w, alpha), von_neumann_of(w)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -120,18 +109,19 @@ def renyi_entropy(rho, alpha: float) -> float:
 
 
 def tsallis_entropy(rho, alpha: float) -> float:
-    """(tr rho^alpha - 1) / (1 - alpha); alpha near 1 gives von Neumann."""
-    return tsallis_entropy_from(*_inputs(rho, alpha), alpha)
+    """(tr rho^alpha - 1) / (1 - alpha), the unified entropy at s = 1; alpha near 1 gives von Neumann."""
+    return unified_entropy(rho, alpha, 1.0)
 
 
 def unified_entropy(rho, alpha: float, s: float) -> float:
     """((tr rho^alpha)^s - 1) / ((1 - alpha) s) with deterministic limit branches."""
-    return unified_entropy_from(*_inputs(rho, alpha), alpha, s)
+    w = density_spectrum(rho)
+    return unified_entropy_from(power_sum_of(w, alpha), von_neumann_of(w), alpha, s)
 
 
 def max_entropy_value(m: int, alpha: float, s: float) -> float:
     """Entropy of the maximally mixed state on dimension m, any (alpha, s)."""
-    if int(m) != m or m < 1:
+    if as_integer(m, DomainError, "a positive integer m") < 1:
         raise DomainError(f"m={m} must be a positive integer")
     _check_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL or abs(s) < S_ZERO_TOL:
@@ -139,7 +129,7 @@ def max_entropy_value(m: int, alpha: float, s: float) -> float:
     return _closed(lambda x: math.expm1((1.0 - alpha) * s * math.log(x)) / ((1.0 - alpha) * s), m)
 
 
-def dim_weight(m: int, alpha: float, s: float = 1.0) -> float:
+def dim_weight(m: int, alpha: float, s: float) -> float:
     """m^((1 - alpha) s), the weight of the reduced entropy in the unified-entropy bounds."""
     return _closed(lambda x: x ** ((1.0 - alpha) * s), m)
 

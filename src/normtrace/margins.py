@@ -5,8 +5,9 @@ evaluator reads only spectra: singular values for norms, eigenvalues for
 anti-norms and entropies, of two matrices every window names "joint" and
 "reduced" (W and Tr_B W, Q and Phi(Q), or a matrix R twice, its own Tr_B over
 a trivial factor), plus a channel's Choi rank.  So each bound family has one
-evaluator, which its channel cases share, and a grid without a k, p or s column
-is the family's Schatten (k the rank), Ky Fan (p = 1) or Renyi (s = 0) case.
+evaluator, which its particular and channel cases share, and a grid without a
+k, p or s column is the family's Schatten (k the rank), Ky Fan (p = 1) or Renyi
+(s = 0) case; TFSN is Schatten's at p = 1, 2 and inf, ETT41 the s = 1 case.
 drawn makes every audit instance a Drawn, of a form (bipartite operator,
 channel pair or plain matrix) and a shape.
 Spectra holds one window of Drawn instances of any forms and shapes (a channel
@@ -39,7 +40,6 @@ from .entropy import (
     dim_weight,
     max_entropy_value,
     power_sum_of,
-    tsallis_entropy_from,
     unified_entropy_from,
     von_neumann_of,
 )
@@ -298,12 +298,12 @@ class Spectra:
         """Schatten anti-norms of a PSD matrix at each point, p < 0 too."""
         return self.sizewise("psd", name, schatten_antinorm_of, p)
 
-    def entropy(self, name: str, formula, alpha: tuple, *rest: tuple) -> np.ndarray:
-        """A *_entropy_from formula of a state at each point's (alpha, ...): its von Neumann value and power sums."""
-        von_neumann = self.sizewise("density", name, lambda s, _: von_neumann_of(s), (None,))[:, 0].tolist()
+    def entropy(self, name: str, alpha: tuple, s: tuple) -> np.ndarray:
+        """Unified entropies of a state at each point's (alpha, s), from its von Neumann value and power sums."""
+        von_neumann = self.sizewise("density", name, lambda w, _: von_neumann_of(w), (None,))[:, 0].tolist()
         alphas = tuple(dict.fromkeys(alpha))
         sums = dict(zip(alphas, self.sizewise("density", name, power_sum_of, alphas).T.tolist()))
-        return np.array([formula(sums[point[0]], von_neumann, *point) for point in zip(alpha, *rest)]).T
+        return np.array([unified_entropy_from(sums[a], von_neumann, a, t) for a, t in zip(alpha, s)]).T
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +316,6 @@ def eval_kpn1(sp: Spectra, g) -> np.ndarray:
     # the (kn, p) norm of the spectrum zero-padded to length kn: a kd past Q's size reads the full gauge
     joint = sp.norm("joint", None if k is None else k * sp.n[:, None], p)
     return _slack(sp.norm("reduced", k, p), g.factors(_dim_factor, sp.n, p) * joint)
-
-
-def eval_tfsn(sp: Spectra, g) -> np.ndarray:
-    n = sp.n[:, None].astype(float)  # sqrt is correctly rounded, so np.sqrt gives math.sqrt's bits
-    forms = {"trace": (1.0, np.ones_like(n)), "frobenius": (2.0, np.sqrt(n)), "spectral": (math.inf, n)}
-    unknown = [v for v in g["variant"] if v not in forms]
-    if unknown:
-        raise PreconditionError(f"unknown variant {unknown[0]!r}")
-    p, factor = zip(*(forms[v] for v in g["variant"]))
-    return _slack(sp.norm("reduced", None, p), np.hstack(factor) * sp.norm("joint", None, p))
 
 
 def eval_kpk2(sp: Spectra, g) -> np.ndarray:
@@ -365,19 +355,11 @@ def eval_tpn62(sp: Spectra, g) -> np.ndarray:
 
 
 def eval_et41(sp: Spectra, g) -> np.ndarray:
-    """The unified (alpha, s) entropy bound, and its Renyi restriction: no s column is s = 0."""
+    """The unified (alpha, s) entropy bound: no s column is its Renyi case (s = 0), and s = 1 is Tsallis'."""
     alpha, s = g["alpha"], g.get("s", (0.0,) * g.size)
-    lhs = sp.entropy("joint", unified_entropy_from, alpha, s)
-    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy("reduced", unified_entropy_from, alpha, s)
+    lhs = sp.entropy("joint", alpha, s)
+    rhs = g.factors(dim_weight, sp.n, alpha, s) * sp.entropy("reduced", alpha, s)
     return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, s))
-
-
-def eval_ett41(sp: Spectra, g) -> np.ndarray:
-    alpha = g["alpha"]
-    lhs = sp.entropy("joint", tsallis_entropy_from, alpha)
-    rhs = g.factors(dim_weight, sp.n, alpha) * sp.entropy("reduced", tsallis_entropy_from, alpha)
-    # ln_a(n) is the Tsallis entropy of the maximally mixed state
-    return _slack(lhs, rhs + g.factors(max_entropy_value, sp.n, alpha, (1.0,) * g.size))
 
 
 def eval_satwrqa(sp: Spectra, g) -> np.ndarray:
@@ -445,8 +427,10 @@ def _axis(name: str, kmax: int) -> tuple:
     """The columns one grid axis sets, and its values, each one entry per column."""
     if name == "k":
         return ("k",), [(k,) for k in range(1, kmax + 1)]
-    if name == "variant":
-        return ("variant",), [("trace",), ("frobenius",), ("spectral",)]
+    if name == "tfsn_p":  # TFSN's trace, Frobenius and spectral norms
+        return ("p",), [(1.0,), (2.0,), (math.inf,)]
+    if name == "tsallis":  # ETT41's s, a single value
+        return ("s",), [(1.0,)]
     if name in ("norm", "antinorm"):  # the SAT-WRQA family, a single value
         return ("family",), [(name,)]
     if name.endswith("pq"):

@@ -41,14 +41,17 @@ def gauge_table(desc: np.ndarray, p: float) -> np.ndarray:
 
 
 def gauge_kp(x, k: int, p: float) -> float:
-    """l_p combination of the k largest |x_j|; p = math.inf returns max |x_j|."""
+    """l_p combination of the k largest |x_j|, x real or complex; p = math.inf returns max |x_j|."""
     k = as_integer(k, RankRangeError, "an integer k")
-    v = np.abs(np.asarray(x, dtype=float))
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeMismatchError("x must be a nonempty 1-d real sequence")
+    try:
+        v = np.abs(np.asarray(x))  # complex entries by their moduli
+    except (TypeError, ValueError):  # ragged nesting, or entries such as strings or None
+        v = np.empty(0, object)
+    if v.dtype.kind not in "iuf" or v.ndim != 1 or v.size == 0:
+        raise ShapeMismatchError(f"x must be a nonempty 1-d sequence of numbers, got {x!r}")
     if not 1 <= k <= v.size:
         raise RankRangeError(f"k={k} outside [1, {v.size}]")
-    return float(gauge_table(np.sort(v)[::-1][:k], p)[-1])
+    return float(gauge_table(np.sort(v)[::-1][:k].astype(float), p)[-1])
 
 
 def kp_norm(q, k: int, p: float) -> float:

@@ -2,9 +2,10 @@
 
 Nothing here imports normtrace or the benchmark: each value is rebuilt from
 its definition, with numpy's decompositions sorted by hand, an einsum partial
-trace and entropies summed term by term, and each bound's factor is written
-out from the case's paper_eq.  A margin is (large - small) / max(1, |small|,
-|large|) for the relation small <= large, as the audit normalizes it.
+trace, a channel's output summed over its Kraus operators and entropies summed
+term by term, and each bound's factor is written out from the case's paper_eq.
+A margin is (large - small) / max(1, |small|, |large|) for the relation
+small <= large, as the audit normalizes it.
 """
 from __future__ import annotations
 
@@ -24,24 +25,27 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a Hermitian matrix, ascending."""
-    return np.sort(np.linalg.eigvalsh(a))
+    """The eigenvalues of a PSD matrix, ascending; those within 1e-12 of the largest, relative, are round-off of
+    zeros (a channel's output can be rank deficient), and read as 0."""
+    w = np.sort(np.linalg.eigvalsh(a))
+    return np.where(np.abs(w) <= 1e-12 * w[-1], 0.0, w)
 
 
-def kp_norm(a: np.ndarray, k: int, p: float) -> float:
-    """(k, p) norm: the l_p norm of the k largest singular values; k past the size takes them all."""
+def kp_norm(a: np.ndarray, k, p: float) -> float:
+    """(k, p) norm: the l_p norm of the k largest singular values; k None, or past the size, takes them all."""
     top = singular_values(a)[:k]
     return float(top.max()) if math.isinf(p) else float(np.sum(top**p) ** (1.0 / p))
 
 
-def kp_antinorm(a: np.ndarray, k: int, p: float) -> float:
-    """(k, p) anti-norm of a PSD matrix, 0 < p <= 1: the l_p quasi-norm of its k smallest eigenvalues."""
-    low = eigenvalues(a)[:k]
+def kp_antinorm(a: np.ndarray, k: int, p: float, size=None) -> float:
+    """(k, p) anti-norm of a PSD matrix, 0 < p <= 1: the l_p quasi-norm of its k smallest eigenvalues,
+    the spectrum padded with zeros to length size if one is given."""
+    low = np.concatenate([np.zeros((size or len(a)) - len(a)), eigenvalues(a)])[:k]
     return float(np.sum(low**p) ** (1.0 / p))
 
 
 def schatten_antinorm(a: np.ndarray, p: float) -> float:
-    """(tr A^p)^(1/p) of a positive definite matrix, p < 0."""
+    """(tr A^p)^(1/p) of a positive definite matrix, p < 0 (KQN2's) or 0 < p <= 1 (STCTPP's)."""
     return float(np.sum(eigenvalues(a) ** p) ** (1.0 / p))
 
 
@@ -62,19 +66,48 @@ def slack(small: float, large: float) -> float:
     return (large - small) / max(1.0, abs(small), abs(large))
 
 
+# each channel case's bound is its bipartite twin's, read with Q for W, Phi(Q) for Tr_B W and d for n
+CHANNELS = {
+    "STCT1": "KPN1",  # ||Phi(Q)||_(k)^(p) <= d^((p-1)/p) ||Q||_(kd)^(p)
+    "STCTP": "SPN1",  # ||Phi(Q)||_p <= d^((p-1)/p) ||Q||_p
+    "STCT2": "KQN1",  # ||Phi(Q)||_{k}^(p) >= d^((p-1)/p) ||Q||_{kd}^(p), spectrum padded to n*d
+    "STCTPP": "KQN2",  # ||Phi(Q)||_p >= d^((p-1)/p) ||Q||_p, 0 < p <= 1
+    "STCTEP": "ET41",  # E_as(rho) <= d^((1-a)s) E_as(Phi(rho)) + (1/s) ln_a(d^s)
+}
+
+
 def margin(cid: str, w: np.ndarray, m: int, n: int, point: dict) -> float:
-    """The margin of case cid on W, an operator on C^m (x) C^n, at one grid point; TPN2's and TPN62's R is W at n = 1."""
-    reduced = partial_trace_b(w, m, n)
+    """The margin of case cid on W, an operator on C^m (x) C^n, at one grid point; TPN2's and TPN62's R is W at n = 1.
+
+    A channel case's W is its saturator R (x) I, read through Tr_B, the channel of the identity dilation.
+    """
+    return _margin(CHANNELS.get(cid, cid), w, partial_trace_b(w, m, n), n, point)
+
+
+def channel_margin(cid: str, v: np.ndarray, dim_env: int, q: np.ndarray, env_mode: str, point: dict) -> float:
+    """The margin of channel case cid on (Phi, Q), Phi's dilation V with rows b * dim_env + c, at one grid point.
+
+    Phi(Q) = sum_c K_c Q K_c^dag, K_c the slice of V at environment index c, and d is
+    dim_env or, under "choi_rank", the rank of the matrix whose columns are the vec K_c.
+    """
+    kraus = [v.reshape(-1, dim_env, v.shape[1])[:, c, :] for c in range(dim_env)]
+    output = sum(k @ q @ k.conj().T for k in kraus)
+    d = dim_env if env_mode == "dim_env" else int(np.linalg.matrix_rank(np.stack([k.ravel() for k in kraus], axis=1)))
+    return _margin(CHANNELS[cid], q, output, d, point)
+
+
+def _margin(cid: str, w: np.ndarray, reduced: np.ndarray, n: int, point: dict) -> float:
+    """The margin of bipartite or matrix case cid on W, with its Tr_B W and traced-out dimension n."""
     k, p, q = point.get("k"), point.get("p"), point.get("q")
     if cid == "KPN1":  # ||Tr_B W||_(k)^(p) <= n^((p-1)/p) ||W||_(kn)^(p)
         factor = n if math.isinf(p) else n ** ((p - 1.0) / p)
         return slack(kp_norm(reduced, k, p), factor * kp_norm(w, k * n, p))
     if cid == "SPN1":  # ||Tr_B W||_p <= n^((p-1)/p) ||W||_p
         factor = n if math.isinf(p) else n ** ((p - 1.0) / p)
-        return slack(kp_norm(reduced, m, p), factor * kp_norm(w, m * n, p))
+        return slack(kp_norm(reduced, None, p), factor * kp_norm(w, None, p))
     if cid == "TFSN":  # ||Tr_B W||_1 <= ||W||_1; ||Tr_B W||_2 <= sqrt(n) ||W||_2; ||Tr_B W||_inf <= n ||W||_inf
-        p, factor = {"trace": (1.0, 1.0), "frobenius": (2.0, math.sqrt(n)), "spectral": (math.inf, n)}[point["variant"]]
-        return slack(kp_norm(reduced, m, p), factor * kp_norm(w, m * n, p))
+        factor = {1.0: 1.0, 2.0: math.sqrt(n), math.inf: n}[p]
+        return slack(kp_norm(reduced, None, p), factor * kp_norm(w, None, p))
     if cid == "KPK1":  # ||Tr_B W||_(k) <= ||W||_(kn)
         return slack(kp_norm(reduced, k, 1.0), kp_norm(w, k * n, 1.0))
     if cid == "KPK2":  # ||Tr_B W||_inf <= ||W||_(n)
@@ -85,7 +118,7 @@ def margin(cid: str, w: np.ndarray, m: int, n: int, point: dict) -> float:
         factor = (k ** (q - 1.0) * n ** (p * q - 1.0)) ** (1.0 / (p * q))
         return slack(kp_norm(reduced, k, p), factor * kp_norm(w, k * n, p * q))
     if cid == "KQN1":  # ||Tr_B W||_{k}^(p) >= n^((p-1)/p) ||W||_{kn}^(p)
-        return slack(n ** ((p - 1.0) / p) * kp_antinorm(w, k * n, p), kp_antinorm(reduced, k, p))
+        return slack(n ** ((p - 1.0) / p) * kp_antinorm(w, k * n, p, len(reduced) * n), kp_antinorm(reduced, k, p))
     if cid == "KQN2":  # ||Tr_B W||_p >= n^((p-1)/p) ||W||_p, p < 0
         return slack(n ** ((p - 1.0) / p) * schatten_antinorm(w, p), schatten_antinorm(reduced, p))
     if cid == "KQK1":  # ||Tr_B W||_{k} >= ||W||_{kn}
@@ -93,7 +126,7 @@ def margin(cid: str, w: np.ndarray, m: int, n: int, point: dict) -> float:
     if cid == "TPN62":  # ||R||_{k}^(p) >= k^((q-1)/(pq)) ||R||_{k}^(pq), p, q in (0, 1)
         return slack(k ** ((q - 1.0) / (p * q)) * kp_antinorm(w, k, p * q), kp_antinorm(w, k, p))
     if cid == "SAT-WRQA":  # equality in the (k, p) norm and anti-norm bounds at W = c R (x) I: minus |margin|
-        return -abs(margin("KPN1" if point["family"] == "norm" else "KQN1", w, m, n, point))
+        return -abs(_margin("KPN1" if point["family"] == "norm" else "KQN1", w, reduced, n, point))
     alpha = point["alpha"]
     if cid == "ET41":  # E_as(W) <= n^((1-a)s) E_as(Tr_B W) + (1/s) ln_a(n^s)
         s = point["s"]
@@ -109,6 +142,6 @@ def margin(cid: str, w: np.ndarray, m: int, n: int, point: dict) -> float:
     raise KeyError(f"no textbook margin for case {cid}")
 
 
-# every case but the five channel cases
+# every case: the bipartite and matrix cases, then the channel cases
 CASES = ("KPN1", "SPN1", "TFSN", "KPK1", "KPK2", "TPN2", "CPN1", "KQN1", "KQN2", "KQK1", "TPN62", "ET41", "ETT41",
-         "ET42", "SAT-WRQA")
+         "ET42", "SAT-WRQA") + tuple(CHANNELS)

@@ -239,7 +239,7 @@ def test_entropy_bounds_hold_on_rank_deficient_products():
         r = g @ g.conj().T
         w = BipartiteOperator(np.kron(r / np.trace(r).real, np.eye(3) / 3), 4, 3)
         for alpha in GRIDS["alpha"]:
-            margins["ETT41"].append(evaluate_case("ETT41", w, {"alpha": alpha}))
+            margins["ETT41"].append(evaluate_case("ETT41", w, {"alpha": alpha, "s": 1.0}))
             margins["ET42"].append(evaluate_case("ET42", w, {"alpha": alpha}))
             for s in GRIDS["s"]:
                 margins["ET41"].append(evaluate_case("ET41", w, {"alpha": alpha, "s": s}))
@@ -278,7 +278,6 @@ def test_run_audit_edge_shapes():
     ("STCTPP", {"p": 0.0}, ExponentRangeError),
     ("ET41", {"alpha": 0.0, "s": 1.0}, ExponentRangeError),
     ("ET42", {"alpha": -1.0}, ExponentRangeError),
-    ("TFSN", {"variant": "nuclear"}, PreconditionError),  # not one of TFSN's three norms
 ])
 def test_evaluate_case_out_of_range_params_raise_typed_errors(cid, params, error):
     case = REGISTRY[cid]
@@ -318,12 +317,14 @@ def test_run_audit_counts_zero_exponents_as_failures(monkeypatch, field, value):
     # n^((1 - alpha) s) = n^1998 overflows on every instance
     ("ET41", (-2.0,), 5, "overflows"),
     ("STCTEP", (-2.0,), 5, "overflows"),
-    # tr rho^1000 underflows to 0 on the saturators' product states
-    ("ET41", (1.0,), 4, "underflowed"),
+    # tr rho^1000 underflows to 0 on the saturators' product states, where its logarithm is undefined
+    ("ET41", (0.5,), 4, "underflowed"),
     ("ET42", (1.0,), 4, "underflowed"),
-    ("STCTEP", (1.0,), 4, "underflowed"),
-    # the Tsallis form takes no logarithm
+    ("STCTEP", (0.5,), 4, "underflowed"),
+    # the Tsallis form, the unified entropy at s = 1, takes no logarithm
     ("ETT41", (1.0,), 0, None),
+    ("ET41", (1.0,), 0, None),
+    ("STCTEP", (1.0,), 0, None),
 ])
 def test_run_audit_counts_float_range_errors_as_failures(monkeypatch, cid, s_grid, failures, message):
     monkeypatch.setitem(margins.GRIDS, "alpha", (1000.0,))
@@ -1302,32 +1303,49 @@ def test_worst_margins_equal_the_independent_reference(monkeypatch, env_mode, ma
         assert abs(reference.worst_margin(rec["id"], report["config"]) - worst) <= 1e-13 + 1e-9 * abs(worst), rec["id"]
 
 
+def _with_zero_kraus(ch: StinespringChannel) -> StinespringChannel:
+    """ch with one more environment slot, whose Kraus operator is zero: its dim_env exceeds its Choi rank."""
+    v = ch.v.reshape(ch.dim_out, ch.dim_env, ch.dim_in)
+    v = np.concatenate([v, np.zeros((ch.dim_out, 1, ch.dim_in))], axis=1)
+    return StinespringChannel(v.reshape(-1, ch.dim_in), ch.dim_in, ch.dim_out, ch.dim_env + 1)
+
+
 @pytest.mark.parametrize("cid", oracle.CASES)
 def test_every_margin_equals_the_textbook_oracle(cid):
     # tests/oracle.py rebuilds each margin from its paper_eq with textbook
     # numpy and none of the library's code: every grid point of every trial
-    # and saturator of the audit's first 8 trials over the default dims
+    # and saturator of the audit's first 8 trials over the default dims, a
+    # channel case's under each env_dim_mode and with a zero Kraus operator added
+    # to each of its first four channels
     case = REGISTRY[cid]
     seed = partial(audit._trial_seed, 42)  # the default audit's seeds
     insts = [case.make_instance(DEFAULT_DIMS[t % 4], seed(cid, t)).alone() for t in range(8)]
+    if case.form == "channel":
+        insts += [(_with_zero_kraus(ch), q) for ch, q in insts[:4]]
     insts += [case.saturator(pair, seed(cid + ":sat", i)).alone() for i, pair in enumerate(DEFAULT_DIMS)]
-    for inst in insts:
-        # a matrix instance R (TPN2's and TPN62's) is an operator on C^m (x) C^1
-        w, m, n = (inst.matrix, inst.dim_a, inst.dim_b) if isinstance(inst, BipartiteOperator) else (inst, len(inst), 1)
-        grid = make_grid(case.axes, m)
-        for j in range(grid.size):
-            point = {name: column[j] for name, column in grid.items()}
-            want = oracle.margin(cid, w, m, n, point)
-            # saturator margins (and every SAT-WRQA margin) are round-off of 0, hence the absolute floor
-            assert evaluate_case(cid, inst, point) == pytest.approx(want, rel=1e-12, abs=1e-13), (cid, point)
+    for env_mode in audit.ENV_DIM_MODES if case.form == "channel" else ("choi_rank",):
+        for inst in insts:
+            if isinstance(inst, tuple):  # a channel and its input Q
+                (ch, q), bound = inst, inst[0].dim_out
+                want = partial(oracle.channel_margin, cid, ch.v, ch.dim_env, q, env_mode)
+            else:  # a matrix instance R (TPN2's and TPN62's) is an operator on C^m (x) C^1
+                w, m, n = (inst.matrix, inst.dim_a, inst.dim_b) if isinstance(inst, BipartiteOperator) else (
+                    inst, len(inst), 1)
+                bound, want = m, partial(oracle.margin, cid, w, m, n)
+            grid = make_grid(case.axes, bound)
+            for j in range(grid.size):
+                point = {name: column[j] for name, column in grid.items()}
+                got = evaluate_case(cid, inst, {**point, "env_mode": env_mode})
+                # saturator margins (and every SAT-WRQA margin) are round-off of 0, hence the absolute floor
+                assert got == pytest.approx(want(point), rel=1e-12, abs=1e-13), (cid, env_mode, point)
 
 
 # each family evaluator and the cases that read it, particular cases of the family or its channel twins,
 # with the column a particular case's grid leaves out
 FAMILIES = {
-    "KPN1": {"SPN1": "k", "KPK1": "p", "STCT1": None, "STCTP": "k"},
+    "KPN1": {"SPN1": "k", "TFSN": "k", "KPK1": "p", "STCT1": None, "STCTP": "k"},
     "KQN1": {"KQK1": "p", "STCT2": None},
-    "ET41": {"ET42": "s", "STCTEP": None},
+    "ET41": {"ET42": "s", "ETT41": None, "STCTEP": None},
 }
 
 

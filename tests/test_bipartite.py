@@ -29,6 +29,15 @@ def test_operator_validation():
     assert w.block(0, 1)[0, 0] == 3
 
 
+@pytest.mark.parametrize("i,j", [(5, 0), (-1, 0), (0, 2), (0, -3), (1.0, 0), (True, 0), (0, "1")])
+def test_block_index_must_be_an_integer_in_range(i, j):
+    # block(5, 0) and block(-1, 0) returned an empty (0, 2) array, and a float index raised a bare TypeError
+    w = BipartiteOperator(np.arange(16).reshape(4, 4).astype(complex), 2, 2)
+    with pytest.raises(ShapeMismatchError):
+        w.block(i, j)
+    assert w.block(np.int64(1), 1).tolist() == [[10, 11], [14, 15]]
+
+
 @pytest.mark.parametrize("matrix,dim_a,dim_b", [(np.eye(5), 2.5, 2), (np.eye(2), True, 2), (np.eye(4), 2, 2.0)])
 def test_factor_dims_must_be_integers(matrix, dim_a, dim_b):
     # 2.5 * 2 == 5 and True * 2 == 2 match the shape, but no partial trace has such factors

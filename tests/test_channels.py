@@ -104,6 +104,14 @@ def test_partial_trace_channel_agrees_with_block_route(m, n):
     assert np.allclose(ch.apply(q), direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("m,n", [("2", 2), (2.0, 2), (2, 2.5), (True, 2), (2, None)])
+def test_partial_trace_channel_takes_integer_dimensions(m, n):
+    # "2" and None raised a bare TypeError from a comparison, and 2.0 and 2.5 one from np.eye
+    with pytest.raises(ShapeMismatchError, match="expected an integer dimension"):
+        partial_trace_channel(m, n)
+    assert partial_trace_channel(np.int64(2), 2).dim_in == 4
+
+
 def amplitude_damping(gamma):
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)

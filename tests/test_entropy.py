@@ -11,7 +11,6 @@ from normtrace.entropy import (
     power_sum_of,
     renyi_entropy,
     tsallis_entropy,
-    tsallis_entropy_from,
     unified_entropy,
     unified_entropy_from,
     von_neumann_entropy,
@@ -90,12 +89,11 @@ def test_entropies_from_memoized_inputs(alpha, s):
     assert power_sum_of(w, alpha) == pytest.approx(float(np.sum(np.linalg.eigvalsh(rho) ** alpha)), rel=1e-13)
     assert von_neumann_of(w) == pytest.approx(von_neumann_entropy(rho), rel=1e-13)
     power_sum, von_neumann = power_sum_of(w, alpha), von_neumann_of(w)
-    pairs = [
-        (unified_entropy_from(power_sum, von_neumann, alpha, s), unified_entropy(rho, alpha, s)),
-        (tsallis_entropy_from(power_sum, von_neumann, alpha), tsallis_entropy(rho, alpha)),
-    ]
-    for got, want in pairs:
-        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+    got = unified_entropy_from(power_sum, von_neumann, alpha, s)
+    assert got == pytest.approx(unified_entropy(rho, alpha, s), rel=1e-13, abs=1e-15)
+    if s == 1.0:  # Tsallis is the unified entropy at s = 1, bit for bit, in its closed form
+        assert got == tsallis_entropy(rho, alpha)
+        assert alpha == 1.0 or got == (power_sum - 1.0) / (1.0 - alpha)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
@@ -166,6 +164,14 @@ def test_max_entropy_value_forms():
     assert max_entropy_value(3, 1.0, 1.0) == math.log(3)
 
 
+@pytest.mark.parametrize("m", [True, 2.0, 1.5, "2", None])
+def test_max_entropy_value_takes_only_an_integer_m(m):
+    # True ran as m = 1 and gave 0.0, 2.0 ran as m = 2, and None raised a bare TypeError
+    with pytest.raises(DomainError, match="expected a positive integer m"):
+        max_entropy_value(m, 1.5, 1.0)
+    assert max_entropy_value(np.int64(2), 1.5, 1.0) == max_entropy_value(2, 1.5, 1.0)
+
+
 def test_tiny_eigenvalues_are_dropped():
     # spectrum entries at or below the round-off threshold are zeroed and must
     # not poison logs
@@ -181,8 +187,9 @@ def test_float_range_errors_are_domain_errors():
         unified_entropy(rho, 1000.0, -2.0)
     with pytest.raises(DomainError, match="underflowed"):
         renyi_entropy(rho, 1000.0)
-    # the Tsallis form takes no logarithm and stays finite
+    # the Tsallis form, the unified entropy at s = 1, takes no logarithm and stays finite
     assert tsallis_entropy(rho, 1000.0) == pytest.approx(1.0 / 999.0, rel=1e-15)
+    assert unified_entropy(rho, 1000.0, 1.0) == tsallis_entropy(rho, 1000.0)
     # 2^1998 and (tr rho^0.001)^1000 = 3^1000 overflow
     with pytest.raises(DomainError, match="overflows"):
         dim_weight(2, 1000.0, -2.0)

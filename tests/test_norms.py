@@ -1,4 +1,6 @@
 """Norm family checked against direct singular value computations."""
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,19 @@ def test_monotone_in_k_and_p():
     for k in (2, 4):
         vals = [kp_norm(q, k, p) for p in ps]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_gauge_kp_reads_complex_entries_by_their_moduli():
+    # a complex entry raised a bare TypeError from the conversion to float
+    assert gauge_kp([3 + 4j], 1, 1.0) == 5.0
+    assert gauge_kp(np.array([1.0, -2.0 + 0j, 3j]), 2, 2.0) == pytest.approx(math.sqrt(13.0), rel=1e-15)
+    assert gauge_kp([1, -7, 2], 2, 1.0) == 9.0
+
+
+@pytest.mark.parametrize("x", [["a"], "ab", [None], [1.0, "2"], [[1.0, 2.0], [3.0]], [True, False]])
+def test_gauge_kp_rejects_sequences_that_are_not_numbers(x):
+    with pytest.raises(ShapeMismatchError, match="sequence of numbers"):
+        gauge_kp(x, 1, 1.0)
 
 
 def test_rank_and_exponent_validation():
