@@ -145,3 +145,37 @@ def _margin(cid: str, w: np.ndarray, reduced: np.ndarray, n: int, point: dict) -
 # every case: the bipartite and matrix cases, then the channel cases
 CASES = ("KPN1", "SPN1", "TFSN", "KPK1", "KPK2", "TPN2", "CPN1", "KQN1", "KQN2", "KQK1", "TPN62", "ET41", "ETT41",
          "ET42", "SAT-WRQA") + tuple(CHANNELS)
+
+
+# the audit's extra report fields, each from its definition
+
+
+def dominance_strict(w: np.ndarray, n: int) -> bool:
+    """KPK2's dominance_strict_count counts the trials where ||W||_(n) < n ||W||_inf by more than 1e-9, relative."""
+    lhs, rhs = kp_norm(w, n, 1.0), n * kp_norm(w, 1, math.inf)
+    return rhs - lhs > 1e-9 * max(1.0, lhs, rhs)
+
+
+def equivalence_dev(w: np.ndarray, m: int, n: int) -> float:
+    """KQK1's equivalence_max_dev term: the largest, over 1 <= k < m, relative to max(1, |tr W|), of
+    |(||Tr_B W||_{k} - ||W||_{kn}) - (||W||_((m-k)n) - ||Tr_B W||_(m-k))|; the k smallest and the m - k
+    largest eigenvalues of each matrix sum to its trace, and tr Tr_B W = tr W, so each term is 0 but for round-off."""
+    reduced, scale = partial_trace_b(w, m, n), max(1.0, abs(np.trace(w).real))
+    terms = [(kp_antinorm(reduced, k, 1.0) - kp_antinorm(w, k * n, 1.0))
+             - (kp_norm(w, (m - k) * n, 1.0) - kp_norm(reduced, m - k, 1.0)) for k in range(1, m)]
+    return max((abs(t) / scale for t in terms), default=0.0)
+
+
+# equality-iff witnesses: (a spectrum of R where the bound is tight, one where it is strict, the grid point);
+# TPN2 is tight iff the k largest singular values are equal, TPN62 iff the k smallest eigenvalues are
+WITNESSES = {
+    "TPN2": ((2.0, 2.0, 1.0), (3.0, 2.0, 1.0), {"k": 2, "p": 1.0, "q": 2.0}),
+    "TPN62": ((1.0, 1.0, 3.0), (3.0, 2.0, 1.0), {"k": 2, "p": 0.5, "q": 0.5}),
+}
+
+
+def witness_margins(cid: str) -> dict:
+    """The equality_margin and strict_margin of case cid's witnesses, each R the diagonal matrix of its spectrum."""
+    *spectra, point = WITNESSES[cid]
+    equality, strict = (margin(cid, np.diag(s).astype(complex), len(s), 1, point) for s in spectra)
+    return {"equality_margin": equality, "strict_margin": strict}

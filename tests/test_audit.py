@@ -1340,6 +1340,26 @@ def test_every_margin_equals_the_textbook_oracle(cid):
                 assert got == pytest.approx(want(point), rel=1e-12, abs=1e-13), (cid, env_mode, point)
 
 
+
+def test_every_extra_field_equals_the_textbook_oracle():
+    # KPK2's dominance_strict_count and KQK1's equivalence_max_dev over the
+    # default audit's first 8 trials, and the TPN2 and TPN62 witnesses' margins,
+    # rebuilt by tests/oracle.py with none of the library's code
+    cfg = AuditConfig(trials_per_case=8, case_filter=("KPK2", "KQK1", "TPN2", "TPN62"))
+    extras = {rec["id"]: rec["extra"] for rec in run_audit(cfg).cases}
+    trials = {cid: [REGISTRY[cid].make_instance(DEFAULT_DIMS[t % 4], audit._trial_seed(42, cid, t)).alone()
+                    for t in range(8)] for cid in ("KPK2", "KQK1")}
+    strict = sum(oracle.dominance_strict(w.matrix, w.dim_b) for w in trials["KPK2"])
+    assert extras["KPK2"] == {"dominance_strict_count": strict} and 0 < strict <= 8
+    deviation = max(oracle.equivalence_dev(w.matrix, w.dim_a, w.dim_b) for w in trials["KQK1"])
+    assert extras["KQK1"]["equivalence_max_dev"] == pytest.approx(deviation, abs=1e-14) and deviation <= 1e-13
+    for cid in ("TPN2", "TPN62"):
+        want = oracle.witness_margins(cid)
+        assert extras[cid].keys() == want.keys() and want["strict_margin"] > 1e-6, cid
+        for name, value in want.items():
+            assert extras[cid][name] == pytest.approx(value, rel=1e-12, abs=1e-13), (cid, name)
+
+
 # each family evaluator and the cases that read it, particular cases of the family or its channel twins,
 # with the column a particular case's grid leaves out
 FAMILIES = {
