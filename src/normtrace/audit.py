@@ -5,7 +5,8 @@ signed margin normalized by max(1, |lhs|, |rhs|); margin >= -tolerance means
 the relation held on that instance.  The SAT-WRQA case instead returns the
 negated equality residual of the product family c * R (x) I, so its margins
 sit at zero up to round-off.  The evaluators, the stacked spectra they read and
-the parameter grids live in margins.py.
+the parameter axes with their domains live in margins.py; a registry row holds
+all its case knows, its extra report field and witnesses too.
 
 The runner makes a case's trial instances TRIAL_WINDOW at a time, evaluates
 each window, saturators and every dims pair included, as one batch (one
@@ -61,6 +62,7 @@ from .margins import (
     eval_tpn62,
     drawn,
     make_grid,
+    outside,
 )
 
 DEFAULT_DIMS = ((2, 2), (2, 3), (3, 2), (4, 3))
@@ -338,15 +340,36 @@ class InequalityCase:
     evaluate: Callable
     saturator: Callable  # (dims, seed) -> an instance attaining equality, drawn only
     saturator_form: str  # a channel case's saturators are bipartite products
+    extra: Optional[tuple] = None  # (report field, each instance's statistic of a window's Spectra, its fold)
+    witness: Optional[tuple] = None  # (a spectrum where the bound is tight, one where it is strict, the grid point)
 
 
-def _case(cid: str, description: str, paper_eq: str, kinds: tuple, axes: tuple, evaluate) -> InequalityCase:
+def _case(cid: str, description: str, paper_eq: str, kinds: tuple, axes: tuple, evaluate, **fields) -> InequalityCase:
     """A registry case drawing trials and saturators from kinds, a (trial, saturator) pair of KINDS."""
     trial, saturator = kinds
     return InequalityCase(
         cid, description, paper_eq, KINDS[trial].form, partial(_build, KINDS[trial]),
-        axes, evaluate, partial(_build, KINDS[saturator]), KINDS[saturator].form,
+        axes, evaluate, partial(_build, KINDS[saturator]), KINDS[saturator].form, **fields,
     )
+
+
+def _strict_dominance(sp: Spectra) -> np.ndarray:
+    """Each instance's ||W||_(n) < n ||W||_inf, by more than 1e-9 relative."""
+    lhs = sp.norm("joint", sp.n[:, None], (1.0,))[:, 0]
+    rhs = sp.n * sp.norm("joint", None, (math.inf,))[:, 0]
+    return rhs - lhs > 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs)
+
+
+def _equivalence_deviation(sp: Spectra) -> np.ndarray:
+    """Each instance's largest |(||Tr_B W||_{k} - ||W||_{kn}) - (||W||_((m-k)n) - ||Tr_B W||_(m-k))|, 0 < k < m."""
+    m, n, ks = sp.bound[:, None], sp.n[:, None], np.arange(1, int(sp.bound.max()))
+    inner, ones = ks < m, (1.0,) * len(ks)  # each row's k: 1 to m - 1
+    anti = sp.antinorm("reduced", ks, ones) - sp.antinorm("joint", ks * n, ones)
+    rest = np.where(inner, m - ks, 1)
+    norm = sp.norm("joint", rest * n, ones) - sp.norm("reduced", rest, ones)
+    traces = sp.joined([np.trace(part["joint"], axis1=-2, axis2=-1).real for part in sp.parts])
+    deviation = np.abs(anti - norm) / np.maximum(1.0, np.abs(traces))[:, None]
+    return np.fmax.reduce(np.where(inner, deviation, 0.0), axis=-1, initial=0.0)
 
 
 REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
@@ -374,11 +397,13 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
         "KPK2", "spectral norm of the partial trace against the Ky Fan n-norm",
         "||Tr_B W||_inf <= ||W||_(n)",
         ("bipartite", "product_psd"), ("",), eval_kpk2,
+        extra=("dominance_strict_count", _strict_dominance, lambda stats: int(np.count_nonzero(stats))),
     ),
     _case(
         "TPN2", "(k, p) norm against the (k, pq) norm of the same operator",
         "||R||_(k)^(p) <= k^((q-1)/(pq)) ||R||_(k)^(pq)",
         ("square", "scalar"), ("k pq",), eval_tpn2,
+        witness=((2.0, 2.0, 1.0), (3.0, 2.0, 1.0), {"k": 2, "p": 1.0, "q": 2.0}),
     ),
     _case(
         "CPN1", "chained partial trace and exponent interpolation bound",
@@ -399,11 +424,13 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
         "KQK1", "Ky Fan anti-norm of the partial trace against the joint anti-norm",
         "||Tr_B W||_{k} >= ||W||_{kn}",
         ("bipartite_psd", "product_psd"), ("k",), eval_kqn1,
+        extra=("equivalence_max_dev", _equivalence_deviation, lambda stats: float(np.max(stats, initial=0.0))),
     ),
     _case(
         "TPN62", "(k, p) anti-norm against the (k, pq) anti-norm of the same operator",
         "||R||_{k}^(p) >= k^((q-1)/(pq)) ||R||_{k}^(pq), p, q in (0, 1)",
         ("square_psd", "scalar"), ("k subunit_pq",), eval_tpn62,
+        witness=((1.0, 1.0, 3.0), (3.0, 2.0, 1.0), {"k": 2, "p": 0.5, "q": 0.5}),
     ),
     _case(
         "STCT1", "channel output (k, p) norm against the padded input norm",
@@ -477,7 +504,9 @@ def evaluate_case(case_id: str, instance, params) -> float:
     saturator_form (a channel case's saturators are bipartite products).
     params, a mapping, names exactly the grid columns of the case's axes: k an
     integer, family a string, and every other column a real number other than
-    a bool; ETT41's are alpha and s, s 1.0 on its grid.  An "env_mode" entry of
+    a bool, on the grid or off it; a point outside the domain (margins.AXES) of
+    every product of the axes, the range the paper proves the bound on, raises
+    ExponentRangeError (PreconditionError for a family).  An "env_mode" entry of
     params, one of ENV_DIM_MODES ("choi_rank" by default), picks a channel's d
     as AuditConfig.env_dim_mode does, and is checked as that is.
     """
@@ -502,6 +531,10 @@ def evaluate_case(case_id: str, instance, params) -> float:
             params["k"] = as_integer(value, RankRangeError, "an integer k")
         elif name != "family" and (isinstance(value, bool) or not isinstance(value, Real)):
             raise ExponentRangeError(f"{name} takes a real number, got {value!r}")
+    column = outside(case.axes, params)
+    if column is not None:  # a bound holds only on the range it is proved on, so a point past it is no replay
+        error = PreconditionError if column == "family" else ExponentRangeError
+        raise error(f"{column}={params[column]!r} lies outside the range case {case_id} is proved on: {case.paper_eq}")
     grid, sp = Grid({name: (value,) for name, value in params.items()}, 1), Spectra([instance], env_mode)
     if not sp.in_bound(grid).all():  # a point that was asked for is never out of bound
         raise RankRangeError(f"k={params['k']} outside [1, {sp.bound[0]}]")
@@ -579,44 +612,14 @@ def _config_echo(cfg: AuditConfig) -> dict:
     return {**{f.name: _listed(getattr(cfg, f.name)) for f in fields(cfg)}, **fixed, "prng": dict(PRNG_INFO)}
 
 
-# equality-iff witnesses of TPN2 and TPN62: (a spectrum where the bound is
-# tight, one where it is strict, the grid point)
-_WITNESSES = {
-    "TPN2": ((2.0, 2.0, 1.0), (3.0, 2.0, 1.0), {"k": 2, "p": 1.0, "q": 2.0}),
-    "TPN62": ((1.0, 1.0, 3.0), (3.0, 2.0, 1.0), {"k": 2, "p": 0.5, "q": 0.5}),
-}
-
-
 def _case_extras(case: InequalityCase, stats: np.ndarray) -> dict:
-    if case.id == "KPK2":
-        return {"dominance_strict_count": int(np.count_nonzero(stats))}
-    if case.id == "KQK1":
-        return {"equivalence_max_dev": float(np.max(stats, initial=0.0))}
-    if case.id in _WITNESSES:  # both witnesses in one batch, on the witnesses' one-point grid
-        *spectra, point = _WITNESSES[case.id]
+    extra = {} if case.extra is None else {case.extra[0]: case.extra[2](stats)}
+    if case.witness is not None:  # both witnesses in one batch, on the witnesses' one-point grid
+        *spectra, point = case.witness
         sp = Spectra([drawn(np.diag(s).astype(complex)) for s in spectra])
         equality, strict = case.evaluate(sp, Grid({name: (v,) for name, v in point.items()}, 1))[:, 0].tolist()
-        return {"equality_margin": equality, "strict_margin": strict}
-    return {}
-
-
-def _trial_stats(cid: str, sp: Spectra) -> Optional[np.ndarray]:
-    """Each instance's share of the case's extra report field, None for a case without one."""
-    if cid == "KPK2":
-        n = sp.n
-        lhs = sp.norm("joint", n[:, None], (1.0,))[:, 0]
-        rhs = n * sp.norm("joint", None, (math.inf,))[:, 0]
-        return rhs - lhs > 1e-9 * np.maximum(np.maximum(1.0, lhs), rhs)
-    if cid == "KQK1":
-        m, n, ks = sp.bound[:, None], sp.n[:, None], np.arange(1, int(sp.bound.max()))
-        inner, ones = ks < m, (1.0,) * len(ks)  # each row's k: 1 to m - 1
-        anti = sp.antinorm("reduced", ks, ones) - sp.antinorm("joint", ks * n, ones)
-        rest = np.where(inner, m - ks, 1)
-        norm = sp.norm("joint", rest * n, ones) - sp.norm("reduced", rest, ones)
-        traces = sp.joined([np.trace(part["joint"], axis1=-2, axis2=-1).real for part in sp.parts])
-        deviation = np.abs(anti - norm) / np.maximum(1.0, np.abs(traces))[:, None]
-        return np.fmax.reduce(np.where(inner, deviation, 0.0), axis=-1, initial=0.0)
-    return None
+        extra.update(equality_margin=equality, strict_margin=strict)
+    return extra
 
 
 # domain problems of one instance; anything else is a bug and propagates
@@ -644,7 +647,7 @@ def _evaluate(case: InequalityCase, members: list, config: AuditConfig, failed: 
         sp = Spectra([inst for _, inst in members], config.env_dim_mode)
         grid = make_grid(case.axes, int(sp.bound.max()))
         margins = case.evaluate(sp, grid)
-        stats = _trial_stats(case.id, sp)
+        stats = None if case.extra is None else case.extra[1](sp)
     except _INSTANCE_ERRORS as exc:
         if len(members) == 1:
             failed[members[0][0]] = _describe(exc)

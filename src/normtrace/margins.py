@@ -20,8 +20,8 @@ value), and one evaluator call returns the (instances, grid points) margins,
 each normalized by max(1, |lhs|, |rhs|).  Each instance has its own traced-out
 dimension and rank bound, and a grid point whose k exceeds an instance's bound
 is out of bound for it (Spectra.in_bound): never folded.  Each case declares
-its grid as products of named axes (see _axis), and make_grid builds it from
-the registry's fixed parameter grids (GRIDS).
+its grid as products of named axes; AXES gives their columns and domains, the
+ranges the bounds are proved on, and make_grid builds the grid (GRIDS).
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .entropy import (
     unified_entropy_from,
     von_neumann_of,
 )
-from .errors import DomainError, KindMismatchError, PreconditionError
+from .errors import DomainError, KindMismatchError
 from .linalg import as_matrix, require_square, stacked
 from .norms import gauge_table
 
@@ -363,9 +363,6 @@ def eval_et41(sp: Spectra, g) -> np.ndarray:
 
 
 def eval_satwrqa(sp: Spectra, g) -> np.ndarray:
-    unknown = [f for f in g["family"] if f not in ("norm", "antinorm")]
-    if unknown:
-        raise PreconditionError(f"unknown family {unknown[0]!r}")
     norm = [j for j, family in enumerate(g["family"]) if family == "norm"]
     anti = [j for j, family in enumerate(g["family"]) if family == "antinorm"]
     margins = np.empty((sp.size, g.size))
@@ -423,19 +420,43 @@ GRIDS = {
 }
 
 
+# each grid axis's columns, each with its domain, the range the paper proves a bound on: None for k (an integer
+# in [1, rank bound], Spectra.in_bound), a tuple, which is also the axis's grid, or a predicate, grid GRIDS[name]
+AXES = {
+    "k": {"k": None},
+    "norm_p": {"p": lambda p: p >= 1.0},
+    "antinorm_p": {"p": lambda p: 0.0 < p <= 1.0},
+    "negative_p": {"p": lambda p: p < 0.0},
+    "pq": {"p": lambda p: p >= 1.0, "q": lambda q: q >= 1.0},
+    "subunit_pq": {"p": lambda p: 0.0 < p < 1.0, "q": lambda q: 0.0 < q < 1.0},
+    "alpha": {"alpha": lambda a: 0.0 < a < math.inf},
+    "s": {"s": math.isfinite},
+    "tfsn_p": {"p": (1.0, 2.0, math.inf)},  # TFSN's trace, Frobenius and spectral norms
+    "tsallis": {"s": (1.0,)},  # ETT41's s
+    "norm": {"family": ("norm",)},  # the SAT-WRQA families
+    "antinorm": {"family": ("antinorm",)},
+}
+
+
 def _axis(name: str, kmax: int) -> tuple:
     """The columns one grid axis sets, and its values, each one entry per column."""
-    if name == "k":
-        return ("k",), [(k,) for k in range(1, kmax + 1)]
-    if name == "tfsn_p":  # TFSN's trace, Frobenius and spectral norms
-        return ("p",), [(1.0,), (2.0,), (math.inf,)]
-    if name == "tsallis":  # ETT41's s, a single value
-        return ("s",), [(1.0,)]
-    if name in ("norm", "antinorm"):  # the SAT-WRQA family, a single value
-        return ("family",), [(name,)]
-    if name.endswith("pq"):
-        return ("p", "q"), list(GRIDS[name])
-    return ("p" if name.endswith("_p") else name,), [(v,) for v in GRIDS[name]]
+    columns, (domain, *_) = tuple(AXES[name]), AXES[name].values()
+    values = range(1, kmax + 1) if domain is None else domain if isinstance(domain, tuple) else GRIDS[name]
+    return columns, [v if len(columns) > 1 else (v,) for v in values]
+
+
+def outside(axes: tuple, point: dict):
+    """None if point, a value per column, lies in the domain (AXES) of some product of axes, k aside; else the
+    first column outside its domain in the product whose columns the point holds longest, the first on a tie."""
+    misses = []
+    for product in axes:
+        domains = [item for name in product.split() for item in AXES[name].items()]
+        held = [domain is None or (point[column] in domain if isinstance(domain, tuple) else domain(point[column]))
+                for column, domain in domains]
+        if all(held):
+            return None
+        misses.append((held.index(False), domains[held.index(False)][0]))
+    return max(misses, key=lambda miss: miss[0])[1]
 
 
 def make_grid(axes: tuple, kmax: int) -> Grid:

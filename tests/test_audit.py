@@ -286,6 +286,56 @@ def test_evaluate_case_out_of_range_params_raise_typed_errors(cid, params, error
         evaluate_case(cid, instance, params)
 
 
+@pytest.mark.parametrize("cid,params,column", [
+    # each lies outside the range the case's paper_eq is proved on, and each returned a margin:
+    ("ETT41", {"alpha": 0.7, "s": 0.5}, "s"),  # ET41's s = 0.5 margin, under ETT41's id
+    ("TFSN", {"p": 3.0}, "p"),  # SPN1's p = 3 margin, under TFSN's id
+    ("KQN2", {"p": 0.5}, "p"),  # p < 0
+    ("TPN2", {"k": 2, "p": 2.0, "q": 0.75}, "q"),  # p, q >= 1; -0.0141 on sample("ginibre", (3, 3), 1)
+    ("TPN62", {"k": 2, "p": 0.5, "q": 1.5}, "q"),  # p, q in (0, 1); -0.107 on sample("psd", 3, 1)
+    ("TPN62", {"k": 2, "p": 1.0, "q": 1.0}, "p"),
+    # a SAT-WRQA point lies in its family's product, the column named the first it leaves there
+    ("SAT-WRQA", {"k": 1, "p": 0.5, "family": "norm"}, "p"),
+    ("SAT-WRQA", {"k": 1, "p": 2.0, "family": "antinorm"}, "p"),
+])
+def test_evaluate_case_refuses_points_outside_the_proved_range(cid, params, column):
+    case = REGISTRY[cid]
+    instance = {"TPN2": sample("ginibre", (3, 3), 1), "TPN62": sample("psd", 3, 1)}.get(cid)
+    instance = case.make_instance((3, 3), 1) if instance is None else instance
+    message = f"{column}={params[column]!r} lies outside the range case {cid} is proved on: {case.paper_eq}"
+    with pytest.raises(ExponentRangeError, match=f"^{re.escape(message)}$"):
+        evaluate_case(cid, instance, params)
+    assert margins.outside(case.axes, params) == column
+
+
+def test_evaluate_case_takes_in_domain_points_off_the_grid():
+    # the domain, not the grid, bounds a replay: p = 4 and s = 0.25 are on no grid
+    assert 4.0 not in GRIDS["norm_p"] and 0.25 not in GRIDS["s"]
+    w, rho = sample("bipartite", (2, 3), 1), sample("bipartite_density", (2, 3), 1)
+    for cid, inst, point, value in (
+        ("KPN1", w, {"k": 1, "p": 4.0}, 0.7253605886384907),
+        ("ET41", rho, {"alpha": 0.7, "s": 0.25}, 0.2150512305684939),
+    ):
+        got = evaluate_case(cid, inst, point)
+        assert got == pytest.approx(value, rel=1e-12), cid
+        assert got == pytest.approx(oracle.margin(cid, inst.matrix, 2, 3, point), rel=1e-12), cid
+
+
+@pytest.mark.parametrize("cid", REGISTRY_IDS)
+def test_every_grid_point_lies_in_its_case_domain(cid):
+    # the audit evaluates only points the paper proves its bound on: every
+    # grid point, at every rank bound up to 12, lies in the case's domain
+    axes = REGISTRY[cid].axes
+    for kmax in (1, 12):
+        grid = make_grid(axes, kmax)
+        for j in range(grid.size):
+            point = {name: column[j] for name, column in grid.items()}
+            assert margins.outside(axes, point) is None, (cid, point)
+    # an axis reads its grid from GRIDS exactly when its domain is a predicate
+    predicates = {name for name, domains in margins.AXES.items() if callable(next(iter(domains.values())))}
+    assert predicates == set(GRIDS)
+
+
 # each grid, by its report key, and the cases that read it
 GRID_READERS = {
     "norm_p_grid": ("KPN1", "SPN1", "STCT1", "STCTP", "SAT-WRQA"),
@@ -358,14 +408,18 @@ def test_evaluate_case_overflowing_bound_factor_raises_domain_error():
 
 def test_evaluate_case_replays_a_channel_case_saturator():
     # a channel case's saturator, a bipartite product R (x) I, replays through the
-    # case's own id with its bipartite twin's margins, which the product saturates
+    # case's own id with its bipartite twin's margins, which the product saturates;
+    # the twin's evaluator is called directly, since STCTPP's 0 < p <= 1 lies
+    # outside KQN2's p < 0, so evaluate_case refuses it under KQN2's id
     for cid, twin in TWINS.items():
         w = REGISTRY[cid].saturator((3, 2), 5)
         grid = margins.make_grid(REGISTRY[cid].axes, 3)
+        assert REGISTRY[cid].evaluate is REGISTRY[twin].evaluate, cid
+        twins = REGISTRY[twin].evaluate(Spectra([w]), grid)[0]
         for j in range(grid.size):
             params = {name: column[j] for name, column in grid.items()}
             margin = evaluate_case(cid, w, params)
-            assert margin == evaluate_case(twin, w, params) and abs(margin) <= 1e-12, (cid, params)
+            assert margin == twins[j] and abs(margin) <= 1e-12, (cid, params)
 
 
 def test_evaluate_case_rejects_wrong_instance_type():
@@ -461,8 +515,8 @@ def test_evaluate_case_names_unexpected_params(cid, params, unexpected):
     ("KPN1", {"k": 1, "p": "x"}, ExponentRangeError, "p takes a real number, got 'x'"),
     ("KPN1", {"k": 1, "p": True}, ExponentRangeError, "p takes a real number, got True"),
     ("ET41", {"alpha": 0.7, "s": None}, ExponentRangeError, "s takes a real number, got None"),
-    # an unknown family was read as an anti-norm
-    ("SAT-WRQA", {"k": 1, "p": 2.0, "family": "x"}, PreconditionError, "unknown family 'x'"),
+    # an unknown family was read as an anti-norm; the family's domain refuses it
+    ("SAT-WRQA", {"k": 1, "p": 2.0, "family": "x"}, PreconditionError, "family='x' lies outside the range"),
     # params that are no mapping raised a bare TypeError or ValueError from dict(params)
     ("KPN1", None, PreconditionError, "case KPN1 takes a mapping of params ['k', 'p'], not None"),
     ("KPN1", 5, PreconditionError, "case KPN1 takes a mapping of params ['k', 'p'], not 5"),
@@ -513,7 +567,7 @@ def test_run_audit_windows_bound_the_instances_held(monkeypatch, cid):
     assert run_audit(cfg).to_text() == whole
     # the last window holds 8 - 2 * 3 trials and one saturator per dims pair; after
     # the windows, TPN2 and TPN62 evaluate their two witnesses, which no maker made
-    assert max(held) == 2 + len(cfg.dims) and held[-1] == (-2 if cid in audit._WITNESSES else 0)
+    assert max(held) == 2 + len(cfg.dims) and held[-1] == (-2 if REGISTRY[cid].witness else 0)
 
 
 # the edge words of a 64-bit seed and 2,000 seeds shaped like trial seeds
@@ -1218,23 +1272,25 @@ def test_entropy_batches_mixing_rank_deficient_states(monkeypatch):
 
 
 def test_run_audit_failed_trial_feeds_no_margin(monkeypatch):
-    # trial 1 is a singular product state: its p = 0.5 margin is about 0, far
-    # below the other trials', and at p = -1 it raises SingularPowerError
-    sampler = REGISTRY["KQN2"].make_instance
-    singular = BipartiteOperator(np.kron(np.diag([1.0, 0.0]), np.eye(2)).astype(complex), 2, 2)
+    # trial 1 is the maximally mixed state on 3 x 2 dimensions, a product state:
+    # its alpha = 0.7 margin is about 0, far below the other trials', and at
+    # alpha = 500 tr rho^alpha = 6 (1/6)^500 underflows, which raises DomainError;
+    # the other trials, on 2 x 2, have an eigenvalue of at least 1/4 and do not
+    sampler = REGISTRY["ET42"].make_instance
+    mixed = BipartiteOperator(np.eye(6, dtype=complex) / 6, 3, 2)
 
     def make_instance(dims, seed):
-        return singular if seed == audit._trial_seed(42, "KQN2", 1) else sampler(dims, seed)
+        return mixed if seed == audit._trial_seed(42, "ET42", 1) else sampler(dims, seed)
 
-    monkeypatch.setitem(margins.GRIDS, "negative_p", (0.5, -1.0))
-    cfg = AuditConfig(trials_per_case=3, dims=((3, 2), (2, 2)), case_filter=("KQN2",))
-    _replace_case(monkeypatch, "KQN2", make_instance=make_instance)
+    monkeypatch.setitem(margins.GRIDS, "alpha", (0.7, 500.0))
+    cfg = AuditConfig(trials_per_case=3, dims=((2, 2), (3, 2)), case_filter=("ET42",))
+    _replace_case(monkeypatch, "ET42", make_instance=make_instance)
     (rec,) = run_audit(cfg).cases
     assert rec["failures"] == 1
-    assert rec["first_failure"].startswith("SingularPowerError")
-    assert abs(evaluate_case("KQN2", singular, {"p": 0.5})) < 1e-12
-    others = [sampler(cfg.dims[t % 2], audit._trial_seed(42, "KQN2", t)) for t in (0, 2)]
-    expected = min(evaluate_case("KQN2", w, {"p": p}) for w in others for p in margins.GRIDS["negative_p"])
+    assert rec["first_failure"] == "DomainError: entropy term undefined: tr rho^alpha underflowed to 0"
+    assert abs(evaluate_case("ET42", mixed, {"alpha": 0.7})) < 1e-12
+    others = [sampler(cfg.dims[t % 2], audit._trial_seed(42, "ET42", t)) for t in (0, 2)]
+    expected = min(evaluate_case("ET42", w, {"alpha": a}) for w in others for a in margins.GRIDS["alpha"])
     assert expected > 0.1
     assert rec["worst_margin"] == expected
 
@@ -1809,7 +1865,8 @@ def test_size_batched_windows_equal_per_shape_windows(env_mode):
             ranks = {i: channels.choi_rank(ch) if env_mode == "choi_rank" else ch.dim_env for i, ch in channel.items()}
         sp = _Recorded(insts, env_mode)
         grid = margins.make_grid(case.axes, int(sp.bound.max()))
-        values, mask, stats = case.evaluate(sp, grid), sp.in_bound(grid), audit._trial_stats(cid, sp)
+        stat = (lambda sp: None) if case.extra is None else case.extra[1]  # each instance's extra statistic
+        values, mask, stats = case.evaluate(sp, grid), sp.in_bound(grid), stat(sp)
         if case.form == "channel":
             # each channel's own Choi rank, or dim_env, and each saturator's n, the dimension W traces out
             assert sp.n.tolist() == [ranks[i] if i in ranks else x.sizes[1] for i, x in enumerate(insts)], cid
@@ -1823,7 +1880,7 @@ def test_size_batched_windows_equal_per_shape_windows(env_mode):
             assert (inside == mask[rows]).all() and alone.n.tolist() == sp.n[rows].tolist(), cid
             assert values[rows][inside].tobytes() == case.evaluate(alone, grid)[inside].tobytes(), cid
             if stats is not None:
-                assert stats[rows].tobytes() == audit._trial_stats(cid, alone).tobytes(), cid
+                assert stats[rows].tobytes() == stat(alone).tobytes(), cid
             for key, rows_spectra in spectra.items():
                 assert [rows_spectra[i].tobytes() for i in rows] == [
                     x.tobytes() for x in _row_spectra(alone, *key)], (cid, key)

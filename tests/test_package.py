@@ -182,3 +182,23 @@ def test_every_evaluator_serves_a_case():
     called = {node.func.id for name in served for node in ast.walk(defined[name])
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert set(defined) - served - called == set()
+
+
+def test_no_module_compares_against_or_keys_by_a_case_id():
+    # the registry is data: a case's axes and their domains, its extra field and
+    # its witnesses sit on its row, so no module of the package compares a value
+    # against a case id literal, or builds a dict keyed by one, as a branch per case would
+    from normtrace.audit import REGISTRY_IDS
+
+    found = []
+    for path in sorted(Path(normtrace.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Dict):
+                operands = [key for key in node.keys if key is not None]  # None: a ** entry
+            else:
+                continue
+            found += [(path.name, node.lineno, x.value) for operand in operands for x in ast.walk(operand)
+                      if isinstance(x, ast.Constant) and isinstance(x.value, str) and x.value in REGISTRY_IDS]
+    assert found == []
