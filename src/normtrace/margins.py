@@ -426,7 +426,7 @@ AXES = {
     "k": {"k": None},
     "norm_p": {"p": lambda p: p >= 1.0},
     "antinorm_p": {"p": lambda p: 0.0 < p <= 1.0},
-    "negative_p": {"p": lambda p: p < 0.0},
+    "negative_p": {"p": lambda p: -math.inf < p < 0.0},
     "pq": {"p": lambda p: p >= 1.0, "q": lambda q: q >= 1.0},
     "subunit_pq": {"p": lambda p: 0.0 < p < 1.0, "q": lambda q: 0.0 < q < 1.0},
     "alpha": {"alpha": lambda a: 0.0 < a < math.inf},

@@ -291,6 +291,7 @@ def test_evaluate_case_out_of_range_params_raise_typed_errors(cid, params, error
     ("ETT41", {"alpha": 0.7, "s": 0.5}, "s"),  # ET41's s = 0.5 margin, under ETT41's id
     ("TFSN", {"p": 3.0}, "p"),  # SPN1's p = 3 margin, under TFSN's id
     ("KQN2", {"p": 0.5}, "p"),  # p < 0
+    ("KQN2", {"p": -math.inf}, "p"),  # a real p < 0; its functional raised without naming the case
     ("TPN2", {"k": 2, "p": 2.0, "q": 0.75}, "q"),  # p, q >= 1; -0.0141 on sample("ginibre", (3, 3), 1)
     ("TPN62", {"k": 2, "p": 0.5, "q": 1.5}, "q"),  # p, q in (0, 1); -0.107 on sample("psd", 3, 1)
     ("TPN62", {"k": 2, "p": 1.0, "q": 1.0}, "p"),
