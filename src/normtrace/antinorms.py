@@ -96,7 +96,7 @@ def kyfan_antinorm(q, k: int) -> float:
 def schatten_antinorm_of(w: np.ndarray, p: float):
     """Schatten anti-norm of an ascending PSD spectrum, or of each row of a stack; see schatten_antinorm."""
     if math.isnan(p) or math.isinf(p) or p == 0.0 or p > 1.0:
-        raise ExponentRangeError(f"p={p} must lie in (0, 1] or be negative")
+        raise ExponentRangeError(f"p={p} must lie in (0, 1] or be a finite negative number")
     rows = np.atleast_2d(w)
     if p < 0:
         lo = rows[:, 0]

@@ -555,9 +555,11 @@ class AuditConfig:
     case_filter: Optional[tuple] = None
 
     def __post_init__(self):
-        # every trial seed hashes the seed's text, so 42.0 or True would give another audit
-        as_integer(self.base_seed, PreconditionError)
-        if as_integer(self.trials_per_case, PreconditionError) < 1:
+        # every trial seed hashes the seed's text, so 42.0 or True would give another audit; each
+        # number is stored as the int or float it stands for, a JSON value in the report's echo
+        object.__setattr__(self, "base_seed", as_integer(self.base_seed, PreconditionError))
+        object.__setattr__(self, "trials_per_case", as_integer(self.trials_per_case, PreconditionError))
+        if self.trials_per_case < 1:
             raise PreconditionError("trials_per_case must be at least 1")
         try:
             dims = tuple(tuple(as_integer(x) for x in pair) for pair in self.dims)
@@ -571,6 +573,7 @@ class AuditConfig:
         t = self.tolerance
         if isinstance(t, bool) or not isinstance(t, Real) or not 0 < t < math.inf:
             raise PreconditionError(f"tolerance must be a finite positive real number, got {t!r}")
+        object.__setattr__(self, "tolerance", float(t))
         _env_mode(self.env_dim_mode)
         if self.case_filter is not None:
             if isinstance(self.case_filter, str):  # "KPN1" would read as the ids K, P, N and 1
@@ -602,14 +605,16 @@ class AuditReport:
         return jsonio.dumps(payload) + "\n"
 
 
-def _listed(x):
-    """x with every tuple or list in it, nested ones too, a new list."""
-    return [_listed(v) for v in x] if isinstance(x, (tuple, list)) else x
+def _echoed(x):
+    """x as JSON reads it back: every tuple or list in it, nested ones too, a new list, and ±inf "inf"/"-inf"."""
+    if isinstance(x, (tuple, list)):
+        return [_echoed(v) for v in x]
+    return str(x) if isinstance(x, float) and math.isinf(x) else x
 
 
 def _config_echo(cfg: AuditConfig) -> dict:
-    fixed = {name + "_grid": _listed(grid) for name, grid in GRIDS.items()}
-    return {**{f.name: _listed(getattr(cfg, f.name)) for f in fields(cfg)}, **fixed, "prng": dict(PRNG_INFO)}
+    fixed = {name + "_grid": _echoed(grid) for name, grid in GRIDS.items()}
+    return {**{f.name: _echoed(getattr(cfg, f.name)) for f in fields(cfg)}, **fixed, "prng": dict(PRNG_INFO)}
 
 
 def _case_extras(case: InequalityCase, stats: np.ndarray) -> dict:

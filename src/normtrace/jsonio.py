@@ -1,104 +1,26 @@
-"""Plain-text serialization: matrix files and reports with fixed float formatting.
+"""Plain-text serialization: audit reports and matrix files.
 
-Floats are written with 17 significant digits so every double round-trips
-exactly; infinities (legal only inside report grids) are written as the
-strings "inf" / "-inf".  Serialization is deterministic, so identical inputs
-produce byte-identical text.
+A report is the standard library's compact one-line JSON, each float written
+as the shortest text that reads back as the same double (0.3, 1e-09, 1.0), so
+a float field stays a JSON float whatever its value.  A NaN or an infinity
+raises ValueError; the audit echoes its grids' infinities as the strings
+"inf" and "-inf".  Matrix files keep their own layout: one [re, im] pair of
+17-significant-digit floats per line.  Serialization is deterministic, so
+identical inputs produce byte-identical text.
 """
 from __future__ import annotations
 
 import json
 import math
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import MatrixFileError
 
 
-def format_float(x: float) -> str:
-    if math.isnan(x):
-        raise ValueError("NaN is not serializable")
-    return format(float(x), ".17g")
-
-
-def _float_text(x: float) -> str:
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format_float(x)
-
-
-# the text of a scalar by its exact type; subclasses and numpy scalars take _scalar_text's isinstance checks
-_TEXT = {
-    float: lambda x: format(x, ".17g") if math.isfinite(x) else _float_text(x),
-    int: int.__repr__, str: encode_basestring_ascii,  # what json.dumps calls on a str
-    bool: lambda x: "true" if x else "false", type(None): lambda x: "null",
-}
-
-
-def _is_scalar(x) -> bool:
-    return type(x) in _TEXT or isinstance(x, (int, float, str, np.integer, np.floating))
-
-
-def _scalar_text(x) -> str:
-    text = _TEXT.get(type(x))
-    if text is not None:
-        return text(x)
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return _float_text(float(x))
-    raise TypeError(f"not serializable: {type(x)!r}")
-
-
-def _emit(obj, out: list[str], indent: int) -> None:
-    text = _TEXT.get(type(obj))
-    if text is not None:
-        out.append(text(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = "  " * (indent + 1)
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(",\n")
-            out.append(inner + encode_basestring_ascii(key if type(key) is str else str(key)) + ": ")
-            _emit(val, out, indent + 1)
-        out.append("\n" + "  " * indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        try:  # a list of scalars of the exact types of _TEXT, as most are
-            out.append("[" + ", ".join([_TEXT[type(x)](x) for x in obj]) + "]")
-            return
-        except KeyError:
-            pass
-        if all(map(_is_scalar, obj)):
-            out.append("[" + ", ".join(map(_scalar_text, obj)) + "]")
-            return
-        inner = "  " * (indent + 1)
-        out.append("[\n")
-        for i, x in enumerate(obj):
-            if i:
-                out.append(",\n")
-            out.append(inner)
-            _emit(x, out, indent + 1)
-        out.append("\n" + "  " * indent + "]")
-    elif _is_scalar(obj):
-        out.append(_scalar_text(obj))
-    else:
-        raise TypeError(f"not serializable: {type(obj)!r}")
-
-
 def dumps(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out, 0)
-    return "".join(out)
+    """obj as one line of JSON; a NaN or an infinity in it raises ValueError."""
+    return json.dumps(obj, allow_nan=False)
 
 
 def matrix_to_text(m) -> str:
@@ -109,8 +31,8 @@ def matrix_to_text(m) -> str:
     if not np.isfinite(m).all():
         raise MatrixFileError("matrix entries must be finite")
     rows, cols = m.shape
-    data = m.reshape(-1, 1).view(np.float64).tolist()
-    return dumps({"rows": rows, "cols": cols, "data": data}) + "\n"
+    pairs = ",\n".join(f"    [{re:.17g}, {im:.17g}]" for re, im in m.reshape(-1, 1).view(np.float64).tolist())
+    return f'{{\n  "rows": {rows},\n  "cols": {cols},\n  "data": [\n{pairs}\n  ]\n}}\n'
 
 
 def _is_number(x) -> bool:
@@ -119,7 +41,7 @@ def _is_number(x) -> bool:
 
 
 def _parse_int(text: str):
-    # the emitter writes a negative zero as "-0", which int() would read as +0
+    # a matrix file writes a negative zero as "-0", which int() would read as +0
     return -0.0 if text == "-0" else int(text)
 
 

@@ -40,7 +40,7 @@ from normtrace.margins import GRIDS
 
 # the default report, as written by run_audit(AuditConfig()).to_text()
 PINNED_REPORT = Path(__file__).parent / "data" / "default_report.json"
-PINNED_SHA256 = "bd46a86944a7145d863896838a61bd46fe69e038e48907cd972c63a74903b921"
+PINNED_SHA256 = "456301ef18bd835f15800e4cc001bf7c485063a4bde3ec466003ee5c4426c2ca"
 # every float in a case record is a margin, residual or deviation normalized by a
 # scale of at least 1, so 1e-12 absolute is 1e-12 of the scale it is measured on
 REPORT_RTOL = 1e-12
@@ -149,27 +149,27 @@ PINNED_CONFIG_SHA256 = {
     **{
         f"large dims, base seed {seed}": (dict(base_seed=seed, dims=((6, 6), (4, 8)), trials_per_case=2), digest)
         for seed, digest in {
-            11: "b9b5fe35d6314847b9c89c33d9e1524b28207a43b30fd92e28183e1293dfe7f7",
-            12: "df019cef6cf734055fb36b5b8abde60604545d64534a5215c20edcfa90a959a8",
-            13: "1c0d1d3dd0ce2f8089f3152aa8919329d7f0e4aaf9500939c29f10cbcafdb46d",
-            14: "4a99e4f842a99ad11a5080dbd6c74924ad02b1ab220477b2ac60c81728480e6d",
-            15: "a7b12d9ba440ae23f6bc354a5dd2f504ff660be5996b5211763eb38f3eee1f3e",
-            16: "569cbd85e35037dedbc408edc58a080b072f173ecb30aaf7be7c6c44bac76795",
+            11: "fe3d590f03692de06d5072bc25601765ffd5418a588481d3b8a834d1c6483a9c",
+            12: "b5c6b92d2287094b5a24cde8e963aaf7ce415eaadfb4173f8c0f3365fe9ef3ef",
+            13: "9de33d969df13c381ed6e07e729d3661aa94ba422534feea6342b184c7995ee2",
+            14: "b22d08106836e797494bbd48a22fa2eeaecd367fdf8551c370d8b7204104de79",
+            15: "0ebeaf1e0ed45126125b3218080c0cf136e29beaa062b3529d296bb25bb00a38",
+            16: "26df4036fc0c5fdf1ae074626f351611ea34759c95c74eb3892db96b6e88a8a3",
         }.items()
     },
     "dim_env, 70 trials": (
         dict(env_dim_mode="dim_env", trials_per_case=70),
-        "26ddbc8a459802f8034a8b365e2b7bc1e32ac6995b17ccba6f79c1ed34a40dd1",
+        "86fc48672ad5efc36871cdbf44271f232bb06cb469fe365f8783b3f6dc1bac84",
     ),
     # the benchmark's warm-up audit: 20 windows of one trial and one saturator
     "one trial at 2x2, base seed 11": (
         dict(base_seed=11, trials_per_case=1, dims=((2, 2),)),
-        "7ef8ab7248c04480ba6c6dbfd89001e781022c959325b61d281cd3e2f77b97bf",
+        "9b7a93c0f5a51ec9e6818fb8560cf528bd54ad81df2a51dd5a46b2bf8d63198a",
     ),
     # 222 seeds, whose hashed chunks of 64 cross case and window boundaries
     "three cases, 70 trials": (
         dict(case_filter=("KPN1", "STCT1", "ET41"), trials_per_case=70),
-        "2d17cedbde0d49086c3c112eca4ed65400934922eb468ed1e7e0f9e8ecc05d2b",
+        "e89acff11a30c34ab31031391266a881b7e5b94168be3b7ef7568680feed6d59",
     ),
 }
 # sha256 of the bytes of sample("channel", (3, 2, 2), seed).v and of

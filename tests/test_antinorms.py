@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -167,8 +169,9 @@ def test_schatten_antinorm_negative_needs_pd():
 
 def test_schatten_antinorm_exponent_validation():
     a = np.eye(2)
-    for p in (0.0, 2.0, np.nan, np.inf):
-        with pytest.raises(ExponentRangeError):
+    for p in (0.0, 2.0, np.nan, np.inf, -np.inf):  # -inf is negative, but not finite
+        message = f"p={p} must lie in (0, 1] or be a finite negative number"
+        with pytest.raises(ExponentRangeError, match=re.escape(message)):
             schatten_antinorm(a, p)
 
 

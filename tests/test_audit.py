@@ -812,11 +812,33 @@ def test_config_rejects_base_seed_that_is_not_an_integer(seed):
 
 
 def test_numpy_integer_base_seed_gives_the_same_audit():
-    # a numpy integer formats as the int does, so it hashes the same trial seeds
-    cfg = dict(trials_per_case=2, dims=((2, 2),), case_filter=("KPN1",))
-    assert run_audit(AuditConfig(base_seed=np.int64(42), **cfg)).to_text() == run_audit(
-        AuditConfig(base_seed=42, **cfg)
+    # the config keeps numpy scalars as the Python values they stand for, so
+    # they hash the same trial seeds and the report holds only JSON values
+    cfg = dict(dims=((2, 2),), case_filter=("KPN1",))
+    numpy_cfg = AuditConfig(base_seed=np.int64(42), trials_per_case=np.int32(2), tolerance=np.float64(1e-9), **cfg)
+    assert tuple(map(type, (numpy_cfg.base_seed, numpy_cfg.trials_per_case, numpy_cfg.tolerance))) == (int, int, float)
+    assert run_audit(numpy_cfg).to_text() == run_audit(
+        AuditConfig(base_seed=42, trials_per_case=2, tolerance=1e-9, **cfg)
     ).to_text()
+
+
+def _leaf_types(x):
+    """x with each value that is no dict or list replaced by its type."""
+    if isinstance(x, dict):
+        return {key: _leaf_types(v) for key, v in x.items()}
+    return [_leaf_types(v) for v in x] if isinstance(x, list) else type(x)
+
+
+def test_report_reads_back_as_itself():
+    # every value of a report, grid infinities and integer-valued floats too,
+    # parses back to the value and the type it holds in memory
+    report = run_audit(AuditConfig(trials_per_case=8))
+    payload = {"version": report.version, "config": report.config, "cases": list(report.cases)}
+    back = json.loads(report.to_text())
+    assert back == payload
+    assert _leaf_types(back) == _leaf_types(payload)
+    integer_valued = (back["config"]["norm_p_grid"][0], back["cases"][REGISTRY_IDS.index("TPN62")]["extra"]["equality_margin"])
+    assert integer_valued == (1.0, 0.0) and all(type(x) is float for x in integer_valued)
 
 
 def test_run_audit_small_clean():
@@ -1331,10 +1353,10 @@ def test_run_audit_raises_on_a_maker_of_the_wrong_form(monkeypatch, maker):
         run_audit(cfg)
 
 
-def _load_reference():
-    """perfbench/reference.py, the benchmark's independent formulas, loaded from its file as it is."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("normtrace_benchmark_reference", path)
+def _load_perfbench(name: str):
+    """perfbench/<name>.py, loaded from its file as it is: reference.py holds the benchmark's independent formulas."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"normtrace_benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -1346,7 +1368,7 @@ def test_worst_margins_equal_the_independent_reference(monkeypatch, env_mode, ma
     # the benchmark's reference rebuilds these cases' margins from textbook
     # formulas (sorted spectra, block partial traces, Kraus sums), with none
     # of the library's code, and must agree within the benchmark's bound
-    reference = _load_reference()
+    reference = _load_perfbench("reference")
     cids = tuple(cid for cid in REGISTRY_IDS if cid in reference.RECOMPUTED)
     assert {"KPN1", "KQN1", "ET41", "STCTP"} <= set(cids)
     if makers == "finished alone":
@@ -1354,10 +1376,15 @@ def test_worst_margins_equal_the_independent_reference(monkeypatch, env_mode, ma
         for cid in cids:
             case = REGISTRY[cid]
             _replace_case(monkeypatch, cid, make_instance=alone(case.make_instance), saturator=alone(case.saturator))
-    report = json.loads(run_audit(AuditConfig(trials_per_case=8, env_dim_mode=env_mode, case_filter=cids)).to_text())
+    config = AuditConfig(trials_per_case=8, env_dim_mode=env_mode, case_filter=cids)
+    text = run_audit(config).to_text()
+    report = json.loads(text)
     for rec in report["cases"]:
         worst = rec["worst_margin"]
         assert abs(reference.worst_margin(rec["id"], report["config"]) - worst) <= 1e-13 + 1e-9 * abs(worst), rec["id"]
+    # the benchmark's own check of the report text, whose perfbench/workloads.py runs `import reference`
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    assert _load_perfbench("workloads").report_problems(text, 8, config.tolerance) == []
 
 
 def _with_zero_kraus(ch: StinespringChannel) -> StinespringChannel:
