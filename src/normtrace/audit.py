@@ -20,7 +20,8 @@ Each case names a trial kind and a saturator kind of the KINDS table.  A kind
 is a draw, which makes its generator calls and nothing else, and a finish,
 which maps the stacked draws of many instances to their stacked matrices.
 The registry's makers only draw (margins.Drawn); Spectra finishes each
-sub-stack of a window in one call, and sample finishes a stack of one.  Draws
+(form, finish, sizes) group of a window in one call, a channel's V and Q
+together, and sample finishes a stack of one.  Draws
 come from numpy's PCG64 generator and are bit-reproducible per (kind, dims,
 seed); the audit derives per-trial seeds by hashing (base_seed, case id, trial
 index), so reports are deterministic in the configuration alone.  run_audit
@@ -142,7 +143,7 @@ def _channel(finish) -> Kind:
         d = math.ceil(m / n) + int(rng.integers(0, 3))
         return (m, n, d), (_gaussians(rng, n * d, m), _gaussians(rng, m, m))
 
-    return Kind("channel", draw, (lambda x, m, n, d: _haar(x[0]), lambda x, m, n: finish(x[0])))
+    return Kind("channel", draw, lambda x, m, n, d: (_haar(x[0]), finish(x[1])))
 
 
 # Instance kinds, whose forms are those of margins.drawn.  A registry case

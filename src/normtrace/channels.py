@@ -94,12 +94,16 @@ class StinespringChannel:
         require_isometry(v)
         object.__setattr__(self, "v", v)
 
-    def apply(self, q) -> np.ndarray:
-        """Channel output Tr_env(V Q V^dag) for a square input on dim_in."""
+    def input(self, q) -> np.ndarray:
+        """q as a complex matrix, which must be square on dim_in."""
         q = as_matrix(q)
         if q.shape != (self.dim_in, self.dim_in):
             raise ShapeMismatchError(f"input shape {q.shape}, channel expects ({self.dim_in}, {self.dim_in})")
-        return channel_outputs(self.v, q, self.dim_out, self.dim_env)
+        return q
+
+    def apply(self, q) -> np.ndarray:
+        """Channel output Tr_env(V Q V^dag) for a square input on dim_in."""
+        return channel_outputs(self.v, self.input(q), self.dim_out, self.dim_env)
 
     def kraus_operators(self) -> list[np.ndarray]:
         """Environment slices of V; apply(Q) equals sum_c K_c Q K_c^dag."""

@@ -35,6 +35,11 @@ def _check_alpha(alpha: float) -> None:
         raise ExponentRangeError(f"alpha={alpha} must be a positive real")
 
 
+def _check_s(s: float) -> None:
+    if math.isnan(s) or math.isinf(s):
+        raise ExponentRangeError(f"s={s} must be a finite real")
+
+
 def density_spectrum(rho) -> np.ndarray:
     """Validated eigenvalues of a density matrix, ascending, round-off of exact zeros set to 0.0.
 
@@ -87,8 +92,7 @@ def _closed(formula: Callable[[float], float], x):
 def unified_entropy_from(power_sum, von_neumann, alpha: float, s: float):
     """Unified (alpha, s) entropy from tr rho^alpha and the von Neumann value; see the module notes."""
     _check_alpha(alpha)
-    if math.isnan(s) or math.isinf(s):
-        raise ExponentRangeError(f"s={s} must be a finite real")
+    _check_s(s)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return von_neumann
     if abs(s) < S_ZERO_TOL:  # Renyi
@@ -124,6 +128,7 @@ def max_entropy_value(m: int, alpha: float, s: float) -> float:
     if as_integer(m, DomainError, "a positive integer m") < 1:
         raise DomainError(f"m={m} must be a positive integer")
     _check_alpha(alpha)
+    _check_s(s)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL or abs(s) < S_ZERO_TOL:
         return math.log(m)
     return _closed(lambda x: math.expm1((1.0 - alpha) * s * math.log(x)) / ((1.0 - alpha) * s), m)

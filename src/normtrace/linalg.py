@@ -1,12 +1,14 @@
 """Dense complex matrix kernels for operators on small Hilbert spaces."""
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
 
 from .errors import (
     BadDimsError,
+    ExponentRangeError,
     NotHermitianError,
     NotPsdError,
     NotSquareError,
@@ -124,8 +126,10 @@ def psd_power(q, t: float) -> np.ndarray:
 
     Round-off negatives inside (-DEFAULT_TOL * scale, 0) are clamped to zero.  A
     negative exponent requires the smallest eigenvalue to clear the floor
-    PD_FLOOR_COEFF * (1 + spectral norm).
+    PD_FLOOR_COEFF * (1 + spectral norm).  A non-finite t raises ExponentRangeError.
     """
+    if not math.isfinite(t):
+        raise ExponentRangeError(f"t={t} must be a finite real")
     q = as_matrix(q)
     require_square(q)
     if not is_hermitian(q):

@@ -11,12 +11,12 @@ k, p or s column is the family's Schatten (k the rank), Ky Fan (p = 1) or Renyi
 drawn makes every audit instance a Drawn, of a form (bipartite operator,
 channel pair or plain matrix) and a shape.
 Spectra holds one window of Drawn instances of any forms and shapes (a channel
-case's trials beside its bipartite saturators, say): they are finished per
-(form, shape), the matrices of each size are stacked and decomposed in one
-call, the sizes' spectra join in one zero-padded stack per matrix, one table
-per (matrix, exponent) serves the window (a cumulative power sum over the
-sorted spectra serves every k; entropies read tr rho^alpha and the von Neumann
-value), and one evaluator call returns the (instances, grid points) margins,
+case's trials beside its bipartite saturators, say): each (form, finish, sizes)
+group is finished in one call, the matrices of each size are stacked and
+decomposed in one call, the sizes' spectra join in one zero-padded stack per
+matrix, one table per (matrix, exponent) serves the window (a cumulative power
+sum over the sorted spectra serves every k; entropies read tr rho^alpha and the
+von Neumann value), and one evaluator call returns the (instances, grid points) margins,
 each normalized by max(1, |lhs|, |rhs|).  Each instance has its own traced-out
 dimension and rank bound, and a grid point whose k exceeds an instance's bound
 is out of bound for it (Spectra.in_bound): never folded.  Each case declares
@@ -90,30 +90,23 @@ def _products(p: tuple, q: tuple) -> tuple:
 class Drawn(NamedTuple):
     """An audit instance as drawn: its kind's generator output, to be finished in a stack.
 
-    A finish maps a sub-stack, the rows of one finish and sizes with their draws
-    stacked field by field, to its stacked matrices; sizes[:2] is the shape.  A
-    channel's sizes are (dim_in, dim_out, dim_env) and its finish is a (V's, Q's)
-    pair (see part), so channels of every d share Q's.
+    A finish maps the draws of a group of one finish and sizes, stacked field by
+    field, to its stacked matrices, a channel's to its stacked (V, Q) pair; sizes[:2]
+    is the shape, and a channel's sizes are (dim_in, dim_out, dim_env).
     """
 
     form: str
-    finish: Callable  # for a channel, a (V's finish, Q's finish) pair
+    finish: Callable
     sizes: tuple
     draws: tuple
 
-    def part(self, name: str) -> tuple:
-        """(finish, sizes, draws) of a matrix: a channel's "v", of all its sizes, or Q, of its shape; else the one."""
-        if self.form != "channel":
-            return self[1:]
-        v, q = self.finish
-        return (v, self.sizes, self.draws[:1]) if name == "v" else (q, self.sizes[:2], self.draws[1:])
-
     def alone(self):
-        """The finished instance: a BipartiteOperator, a (StinespringChannel, Q) pair or a matrix."""
-        one = lambda name: _finished([self], name)[0]  # noqa: E731
+        """The instance finished in a Spectra of one: a BipartiteOperator, (StinespringChannel, Q) pair or matrix."""
+        sp = Spectra([self], "dim_env")  # no Choi Gram
+        matrix = sp.parts[0]["joint"][0]
         if self.form == "channel":
-            return StinespringChannel(one("v"), *self.sizes), one("joint")
-        return BipartiteOperator(one("joint"), *self.sizes) if self.form == "bipartite" else one("joint")
+            return StinespringChannel(sp.dilations[0][0], *self.sizes), matrix
+        return BipartiteOperator(matrix, *self.sizes) if self.form == "bipartite" else matrix
 
     def __getattr__(self, name: str):
         # any other attribute is the finished instance's, so code that reads a maker's W.matrix, say, gets it
@@ -122,8 +115,8 @@ class Drawn(NamedTuple):
         return getattr(self.alone(), name)
 
 
-def _given(x: tuple, *sizes) -> np.ndarray:  # the finish of a finished instance's matrix, its one draw
-    return x[0]
+def _given(x: tuple, *sizes):  # the finish of a finished instance: its one matrix, or a channel's (V, Q) pair
+    return x[0] if len(x) == 1 else x
 
 
 def drawn(inst) -> Drawn:
@@ -131,7 +124,7 @@ def drawn(inst) -> Drawn:
 
     A BipartiteOperator ("bipartite", shape (dim_a, dim_b)), a (StinespringChannel, Q)
     pair ("channel", shape (dim_in, dim_out)) or an ndarray ("matrix", its shape) is
-    wrapped with finishes that return its matrices; anything else raises KindMismatchError.
+    wrapped with a finish that returns its matrices; anything else raises KindMismatchError.
     """
     if isinstance(inst, Drawn):
         return inst
@@ -139,28 +132,10 @@ def drawn(inst) -> Drawn:
         return Drawn("bipartite", _given, (inst.dim_a, inst.dim_b), (inst.matrix,))
     if isinstance(inst, tuple) and len(inst) == 2 and isinstance(inst[0], StinespringChannel):
         ch, q = inst
-        return Drawn("channel", (_given, _given), (ch.dim_in, ch.dim_out, ch.dim_env), (ch.v, as_matrix(q)))
+        return Drawn("channel", _given, (ch.dim_in, ch.dim_out, ch.dim_env), (ch.v, ch.input(q)))
     if isinstance(inst, np.ndarray):
         return Drawn("matrix", _given, inst.shape, (as_matrix(inst),))
     raise KindMismatchError(f"not an audit instance: {type(inst).__name__}")
-
-
-def _finished(xs: list, name: str) -> np.ndarray:
-    """The stacked matrix name of one shape's instances, the rows of one finish and sizes (Drawn.part) in one call.
-
-    A channel's Q takes only the shape, so one call serves its rows of every d.
-    """
-    groups, parts = {}, [x.part(name) for x in xs]
-    for i, part in enumerate(parts):
-        groups.setdefault(part[:2], []).append(i)
-    subs = [(rows, finish(tuple(map(np.array, zip(*(parts[i][2] for i in rows)))), *sizes))
-            for (finish, sizes), rows in groups.items()]
-    stack = subs[0][1] if len(subs) == 1 else np.empty((len(xs),) + subs[0][1].shape[1:], complex)
-    for rows, sub in subs[len(subs) == 1:]:
-        stack[rows] = sub
-    if name != "v":
-        require_square(stack)
-    return stack
 
 
 def _by_size(stacks: list) -> list:
@@ -172,11 +147,11 @@ def _by_size(stacks: list) -> list:
 class Spectra:
     """Lazily computed, validated spectra of a window of Drawn instances (drawn) of any forms and shapes.
 
-    Each (form, shape) group's rows are finished (_finished) and stacked per matrix, "joint"
-    and "reduced" (W and Tr_B W, Q and Phi(Q), or R and R); the stacks of one size are
-    joined and decomposed at most once per spectrum kind, in one call, with the
-    matrix-level checks row by row.  A channel's V and Phi(Q) take one call per shape and
-    d, its isometry check one per input dimension and its Choi rank one per Gram size.
+    The rows are grouped once, by (form, finish, sizes), each group finished in one call to its matrices "joint"
+    and "reduced" (W and Tr_B W, Q and Phi(Q), or R and R); the stacks of one size are joined and decomposed at
+    most once per spectrum kind, in one call, with the matrix-level checks row by row.  A channel group has one
+    (m, n, d); the window's V stacks, kept in dilations, take one isometry check per input dimension, and its
+    Choi ranks one call per Gram size.
     Row i has its traced-out dimension n[i] (n, a channel's d, or 1) and rank bound
     bound[i], the size of its reduced matrix.  The sizes' spectra join zero-padded,
     descending ones on the right and ascending ones on the left, which keeps each
@@ -190,30 +165,27 @@ class Spectra:
         self.size, self._memo = len(insts), {}
         groups = {}
         for i, x in enumerate(insts):
-            groups.setdefault((x.form, x.sizes[:2]), []).append(i)
-        self.shapes, self.rows = [shape for _, shape in groups], [np.array(rows) for rows in groups.values()]
-        # each group's stacked matrices by name, the dilations, the Choi Grams
-        self.parts, dilations, grams, self.n = [], [], [], np.empty(self.size, int)
-        for ((form, shape), rows), at in zip(groups.items(), self.rows):
-            xs = [insts[i] for i in rows]
-            joint = _finished(xs, "joint")
+            groups.setdefault((x.form, x.finish, x.sizes), []).append(i)
+        self.rows = [np.array(rows) for rows in groups.values()]
+        # each group's stacked matrices by name, its channels' dilations V, the Choi Grams
+        self.parts, self.dilations, grams, self.n = [], [], [], np.empty(self.size, int)
+        for ((form, finish, sizes), rows), at in zip(groups.items(), self.rows):
+            finished = finish(tuple(map(np.array, zip(*(insts[i].draws for i in rows)))), *sizes)
+            v, joint = finished if form == "channel" else (None, finished)
+            require_square(joint)
             if form == "bipartite":
-                reduced, self.n[at] = trace_out_b(joint, *shape), shape[1]
+                reduced, self.n[at] = trace_out_b(joint, *sizes), sizes[1]
             elif form == "channel":
-                reduced, envs = np.empty((len(xs), shape[1], shape[1]), complex), {}
-                for j, x in enumerate(xs):
-                    envs.setdefault(x.sizes[2], []).append(j)
-                for d, js in envs.items():
-                    v = _finished([xs[j] for j in js], "v")
-                    # each channel's d: its dilation's dim_env or, under "choi_rank", its Choi rank (below)
-                    reduced[js], self.n[at[js]] = channel_outputs(v, joint[js], shape[1], d), d
-                    dilations.append(v)
-                    if env_mode == "choi_rank":
-                        grams.append((choi_gram(v, shape[1], d), at[js]))
+                _, n, d = sizes
+                # each channel's d: its dilation's dim_env or, under "choi_rank", its Choi rank (below)
+                reduced, self.n[at] = channel_outputs(v, joint, n, d), d
+                self.dilations.append(v)
+                if env_mode == "choi_rank":
+                    grams.append((choi_gram(v, n, d), at))
             else:  # a matrix is its own Tr_B over a trivial factor
                 reduced, self.n[at] = joint, 1
             self.parts.append({"joint": joint, "reduced": reduced})
-        require_isometry(*dilations)  # before any Choi rank, so a dilation that is no isometry fails as such
+        require_isometry(*self.dilations)  # before any Choi rank, so a dilation that is no isometry fails as such
         for ids in _by_size([gram for gram, _ in grams]):
             self.n[stacked([grams[i][1] for i in ids])] = gram_ranks(stacked([grams[i][0] for i in ids]))
         self.bound = self.joined([part["reduced"].shape[-1] for part in self.parts], int)

@@ -1119,21 +1119,22 @@ def test_small_runs_make_one_seed_pass_and_check_only_qr_dilations(monkeypatch):
 
 
 def test_channel_windows_finish_q_once_per_finish_and_shape(monkeypatch):
-    # the inputs Q of a window's channels of one finish and shape are finished
-    # in one call, whatever their environment dimensions d
+    # a window's channels of one finish and sizes (m, n, d) are finished, V and
+    # Q together, in one call: one call per (finish, sizes) group
     cids = tuple(cid for cid in REGISTRY_IDS if REGISTRY[cid].form == "channel")
-    calls, wrapped = [], {}
+    calls, wrapped, groups = [], {}, set()
 
     def counted(cid, x):
         key = (cid, x.finish)
         if key not in wrapped:
-            v, q = x.finish
+            finish = x.finish
 
-            def finish_q(draws, m, n):
-                calls.append((*key, m, n, len(draws[0])))
-                return q(draws, m, n)
+            def counting_finish(draws, m, n, d):
+                calls.append((*key, (m, n, d), len(draws[0])))
+                return finish(draws, m, n, d)
 
-            wrapped[key] = (v, finish_q)
+            wrapped[key] = counting_finish
+        groups.add((*key, x.sizes))
         return x._replace(finish=wrapped[key])
 
     def counting(cid, make):
@@ -1144,13 +1145,10 @@ def test_channel_windows_finish_q_once_per_finish_and_shape(monkeypatch):
     cfg = AuditConfig(trials_per_case=40, case_filter=cids)
     report = run_audit(cfg)
     assert all(c["failures"] == 0 for c in report.cases)
-    # per case, the trials' four shapes, each one call
-    assert len(calls) == len({call[:4] for call in calls}) == len(cids) * len(cfg.dims)
-    assert sum(call[4] for call in calls) == len(cids) * cfg.trials_per_case
-    # and some of those calls finish the Q of channels of several d
-    drawn = [(x.sizes[:2], x.sizes[2]) for x in (REGISTRY["STCT1"].make_instance(
-        cfg.dims[t % 4], audit._trial_seed(cfg.base_seed, "STCT1", t)) for t in range(cfg.trials_per_case))]
-    assert len(set(drawn)) > len({shape for shape, _ in drawn})
+    assert len(calls) == len({call[:3] for call in calls}) == len(groups)
+    assert sum(call[3] for call in calls) == len(cids) * cfg.trials_per_case
+    # and a shape's channels of several d are finished in a call per d
+    assert len(groups) > len({(cid, finish, sizes[:2]) for cid, finish, sizes in groups})
 
 
 def _row_matrices(sp, name):
@@ -1232,18 +1230,26 @@ def _assert_windows_match_evaluate_case(monkeypatch, cfg):
         (window,) = recorded = [b for b in batches[cid] if b[2] is not None]
         sp, grid, rows, _, mask = window
         assert rows == list(range(cfg.trials_per_case + len(cfg.dims)))
-        assert {_form(inst)[1] for inst in made[cid]} == set(sp.shapes)
+        # one group per (form, finish, sizes), its rows in window order
+        insts = [margins.drawn(inst) for inst in made[cid]]
+        keys = [(x.form, x.finish, x.sizes) for x in insts]
+        groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
+        assert [r.tolist() for r in sp.rows] == groups
         assert any(map(all, mask))  # the grid is made at the window's largest rank bound
         _assert_batches_match_evaluate_case(cid, made[cid], recorded)
-        if REGISTRY[cid].form == "channel":
-            channel_d |= {len(set(sp.n[rows].tolist())) for rows in sp.rows}
+        for r in sp.rows:
+            if insts[r[0]].form == "channel":  # one dilation d per channel group: each row's Choi rank is min(d, n m)
+                m, n, d = insts[r[0]].sizes
+                assert sp.n[r].tolist() == [min(d, n * m)] * len(r)
+                channel_d.add((cid, (m, n, d)))
     return channel_d
 
 
 def test_batched_margins_equal_evaluate_case(monkeypatch):
     # the default dims: a channel window holds its Tr_B saturators too
     cfg = AuditConfig(trials_per_case=6)
-    assert max(_assert_windows_match_evaluate_case(monkeypatch, cfg)) > 1  # some shape stacks channels of several d
+    channel_d = _assert_windows_match_evaluate_case(monkeypatch, cfg)
+    assert len(channel_d) > len({(cid, sizes[:2]) for cid, sizes in channel_d})  # some shape has channels of several d
 
 
 def test_window_of_edge_shapes_equals_evaluate_case(monkeypatch):
@@ -1326,18 +1332,51 @@ def test_drawn_wraps_each_finished_form_with_finishes_that_return_its_matrices()
     ptrace = channels.partial_trace_channel(2, 3)
     w, q = BipartiteOperator(np.arange(36.0).reshape(6, 6), 2, 3), np.eye(6)
     for inst, form, sizes, matrices in (
-        (w, "bipartite", (2, 3), {"w": w.matrix}),
-        ((ptrace, q), "channel", (6, 2, 3), {"v": ptrace.v, "q": q}),
-        (q[:4, :4], "matrix", (4, 4), {"q": q[:4, :4]}),
+        (w, "bipartite", (2, 3), lambda w: {"joint": w.matrix}),
+        ((ptrace, q), "channel", (6, 2, 3), lambda pair: {"v": pair[0].v, "joint": pair[1]}),
+        (q[:4, :4], "matrix", (4, 4), lambda r: {"joint": r}),
     ):
         x = margins.drawn(inst)
         assert (x.form, x.sizes) == (form, sizes)
-        for name, matrix in matrices.items():
-            finished = margins._finished([x, x], name)
-            assert finished.dtype == complex and (finished == matrix).all()
+        sp = margins.Spectra([x, x])
+        assert [rows.tolist() for rows in sp.rows] == [[0, 1]]  # one finish and sizes: one group
+        stacks = {"joint": sp.parts[0]["joint"], **({"v": sp.dilations[0]} if form == "channel" else {})}
+        alone = x.alone()
+        assert type(alone) is type(inst)
+        for name, matrix in matrices(inst).items():
+            assert stacks[name].dtype == complex and (stacks[name] == matrix).all()
+            assert (matrices(alone)[name] == matrix).all()
         assert margins.drawn(x) is x  # a Drawn enters as it is
     with pytest.raises(ShapeMismatchError):  # a 1-d array is no matrix
         margins.drawn(np.ones(4))
+
+
+@pytest.mark.parametrize("q", [np.eye(3), np.ones((2, 3))], ids=["3x3", "2x3"])
+def test_channel_pair_whose_input_does_not_fit_raises_a_typed_error(q):
+    # a 3 x 3 Q failed with numpy's bare matmul ValueError in the batch
+    ch = sample("channel", (2, 2, 1), 3)
+    message = re.escape(f"input shape {q.shape}, channel expects (2, 2)")
+    with pytest.raises(ShapeMismatchError, match=message):
+        ch.apply(q)
+    with pytest.raises(ShapeMismatchError, match=message):
+        evaluate_case("STCT1", (ch, q), {"k": 1, "p": 2.0})
+
+
+def test_window_groups_drawn_and_finished_instances_of_one_sizes_apart():
+    # one window holds, for one (m, n, d), a drawn channel and a finished pair,
+    # and a finished BipartiteOperator beside drawn saturators of its shape: the
+    # groups are (form, finish, sizes), and every margin is the instance's alone
+    case, seeds = REGISTRY["STCT1"], [audit._trial_seed(42, "STCT1", t) for t in range(20)]
+    trials = [case.make_instance((2, 2), seed) for seed in seeds]
+    sizes = next(x.sizes for x in trials if sum(y.sizes == x.sizes for y in trials) > 1)
+    first, second = [x for x in trials if x.sizes == sizes][:2]
+    saturators = [case.saturator((2, 2), seed) for seed in seeds[:3]]
+    insts = [first, second.alone(), *saturators[:2], saturators[2].alone()]
+    sp = margins.Spectra([margins.drawn(x) for x in insts])
+    assert [rows.tolist() for rows in sp.rows] == [[0], [1], [2, 3], [4]]
+    grid = margins.make_grid(case.axes, int(sp.bound.max()))
+    window = [sp, dict(grid), list(range(len(insts))), case.evaluate(sp, grid).tolist(), sp.in_bound(grid).tolist()]
+    _assert_batches_match_evaluate_case("STCT1", insts, [window])
 
 
 @pytest.mark.parametrize("maker", ["make_instance", "saturator"])
@@ -1877,7 +1916,7 @@ def _row_spectra(sp, kind, name):
 def test_size_batched_windows_equal_per_shape_windows(env_mode):
     # a window of five shapes decomposes each size of a matrix once; every
     # spectrum row, statistic and in-bound margin equals, bit for bit, that of
-    # a window of its shape alone, which decomposes that shape's stack
+    # a window of its group alone, which decomposes that group's stack
     cfg = AuditConfig(trials_per_case=15, dims=SIZE_DIMS, env_dim_mode=env_mode)
     shared = set()
     for cid, case in REGISTRY.items():
@@ -1901,7 +1940,8 @@ def test_size_batched_windows_equal_per_shape_windows(env_mode):
             assert len(ranks) == len(insts) - len(cfg.dims)
             assert env_mode == "dim_env" or 1 in ranks.values() and len(set(ranks.values())) > 2
         spectra = {key: _row_spectra(sp, *key) for key in sp.decomposed}
-        shared |= {(case.form, name) for _, name in sp.decomposed if len(sp.sizes[name]) < len(sp.shapes)}
+        shapes = {(insts[rows[0]].form, insts[rows[0]].sizes[:2]) for rows in sp.rows}  # the groups' forms and shapes
+        shared |= {(case.form, name) for _, name in sp.decomposed if len(sp.sizes[name]) < len(shapes)}
         for rows in sp.rows:
             alone = _Recorded([insts[i] for i in rows], env_mode)
             inside = alone.in_bound(grid)

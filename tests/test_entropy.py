@@ -164,6 +164,18 @@ def test_max_entropy_value_forms():
     assert max_entropy_value(3, 1.0, 1.0) == math.log(3)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_max_entropy_value_refuses_a_non_finite_s_as_unified_entropy_does(alpha, s):
+    # it returned NaN, or 0.0 at s = -inf and ln 2 at alpha = 1, where the
+    # entropy of the maximally mixed state itself raises
+    message = f"s={s} must be a finite real"
+    with pytest.raises(ExponentRangeError, match=message):
+        unified_entropy(np.eye(2) / 2, alpha, s)
+    with pytest.raises(ExponentRangeError, match=message):
+        max_entropy_value(2, alpha, s)
+
+
 @pytest.mark.parametrize("m", [True, 2.0, 1.5, "2", None])
 def test_max_entropy_value_takes_only_an_integer_m(m):
     # True ran as m = 1 and gave 0.0, 2.0 ran as m = 2, and None raised a bare TypeError

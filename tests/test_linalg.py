@@ -3,6 +3,7 @@ import pytest
 
 from normtrace.errors import (
     BadDimsError,
+    ExponentRangeError,
     NotHermitianError,
     NotPsdError,
     NotSquareError,
@@ -161,6 +162,13 @@ def test_psd_power_negative_requires_pd():
     a = np.diag([1.0, 0.0])
     with pytest.raises(SingularPowerError):
         psd_power(a, -0.5)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_psd_power_refuses_a_non_finite_exponent(t):
+    # it returned a NaN matrix for NaN and +inf, and the projector diag(1, 0) for -inf
+    with pytest.raises(ExponentRangeError, match=f"t={t} must be a finite real"):
+        psd_power(np.diag([1.0, 2.0]), t)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
