@@ -25,6 +25,7 @@ _SOURCE = {
             "max_entropy_value renyi_entropy tsallis_entropy unified_entropy von_neumann_entropy"
         ),
         "errors": "MatrixFileError PreconditionError",
+        "jsonio": "read_matrix_file write_matrix_file",
         "linalg": "hermitian_eigenvalues kron psd_power singular_values",
         "norms": "gauge_kp kp_norm kyfan_norm schatten_norm",
     }.items()

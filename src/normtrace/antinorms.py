@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import (
     PD_FLOOR_COEFF,
+    as_exponent,
     as_integer,
     as_matrix,
     hermitian_eigenvalues,
@@ -61,6 +62,7 @@ def antinorm_table(w: np.ndarray, p: float, ambient_dim: int | None = None) -> n
     amb = m if ambient_dim is None else as_integer(ambient_dim, ShapeMismatchError, "an integer ambient_dim")
     if amb < m:
         raise ShapeMismatchError(f"ambient_dim={amb} smaller than matrix dimension {m}")
+    p = as_exponent(p, "p")
     if not 0 < p <= 1:
         raise ExponentRangeError(f"p={p} must lie in (0, 1]")
     table = (w**p).cumsum(axis=-1) ** (1.0 / p)
@@ -95,6 +97,7 @@ def kyfan_antinorm(q, k: int) -> float:
 
 def schatten_antinorm_of(w: np.ndarray, p: float):
     """Schatten anti-norm of an ascending PSD spectrum, or of each row of a stack; see schatten_antinorm."""
+    p = as_exponent(p, "p")
     if math.isnan(p) or math.isinf(p) or p == 0.0 or p > 1.0:
         raise ExponentRangeError(f"p={p} must lie in (0, 1] or be a finite negative number")
     rows = np.atleast_2d(w)

@@ -46,7 +46,7 @@ from ._version import __version__
 from . import jsonio
 from .channels import StinespringChannel, qr_isometry
 from .errors import BadDimsError, ExponentRangeError, KindMismatchError, PreconditionError, RankRangeError
-from .linalg import as_integer, kron
+from .linalg import as_exponent, as_integer, kron
 from .margins import (
     GRIDS,
     Drawn,
@@ -530,8 +530,8 @@ def evaluate_case(case_id: str, instance, params) -> float:
     for name, value in params.items():
         if name == "k":  # True would run as k = 1, and 1.5 or "1" fail deep in an index
             params["k"] = as_integer(value, RankRangeError, "an integer k")
-        elif name != "family" and (isinstance(value, bool) or not isinstance(value, Real)):
-            raise ExponentRangeError(f"{name} takes a real number, got {value!r}")
+        elif name != "family":
+            as_exponent(value, name)
     column = outside(case.axes, params)
     if column is not None:  # a bound holds only on the range it is proved on, so a point past it is no replay
         error = PreconditionError if column == "family" else ExponentRangeError

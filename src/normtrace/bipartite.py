@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import as_integer, as_matrix, pauli_x, pauli_z
+from .linalg import as_integer, as_matrix
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,17 @@ def twirl_oracle_b(w: BipartiteOperator) -> np.ndarray:
 
     Equals kron(partial_trace_b(w), I_n) exactly, which makes this sum an
     independent cross-check for the block-trace route: it never takes a
-    block trace.  The group average is the shift average of the phase
-    average, each one stacked conjugation over the n powers of its generator.
+    block trace.  It is the shift sum of the phase sum, each generator applied
+    by its structure to entry (i, a, k, b) of the (m, n, m, n) view of W.
+    Z^j = diag(z^j), z_a = exp(2 pi i a / n), so the n phase conjugations
+    multiply it by one factor F[a, b] = sum_j z_a^j conj(z_b^j), from the
+    cumulative powers of z.  The cyclic shift X^l moves it to (i, a+l, k, b+l),
+    so one index array (a - l) mod n gathers the n shifted copies.
     """
     m, n = w.dim_a, w.dim_b
-    eye_a = np.eye(m, dtype=np.complex128)[None, :, None, :, None]
-    acc = w.matrix
-    for gen in (pauli_z(n), pauli_x(n)):
-        powers = np.empty((n, n, n), dtype=np.complex128)
-        powers[0] = np.eye(n)
-        for j in range(1, n):
-            np.matmul(powers[j - 1], gen, out=powers[j])
-        # kron(I_m, U) for every power U at once, as a broadcast product
-        us = (eye_a * powers[:, None, :, None, :]).reshape(n, m * n, m * n)
-        acc = (us @ acc @ us.conj().swapaxes(1, 2)).sum(axis=0)
-    return acc / n
-
+    z_powers = np.vander(np.exp(2j * np.pi * np.arange(n) / n), n, increasing=True)  # [a, j] = z_a^j
+    phased = w.matrix.reshape(m, n, m, n) * (z_powers @ z_powers.conj().T)[None, :, None, :]
+    back = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # [l, a] = (a - l) mod n
+    # advanced indices apart put their (l, a, b) axes first: (n, n, n, m, m), summed over l
+    shifted = phased[:, back[:, :, None], :, back[:, None, :]].sum(axis=0)
+    return shifted.transpose(2, 0, 3, 1).reshape(m * n, m * n) / n

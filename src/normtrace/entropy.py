@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExponentRangeError, NotDensityError, NotHermitianError
-from .linalg import as_integer, hermitian_eigenvalues, spectral_radius, zero_round_off
+from .linalg import as_exponent, as_integer, hermitian_eigenvalues, spectral_radius, zero_round_off
 
 ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the von Neumann branch
 S_ZERO_TOL = 1e-12  # |s| below this routes to the Renyi branch
@@ -31,12 +31,12 @@ TRACE_TOL = 1e-9  # |tr rho - 1| above this is not a density matrix
 
 
 def _check_alpha(alpha: float) -> None:
-    if math.isnan(alpha) or math.isinf(alpha) or not alpha > 0:
+    if not 0 < as_exponent(alpha, "alpha") < math.inf:
         raise ExponentRangeError(f"alpha={alpha} must be a positive real")
 
 
 def _check_s(s: float) -> None:
-    if math.isnan(s) or math.isinf(s):
+    if not math.isfinite(as_exponent(s, "s")):
         raise ExponentRangeError(f"s={s} must be a finite real")
 
 

@@ -42,7 +42,7 @@ class NotDensityError(PreconditionError):
 
 
 class DomainError(PreconditionError):
-    """Scalar argument outside the domain of the function."""
+    """A scalar argument outside the domain of the function, or a matrix with a NaN or infinite entry."""
 
 
 class BadDimsError(PreconditionError):

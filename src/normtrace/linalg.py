@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import math
 import operator
+from numbers import Real
 
 import numpy as np
 
 from .errors import (
     BadDimsError,
+    DomainError,
     ExponentRangeError,
     NotHermitianError,
     NotPsdError,
@@ -42,6 +44,15 @@ def as_integer(x, error=BadDimsError, expected: str = "an integer") -> int:
     raise error(f"expected {expected}, got {x!r}")
 
 
+def as_exponent(x, name: str) -> float:
+    """x as a float; a bool, or a value that is not a real number such as "2", 1j or None, raises ExponentRangeError."""
+    if type(x) is float:  # the common case, without the abstract class check's 0.5 us
+        return x
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise ExponentRangeError(f"{name} takes a real number, got {x!r}")
+    return float(x)
+
+
 def as_matrices(a) -> np.ndarray:
     """Coerce input to a nonempty complex128 matrix or (trials, r, c) stack of matrices."""
     m = np.asarray(a, dtype=np.complex128)
@@ -62,15 +73,18 @@ def require_square(m: np.ndarray) -> int:
 
 
 def is_hermitian(m) -> bool:
-    """True when max |M - M^dag| <= DEFAULT_TOL * (1 + max |M|), for M or every matrix of a stack."""
+    """True when max |M - M^dag| <= DEFAULT_TOL * (1 + max |M|) for M or each matrix of a stack; NaN or inf: DomainError."""
     m = as_matrices(m)
     if m.shape[-2] != m.shape[-1]:
         return False
     # one row per matrix; each row's test is closed in Python floats, which for
-    # a few rows costs less than more numpy calls
+    # a few rows costs less than more numpy calls.  The scale comes first, as
+    # M - M^dag would take inf - inf
     rows = (-1, m.shape[-1] ** 2)
-    off = np.abs(m - m.conj().swapaxes(-1, -2)).reshape(rows).max(axis=1).tolist()
     scale = np.abs(m).reshape(rows).max(axis=1).tolist()
+    if not all(map(math.isfinite, scale)):
+        raise DomainError("matrix entries must be finite")
+    off = np.abs(m - m.conj().swapaxes(-1, -2)).reshape(rows).max(axis=1).tolist()
     return all(o <= DEFAULT_TOL * (1.0 + s) for o, s in zip(off, scale))
 
 
@@ -110,8 +124,11 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def singular_values(q) -> np.ndarray:
-    """Singular values in descending order."""
-    return np.linalg.svd(as_matrix(q), compute_uv=False)
+    """Singular values in descending order; a NaN or infinite entry raises DomainError."""
+    q = as_matrix(q)
+    if not np.isfinite(q).all():  # LAPACK would not converge on a NaN, and return NaNs for an infinity
+        raise DomainError("matrix entries must be finite")
+    return np.linalg.svd(q, compute_uv=False)
 
 
 def kron(a, b) -> np.ndarray:
@@ -126,8 +143,9 @@ def psd_power(q, t: float) -> np.ndarray:
 
     Round-off negatives inside (-DEFAULT_TOL * scale, 0) are clamped to zero.  A
     negative exponent requires the smallest eigenvalue to clear the floor
-    PD_FLOOR_COEFF * (1 + spectral norm).  A non-finite t raises ExponentRangeError.
+    PD_FLOOR_COEFF * (1 + spectral norm).  A t not a finite real raises ExponentRangeError.
     """
+    t = as_exponent(t, "t")
     if not math.isfinite(t):
         raise ExponentRangeError(f"t={t} must be a finite real")
     q = as_matrix(q)
@@ -146,16 +164,3 @@ def psd_power(q, t: float) -> np.ndarray:
     x = (u * w**t) @ u.conj().T
     return (x + x.conj().T) / 2.0
 
-
-def pauli_x(n: int) -> np.ndarray:
-    """Cyclic shift: basis vector j maps to j+1 (mod n)."""
-    if n < 1:
-        raise ShapeMismatchError("dimension must be positive")
-    return np.roll(np.eye(n, dtype=np.complex128), 1, axis=0)
-
-
-def pauli_z(n: int) -> np.ndarray:
-    """Phase operator diag(exp(i 2 pi j / n)) for j = 0..n-1."""
-    if n < 1:
-        raise ShapeMismatchError("dimension must be positive")
-    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ExponentRangeError, RankRangeError, ShapeMismatchError
-from .linalg import as_integer, as_matrix, singular_values
+from .linalg import as_exponent, as_integer, as_matrix, singular_values
 
 # above this exponent sums are accumulated on a scaled axis to avoid overflow
 LARGE_P_THRESHOLD = 50.0
@@ -29,6 +29,7 @@ def gauge_table(desc: np.ndarray, p: float) -> np.ndarray:
     gives the largest entry for every k.  A (trials, d) stack of spectra gives
     one table per row.
     """
+    p = as_exponent(p, "p")
     top = desc[..., :1]
     if math.isinf(p) and p > 0:
         return np.repeat(top, desc.shape[-1], axis=-1)

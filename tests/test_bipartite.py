@@ -89,9 +89,11 @@ def test_twirl_equals_embedded_partial_trace(m, n):
     assert np.abs(twirled - rebuilt).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("m,n", TWIRL_DIMS + [(3, 4)])
 def test_twirl_is_the_literal_group_sum(m, n):
-    # the factored average equals (1/n) sum over l, j of U W U^dag with U = I (x) X^l Z^j
+    # the phase factor and the shift gather equal (1/n) sum over l, j of
+    # U W U^dag with U = I (x) X^l Z^j, on every shape whose index arithmetic
+    # differs: n = 1, m = 1, n prime and n composite
     rng = np.random.default_rng(m * 7 + n)
     w = BipartiteOperator(ginibre(rng, m * n), m, n)
     x = np.roll(np.eye(n), 1, axis=0)

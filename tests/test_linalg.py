@@ -1,8 +1,14 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from normtrace import antinorms, entropy, norms
 from normtrace.errors import (
     BadDimsError,
+    DomainError,
     ExponentRangeError,
     NotHermitianError,
     NotPsdError,
@@ -11,14 +17,13 @@ from normtrace.errors import (
     SingularPowerError,
 )
 from normtrace.linalg import (
+    as_exponent,
     as_integer,
     as_matrices,
     as_matrix,
     hermitian_eigenvalues,
     is_hermitian,
     kron,
-    pauli_x,
-    pauli_z,
     psd_eigenvalues,
     psd_power,
     singular_values,
@@ -171,15 +176,69 @@ def test_psd_power_refuses_a_non_finite_exponent(t):
         psd_power(np.diag([1.0, 2.0]), t)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_pauli_operators_algebra(n):
-    x = pauli_x(n)
-    z = pauli_z(n)
-    eye = np.eye(n)
-    assert np.allclose(np.linalg.matrix_power(x, n), eye)
-    assert np.allclose(np.linalg.matrix_power(z, n), eye)
-    assert np.allclose(x @ x.conj().T, eye)
-    assert np.allclose(z @ z.conj().T, eye)
-    # commutation up to the primitive phase
-    omega = np.exp(2j * np.pi / n)
-    assert np.allclose(z @ x, omega * (x @ z))
+# each matrix-level function on a matrix with one bad entry: psd_power, the
+# anti-norms and the entropy run the Hermitian check, the norms the SVD
+NON_FINITE_CALLS = {
+    "singular_values": singular_values,
+    "kp_norm": lambda q: norms.kp_norm(q, 1, 2.0),
+    "schatten_norm": lambda q: norms.schatten_norm(q, 2.0),
+    "hermitian_eigenvalues": hermitian_eigenvalues,
+    "psd_power": lambda q: psd_power(q, 0.5),
+    "kp_antinorm": lambda q: antinorms.kp_antinorm(q, 1, 0.5),
+    "schatten_antinorm": lambda q: antinorms.schatten_antinorm(q, 0.5),
+    "unified_entropy": lambda q: entropy.unified_entropy(q, 2.0, 0.5),
+    "partial_fidelity rho": lambda q: antinorms.partial_fidelity(q, np.eye(2) / 2, 1),
+    "partial_fidelity sigma": lambda q: antinorms.partial_fidelity(np.eye(2) / 2, q, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("call", list(NON_FINITE_CALLS))
+def test_a_non_finite_entry_raises_domain_error(call, where, bad, capfd):
+    # an infinity warned in the Hermitian check's inf - inf, then read as not
+    # Hermitian, or gave kp_norm a NaN; a NaN stopped the SVD with a bare LinAlgError
+    q = np.eye(2, dtype=complex) / 2
+    q[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            NON_FINITE_CALLS[call](q)
+    assert capfd.readouterr() == ("", "")  # and nothing from LAPACK on the terminal
+
+
+RHO = np.diag([0.25, 0.75])
+
+# each public function at each of its exponent arguments, the others valid,
+# with a value that the argument admits
+EXPONENT_CALLS = {
+    "kp_norm p": (lambda x: norms.kp_norm(RHO, 1, x), 2.0),
+    "schatten_norm p": (lambda x: norms.schatten_norm(RHO, x), 2.0),
+    "gauge_kp p": (lambda x: norms.gauge_kp([3.0, 4.0], 1, x), 2.0),
+    "kp_antinorm p": (lambda x: antinorms.kp_antinorm(RHO, 1, x), 0.5),
+    "schatten_antinorm p": (lambda x: antinorms.schatten_antinorm(RHO, x), 0.5),
+    "psd_power t": (lambda x: psd_power(RHO, x), 0.5),
+    "unified_entropy alpha": (lambda x: entropy.unified_entropy(RHO, x, 0.5), 2.0),
+    "unified_entropy s": (lambda x: entropy.unified_entropy(RHO, 2.0, x), 0.5),
+    "renyi_entropy alpha": (lambda x: entropy.renyi_entropy(RHO, x), 2.0),
+    "tsallis_entropy alpha": (lambda x: entropy.tsallis_entropy(RHO, x), 2.0),
+    "max_entropy_value alpha": (lambda x: entropy.max_entropy_value(2, x, 0.5), 2.0),
+    "max_entropy_value s": (lambda x: entropy.max_entropy_value(2, 2.0, x), 0.5),
+}
+
+
+@pytest.mark.parametrize("x", [True, False, "2", 1j, None])
+@pytest.mark.parametrize("call", list(EXPONENT_CALLS))
+def test_an_exponent_that_is_not_a_real_number_raises(call, x):
+    # kp_norm(q, 1, True) ran at p = 1, and "2", 1j and None raised a bare TypeError
+    function, admitted = EXPONENT_CALLS[call]
+    name = call.split()[1]
+    with pytest.raises(ExponentRangeError, match=f"^{name} takes a real number, got {re.escape(repr(x))}$"):
+        function(x)
+    assert np.array_equal(function(np.float64(admitted)), function(admitted))
+
+
+def test_as_exponent_takes_python_and_numpy_reals():
+    values = [as_exponent(x, "p") for x in (2, 0.5, np.float64(-1.5), np.int64(3), np.float32(0.5), math.inf)]
+    assert values == [2.0, 0.5, -1.5, 3.0, 0.5, math.inf]
+    assert all(type(v) is float for v in values)

@@ -121,8 +121,8 @@ def test_audit_loads_the_audit_modules():
     assert loaded_after("audit", "--trials", "1", "--case", "KPN1") == [list(AUDIT_STACK), 0]
 
 
-def _public_names_the_library_never_calls() -> set:
-    """The names of normtrace._SOURCE that no module of the package loads or imports."""
+def _names_the_package_uses() -> set:
+    """The names that a module of the package loads, imports or reads off a submodule."""
     used = set()
     for path in Path(normtrace.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":  # where the public names are declared
@@ -135,7 +135,12 @@ def _public_names_the_library_never_calls() -> set:
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id in normtrace._SUBMODULES:  # such as jsonio.dumps
                     used.add(node.attr)
-    return set(normtrace._SOURCE) - used
+    return used
+
+
+def _public_names_the_library_never_calls() -> set:
+    """The names of normtrace._SOURCE that no module of the package loads or imports."""
+    return set(normtrace._SOURCE) - _names_the_package_uses()
 
 
 def test_readme_lists_the_public_symbols_the_library_never_calls():
@@ -147,6 +152,19 @@ def test_readme_lists_the_public_symbols_the_library_never_calls():
     listed = re.findall(r"^- `(\w+)`", section, re.MULTILINE)
     assert len(listed) == len(set(listed))
     assert set(listed) == _public_names_the_library_never_calls()
+
+
+def test_every_module_function_and_class_is_public_or_has_a_caller_in_the_package():
+    # a module-level def or class that no module of the package names, and that
+    # normtrace._SOURCE does not make public, is dead code: an ast scan, so no
+    # helper outlives its last caller.  A name counts as called where a module,
+    # its own included, loads it, imports it or reads it off a submodule
+    defined = {(path.stem, x.name) for path in Path(normtrace.__file__).parent.glob("*.py")
+               for x in ast.parse(path.read_text()).body
+               if isinstance(x, (ast.FunctionDef, ast.ClassDef)) and not x.name.startswith("__")}
+    public = {(module, name) for name, module in normtrace._SOURCE.items()}
+    used = _names_the_package_uses()
+    assert {(module, name) for module, name in defined if name not in used} - public == set()
 
 
 def test_every_spectra_method_has_a_caller_in_the_package():
