@@ -45,7 +45,7 @@ from numpy.random.bit_generator import ISeedSequence
 from ._version import __version__
 from . import jsonio
 from .channels import StinespringChannel, qr_isometry
-from .errors import BadDimsError, ExponentRangeError, KindMismatchError, PreconditionError, RankRangeError
+from .errors import BadDimsError, DomainError, ExponentRangeError, KindMismatchError, PreconditionError, RankRangeError
 from .linalg import as_exponent, as_integer, kron
 from .margins import (
     GRIDS,
@@ -59,7 +59,6 @@ from .margins import (
     eval_kqn1,
     eval_kqn2,
     eval_satwrqa,
-    eval_tpn2,
     eval_tpn62,
     drawn,
     make_grid,
@@ -403,7 +402,7 @@ REGISTRY: dict[str, InequalityCase] = {case.id: case for case in (
     _case(
         "TPN2", "(k, p) norm against the (k, pq) norm of the same operator",
         "||R||_(k)^(p) <= k^((q-1)/(pq)) ||R||_(k)^(pq)",
-        ("square", "scalar"), ("k pq",), eval_tpn2,
+        ("square", "scalar"), ("k pq",), eval_cpn1,
         witness=((2.0, 2.0, 1.0), (3.0, 2.0, 1.0), {"k": 2, "p": 1.0, "q": 2.0}),
     ),
     _case(
@@ -515,6 +514,8 @@ def evaluate_case(case_id: str, instance, params) -> float:
         raise KindMismatchError(f"unknown case id {case_id!r}")
     case = REGISTRY[case_id]
     instance = _entered(case_id, dict.fromkeys((case.form, case.saturator_form)), instance)
+    if not all(np.isfinite(x).all() for x in instance.draws):  # a finished instance's draws are its matrices
+        raise DomainError("matrix entries must be finite")
     expected = set(make_grid(case.axes, 1))  # the columns the case's axes set
     try:
         params = dict(params)

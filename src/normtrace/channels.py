@@ -29,14 +29,19 @@ def qr_isometry(g: np.ndarray) -> np.ndarray:
 def validate_isometry(*vs) -> bool:
     """True when V^dag V = I within ISOMETRY_TOL * (1 + max|V|^2) for each tall V, or stack of them, given.
 
-    V^dag V is formed per stack, and the residuals are checked in one pass per input dimension.
+    An isometry has no entry above 1 in modulus, so a V with one above 2, or one that is not finite, is refused
+    before its V^dag V, which could overflow, is formed.  V^dag V is formed per stack, and the residuals are
+    checked in one pass per input dimension.
     """
     pairs = {}
     for v in map(as_matrices, vs):
         if v.shape[-2] < v.shape[-1]:
             raise ShapeMismatchError("isometry requires at least as many rows as columns")
         v = v.reshape((-1,) + v.shape[-2:])
-        pairs.setdefault(v.shape[-1], []).append((v.conj().swapaxes(-1, -2) @ v, np.abs(v).max(axis=(-2, -1))))
+        top = np.abs(v).max(axis=(-2, -1))
+        if not (top <= 2.0).all():
+            return False
+        pairs.setdefault(v.shape[-1], []).append((v.conj().swapaxes(-1, -2) @ v, top))
     for m, grams_tops in pairs.items():
         grams, tops = zip(*grams_tops)
         off = np.abs(stacked(grams) - np.eye(m)).max(axis=(-2, -1)).tolist()

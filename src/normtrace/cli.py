@@ -120,9 +120,9 @@ def _run_audit(args) -> int:
     # imported here, so that compute and ptrace never load the audit modules
     from .audit import DEFAULT_DIMS, REGISTRY_IDS, AuditConfig, run_audit
 
-    if args.dims == []:
+    if [] in (args.dims or ()):  # each --dims flag gives its own list of pairs
         raise _ParseFailure("--dims needs at least one MxN pair")
-    dims = tuple(_parse_dims(t) for t in args.dims) if args.dims else DEFAULT_DIMS
+    dims = tuple(_parse_dims(t) for pairs in args.dims for t in pairs) if args.dims else DEFAULT_DIMS
     cases = tuple(args.case) if args.case else None
     if cases is not None:
         unknown = [c for c in cases if c not in REGISTRY_IDS]
@@ -184,7 +184,7 @@ def _build_parser() -> _Parser:
     aud = sub.add_parser("audit", help="run the inequality audit and emit a JSON report")
     aud.add_argument("--seed", type=int, default=42)
     aud.add_argument("--trials", type=int, default=200)
-    aud.add_argument("--dims", nargs="*", default=None, help="pairs like 2x2 3x2")
+    aud.add_argument("--dims", nargs="*", action="append", default=None, help="pairs like 2x2 3x2, repeatable")
     aud.add_argument("--tolerance", type=float, default=1e-9)
     aud.add_argument("--env-dim", choices=("choi_rank", "dim_env"), default="choi_rank")
     aud.add_argument("--case", action="append", default=None, help="restrict to one case id")

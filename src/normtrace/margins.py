@@ -7,9 +7,10 @@ anti-norms and entropies, of two matrices every window names "joint" and
 a trivial factor), plus a channel's Choi rank.  So each bound family has one
 evaluator, which its particular and channel cases share, and a grid without a
 k, p or s column is the family's Schatten (k the rank), Ky Fan (p = 1) or Renyi
-(s = 0) case; TFSN is Schatten's at p = 1, 2 and inf, ETT41 the s = 1 case.
-drawn makes every audit instance a Drawn, of a form (bipartite operator,
-channel pair or plain matrix) and a shape.
+(s = 0) case; TFSN is Schatten's at p = 1, 2 and inf, ETT41 the s = 1 case, and
+TPN2 CPN1's chained bound on a matrix, at n = 1.  drawn makes every audit
+instance a Drawn, of a form (bipartite operator, channel pair or plain matrix)
+and a shape, which Drawn.alone finishes by itself.
 Spectra holds one window of Drawn instances of any forms and shapes (a channel
 case's trials beside its bipartite saturators, say): each (form, finish, sizes)
 group is finished in one call, the matrices of each size are stacked and
@@ -101,12 +102,11 @@ class Drawn(NamedTuple):
     draws: tuple
 
     def alone(self):
-        """The instance finished in a Spectra of one: a BipartiteOperator, (StinespringChannel, Q) pair or matrix."""
-        sp = Spectra([self], "dim_env")  # no Choi Gram
-        matrix = sp.parts[0]["joint"][0]
+        """Its finish on a stack of one, wrapped: a BipartiteOperator, (StinespringChannel, Q) pair or matrix."""
+        finished = self.finish(tuple(map(np.array, zip(self.draws))), *self.sizes)
         if self.form == "channel":
-            return StinespringChannel(sp.dilations[0][0], *self.sizes), matrix
-        return BipartiteOperator(matrix, *self.sizes) if self.form == "bipartite" else matrix
+            return StinespringChannel(finished[0][0], *self.sizes), finished[1][0]
+        return BipartiteOperator(finished[0], *self.sizes) if self.form == "bipartite" else finished[0]
 
     def __getattr__(self, name: str):
         # any other attribute is the finished instance's, so code that reads a maker's W.matrix, say, gets it
@@ -200,9 +200,7 @@ class Spectra:
         return value
 
     def joined(self, parts: list, dtype=float, rows=None) -> np.ndarray:
-        """One array, in window order, of per-group values (or per-size ones at rows): one row per instance, or one for all."""
-        if len(self.rows) == 1 and np.ndim(parts[0]):  # one group's rows are the window's, in order
-            return np.asarray(parts[0], dtype)
+        """One array, in window order, of per-group values (or per-size ones at rows), a row per instance."""
         out = np.empty((self.size,) + np.shape(parts[0])[1:], dtype)
         for at, x in zip(self.rows if rows is None else rows, parts):
             out[at] = x
@@ -219,8 +217,8 @@ class Spectra:
         if ("padded", kind, name) not in self._memo:
             parts = self.spectra(kind, name)
             width = max(s.shape[-1] for s in parts)
-            out = self._memo["padded", kind, name] = parts[0] if len(self.rows) == 1 else np.zeros((self.size, width))
-            for (rows, _), s in zip(self.sizes[name], parts[len(self.rows) == 1:]):
+            out = self._memo["padded", kind, name] = np.zeros((self.size, width))
+            for (rows, _), s in zip(self.sizes[name], parts):
                 out[rows, slice(0, s.shape[-1]) if kind == "sv" else slice(width - s.shape[-1], width)] = s
         return self._memo["padded", kind, name]
 
@@ -258,10 +256,9 @@ class Spectra:
         table = lambda e: gauge_table(self.padded("sv", name), e)  # noqa: E731
         return self._lookup(("norm", name), table, k, p, 0)
 
-    def antinorm(self, name: str, k, p: tuple, ambient=None) -> np.ndarray:
-        """(k, p) anti-norms of a PSD matrix, each row's spectrum zero-padded to its entry of ambient."""
-        if ambient is None:  # each row's own size
-            ambient = self.joined([part[name].shape[-1] for part in self.parts], int)
+    def antinorm(self, name: str, k, p: tuple) -> np.ndarray:
+        """(k, p) anti-norms of a PSD matrix; "joint" zero-pads to n times the rank bound (so Phi(Q)'s size times d)."""
+        ambient = self.bound * self.n if name == "joint" else self.bound
         top = int(ambient.max())
         table = lambda e: antinorm_table(self.padded("psd", name), e, top)  # noqa: E731
         return self._lookup(("antinorm", name, top), table, k, p, (top - ambient)[:, None])
@@ -294,13 +291,8 @@ def eval_kpk2(sp: Spectra, g) -> np.ndarray:
     return _slack(sp.norm("reduced", None, (math.inf,) * g.size), sp.norm("joint", sp.n[:, None], (1.0,) * g.size))
 
 
-def eval_tpn2(sp: Spectra, g) -> np.ndarray:
-    k, p, q = g["k"], g["p"], g["q"]
-    lhs, top = sp.norm("joint", np.array(k), p), sp.norm("joint", np.array(k), _products(p, q))
-    return _slack(lhs, g.factors(_rank_factor, None, k, p, q) * top)
-
-
 def eval_cpn1(sp: Spectra, g) -> np.ndarray:
+    """The chained (k, p) to (kn, pq) norm bound; a matrix R, at n = 1, is TPN2's single-operator bound."""
     k, p, q = g["k"], g["p"], g["q"]
     lhs, joint = sp.norm("reduced", np.array(k), p), sp.norm("joint", np.array(k) * sp.n[:, None], _products(p, q))
     return _slack(lhs, g.factors(_chain_factor, sp.n, k, p, q) * joint)
@@ -309,8 +301,7 @@ def eval_cpn1(sp: Spectra, g) -> np.ndarray:
 def eval_kqn1(sp: Spectra, g) -> np.ndarray:
     """The (k, p) anti-norm bound, and its Ky Fan restriction: no p column is p = 1."""
     k, p = np.array(g["k"]), g.get("p", (1.0,) * g.size)
-    # the spectrum zero-padded to the rank bound times n: W's own size, or Phi(Q)'s times d
-    joint = sp.antinorm("joint", k * sp.n[:, None], p, ambient=sp.bound * sp.n)
+    joint = sp.antinorm("joint", k * sp.n[:, None], p)
     return _slack(g.factors(_dim_factor, sp.n, p) * joint, sp.antinorm("reduced", k, p))
 
 

@@ -407,6 +407,26 @@ def test_evaluate_case_overflowing_bound_factor_raises_domain_error():
         evaluate_case("KQN2", sample("bipartite_pd", (2, 3), 1), {"p": -0.001})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("cid", EXPECTED_IDS)
+def test_evaluate_case_refuses_a_non_finite_entry_before_any_decomposition(recwarn, cid, bad):
+    # a NaN would stop the SVD with a bare LinAlgError and an inf read as a NaN margin or a
+    # matmul warning; every case and form refuses both as DomainError, with no warning
+    case = REGISTRY[cid]
+    params = {name: column[0] for name, column in make_grid(case.axes, 1).items()}
+    entry = np.eye(4, dtype=complex)
+    entry[0, 1] = entry[1, 0] = bad
+    forms = {
+        "bipartite": BipartiteOperator(entry, 2, 2),
+        "matrix": entry,
+        "channel": (sample("channel", (4, 2, 2), 3), entry),
+    }
+    for form in dict.fromkeys((case.form, case.saturator_form)):
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            evaluate_case(cid, forms[form], params)
+    assert len(recwarn) == 0
+
+
 def test_evaluate_case_replays_a_channel_case_saturator():
     # a channel case's saturator, a bipartite product R (x) I, replays through the
     # case's own id with its bipartite twin's margins, which the product saturates;

@@ -38,6 +38,19 @@ def test_validate_isometry():
         validate_isometry(ginibre(rng, 2, 6))
 
 
+@pytest.mark.parametrize("big", [1e160, 1e200, np.inf])
+def test_a_huge_or_infinite_entry_is_no_isometry(recwarn, big):
+    # an isometry's entries have modulus at most 1, so V^dag V, whose square of a
+    # huge entry overflows, is never formed, and no warning or bare OverflowError escapes
+    v = haar_isometry(np.random.default_rng(2), 6, 2)
+    v[0, 0] = big
+    assert validate_isometry(v) is False
+    assert validate_isometry(np.stack([haar_isometry(np.random.default_rng(3), 6, 2), v])) is False
+    with pytest.raises(NotTracePreservingError):
+        StinespringChannel(v, 2, 3, 2)
+    assert len(recwarn) == 0
+
+
 def test_channel_rejects_non_isometry():
     rng = np.random.default_rng(2)
     with pytest.raises(NotTracePreservingError):

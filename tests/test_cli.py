@@ -248,6 +248,16 @@ def test_audit_dims_without_pairs_exits_2():
     assert "--dims needs at least one MxN pair" in out.stderr and out.stdout == ""
 
 
+def test_audit_dims_flags_accumulate(capsys):
+    # repeated --dims flags keep every pair, as repeated --case flags keep every id
+    assert cli.main(["audit", "--trials", "1", "--case", "KPN1", "--dims", "2x3", "--dims", "3x2", "4x3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["dims"] == [[2, 3], [3, 2], [4, 3]]
+    # a --dims with no pair is refused wherever it stands
+    assert cli.main(["audit", "--trials", "1", "--case", "KPN1", "--dims", "2x3", "--dims"]) == 2
+    out = capsys.readouterr()
+    assert "--dims needs at least one MxN pair" in out.err and out.out == ""
+
+
 def test_audit_out_to_an_unwritable_path_exits_2_before_the_run(monkeypatch, tmp_path, capsys):
     def run_audit(config):
         raise AssertionError("the audit ran")

@@ -202,6 +202,20 @@ def test_every_evaluator_serves_a_case():
     assert set(defined) - served - called == set()
 
 
+def test_readme_names_the_cases_each_shared_evaluator_serves():
+    # README's "`eval_x` serves ..." sentence of each evaluator that two or more
+    # registry cases read lists exactly those ids, in registry order, so the
+    # next evaluator merge cannot leave the table behind
+    from normtrace.audit import REGISTRY
+
+    serving = {}
+    for cid, case in REGISTRY.items():
+        serving.setdefault(case.evaluate.__name__, []).append(cid)
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    listed = {name: re.split(r", | and ", ids) for name, ids in re.findall(r"`(eval_\w+)` serves ([^;.]+)", readme)}
+    assert listed == {name: ids for name, ids in serving.items() if len(ids) >= 2}
+
+
 def test_no_module_compares_against_or_keys_by_a_case_id():
     # the registry is data: a case's axes and their domains, its extra field and
     # its witnesses sit on its row, so no module of the package compares a value
