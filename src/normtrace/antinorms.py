@@ -87,7 +87,7 @@ def kp_antinorm(q, k: int, p: float, ambient_dim: int | None = None) -> float:
     the spectrum with zeros; the padded zeros count among the smallest
     eigenvalues, so the result can vanish on a nonzero operator.
     """
-    return kp_antinorm_of(psd_spectrum(q), k, p, ambient_dim)
+    return kp_antinorm_of(psd_spectrum(as_matrix(q)), k, p, ambient_dim)
 
 
 def kyfan_antinorm(q, k: int) -> float:
@@ -115,7 +115,7 @@ def schatten_antinorm_of(w: np.ndarray, p: float):
 
 def schatten_antinorm(q, p: float) -> float:
     """(tr Q^p)^(1/p) for p in (0, 1], extended to p < 0 on positive definite Q."""
-    return schatten_antinorm_of(psd_spectrum(q), p)
+    return schatten_antinorm_of(psd_spectrum(as_matrix(q)), p)
 
 
 def partial_fidelity(rho, sigma, k: int) -> float:
@@ -132,7 +132,7 @@ def partial_fidelity(rho, sigma, k: int) -> float:
     m, k = require_square(r), as_integer(k, RankRangeError, "an integer k")
     if not 1 <= k <= m:
         raise RankRangeError(f"k={k} outside [1, {m}]")
+    a = psd_power(r, 0.5) @ psd_power(s, 0.5)  # before k == m, so that both operands are checked there too
     if k == m:
         return 0.0
-    a = psd_power(r, 0.5) @ psd_power(s, 0.5)
     return kp_antinorm_of(np.linalg.svd(a, compute_uv=False)[::-1], m - k, 1.0)

@@ -31,13 +31,6 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseFailure(message)
 
 
-def _parse_p(text: str) -> float:
-    try:
-        return float(text)  # which also reads inf, +inf and Infinity, in any case and with spaces around
-    except ValueError:
-        raise _ParseFailure(f"bad exponent {text!r}") from None
-
-
 def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
@@ -60,51 +53,35 @@ def _load(path: str) -> np.ndarray:
         raise _ParseFailure(str(exc)) from None
 
 
-# the options each compute kind needs, and those it also reads with --k
-_OPTIONS = {"norm": (("p",), ("k",)), "antinorm": (("p",), ("k", "ambient_dim")),
-            "entropy": (("alpha", "s"), ()), "fidelity": (("sigma", "k"), ())}
+def _norm(q, args) -> float:
+    return schatten_norm(q, args.p) if args.k is None else kp_norm(q, args.k, args.p)
 
 
-def _require(args) -> None:
-    needs, takes = _OPTIONS[args.kind]
-    missing = [f"--{n}" for n in needs if getattr(args, n) is None]
-    if missing:
-        raise _ParseFailure(f"kind {args.kind!r} needs {', '.join(missing)}")
-    # every compute option defaults to None, so the options given are the entries set besides these four
-    given = [n for n, x in vars(args).items() if x is not None and n not in ("command", "kind", "matrix", "func")]
-    unread = [f"--{n.replace('_', '-')}" for n in given if n not in needs + (() if args.k is None else takes)]
-    if unread:
-        without = " without --k" if args.k is None and set(given) & set(takes) else ""
-        raise _ParseFailure(f"kind {args.kind!r}{without} does not read {', '.join(unread)}")
+def _antinorm(q, args) -> float:
+    if args.k is None:
+        if args.ambient_dim is not None:  # two options tied together, which argparse cannot say
+            raise _ParseFailure("kind 'antinorm' without --k does not read --ambient-dim")
+        return schatten_antinorm(q, args.p)
+    return kp_antinorm(q, args.k, args.p, ambient_dim=args.ambient_dim)
+
+
+def _entropy(q, args) -> float:
+    return unified_entropy(q, args.alpha, args.s)
+
+
+def _fidelity(q, args) -> float:
+    return partial_fidelity(q, _load(args.sigma), args.k)
 
 
 def _run_compute(args) -> int:
-    _require(args)
-    q = _load(args.matrix)
-    if args.kind == "norm":
-        p = _parse_p(args.p)
-        if args.k is None:
-            value = schatten_norm(q, p)
-        else:
-            value = kp_norm(q, args.k, p)
-    elif args.kind == "antinorm":
-        p = _parse_p(args.p)
-        if args.k is None:
-            value = schatten_antinorm(q, p)
-        else:
-            value = kp_antinorm(q, args.k, p, ambient_dim=args.ambient_dim)
-    elif args.kind == "entropy":
-        value = unified_entropy(q, float(args.alpha), float(args.s))
-    else:  # fidelity
-        value = partial_fidelity(q, _load(args.sigma), args.k)
-    print(format(value, ".15g"))
+    print(format(args.kind_value(_load(args.matrix), args), ".15g"))
     return 0
 
 
 def _run_ptrace(args) -> int:
     if args.oracle and args.over == "a":
         raise _ParseFailure("--oracle checks Tr_B only, so it needs --over b")
-    m, n = _parse_dims(args.dims)
+    m, n = args.dims
     w = BipartiteOperator(_load(args.matrix), m, n)
     reduced = partial_trace_a(w) if args.over == "a" else partial_trace_b(w)
     if args.oracle:
@@ -120,9 +97,6 @@ def _run_audit(args) -> int:
     # imported here, so that compute and ptrace never load the audit modules
     from .audit import DEFAULT_DIMS, REGISTRY_IDS, AuditConfig, run_audit
 
-    if [] in (args.dims or ()):  # each --dims flag gives its own list of pairs
-        raise _ParseFailure("--dims needs at least one MxN pair")
-    dims = tuple(_parse_dims(t) for pairs in args.dims for t in pairs) if args.dims else DEFAULT_DIMS
     cases = tuple(args.case) if args.case else None
     if cases is not None:
         unknown = [c for c in cases if c not in REGISTRY_IDS]
@@ -131,7 +105,7 @@ def _run_audit(args) -> int:
     config = AuditConfig(
         base_seed=args.seed,
         trials_per_case=args.trials,
-        dims=dims,
+        dims=args.dims or DEFAULT_DIMS,
         tolerance=args.tolerance,
         env_dim_mode=args.env_dim,
         case_filter=cases,
@@ -160,31 +134,41 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="evaluate one quantity on a matrix file")
-    comp.add_argument("kind", choices=("norm", "antinorm", "entropy", "fidelity"))
-    comp.add_argument("matrix", help="path to a matrix JSON file")
-    comp.add_argument("--k", type=int, default=None, help="leading index count")
-    comp.add_argument("--p", default=None, help="exponent, 'inf' allowed")
-    comp.add_argument("--alpha", type=float, default=None, help="entropy order")
-    comp.add_argument("--s", type=float, default=None, help="entropy second parameter")
-    comp.add_argument("--ambient-dim", type=int, default=None, dest="ambient_dim")
-    comp.add_argument("--sigma", default=None, help="second matrix file for fidelity")
-    comp.set_defaults(func=_run_compute)
+    kinds = comp.add_subparsers(dest="kind", required=True)
+
+    def kind(name, value, help):
+        # each kind declares the options it reads, in full: an abbreviation such as --s would take --sigma
+        k = kinds.add_parser(name, help=help, description=help, allow_abbrev=False)
+        k.add_argument("matrix", help="path to a matrix JSON file")
+        k.set_defaults(func=_run_compute, kind_value=value)
+        return k
+
+    norm = kind("norm", _norm, "the (k, p) norm; without --k the Schatten p-norm")
+    norm.add_argument("--p", type=float, required=True, help="exponent, at least 1; 'inf' allowed")
+    norm.add_argument("--k", type=int, help="number of largest singular values")
+    anti = kind("antinorm", _antinorm, "the (k, p) anti-norm of a PSD matrix; without --k the Schatten anti-norm")
+    anti.add_argument("--p", type=float, required=True, help="exponent in (0, 1]; without --k also negative")
+    anti.add_argument("--k", type=int, help="number of smallest eigenvalues")
+    anti.add_argument("--ambient-dim", type=int, help="pad the spectrum with zeros to this size; needs --k")
+    ent = kind("entropy", _entropy, "the unified (alpha, s) entropy of a density matrix")
+    ent.add_argument("--alpha", type=float, required=True, help="entropy order")
+    ent.add_argument("--s", type=float, required=True, help="entropy second parameter")
+    fid = kind("fidelity", _fidelity, "the partial fidelity of two PSD matrices")
+    fid.add_argument("--sigma", required=True, help="second matrix file")
+    fid.add_argument("--k", type=int, required=True, help="number of largest singular values left out")
 
     pt = sub.add_parser("ptrace", help="partial trace of a bipartite matrix file")
     pt.add_argument("matrix", help="path to a matrix JSON file")
-    pt.add_argument("--dims", required=True, help="factor sizes as MxN")
+    pt.add_argument("--dims", type=_parse_dims, required=True, help="factor sizes as MxN")
     pt.add_argument("--over", choices=("a", "b"), default="b")
-    pt.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also run the twirl oracle (Tr_B only) and report the deviation on stderr",
-    )
+    pt.add_argument("--oracle", action="store_true",
+                    help="also run the twirl oracle (Tr_B only) and report the deviation on stderr")
     pt.set_defaults(func=_run_ptrace)
 
     aud = sub.add_parser("audit", help="run the inequality audit and emit a JSON report")
     aud.add_argument("--seed", type=int, default=42)
     aud.add_argument("--trials", type=int, default=200)
-    aud.add_argument("--dims", nargs="*", action="append", default=None, help="pairs like 2x2 3x2, repeatable")
+    aud.add_argument("--dims", type=_parse_dims, nargs="+", action="extend", help="pairs like 2x2 3x2, repeatable")
     aud.add_argument("--tolerance", type=float, default=1e-9)
     aud.add_argument("--env-dim", choices=("choi_rank", "dim_env"), default="choi_rank")
     aud.add_argument("--case", action="append", default=None, help="restrict to one case id")

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ExponentRangeError, NotDensityError, NotHermitianError
-from .linalg import as_exponent, as_integer, hermitian_eigenvalues, spectral_radius, zero_round_off
+from .linalg import as_exponent, as_integer, as_matrix, hermitian_eigenvalues, spectral_radius, zero_round_off
 
 ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the von Neumann branch
 S_ZERO_TOL = 1e-12  # |s| below this routes to the Renyi branch
@@ -104,7 +104,7 @@ def unified_entropy_from(power_sum, von_neumann, alpha: float, s: float):
 
 def von_neumann_entropy(rho) -> float:
     """-tr(rho ln rho)."""
-    return von_neumann_of(density_spectrum(rho))
+    return von_neumann_of(density_spectrum(as_matrix(rho)))
 
 
 def renyi_entropy(rho, alpha: float) -> float:
@@ -119,7 +119,7 @@ def tsallis_entropy(rho, alpha: float) -> float:
 
 def unified_entropy(rho, alpha: float, s: float) -> float:
     """((tr rho^alpha)^s - 1) / ((1 - alpha) s) with deterministic limit branches."""
-    w = density_spectrum(rho)
+    w = density_spectrum(as_matrix(rho))
     return unified_entropy_from(power_sum_of(w, alpha), von_neumann_of(w), alpha, s)
 
 

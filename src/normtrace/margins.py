@@ -194,6 +194,9 @@ class Spectra:
             [part[name] for part in self.parts])] for name in self.parts[0]}
 
     def _get(self, key, make):
+        """The value at key (a matrix name, then what of it), made once; a window of matrices reads R as both names."""
+        if key[0] == "reduced" and all(part["reduced"] is part["joint"] for part in self.parts):
+            key = ("joint",) + key[1:]
         value = self._memo.get(key)
         if value is None:
             value = self._memo[key] = make()
@@ -209,18 +212,20 @@ class Spectra:
     def spectra(self, kind: str, name: str) -> list:
         """Each size's spectra of a matrix: "sv" descending singular values, or ascending validated eigenvalues."""
         decompose = {"sv": partial(np.linalg.svd, compute_uv=False), "psd": psd_spectrum, "density": density_spectrum}
-        return self._get((kind, name), lambda: [decompose[kind](stacked([self.parts[i][name] for i in ids]))
+        return self._get((name, kind), lambda: [decompose[kind](stacked([self.parts[i][name] for i in ids]))
                                                 for _, ids in self.sizes[name]])
 
     def padded(self, kind: str, name: str) -> np.ndarray:
         """The window's spectra of a matrix, zero-padded to one width: "sv" on the right, eigenvalues on the left."""
-        if ("padded", kind, name) not in self._memo:
+        def make():
             parts = self.spectra(kind, name)
             width = max(s.shape[-1] for s in parts)
-            out = self._memo["padded", kind, name] = np.zeros((self.size, width))
+            out = np.zeros((self.size, width))
             for (rows, _), s in zip(self.sizes[name], parts):
                 out[rows, slice(0, s.shape[-1]) if kind == "sv" else slice(width - s.shape[-1], width)] = s
-        return self._memo["padded", kind, name]
+            return out
+
+        return self._get((name, "padded", kind), make)
 
     def sizewise(self, kind: str, name: str, f, values) -> np.ndarray:
         """(rows, points) array whose column j is f(s, values[j]) on each size's spectra s."""
@@ -254,14 +259,14 @@ class Spectra:
     def norm(self, name: str, k, p: tuple) -> np.ndarray:
         """(k, p) norms of a matrix at each point; k None gives its Schatten p-norms."""
         table = lambda e: gauge_table(self.padded("sv", name), e)  # noqa: E731
-        return self._lookup(("norm", name), table, k, p, 0)
+        return self._lookup((name, "norm"), table, k, p, 0)
 
     def antinorm(self, name: str, k, p: tuple) -> np.ndarray:
         """(k, p) anti-norms of a PSD matrix; "joint" zero-pads to n times the rank bound (so Phi(Q)'s size times d)."""
         ambient = self.bound * self.n if name == "joint" else self.bound
         top = int(ambient.max())
         table = lambda e: antinorm_table(self.padded("psd", name), e, top)  # noqa: E731
-        return self._lookup(("antinorm", name, top), table, k, p, (top - ambient)[:, None])
+        return self._lookup((name, "antinorm", top), table, k, p, (top - ambient)[:, None])
 
     def schatten_antinorm(self, name: str, p: tuple) -> np.ndarray:
         """Schatten anti-norms of a PSD matrix at each point, p < 0 too."""

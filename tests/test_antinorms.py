@@ -14,6 +14,7 @@ from normtrace.antinorms import (
     schatten_antinorm_of,
 )
 from normtrace.errors import (
+    DomainError,
     ExponentRangeError,
     NotPsdError,
     RankRangeError,
@@ -247,6 +248,20 @@ def test_partial_fidelity_rejects_bad_inputs():
     for k in (0, 4):
         with pytest.raises(RankRangeError):
             partial_fidelity(rho, sigma, k)
+
+
+@pytest.mark.parametrize("bad,error", [
+    ([[1.0, 2.0], [0.0, 1.0]], NotPsdError),
+    (np.diag([np.nan, 1.0]), DomainError),
+    (-np.eye(2), NotPsdError),
+])
+@pytest.mark.parametrize("side", ["rho", "sigma"])
+def test_partial_fidelity_checks_its_operands_at_k_equal_m(side, bad, error):
+    # k = m returned 0.0 for each of these, which k = 1 refuses
+    operands = (bad, np.eye(2) / 2) if side == "rho" else (np.eye(2) / 2, bad)
+    for k in (1, 2):
+        with pytest.raises(error):
+            partial_fidelity(*operands, k)
 
 
 def test_partial_fidelity_decomposition_count(monkeypatch):

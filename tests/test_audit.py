@@ -957,6 +957,16 @@ def _gram_size(sizes) -> int:
     return min(d, n * m)
 
 
+def test_a_window_of_matrices_decomposes_each_size_once(monkeypatch):
+    # a TPN2 row is one matrix R, read as "joint" and as "reduced": one svd per size of R (2, 3 and 4 at the
+    # default dims) and one for the witness pair, where reading the two names apart took two of each
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(a.shape) or svd(a, *args, **kwargs))
+    run_audit(AuditConfig(trials_per_case=40, case_filter=("TPN2",)))
+    assert len(calls) == len(set(calls)) == 4
+
+
 def test_run_audit_decomposes_each_instance_once(monkeypatch):
     # Instances are made first and then evaluated in batches: one per case
     # window (8 trials fit one window, and the saturators join it), and one per

@@ -207,6 +207,28 @@ def test_a_non_finite_entry_raises_domain_error(call, where, bad, capfd):
     assert capfd.readouterr() == ("", "")  # and nothing from LAPACK on the terminal
 
 
+# each public function of one matrix, the other arguments valid
+MATRIX_CALLS = {
+    "kp_norm": lambda q: norms.kp_norm(q, 1, 2.0),
+    "schatten_norm": lambda q: norms.schatten_norm(q, 2.0),
+    "kyfan_norm": lambda q: norms.kyfan_norm(q, 1),
+    "kp_antinorm": lambda q: antinorms.kp_antinorm(q, 1, 0.5),
+    "kyfan_antinorm": lambda q: antinorms.kyfan_antinorm(q, 1),
+    "schatten_antinorm": lambda q: antinorms.schatten_antinorm(q, 0.5),
+    "unified_entropy": lambda q: entropy.unified_entropy(q, 2.0, 0.5),
+    "renyi_entropy": lambda q: entropy.renyi_entropy(q, 2.0),
+    "tsallis_entropy": lambda q: entropy.tsallis_entropy(q, 2.0),
+    "von_neumann_entropy": entropy.von_neumann_entropy,
+}
+
+
+@pytest.mark.parametrize("call", list(MATRIX_CALLS))
+def test_a_function_of_one_matrix_refuses_a_stack(call):
+    # the anti-norms and entropies returned an array or a list, one value per matrix, or said a 1-d spectrum
+    with pytest.raises(ShapeMismatchError, match=r"^expected a nonempty 2-d matrix, got shape \(2, 2, 2\)$"):
+        MATRIX_CALLS[call](np.stack([np.eye(2) / 2] * 2))
+
+
 RHO = np.diag([0.25, 0.75])
 
 # each public function at each of its exponent arguments, the others valid,
