@@ -506,7 +506,8 @@ def evaluate_case(case_id: str, instance, params) -> float:
     integer, family a string, and every other column a real number other than
     a bool, on the grid or off it; a point outside the domain (margins.AXES) of
     every product of the axes, the range the paper proves the bound on, raises
-    ExponentRangeError (PreconditionError for a family).  An "env_mode" entry of
+    ExponentRangeError (PreconditionError for a family), and a point whose margin
+    is not finite raises DomainError.  An "env_mode" entry of
     params, one of ENV_DIM_MODES ("choi_rank" by default), picks a channel's d
     as AuditConfig.env_dim_mode does, and is checked as that is.
     """
@@ -540,7 +541,11 @@ def evaluate_case(case_id: str, instance, params) -> float:
     grid, sp = Grid({name: (value,) for name, value in params.items()}, 1), Spectra([instance], env_mode)
     if not sp.in_bound(grid).all():  # a point that was asked for is never out of bound
         raise RankRangeError(f"k={params['k']} outside [1, {sp.bound[0]}]")
-    return float(case.evaluate(sp, grid)[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a margin past the float range is refused below
+        margin = float(case.evaluate(sp, grid)[0, 0])
+    if not math.isfinite(margin):  # as run_audit refuses it
+        raise DomainError(f"case {case_id} has no finite margin at {params}: its terms leave the float range")
+    return margin
 
 
 # ---------------------------------------------------------------------------

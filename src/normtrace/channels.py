@@ -16,7 +16,7 @@ from .linalg import as_integer, as_matrices, as_matrix, singular_values, stacked
 
 ISOMETRY_TOL = 1e-10
 CHOI_RANK_TOL = 1e-9
-CONJUGATION_TOL = 1e-9  # singular values at most this share of the largest are zeros, and match within it
+CONJUGATION_TOL = 1e-9  # zero-padded singular spectra match entry by entry within this share of the largest
 
 
 def qr_isometry(g: np.ndarray) -> np.ndarray:
@@ -158,26 +158,16 @@ def choi_rank(ch: StinespringChannel) -> int:
 def singular_value_conjugation_check(ch_or_v, q) -> bool:
     """Whether V Q V^dag and Q share their nonzero singular values.
 
-    True for every isometry V; accepts either a channel or a raw tall matrix
-    so that non-isometric counterexamples can be probed directly.
+    Both descending spectra, the shorter zero-padded, agree entry by entry within
+    CONJUGATION_TOL times the larger leading value.  True for every isometry V;
+    accepts either a channel or a raw tall matrix so that non-isometric
+    counterexamples can be probed directly.
     """
-    if isinstance(ch_or_v, StinespringChannel):
-        v = ch_or_v.v
-    else:
-        v = as_matrix(ch_or_v)
+    v = ch_or_v.v if isinstance(ch_or_v, StinespringChannel) else as_matrix(ch_or_v)
     q = as_matrix(q)
     if q.shape[0] != q.shape[1] or v.shape[1] != q.shape[0]:
         raise ShapeMismatchError(f"incompatible shapes {v.shape} and {q.shape}")
-    s_out = singular_values(v @ q @ v.conj().T)
-    s_in = singular_values(q)
-    smax = max(float(s_out.max()), float(s_in.max()))
-    if smax == 0.0:
-        return True
-    cutoff = CONJUGATION_TOL * smax
-    a = s_out[s_out > cutoff]
-    b = s_in[s_in > cutoff]
-    if a.size != b.size:
-        return False
-    if a.size == 0:
-        return True
-    return float(np.abs(a - b).max()) <= cutoff
+    spectra = singular_values(v @ q @ v.conj().T), singular_values(q)
+    width = max(s.size for s in spectra)
+    a, b = (np.pad(s, (0, width - s.size)) for s in spectra)
+    return bool(np.abs(a - b).max() <= CONJUGATION_TOL * max(a[0], b[0]))

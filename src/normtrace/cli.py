@@ -95,21 +95,13 @@ def _run_ptrace(args) -> int:
 
 def _run_audit(args) -> int:
     # imported here, so that compute and ptrace never load the audit modules
-    from .audit import DEFAULT_DIMS, REGISTRY_IDS, AuditConfig, run_audit
+    from .audit import AuditConfig, run_audit
 
-    cases = tuple(args.case) if args.case else None
-    if cases is not None:
-        unknown = [c for c in cases if c not in REGISTRY_IDS]
-        if unknown:
-            raise _ParseFailure(f"unknown case ids: {', '.join(unknown)}")
-    config = AuditConfig(
-        base_seed=args.seed,
-        trials_per_case=args.trials,
-        dims=args.dims or DEFAULT_DIMS,
-        tolerance=args.tolerance,
-        env_dim_mode=args.env_dim,
-        case_filter=cases,
-    )
+    given = {name: value for name, value in vars(args).items() if name not in ("command", "func", "out")}
+    try:  # each of AuditConfig's refusals names an option given
+        config = AuditConfig(**given)
+    except PreconditionError as exc:
+        raise _ParseFailure(str(exc)) from None
     try:  # opened before the run, so a report that cannot be written costs no audit
         out = open(args.out, "w", encoding="utf-8") if args.out is not None else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
@@ -165,13 +157,15 @@ def _build_parser() -> _Parser:
                     help="also run the twirl oracle (Tr_B only) and report the deviation on stderr")
     pt.set_defaults(func=_run_ptrace)
 
-    aud = sub.add_parser("audit", help="run the inequality audit and emit a JSON report")
-    aud.add_argument("--seed", type=int, default=42)
-    aud.add_argument("--trials", type=int, default=200)
+    # an option not given is left out, so that AuditConfig's default holds
+    aud = sub.add_parser("audit", help="run the inequality audit and emit a JSON report",
+                         argument_default=argparse.SUPPRESS)
+    aud.add_argument("--seed", dest="base_seed", type=int)
+    aud.add_argument("--trials", dest="trials_per_case", type=int)
     aud.add_argument("--dims", type=_parse_dims, nargs="+", action="extend", help="pairs like 2x2 3x2, repeatable")
-    aud.add_argument("--tolerance", type=float, default=1e-9)
-    aud.add_argument("--env-dim", choices=("choi_rank", "dim_env"), default="choi_rank")
-    aud.add_argument("--case", action="append", default=None, help="restrict to one case id")
+    aud.add_argument("--tolerance", type=float)
+    aud.add_argument("--env-dim", dest="env_dim_mode")
+    aud.add_argument("--case", dest="case_filter", action="append", help="restrict to one case id")
     aud.add_argument("--out", default=None, help="report path, stdout when omitted")
     aud.set_defaults(func=_run_audit)
     return parser

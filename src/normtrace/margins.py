@@ -150,8 +150,8 @@ class Spectra:
     The rows are grouped once, by (form, finish, sizes), each group finished in one call to its matrices "joint"
     and "reduced" (W and Tr_B W, Q and Phi(Q), or R and R); the stacks of one size are joined and decomposed at
     most once per spectrum kind, in one call, with the matrix-level checks row by row.  A channel group has one
-    (m, n, d); the window's V stacks, kept in dilations, take one isometry check per input dimension, and its
-    Choi ranks one call per Gram size.
+    (m, n, d); the window's V stacks, kept in dilations, take one isometry check per input dimension before any
+    output or Choi Gram is formed, and its Choi ranks one call per Gram size.
     Row i has its traced-out dimension n[i] (n, a channel's d, or 1) and rank bound
     bound[i], the size of its reduced matrix.  The sizes' spectra join zero-padded,
     descending ones on the right and ascending ones on the left, which keeps each
@@ -167,11 +167,16 @@ class Spectra:
         for i, x in enumerate(insts):
             groups.setdefault((x.form, x.finish, x.sizes), []).append(i)
         self.rows = [np.array(rows) for rows in groups.values()]
-        # each group's stacked matrices by name, its channels' dilations V, the Choi Grams
-        self.parts, self.dilations, grams, self.n = [], [], [], np.empty(self.size, int)
-        for ((form, finish, sizes), rows), at in zip(groups.items(), self.rows):
-            finished = finish(tuple(map(np.array, zip(*(insts[i].draws for i in rows)))), *sizes)
-            v, joint = finished if form == "channel" else (None, finished)
+        finished = [finish(tuple(map(np.array, zip(*(insts[i].draws for i in rows)))), *sizes)
+                    for (_, finish, sizes), rows in groups.items()]
+        # the channels' dilations V, checked before any V Q V^dag or Choi Gram, so one that is no isometry, however
+        # large its entries, fails as such
+        self.dilations = [x[0] for (form, _, _), x in zip(groups, finished) if form == "channel"]
+        require_isometry(*self.dilations)
+        # each group's stacked matrices by name, the Choi Grams
+        self.parts, grams, self.n = [], [], np.empty(self.size, int)
+        for (form, _, sizes), x, at in zip(groups, finished, self.rows):
+            v, joint = x if form == "channel" else (None, x)
             require_square(joint)
             if form == "bipartite":
                 reduced, self.n[at] = trace_out_b(joint, *sizes), sizes[1]
@@ -179,13 +184,11 @@ class Spectra:
                 _, n, d = sizes
                 # each channel's d: its dilation's dim_env or, under "choi_rank", its Choi rank (below)
                 reduced, self.n[at] = channel_outputs(v, joint, n, d), d
-                self.dilations.append(v)
                 if env_mode == "choi_rank":
                     grams.append((choi_gram(v, n, d), at))
             else:  # a matrix is its own Tr_B over a trivial factor
                 reduced, self.n[at] = joint, 1
             self.parts.append({"joint": joint, "reduced": reduced})
-        require_isometry(*self.dilations)  # before any Choi rank, so a dilation that is no isometry fails as such
         for ids in _by_size([gram for gram, _ in grams]):
             self.n[stacked([grams[i][1] for i in ids])] = gram_ranks(stacked([grams[i][0] for i in ids]))
         self.bound = self.joined([part["reduced"].shape[-1] for part in self.parts], int)

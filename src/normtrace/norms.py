@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ExponentRangeError, RankRangeError, ShapeMismatchError
+from .errors import DomainError, ExponentRangeError, RankRangeError, ShapeMismatchError
 from .linalg import as_exponent, as_integer, as_matrix, singular_values
 
 # above this exponent sums are accumulated on a scaled axis to avoid overflow
@@ -52,7 +52,10 @@ def gauge_kp(x, k: int, p: float) -> float:
         raise ShapeMismatchError(f"x must be a nonempty 1-d sequence of numbers, got {x!r}")
     if not 1 <= k <= v.size:
         raise RankRangeError(f"k={k} outside [1, {v.size}]")
-    return float(gauge_table(np.sort(v)[::-1][:k].astype(float), p)[-1])
+    value = float(gauge_table(np.sort(v)[::-1][:k].astype(float), p)[-1])
+    if not math.isfinite(value):  # a NaN or infinite entry sorts among the k largest
+        raise DomainError(f"entries of x must be finite, and their gauge within the float range: got {value}")
+    return value
 
 
 def kp_norm(q, k: int, p: float) -> float:

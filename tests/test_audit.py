@@ -31,6 +31,7 @@ from normtrace.errors import (
     DomainError,
     ExponentRangeError,
     KindMismatchError,
+    NotTracePreservingError,
     PreconditionError,
     RankRangeError,
     ShapeMismatchError,
@@ -405,6 +406,18 @@ def test_run_audit_counts_overflowing_bound_factors_as_failures(monkeypatch, cid
 def test_evaluate_case_overflowing_bound_factor_raises_domain_error():
     with pytest.raises(DomainError, match="overflows the float range"):
         evaluate_case("KQN2", sample("bipartite_pd", (2, 3), 1), {"p": -0.001})
+
+
+@pytest.mark.parametrize("cid,instance,params", [
+    ("KQN1", sample("bipartite_psd", (2, 3), 1), {"k": 1, "p": 1e-300}),
+    ("TPN62", sample("psd", 3, 1), {"k": 2, "p": 1e-300, "q": 0.5}),
+])
+def test_evaluate_case_refuses_a_margin_past_the_float_range(recwarn, cid, instance, params):
+    # both points lie in the proved domain, but a count of eigenvalues to the power 1/p overflows and its
+    # factor n^((p-1)/p) underflows to 0, so the margin read nan; run_audit records it as a failure
+    with pytest.raises(DomainError, match=re.escape(f"case {cid} has no finite margin at {params}")):
+        evaluate_case(cid, instance, params)
+    assert len(recwarn) == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1911,6 +1924,20 @@ def test_window_checks_dilations_before_any_choi_rank(monkeypatch):
     _replace_case(monkeypatch, "STCTP", make_instance=raising)
     (raised,) = run_audit(cfg).cases
     assert {**rec, "first_failure": None} == {**raised, "first_failure": None}
+
+
+@pytest.mark.parametrize("scale", [1e200, math.inf])
+def test_a_huge_dilation_is_refused_before_any_output_or_gram(monkeypatch, recwarn, scale):
+    # V Q V^dag and the Choi Gram of a V scaled by 1e200 overflow in matmul, so the isometry
+    # check comes first: each trial fails as no isometry, with no warning, alone or in a window
+    qr_isometry = audit.qr_isometry
+    monkeypatch.setattr(audit, "qr_isometry", lambda g: qr_isometry(g) * scale)
+    (rec,) = run_audit(AuditConfig(trials_per_case=3, case_filter=("STCT1",))).cases
+    assert rec["failures"] == 3
+    assert rec["first_failure"] == "NotTracePreservingError: dilation matrix is not an isometry"
+    with pytest.raises(NotTracePreservingError, match="not an isometry"):
+        evaluate_case("STCT1", REGISTRY["STCT1"].make_instance((2, 3), 5), {"k": 1, "p": 2.0})
+    assert len(recwarn) == 0
 
 
 # W is 4 x 4 for three shapes and 6 x 6 for two; Tr_B W, Q and Phi(Q) share sizes too

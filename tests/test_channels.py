@@ -10,6 +10,7 @@ from normtrace.channels import (
     singular_value_conjugation_check,
     validate_isometry,
 )
+from normtrace.audit import sample
 from normtrace.bipartite import BipartiteOperator, partial_trace_b
 from normtrace.errors import NotTracePreservingError, PreconditionError, ShapeMismatchError
 
@@ -59,6 +60,13 @@ def test_channel_rejects_non_isometry():
         StinespringChannel(haar_isometry(rng, 6, 2), 2, 2, 2)
 
 
+@pytest.mark.parametrize("dims", [(2, 0, 3), (2, -2, -3), (0, 6, 1)])
+def test_channel_dimensions_must_be_positive(dims):
+    # (2, -2, -3) matches a 6 x 2 dilation's shape, so only the sign check refuses it
+    with pytest.raises(ShapeMismatchError, match="channel dimensions must be positive"):
+        StinespringChannel(haar_isometry(np.random.default_rng(4), 6, 2), *dims)
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2.0), (2.0, 2, 2), (2, True, 4), (True, 2, 1)])
 def test_channel_dims_must_be_integers(dims):
     # each of these matches the dilation's shape, but a Choi rank needs integer dims
@@ -103,6 +111,8 @@ def test_kraus_to_stinespring_round_trip():
     assert (rebuilt.dim_in, rebuilt.dim_out, rebuilt.dim_env) == (2, 3, 2)
     with pytest.raises(ShapeMismatchError):
         kraus_to_stinespring([])
+    with pytest.raises(ShapeMismatchError, match="Kraus operators must share one shape"):
+        kraus_to_stinespring([np.eye(2) / np.sqrt(2.0), np.eye(2, 3) / np.sqrt(2.0)])
     with pytest.raises(NotTracePreservingError):
         kraus_to_stinespring([np.eye(2), np.eye(2)])
 
@@ -123,6 +133,12 @@ def test_partial_trace_channel_takes_integer_dimensions(m, n):
     with pytest.raises(ShapeMismatchError, match="expected an integer dimension"):
         partial_trace_channel(m, n)
     assert partial_trace_channel(np.int64(2), 2).dim_in == 4
+
+
+@pytest.mark.parametrize("m,n", [(2, 0), (0, 3), (-1, 2)])
+def test_partial_trace_channel_takes_positive_dimensions(m, n):
+    with pytest.raises(ShapeMismatchError, match="factor dimensions must be positive"):
+        partial_trace_channel(m, n)
 
 
 def amplitude_damping(gamma):
@@ -213,3 +229,22 @@ def test_conjugation_check_accepts_channel_objects():
     ch = random_channel(rng, 3, 2, 2)
     q = ginibre(rng, 3, 3)
     assert singular_value_conjugation_check(ch, q)
+
+
+def test_conjugation_check_holds_for_every_sampled_channel():
+    # Q's 1e-9 sits at the check's cutoff, where rounding put it on one side in Q and on the other in V Q V^dag:
+    # a filter by the cutoff then counted one nonzero value more on one side and answered False for 108 of these
+    q = np.diag([1.0, 1e-9])
+    assert all(singular_value_conjugation_check(sample("channel", (2, 2, 2), seed), q) for seed in range(200))
+
+
+def test_conjugation_check_of_a_zero_input_holds():
+    v = haar_isometry(np.random.default_rng(31), 4, 2)
+    assert singular_value_conjugation_check(v, np.zeros((2, 2))) is True
+
+
+@pytest.mark.parametrize("q_shape", [(3, 3), (2, 3)])
+def test_conjugation_check_refuses_incompatible_shapes(q_shape):
+    v = haar_isometry(np.random.default_rng(37), 4, 2)
+    with pytest.raises(ShapeMismatchError, match="incompatible shapes"):
+        singular_value_conjugation_check(v, np.ones(q_shape))

@@ -13,8 +13,8 @@ import pytest
 
 import normtrace
 from normtrace import cli, jsonio
-from normtrace.antinorms import kp_antinorm
-from normtrace.audit import DEFAULT_DIMS, ENV_DIM_MODES, REGISTRY, AuditConfig
+from normtrace.antinorms import kp_antinorm, schatten_antinorm
+from normtrace.audit import ENV_DIM_MODES, REGISTRY, AuditConfig
 from normtrace.bipartite import BipartiteOperator, partial_trace_a, partial_trace_b
 from normtrace.entropy import unified_entropy
 from normtrace.errors import PreconditionError
@@ -99,6 +99,14 @@ def test_compute_entropy_limits_match_unified_entropy(matrices, capsys, alpha, s
     assert code == 0
     want = unified_entropy(matrices["_arrays"]["rho"], alpha, s)
     assert capsys.readouterr().out == format(want, ".15g") + "\n"
+
+
+def test_compute_reads_a_negative_exponent_in_both_spellings(matrices, capsys):
+    # argparse reads a word such as -1e-3 after --p as an option, so that spelling is written --p=-1e-3
+    want = format(schatten_antinorm(matrices["_arrays"]["a"], -1e-3), ".15g") + "\n"
+    for options in (["--p=-1e-3"], ["--p", "-0.001"]):
+        assert cli.main(["compute", "antinorm", matrices["a"], *options]) == 0
+        assert capsys.readouterr() == (want, "")
 
 
 def test_compute_fidelity(matrices):
@@ -259,11 +267,26 @@ def test_audit_violation_exit_code():
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan"])
-def test_audit_non_finite_tolerance_exits_3(capsys, tolerance):
-    # an infinite tolerance would hide every violation
-    assert cli.main(["audit", "--trials", "1", "--case", "KPN1", "--tolerance", tolerance]) == 3
+def test_audit_non_finite_tolerance_exits_2(capsys, tolerance):
+    # an infinite tolerance would hide every violation; AuditConfig's refusal names the option, so it is an argument error
+    assert cli.main(["audit", "--trials", "1", "--case", "KPN1", "--tolerance", tolerance]) == 2
     out = capsys.readouterr()
-    assert "tolerance" in out.err and out.out == ""
+    assert out.err == f"error: tolerance must be a finite positive real number, got {float(tolerance)!r}\n"
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("options,message", [
+    (("--trials", "0"), "trials_per_case must be at least 1"),
+    (("--env-dim", "X"), f"unknown env_dim_mode 'X', expected one of {ENV_DIM_MODES}"),
+    (("--case", "KPN1", "--case", "X"), "unknown case ids ['X']"),
+], ids=["trials-0", "env-dim-X", "case-X"])
+def test_audit_config_refusals_exit_2_before_the_run(monkeypatch, capsys, options, message):
+    def run_audit(config):
+        raise AssertionError("the audit ran")
+
+    monkeypatch.setattr(normtrace.audit, "run_audit", run_audit)
+    assert cli.main(["audit", *options]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_audit_unknown_case_exits_2():
@@ -298,19 +321,25 @@ def test_audit_out_to_an_unwritable_path_exits_2_before_the_run(monkeypatch, tmp
 
 
 def test_audit_options_are_the_config_fields():
-    # each config field has exactly one audit option with the field's default, so a field no caller sets shows
-    args = vars(cli._build_parser().parse_args(["audit"]))
-    fields = {"seed": "base_seed", "trials": "trials_per_case", "dims": "dims", "tolerance": "tolerance",
-              "env_dim": "env_dim_mode", "case": "case_filter"}
-    assert set(args) - {"command", "func", "out"} == set(fields)
-    assert set(fields.values()) == {f.name for f in dataclasses.fields(AuditConfig)}
-    config = AuditConfig()
-    for option, field in fields.items():
-        default = DEFAULT_DIMS if option == "dims" and args[option] is None else args[option]
-        assert default == getattr(config, field), option
+    # each config field has exactly one audit option, named by the field, and a bare audit sets none of them, so
+    # every default and check is AuditConfig's own
     (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    (env_dim,) = [a for a in commands.choices["audit"]._actions if a.dest == "env_dim"]
-    assert tuple(env_dim.choices) == ENV_DIM_MODES
+    dests = {a.dest for a in commands.choices["audit"]._actions} - {"help"}
+    assert dests == {f.name for f in dataclasses.fields(AuditConfig)} | {"out"}
+    assert vars(cli._build_parser().parse_args(["audit"])) == {"command": "audit", "func": cli._run_audit, "out": None}
+
+
+def test_a_bare_audit_runs_the_default_config(monkeypatch, capsys):
+    configs = []
+
+    def run_audit(config):
+        configs.append(config)
+        raise AssertionError("stop")
+
+    monkeypatch.setattr(normtrace.audit, "run_audit", run_audit)
+    with pytest.raises(AssertionError, match="stop"):
+        cli.main(["audit"])
+    assert configs == [AuditConfig()]
 
 
 def test_version_flag():

@@ -59,6 +59,8 @@ def test_hermitian_checks():
     h = g + g.conj().T
     assert is_hermitian(h)
     assert not is_hermitian(h + 1e-6 * 1j * np.eye(4))
+    assert is_hermitian(np.ones((2, 3))) is False  # a non-square matrix, or stack, is no Hermitian one
+    assert is_hermitian(np.ones((2, 2, 3))) is False
 
 
 def test_psd_eigenvalues_zero_round_off():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from normtrace.errors import ExponentRangeError, RankRangeError, ShapeMismatchError
+from normtrace.errors import DomainError, ExponentRangeError, RankRangeError, ShapeMismatchError
 from normtrace.norms import LARGE_P_THRESHOLD, gauge_kp, gauge_table, kp_norm, kyfan_norm, schatten_norm
 
 
@@ -135,6 +135,13 @@ def test_gauge_kp_reads_complex_entries_by_their_moduli():
     assert gauge_kp([3 + 4j], 1, 1.0) == 5.0
     assert gauge_kp(np.array([1.0, -2.0 + 0j, 3j]), 2, 2.0) == pytest.approx(math.sqrt(13.0), rel=1e-15)
     assert gauge_kp([1, -7, 2], 2, 1.0) == 9.0
+
+
+@pytest.mark.parametrize("x,k,p", [([math.nan, 1.0], 1, 2.0), ([math.inf, 1.0], 2, 2.0), ([1.0, math.nan], 1, math.inf)])
+def test_gauge_kp_refuses_a_non_finite_entry(x, k, p):
+    # a NaN or infinite entry sorts among the k largest, and its gauge was returned as nan or inf
+    with pytest.raises(DomainError, match="entries of x must be finite"):
+        gauge_kp(x, k, p)
 
 
 @pytest.mark.parametrize("x", [["a"], "ab", [None], [1.0, "2"], [[1.0, 2.0], [3.0]], [True, False]])
